@@ -32,8 +32,8 @@ DENSITY_MIN_TOL = 1e-9
 BLOCK_RATIO = 0.75
 
 
-def _family_with_reverses(c: MomentSequence, N: int, frame=None):
-    fam = orthonormal_polys(c, N, frame)
+def _family_with_reverses(c: MomentSequence, N: int):
+    fam = orthonormal_polys(c, N)
     rev_left = [reverse_R(fam.left[n], n) for n in range(N + 1)]    # in H[p]^L
     rev_right = [reverse_L(fam.right[n], n) for n in range(N + 1)]  # in H[p]^R
     return fam, rev_left, rev_right
@@ -59,7 +59,7 @@ def cd_identity_check(c: MomentSequence, N: int, samples: int = 100,
     1.05 < |p| < 2 and returns max |K - RHS| / (1 + |K|) over points and the
     two forms ((n+1)-form and n-form).
     """
-    fam, rev_left, rev_right = _family_with_reverses(c, N + 1, frame)
+    fam, rev_left, rev_right = _family_with_reverses(c, N + 1)
     rng = np.random.default_rng(seed)
     worst = 0.0
     for s in range(samples):

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -27,15 +28,14 @@ from .errors import (
 )
 from .fixtures import random_gamma_seq
 from .measures import (
-    MomentSequence, QPositiveDensity, density_in_frame, is_nontrivial,
-    moments_from_density,
+    MomentSequence, QPositiveDensity, density_in_frame, moments_from_density,
 )
 from .polynomials import (
-    VerblunskySeq, moments_from_verblunsky_q, orthonormal_polys, reverse_L,
-    reverse_R, verblunsky_from_moments_q,
+    VerblunskySeq, moments_from_verblunsky_q, orthonormal_polys,
+    verblunsky_from_moments_q,
 )
 from .quaternions import Quaternion, SliceFrame
-from .zeros import zero_slice, zeros_theorem_check
+from .zeros import zeros_theorem_check
 
 EXIT_OK = 0
 EXIT_INVALID_INPUT = 2
@@ -97,15 +97,62 @@ def emit_csv(header, rows) -> str:
 
 # ------------------------------ fixture I/O --------------------------------
 
+def _require_numbers(value, count: int, field: str) -> None:
+    """ValueError naming ``field`` unless value is a list of count finite numbers."""
+    if not (isinstance(value, list) and len(value) == count
+            and all(isinstance(x, (int, float)) and not isinstance(x, bool)
+                    and math.isfinite(x) for x in value)):
+        raise ValueError(f"{field} must be a list of {count} finite numbers, "
+                         f"got {value!r}")
+
+
+def _require_list(obj: dict, key: str) -> list:
+    value = obj.get(key, [])
+    if not isinstance(value, list):
+        raise ValueError(f"{key} must be a list, got {value!r}")
+    return value
+
+
+def _validate_frame(obj, field: str) -> None:
+    if not isinstance(obj, dict):
+        raise ValueError(f"{field} must be an object with keys i and j")
+    for key in ("i", "j"):
+        _require_numbers(obj.get(key), 4, f"{field}.{key}")
+
+
+def _validate_fixture(obj) -> None:
+    """Shape and finiteness of every field a command reads, checked at load."""
+    if not isinstance(obj, dict):
+        raise ValueError("fixture must be a JSON object")
+    if "frame" in obj:
+        _validate_frame(obj["frame"], "frame")
+    for k, g in enumerate(_require_list(obj, "gammas")):
+        _require_numbers(g, 4, f"gammas[{k}]")
+    for key in ("w1", "w2"):
+        for k, entry in enumerate(_require_list(obj, key)):
+            _require_numbers(entry, 3, f"{key}[{k}]")
+            if not isinstance(entry[0], int):
+                raise ValueError(f"{key}[{k}] index must be an integer, got {entry[0]!r}")
+    for k, entry in enumerate(_require_list(obj, "moments")):
+        if not (isinstance(entry, list) and len(entry) == 2
+                and isinstance(entry[0], int) and not isinstance(entry[0], bool)):
+            raise ValueError(f"moments[{k}] must be [index, quaternion], got {entry!r}")
+        _require_numbers(entry[1], 4, f"moments[{k}][1]")
+
+
 def load_fixture(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        obj = json.load(fh)
+    _validate_fixture(obj)
+    return obj
 
 
 def parse_frame(spec: str | None) -> SliceFrame | None:
     if spec is None or spec == "standard":
         return None
-    return SliceFrame.from_json(json.loads(spec))
+    obj = json.loads(spec)
+    _validate_frame(obj, "--frame")
+    return SliceFrame.from_json(obj)
 
 
 def fixture_frame(obj: dict, override: SliceFrame | None) -> SliceFrame:
@@ -165,13 +212,8 @@ def cmd_moments_to_verblunsky(args) -> dict:
     obj = load_fixture(args.input)
     frame = parse_frame(args.frame) or fixture_frame(obj, None)
     c = moments_from_fixture(obj, args.n, parse_frame(args.frame))
-    for order in range(args.n + 1):
-        report = is_nontrivial(c, order, frame, pivot_tol=args.tol_pd)
-        if not report.ok:
-            raise NotPositiveDefinite(
-                f"Toeplitz form not positive definite at order {order} "
-                f"(min pivot {report.min_pivot:.3e})", order=order)
-    ext = verblunsky_from_moments_q(c, args.n, frame, route_tol=args.tol_route)
+    ext = verblunsky_from_moments_q(c, args.n, frame, route_tol=args.tol_route,
+                                    pivot_tol=args.tol_pd)
     return {
         "gammas": [g.to_json() for g in ext.matrix_route],
         "route_residual": ext.route_residual,
@@ -192,9 +234,8 @@ def cmd_verblunsky_to_moments(args) -> dict:
 
 def cmd_orthopolys(args) -> dict:
     obj = load_fixture(args.input)
-    frame = parse_frame(args.frame) or fixture_frame(obj, None)
     c = moments_from_fixture(obj, args.n, parse_frame(args.frame))
-    fam = orthonormal_polys(c, args.n, frame)
+    fam = orthonormal_polys(c, args.n, args.tol_pd)
     return {
         "right": [p.to_json() for p in fam.right],
         "left": [p.to_json() for p in fam.left],
@@ -205,22 +246,11 @@ def cmd_zeros(args) -> dict:
     obj = load_fixture(args.input)
     frame = parse_frame(args.frame) or fixture_frame(obj, None)
     c = moments_from_fixture(obj, args.n, parse_frame(args.frame))
-    fam = orthonormal_polys(c, args.n, frame)
-    rows = zeros_theorem_check(c, args.n, frame, route_tol=args.tol_route)
-    families = []
-    for n in range(1, args.n + 1):
-        for name, poly in (
-            ("right", fam.right[n]),
-            ("left", fam.left[n]),
-            ("right_reverse", reverse_L(fam.right[n], n)),
-            ("left_reverse", reverse_R(fam.left[n], n)),
-        ):
-            report = zero_slice(poly, frame, route_tol=args.tol_route)
-            families.append({
-                "degree": n,
-                "family": name,
-                "report": report.to_json(),
-            })
+    fam = orthonormal_polys(c, args.n, args.tol_pd)
+    rows, reports = zeros_theorem_check(fam, frame, route_tol=args.tol_route)
+    families = [{"degree": n, "family": name, "report": report.to_json()}
+                for n, per_family in enumerate(reports, start=1)
+                for name, report in per_family.items()]
     return {"per_degree": rows, "reports": families}
 
 

@@ -67,10 +67,3 @@ def random_moment_fixture(seed: int, N: int, rmax: float = 0.8,
     """Moments of a random Verblunsky sequence (guaranteed non-trivial)."""
     return moments_from_verblunsky_q(random_gamma_seq(seed, N, rmax), N, frame)
 
-
-NAMED_DENSITIES = {
-    "lebesgue": lebesgue_density,
-    "bernstein_szego_05": bernstein_szego_density,
-    "vanishing_density": vanishing_density,
-    "smooth_trig": smooth_trig_density,
-}

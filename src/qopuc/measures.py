@@ -20,7 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import HorizonExceeded, NotPositiveDefinite
-from .quaternions import Quaternion, SliceFrame, chi, chi_mat
+from .quaternions import (
+    Quaternion, SliceFrame, chi, chi_mat, qarr_conj, qpair_conj, qpair_outer,
+)
 
 PSD_GRID = 2048
 QUAD_GRID = 4096
@@ -35,7 +37,7 @@ class MomentSequence:
     through c_{-n} = conj(c_n).
     """
 
-    __slots__ = ("_c", "_table")
+    __slots__ = ("_c",)
 
     def __init__(self, nonneg):
         c = tuple(q if isinstance(q, Quaternion) else Quaternion(q) for q in nonneg)
@@ -44,24 +46,9 @@ class MomentSequence:
         if abs(c[0] - Quaternion(1.0)) > 1e-9:
             raise ValueError("c_0 must be 1 (probability normalisation)")
         object.__setattr__(self, "_c", c)
-        object.__setattr__(self, "_table", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("MomentSequence is immutable")
-
-    def moment_table(self, n: int) -> np.ndarray:
-        """Cached (n+1, n+1, 4) array with entry (k, l) = c_{k-l}."""
-        if abs(n) > self.horizon:
-            raise HorizonExceeded(f"order {n} beyond horizon {self.horizon}")
-        if self._table is None or self._table.shape[0] < n + 1:
-            h = self.horizon
-            full = np.empty((h + 1, h + 1, 4))
-            for k in range(h + 1):
-                for l in range(h + 1):
-                    full[k, l] = self[k - l].to_array()
-            full.setflags(write=False)
-            object.__setattr__(self, "_table", full)
-        return self._table[: n + 1, : n + 1]
 
     @classmethod
     def from_map(cls, entries: dict[int, Quaternion]) -> "MomentSequence":
@@ -97,11 +84,10 @@ def toeplitz(c: MomentSequence, n: int) -> np.ndarray:
     """T_n(c) as an (n+1, n+1, 4) array; entry (k, j) is c_{j-k}."""
     if n > c.horizon:
         raise HorizonExceeded(f"order {n} beyond horizon {c.horizon}")
-    T = np.empty((n + 1, n + 1, 4))
-    for k in range(n + 1):
-        for j in range(n + 1):
-            T[k, j] = c[j - k].to_array()
-    return T
+    half = np.array([c[m].to_array() for m in range(n + 1)])
+    full = np.concatenate([qarr_conj(half[:0:-1]), half])   # c_{-n}..c_n
+    k = np.arange(n + 1)
+    return full[n + k[None, :] - k[:, None]]
 
 
 @dataclass(frozen=True)
@@ -117,7 +103,9 @@ def is_nontrivial(c: MomentSequence, n: int,
     """Positive definiteness of T_n(c) through the complex embedding.
 
     True iff the embedded 2(n+1) x 2(n+1) Hermitian matrix admits a Cholesky
-    factorisation with all pivots above the tolerance.
+    factorisation with all pivots above the tolerance.  A standalone report
+    with the smallest eigenvalue; library code decides positive definiteness
+    through ``require_nontrivial``.
     """
     frame = frame or SliceFrame.standard()
     M = chi_mat(toeplitz(c, n), frame)
@@ -134,31 +122,35 @@ def is_nontrivial(c: MomentSequence, n: int,
                                min_eigenvalue=min_eig)
 
 
-def _pd_pivots_ok(c: MomentSequence, n: int, frame: SliceFrame,
-                  pivot_tol: float = PIVOT_TOL) -> bool:
-    M = chi_mat(toeplitz(c, n), frame)
-    M = 0.5 * (M + M.conj().T)
-    try:
-        L = np.linalg.cholesky(M)
-    except np.linalg.LinAlgError:
-        return False
-    return float(np.min(np.abs(np.diag(L)) ** 2)) > pivot_tol
+def require_nontrivial(c: MomentSequence, n: int, pivot_tol: float = PIVOT_TOL,
+                       transpose: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Square-root-free quaternionic LDL* of T_n(c), or of its transpose.
 
+    Returns (L, d) with T = L diag(d) L^*: L unit lower triangular as an
+    (n+1, n+1, 4) array, d the real pivots.  The pivots are nested (d_0..d_m
+    factor T_m), so the first d_m <= pivot_tol is the first order m at which
+    the form is not positive definite, and NotPositiveDefinite names it.  The
+    transpose equals J T J for the reversal J, so it fails at the same order.
 
-def require_nontrivial(c: MomentSequence, n: int,
-                       frame: SliceFrame | None = None) -> None:
-    """Raise NotPositiveDefinite naming the first failing order.
-
-    Positivity at order n implies it at all lower orders, so the common
-    case costs one factorisation; the ascending scan runs only on failure.
+    Elimination runs on complex pairs q = z1 + z2 j with no square root, so
+    inputs whose factors are exact in binary (Lebesgue, Bernstein-Szego with
+    g = 1/2) keep exact zero coefficients.
     """
-    frame = frame or SliceFrame.standard()
-    if _pd_pivots_ok(c, n, frame):
-        return
+    T = toeplitz(c, n)
+    A = np.ascontiguousarray(T.swapaxes(0, 1) if transpose else T).view(complex)
+    L = np.zeros_like(A)
+    d = np.empty(n + 1)
     for m in range(n + 1):
-        if not _pd_pivots_ok(c, m, frame):
+        d[m] = A[m, m, 0].real
+        if not d[m] > pivot_tol:  # also rejects a NaN pivot
             raise NotPositiveDefinite(
-                f"Toeplitz form not positive definite at order {m}", order=m)
+                f"Toeplitz form not positive definite at order {m} "
+                f"(pivot {d[m]:.3e})", order=m)
+        col = A[m + 1:, m]
+        L[m + 1:, m] = col / d[m]
+        A[m + 1:, m + 1:] -= qpair_outer(col, qpair_conj(L[m + 1:, m]))
+    L[np.arange(n + 1), np.arange(n + 1), 0] = 1.0
+    return L.view(float), d
 
 
 def _eval_fourier(coeffs: dict[int, complex], thetas: np.ndarray) -> np.ndarray:

@@ -3,7 +3,8 @@ and the Szego recurrences.
 
 Two polynomial spaces appear: QPolyL holds sums p^k phi_k (coefficients on
 the right of the powers), QPolyR holds sums phi_k p^k.  Right-orthonormal
-polynomials live in the first space, left-orthonormal in the second.  The
+polynomials live in the first space, left-orthonormal in the second; both
+families come from a square-root-free LDL* of the Toeplitz form.  The
 paired recurrences advance all four sequences (both families and their
 reverses); the Verblunsky coefficient entering them equals the coefficient
 stripped by the matrix Schur algorithm of the embedded moments, and the two
@@ -20,9 +21,11 @@ import numpy as np
 
 from .errors import DegreeTooSmall, NotContraction, NotInImage, RouteMismatch
 from .matrix_opuc import alphas_from_moments
-from .measures import MomentSequence, matrix_moments, require_nontrivial
+from .measures import (
+    PIVOT_TOL, MomentSequence, matrix_moments, require_nontrivial, toeplitz,
+)
 from .quaternions import (
-    HAMILTON, Quaternion, SliceFrame, chi, chi_inv, qarr_conj, qarr_mul,
+    HAMILTON, Quaternion, SliceFrame, chi, chi_inv, qarr_conj, qpair_outer,
 )
 
 ROUTE_TOL = 1e-8
@@ -193,18 +196,13 @@ def _padded_arrays(phi, psi):
     return a, b, n
 
 
-def _moment_table(c: MomentSequence, n: int) -> np.ndarray:
-    """(n+1, n+1, 4) array with entry (k, l) = c_{k-l}; cached on c."""
-    return c.moment_table(n)
-
-
 def inner_R(phi: QPolyL, psi: QPolyL, c: MomentSequence) -> Quaternion:
     """<phi, psi>_R = psi_hat^* T_N(c) phi_hat (right-linear in phi).
 
     Coefficient vectors are zero-padded to the longer degree.
     """
     a, b, n = _padded_arrays(phi, psi)
-    T = _moment_table(c, n)          # T[k, l] = c_{k-l}; row l pairs psi_l
+    T = toeplitz(c, n).swapaxes(0, 1)   # T[k, l] = c_{k-l}; row l pairs psi_l
     tphi = np.einsum("kla,kb,abc->lc", T, a, HAMILTON)
     val = np.einsum("la,lb,abc->c", qarr_conj(b), tphi, HAMILTON)
     return Quaternion.from_array(val)
@@ -213,7 +211,7 @@ def inner_R(phi: QPolyL, psi: QPolyL, c: MomentSequence) -> Quaternion:
 def inner_L(phi: QPolyR, psi: QPolyR, c: MomentSequence) -> Quaternion:
     """<phi, psi>_L = sum_{k,l} phi_k c_{k-l} conj(psi_l) (left-linear in phi)."""
     a, b, n = _padded_arrays(phi, psi)
-    T = _moment_table(c, n)
+    T = toeplitz(c, n).swapaxes(0, 1)
     left = np.einsum("ka,klb,abc->lc", a, T, HAMILTON)
     val = np.einsum("la,lb,abc->c", left, qarr_conj(b), HAMILTON)
     return Quaternion.from_array(val)
@@ -241,64 +239,34 @@ class OrthonormalFamily:
         return len(self.right) - 1
 
 
-def _phase_unit(lead: np.ndarray) -> np.ndarray:
-    mag = float(np.sqrt(np.sum(lead ** 2)))
-    u = lead / mag
-    u[1:] *= -1.0
-    return u
+def _inverse_rows(L: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """D^{-1/2} L^{-1} for unit lower L, by forward substitution on pairs."""
+    Lp = L.view(complex)
+    X = np.zeros_like(Lp)
+    X[np.arange(len(d)), np.arange(len(d)), 0] = 1.0
+    for m in range(len(d) - 1):
+        X[m + 1:, : m + 1] -= qpair_outer(Lp[m + 1:, m], X[m, : m + 1])
+    return X.view(float) / np.sqrt(d)[:, None, None]
 
 
 def orthonormal_polys(c: MomentSequence, N: int,
-                      frame: SliceFrame | None = None) -> OrthonormalFamily:
-    """Gram-Schmidt families for both inner products, degree 0..N.
+                      pivot_tol: float = PIVOT_TOL) -> OrthonormalFamily:
+    """Both orthonormal families, degree 0..N, from LDL* of the Toeplitz form.
 
-    Modified Gram-Schmidt with one reorthogonalisation pass, in quaternion
-    arithmetic (dense coefficient arrays internally); leading coefficients
-    normalised strictly positive real.
+    <phi, psi>_R = psi^* T phi with T = toeplitz(c, N), so T = L D L^* makes
+    the columns of L^{-*} D^{-1/2} right-orthonormal: right[n] has the
+    coefficients conj(row n of D^{-1/2} L^{-1}).  <phi, psi>_L = phi T^T psi^*,
+    so with T^T = L D L^* the left family is row n of D^{-1/2} L^{-1}.
+    Leading coefficients are d_n^{-1/2}, strictly positive real.  The frame
+    plays no part.  NotPositiveDefinite names the first order whose pivot is
+    at most ``pivot_tol``.
     """
-    require_nontrivial(c, N, frame)
-    T = c.moment_table(N)
-    conj_sign = np.array([1.0, -1.0, -1.0, -1.0])
-
-    def inner_r(a, b):
-        # sum_{l,k} conj(b_l) c_{k-l} a_k over full-length arrays
-        tphi = np.einsum("kla,kb,abc->lc", T, a, HAMILTON)
-        return np.einsum("la,lb,abc->c", b * conj_sign, tphi, HAMILTON)
-
-    def inner_l(a, b):
-        lhs = np.einsum("ka,klb,abc->lc", a, T, HAMILTON)
-        return np.einsum("la,lb,abc->c", lhs, b * conj_sign, HAMILTON)
-
-    def run(inner, mul_proj, mul_phase):
-        polys = np.zeros((N + 1, N + 1, 4))
-        for n in range(N + 1):
-            v = np.zeros((N + 1, 4))
-            v[n, 0] = 1.0
-            for _ in range(2):
-                for m in range(n):
-                    proj = inner(v, polys[m])
-                    v = v - mul_proj(polys[m], proj)
-            nrm2 = inner(v, v)
-            if abs(nrm2[1:]).max() > 1e-8 * max(1.0, nrm2[0]):
-                raise ArithmeticError("squared norm should be real")
-            v = v / math.sqrt(nrm2[0])
-            v = mul_phase(v, _phase_unit(v[n]))
-            polys[n] = v
-        return polys
-
-    right_arr = run(
-        inner_r,
-        lambda q, proj: qarr_mul(q, np.broadcast_to(proj, q.shape)),
-        lambda v, u: qarr_mul(v, np.broadcast_to(u, v.shape)),
-    )
-    left_arr = run(
-        inner_l,
-        lambda q, proj: qarr_mul(np.broadcast_to(proj, q.shape), q),
-        lambda v, u: qarr_mul(np.broadcast_to(u, v.shape), v),
-    )
-    right = tuple(QPolyL([Quaternion.from_array(row) for row in right_arr[n][: n + 1]])
+    # + 0.0 maps the -0.0 that conjugating an exact zero leaves back to 0.0
+    rows_r = qarr_conj(_inverse_rows(*require_nontrivial(c, N, pivot_tol))) + 0.0
+    rows_l = _inverse_rows(*require_nontrivial(c, N, pivot_tol, transpose=True))
+    right = tuple(QPolyL([Quaternion.from_array(q) for q in rows_r[n, : n + 1]])
                   for n in range(N + 1))
-    left = tuple(QPolyR([Quaternion.from_array(row) for row in left_arr[n][: n + 1]])
+    left = tuple(QPolyR([Quaternion.from_array(q) for q in rows_l[n, : n + 1]])
                  for n in range(N + 1))
     return OrthonormalFamily(right=right, left=left)
 
@@ -430,11 +398,9 @@ def _gammas_via_matrix(c: MomentSequence, N: int, frame: SliceFrame) -> Verbluns
     return VerblunskySeq([chi_inv(a, frame) for a in alphas])
 
 
-def _gammas_via_szego(c: MomentSequence, N: int,
-                      frame: SliceFrame | None) -> VerblunskySeq:
-    fam = orthonormal_polys(c, N, frame)
+def _gammas_via_szego(fam: OrthonormalFamily) -> VerblunskySeq:
     gammas = []
-    for n in range(N):
+    for n in range(fam.order):
         kap_n = fam.left[n].coeffs[n]
         kap_n1 = fam.left[n + 1].coeffs[n + 1]
         r_n = _real_part_checked(kap_n * kap_n1.inverse(), "leading ratio")
@@ -462,21 +428,26 @@ def moments_from_verblunsky_q(gammas: VerblunskySeq, N: int,
 
 def verblunsky_from_moments_q(c: MomentSequence, N: int,
                               frame: SliceFrame | None = None,
-                              route_tol: float = ROUTE_TOL) -> VerblunskyExtraction:
+                              route_tol: float = ROUTE_TOL,
+                              pivot_tol: float = PIVOT_TOL) -> VerblunskyExtraction:
     """Verblunsky coefficients by two independent routes, cross-checked.
 
     Route A embeds the moments, runs the matrix Schur algorithm, and pulls
     the coefficients back; route B solves each Szego step for gamma_n given
-    consecutive Gram-Schmidt outputs.  RouteMismatch fires when they differ
-    beyond tolerance - a correctness alarm, not a recoverable state.
+    consecutive members of the orthonormal families, which come from LDL* of
+    the Toeplitz form.  The families are built first, so moments that are not
+    positive definite (first pivot at most ``pivot_tol``) raise
+    NotPositiveDefinite before route A runs.  RouteMismatch fires when the
+    routes differ beyond tolerance - a correctness alarm, not a recoverable
+    state.
     """
     frame = frame or SliceFrame.standard()
-    require_nontrivial(c, N, frame)
+    fam = orthonormal_polys(c, N, pivot_tol)
     try:
         via_matrix = _gammas_via_matrix(c, N, frame)
     except NotInImage as exc:
         raise NotInImage(f"matrix route left the quaternionic subalgebra: {exc}") from exc
-    via_szego = _gammas_via_szego(c, N, frame)
+    via_szego = _gammas_via_szego(fam)
     residual = max(
         (abs(a - b) for a, b in zip(via_matrix, via_szego)), default=0.0)
     if residual > route_tol:

@@ -295,8 +295,22 @@ def qmat_mul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return np.einsum("nka,kmb,abc->nmc", A, B, HAMILTON)
 
 
-def qmat_vec(A: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return np.einsum("nka,kb,abc->nc", A, v, HAMILTON)
+def qpair_conj(a: np.ndarray) -> np.ndarray:
+    """Conjugate of quaternions held as complex pairs (..., 2), q = z1 + z2 j.
+
+    ``A.view(complex)`` turns a contiguous (..., 4) array into this form.
+    """
+    return np.stack([a[..., 0].conj(), -a[..., 1]], axis=-1)
+
+
+def qpair_outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Outer Hamilton product out[i, k] = a_i b_k of complex-pair vectors.
+
+    (a1 + a2 j)(b1 + b2 j) = (a1 b1 - a2 conj b2) + (a1 b2 + a2 conj b1) j.
+    """
+    a1, a2 = a[:, None, 0], a[:, None, 1]
+    b1, b2 = b[None, :, 0], b[None, :, 1]
+    return np.stack([a1 * b1 - a2 * b2.conj(), a1 * b2 + a2 * b1.conj()], axis=-1)
 
 
 def qmat_conj_T(A: np.ndarray) -> np.ndarray:

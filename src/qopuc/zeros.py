@@ -14,7 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoConvergence, NotMonic, RouteMismatch
-from .polynomials import QPolyL, QPolyR, phi_L, phi_R
+from .polynomials import (
+    OrthonormalFamily, QPolyL, QPolyR, phi_L, phi_R, reverse_L, reverse_R,
+)
 from .quaternions import Quaternion, SliceFrame, qmat_from_quaternions, right_eigen_slice
 
 ROOT_RESIDUAL_TOL = 1e-10
@@ -263,20 +265,19 @@ def zero_slice(psi, frame: SliceFrame, route_tol: float = ROUTE_TOL) -> ZeroRepo
     )
 
 
-def zeros_theorem_check(c, N: int, frame: SliceFrame | None = None,
-                        route_tol: float = ROUTE_TOL) -> list[dict]:
-    """Per-degree zero-location checks for the orthonormal families.
+def zeros_theorem_check(fam: OrthonormalFamily, frame: SliceFrame | None = None,
+                        route_tol: float = ROUTE_TOL) -> tuple[list[dict], list[dict]]:
+    """Per-degree zero-location checks for an orthonormal family.
 
-    For each degree n <= N: all slice roots of the orthonormal polynomials
-    lie strictly inside the ball, all roots of their reverses strictly
-    outside the closed ball, and the left/right slice zero multisets agree.
+    For each degree 1 <= n <= fam.order: all slice roots of the orthonormal
+    polynomials lie strictly inside the ball, all roots of their reverses
+    strictly outside the closed ball, and the left/right slice zero
+    multisets agree.  Returns the per-degree rows and, per degree, the four
+    ZeroReports keyed "right", "left", "right_reverse", "left_reverse".
     """
-    from .polynomials import orthonormal_polys, reverse_L, reverse_R
-
     frame = frame or SliceFrame.standard()
-    fam = orthonormal_polys(c, N)
-    results = []
-    for n in range(1, N + 1):
+    rows, reports = [], []
+    for n in range(1, fam.order + 1):
         right_poly = fam.right[n]        # in H[p]^L
         left_poly = fam.left[n]          # in H[p]^R
         rep_r = zero_slice(right_poly, frame, route_tol)
@@ -284,7 +285,7 @@ def zeros_theorem_check(c, N: int, frame: SliceFrame | None = None,
         rev_r = zero_slice(reverse_L(right_poly, n), frame, route_tol)
         rev_l = zero_slice(reverse_R(left_poly, n), frame, route_tol)
         lr_dist = multiset_distance(rep_r.slice_roots, rep_l.slice_roots)
-        results.append({
+        rows.append({
             "degree": n,
             "max_root_modulus": max(rep_r.moduli + rep_l.moduli),
             "min_reverse_modulus": min(rev_r.moduli + rev_l.moduli,
@@ -293,4 +294,6 @@ def zeros_theorem_check(c, N: int, frame: SliceFrame | None = None,
             "reverses_outside": rev_r.all_outside_closed_ball and rev_l.all_outside_closed_ball,
             "left_right_distance": float(lr_dist),
         })
-    return results
+        reports.append({"right": rep_r, "left": rep_l,
+                        "right_reverse": rev_r, "left_reverse": rev_l})
+    return rows, reports

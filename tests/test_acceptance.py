@@ -113,7 +113,7 @@ def test_criterion_3_orthonormality_and_correspondence():
     worst_phi = 0.0
     for seed, gammas in random_fixture_suite(count=20, N=12):
         c = moments_from_verblunsky_q(gammas, 12, frame)
-        fam = orthonormal_polys(c, 12, frame)
+        fam = orthonormal_polys(c, 12)
         for n in range(13):
             for m in range(13):
                 target = Quaternion(1.0 if n == m else 0.0)
@@ -147,7 +147,7 @@ def test_criterion_4_szego_recurrence_residuals():
     for gammas in suites:
         N = len(gammas)
         c = moments_from_verblunsky_q(gammas, N, frame)
-        fam = orthonormal_polys(c, N, frame)
+        fam = orthonormal_polys(c, N)
         revs_l = [reverse_R(fam.left[n], n) for n in range(N + 1)]
         revs_r = [reverse_L(fam.right[n], n) for n in range(N + 1)]
         for n in range(N):
@@ -182,7 +182,7 @@ def test_criterion_5_zeros_theorem():
     ok_flags = True
     for seed, gammas in random_fixture_suite(count=20, N=10, base_seed=5000):
         c = moments_from_verblunsky_q(gammas, 10, frame)
-        rows = zeros_theorem_check(c, 10, frame)
+        rows, _ = zeros_theorem_check(orthonormal_polys(c, 10), frame)
         for row in rows:
             worst_inside = max(worst_inside, row["max_root_modulus"])
             worst_outside = min(worst_outside, row["min_reverse_modulus"])

@@ -58,6 +58,27 @@ def test_moments_to_verblunsky_rejects_non_pd(tmp_path):
     assert err["order"] == 1
 
 
+def test_moments_to_verblunsky_rejects_short_gamma(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"gammas": [[0.1, 0.2]]}))
+    code, out = run(tmp_path, "moments-to-verblunsky", str(bad), "--n", "1")
+    assert code == 2
+    err = json.loads(out)["error"]
+    assert err["type"] == "ValueError"
+    assert "gammas[0]" in err["message"]
+
+
+def test_nan_density_coefficient_rejected_at_load(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"w1": [[-1, NaN, 0], [0, 1, 0], [1, NaN, 0]]}')
+    for command in ("moments-to-verblunsky", "sv"):
+        code, out = run(tmp_path, command, str(bad), "--n", "2")
+        assert code == 2
+        err = json.loads(out)["error"]
+        assert err["type"] == "ValueError"
+        assert "w1[0]" in err["message"]
+
+
 def test_round_trip_through_cli(tmp_path):
     gamma_file = tmp_path / "g.json"
     code = main(["random-gamma", "--seed", "11", "--n", "8",

@@ -14,6 +14,7 @@ from qopuc.measures import (
 )
 from qopuc.quaternions import (
     QI, Quaternion, SliceFrame, block_permutation, blockwise_chi, chi, chi_mat,
+    qmat_conj_T, qmat_mul,
 )
 
 
@@ -85,6 +86,42 @@ def test_is_nontrivial_verblunsky_generated(rng):
     for n in range(10):
         rep = is_nontrivial(c, n)
         assert rep.ok and rep.min_eigenvalue > 0
+
+
+def _non_pd_moments(seed, N):
+    """Seeded Verblunsky moments with |c_m| raised to 1.5 at a seeded order m."""
+    c = random_moment_fixture(seed, N)
+    m = int(np.random.default_rng(seed).integers(1, N + 1))
+    nonneg = [c[k] for k in range(N + 1)]
+    nonneg[m] = nonneg[m] * (1.5 / abs(nonneg[m]))
+    return MomentSequence(nonneg)
+
+
+@pytest.mark.parametrize("N", [12, 25, 40])
+def test_ldl_failing_order_matches_is_nontrivial_scan(N):
+    # the first LDL* pivot at or below the tolerance names the same order as
+    # the ascending scan of embedded-Cholesky reports, for T_N and T_N^T
+    for seed in range(3):
+        c = _non_pd_moments(seed, N)
+        scan = next(k for k in range(N + 1) if not is_nontrivial(c, k).ok)
+        for transpose in (False, True):
+            with pytest.raises(NotPositiveDefinite) as info:
+                require_nontrivial(c, N, transpose=transpose)
+            assert info.value.order == scan
+
+
+def test_ldl_reconstructs_toeplitz():
+    c = random_moment_fixture(8, 9)
+    T = toeplitz(c, 9)
+    for transpose, A in ((False, T), (True, T.swapaxes(0, 1))):
+        L, d = require_nontrivial(c, 9, transpose=transpose)
+        assert np.array_equal(L[np.arange(10), np.arange(10)],
+                              np.tile([1.0, 0.0, 0.0, 0.0], (10, 1)))
+        assert np.all(np.triu(np.abs(L).sum(axis=-1), 1) == 0)
+        D = np.zeros((10, 10, 4))
+        D[np.arange(10), np.arange(10), 0] = d
+        rebuilt = qmat_mul(qmat_mul(L, D), qmat_conj_T(L))
+        assert np.max(np.abs(rebuilt - A)) < 1e-13
 
 
 def _pivots_ok(M, tol=1e-12):

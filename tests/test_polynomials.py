@@ -6,7 +6,7 @@ import pytest
 from qopuc.errors import DegreeTooSmall, NotInImage, NotPositiveDefinite
 from qopuc.fixtures import (
     bernstein_szego_density, lebesgue_density, random_gamma_seq,
-    random_moment_fixture, smooth_trig_density,
+    random_moment_fixture, smooth_trig_density, vanishing_density,
 )
 from qopuc.measures import MomentSequence, matrix_moments, moments_from_density
 from qopuc.polynomials import (
@@ -14,6 +14,7 @@ from qopuc.polynomials import (
     inner_R, moments_from_verblunsky_q, orthonormal_polys, phi_L, phi_L_inv,
     phi_R, phi_R_inv, poly_from_json, reverse_L, reverse_R, star_mul_L,
     star_mul_R, szego_advance, szego_family, verblunsky_from_moments_q,
+    _gammas_via_szego,
 )
 from qopuc.quaternions import QI, QJ, QK, Quaternion, SliceFrame, chi
 from conftest import random_quaternion, random_unit_ball_quaternion
@@ -219,6 +220,31 @@ def test_orthonormal_bernstein_szego_degree_one():
     assert max(abs(a - b) for a, b in zip(fam.left[1].coeffs, expect.coeffs)) < 1e-12
 
 
+def test_orthonormal_exact_zeros():
+    # Lebesgue gives exactly p^n, and the Bernstein-Szego degree-n
+    # polynomials r^-1 (p^n - g p^(n-1)) have every lower coefficient an
+    # exact 0.0, which Aberth's deflation at the origin relies on.  A
+    # square-root or LAPACK factorisation of the Toeplitz form leaves
+    # roundoff there instead.
+    fam = orthonormal_polys(moments_from_density(lebesgue_density(), 20), 20)
+    for n in range(21):
+        mono = [Quaternion()] * n + [Quaternion(1.0)]
+        assert fam.right[n] == QPolyL(mono) and fam.left[n] == QPolyR(mono)
+    fam = orthonormal_polys(moments_from_density(bernstein_szego_density(), 20), 20)
+    for n in range(2, 21):
+        for poly in (fam.right[n], fam.left[n]):
+            assert all(q == Quaternion() for q in poly.coeffs[: n - 1])
+
+
+def test_szego_route_vanishing_density_closed_form():
+    # |gamma_n| = 1/(n+2) for w = 1 + cos(theta), from route B alone
+    c = moments_from_density(vanishing_density(), 100)
+    gammas = _gammas_via_szego(orthonormal_polys(c, 100))
+    assert len(gammas) == 100
+    err = max(abs(abs(g) - 1.0 / (n + 2)) for n, g in enumerate(gammas))
+    assert err < 1e-12
+
+
 def test_orthonormal_rejects_trivial():
     atom = MomentSequence([Quaternion(1.0)] * 5)
     with pytest.raises(NotPositiveDefinite):
@@ -247,7 +273,7 @@ def test_embedding_naturality(rng):
     # outputs of the embedded moments
     frame = SliceFrame.standard()
     c = random_moment_fixture(21, 7)
-    fam = orthonormal_polys(c, 6, frame)
+    fam = orthonormal_polys(c, 6)
     C = matrix_moments(c, frame, 6)
     right_m, left_m = matrix_gram_schmidt(C, 6)
     for n in range(7):
