@@ -212,14 +212,18 @@ class BaxterReport:
     wiener_norm: float
     density_min: float
     verdict: str
+    gamma_moduli: tuple
 
     def to_json(self):
+        moduli = np.array(self.gamma_moduli)
         return {
             "gamma_l1": self.gamma_l1,
             "gamma_l1_diverging": self.gamma_l1_diverging,
             "wiener_norm": self.wiener_norm,
             "density_min": self.density_min,
             "verdict": self.verdict,
+            "gamma_moduli": [float(m) for m in moduli],
+            "gamma_l1_partial": [float(s) for s in np.cumsum(moduli)],
         }
 
 
@@ -228,28 +232,27 @@ def baxter_check(d: QPositiveDensity, N: int,
     """Summability of gamma against Wiener norm and density positivity.
 
     The biconditional under test: summable gamma iff (finite Wiener norm and
-    strictly positive density).  Long horizons use the matrix route only;
-    the dual-route cross-check runs at desk scale elsewhere.
+    strictly positive density).  A density here is a trigonometric
+    polynomial, so its Wiener norm is always finite (it is reported, not
+    tested) and the verdict compares summability with positivity.  Long
+    horizons use the matrix route only; the dual-route cross-check runs at
+    desk scale elsewhere.
     """
     from .polynomials import _gammas_via_matrix
 
     frame = frame or d.frame
     c = moments_from_density(d, N)
-    gammas = _gammas_via_matrix(c, N, frame)
-    moduli = gammas.moduli()
-    l1 = float(np.sum(moduli))
+    moduli = _gammas_via_matrix(c, N, frame).moduli()
     diverging = _diverging_over_horizon(moduli)
-    wiener = wiener_coefficient_norm(d)
-    density_min = d.min_eigenvalue_on_grid()
     summable = not diverging
-    wiener_finite = math.isfinite(wiener)
+    density_min = d.min_eigenvalue_on_grid()
     positive = density_min > DENSITY_MIN_TOL
-    if summable and wiener_finite and positive:
+    if summable and positive:
         verdict = "consistent-summable"
-    elif not summable and not (wiener_finite and positive):
+    elif not summable and not positive:
         verdict = "consistent-nonsummable"
     else:
         verdict = "inconsistent"
-    return BaxterReport(gamma_l1=l1, gamma_l1_diverging=diverging,
-                        wiener_norm=wiener, density_min=density_min,
-                        verdict=verdict)
+    return BaxterReport(gamma_l1=float(np.sum(moduli)), gamma_l1_diverging=diverging,
+                        wiener_norm=wiener_coefficient_norm(d), density_min=density_min,
+                        verdict=verdict, gamma_moduli=tuple(float(m) for m in moduli))

@@ -190,6 +190,14 @@ def moments_from_fixture(obj: dict, n: int, override: SliceFrame | None) -> Mome
 
 # ------------------------------- commands ----------------------------------
 
+def _require_counts(args) -> None:
+    """--n (an order or a count), --samples and --grid must be at least 1."""
+    for flag in ("n", "samples", "grid"):
+        value = getattr(args, flag, None)
+        if value is not None and value < 1:
+            raise ValueError(f"--{flag} must be at least 1, got {value}")
+
+
 def _envelope(args, result: dict) -> dict:
     frame = parse_frame(args.frame)
     return {
@@ -273,15 +281,7 @@ def cmd_sv(args) -> dict:
 def cmd_baxter(args) -> dict:
     obj = load_fixture(args.input)
     d = density_from_fixture(obj, parse_frame(args.frame))
-    rep = baxter_check(d, args.n)
-    out = rep.to_json()
-    from .polynomials import _gammas_via_matrix
-
-    c = moments_from_density(d, args.n)
-    moduli = _gammas_via_matrix(c, args.n, d.frame).moduli()
-    out["gamma_moduli"] = [float(m) for m in moduli]
-    out["gamma_l1_partial"] = [float(s) for s in np.cumsum(moduli)]
-    return out
+    return baxter_check(d, args.n).to_json()
 
 
 def cmd_grid(args) -> dict:
@@ -404,6 +404,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _require_counts(args)
         result = _COMMANDS[args.command](args)
     except RouteMismatch as exc:
         _write(args, emit_json({"error": {"type": "RouteMismatch",

@@ -5,8 +5,10 @@ on input coefficients 0..n, so computing at a higher order and truncating
 agrees coefficientwise with computing at the lower order.
 
 The Cayley transforms between moment (Herglotz) series and contractive
-(Schur) series live here; the coefficient-stripping engine built on top of
-them is in ``matrix_opuc``.
+(Schur) series live here.  They and ``series_inv`` serve the paper's series
+recursions in ``matrix_opuc`` (``schur_step``, ``schur_algorithm``), which
+are kept as references; the library's moments <-> Verblunsky maps run in
+generator form there and use no series inverse.
 """
 
 from __future__ import annotations
@@ -77,9 +79,6 @@ class TruncSeries:
         n = min(self.order, other.order)
         return TruncSeries(self.coeffs[: n + 1] - other.coeffs[: n + 1])
 
-    def __neg__(self) -> "TruncSeries":
-        return TruncSeries(-self.coeffs)
-
     def __mul__(self, other: "TruncSeries") -> "TruncSeries":
         n = min(self.order, other.order)
         a, b = self.coeffs, other.coeffs
@@ -90,14 +89,6 @@ class TruncSeries:
 
     def __repr__(self):
         return f"TruncSeries(order={self.order})"
-
-
-def series_add(a: TruncSeries, b: TruncSeries) -> TruncSeries:
-    return a + b
-
-
-def series_mul(a: TruncSeries, b: TruncSeries) -> TruncSeries:
-    return a * b
 
 
 def series_inv(a: TruncSeries) -> TruncSeries:

@@ -79,6 +79,41 @@ def test_nan_density_coefficient_rejected_at_load(tmp_path):
         assert "w1[0]" in err["message"]
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["cd", "smooth_trig.json", "--n", "-1"], "--n"),
+    (["cd", "smooth_trig.json", "--samples", "0"], "--samples"),
+    (["verblunsky-to-moments", "random_gamma_7.json", "--n", "0"], "--n"),
+    (["random-gamma", "--n", "-1"], "--n"),
+    (["zeros", "lebesgue.json", "--n", "0"], "--n"),
+    (["baxter", "lebesgue.json", "--n", "0"], "--n"),
+    (["grid", "lebesgue.json", "--grid", "0"], "--grid"),
+])
+def test_counts_below_one_rejected(tmp_path, argv, flag):
+    argv = [str(FIXDIR / a) if a.endswith(".json") else a for a in argv]
+    code, out = run(tmp_path, *argv)
+    assert code == 2
+    err = json.loads(out)["error"]
+    assert err["type"] == "ValueError"
+    assert err["message"].startswith(flag + " ")
+
+
+def test_baxter_runs_route_a_once(tmp_path, monkeypatch):
+    from qopuc import polynomials
+
+    calls = []
+    original = polynomials.alphas_from_moments
+
+    def counted(C, N):
+        calls.append(N)
+        return original(C, N)
+
+    monkeypatch.setattr(polynomials, "alphas_from_moments", counted)
+    code, out = run(tmp_path, "baxter", str(FIXDIR / "vanishing_density.json"), "--n", "8")
+    assert code == 0
+    assert calls == [8]
+    assert len(json.loads(out)["result"]["gamma_moduli"]) == 8
+
+
 def test_round_trip_through_cli(tmp_path):
     gamma_file = tmp_path / "g.json"
     code = main(["random-gamma", "--seed", "11", "--n", "8",

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -10,8 +12,12 @@ from qopuc.matrix_opuc import (
     schur_algorithm, schur_coeffs_forward, schur_series_from_alphas,
     schur_step, sqrtm_herm2,
 )
-from qopuc.series import EYE2, TruncSeries
+from qopuc.series import (
+    EYE2, TruncSeries, herglotz_from_moments, herglotz_from_schur, schur_from_herglotz,
+)
 from conftest import random_chi_contraction, random_contraction
+
+FIXDIR = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def random_alphas(rng, n, rmax=0.8):
@@ -287,3 +293,91 @@ def test_round_trip_depth_twenty(rng):
     back = alphas_from_moments(C, 20)
     err = max(np.max(np.abs(a - b)) for a, b in zip(alphas, back))
     assert err < 1e-9
+
+
+# ---- generator form against the paper's series recursions ----
+
+def reference_alphas(C, N):
+    """Route A as the Cayley transform followed by Schur's series algorithm."""
+    return schur_algorithm(schur_from_herglotz(herglotz_from_moments(C, N)), N)
+
+
+def max_gap(xs, ys):
+    return max(float(np.max(np.abs(np.asarray(x) - np.asarray(y)))) for x, y in zip(xs, ys))
+
+
+@pytest.mark.parametrize("N", [12, 25, 40])
+def test_route_a_matches_series_chain_on_fixtures(N):
+    from qopuc.cli import fixture_frame, load_fixture, moments_from_fixture
+    from qopuc.measures import matrix_moments
+
+    checked = 0
+    for path in sorted(FIXDIR.glob("*.json")):
+        obj = load_fixture(str(path))
+        if 0 < len(obj.get("gammas", [])) < N:
+            continue  # a gamma fixture carries moments only up to its length
+        c = moments_from_fixture(obj, N, None)
+        C = matrix_moments(c, fixture_frame(obj, None), N)[1:]
+        assert max_gap(alphas_from_moments(C, N), reference_alphas(C, N)) <= 1e-13, path.name
+        checked += 1
+    assert checked >= 4
+
+
+@pytest.mark.parametrize("N", [12, 25, 40])
+def test_route_a_matches_series_chain_general_contractions(N):
+    # general (not embedding-image) contractions: the defects are not scalar
+    rng = np.random.default_rng(4000 + N)
+    for _ in range(5):
+        alphas = random_alphas(rng, N, rmax=0.5)
+        C = moments_from_alphas(alphas, N)
+        assert max_gap(alphas_from_moments(C, N), reference_alphas(C, N)) <= 1e-13
+
+
+def test_forward_map_matches_series_chain(rng):
+    K = 40
+    for alphas in (random_alphas(rng, K, rmax=0.8),
+                   MatVerblunskySeq([random_chi_contraction(rng) for _ in range(K)])):
+        F = herglotz_from_schur(schur_series_from_alphas(alphas, K - 1))
+        assert max_gap(moments_from_alphas(alphas, K), F.coeffs[1:] / 2.0) <= 1e-13
+
+
+def test_route_a_horizon_prefix_is_byte_identical():
+    from qopuc.fixtures import smooth_trig_density, vanishing_density
+    from qopuc.measures import matrix_moments, moments_from_density
+
+    for d in (vanishing_density(), smooth_trig_density()):
+        C = matrix_moments(moments_from_density(d, 200), d.frame, 200)[1:]
+        short = alphas_from_moments(C[:50], 50)
+        full = alphas_from_moments(C, 200)
+        assert all(np.array_equal(a, b) for a, b in zip(short, full.alphas[:50]))
+
+
+def test_forward_map_horizon_prefix_is_byte_identical():
+    # C_{m+1} is read off after step m, which uses alpha_0..alpha_m only.  The
+    # inverse recursion run tail first (from alpha_{K-1} down to alpha_0) gives
+    # the same moments only up to roundoff (its K = 20 and K = 80 runs are
+    # about 2e-13 apart on this sequence) and fails this check.
+    from qopuc.fixtures import random_gamma_seq
+    from qopuc.quaternions import SliceFrame, chi
+
+    frame = SliceFrame.standard()
+    alphas = MatVerblunskySeq([chi(g, frame) for g in random_gamma_seq(7, 80)])
+    full = moments_from_alphas(alphas, 80)
+    for K in (20, 40):
+        assert all(np.array_equal(a, b) for a, b in zip(moments_from_alphas(alphas, K), full))
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                    reason="needs an extended-precision np.longdouble")
+def test_route_a_vanishing_density_closed_form_n400():
+    # in double precision the generator recursion reaches only about 4e-15 here
+    from qopuc.fixtures import vanishing_density
+    from qopuc.measures import matrix_moments, moments_from_density
+    from qopuc.quaternions import chi_inv
+
+    d = vanishing_density()
+    N = 400
+    C = matrix_moments(moments_from_density(d, N), d.frame, N)[1:]
+    gammas = [chi_inv(a, d.frame) for a in alphas_from_moments(C, N)]
+    err = max(abs(abs(g) - 1.0 / (n + 2)) for n, g in enumerate(gammas))
+    assert err <= 1e-15
