@@ -23,7 +23,7 @@ from .matrix_opuc import (
 )
 from .polynomials import (
     OrthonormalFamily, QPolyL, QPolyR, SzegoState, VerblunskyExtraction,
-    VerblunskySeq, eval_L, eval_R, inner_L, inner_R,
+    VerblunskySeq, eval_L, eval_R, eval_norm_sq, inner_L, inner_R,
     moments_from_verblunsky_q, orthonormal_polys, phi_L, phi_L_inv, phi_R,
     phi_R_inv, poly_from_json, reverse_L, reverse_R, star_mul_L, star_mul_R,
     szego_advance, szego_family, verblunsky_from_moments_q,

@@ -18,10 +18,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotPositiveOnGrid, OnBoundary
-from .measures import MomentSequence, QPositiveDensity, moments_from_density, \
-    wiener_coefficient_norm
+from .measures import (
+    MomentSequence, QPositiveDensity, min_grid_eigenvalue, moments_from_density,
+    wiener_coefficient_norm,
+)
 from .polynomials import (
-    OrthonormalFamily, Quaternion, VerblunskySeq, eval_L, eval_R,
+    OrthonormalFamily, Quaternion, VerblunskySeq, eval_norm_sq,
     orthonormal_polys, reverse_L, reverse_R, verblunsky_from_moments_q,
 )
 from .quaternions import SliceFrame
@@ -30,13 +32,15 @@ BOUNDARY_TOL = 1e-10
 ENTROPY_GRID = 4096
 DENSITY_MIN_TOL = 1e-9
 BLOCK_RATIO = 0.75
+CD_BLOCK = 1024     # sample points per evaluation block
 
 
-def _family_with_reverses(c: MomentSequence, N: int):
-    fam = orthonormal_polys(c, N)
-    rev_left = [reverse_R(fam.left[n], n) for n in range(N + 1)]    # in H[p]^L
-    rev_right = [reverse_L(fam.right[n], n) for n in range(N + 1)]  # in H[p]^R
-    return fam, rev_left, rev_right
+def _kernel(plain: np.ndarray, N: int) -> np.ndarray:
+    """K_N at each point: the plain terms summed over l = 0..N in order."""
+    total = np.zeros(plain.shape[1])
+    for l in range(N + 1):
+        total = total + plain[l]
+    return total
 
 
 def cd_kernel_diag(c: MomentSequence, N: int, p: Quaternion,
@@ -45,47 +49,59 @@ def cd_kernel_diag(c: MomentSequence, N: int, p: Quaternion,
     if abs(abs(p) - 1.0) < BOUNDARY_TOL:
         raise OnBoundary("kernel evaluation on the unit sphere boundary")
     fam = fam or orthonormal_polys(c, N)
-    total = 0.0
-    for l in range(N + 1):
-        total += eval_R(fam.left[l], p).norm_sq() + eval_L(fam.right[l], p).norm_sq()
-    return total
+    point = p.to_array()[None, :]
+    in_r = eval_norm_sq(fam.left[: N + 1], point)
+    in_l = eval_norm_sq(fam.right[: N + 1], point)
+    return float(_kernel(in_r + in_l, N)[0])
 
 
-def cd_identity_check(c: MomentSequence, N: int, samples: int = 100,
-                      seed: int = 0, frame: SliceFrame | None = None) -> float:
-    """Max normalised residual of both closed forms of the diagonal identity.
-
-    Evaluates at `samples` random points in the shells 0.05 < |p| < 0.95 and
-    1.05 < |p| < 2 and returns max |K - RHS| / (1 + |K|) over points and the
-    two forms ((n+1)-form and n-form).
-    """
-    fam, rev_left, rev_right = _family_with_reverses(c, N + 1)
+def _sample_points(samples: int, seed: int) -> np.ndarray:
+    """Random points, as an (samples, 4) array, alternating between the
+    shells 0.05 < |p| < 0.95 and 1.05 < |p| < 2."""
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    points = np.empty((samples, 4))
     for s in range(samples):
         v = rng.normal(size=4)
         v /= np.linalg.norm(v)
         radius = (rng.uniform(0.05, 0.95) if s % 2 == 0 else rng.uniform(1.05, 2.0))
-        p = Quaternion(*(radius * v))
-        kernel = 0.0
-        for l in range(N + 1):
-            kernel += (eval_R(fam.left[l], p).norm_sq()
-                       + eval_L(fam.right[l], p).norm_sq())
-        psq = p.norm_sq()
+        points[s] = radius * v
+    return points
+
+
+def cd_identity_check(c: MomentSequence, N: int, samples: int = 100,
+                      seed: int = 0) -> float:
+    """Max normalised residual of both closed forms of the diagonal identity.
+
+    Evaluates at `samples` random points in the shells 0.05 < |p| < 0.95 and
+    1.05 < |p| < 2 and returns max |K - RHS| / (1 + |K|) over points and the
+    two forms ((n+1)-form and n-form).  Points are evaluated in blocks of
+    CD_BLOCK, so memory beyond the points themselves does not grow with
+    ``samples``.
+    """
+    M = N + 1
+    fam = orthonormal_polys(c, M)
+    # H[p]^R holds the left family and the reverses of the right one;
+    # H[p]^L holds the right family and the reverses of the left one
+    space_r = list(fam.left) + [reverse_L(fam.right[n], n) for n in (N, M)]
+    space_l = list(fam.right) + [reverse_R(fam.left[n], n) for n in (N, M)]
+    points = _sample_points(samples, seed)
+    worst = 0.0
+    for start in range(0, samples, CD_BLOCK):
+        block = points[start:start + CD_BLOCK]
+        in_r = eval_norm_sq(space_r, block)
+        in_l = eval_norm_sq(space_l, block)
+        plain = in_r[: M + 1] + in_l[: M + 1]    # |psi_l^L|^2 + |psi_l^R|^2
+        weight = in_l[M + 1:] + in_r[M + 1:]     # reverse terms at N, N + 1
+        kernel = _kernel(plain, N)
+        pw, px, py, pz = block.T
+        psq = pw * pw + px * px + py * py + pz * pz
         denom = 1.0 - psq
-
-        def weight(n):
-            return (eval_L(rev_left[n], p).norm_sq()
-                    + eval_R(rev_right[n], p).norm_sq())
-
-        def plain(n):
-            return (eval_R(fam.left[n], p).norm_sq()
-                    + eval_L(fam.right[n], p).norm_sq())
-
-        rhs_next = (weight(N + 1) - plain(N + 1)) / denom
-        rhs_same = (weight(N) - psq * plain(N)) / denom
+        rhs_next = (weight[1] - plain[M]) / denom
+        rhs_same = (weight[0] - psq * plain[N]) / denom
         for rhs in (rhs_next, rhs_same):
-            worst = max(worst, abs(kernel - rhs) / (1.0 + abs(kernel)))
+            # fmax skips a NaN residual, as the scalar max() did
+            worst = float(np.fmax.reduce(np.abs(kernel - rhs) / (1.0 + np.abs(kernel)),
+                                         initial=worst))
     return worst
 
 
@@ -100,7 +116,7 @@ def szego_entropy(d: QPositiveDensity, grid: int = ENTROPY_GRID,
     thetas = 2.0 * np.pi * np.arange(grid) / grid
     W = d.matrix_values(thetas)
     dets = np.linalg.det(W).real
-    min_eig = d.min_eigenvalue_on_grid(grid)
+    min_eig = min_grid_eigenvalue(W)
     if min_eig <= pd_tol:
         if allow_divergent:
             return float("-inf")

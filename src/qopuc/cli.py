@@ -12,9 +12,11 @@ convergence.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -60,8 +62,30 @@ def _fmt_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
+_INF = float("inf")
+
+
+def _emit_key(key) -> str:
+    return encode_basestring_ascii(key if type(key) is str else str(key))
+
+
 def emit_json(obj) -> str:
-    """Fixed-order JSON with 17-significant-digit floats."""
+    """Fixed-order JSON with 17-significant-digit floats.
+
+    Exact floats take a fast path, inline in lists and dicts too; strings
+    and keys come out as json.dumps writes them.
+    """
+    if type(obj) is float:
+        return format(obj, ".17g") if -_INF < obj < _INF else _fmt_float(obj)
+    if isinstance(obj, dict):
+        return "{" + ", ".join([
+            _emit_key(k) + ": " + (format(v, ".17g") if type(v) is float and -_INF < v < _INF
+                                   else emit_json(v))
+            for k, v in obj.items()]) + "}"
+    if isinstance(obj, (list, tuple)):
+        return "[" + ", ".join([
+            format(v, ".17g") if type(v) is float and -_INF < v < _INF else emit_json(v)
+            for v in obj]) + "]"
     if obj is None:
         return "null"
     if obj is True:
@@ -69,16 +93,11 @@ def emit_json(obj) -> str:
     if obj is False:
         return "false"
     if isinstance(obj, str):
-        return json.dumps(obj)
+        return encode_basestring_ascii(obj)
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
         return _fmt_float(float(obj))
-    if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(emit_json(v) for v in obj) + "]"
-    if isinstance(obj, dict):
-        return "{" + ", ".join(f"{json.dumps(str(k))}: {emit_json(v)}"
-                               for k, v in obj.items()) + "}"
     raise TypeError(f"cannot serialise {type(obj)!r}")
 
 
@@ -190,12 +209,21 @@ def moments_from_fixture(obj: dict, n: int, override: SliceFrame | None) -> Mome
 
 # ------------------------------- commands ----------------------------------
 
-def _require_counts(args) -> None:
-    """--n (an order or a count), --samples and --grid must be at least 1."""
+def _require_flags(args) -> None:
+    """--n (an order or a count), --samples and --grid must be at least 1;
+    --tol-route finite and > 0, --tol-pd finite and >= 0, and --rmax finite
+    in [0.05, 1), the interval its radii are drawn from."""
     for flag in ("n", "samples", "grid"):
         value = getattr(args, flag, None)
         if value is not None and value < 1:
             raise ValueError(f"--{flag} must be at least 1, got {value}")
+    if not (math.isfinite(args.tol_route) and args.tol_route > 0):
+        raise ValueError(f"--tol-route must be finite and > 0, got {args.tol_route}")
+    if not (math.isfinite(args.tol_pd) and args.tol_pd >= 0):
+        raise ValueError(f"--tol-pd must be finite and >= 0, got {args.tol_pd}")
+    rmax = getattr(args, "rmax", None)
+    if rmax is not None and not 0.05 <= rmax < 1:
+        raise ValueError(f"--rmax must be finite and in [0.05, 1), got {rmax}")
 
 
 def _envelope(args, result: dict) -> dict:
@@ -264,10 +292,8 @@ def cmd_zeros(args) -> dict:
 
 def cmd_cd(args) -> dict:
     obj = load_fixture(args.input)
-    frame = parse_frame(args.frame) or fixture_frame(obj, None)
     c = moments_from_fixture(obj, args.n + 1, parse_frame(args.frame))
-    residual = cd_identity_check(c, args.n, samples=args.samples,
-                                 seed=args.seed, frame=frame)
+    residual = cd_identity_check(c, args.n, samples=args.samples, seed=args.seed)
     return {"max_residual": residual, "samples": args.samples}
 
 
@@ -284,20 +310,19 @@ def cmd_baxter(args) -> dict:
     return baxter_check(d, args.n).to_json()
 
 
+GRID_COLUMNS = ("theta", "w11_re", "w11_im", "w12_re", "w12_im",
+                "w21_re", "w21_im", "w22_re", "w22_im")
+
+
 def cmd_grid(args) -> dict:
     obj = load_fixture(args.input)
     d = density_from_fixture(obj, parse_frame(args.frame))
     thetas = 2.0 * np.pi * np.arange(args.grid) / args.grid
-    W = d.matrix_values(thetas)
-    rows = []
-    for t, M in zip(thetas, W):
-        rows.append({
-            "theta": float(t),
-            "w11_re": float(M[0, 0].real), "w11_im": float(M[0, 0].imag),
-            "w12_re": float(M[0, 1].real), "w12_im": float(M[0, 1].imag),
-            "w21_re": float(M[1, 0].real), "w21_im": float(M[1, 0].imag),
-            "w22_re": float(M[1, 1].real), "w22_im": float(M[1, 1].imag),
-        })
+    W = d.matrix_values(thetas).reshape(len(thetas), 4)
+    columns = [thetas.tolist()]
+    for k in range(4):
+        columns += [W[:, k].real.tolist(), W[:, k].imag.tolist()]
+    rows = [dict(zip(GRID_COLUMNS, values)) for values in zip(*columns)]
     return {"grid": args.grid, "entropy": szego_entropy(d, allow_divergent=True),
             "rows": rows}
 
@@ -330,10 +355,8 @@ def csv_view(command: str, payload: dict) -> str:
             zip(result["gamma_moduli"], result["gamma_l1_partial"]))]
         return emit_csv(["n", "gamma_modulus", "l1_partial_sum"], rows)
     if command == "grid":
-        header = ["theta", "w11_re", "w11_im", "w12_re", "w12_im",
-                  "w21_re", "w21_im", "w22_re", "w22_im"]
-        rows = [[r[h] for h in header] for r in result["rows"]]
-        return emit_csv(header, rows)
+        rows = [[r[h] for h in GRID_COLUMNS] for r in result["rows"]]
+        return emit_csv(GRID_COLUMNS, rows)
     if command == "verblunsky-to-moments":
         rows = [[n, *q] for n, q in result["moments"]]
         return emit_csv(["n", "w", "x", "y", "z"], rows)
@@ -400,11 +423,16 @@ def _write(args, text: str) -> None:
         sys.stdout.write(text)
 
 
+@functools.lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """One parser per process; building it costs about 3 ms per call."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        _require_counts(args)
+        _require_flags(args)
         result = _COMMANDS[args.command](args)
     except RouteMismatch as exc:
         _write(args, emit_json({"error": {"type": "RouteMismatch",

@@ -52,7 +52,7 @@ def smooth_trig_density(frame: SliceFrame | None = None) -> QPositiveDensity:
 
 
 def random_gamma_seq(seed: int, n: int, rmax: float = 0.8) -> VerblunskySeq:
-    """Seeded random coefficients, radii uniform in (0, rmax]."""
+    """Seeded random coefficients, radii uniform in [0.05, rmax)."""
     rng = np.random.default_rng(seed)
     gammas = []
     for _ in range(n):

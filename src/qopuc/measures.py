@@ -160,6 +160,12 @@ def _eval_fourier(coeffs: dict[int, complex], thetas: np.ndarray) -> np.ndarray:
     return out
 
 
+def min_grid_eigenvalue(W: np.ndarray) -> float:
+    """Smallest eigenvalue over a stack of 2x2 matrices, Hermitian part."""
+    W = 0.5 * (W + np.conj(np.swapaxes(W, 1, 2)))
+    return float(np.min(np.linalg.eigvalsh(W)))
+
+
 class QPositiveDensity:
     """A finitely supported Fourier density of a q-positive measure.
 
@@ -203,11 +209,22 @@ class QPositiveDensity:
         return _eval_fourier(self.w2, np.asarray(thetas, dtype=float))
 
     def matrix_values(self, thetas: np.ndarray) -> np.ndarray:
-        """The Hermitian matrix density W(theta), shape (len(thetas), 2, 2)."""
+        """The Hermitian matrix density W(theta), shape (len(thetas), 2, 2).
+
+        One exponential per w1 term serves w1(theta) and w1(-theta):
+        e^{-i n theta} is the conjugate of e^{i n theta} bit for bit, since
+        cos is even and sin odd in the floating-point library too.  The terms
+        are summed in the order ``w1_values`` sums them.
+        """
         thetas = np.asarray(thetas, dtype=float)
-        a = self.w1_values(thetas)
+        a = np.zeros_like(thetas, dtype=complex)
+        d = np.zeros_like(thetas, dtype=complex)
+        for n, coef in self.w1.items():
+            e = np.exp(1j * abs(n) * thetas)
+            e_conj = np.conj(e)
+            a = a + coef * (e if n >= 0 else e_conj)
+            d = d + coef * (e_conj if n >= 0 else e)
         b = self.w2_values(thetas)
-        d = self.w1_values(-thetas)
         W = np.empty((len(thetas), 2, 2), dtype=complex)
         W[:, 0, 0] = a
         W[:, 0, 1] = b
@@ -217,9 +234,7 @@ class QPositiveDensity:
 
     def min_eigenvalue_on_grid(self, grid: int = PSD_GRID) -> float:
         thetas = 2.0 * np.pi * np.arange(grid) / grid
-        W = self.matrix_values(thetas)
-        W = 0.5 * (W + np.conj(np.swapaxes(W, 1, 2)))
-        return float(np.min(np.linalg.eigvalsh(W)))
+        return min_grid_eigenvalue(self.matrix_values(thetas))
 
     def value(self, theta: float) -> Quaternion:
         """The quaternionic density w1(theta) + w2(theta) j in the frame."""

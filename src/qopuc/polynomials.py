@@ -128,6 +128,40 @@ def eval_R(phi: QPolyR, p: Quaternion) -> Quaternion:
     return acc
 
 
+def eval_norm_sq(polys, points: np.ndarray) -> np.ndarray:
+    """|phi(p)|^2 for every polynomial of one space at every point.
+
+    ``polys`` all live in H[p]^L (Horner step p * acc, as ``eval_L``) or all
+    in H[p]^R (acc * p, as ``eval_R``); ``points`` is an (S, 4) array.
+    Returns an (len(polys), S) array.  The Hamilton products are written out
+    in ``Quaternion.__mul__``'s operand and sum order, so every value is
+    bitwise the one ``eval_L(phi, p).norm_sq()`` / ``eval_R`` give; shorter
+    polynomials are zero-padded at the top, which changes no nonzero bit.
+    """
+    left = isinstance(polys[0], QPolyL)
+    if any(isinstance(phi, QPolyL) != left for phi in polys):
+        raise TypeError("cannot mix polynomial spaces")
+    D = max(phi.degree for phi in polys)
+    C = np.zeros((D + 1, 4, len(polys), 1))
+    for f, phi in enumerate(polys):
+        C[: phi.degree + 1, :, f, 0] = phi.arr
+    pw, px, py, pz = np.asarray(points, dtype=float).T[:, None, :]
+    aw, ax, ay, az = C[D]
+    for cw, cx, cy, cz in C[:D][::-1]:
+        if left:    # p * acc
+            aw, ax, ay, az = (pw * aw - px * ax - py * ay - pz * az + cw,
+                              pw * ax + px * aw + py * az - pz * ay + cx,
+                              pw * ay - px * az + py * aw + pz * ax + cy,
+                              pw * az + px * ay - py * ax + pz * aw + cz)
+        else:       # acc * p
+            aw, ax, ay, az = (aw * pw - ax * px - ay * py - az * pz + cw,
+                              aw * px + ax * pw + ay * pz - az * py + cx,
+                              aw * py - ax * pz + ay * pw + az * px + cy,
+                              aw * pz + ax * py - ay * px + az * pw + cz)
+    return np.broadcast_to(aw * aw + ax * ax + ay * ay + az * az,
+                           (len(polys), len(points)))
+
+
 def _star_coeffs(a, b):
     n, m = len(a) - 1, len(b) - 1
     out = []

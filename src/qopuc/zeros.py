@@ -39,11 +39,16 @@ def multiset_distance(a, b) -> float:
     return worst
 
 
-def polyval_ascending(coeffs: np.ndarray, z: complex) -> complex:
-    acc = 0.0 + 0.0j
-    for c in coeffs[::-1]:
-        acc = acc * z + c
-    return acc
+def _horner(descending: list, zs: list) -> np.ndarray:
+    """Values at each of ``zs`` of the polynomial with these coefficients,
+    highest power first, by Horner's rule on Python complex scalars."""
+    out = []
+    for z in zs:
+        acc = 0j
+        for c in descending:
+            acc = acc * z + c
+        out.append(acc)
+    return np.array(out)
 
 
 def roots(coeffs, max_iter: int = MAX_ABERTH_ITER,
@@ -79,20 +84,26 @@ def roots(coeffs, max_iter: int = MAX_ABERTH_ITER,
     angles = 2.0 * np.pi * np.arange(deg) / deg + 0.4
     z = radius * np.exp(1j * angles)
 
+    # Python complex arithmetic gives the bits numpy scalars give, ~3x faster;
+    # a numpy Horner over all roots at once is slower at these degrees
+    monic_desc = monic[::-1].tolist()
+    deriv_desc = deriv[::-1].tolist()
     for _ in range(max_iter):
-        p = np.array([polyval_ascending(monic, zk) for zk in z])
-        dp = np.array([polyval_ascending(deriv, zk) for zk in z])
+        zs = z.tolist()
+        p = _horner(monic_desc, zs)
+        dp = _horner(deriv_desc, zs)
         newton = np.where(dp != 0, p / np.where(dp == 0, 1.0, dp), 0.0)
         diff = z[:, None] - z[None, :]
-        np.fill_diagonal(diff, np.inf)
-        sums = np.sum(1.0 / diff, axis=1)
+        diff.flat[::deg + 1] = np.inf
+        sums = (1.0 / diff).sum(axis=1)
         denom = 1.0 - newton * sums
         step = newton / np.where(denom == 0, 1.0, denom)
         z = z - step
-        if np.max(np.abs(step)) < 1e-14 * np.maximum(1.0, np.max(np.abs(z))):
+        if np.abs(step).max() < 1e-14 * np.maximum(1.0, np.abs(z).max()):
             break
-    p = np.array([polyval_ascending(monic, zk) for zk in z])
-    dp = np.array([polyval_ascending(deriv, zk) for zk in z])
+    zs = z.tolist()
+    p = _horner(monic_desc, zs)
+    dp = _horner(deriv_desc, zs)
     residual = np.abs(p) / np.maximum(np.abs(dp), 1e-300)
     # multiple roots: |p| collapses into evaluation roundoff while |p'| stays
     # small; accept when the value is roundoff-indistinguishable from zero

@@ -208,7 +208,7 @@ def test_criterion_6_cd_identity():
     rng = np.random.default_rng(66)
     base_exact = True
     for c in cases:
-        worst = max(worst, cd_identity_check(c, 8, samples=100, seed=606, frame=frame))
+        worst = max(worst, cd_identity_check(c, 8, samples=100, seed=606))
         for _ in range(5):
             v = rng.normal(size=4)
             v *= rng.uniform(0.1, 0.9) / np.linalg.norm(v)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from qopuc.fixtures import (
     random_moment_fixture, smooth_trig_density, vanishing_density,
 )
 from qopuc.measures import density_in_frame, moments_from_density
-from qopuc.polynomials import VerblunskySeq, _gammas_via_matrix
+from qopuc.polynomials import VerblunskySeq, _gammas_via_matrix, orthonormal_polys
 from qopuc.quaternions import Quaternion, SliceFrame
 from conftest import random_unit_ball_quaternion
 
@@ -187,3 +188,100 @@ def test_sv_gap_monotone_toward_zero_random():
         acc *= (1.0 - g.norm_sq()) ** 2
         prods.append(acc)
     assert all(prods[i + 1] <= prods[i] for i in range(len(prods) - 1))
+
+
+# ---- the array evaluators against the scalar Quaternion paths ----
+
+FIXDIR = Path(__file__).resolve().parent.parent / "fixtures"
+FIXTURE_NAMES = ("lebesgue", "bernstein_szego_05", "vanishing_density",
+                 "smooth_trig", "random_gamma_7")
+
+
+def _fixture_moments(name, n):
+    from qopuc.cli import load_fixture, moments_from_fixture
+
+    return moments_from_fixture(load_fixture(str(FIXDIR / f"{name}.json")), n, None)
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_eval_norm_sq_bitwise_equal_to_scalar_eval(name):
+    from qopuc.polynomials import eval_L, eval_R, eval_norm_sq, reverse_L, reverse_R
+
+    N = 8
+    fam = orthonormal_polys(_fixture_moments(name, N), N)
+    # the reverses carry the exact zero coefficients of Bernstein-Szego
+    space_l = list(fam.right) + [reverse_R(fam.left[n], n) for n in range(N + 1)]
+    space_r = list(fam.left) + [reverse_L(fam.right[n], n) for n in range(N + 1)]
+    rng = np.random.default_rng(88)
+    points = rng.normal(size=(64, 4)) * rng.uniform(0.05, 2.0, size=(64, 1))
+    points[0] = 0.0
+    for polys, scalar in ((space_l, eval_L), (space_r, eval_R)):
+        got = eval_norm_sq(polys, points)
+        want = np.array([[scalar(phi, Quaternion(*p)).norm_sq() for p in points]
+                         for phi in polys])
+        assert got.tobytes() == want.tobytes()
+
+
+def _cd_identity_scalar(c, N, samples, seed):
+    """The per-point Quaternion loop cd_identity_check replaced: the oracle."""
+    from qopuc.polynomials import eval_L, eval_R, reverse_L, reverse_R
+
+    fam = orthonormal_polys(c, N + 1)
+    rev_left = [reverse_R(fam.left[n], n) for n in range(N + 2)]
+    rev_right = [reverse_L(fam.right[n], n) for n in range(N + 2)]
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for s in range(samples):
+        v = rng.normal(size=4)
+        v /= np.linalg.norm(v)
+        radius = (rng.uniform(0.05, 0.95) if s % 2 == 0 else rng.uniform(1.05, 2.0))
+        p = Quaternion(*(radius * v))
+
+        def weight(n):
+            return (eval_L(rev_left[n], p).norm_sq()
+                    + eval_R(rev_right[n], p).norm_sq())
+
+        def plain(n):
+            return (eval_R(fam.left[n], p).norm_sq()
+                    + eval_L(fam.right[n], p).norm_sq())
+
+        kernel = 0.0
+        for l in range(N + 1):
+            kernel += plain(l)
+        psq = p.norm_sq()
+        denom = 1.0 - psq
+        rhs_next = (weight(N + 1) - plain(N + 1)) / denom
+        rhs_same = (weight(N) - psq * plain(N)) / denom
+        for rhs in (rhs_next, rhs_same):
+            worst = max(worst, abs(kernel - rhs) / (1.0 + abs(kernel)))
+    return worst
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_cd_identity_bitwise_equal_to_scalar_loop(name):
+    for N, samples, seed in ((1, 1, 0), (4, 37, 3), (8, 100, 11)):
+        c = _fixture_moments(name, N + 1)
+        assert cd_identity_check(c, N, samples, seed) == _cd_identity_scalar(c, N, samples, seed)
+    c = _fixture_moments(name, 5)
+    rng = np.random.default_rng(9)
+    for _ in range(5):
+        p = Quaternion(*(rng.normal(size=4) * 0.3))
+        fam = orthonormal_polys(c, 4)
+        want = 0.0
+        for l in range(5):
+            want += (fam.left[l](p).norm_sq() + fam.right[l](p).norm_sq())
+        assert cd_kernel_diag(c, 4, p) == want
+
+
+def test_cd_identity_memory_bounded_in_samples():
+    import tracemalloc
+
+    c = moments_from_density(smooth_trig_density(), 9)
+    tracemalloc.start()
+    try:
+        residual = cd_identity_check(c, 8, samples=20000, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert residual < 1e-9
+    assert peak < 8 * 2 ** 20

@@ -87,6 +87,16 @@ def test_nan_density_coefficient_rejected_at_load(tmp_path):
     (["zeros", "lebesgue.json", "--n", "0"], "--n"),
     (["baxter", "lebesgue.json", "--n", "0"], "--n"),
     (["grid", "lebesgue.json", "--grid", "0"], "--grid"),
+    # the other range-checked flags: tolerances and --rmax
+    (["cd", "smooth_trig.json", "--tol-route", "nan"], "--tol-route"),
+    (["zeros", "random_gamma_7.json", "--tol-route", "nan"], "--tol-route"),
+    (["moments-to-verblunsky", "smooth_trig.json", "--tol-route", "-1"], "--tol-route"),
+    (["zeros", "random_gamma_7.json", "--tol-pd", "nan"], "--tol-pd"),
+    (["orthopolys", "smooth_trig.json", "--tol-pd", "-1"], "--tol-pd"),
+    (["random-gamma", "--rmax", "nan"], "--rmax"),
+    (["random-gamma", "--rmax", "0"], "--rmax"),
+    (["random-gamma", "--rmax", "-0.5"], "--rmax"),
+    (["random-gamma", "--rmax", "1.5"], "--rmax"),
 ])
 def test_counts_below_one_rejected(tmp_path, argv, flag):
     argv = [str(FIXDIR / a) if a.endswith(".json") else a for a in argv]
@@ -277,3 +287,73 @@ def test_cli_reference_values(tmp_path):
                     "--samples", "50")
     assert code == 0
     assert json.loads(out)["result"]["max_residual"] < 1e-12
+
+
+def test_flag_range_edges_accepted(tmp_path):
+    code, _ = run(tmp_path, "zeros", str(FIXDIR / "lebesgue.json"), "--n", "2",
+                  "--tol-pd", "0")
+    assert code == 0
+    code, out = run(tmp_path, "random-gamma", "--n", "3", "--rmax", "0.05")
+    assert code == 0
+    moduli = [sum(x * x for x in g) ** 0.5
+              for g in json.loads(out)["result"]["gammas"]]
+    assert all(abs(m - 0.05) < 1e-15 for m in moduli)
+
+
+def _fmt_float_reference(x: float) -> str:
+    if x != x:
+        raise ValueError("NaN is not representable in report JSON")
+    if x == float("inf"):
+        return '"inf"'
+    if x == float("-inf"):
+        return '"-inf"'
+    return format(float(x), ".17g")
+
+
+def _emit_json_recursive(obj) -> str:
+    """The recursive emitter the typed fast paths replaced: the oracle."""
+    import numpy as np
+
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return _fmt_float_reference(float(obj))
+    if isinstance(obj, (list, tuple)):
+        return "[" + ", ".join(_emit_json_recursive(v) for v in obj) + "]"
+    if isinstance(obj, dict):
+        return "{" + ", ".join(f"{json.dumps(str(k))}: {_emit_json_recursive(v)}"
+                               for k, v in obj.items()) + "}"
+    raise TypeError(f"cannot serialise {type(obj)!r}")
+
+
+def test_emit_json_matches_recursive_emitter():
+    import numpy as np
+
+    from qopuc.cli import emit_json
+
+    rng = np.random.default_rng(5)
+    floats = rng.normal(size=40) * 10.0 ** rng.integers(-300, 300, size=40)
+    payload = {
+        "plain": [float(x) for x in floats],
+        "numpy": [np.float64(x) for x in floats[:5]] + [np.int64(-7), np.int32(3)],
+        "tuple": (1, 2.5, (True, False, None), []),
+        'quote"back\\slash\nnewé☃': {"x": -0.0, "y": 0.0, 3: "q\t"},
+        "extremes": [float("inf"), float("-inf"), 5e-324, 1.7976931348623157e308,
+                     np.float64("inf"), 1e16, 123456789.0],
+        "nested": [{"a": [[1.0, {"b": ()}]]}, {}],
+        "bools": {True: 1, None: 2, 2.5: 3},
+    }
+    assert emit_json(payload) == _emit_json_recursive(payload)
+    for bad in (float("nan"), [1.0, float("nan")], {"k": np.float64("nan")}):
+        with pytest.raises(ValueError):
+            emit_json(bad)
+    with pytest.raises(TypeError):
+        emit_json({"s": {1, 2}})

@@ -266,3 +266,17 @@ def test_density_matrix_form_hermitian(rng):
     # (2,2) entry is the reflected first density
     a = d.w1_values(-thetas)
     assert np.max(np.abs(W[:, 1, 1] - a)) < 1e-12
+
+
+@pytest.mark.parametrize("make", [lebesgue_density, bernstein_szego_density,
+                                  vanishing_density, smooth_trig_density])
+def test_matrix_values_bitwise_equal_to_per_term_sums(make):
+    d = make()
+    rng = np.random.default_rng(31)
+    grids = [2.0 * np.pi * np.arange(g) / g for g in (2048, 4096)]
+    grids.append(rng.uniform(-4.0 * np.pi, 4.0 * np.pi, size=1000))
+    for thetas in grids:
+        W = d.matrix_values(thetas)
+        a, b, dd = d.w1_values(thetas), d.w2_values(thetas), d.w1_values(-thetas)
+        want = np.stack([np.stack([a, b], -1), np.stack([np.conj(b), dd], -1)], -2)
+        assert W.tobytes() == want.tobytes()   # signed zeros included

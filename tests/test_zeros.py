@@ -185,3 +185,69 @@ def test_two_route_agreement_desk_scale_ceiling(rng, frame):
         report = zero_slice(poly, frame, route_tol=tol)
         expected = [complex(a.w, np.linalg.norm(a.imag)) for a in planted]
         assert multiset_distance(report.slice_roots, expected) < match
+
+
+# ---- the scalar Aberth loop that ``roots`` replaced, kept as its oracle ----
+
+def _polyval_ascending(coeffs, z):
+    acc = 0.0 + 0.0j
+    for c in coeffs[::-1]:
+        acc = acc * z + c
+    return acc
+
+
+def _roots_scalar_loop(coeffs, max_iter=500, residual_tol=1e-10):
+    coeffs = np.asarray(coeffs, dtype=complex)
+    scale = np.max(np.abs(coeffs))
+    n_zero = 0
+    while n_zero < len(coeffs) - 1 and abs(coeffs[n_zero]) <= 1e-300 * scale:
+        n_zero += 1
+    work = coeffs[n_zero:]
+    deg = len(work) - 1
+    if deg == 0:
+        return np.zeros(n_zero, dtype=complex)
+    monic = work / work[-1]
+    deriv = monic[1:] * np.arange(1, deg + 1)
+    radius = 1.0 + np.max(np.abs(monic[:-1]))
+    radius = min(radius, max(np.abs(monic[:-1]) ** (1.0 / np.arange(deg, 0, -1))) * 2.0 + 0.5)
+    angles = 2.0 * np.pi * np.arange(deg) / deg + 0.4
+    z = radius * np.exp(1j * angles)
+    for _ in range(max_iter):
+        p = np.array([_polyval_ascending(monic, zk) for zk in z])
+        dp = np.array([_polyval_ascending(deriv, zk) for zk in z])
+        newton = np.where(dp != 0, p / np.where(dp == 0, 1.0, dp), 0.0)
+        diff = z[:, None] - z[None, :]
+        np.fill_diagonal(diff, np.inf)
+        sums = np.sum(1.0 / diff, axis=1)
+        denom = 1.0 - newton * sums
+        step = newton / np.where(denom == 0, 1.0, denom)
+        z = z - step
+        if np.max(np.abs(step)) < 1e-14 * np.maximum(1.0, np.max(np.abs(z))):
+            break
+    p = np.array([_polyval_ascending(monic, zk) for zk in z])
+    dp = np.array([_polyval_ascending(deriv, zk) for zk in z])
+    residual = np.abs(p) / np.maximum(np.abs(dp), 1e-300)
+    absmon = np.abs(monic)
+    noise = np.array([np.sum(absmon * np.abs(zk) ** np.arange(deg + 1)) for zk in z])
+    at_noise_floor = np.abs(p) <= 4.0 * np.finfo(float).eps * noise
+    if np.max(np.where(at_noise_floor, 0.0, residual)) > residual_tol:
+        raise AssertionError("the oracle did not converge")
+    return np.concatenate([np.zeros(n_zero, dtype=complex), z])
+
+
+def test_roots_bitwise_equal_to_scalar_loop():
+    rng = np.random.default_rng(404)
+    cases = []
+    for degree in (1, 2, 3, 5, 8, 12, 20):
+        planted = rng.normal(size=degree) + 1j * rng.normal(size=degree)
+        if degree >= 2:
+            planted[1] = planted[0]          # a double root
+        cases.append(np.poly(planted)[::-1] * (0.3 + 2j))
+    for degree in (4, 9):                    # exact zeros at the origin
+        planted = np.concatenate([np.zeros(2), rng.normal(size=degree - 2)])
+        cases.append(np.poly(planted)[::-1])
+    cases.append(np.array([0.25, -1.0, 1.0]))   # (z - 1/2)^2, exactly
+    for coeffs in cases:
+        got = roots(coeffs)
+        want = _roots_scalar_loop(coeffs)
+        assert got.tobytes() == want.tobytes()
