@@ -8,7 +8,7 @@ Baxter summability diagnostics.
 
 __version__ = "0.1.0"
 
-from .quaternions import Quaternion, SliceFrame, chi, chi_inv, chi_mat, qmul
+from .quaternions import Quaternion, SliceFrame, chi, chi_inv, chi_mat
 from .measures import (
     AtomicQMeasure, MomentSequence, QPositiveDensity, density_in_frame,
     is_nontrivial, matrix_moments, moments_from_atoms, moments_from_density,
@@ -24,8 +24,8 @@ from .matrix_opuc import (
 from .polynomials import (
     OrthonormalFamily, QPolyL, QPolyR, SzegoState, VerblunskyExtraction,
     VerblunskySeq, eval_L, eval_R, eval_norm_sq, inner_L, inner_R,
-    moments_from_verblunsky_q, orthonormal_polys, phi_L, phi_L_inv, phi_R,
-    phi_R_inv, poly_from_json, reverse_L, reverse_R, star_mul_L, star_mul_R,
+    moments_from_verblunsky_q, orthonormal_polys, poly_from_json, reverse_L,
+    reverse_R, star_mul_L, star_mul_R,
     szego_advance, szego_family, verblunsky_from_moments_q,
 )
 from .zeros import ZeroReport, companion_left, companion_right, det_poly, \

@@ -117,7 +117,7 @@ def szego_entropy(d: QPositiveDensity, grid: int = ENTROPY_GRID,
     W = d.matrix_values(thetas)
     dets = np.linalg.det(W).real
     min_eig = min_grid_eigenvalue(W)
-    if min_eig <= pd_tol:
+    if not min_eig > pd_tol:   # also rejects a NaN grid value
         if allow_divergent:
             return float("-inf")
         raise NotPositiveOnGrid(

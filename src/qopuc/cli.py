@@ -211,8 +211,9 @@ def moments_from_fixture(obj: dict, n: int, override: SliceFrame | None) -> Mome
 
 def _require_flags(args) -> None:
     """--n (an order or a count), --samples and --grid must be at least 1;
-    --tol-route finite and > 0, --tol-pd finite and >= 0, and --rmax finite
-    in [0.05, 1), the interval its radii are drawn from."""
+    --tol-route finite and > 0, --tol-pd finite and >= 0, --rmax finite in
+    [0.05, 1), the interval its radii are drawn from, --format csv only for
+    commands with a CSV view, and --frame a valid frame."""
     for flag in ("n", "samples", "grid"):
         value = getattr(args, flag, None)
         if value is not None and value < 1:
@@ -224,6 +225,9 @@ def _require_flags(args) -> None:
     rmax = getattr(args, "rmax", None)
     if rmax is not None and not 0.05 <= rmax < 1:
         raise ValueError(f"--rmax must be finite and in [0.05, 1), got {rmax}")
+    if args.format == "csv" and args.command not in CSV_COMMANDS:
+        raise ValueError(f"--format csv has no view for command {args.command!r}")
+    parse_frame(args.frame)   # every envelope echoes the frame, so check it here
 
 
 def _envelope(args, result: dict) -> dict:
@@ -336,6 +340,10 @@ def cmd_random_gamma(args) -> dict:
 
 
 # ------------------------------- CSV views ---------------------------------
+
+CSV_COMMANDS = ("zeros", "sv", "baxter", "grid", "verblunsky-to-moments",
+                "moments-to-verblunsky")
+
 
 def csv_view(command: str, payload: dict) -> str:
     result = payload["result"]

@@ -190,7 +190,7 @@ class QPositiveDensity:
         object.__setattr__(self, "w1", w1)
         object.__setattr__(self, "w2", w2)
         min_eig = self.min_eigenvalue_on_grid(grid)
-        if min_eig < PSD_FLOOR:
+        if not min_eig >= PSD_FLOOR:   # also rejects a NaN grid value
             raise ValueError(
                 f"matrix density not PSD on the grid (min eigenvalue {min_eig:.3e})")
 
@@ -331,7 +331,7 @@ def matrix_moments(c: MomentSequence, frame: SliceFrame | None = None,
     N = c.horizon if N is None else N
     if N > c.horizon:
         raise HorizonExceeded(f"order {N} beyond horizon {c.horizon}")
-    return [chi(c[n], frame) for n in range(N + 1)]
+    return list(chi(np.array([c[n].to_array() for n in range(N + 1)]), frame))
 
 
 def density_in_frame(d: QPositiveDensity, frame: SliceFrame) -> QPositiveDensity:

@@ -2,7 +2,10 @@
 and the Szego recurrences.
 
 Two polynomial spaces appear: QPolyL holds sums p^k phi_k (coefficients on
-the right of the powers), QPolyR holds sums phi_k p^k.  Right-orthonormal
+the right of the powers), QPolyR holds sums phi_k p^k.  A polynomial is
+stored only as a read-only (n+1, 4) float array ``arr`` (row k = phi_k in
+the basis 1, i, j, k); ``coeffs`` and ``coeff`` hand out ``Quaternion``
+objects for the API and evaluation takes and returns them.  Right-orthonormal
 polynomials live in the first space, left-orthonormal in the second; both
 families come from a square-root-free LDL* of the Toeplitz form.  The
 paired recurrences advance all four sequences (both families and their
@@ -25,29 +28,40 @@ from .measures import (
     PIVOT_TOL, MomentSequence, matrix_moments, require_nontrivial, toeplitz,
 )
 from .quaternions import (
-    HAMILTON, Quaternion, SliceFrame, chi, chi_inv, qarr_conj, qpair_outer,
+    Quaternion, SliceFrame, _coerce, chi, chi_inv, qarr_conj, qarr_inv,
+    qarr_mul, qmul_parts, qpair_outer,
 )
 
 ROUTE_TOL = 1e-8
 
 
-def _coerce_coeffs(coeffs):
-    out = [c if isinstance(c, Quaternion) else Quaternion(c) for c in coeffs]
-    if not out:
-        out = [Quaternion()]
-    # trim exact trailing zeros so degree = index of last nonzero coefficient
-    while len(out) > 1 and out[-1] == Quaternion():
-        out.pop()
-    return tuple(out)
+def _coerce_coeffs(coeffs) -> np.ndarray:
+    """A fresh (n+1, 4) float array from an array or from a sequence of
+    Quaternions and reals, exact trailing zeros trimmed so that the degree
+    is the index of the last nonzero coefficient (-0.0 is zero, NaN not)."""
+    if not isinstance(coeffs, np.ndarray):
+        coeffs = [(c if isinstance(c, Quaternion) else Quaternion(c)).to_array()
+                  for c in coeffs]
+    arr = np.array(coeffs, dtype=float).reshape(-1, 4)
+    n = len(arr)
+    while n > 1 and not arr[n - 1].any():
+        n -= 1
+    return arr[:n] if n else np.zeros((1, 4))
+
+
+def _padded(arr: np.ndarray, n: int) -> np.ndarray:
+    """The first n coefficient rows, zero-padded at the top."""
+    out = np.zeros((n, 4))
+    m = min(n, len(arr))
+    out[:m] = arr[:m]
+    return out
 
 
 class _QPolyBase:
-    __slots__ = ("coeffs", "arr")
+    __slots__ = ("arr",)
 
     def __init__(self, coeffs):
-        coeffs = _coerce_coeffs(coeffs)
-        object.__setattr__(self, "coeffs", coeffs)
-        arr = np.array([c.to_array() for c in coeffs])
+        arr = _coerce_coeffs(coeffs)
         arr.setflags(write=False)
         object.__setattr__(self, "arr", arr)
 
@@ -56,42 +70,45 @@ class _QPolyBase:
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.arr) - 1
+
+    @property
+    def coeffs(self) -> tuple:
+        return tuple(Quaternion(*row) for row in self.arr.tolist())
 
     def __eq__(self, other):
-        return type(self) is type(other) and self.coeffs == other.coeffs
+        return (type(self) is type(other) and self.arr.shape == other.arr.shape
+                and bool((self.arr == other.arr).all()))
 
     def __hash__(self):
-        return hash((type(self).__name__, self.coeffs))
-
-    def _scaled(self, factor: float):
-        return type(self)([c * factor for c in self.coeffs])
+        # -0.0 == 0.0 and hash(-0.0) == hash(0.0), so this matches __eq__
+        return hash((type(self).__name__, tuple(self.arr.ravel().tolist())))
 
     def __add__(self, other):
         if type(other) is not type(self):
             raise TypeError("cannot mix polynomial spaces")
-        n = max(self.degree, other.degree)
-        return type(self)([self.coeff(k) + other.coeff(k) for k in range(n + 1)])
+        n = max(self.degree, other.degree) + 1
+        return type(self)(_padded(self.arr, n) + _padded(other.arr, n))
 
     def __sub__(self, other):
         if type(other) is not type(self):
             raise TypeError("cannot mix polynomial spaces")
-        n = max(self.degree, other.degree)
-        return type(self)([self.coeff(k) - other.coeff(k) for k in range(n + 1)])
+        n = max(self.degree, other.degree) + 1
+        return type(self)(_padded(self.arr, n) - _padded(other.arr, n))
 
     def coeff(self, k: int) -> Quaternion:
-        return self.coeffs[k] if 0 <= k <= self.degree else Quaternion()
+        return Quaternion(*self.arr[k].tolist()) if 0 <= k <= self.degree else Quaternion()
 
     def shift(self):
         """Multiply by the variable (coefficients move up one power)."""
-        return type(self)((Quaternion(),) + self.coeffs)
+        return type(self)(np.concatenate([np.zeros((1, 4)), self.arr]))
 
     def __repr__(self):
         return f"{type(self).__name__}(degree={self.degree})"
 
     def to_json(self):
         space = "L" if isinstance(self, QPolyL) else "R"
-        return {"space": space, "coeffs": [c.to_json() for c in self.coeffs]}
+        return {"space": space, "coeffs": self.arr.tolist()}
 
 
 class QPolyL(_QPolyBase):
@@ -113,19 +130,24 @@ def poly_from_json(obj):
     return cls([Quaternion.from_array(c) for c in obj["coeffs"]])
 
 
+def _horner(coeffs, p, left: bool) -> tuple:
+    """Horner's rule on component tuples: ``coeffs`` iterates over the
+    coefficients as (w, x, y, z), constant first, and ``p`` is one such
+    tuple; the step is p * acc for H[p]^L and acc * p for H[p]^R."""
+    acc = coeffs[-1]
+    for c in coeffs[-2::-1]:
+        acc = qmul_parts(p, acc) if left else qmul_parts(acc, p)
+        acc = (acc[0] + c[0], acc[1] + c[1], acc[2] + c[2], acc[3] + c[3])
+    return acc
+
+
 def eval_L(phi: QPolyL, p: Quaternion) -> Quaternion:
     """Horner evaluation of sum p^k phi_k (powers multiply from the left)."""
-    acc = phi.coeffs[-1]
-    for k in range(phi.degree - 1, -1, -1):
-        acc = p * acc + phi.coeffs[k]
-    return acc
+    return Quaternion(*_horner(phi.arr.tolist(), _coerce(p).to_array().tolist(), left=True))
 
 
 def eval_R(phi: QPolyR, p: Quaternion) -> Quaternion:
-    acc = phi.coeffs[-1]
-    for k in range(phi.degree - 1, -1, -1):
-        acc = acc * p + phi.coeffs[k]
-    return acc
+    return Quaternion(*_horner(phi.arr.tolist(), _coerce(p).to_array().tolist(), left=False))
 
 
 def eval_norm_sq(polys, points: np.ndarray) -> np.ndarray:
@@ -133,10 +155,10 @@ def eval_norm_sq(polys, points: np.ndarray) -> np.ndarray:
 
     ``polys`` all live in H[p]^L (Horner step p * acc, as ``eval_L``) or all
     in H[p]^R (acc * p, as ``eval_R``); ``points`` is an (S, 4) array.
-    Returns an (len(polys), S) array.  The Hamilton products are written out
-    in ``Quaternion.__mul__``'s operand and sum order, so every value is
-    bitwise the one ``eval_L(phi, p).norm_sq()`` / ``eval_R`` give; shorter
-    polynomials are zero-padded at the top, which changes no nonzero bit.
+    Returns an (len(polys), S) array.  It runs the Horner loop of
+    ``eval_L``/``eval_R`` on component arrays, so every value is bitwise the
+    one ``eval_L(phi, p).norm_sq()`` / ``eval_R`` give; shorter polynomials
+    are zero-padded at the top, which changes no nonzero bit.
     """
     left = isinstance(polys[0], QPolyL)
     if any(isinstance(phi, QPolyL) != left for phi in polys):
@@ -145,116 +167,74 @@ def eval_norm_sq(polys, points: np.ndarray) -> np.ndarray:
     C = np.zeros((D + 1, 4, len(polys), 1))
     for f, phi in enumerate(polys):
         C[: phi.degree + 1, :, f, 0] = phi.arr
-    pw, px, py, pz = np.asarray(points, dtype=float).T[:, None, :]
-    aw, ax, ay, az = C[D]
-    for cw, cx, cy, cz in C[:D][::-1]:
-        if left:    # p * acc
-            aw, ax, ay, az = (pw * aw - px * ax - py * ay - pz * az + cw,
-                              pw * ax + px * aw + py * az - pz * ay + cx,
-                              pw * ay - px * az + py * aw + pz * ax + cy,
-                              pw * az + px * ay - py * ax + pz * aw + cz)
-        else:       # acc * p
-            aw, ax, ay, az = (aw * pw - ax * px - ay * py - az * pz + cw,
-                              aw * px + ax * pw + ay * pz - az * py + cx,
-                              aw * py - ax * pz + ay * pw + az * px + cy,
-                              aw * pz + ax * py - ay * px + az * pw + cz)
+    aw, ax, ay, az = _horner(C, np.asarray(points, dtype=float).T[:, None, :], left)
     return np.broadcast_to(aw * aw + ax * ax + ay * ay + az * az,
                            (len(polys), len(points)))
 
 
-def _star_coeffs(a, b):
-    n, m = len(a) - 1, len(b) - 1
-    out = []
-    for l in range(n + m + 1):
-        acc = Quaternion()
-        for alpha in range(max(0, l - m), min(n, l) + 1):
-            acc = acc + a[alpha] * b[l - alpha]
-        out.append(acc)
+def _star_coeffs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """c_l = sum over alpha ascending of a_alpha b_{l-alpha}, from 0.0."""
+    out = np.zeros((len(a) + len(b) - 1, 4))
+    for alpha in range(len(a)):
+        out[alpha: alpha + len(b)] += qarr_mul(a[alpha], b)
     return out
 
 
 def star_mul_L(phi: QPolyL, psi: QPolyL) -> QPolyL:
     """Coefficient convolution c_l = sum_{a+b=l} phi_a psi_b (order fixed)."""
-    return QPolyL(_star_coeffs(phi.coeffs, psi.coeffs))
+    return QPolyL(_star_coeffs(phi.arr, psi.arr))
 
 
 def star_mul_R(phi: QPolyR, psi: QPolyR) -> QPolyR:
-    return QPolyR(_star_coeffs(phi.coeffs, psi.coeffs))
+    return QPolyR(_star_coeffs(phi.arr, psi.arr))
+
+
+def _reversed_coeffs(poly, n: int) -> np.ndarray:
+    """conj(poly_{n-k}) for k = 0..n, the polynomial zero-padded to degree n."""
+    if n < poly.degree:
+        raise DegreeTooSmall(f"reversal degree {n} below polynomial degree {poly.degree}")
+    return qarr_conj(_padded(poly.arr, n + 1)[::-1])
 
 
 def reverse_L(phi: QPolyL, n: int) -> QPolyR:
     """phi^#(p) = conj(phi(1/conj p)) p^n; k-th coefficient conj(phi_{n-k})."""
-    if n < phi.degree:
-        raise DegreeTooSmall(f"reversal degree {n} below polynomial degree {phi.degree}")
-    return QPolyR([phi.coeff(n - k).conjugate() for k in range(n + 1)])
+    return QPolyR(_reversed_coeffs(phi, n))
 
 
 def reverse_R(psi: QPolyR, m: int) -> QPolyL:
     """psi^#(p) = p^m conj(psi(1/conj p)); k-th coefficient conj(psi_{m-k})."""
-    if m < psi.degree:
-        raise DegreeTooSmall(f"reversal degree {m} below polynomial degree {psi.degree}")
-    return QPolyL([psi.coeff(m - k).conjugate() for k in range(m + 1)])
-
-
-# ---------------------------------------------------------------------
-# embeddings into 2x2 matrix polynomials (coefficientwise chi)
-# ---------------------------------------------------------------------
-
-def phi_L(phi: QPolyL, frame: SliceFrame) -> np.ndarray:
-    return np.array([chi(c, frame) for c in phi.coeffs])
-
-
-def phi_R(psi: QPolyR, frame: SliceFrame) -> np.ndarray:
-    return np.array([chi(c, frame) for c in psi.coeffs])
-
-
-def phi_L_inv(P: np.ndarray, frame: SliceFrame) -> QPolyL:
-    """Inverse embedding; NotInImage when any coefficient fails structurally."""
-    return QPolyL([chi_inv(M, frame) for M in np.asarray(P, dtype=complex)])
-
-
-def phi_R_inv(P: np.ndarray, frame: SliceFrame) -> QPolyR:
-    return QPolyR([chi_inv(M, frame) for M in np.asarray(P, dtype=complex)])
+    return QPolyL(_reversed_coeffs(psi, m))
 
 
 # ---------------------------------------------------------------------
 # inner products
 # ---------------------------------------------------------------------
 
-def _padded_arrays(phi, psi):
-    n = max(phi.degree, psi.degree)
-    a = np.zeros((n + 1, 4))
-    b = np.zeros((n + 1, 4))
-    a[: phi.degree + 1] = phi.arr
-    b[: psi.degree + 1] = psi.arr
-    return a, b, n
-
-
 def inner_R(phi: QPolyL, psi: QPolyL, c: MomentSequence) -> Quaternion:
     """<phi, psi>_R = psi_hat^* T_N(c) phi_hat (right-linear in phi).
 
     Coefficient vectors are zero-padded to the longer degree.
     """
-    a, b, n = _padded_arrays(phi, psi)
+    n = max(phi.degree, psi.degree)
+    a, b = _padded(phi.arr, n + 1), _padded(psi.arr, n + 1)
     T = toeplitz(c, n).swapaxes(0, 1)   # T[k, l] = c_{k-l}; row l pairs psi_l
-    tphi = np.einsum("kla,kb,abc->lc", T, a, HAMILTON)
-    val = np.einsum("la,lb,abc->c", qarr_conj(b), tphi, HAMILTON)
-    return Quaternion.from_array(val)
+    tphi = qarr_mul(T, a[:, None]).sum(axis=0)
+    return Quaternion.from_array(qarr_mul(qarr_conj(b), tphi).sum(axis=0))
 
 
 def inner_L(phi: QPolyR, psi: QPolyR, c: MomentSequence) -> Quaternion:
     """<phi, psi>_L = sum_{k,l} phi_k c_{k-l} conj(psi_l) (left-linear in phi)."""
-    a, b, n = _padded_arrays(phi, psi)
+    n = max(phi.degree, psi.degree)
+    a, b = _padded(phi.arr, n + 1), _padded(psi.arr, n + 1)
     T = toeplitz(c, n).swapaxes(0, 1)
-    left = np.einsum("ka,klb,abc->lc", a, T, HAMILTON)
-    val = np.einsum("la,lb,abc->c", left, qarr_conj(b), HAMILTON)
-    return Quaternion.from_array(val)
+    left = qarr_mul(a[:, None], T).sum(axis=0)
+    return Quaternion.from_array(qarr_mul(left, qarr_conj(b)).sum(axis=0))
 
 
-def _real_part_checked(q: Quaternion, what: str, tol: float = 1e-8) -> float:
-    if abs(q.imag).max() > tol * max(1.0, abs(q.w)):
-        raise ArithmeticError(f"{what} should be real, got {q!r}")
-    return q.w
+def _real_part_checked(q: np.ndarray, what: str, tol: float = 1e-8) -> None:
+    """ArithmeticError unless the quaternion row q is real to ``tol``."""
+    if np.abs(q[1:]).max() > tol * max(1.0, abs(q[0])):
+        raise ArithmeticError(f"{what} should be real, got {Quaternion(*q.tolist())!r}")
 
 
 # ---------------------------------------------------------------------
@@ -298,10 +278,8 @@ def orthonormal_polys(c: MomentSequence, N: int,
     # + 0.0 maps the -0.0 that conjugating an exact zero leaves back to 0.0
     rows_r = qarr_conj(_inverse_rows(*require_nontrivial(c, N, pivot_tol))) + 0.0
     rows_l = _inverse_rows(*require_nontrivial(c, N, pivot_tol, transpose=True))
-    right = tuple(QPolyL([Quaternion.from_array(q) for q in rows_r[n, : n + 1]])
-                  for n in range(N + 1))
-    left = tuple(QPolyR([Quaternion.from_array(q) for q in rows_l[n, : n + 1]])
-                 for n in range(N + 1))
+    right = tuple(QPolyL(rows_r[n, : n + 1]) for n in range(N + 1))
+    left = tuple(QPolyR(rows_l[n, : n + 1]) for n in range(N + 1))
     return OrthonormalFamily(right=right, left=left)
 
 
@@ -382,17 +360,16 @@ def szego_advance(state: SzegoState, gamma: Quaternion) -> SzegoState:
     if nsq >= 1.0 - 1e-12:
         raise NotContraction("gamma is not a strict contraction")
     r_inv = 1.0 / math.sqrt(1.0 - nsq)
-    gbar = gamma.conjugate()
-    shift_l = state.left.shift()          # psi_n^L p  in H[p]^R
-    shift_r = state.right.shift()         # p psi_n^R  in H[p]^L
-    new_left = QPolyR([(shift_l.coeff(k) - gamma * state.right_rev.coeff(k)) * r_inv
-                       for k in range(shift_l.degree + 1)])
-    new_right = QPolyL([(shift_r.coeff(k) - state.left_rev.coeff(k) * gamma) * r_inv
-                        for k in range(shift_r.degree + 1)])
-    new_left_rev = QPolyL([(state.left_rev.coeff(k) - shift_r.coeff(k) * gbar) * r_inv
-                           for k in range(shift_r.degree + 1)])
-    new_right_rev = QPolyR([(state.right_rev.coeff(k) - gbar * shift_l.coeff(k)) * r_inv
-                            for k in range(shift_l.degree + 1)])
+    g = gamma.to_array()
+    gbar = qarr_conj(g)
+    shift_l = state.left.shift().arr      # psi_n^L p  in H[p]^R
+    shift_r = state.right.shift().arr     # p psi_n^R  in H[p]^L
+    right_rev = _padded(state.right_rev.arr, len(shift_l))
+    left_rev = _padded(state.left_rev.arr, len(shift_r))
+    new_left = QPolyR((shift_l - qarr_mul(g, right_rev)) * r_inv)
+    new_right = QPolyL((shift_r - qarr_mul(left_rev, g)) * r_inv)
+    new_left_rev = QPolyL((left_rev - qarr_mul(shift_r, gbar)) * r_inv)
+    new_right_rev = QPolyR((right_rev - qarr_mul(gbar, shift_l)) * r_inv)
     return SzegoState(left=new_left, right=new_right,
                       left_rev=new_left_rev, right_rev=new_right_rev)
 
@@ -433,15 +410,16 @@ def _gammas_via_matrix(c: MomentSequence, N: int, frame: SliceFrame) -> Verbluns
 
 
 def _gammas_via_szego(fam: OrthonormalFamily) -> VerblunskySeq:
-    gammas = []
-    for n in range(fam.order):
-        kap_n = fam.left[n].coeffs[n]
-        kap_n1 = fam.left[n + 1].coeffs[n + 1]
-        r_n = _real_part_checked(kap_n * kap_n1.inverse(), "leading ratio")
-        kap_r = _real_part_checked(fam.right[n].coeffs[n], "leading coefficient")
-        gamma = -(fam.left[n + 1].coeff(0) * (r_n / kap_r))
-        gammas.append(gamma)
-    return VerblunskySeq(gammas)
+    N = fam.order
+    kap_l = np.array([fam.left[n].arr[n] for n in range(N + 1)])
+    kap_r = np.array([fam.right[n].arr[n] for n in range(N)]).reshape(-1, 4)
+    ratio = qarr_mul(kap_l[:-1], qarr_inv(kap_l[1:]))
+    for n in range(N):
+        _real_part_checked(ratio[n], "leading ratio")
+        _real_part_checked(kap_r[n], "leading coefficient")
+    const = np.array([fam.left[n + 1].arr[0] for n in range(N)]).reshape(-1, 4)
+    gammas = -(const * (ratio[:, 0] / kap_r[:, 0])[:, None])
+    return VerblunskySeq([Quaternion(*g) for g in gammas.tolist()])
 
 
 def moments_from_verblunsky_q(gammas: VerblunskySeq, N: int,
@@ -455,7 +433,8 @@ def moments_from_verblunsky_q(gammas: VerblunskySeq, N: int,
     if len(gammas) < N:
         raise ValueError(f"need {N} coefficients, got {len(gammas)}")
     frame = frame or SliceFrame.standard()
-    alphas = MatVerblunskySeq([chi(g, frame) for g in gammas])
+    G = np.array([g.to_array() for g in gammas]).reshape(-1, 4)
+    alphas = MatVerblunskySeq(chi(G, frame))
     C = moments_from_alphas(alphas, N)
     return MomentSequence([Quaternion(1.0)] + [chi_inv(M, frame) for M in C])
 

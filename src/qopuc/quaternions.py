@@ -6,10 +6,14 @@ of quaternions into 2x2 complex matrices.  Once a frame is chosen, elements
 of C_i are handled as ordinary Python complex numbers, which keeps all
 matrix code frame-agnostic.
 
-Quaternion matrices are plain float arrays of shape (n, n, 4) with the last
-axis holding coordinates in the basis (1, i, j, k); helpers here give the
-Hamilton product, the entrywise embedding ``chi_mat`` and the block
-permutation unitaries relating it to the blockwise embedding.
+Quaternion data inside the library are plain float arrays of shape
+(..., 4), the last axis holding coordinates in the basis (1, i, j, k):
+polynomial coefficients (n+1, 4), quaternion matrices (n, n, 4).  The
+``Quaternion`` class is the scalar type of the API and of JSON I/O (moments,
+Verblunsky coefficients, frame generators, evaluation results).  One
+Hamilton product, ``qmul_parts``, serves both forms; one frame-coordinate
+kernel, ``_frame_coords``, serves ``chi`` on (..., 4) arrays, the matrix
+embeddings ``chi_mat``/``blockwise_chi`` and ``SliceFrame.split``.
 """
 
 from __future__ import annotations
@@ -23,18 +27,6 @@ from .errors import NoConvergence, NotInImage
 # structural tolerance for membership in the embedding image
 TAU_IMG = 1e-10
 FRAME_TOL = 1e-12
-
-# Hamilton structure tensor: e_a e_b = sum_c HAMILTON[a, b, c] e_c,
-# basis order (1, i, j, k).
-HAMILTON = np.zeros((4, 4, 4))
-for _a, _b, _c, _s in [
-    (0, 0, 0, 1), (0, 1, 1, 1), (0, 2, 2, 1), (0, 3, 3, 1),
-    (1, 0, 1, 1), (1, 1, 0, -1), (1, 2, 3, 1), (1, 3, 2, -1),
-    (2, 0, 2, 1), (2, 1, 3, -1), (2, 2, 0, -1), (2, 3, 1, 1),
-    (3, 0, 3, 1), (3, 1, 2, 1), (3, 2, 1, -1), (3, 3, 0, -1),
-]:
-    HAMILTON[_a, _b, _c] = _s
-
 
 class Quaternion:
     """Immutable quaternion w + x i + y j + z k."""
@@ -105,13 +97,8 @@ class Quaternion:
         if isinstance(other, (int, float)):
             return Quaternion(self.w * other, self.x * other,
                               self.y * other, self.z * other)
-        a, b = self, other
-        return Quaternion(
-            a.w * b.w - a.x * b.x - a.y * b.y - a.z * b.z,
-            a.w * b.x + a.x * b.w + a.y * b.z - a.z * b.y,
-            a.w * b.y - a.x * b.z + a.y * b.w + a.z * b.x,
-            a.w * b.z + a.x * b.y - a.y * b.x + a.z * b.w,
-        )
+        return Quaternion(*qmul_parts((self.w, self.x, self.y, self.z),
+                                      (other.w, other.x, other.y, other.z)))
 
     def __rmul__(self, other):
         if isinstance(other, (int, float)):
@@ -155,9 +142,19 @@ QJ = Quaternion(0.0, 0.0, 1.0)
 QK = Quaternion(0.0, 0.0, 0.0, 1.0)
 
 
-def qmul(a: Quaternion, b: Quaternion) -> Quaternion:
-    """Hamilton product."""
-    return _coerce(a) * _coerce(b)
+def qmul_parts(a, b) -> tuple:
+    """Hamilton product of component tuples (w, x, y, z).
+
+    The components may be floats or broadcastable arrays; the products are
+    summed left to right in one fixed order, so the scalar and the array
+    forms give the same bits.
+    """
+    aw, ax, ay, az = a
+    bw, bx, by, bz = b
+    return (aw * bw - ax * bx - ay * by - az * bz,
+            aw * bx + ax * bw + ay * bz - az * by,
+            aw * by - ax * bz + ay * bw + az * bx,
+            aw * bz + ax * by - ay * bx + az * bw)
 
 
 class SliceFrame:
@@ -209,12 +206,8 @@ class SliceFrame:
     # -- slice coordinates ---------------------------------------------
     def split(self, p: Quaternion) -> tuple[complex, complex]:
         """Coordinates (z1, z2) of p = z1 + z2 j in the frame basis."""
-        p = _coerce(p)
-        im = p.imag
-        return (
-            complex(p.w, float(np.dot(im, self.i.imag))),
-            complex(float(np.dot(im, self.j.imag)), float(np.dot(im, self.k.imag))),
-        )
+        z1, z2 = _frame_coords(_coerce(p).to_array(), self)
+        return complex(z1), complex(z2)
 
     def from_split(self, z1: complex, z2: complex) -> Quaternion:
         return (Quaternion(z1.real) + self.i * z1.imag
@@ -243,14 +236,20 @@ class SliceFrame:
         return cls(Quaternion.from_array(obj["i"]), Quaternion.from_array(obj["j"]))
 
 
-def split(p: Quaternion, frame: SliceFrame) -> tuple[complex, complex]:
-    return frame.split(p)
+def chi(p, frame: SliceFrame) -> np.ndarray:
+    """The 2x2 complex image [[z1, z2], [-conj z2, conj z1]] of p.
 
-
-def chi(p: Quaternion, frame: SliceFrame) -> np.ndarray:
-    """The 2x2 complex image [[z1, z2], [-conj z2, conj z1]] of p."""
-    z1, z2 = frame.split(p)
-    return np.array([[z1, z2], [-z2.conjugate(), z1.conjugate()]])
+    ``p`` is a Quaternion or an (..., 4) array; an array maps entrywise to
+    an (..., 2, 2) array, so ``chi(poly.arr, frame)`` is the coefficientwise
+    image of a polynomial.
+    """
+    A1, A2 = _frame_coords(p.to_array() if isinstance(p, Quaternion) else p, frame)
+    out = np.empty(A1.shape + (2, 2), dtype=complex)
+    out[..., 0, 0] = A1
+    out[..., 0, 1] = A2
+    out[..., 1, 0] = -np.conj(A2)
+    out[..., 1, 1] = np.conj(A1)
+    return out
 
 
 def chi_inv(M: np.ndarray, frame: SliceFrame, tol: float = TAU_IMG) -> Quaternion:
@@ -276,8 +275,16 @@ def chi_image_residual(M: np.ndarray) -> float:
 # ---------------------------------------------------------------------
 
 def qarr_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Elementwise Hamilton product of (..., 4) arrays."""
-    return np.einsum("...a,...b,abc->...c", a, b, HAMILTON)
+    """Elementwise (broadcast) Hamilton product of (..., 4) arrays."""
+    parts = qmul_parts(np.moveaxis(np.asarray(a, dtype=float), -1, 0),
+                       np.moveaxis(np.asarray(b, dtype=float), -1, 0))
+    return np.stack(parts, axis=-1)
+
+
+def qarr_inv(a: np.ndarray) -> np.ndarray:
+    """Elementwise inverse conj(q) / |q|^2, in ``Quaternion.inverse``'s order."""
+    w, x, y, z = np.moveaxis(np.asarray(a, dtype=float), -1, 0)
+    return qarr_conj(a) / (w * w + x * x + y * y + z * z)[..., None]
 
 
 def qarr_conj(a: np.ndarray) -> np.ndarray:
@@ -292,7 +299,7 @@ def qarr_abs(a: np.ndarray) -> np.ndarray:
 
 def qmat_mul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Product of quaternion matrices stored as (n, m, 4) arrays."""
-    return np.einsum("nka,kmb,abc->nmc", A, B, HAMILTON)
+    return qarr_mul(A[:, :, None], B[None]).sum(axis=1)
 
 
 def qpair_conj(a: np.ndarray) -> np.ndarray:
@@ -317,16 +324,22 @@ def qmat_conj_T(A: np.ndarray) -> np.ndarray:
     return qarr_conj(np.swapaxes(A, 0, 1))
 
 
-def qmat_from_quaternions(rows) -> np.ndarray:
-    return np.array([[q.to_array() for q in row] for row in rows])
-
-
 def _frame_coords(A: np.ndarray, frame: SliceFrame):
-    """Split an (..., 4) array into the two complex coordinate arrays."""
+    """Split an (..., 4) array into the coordinate arrays (z1, z2) of
+    q = z1 + z2 j.
+
+    ``np.vecdot`` gives the bits of a per-quaternion ``np.dot`` (``@`` and
+    einsum do not), and the parts are assigned separately because
+    ``a + 1j * b`` does not keep signed zeros.
+    """
     A = np.asarray(A, dtype=float)
     im = A[..., 1:]
-    A1 = A[..., 0] + 1j * (im @ frame.i.imag)
-    A2 = (im @ frame.j.imag) + 1j * (im @ frame.k.imag)
+    A1 = np.empty(A.shape[:-1], dtype=complex)
+    A2 = np.empty(A.shape[:-1], dtype=complex)
+    A1.real = A[..., 0]
+    A1.imag = np.vecdot(im, frame.i.imag)
+    A2.real = np.vecdot(im, frame.j.imag)
+    A2.imag = np.vecdot(im, frame.k.imag)
     return A1, A2
 
 

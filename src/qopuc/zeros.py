@@ -4,7 +4,8 @@ Two independent routes to the slice zero set of a quaternionic polynomial
 are kept deliberately: Aberth-Ehrlich on the determinant of the embedded
 coefficient polynomial, and LAPACK eigenvalues of the embedded companion
 matrix.  Their agreement is asserted on every call; it is the computable
-content of the zero-set theorems.
+content of the zero-set theorems.  Monic normalisation and the companion
+matrices are operations on the polynomials' (n+1, 4) coefficient arrays.
 """
 
 from __future__ import annotations
@@ -14,10 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoConvergence, NotMonic, RouteMismatch
-from .polynomials import (
-    OrthonormalFamily, QPolyL, QPolyR, phi_L, phi_R, reverse_L, reverse_R,
-)
-from .quaternions import Quaternion, SliceFrame, qmat_from_quaternions, right_eigen_slice
+from .polynomials import OrthonormalFamily, QPolyL, QPolyR, reverse_L, reverse_R
+from .quaternions import SliceFrame, chi, qarr_inv, qarr_mul, right_eigen_slice
 
 ROOT_RESIDUAL_TOL = 1e-10
 MAX_ABERTH_ITER = 500
@@ -26,14 +25,14 @@ ROUTE_TOL = 1e-8
 
 def multiset_distance(a, b) -> float:
     """Greedy matching distance between two complex multisets of equal size."""
-    a = list(np.asarray(a, dtype=complex))
-    b = list(np.asarray(b, dtype=complex))
+    a = np.asarray(a, dtype=complex).tolist()
+    b = np.asarray(b, dtype=complex).tolist()
     if len(a) != len(b):
         return float("inf")
     worst = 0.0
     for x in sorted(a, key=abs, reverse=True):
         dists = [abs(x - y) for y in b]
-        k = int(np.argmin(dists))
+        k = min(range(len(dists)), key=dists.__getitem__)
         worst = max(worst, dists[k])
         b.pop(k)
     return worst
@@ -124,39 +123,46 @@ def det_poly(P: np.ndarray) -> np.ndarray:
     return np.convolve(a, d) - np.convolve(b, c)
 
 
+_ONE = np.array([1.0, 0.0, 0.0, 0.0])
+
+
+def _companion(psi) -> tuple[int, np.ndarray]:
+    """Degree and a zero (n, n, 4) matrix for a monic psi of degree >= 1."""
+    n = psi.degree
+    if n < 1:
+        raise NotMonic("degree must be at least 1")
+    if not (psi.arr[n] == _ONE).all():
+        raise NotMonic("leading coefficient must be exactly 1")
+    return n, np.zeros((n, n, 4))
+
+
 def companion_left(psi: QPolyL) -> np.ndarray:
     """Companion matrix (subdiagonal ones, last column -coefficients).
 
     The polynomial must be monic: callers pre-divide on the zero-preserving
     side (see monic_left).
     """
-    n = psi.degree
-    if n < 1:
-        raise NotMonic("degree must be at least 1")
-    if psi.coeffs[n] != 1:
-        raise NotMonic("leading coefficient must be exactly 1")
-    zero = Quaternion()
-    rows = []
-    for r in range(n):
-        row = [Quaternion(1.0) if r >= 1 and c == r - 1 else zero for c in range(n - 1)]
-        row.append(-psi.coeffs[r])
-        rows.append(row)
-    return qmat_from_quaternions(rows)
+    n, A = _companion(psi)
+    A[np.arange(1, n), np.arange(n - 1), 0] = 1.0
+    A[:, n - 1] = -psi.arr[:n]
+    return A
 
 
 def companion_right(psi: QPolyR) -> np.ndarray:
     """Mirror form: superdiagonal ones, bottom row -coefficients."""
-    n = psi.degree
-    if n < 1:
-        raise NotMonic("degree must be at least 1")
-    if psi.coeffs[n] != 1:
-        raise NotMonic("leading coefficient must be exactly 1")
-    zero = Quaternion()
-    rows = []
-    for r in range(n - 1):
-        rows.append([Quaternion(1.0) if c == r + 1 else zero for c in range(n)])
-    rows.append([-psi.coeffs[c] for c in range(n)])
-    return qmat_from_quaternions(rows)
+    n, A = _companion(psi)
+    A[np.arange(n - 1), np.arange(1, n), 0] = 1.0
+    A[n - 1] = -psi.arr[:n]
+    return A
+
+
+def _monic(psi, left: bool) -> np.ndarray:
+    lead = psi.arr[psi.degree]
+    if (lead * lead).sum() == 0.0:   # as Quaternion.inverse: |lead|^2 underflows
+        raise ZeroDivisionError("zero quaternion has no inverse")
+    inv = qarr_inv(lead)
+    body = qarr_mul(psi.arr[:-1], inv) if left else qarr_mul(inv, psi.arr[:-1])
+    return np.concatenate([body, _ONE[None]])
 
 
 def monic_left(psi: QPolyL) -> QPolyL:
@@ -166,17 +172,11 @@ def monic_left(psi: QPolyL) -> QPolyL:
     coefficient by the inverse leading coefficient multiplies all values on
     the right and so fixes the zero set.
     """
-    lead = psi.coeffs[psi.degree]
-    inv = lead.inverse()
-    coeffs = [c * inv for c in psi.coeffs[:-1]]
-    return QPolyL(coeffs + [Quaternion(1.0)])
+    return QPolyL(_monic(psi, left=True))
 
 
 def monic_right(psi: QPolyR) -> QPolyR:
-    lead = psi.coeffs[psi.degree]
-    inv = lead.inverse()
-    coeffs = [inv * c for c in psi.coeffs[:-1]]
-    return QPolyR(coeffs + [Quaternion(1.0)])
+    return QPolyR(_monic(psi, left=False))
 
 
 @dataclass(frozen=True)
@@ -199,19 +199,18 @@ class ZeroReport:
 
 def _reduce_conjugate_pairs(vals: np.ndarray) -> list[complex]:
     """Pick one representative with Im >= 0 from each conjugate pair."""
-    remaining = list(vals)
+    remaining = np.asarray(vals, dtype=complex).tolist()
     reps: list[complex] = []
     while remaining:
         z = remaining.pop(0)
-        target = np.conj(z)
+        target = z.conjugate()
         dists = [abs(y - target) for y in remaining]
-        k = int(np.argmin(dists)) if dists else None
-        if k is not None:
-            partner = remaining.pop(k)
+        if dists:
+            partner = remaining.pop(min(range(len(dists)), key=dists.__getitem__))
             rep = z if z.imag >= 0 else partner
         else:  # odd leftover: force into the closed upper half plane
-            rep = z if z.imag >= 0 else np.conj(z)
-        reps.append(complex(rep.real, abs(rep.imag)) if abs(rep.imag) < 1e-12 * max(1.0, abs(rep)) else complex(rep))
+            rep = z if z.imag >= 0 else target
+        reps.append(complex(rep.real, abs(rep.imag)) if abs(rep.imag) < 1e-12 * max(1.0, abs(rep)) else rep)
     return reps
 
 
@@ -227,12 +226,13 @@ def _numeric_trim(psi, rel_tol: float = NUMERIC_DEGREE_TOL):
     infinity.  Dropped directions lie far outside the closed ball, so the
     location flags are unaffected.
     """
-    mags = [abs(c) for c in psi.coeffs]
+    w, x, y, z = psi.arr.T
+    mags = np.sqrt(w * w + x * x + y * y + z * z).tolist()
     scale = max(mags)
     if scale == 0.0:
         raise ValueError("zero polynomial has no zero-set report")
     deg = max(k for k, m in enumerate(mags) if m > rel_tol * scale)
-    return type(psi)(psi.coeffs[: deg + 1])
+    return type(psi)(psi.arr[: deg + 1])
 
 
 def zero_slice(psi, frame: SliceFrame, route_tol: float = ROUTE_TOL) -> ZeroReport:
@@ -251,13 +251,8 @@ def zero_slice(psi, frame: SliceFrame, route_tol: float = ROUTE_TOL) -> ZeroRepo
         # vacuously true
         return ZeroReport(slice_roots=(), moduli=(), all_inside_ball=True,
                           all_outside_closed_ball=True)
-    if left_space:
-        image = phi_L(monic, frame)
-        comp = companion_left(monic)
-    else:
-        image = phi_R(monic, frame)
-        comp = companion_right(monic)
-    det = det_poly(image)
+    comp = companion_left(monic) if left_space else companion_right(monic)
+    det = det_poly(chi(monic.arr, frame))
     route1 = roots(det)
     route2 = right_eigen_slice(comp, frame)
     dist = multiset_distance(route1, route2)

@@ -95,3 +95,41 @@ def matrix_gram_schmidt(C, N):
     return right, left
 
 
+
+
+# ---- inputs and scalar oracles for the byte-level tests of the array forms ----
+
+def signed_zero_coeff_arrays(rng):
+    """Coefficient arrays of degree 0..6 holding -0.0 and 0.0 components,
+    exact-zero coefficients and a nonzero leading coefficient, plus the rows
+    of one real-coefficient family (what LDL* gives for real moments)."""
+    out = []
+    for deg in range(7):
+        a = rng.normal(size=(deg + 1, 4))
+        mask = rng.random(size=a.shape) < 0.3
+        a[mask] = rng.choice([0.0, -0.0], size=int(mask.sum()))
+        if deg >= 2:
+            a[1] = [-0.0, 0.0, -0.0, 0.0]
+        a[deg] = [rng.choice([1.0, -2.5, 0.75]), -0.0, 0.0, rng.choice([0.0, 0.5])]
+        out.append(a)
+    out.append(np.array([[0.5, -0.0, 0.0, -0.0], [-0.25, 0.0, -0.0, 0.0], [1.0, 0.0, 0.0, 0.0]]))
+    return out
+
+
+def qmul_scalar(a, b):
+    """The Hamilton product written out on Python floats, term by term."""
+    return Quaternion(
+        a.w * b.w - a.x * b.x - a.y * b.y - a.z * b.z,
+        a.w * b.x + a.x * b.w + a.y * b.z - a.z * b.y,
+        a.w * b.y - a.x * b.z + a.y * b.w + a.z * b.x,
+        a.w * b.z + a.x * b.y - a.y * b.x + a.z * b.w,
+    )
+
+
+def chi_scalar(p, frame):
+    """The per-quaternion image: frame coordinates by np.dot on one
+    quaternion, the 2x2 matrix from Python complex scalars."""
+    im = p.imag
+    z1 = complex(p.w, float(np.dot(im, frame.i.imag)))
+    z2 = complex(float(np.dot(im, frame.j.imag)), float(np.dot(im, frame.k.imag)))
+    return np.array([[z1, z2], [-z2.conjugate(), z1.conjugate()]])

@@ -24,8 +24,7 @@ from qopuc.fixtures import (
 from qopuc.matrix_opuc import MatVerblunskySeq, defects, moments_from_alphas
 from qopuc.measures import density_in_frame, matrix_moments, moments_from_density
 from qopuc.polynomials import (
-    moments_from_verblunsky_q, orthonormal_polys, phi_L, phi_R, inner_L,
-    inner_R, reverse_L, reverse_R, verblunsky_from_moments_q,
+    moments_from_verblunsky_q, orthonormal_polys, inner_L, inner_R, reverse_L, reverse_R, verblunsky_from_moments_q,
 )
 from qopuc.quaternions import (
     Quaternion, SliceFrame, block_permutation, blockwise_chi, chi, chi_mat,
@@ -123,10 +122,10 @@ def test_criterion_3_orthonormality_and_correspondence():
         C = matrix_moments(c, frame, 12)
         right_m, left_m = matrix_gram_schmidt(C, 12)
         for n in range(13):
-            img = phi_L(fam.right[n], frame)
+            img = chi(fam.right[n].arr, frame)
             worst_phi = max(worst_phi, max(
                 float(np.max(np.abs(a - b))) for a, b in zip(img, right_m[n])))
-            img = phi_R(fam.left[n], frame)
+            img = chi(fam.left[n].arr, frame)
             worst_phi = max(worst_phi, max(
                 float(np.max(np.abs(a - b))) for a, b in zip(img, left_m[n])))
     elapsed = time.time() - t0

@@ -5,6 +5,7 @@ from importlib import resources
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
 from qopuc.cli import main
@@ -79,6 +80,21 @@ def test_nan_density_coefficient_rejected_at_load(tmp_path):
         assert "w1[0]" in err["message"]
 
 
+def test_overflowing_density_rejected_as_not_psd(tmp_path):
+    # finite coefficients whose grid values overflow: W(theta) holds inf and
+    # the smallest grid eigenvalue is NaN, which must fail the PSD check
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"frame": {"i": [0, 1, 0, 0], "j": [0, 0, 1, 0]},
+                               "w1": [[0, 1, 0], [1, 1e308, 0], [-1, 1e308, 0]]}))
+    for argv in (["grid", "--grid", "4"], ["baxter", "--n", "3"], ["sv", "--n", "3"]):
+        with np.errstate(all="ignore"):
+            code, out = run(tmp_path, argv[0], str(bad), *argv[1:])
+        assert code == 2
+        assert json.loads(out)["error"] == {
+            "type": "ValueError",
+            "message": "matrix density not PSD on the grid (min eigenvalue nan)"}
+
+
 @pytest.mark.parametrize("argv, flag", [
     (["cd", "smooth_trig.json", "--n", "-1"], "--n"),
     (["cd", "smooth_trig.json", "--samples", "0"], "--samples"),
@@ -97,6 +113,10 @@ def test_nan_density_coefficient_rejected_at_load(tmp_path):
     (["random-gamma", "--rmax", "0"], "--rmax"),
     (["random-gamma", "--rmax", "-0.5"], "--rmax"),
     (["random-gamma", "--rmax", "1.5"], "--rmax"),
+    # commands without a CSV view
+    (["orthopolys", "smooth_trig.json", "--format", "csv"], "--format"),
+    (["cd", "smooth_trig.json", "--format", "csv"], "--format"),
+    (["random-gamma", "--format", "csv"], "--format"),
 ])
 def test_counts_below_one_rejected(tmp_path, argv, flag):
     argv = [str(FIXDIR / a) if a.endswith(".json") else a for a in argv]
@@ -357,3 +377,84 @@ def test_emit_json_matches_recursive_emitter():
             emit_json(bad)
     with pytest.raises(TypeError):
         emit_json({"s": {1, 2}})
+
+
+# ------------------------------ seeded fuzz ---------------------------------
+
+FUZZ_COMMANDS = ("moments-to-verblunsky", "verblunsky-to-moments", "orthopolys",
+                 "zeros", "cd", "sv", "baxter", "grid", "random-gamma")
+FUZZ_MAGNITUDES = (0.0, 1e-300, 1e-3, 0.3, 1.0, 3.0, 1e3, 1e154, 1e308, 1.7e308)
+
+
+def _fuzz_density(obj, rng):
+    """Set one to three w1/w2 entries in symmetric pairs (w1_{-n} = conj w1_n,
+    w2_{-n} = -w2_n), so the density still passes its symmetry checks and
+    reaches the grid, with magnitudes from 0 up to 1e308."""
+    w = {key: {n: complex(re, im) for n, re, im in obj.get(key, [])}
+         for key in ("w1", "w2")}
+    for _ in range(rng.integers(1, 4)):
+        key = "w1" if rng.random() < 0.6 else "w2"
+        n = int(rng.integers(0 if key == "w1" else 1, 5))
+        mag = float(rng.choice(FUZZ_MAGNITUDES))
+        a = mag * complex(np.exp(1j * rng.uniform(0, 2 * np.pi))) if n else complex(mag)
+        w[key][n] = a
+        w[key][-n] = a.conjugate() if key == "w1" else -a
+    return {**obj, **{key: [[n, a.real, a.imag] for n, a in sorted(w[key].items())]
+                      for key in ("w1", "w2")}}
+
+
+def _fuzz_gammas(obj, rng):
+    gammas = [list(g) for g in obj["gammas"]]
+    for _ in range(rng.integers(1, 4)):
+        k, comp = int(rng.integers(len(gammas))), int(rng.integers(4))
+        gammas[k][comp] = float(rng.choice([-1.0, 1.0]) * rng.choice(FUZZ_MAGNITUDES))
+    return {**obj, "gammas": gammas[: int(rng.integers(1, len(gammas) + 1))]}
+
+
+def _fuzz_frame(rng):
+    kind = rng.integers(4)
+    if kind == 0:
+        return []
+    if kind == 1:
+        return ["--frame", "standard"]
+    v = rng.normal(size=(2, 3))
+    if kind == 2:   # orthonormal pair
+        v[0] /= np.linalg.norm(v[0])
+        v[1] -= (v[0] @ v[1]) * v[0]
+        v[1] /= np.linalg.norm(v[1])
+    return ["--frame", json.dumps({"i": [0.0, *v[0].tolist()], "j": [0.0, *v[1].tolist()]})]
+
+
+def test_cli_fuzz_exit_codes(tmp_path):
+    """Mutated shipped fixtures and flags across all nine commands: every
+    call returns a documented exit code (0, 2, 3 or 4) and raises nothing."""
+    rng = np.random.default_rng(20260)
+    fixtures = {p.name: json.loads(p.read_text()) for p in sorted(FIXDIR.glob("*.json"))}
+    fixture = tmp_path / "fuzz.json"
+    failures = []
+    for case in range(200):
+        command = FUZZ_COMMANDS[case % len(FUZZ_COMMANDS)]
+        name = str(rng.choice(list(fixtures)))
+        obj = fixtures[name]
+        obj = _fuzz_gammas(obj, rng) if "gammas" in obj else _fuzz_density(obj, rng)
+        fixture.write_text(json.dumps(obj))
+        argv = [command] + ([] if command == "random-gamma" else [str(fixture)])
+        argv += ["--n", str(int(rng.integers(1, 7))), "--seed", str(int(rng.integers(100)))]
+        argv += _fuzz_frame(rng)
+        argv += ["--format", str(rng.choice(["json", "csv"]))]
+        argv += ["--tol-route", str(rng.choice([1e-8, 1e-3, 1e-15]))]
+        argv += ["--tol-pd", str(rng.choice([1e-12, 0.0, 0.5]))]
+        if command == "cd":
+            argv += ["--samples", str(int(rng.integers(1, 20)))]
+        if command == "grid":
+            argv += ["--grid", str(int(rng.integers(1, 64)))]
+        if command == "random-gamma":
+            argv += ["--rmax", str(rng.uniform(0.05, 0.99))]
+        try:
+            with np.errstate(all="ignore"):   # the 1e308 entries overflow on purpose
+                code, _ = run(tmp_path, *argv)
+        except Exception as exc:
+            code = f"{type(exc).__name__}: {exc}"
+        if code not in (0, 2, 3, 4):
+            failures.append((case, argv, obj, code))
+    assert not failures, failures

@@ -11,13 +11,15 @@ from qopuc.fixtures import (
 from qopuc.measures import MomentSequence, matrix_moments, moments_from_density
 from qopuc.polynomials import (
     QPolyL, QPolyR, SzegoState, VerblunskySeq, eval_L, eval_R, inner_L,
-    inner_R, moments_from_verblunsky_q, orthonormal_polys, phi_L, phi_L_inv,
-    phi_R, phi_R_inv, poly_from_json, reverse_L, reverse_R, star_mul_L,
-    star_mul_R, szego_advance, szego_family, verblunsky_from_moments_q,
+    inner_R, moments_from_verblunsky_q, orthonormal_polys, poly_from_json,
+    reverse_L, reverse_R, star_mul_L, star_mul_R, szego_advance, szego_family, verblunsky_from_moments_q,
     _gammas_via_szego,
 )
-from qopuc.quaternions import QI, QJ, QK, Quaternion, SliceFrame, chi
-from conftest import random_quaternion, random_unit_ball_quaternion
+from qopuc.quaternions import QI, QJ, QK, Quaternion, SliceFrame, chi, chi_inv
+from conftest import (
+    qmul_scalar, random_quaternion, random_unit_ball_quaternion,
+    signed_zero_coeff_arrays,
+)
 
 EYE2 = np.eye(2, dtype=complex)
 
@@ -105,21 +107,22 @@ def test_reverse_evaluation_identity(rng):
 
 
 def test_phi_maps_and_inverses(rng, frame):
+    # the coefficientwise image of a polynomial is chi on its (n+1, 4) array
     one = QPolyR([Quaternion(1.0)])
-    assert np.array_equal(phi_R(one, frame), np.array([EYE2]))
+    assert np.array_equal(chi(one.arr, frame), np.array([EYE2]))
     jp = QPolyR([Quaternion(), QJ])  # j p
-    assert np.max(np.abs(phi_R(jp, frame)[1] - chi(QJ, frame))) == 0
+    assert np.max(np.abs(chi(jp.arr, frame)[1] - chi(QJ, frame))) == 0
     for _ in range(10):
         fr = SliceFrame.random(rng)
         coeffs = [random_quaternion(rng) for _ in range(4)]
         pl = QPolyL(coeffs)
-        assert phi_L_inv(phi_L(pl, fr), fr) == pl or \
-            max(abs(a - b) for a, b in zip(phi_L_inv(phi_L(pl, fr), fr).coeffs, pl.coeffs)) < 1e-12
+        back = QPolyL([chi_inv(M, fr) for M in chi(pl.arr, fr)])
+        assert back == pl or max(abs(a - b) for a, b in zip(back.coeffs, pl.coeffs)) < 1e-12
         pr = QPolyR(coeffs)
-        back = phi_R_inv(phi_R(pr, fr), fr)
+        back = QPolyR([chi_inv(M, fr) for M in chi(pr.arr, fr)])
         assert max(abs(a - b) for a, b in zip(back.coeffs, pr.coeffs)) < 1e-12
     with pytest.raises(NotInImage):
-        phi_L_inv(np.array([np.diag([1.0, 2.0])]), frame)
+        chi_inv(np.diag([1.0, 2.0]), frame)
 
 
 def test_poly_json_round_trip(rng):
@@ -277,9 +280,9 @@ def test_embedding_naturality(rng):
     C = matrix_moments(c, frame, 6)
     right_m, left_m = matrix_gram_schmidt(C, 6)
     for n in range(7):
-        img = phi_L(fam.right[n], frame)
+        img = chi(fam.right[n].arr, frame)
         assert max(np.max(np.abs(a - b)) for a, b in zip(img, right_m[n])) < 1e-9
-        img = phi_R(fam.left[n], frame)
+        img = chi(fam.left[n].arr, frame)
         assert max(np.max(np.abs(a - b)) for a, b in zip(img, left_m[n])) < 1e-9
 
 
@@ -388,3 +391,125 @@ def test_verblunsky_seq_validation():
         VerblunskySeq([Quaternion(1.0)])
     seq = VerblunskySeq([Quaternion(0.3, 0.4, 0, 0)])
     assert abs(seq.r[0] - 0.8660254037844386) < 1e-15
+
+
+# ---- the Quaternion-object implementations the array forms replaced,
+# kept as byte-level oracles ----
+
+def _quats(arr):
+    return [Quaternion(*row) for row in np.asarray(arr).tolist()]
+
+
+def _bytes(quats):
+    return np.array([q.to_array() for q in quats]).tobytes()
+
+
+def _coeff(quats, k):
+    return quats[k] if 0 <= k < len(quats) else Quaternion()
+
+
+def _trimmed(quats):
+    quats = list(quats)
+    while len(quats) > 1 and quats[-1] == Quaternion():
+        quats.pop()
+    return quats
+
+
+def _szego_advance_scalar(state, gamma):
+    """One step of the paired recurrences on lists of Quaternions."""
+    left, right, left_rev, right_rev = (_quats(p.arr) for p in (
+        state.left, state.right, state.left_rev, state.right_rev))
+    r_inv = 1.0 / np.sqrt(1.0 - gamma.norm_sq())
+    gbar = gamma.conjugate()
+    shift_l = _trimmed([Quaternion()] + left)
+    shift_r = _trimmed([Quaternion()] + right)
+    return (
+        _trimmed([(shift_l[k] - qmul_scalar(gamma, _coeff(right_rev, k))) * r_inv
+                  for k in range(len(shift_l))]),
+        _trimmed([(shift_r[k] - qmul_scalar(_coeff(left_rev, k), gamma)) * r_inv
+                  for k in range(len(shift_r))]),
+        _trimmed([(_coeff(left_rev, k) - qmul_scalar(shift_r[k], gbar)) * r_inv
+                  for k in range(len(shift_r))]),
+        _trimmed([(_coeff(right_rev, k) - qmul_scalar(gbar, shift_l[k])) * r_inv
+                  for k in range(len(shift_l))]),
+    )
+
+
+def test_polynomial_storage_bitwise(rng):
+    for arr in signed_zero_coeff_arrays(rng):
+        for cls in (QPolyL, QPolyR):
+            padded = np.concatenate([arr, [[-0.0, 0.0, -0.0, 0.0], [0.0] * 4]])
+            poly = cls(padded)
+            assert poly.arr.tobytes() == _bytes(_trimmed(_quats(padded)))
+            assert not poly.arr.flags.writeable
+            assert poly == cls(_quats(arr)) and hash(poly) == hash(cls(_quats(arr)))
+            assert poly.coeffs == tuple(_quats(arr))
+            assert poly.shift().arr.tobytes() == _bytes(_trimmed([Quaternion()] + _quats(arr)))
+            other = cls(arr[::-1])
+            n = max(len(arr), len(other.arr))
+            for op in ("__add__", "__sub__"):
+                want = _trimmed([getattr(_coeff(_quats(arr), k), op)(_coeff(_quats(other.arr), k))
+                                 for k in range(n)])
+                assert getattr(poly, op)(other).arr.tobytes() == _bytes(want)
+    # -0.0 == 0.0, so polynomials differing only in zero signs are equal
+    assert QPolyL(np.array([[1.0, -0.0, 0, 0]])) == QPolyL([Quaternion(1.0)])
+    assert hash(QPolyL(np.array([[1.0, -0.0, 0, 0]]))) == hash(QPolyL([Quaternion(1.0)]))
+    assert QPolyL([]).arr.tobytes() == np.zeros((1, 4)).tobytes()
+
+
+def test_eval_star_and_reverse_bitwise_equal_to_scalar_loops(rng):
+    arrays = signed_zero_coeff_arrays(rng)
+    points = [random_quaternion(rng), Quaternion(0.5, -0.0, 0.0, -0.25), Quaternion()]
+    for arr in arrays:
+        q = _quats(arr)
+        for p in points:
+            acc_l = acc_r = q[-1]
+            for c in q[-2::-1]:
+                acc_l = qmul_scalar(p, acc_l) + c
+                acc_r = qmul_scalar(acc_r, p) + c
+            assert eval_L(QPolyL(arr), p).to_array().tobytes() == acc_l.to_array().tobytes()
+            assert eval_R(QPolyR(arr), p).to_array().tobytes() == acc_r.to_array().tobytes()
+        for n in (len(q) - 1, len(q) + 1):
+            want = _bytes(_trimmed([_coeff(q, n - k).conjugate() for k in range(n + 1)]))
+            assert reverse_L(QPolyL(arr), n).arr.tobytes() == want
+            assert reverse_R(QPolyR(arr), n).arr.tobytes() == want
+        b = _quats(arrays[3])
+        conv = []
+        for l in range(len(q) + len(b) - 1):
+            acc = Quaternion()
+            for a_ in range(max(0, l - len(b) + 1), min(len(q) - 1, l) + 1):
+                acc = acc + qmul_scalar(q[a_], b[l - a_])
+            conv.append(acc)
+        assert star_mul_L(QPolyL(arr), QPolyL(arrays[3])).arr.tobytes() == _bytes(_trimmed(conv))
+        assert star_mul_R(QPolyR(arr), QPolyR(arrays[3])).arr.tobytes() == _bytes(_trimmed(conv))
+
+
+@pytest.mark.parametrize("density", [lebesgue_density, bernstein_szego_density,
+                                     vanishing_density, smooth_trig_density])
+def test_family_and_szego_bitwise_equal_to_scalar_loops(density):
+    from qopuc.measures import require_nontrivial
+    from qopuc.polynomials import _inverse_rows
+    from qopuc.quaternions import qarr_conj
+    N = 7
+    c = moments_from_density(density(), N)
+    fam = orthonormal_polys(c, N)
+    rows_r = qarr_conj(_inverse_rows(*require_nontrivial(c, N))) + 0.0
+    rows_l = _inverse_rows(*require_nontrivial(c, N, transpose=True))
+    for n in range(N + 1):
+        assert fam.right[n].arr.tobytes() == _bytes(map(Quaternion.from_array, rows_r[n, : n + 1]))
+        assert fam.left[n].arr.tobytes() == _bytes(map(Quaternion.from_array, rows_l[n, : n + 1]))
+    # route B, one leading-coefficient ratio per step
+    want = []
+    for n in range(N):
+        kap_n, kap_n1 = fam.left[n].coeffs[n], fam.left[n + 1].coeffs[n + 1]
+        r_n = qmul_scalar(kap_n, kap_n1.inverse()).w
+        want.append(-(fam.left[n + 1].coeff(0) * (r_n / fam.right[n].coeffs[n].w)))
+    assert _bytes(_gammas_via_szego(fam).gammas) == _bytes(want)
+    # the paired recurrences from these gammas, with a signed-zero gamma too
+    state = SzegoState.initial()
+    for g in list(want) + [Quaternion(0.25, -0.0, 0.0, -0.125)]:
+        nxt = szego_advance(state, g)
+        expect = _szego_advance_scalar(state, g)
+        for got, ref in zip((nxt.left, nxt.right, nxt.left_rev, nxt.right_rev), expect):
+            assert got.arr.tobytes() == _bytes(ref)
+        state = nxt

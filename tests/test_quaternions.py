@@ -6,20 +6,22 @@ import pytest
 from qopuc.errors import NotInImage
 from qopuc.quaternions import (
     ONE, QI, QJ, QK, Quaternion, SliceFrame, block_permutation, blockwise_chi,
-    chi, chi_inv, chi_mat, qarr_abs, qarr_mul, qmat_from_quaternions, qmat_mul,
-    qmul, right_eigen_slice, split,
+    chi, chi_inv, chi_mat, qarr_abs, qarr_mul, qmat_mul, right_eigen_slice,
 )
-from conftest import random_qmatrix, random_quaternion
+from conftest import (
+    chi_scalar, qmul_scalar, random_qmatrix, random_quaternion,
+    signed_zero_coeff_arrays,
+)
 
 
 def test_defining_relations():
-    assert qmul(QI, QJ) == QK
-    assert qmul(QI, QI) == Quaternion(-1)
-    assert qmul(QJ, QJ) == Quaternion(-1)
-    assert qmul(QK, QK) == Quaternion(-1)
+    assert QI * QJ == QK
+    assert QI * QI == Quaternion(-1)
+    assert QJ * QJ == Quaternion(-1)
+    assert QK * QK == Quaternion(-1)
     p = Quaternion(1.5, -2.0, 0.25, 3.0)
-    assert qmul(ONE, p) == p
-    assert qmul(p, ONE) == p
+    assert ONE * p == p
+    assert p * ONE == p
 
 
 def test_mul_bilinear_associative(rng):
@@ -42,9 +44,9 @@ def test_norm_multiplicative_and_conj(rng):
 
 
 def test_split_standard_frame(frame):
-    z1, z2 = split(Quaternion(1, 2, 3, 4), frame)
+    z1, z2 = frame.split(Quaternion(1, 2, 3, 4))
     assert z1 == 1 + 2j and z2 == 3 + 4j
-    z1, z2 = split(Quaternion(5), frame)
+    z1, z2 = frame.split(Quaternion(5))
     assert z1 == 5 + 0j and z2 == 0j
 
 
@@ -100,7 +102,7 @@ def test_chi_inv_rejects_structure_violations(frame):
 
 
 def test_chi_mat_scalar_case(frame):
-    A = qmat_from_quaternions([[ONE]])
+    A = np.array([[ONE.to_array()]])
     assert np.array_equal(chi_mat(A, frame), np.eye(2, dtype=complex))
 
 
@@ -157,10 +159,10 @@ def test_block_permutation_conjugation_exact(rng):
 
 
 def test_right_eigen_slice_small_cases(frame):
-    A = qmat_from_quaternions([[Quaternion(2.5)]])
+    A = np.array([[Quaternion(2.5).to_array()]])
     vals = sorted(right_eigen_slice(A, frame).real)
     assert np.allclose(vals, [2.5, 2.5])
-    A = qmat_from_quaternions([[QI]])
+    A = np.array([[QI.to_array()]])
     vals = sorted(right_eigen_slice(A, frame), key=lambda z: z.imag)
     assert np.allclose(vals, [-1j, 1j])
 
@@ -199,3 +201,33 @@ def test_qarr_helpers(rng):
         expected = Quaternion.from_array(a[i]) * Quaternion.from_array(b[i])
         assert np.allclose(prod[i], expected.to_array())
     assert np.allclose(qarr_abs(a), [abs(Quaternion.from_array(r)) for r in a])
+
+
+def test_qarr_mul_bitwise_equal_to_scalar_product(rng):
+    rows = np.concatenate(signed_zero_coeff_arrays(rng) + [rng.normal(size=(40, 4))])
+    a, b = rows, rng.permutation(rows)
+    prod = qarr_mul(a, b)
+    for k in range(len(a)):
+        want = qmul_scalar(Quaternion(*a[k]), Quaternion(*b[k])).to_array()
+        assert prod[k].tobytes() == want.tobytes()
+        assert (Quaternion(*a[k]) * Quaternion(*b[k])).to_array().tobytes() == want.tobytes()
+    # broadcasting one factor against a stack gives the same bits
+    assert qarr_mul(a[3], b).tobytes() == qarr_mul(np.broadcast_to(a[3], b.shape), b).tobytes()
+
+
+def test_chi_on_arrays_bitwise_equal_to_scalar_chi(rng):
+    rows = np.concatenate(signed_zero_coeff_arrays(rng) + [rng.normal(size=(40, 4))])
+    for fr in (SliceFrame.standard(), SliceFrame.random(rng)):
+        want = np.array([chi_scalar(Quaternion(*q), fr) for q in rows])
+        assert chi(rows, fr).tobytes() == want.tobytes()
+        assert chi(Quaternion(*rows[5]), fr).tobytes() == want[5].tobytes()
+        for k, q in enumerate(rows):
+            z1, z2 = fr.split(Quaternion(*q))
+            assert np.array([z1, z2]).tobytes() == want[k, 0].tobytes()
+        A = rows[:36].reshape(6, 6, 4)
+        blocks = want[:36].reshape(6, 6, 2, 2)
+        assert blockwise_chi(A, fr).tobytes() == \
+            blocks.transpose(0, 2, 1, 3).reshape(12, 12).tobytes()
+        M = chi_mat(A, fr)
+        assert M[:6, :6].tobytes() == np.ascontiguousarray(blocks[:, :, 0, 0]).tobytes()
+        assert M[:6, 6:].tobytes() == np.ascontiguousarray(blocks[:, :, 0, 1]).tobytes()

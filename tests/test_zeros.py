@@ -12,10 +12,14 @@ from qopuc.polynomials import QPolyL, QPolyR, orthonormal_polys, reverse_L, \
     star_mul_L
 from qopuc.quaternions import Quaternion, SliceFrame, chi
 from qopuc.zeros import (
-    companion_left, companion_right, det_poly, monic_left, multiset_distance,
-    roots, zero_slice, zeros_theorem_check,
+    _numeric_trim, _reduce_conjugate_pairs, companion_left, companion_right,
+    det_poly, monic_left, monic_right, multiset_distance, roots, zero_slice,
+    zeros_theorem_check,
 )
-from conftest import random_quaternion, random_unit_ball_quaternion
+from conftest import (
+    qmul_scalar, random_quaternion, random_unit_ball_quaternion,
+    signed_zero_coeff_arrays,
+)
 
 
 def test_roots_simple():
@@ -251,3 +255,91 @@ def test_roots_bitwise_equal_to_scalar_loop():
         got = roots(coeffs)
         want = _roots_scalar_loop(coeffs)
         assert got.tobytes() == want.tobytes()
+
+
+# ---- the Quaternion-object and numpy-scalar implementations that the array
+# and Python-complex forms replaced, kept as byte-level oracles ----
+
+def _monic_scalar(quats, left):
+    inv = quats[-1].inverse()
+    body = [qmul_scalar(c, inv) if left else qmul_scalar(inv, c) for c in quats[:-1]]
+    return np.array([q.to_array() for q in body + [Quaternion(1.0)]])
+
+
+def _companion_scalar(quats, left):
+    n = len(quats) - 1
+    zero, one = Quaternion(), Quaternion(1.0)
+    if left:
+        rows = [[one if r >= 1 and c == r - 1 else zero for c in range(n - 1)] + [-quats[r]]
+                for r in range(n)]
+    else:
+        rows = [[one if c == r + 1 else zero for c in range(n)] for r in range(n - 1)]
+        rows.append([-quats[c] for c in range(n)])
+    return np.array([[q.to_array() for q in row] for row in rows])
+
+
+def _multiset_distance_numpy(a, b):
+    a = list(np.asarray(a, dtype=complex))
+    b = list(np.asarray(b, dtype=complex))
+    if len(a) != len(b):
+        return float("inf")
+    worst = 0.0
+    for x in sorted(a, key=abs, reverse=True):
+        dists = [abs(x - y) for y in b]
+        k = int(np.argmin(dists))
+        worst = max(worst, dists[k])
+        b.pop(k)
+    return worst
+
+
+def _reduce_conjugate_pairs_numpy(vals):
+    remaining = list(vals)
+    reps = []
+    while remaining:
+        z = remaining.pop(0)
+        target = np.conj(z)
+        dists = [abs(y - target) for y in remaining]
+        k = int(np.argmin(dists)) if dists else None
+        if k is not None:
+            partner = remaining.pop(k)
+            rep = z if z.imag >= 0 else partner
+        else:
+            rep = z if z.imag >= 0 else np.conj(z)
+        reps.append(complex(rep.real, abs(rep.imag))
+                    if abs(rep.imag) < 1e-12 * max(1.0, abs(rep)) else complex(rep))
+    return reps
+
+
+def test_monic_companion_trim_bitwise_equal_to_scalar_loops(rng):
+    for arr in signed_zero_coeff_arrays(rng)[1:]:
+        quats = [Quaternion(*row) for row in arr.tolist()]
+        for left, cls, monic, companion in ((True, QPolyL, monic_left, companion_left),
+                                            (False, QPolyR, monic_right, companion_right)):
+            m = monic(cls(arr))
+            assert m.arr.tobytes() == _monic_scalar(quats, left).tobytes()
+            mq = [Quaternion(*row) for row in m.arr.tolist()]
+            assert companion(m).tobytes() == _companion_scalar(mq, left).tobytes()
+            tiny = np.concatenate([arr, [[1e-15, -0.0, 0.0, 0.0]]])
+            mags = [abs(Quaternion(*row)) for row in tiny.tolist()]
+            deg = max(k for k, v in enumerate(mags) if v > 1e-12 * max(mags))
+            assert _numeric_trim(cls(tiny)).arr.tobytes() == tiny[: deg + 1].tobytes()
+
+
+def test_root_matching_bitwise_equal_to_numpy_scalar_loops(rng):
+    cases = []
+    for n in (1, 2, 3, 6, 11):
+        z = rng.normal(size=n) + 1j * rng.normal(size=n)
+        noise = 1e-13 * (rng.normal(size=n) + 1j * rng.normal(size=n))
+        cases.append(np.concatenate([z, np.conj(z) + noise]))
+    cases.append(np.array([0.5 + 0j, 0.5 - 0j, complex(2.0, -0.0), complex(2.0, 0.0),
+                           1j, -1j, 1j, -1j]))          # ties, signed zeros, repeats
+    cases.append(np.array([0.3 - 0.2j, 0.3 + 0.2j, -0.7 - 1e-14j]))   # odd leftover
+    cases.append(np.array([], dtype=complex))
+    for vals in cases:
+        got = _reduce_conjugate_pairs(vals)
+        want = _reduce_conjugate_pairs_numpy(vals)
+        assert np.array(got, dtype=complex).tobytes() == np.array(want, dtype=complex).tobytes()
+        other = rng.permutation(vals) + 1e-12 * rng.normal(size=len(vals))
+        for a, b in ((vals, other), (other, vals), (vals, vals), (vals, other[:-1])):
+            assert np.float64(multiset_distance(a, b)).tobytes() == \
+                np.float64(_multiset_distance_numpy(a, b)).tobytes()
