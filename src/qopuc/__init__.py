@@ -12,14 +12,13 @@ from .quaternions import Quaternion, SliceFrame, chi, chi_inv, chi_mat
 from .measures import (
     AtomicQMeasure, MomentSequence, QPositiveDensity, density_in_frame,
     is_nontrivial, matrix_moments, moments_from_atoms, moments_from_density,
-    moments_from_density_quadrature, require_nontrivial, toeplitz,
-    wiener_coefficient_norm,
+    require_nontrivial, toeplitz, wiener_coefficient_norm,
 )
 from .series import TruncSeries, herglotz_from_moments, herglotz_from_schur, \
     schur_from_herglotz
 from .matrix_opuc import (
-    MatVerblunskySeq, alphas_from_moments, defects, matrix_szego_polys,
-    moments_from_alphas, schur_algorithm, schur_coeffs_forward, schur_step,
+    MatVerblunskySeq, alphas_from_moments, defects, moments_from_alphas,
+    schur_algorithm, schur_coeffs_forward, schur_step,
 )
 from .polynomials import (
     OrthonormalFamily, QPolyL, QPolyR, SzegoState, VerblunskyExtraction,

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import NotPositiveOnGrid, OnBoundary
 from .measures import (
-    MomentSequence, QPositiveDensity, min_grid_eigenvalue, moments_from_density,
+    MomentSequence, QPositiveDensity, moments_from_density,
     wiener_coefficient_norm,
 )
 from .polynomials import (
@@ -108,15 +108,15 @@ def cd_identity_check(c: MomentSequence, N: int, samples: int = 100,
 def szego_entropy(d: QPositiveDensity, grid: int = ENTROPY_GRID,
                   allow_divergent: bool = False,
                   pd_tol: float = 1e-12) -> float:
-    """Trapezoid quadrature of log det W over the circle, normalised by 2 pi.
+    """Trapezoid quadrature of log det W over the circle, normalised by 2 pi,
+    on the density's kept grid values.
 
     Requires W positive definite on the grid; with ``allow_divergent`` a
     grid zero reports -inf instead of raising NotPositiveOnGrid.
     """
-    thetas = 2.0 * np.pi * np.arange(grid) / grid
-    W = d.matrix_values(thetas)
+    W = d.grid_values(grid)
     dets = np.linalg.det(W).real
-    min_eig = min_grid_eigenvalue(W)
+    min_eig = d.min_eigenvalue_on_grid(grid)
     if not min_eig > pd_tol:   # also rejects a NaN grid value
         if allow_divergent:
             return float("-inf")

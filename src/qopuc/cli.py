@@ -157,6 +157,9 @@ def _validate_fixture(obj) -> None:
                 and isinstance(entry[0], int) and not isinstance(entry[0], bool)):
             raise ValueError(f"moments[{k}] must be [index, quaternion], got {entry!r}")
         _require_numbers(entry[1], 4, f"moments[{k}][1]")
+    if "w1" in obj and "frame" not in obj:
+        raise ValueError("frame is missing: a density fixture (w1/w2 keys) needs "
+                         "a frame object with keys i and j")
 
 
 def load_fixture(path: str) -> dict:
@@ -322,7 +325,7 @@ def cmd_grid(args) -> dict:
     obj = load_fixture(args.input)
     d = density_from_fixture(obj, parse_frame(args.frame))
     thetas = 2.0 * np.pi * np.arange(args.grid) / args.grid
-    W = d.matrix_values(thetas).reshape(len(thetas), 4)
+    W = d.grid_values(args.grid).reshape(len(thetas), 4)
     columns = [thetas.tolist()]
     for k in range(4):
         columns += [W[:, k].real.tolist(), W[:, k].imag.tolist()]

@@ -1,6 +1,5 @@
-"""The 2x2 matrix engine: defect matrices, coefficient stripping, the
-moments <-> Verblunsky maps, and the matrix Szego recurrences for
-embedding-image coefficients.
+"""The 2x2 matrix engine: defect matrices, coefficient stripping, and the
+moments <-> Verblunsky maps.
 
 Conventions (fixed across the library):
   * moments enter through F = I + 2 sum_{n>=1} C_n z^n;
@@ -27,20 +26,24 @@ so no series inverse is needed.  ``alphas_from_moments`` runs it forward
 over whole coefficient arrays; ``moments_from_alphas`` inverts it one
 anti-diagonal at a time.  Both are O(N^2), run in extended precision
 (np.clongdouble) and round only what they return, and every output is exact
-under truncation of the horizon.  ``schur_step``,
+under truncation of the horizon.  They make no LAPACK call per step: the
+operator norm, the condition number, the defect square roots and the
+inverses are 2x2 closed forms, and ``sqrtm_herm2``, ``_inv2`` and
+``defects`` take whole (..., 2, 2) stacks, so the forward map builds all N
+defects and inverses in one call each.  ``schur_step``,
 ``inverse_schur_step``, ``schur_algorithm`` and ``schur_coeffs_forward``
 are the paper's series recursions, kept as independent references.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .errors import (
-    ConstantMismatch, NotChiImage, NotContraction, ShiftResidual, SingularConstantTerm,
-)
-from .quaternions import chi_image_residual
-from .series import COND_LIMIT, EYE2, SHIFT_TOL, TruncSeries, series_inv
+from .errors import ConstantMismatch, NotContraction, ShiftResidual, SingularConstantTerm
+from .series import COND_LIMIT, EYE2, SHIFT_TOL, TruncSeries, _gram_max_eigenvalue, cond2, \
+    series_inv
 
 CONTRACTION_MARGIN = 1e-12
 CONSTANT_TOL = 1e-10
@@ -48,8 +51,12 @@ SQRT_CHECK_TOL = 1e-13
 
 
 def operator_norm2(A: np.ndarray) -> float:
-    """Largest singular value of a 2x2 matrix."""
-    return float(np.linalg.norm(np.asarray(A, dtype=complex), 2))
+    """Largest singular value of a 2x2 matrix, sqrt of the larger eigenvalue
+    of A^* A in closed form (``series._gram_max_eigenvalue``), in double
+    precision.  NaN entries give NaN and infinite ones inf, so a test of the
+    form ``not norm < bound`` rejects both."""
+    (a, b), (c, d) = np.asarray(A, dtype=complex).tolist()
+    return math.sqrt(_gram_max_eigenvalue(a, b, c, d))
 
 
 def _complex(x) -> np.ndarray:
@@ -59,20 +66,25 @@ def _complex(x) -> np.ndarray:
 
 
 def sqrtm_herm2(H: np.ndarray) -> np.ndarray:
-    """Principal square root of a 2x2 Hermitian PSD matrix, closed form, in
-    the precision of H (long double input stays long double).
+    """Principal square roots of 2x2 Hermitian PSD matrices, closed form, for
+    one matrix or a (..., 2, 2) stack, in the precision of H (long double
+    input stays long double).
 
     With t = tr H and d = det H >= 0: sqrt(H) = (H + sqrt(d) I) / sqrt(t + 2 sqrt(d)).
+    Every matrix of a stack gets the operations it would get on its own.
+    ValueError if any matrix is not PSD or misses the residual check
+    |R R - H| <= SQRT_CHECK_TOL max(1, t).
     """
     H = _complex(H)
-    t = H[0, 0].real + H[1, 1].real
-    d = max((H[0, 0] * H[1, 1] - H[0, 1] * H[1, 0]).real, 0.0)
-    s = np.sqrt(d)
+    h00, h11 = H[..., 0, 0], H[..., 1, 1]
+    t = h00.real + h11.real
+    s = np.sqrt(np.maximum((h00 * h11 - H[..., 0, 1] * H[..., 1, 0]).real, 0.0))
     denom = t + 2.0 * s
-    if denom <= 0.0:
+    if np.any(denom <= 0.0):
         raise ValueError("matrix is not positive semidefinite")
-    R = (H + s * EYE2) / np.sqrt(denom)
-    if np.max(np.abs(R @ R - H)) > SQRT_CHECK_TOL * max(1.0, t):
+    R = (H + s[..., None, None] * EYE2) / np.sqrt(denom)[..., None, None]
+    residual = np.max(np.abs(R @ R - H), axis=(-2, -1))
+    if np.any(residual > SQRT_CHECK_TOL * np.where(t > 1.0, t, 1.0)):
         raise ValueError("square-root residual beyond tolerance")
     return R
 
@@ -115,19 +127,30 @@ class DefectPair:
 
 
 def _require_contraction(alpha: np.ndarray, index=None):
-    if operator_norm2(alpha) >= 1.0 - CONTRACTION_MARGIN:
+    if not operator_norm2(alpha) < 1.0 - CONTRACTION_MARGIN:   # also rejects NaN
         raise NotContraction(
             f"coefficient{'' if index is None else ' ' + str(index)} has norm "
             f">= 1 - 1e-12; not a strict contraction", index=index)
 
 
+def _defect_roots(alpha: np.ndarray) -> np.ndarray:
+    """The stack [(I - a*a)^(1/2), (I - aa*)^(1/2)] for one contraction or a
+    (..., 2, 2) stack, shape (2, ..., 2, 2), in the precision of alpha."""
+    alpha = _complex(alpha)
+    for a in alpha.reshape(-1, 2, 2):
+        _require_contraction(a)
+    aH = alpha.conj().swapaxes(-1, -2)
+    H = np.empty((2, *alpha.shape), dtype=alpha.dtype)
+    np.subtract(EYE2, aH @ alpha, out=H[0])
+    np.subtract(EYE2, alpha @ aH, out=H[1])
+    return sqrtm_herm2(H)
+
+
 def defects(alpha: np.ndarray) -> DefectPair:
     """Principal square roots of I - a*a and I - aa* via the 2x2 closed form,
-    in the precision of alpha."""
-    alpha = _complex(alpha)
-    _require_contraction(alpha)
-    aH = alpha.conj().T
-    return DefectPair(sqrtm_herm2(EYE2 - aH @ alpha), sqrtm_herm2(EYE2 - alpha @ aH))
+    in the precision of alpha; for a (..., 2, 2) stack, rhoL and rhoR are
+    stacks of the same shape, square-rooted in one call."""
+    return DefectPair(*_defect_roots(alpha))
 
 
 def schur_step(f_n: TruncSeries, alpha_n: np.ndarray) -> TruncSeries:
@@ -213,9 +236,15 @@ def schur_series_from_alphas(alphas: MatVerblunskySeq, order: int) -> TruncSerie
 
 
 def _inv2(M: np.ndarray) -> np.ndarray:
-    """Closed-form 2x2 inverse in the dtype of M (np.linalg has no long double)."""
-    det = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
-    return np.array([[M[1, 1], -M[0, 1]], [-M[1, 0], M[0, 0]]]) / det
+    """Closed-form 2x2 inverse of one matrix or a (..., 2, 2) stack, in the
+    dtype of M (np.linalg has no long double)."""
+    det = M[..., 0, 0] * M[..., 1, 1] - M[..., 0, 1] * M[..., 1, 0]
+    adj = np.empty_like(M)
+    adj[..., 0, 0] = M[..., 1, 1]
+    adj[..., 0, 1] = -M[..., 0, 1]
+    adj[..., 1, 0] = -M[..., 1, 0]
+    adj[..., 1, 1] = M[..., 0, 0]
+    return adj / det[..., None, None]
 
 
 def moments_from_alphas(alphas: MatVerblunskySeq, N: int) -> list[np.ndarray]:
@@ -241,9 +270,9 @@ def moments_from_alphas(alphas: MatVerblunskySeq, N: int) -> list[np.ndarray]:
         raise ValueError(f"need at least {N} coefficients, got {len(alphas)}")
     ld = np.clongdouble
     alpha = np.array([np.asarray(alphas[n]) for n in range(N)], dtype=ld).reshape(N, 2, 2)
-    pairs = [defects(a) for a in alpha]
-    rhoR = [d.rhoR for d in pairs]
-    rhoLi = np.array([_inv2(d.rhoL) for d in pairs]).reshape(N, 2, 2)
+    rho = defects(alpha)
+    rhoR = rho.rhoR
+    rhoLi = _inv2(rho.rhoL)
     alphaH = alpha.conj().transpose(0, 2, 1)
     C = []
     b = EYE2[None].astype(ld)  # b[k] = b_k[m-k], the m-th anti-diagonal
@@ -291,7 +320,7 @@ def alphas_from_moments(C, N: int) -> MatVerblunskySeq:
     B[1:] = A[:-1]
     alphas = []
     for n in range(N):
-        if np.linalg.cond(B[0].astype(complex)) > COND_LIMIT:
+        if not cond2(B[0]) <= COND_LIMIT:   # also rejects NaN
             raise SingularConstantTerm(
                 f"B(0) at step {n} is singular or too ill-conditioned to invert")
         alpha_ld = A[0] @ _inv2(B[0])
@@ -300,96 +329,11 @@ def alphas_from_moments(C, N: int) -> MatVerblunskySeq:
         alphas.append(alpha)
         if n == N - 1:
             break
-        d = defects(alpha_ld)
+        rhoLi, rhoRi = _inv2(_defect_roots(alpha_ld))
         num = A - alpha_ld @ B
         residual = float(np.max(np.abs(num[0])))
         if residual > SHIFT_TOL:
             raise ShiftResidual(
                 f"degree-0 coefficient {residual:.3e} exceeds {SHIFT_TOL:.1e}")
-        A, B = (_inv2(d.rhoR) @ num[1:],
-                _inv2(d.rhoL) @ (B[:-1] - alpha_ld.conj().T @ A[:-1]))
+        A, B = rhoRi @ num[1:], rhoLi @ (B[:-1] - alpha_ld.conj().T @ A[:-1])
     return MatVerblunskySeq(alphas)
-
-
-def require_chi_image(alpha: np.ndarray, tol: float = 1e-10) -> None:
-    residual = chi_image_residual(np.asarray(alpha, dtype=complex))
-    if residual > tol:
-        raise NotChiImage(
-            f"coefficient is not in the embedding image (residual {residual:.3e})")
-
-
-def scalar_defect(alpha: np.ndarray) -> float:
-    """r = sqrt(1 - |gamma|^2) for an embedding-image contraction."""
-    det = float(np.linalg.det(np.asarray(alpha, dtype=complex)).real)
-    return float(np.sqrt(1.0 - det))
-
-
-class MatrixSzegoFamily:
-    """Orthonormal matrix polynomial families phi^L, phi^R and their reverses.
-
-    Polynomials are (deg+1, 2, 2) coefficient arrays, degree index first.
-    """
-
-    __slots__ = ("left", "right", "left_rev", "right_rev")
-
-    def __init__(self, left, right, left_rev, right_rev):
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
-        object.__setattr__(self, "left_rev", left_rev)
-        object.__setattr__(self, "right_rev", right_rev)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MatrixSzegoFamily is immutable")
-
-
-def matrix_szego_polys(alphas: MatVerblunskySeq, N: int,
-                       tol_image: float = 1e-10) -> MatrixSzegoFamily:
-    """Run the matrix Szego recurrences for embedding-image coefficients.
-
-    For such coefficients alpha is normal and both defects coincide with
-    r_n I where r_n = sqrt(1 - |gamma_n|^2) = sqrt(1 - det alpha_n), so the
-    recurrences take the paired form
-
-        phi_{n+1}^L     = r^{-1} (z phi_n^L - alpha_n phi_n^{R,#})
-        phi_{n+1}^R     = r^{-1} (z phi_n^R - phi_n^{L,#} alpha_n)
-        phi_{n+1}^{L,#} = r^{-1} (phi_n^{L,#} - z phi_n^R alpha_n^*)
-        phi_{n+1}^{R,#} = r^{-1} (phi_n^{R,#} - z alpha_n^* phi_n^L)
-
-    with phi_0 = I everywhere.  (The conjugation placement follows the
-    moment convention F = I + 2 sum C_n z^n used throughout; see tests for
-    the Gram-matrix verification.)
-    """
-    if len(alphas) < N:
-        raise ValueError(f"need at least {N} coefficients, got {len(alphas)}")
-    left = [np.array([EYE2])]
-    right = [np.array([EYE2])]
-    left_rev = [np.array([EYE2])]
-    right_rev = [np.array([EYE2])]
-    zero = np.zeros((1, 2, 2), dtype=complex)
-    for n in range(N):
-        a = np.asarray(alphas[n], dtype=complex)
-        require_chi_image(a, tol_image)
-        aH = a.conj().T
-        r = scalar_defect(a)
-        zL = np.concatenate([zero, left[n]])
-        zR = np.concatenate([zero, right[n]])
-        pad = np.concatenate([left_rev[n], zero])
-        pad_r = np.concatenate([right_rev[n], zero])
-        left.append((zL - np.einsum("ij,njk->nik", a, pad_r)) / r)
-        right.append((zR - np.einsum("nij,jk->nik", pad, a)) / r)
-        left_rev.append((pad - np.einsum("nij,jk->nik", zR, aH)) / r)
-        right_rev.append((pad_r - np.einsum("ij,njk->nik", aH, zL)) / r)
-    return MatrixSzegoFamily(left, right, left_rev, right_rev)
-
-
-def reverse_matrix_poly(P: np.ndarray, degree: int) -> np.ndarray:
-    """P^#(z) = z^degree P(1/conj z)^*: coefficient k becomes P_{degree-k}^*."""
-    P = np.asarray(P, dtype=complex)
-    if degree < len(P) - 1:
-        raise ValueError("reversal degree below polynomial degree")
-    out = np.zeros((degree + 1, 2, 2), dtype=complex)
-    for k in range(degree + 1):
-        src = degree - k
-        if src < len(P):
-            out[k] = P[src].conj().T
-    return out

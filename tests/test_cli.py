@@ -80,6 +80,17 @@ def test_nan_density_coefficient_rejected_at_load(tmp_path):
         assert "w1[0]" in err["message"]
 
 
+def test_density_fixture_without_frame_rejected_at_load(tmp_path):
+    bad = tmp_path / "noframe.json"
+    bad.write_text('{"w1": [[0, 1, 0]]}')
+    for argv in (["grid", "--grid", "4"], ["baxter", "--n", "3"],
+                 ["moments-to-verblunsky", "--n", "2"]):
+        code, out = run(tmp_path, argv[0], str(bad), *argv[1:])
+        assert code == 2
+        err = json.loads(out)["error"]
+        assert err["type"] == "ValueError" and err["message"].startswith("frame is missing")
+
+
 def test_overflowing_density_rejected_as_not_psd(tmp_path):
     # finite coefficients whose grid values overflow: W(theta) holds inf and
     # the smallest grid eigenvalue is NaN, which must fail the PSD check
@@ -411,6 +422,28 @@ def _fuzz_gammas(obj, rng):
     return {**obj, "gammas": gammas[: int(rng.integers(1, len(gammas) + 1))]}
 
 
+def _fuzz_moments(obj, rng):
+    moments = [[n, list(q)] for n, q in obj["moments"]]
+    for _ in range(rng.integers(1, 4)):
+        k, comp = int(rng.integers(1, len(moments))), int(rng.integers(4))
+        moments[k][1][comp] = float(rng.choice([-1.0, 1.0]) * rng.choice(FUZZ_MAGNITUDES))
+    return {**obj, "moments": moments[: int(rng.integers(1, len(moments) + 1))]}
+
+
+def _fuzz_fixture(obj, rng):
+    """One mutation per case: gammas, moments or the density, and in one case
+    out of six no frame at all."""
+    if "gammas" in obj:
+        obj = _fuzz_gammas(obj, rng)
+    elif "moments" in obj:
+        obj = _fuzz_moments(obj, rng)
+    else:
+        obj = _fuzz_density(obj, rng)
+    if rng.random() < 1 / 6:
+        obj = {key: value for key, value in obj.items() if key != "frame"}
+    return obj
+
+
 def _fuzz_frame(rng):
     kind = rng.integers(4)
     if kind == 0:
@@ -425,21 +458,38 @@ def _fuzz_frame(rng):
     return ["--frame", json.dumps({"i": [0.0, *v[0].tolist()], "j": [0.0, *v[1].tolist()]})]
 
 
-def test_cli_fuzz_exit_codes(tmp_path):
-    """Mutated shipped fixtures and flags across all nine commands: every
-    call returns a documented exit code (0, 2, 3 or 4) and raises nothing."""
-    rng = np.random.default_rng(20260)
+def _fuzz_fixtures():
+    """The shipped fixtures plus two moment fixtures of horizon 6, one with a
+    frame (moments read off Bernstein-Szego) and one without."""
+    from qopuc.fixtures import bernstein_szego_density, random_moment_fixture
+    from qopuc.measures import moments_from_density
+
     fixtures = {p.name: json.loads(p.read_text()) for p in sorted(FIXDIR.glob("*.json"))}
+    bs = bernstein_szego_density()
+    fixtures["moments_bs.json"] = {"frame": bs.frame.to_json(),
+                                   "moments": moments_from_density(bs, 6).to_json()}
+    fixtures["moments_random.json"] = {"moments": random_moment_fixture(5, 6).to_json()}
+    return fixtures
+
+
+def test_cli_fuzz_exit_codes(tmp_path):
+    """Mutated fixtures (the shipped ones and two moment fixtures) and flags
+    across all nine commands, --n up to three past the horizon of the moment
+    and gamma fixtures: every call returns a documented exit code (0, 2, 3
+    or 4), raises nothing, and no error envelope reports a KeyError,
+    IndexError or TypeError, which would mean a malformed input got past the
+    load-time checks."""
+    rng = np.random.default_rng(20260)
+    fixtures = _fuzz_fixtures()
     fixture = tmp_path / "fuzz.json"
     failures = []
     for case in range(200):
         command = FUZZ_COMMANDS[case % len(FUZZ_COMMANDS)]
         name = str(rng.choice(list(fixtures)))
-        obj = fixtures[name]
-        obj = _fuzz_gammas(obj, rng) if "gammas" in obj else _fuzz_density(obj, rng)
+        obj = _fuzz_fixture(fixtures[name], rng)
         fixture.write_text(json.dumps(obj))
         argv = [command] + ([] if command == "random-gamma" else [str(fixture)])
-        argv += ["--n", str(int(rng.integers(1, 7))), "--seed", str(int(rng.integers(100)))]
+        argv += ["--n", str(int(rng.integers(1, 10))), "--seed", str(int(rng.integers(100)))]
         argv += _fuzz_frame(rng)
         argv += ["--format", str(rng.choice(["json", "csv"]))]
         argv += ["--tol-route", str(rng.choice([1e-8, 1e-3, 1e-15]))]
@@ -452,9 +502,42 @@ def test_cli_fuzz_exit_codes(tmp_path):
             argv += ["--rmax", str(rng.uniform(0.05, 0.99))]
         try:
             with np.errstate(all="ignore"):   # the 1e308 entries overflow on purpose
-                code, _ = run(tmp_path, *argv)
+                code, out = run(tmp_path, *argv)
         except Exception as exc:
-            code = f"{type(exc).__name__}: {exc}"
-        if code not in (0, 2, 3, 4):
-            failures.append((case, argv, obj, code))
+            code, out = f"{type(exc).__name__}: {exc}", b""
+        error = json.loads(out).get("error", {}) if code in (2, 3, 4) else {}
+        if code not in (0, 2, 3, 4) or error.get("type") in ("KeyError", "IndexError",
+                                                              "TypeError"):
+            failures.append((case, argv, obj, code, error))
     assert not failures, failures
+
+
+def test_density_grid_evaluated_once_per_size(tmp_path, monkeypatch):
+    from qopuc.measures import QPositiveDensity
+
+    sizes = []
+    eigvalsh_calls = []
+    matrix_values = QPositiveDensity.matrix_values
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted_matrix_values(self, thetas):
+        sizes.append(len(thetas))
+        return matrix_values(self, thetas)
+
+    def counted_eigvalsh(a, *args, **kwargs):
+        eigvalsh_calls.append(len(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(QPositiveDensity, "matrix_values", counted_matrix_values)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
+    fixture = str(FIXDIR / "smooth_trig.json")
+    for argv, grids in ((["baxter", fixture, "--n", "20"], [2048]),
+                        (["sv", fixture, "--n", "10"], [2048, 4096]),
+                        (["grid", fixture, "--grid", "2048"], [2048, 4096]),
+                        (["grid", fixture, "--grid", "7"], [2048, 7, 4096])):
+        sizes.clear()
+        eigvalsh_calls.clear()
+        code, _ = run(tmp_path, *argv)
+        assert code == 0
+        assert sizes == grids, argv
+        assert eigvalsh_calls == grids, argv

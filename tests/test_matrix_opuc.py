@@ -1,21 +1,25 @@
 from __future__ import annotations
 
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
-from qopuc.errors import ConstantMismatch, NotChiImage, NotContraction
+from qopuc.errors import (
+    ConstantMismatch, NotChiImage, NotContraction, ShiftResidual, SingularConstantTerm,
+)
 from qopuc.matrix_opuc import (
-    MatVerblunskySeq, alphas_from_moments, defects, inverse_schur_step,
-    matrix_szego_polys, moments_from_alphas, reverse_matrix_poly,
-    schur_algorithm, schur_coeffs_forward, schur_series_from_alphas,
-    schur_step, sqrtm_herm2,
+    CONTRACTION_MARGIN, SQRT_CHECK_TOL, MatVerblunskySeq, _inv2, alphas_from_moments,
+    defects, inverse_schur_step, moments_from_alphas, operator_norm2, schur_algorithm,
+    schur_coeffs_forward, schur_series_from_alphas, schur_step, sqrtm_herm2,
 )
+from qopuc.quaternions import chi_image_residual
 from qopuc.series import (
-    EYE2, TruncSeries, herglotz_from_moments, herglotz_from_schur, schur_from_herglotz,
+    COND_LIMIT, EYE2, SHIFT_TOL, TruncSeries, cond2, herglotz_from_moments,
+    herglotz_from_schur, schur_from_herglotz,
 )
-from conftest import random_chi_contraction, random_contraction
+from conftest import random_chi_contraction, random_contraction, random_unit_ball_quaternion
 
 FIXDIR = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -196,6 +200,81 @@ def test_leading_term_law(rng):
     assert np.max(np.abs((C1 - lead(A1.alphas)) - (C2 - lead(A2.alphas)))) < 1e-12
 
 
+# ---- matrix Szego recurrences for embedding-image coefficients: the
+# chi-side oracle for polynomials.szego_advance ----
+
+def require_chi_image(alpha, tol=1e-10):
+    residual = chi_image_residual(np.asarray(alpha, dtype=complex))
+    if residual > tol:
+        raise NotChiImage(
+            f"coefficient is not in the embedding image (residual {residual:.3e})")
+
+
+def scalar_defect(alpha):
+    """r = sqrt(1 - |gamma|^2) for an embedding-image contraction."""
+    det = float(np.linalg.det(np.asarray(alpha, dtype=complex)).real)
+    return float(np.sqrt(1.0 - det))
+
+
+class MatrixSzegoFamily(NamedTuple):
+    """Polynomials as (deg+1, 2, 2) coefficient arrays, degree index first."""
+
+    left: list
+    right: list
+    left_rev: list
+    right_rev: list
+
+
+def matrix_szego_polys(alphas, N, tol_image=1e-10):
+    """The matrix Szego recurrences for embedding-image coefficients.
+
+    For such coefficients alpha is normal and both defects coincide with
+    r_n I where r_n = sqrt(1 - |gamma_n|^2) = sqrt(1 - det alpha_n), so the
+    recurrences take the paired form
+
+        phi_{n+1}^L     = r^{-1} (z phi_n^L - alpha_n phi_n^{R,#})
+        phi_{n+1}^R     = r^{-1} (z phi_n^R - phi_n^{L,#} alpha_n)
+        phi_{n+1}^{L,#} = r^{-1} (phi_n^{L,#} - z phi_n^R alpha_n^*)
+        phi_{n+1}^{R,#} = r^{-1} (phi_n^{R,#} - z alpha_n^* phi_n^L)
+
+    with phi_0 = I everywhere, in the moment convention F = I + 2 sum C_n z^n.
+    """
+    if len(alphas) < N:
+        raise ValueError(f"need at least {N} coefficients, got {len(alphas)}")
+    left = [np.array([EYE2])]
+    right = [np.array([EYE2])]
+    left_rev = [np.array([EYE2])]
+    right_rev = [np.array([EYE2])]
+    zero = np.zeros((1, 2, 2), dtype=complex)
+    for n in range(N):
+        a = np.asarray(alphas[n], dtype=complex)
+        require_chi_image(a, tol_image)
+        aH = a.conj().T
+        r = scalar_defect(a)
+        zL = np.concatenate([zero, left[n]])
+        zR = np.concatenate([zero, right[n]])
+        pad = np.concatenate([left_rev[n], zero])
+        pad_r = np.concatenate([right_rev[n], zero])
+        left.append((zL - np.einsum("ij,njk->nik", a, pad_r)) / r)
+        right.append((zR - np.einsum("nij,jk->nik", pad, a)) / r)
+        left_rev.append((pad - np.einsum("nij,jk->nik", zR, aH)) / r)
+        right_rev.append((pad_r - np.einsum("ij,njk->nik", aH, zL)) / r)
+    return MatrixSzegoFamily(left, right, left_rev, right_rev)
+
+
+def reverse_matrix_poly(P, degree):
+    """P^#(z) = z^degree P(1/conj z)^*: coefficient k becomes P_{degree-k}^*."""
+    P = np.asarray(P, dtype=complex)
+    if degree < len(P) - 1:
+        raise ValueError("reversal degree below polynomial degree")
+    out = np.zeros((degree + 1, 2, 2), dtype=complex)
+    for k in range(degree + 1):
+        src = degree - k
+        if src < len(P):
+            out[k] = P[src].conj().T
+    return out
+
+
 def test_matrix_szego_requires_chi_image(rng):
     alphas = MatVerblunskySeq([random_contraction(rng)])
     with pytest.raises(NotChiImage):
@@ -257,7 +336,6 @@ def test_matrix_szego_recurrence_residuals_and_gram(rng):
     # recurrences hold coefficientwise; maintained reverses match reversal
     for n in range(N):
         a = alphas[n]
-        from qopuc.matrix_opuc import scalar_defect
         r = scalar_defect(a)
         zL = np.concatenate([np.zeros((1, 2, 2)), fam.left[n]])
         lhs = zL - r * fam.left[n + 1]
@@ -271,7 +349,6 @@ def test_matrix_szego_recurrence_residuals_and_gram(rng):
         assert np.max(np.abs(fam.left_rev[n] - reverse_matrix_poly(fam.left[n], n))) < 1e-11
         assert np.max(np.abs(fam.right_rev[n] - reverse_matrix_poly(fam.right[n], n))) < 1e-11
         # chi-image is preserved along the recurrence
-        from qopuc.quaternions import chi_image_residual
         for M in fam.left[n]:
             assert chi_image_residual(M) < 1e-9
 
@@ -381,3 +458,291 @@ def test_route_a_vanishing_density_closed_form_n400():
     gammas = [chi_inv(a, d.frame) for a in alphas_from_moments(C, N)]
     err = max(abs(abs(g) - 1.0 / (n + 2)) for n, g in enumerate(gammas))
     assert err <= 1e-15
+
+
+def test_szego_advance_matches_matrix_szego_recurrence(rng):
+    # the quaternionic recurrence, embedded coefficientwise, is the matrix one
+    from qopuc.polynomials import SzegoState, szego_advance
+    from qopuc.quaternions import SliceFrame, chi
+
+    frame = SliceFrame.standard()
+    gammas = [random_unit_ball_quaternion(rng) for _ in range(8)]
+    fam = matrix_szego_polys(MatVerblunskySeq([chi(g, frame) for g in gammas]), 8)
+    state = SzegoState.initial()
+    for n, g in enumerate(gammas, start=1):
+        state = szego_advance(state, g)
+        for poly, want in ((state.left, fam.left[n]), (state.right, fam.right[n]),
+                           (state.left_rev, fam.left_rev[n]),
+                           (state.right_rev, fam.right_rev[n])):
+            assert np.max(np.abs(chi(poly.arr, frame) - want)) < 1e-13
+
+
+# ---- the closed-form 2x2 norm and condition number ----
+
+def test_contraction_test_rejects_non_finite_entries():
+    for bad in (np.inf, -np.inf, np.nan):
+        with pytest.raises(NotContraction) as info:
+            MatVerblunskySeq([np.zeros((2, 2)), [[bad, 0.0], [0.0, 0.1]]])
+        assert info.value.index == 1
+        with pytest.raises(NotContraction):
+            defects(np.array([[0.1, 0.0], [bad * 1j, 0.1]]))
+
+
+def closed_form_inputs(rng, n=2000):
+    """Random, rank-one and rescaled (1e-8 to 1e6) complex 2x2 matrices."""
+    def normal():
+        return rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2))
+    u = rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2))
+    v = rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2))
+    scales = 10.0 ** rng.uniform(-8.0, 6.0, size=n)
+    return {"random": normal(), "rank_one": u[:, :, None] * v[:, None, :],
+            "rescaled": normal() * scales[:, None, None]}
+
+
+def near_sphere_chi_images(rng, n=20000):
+    """chi images of quaternions with 1 - |gamma| in [1e-13, 1e-9], the inputs
+    whose two equal singular values defeat the t^2 - 4|det|^2 form."""
+    from qopuc.quaternions import SliceFrame, chi
+
+    v = rng.normal(size=(n, 4))
+    v /= np.linalg.norm(v, axis=1)[:, None]
+    gap = 10.0 ** rng.uniform(-13.0, -9.0, size=n)
+    return chi(v * (1.0 - gap)[:, None], SliceFrame.standard())
+
+
+def test_operator_norm2_matches_svd():
+    rng = np.random.default_rng(8101)
+    for kind, Ms in closed_form_inputs(rng).items():
+        for M in Ms:
+            want = np.linalg.norm(M, 2)
+            assert abs(operator_norm2(M) - want) <= 1e-14 * want, kind
+    # the contraction decision at 1 - 1e-12: both singular values of a chi
+    # image equal |gamma|, read here in long double off the entries.  Within
+    # a few ulps of the bound the SVD itself misjudges (two cases at this
+    # seed, where the closed form is right), so the SVD is held to the
+    # exact decision only beyond 2e-15 of the bound, the closed form beyond
+    # 2 ulps.
+    bound = 1.0 - CONTRACTION_MARGIN
+    images = near_sphere_chi_images(rng)
+    exact = np.sqrt(np.sum(np.abs(images.astype(LD)) ** 2, axis=(1, 2)) / 2)
+    for M, norm in zip(images, exact):
+        want = np.linalg.norm(M, 2)
+        got = operator_norm2(M)
+        assert abs(got - want) <= 1e-14 * want
+        if abs(norm - bound) > 4.5e-16:
+            assert (got < bound) == (norm < bound)
+        if abs(norm - bound) > 2e-15:
+            assert (got < bound) == (want < bound)
+    assert operator_norm2(np.zeros((2, 2))) == 0.0
+    assert operator_norm2(np.diag([1e150, 1e150])) == pytest.approx(1e150, rel=1e-15)
+    assert operator_norm2(np.diag([1e200, 0.5])) == np.inf   # overflow rejects, never raises
+
+
+def test_cond2_matches_numpy_cond():
+    # det and the SVD's smallest singular value both lose relative accuracy in
+    # proportion to the condition number, so the two agree to 1e-14 only on
+    # well-conditioned input and to about eps * cond beyond
+    rng = np.random.default_rng(8102)
+    inputs = closed_form_inputs(rng)
+    for kind in ("random", "rescaled"):
+        for M in inputs[kind]:
+            want = np.linalg.cond(M)
+            assert abs(cond2(M) - want) <= (1e-14 + 1e-15 * want) * want, kind
+            if want <= 10.0:
+                assert abs(cond2(M) - want) <= 1e-14 * want, kind
+    for target in (1e4, 1e8, 1e11):
+        for _ in range(200):
+            U, _, Vh = np.linalg.svd(inputs["random"][int(rng.integers(2000))])
+            M = U @ np.diag([1.0, 1.0 / target]) @ Vh
+            want = np.linalg.cond(M)
+            assert abs(cond2(M) - want) <= 1e-15 * want * want
+    for M in inputs["rank_one"]:
+        assert cond2(M) > COND_LIMIT and np.linalg.cond(M) > COND_LIMIT
+    assert cond2(np.ones((2, 2))) == np.inf
+    assert np.isnan(cond2(np.array([[np.nan, 0.0], [0.0, 1.0]])))
+
+
+def test_singular_constant_term_rejected():
+    from qopuc.series import series_inv
+
+    for a0 in (np.ones((2, 2)), np.diag([1.0, 1e-13]), np.full((2, 2), np.nan)):
+        with pytest.raises(SingularConstantTerm):
+            series_inv(TruncSeries.constant(a0, 3))
+    assert np.array_equal(series_inv(TruncSeries.constant(np.diag([1.0, 1e-11]), 3)).coeffs[0],
+                          np.diag([1.0, 1e11]))
+
+
+# ---- the per-matrix forms the stacked closed forms replaced, kept as
+# byte-level oracles: an SVD per contraction test, np.linalg.cond on B(0),
+# and one square root and one inverse per matrix ----
+
+LD = np.clongdouble
+
+
+def contraction_svd(alpha, index=None):
+    if float(np.linalg.norm(np.asarray(alpha, dtype=complex), 2)) >= 1.0 - CONTRACTION_MARGIN:
+        raise NotContraction("not a strict contraction", index=index)
+
+
+def sqrtm_herm2_single(H):
+    H = np.asarray(H)
+    H = H.astype(np.result_type(H.dtype, np.complex128), copy=False)
+    t = H[0, 0].real + H[1, 1].real
+    d = max((H[0, 0] * H[1, 1] - H[0, 1] * H[1, 0]).real, 0.0)
+    s = np.sqrt(d)
+    denom = t + 2.0 * s
+    if denom <= 0.0:
+        raise ValueError("matrix is not positive semidefinite")
+    R = (H + s * EYE2) / np.sqrt(denom)
+    if np.max(np.abs(R @ R - H)) > SQRT_CHECK_TOL * max(1.0, t):
+        raise ValueError("square-root residual beyond tolerance")
+    return R
+
+
+def inv2_single(M):
+    det = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
+    return np.array([[M[1, 1], -M[0, 1]], [-M[1, 0], M[0, 0]]]) / det
+
+
+def defects_single(alpha):
+    """(rhoL, rhoR) of one contraction."""
+    contraction_svd(alpha)
+    aH = alpha.conj().T
+    return sqrtm_herm2_single(EYE2 - aH @ alpha), sqrtm_herm2_single(EYE2 - alpha @ aH)
+
+
+def moments_from_alphas_per_matrix(alphas, N):
+    alpha = np.array([np.asarray(alphas[n]) for n in range(N)], dtype=LD).reshape(N, 2, 2)
+    pairs = [defects_single(a) for a in alpha]
+    rhoR = [rL_rR[1] for rL_rR in pairs]
+    rhoLi = np.array([inv2_single(rL_rR[0]) for rL_rR in pairs]).reshape(N, 2, 2)
+    alphaH = alpha.conj().transpose(0, 2, 1)
+    C = []
+    b = EYE2[None].astype(LD)
+    for m in range(N):
+        a = np.empty_like(b)
+        a[m] = alpha[m] @ b[m]
+        for k in range(m - 1, -1, -1):
+            a[k] = rhoR[k] @ a[k + 1] + alpha[k] @ b[k]
+        C.append(a[0].astype(complex))
+        nxt = np.empty((m + 2, 2, 2), dtype=LD)
+        nxt[0] = a[0]
+        nxt[1:] = rhoLi[: m + 1] @ (b - alphaH[: m + 1] @ a)
+        b = nxt
+    return C
+
+
+def alphas_from_moments_per_matrix(C, N):
+    A = np.array([np.asarray(M) for M in C[:N]], dtype=LD).reshape(N, 2, 2)
+    B = np.empty_like(A)
+    B[:1] = EYE2
+    B[1:] = A[:-1]
+    alphas = []
+    for n in range(N):
+        if np.linalg.cond(B[0].astype(complex)) > COND_LIMIT:
+            raise SingularConstantTerm("B(0) singular")
+        alpha_ld = A[0] @ inv2_single(B[0])
+        alpha = alpha_ld.astype(complex)
+        contraction_svd(alpha, n)
+        alphas.append(alpha)
+        if n == N - 1:
+            break
+        rhoL, rhoR = defects_single(alpha_ld)
+        num = A - alpha_ld @ B
+        if float(np.max(np.abs(num[0]))) > SHIFT_TOL:
+            raise ShiftResidual("shift residual")
+        A, B = (inv2_single(rhoR) @ num[1:],
+                inv2_single(rhoL) @ (B[:-1] - alpha_ld.conj().T @ A[:-1]))
+    return alphas
+
+
+def _bits(x):
+    """x as comparable bits: the raw bytes, except for long double, whose
+    storage carries padding bytes that no operation sets; there the real
+    components with their signs (equal values with equal signs are equal
+    80-bit numbers)."""
+    x = np.asarray(x)
+    if x.dtype in (np.longdouble, np.clongdouble):
+        v = x.view(np.longdouble).ravel()
+        return (str(x.dtype), x.shape, tuple(v.tolist()), tuple(np.signbit(v).tolist()))
+    return (str(x.dtype), x.shape, x.tobytes())
+
+
+def same_bytes(xs, ys):
+    return len(xs) == len(ys) and all(_bits(x) == _bits(y) for x, y in zip(xs, ys))
+
+
+def test_stacked_2x2_forms_bitwise_equal_to_per_matrix_forms(rng):
+    # in np.clongdouble, the precision of route A and the forward map; in
+    # complex128 numpy's vectorised complex product may fuse a multiply-add
+    # that the per-matrix scalar product rounds, so there the stacked forms
+    # agree only to rounding
+    mats = [random_contraction(rng) for _ in range(40)]
+    mats += [random_chi_contraction(rng) for _ in range(40)]
+    mats += [np.zeros((2, 2)), -0.0 * EYE2, 0.5 * EYE2, np.diag([0.3, -0.0]),
+             np.array([[0.0, 0.9], [-0.0, 0.0]])]
+    alpha = np.array(mats, dtype=LD)
+    roots = [defects_single(a) for a in alpha]
+    d = defects(alpha)
+    assert same_bytes(list(d.rhoL), [r[0] for r in roots])
+    assert same_bytes(list(d.rhoR), [r[1] for r in roots])
+    assert all(same_bytes([defects(a).rhoL, defects(a).rhoR], r) for a, r in zip(alpha, roots))
+    H = np.array([EYE2 - a.conj().T @ a for a in alpha])
+    assert same_bytes(list(sqrtm_herm2(H)), [sqrtm_herm2_single(h) for h in H])
+    assert same_bytes(list(_inv2(d.rhoL)), [inv2_single(r[0]) for r in roots])
+    assert same_bytes([_inv2(alpha[0])], [inv2_single(alpha[0])])
+    d128 = defects(alpha.astype(complex))
+    for a, rL, rR in zip(alpha.astype(complex), d128.rhoL, d128.rhoR):
+        wL, wR = defects_single(a)
+        assert np.max(np.abs(rL - wL)) <= 1e-15 and np.max(np.abs(rR - wR)) <= 1e-15
+
+
+@pytest.mark.parametrize("name", ["vanishing_density", "bernstein_szego_density",
+                                  "smooth_trig_density"])
+def test_route_a_bitwise_equal_to_per_matrix_form(name):
+    from qopuc import fixtures
+    from qopuc.measures import matrix_moments, moments_from_density
+
+    d = getattr(fixtures, name)()
+    C = matrix_moments(moments_from_density(d, 200), d.frame, 200)[1:]
+    assert same_bytes(alphas_from_moments(C, 200).alphas,
+                      alphas_from_moments_per_matrix(C, 200))
+
+
+def test_forward_map_and_route_a_bitwise_equal_to_per_matrix_form():
+    from qopuc.fixtures import random_gamma_seq
+    from qopuc.quaternions import SliceFrame, chi
+
+    frame = SliceFrame.standard()
+    for seed in (1017, 2017, 3017):
+        alphas = MatVerblunskySeq([chi(g, frame) for g in random_gamma_seq(seed, 80, rmax=0.8)])
+        C = moments_from_alphas(alphas, 80)
+        assert same_bytes(C, moments_from_alphas_per_matrix(alphas, 80))
+    general = np.random.default_rng(4101)
+    for _ in range(3):
+        alphas = MatVerblunskySeq([random_contraction(general, 0.5) for _ in range(40)])
+        C = moments_from_alphas(alphas, 40)
+        assert same_bytes(C, moments_from_alphas_per_matrix(alphas, 40))
+        assert same_bytes(alphas_from_moments(C, 40).alphas,
+                          alphas_from_moments_per_matrix(C, 40))
+
+
+def test_route_a_and_forward_map_make_no_linalg_call(monkeypatch):
+    from qopuc.fixtures import random_gamma_seq, smooth_trig_density
+    from qopuc.measures import matrix_moments, moments_from_density
+    from qopuc.quaternions import SliceFrame, chi
+
+    d = smooth_trig_density()
+    C = matrix_moments(moments_from_density(d, 200), d.frame, 200)[1:]
+    frame = SliceFrame.standard()
+    alphas = MatVerblunskySeq([chi(g, frame) for g in random_gamma_seq(7, 80)])
+    want_a, want_c = alphas_from_moments(C, 200), moments_from_alphas(alphas, 80)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg called")
+
+    for name in ("svd", "norm", "cond", "inv", "det", "eig", "eigh", "eigvals",
+                 "eigvalsh", "solve"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    assert same_bytes(alphas_from_moments(C, 200).alphas, want_a.alphas)
+    assert same_bytes(moments_from_alphas(alphas, 80), want_c)
