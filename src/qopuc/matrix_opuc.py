@@ -135,10 +135,11 @@ def _require_contraction(alpha: np.ndarray, index=None):
 
 def _defect_roots(alpha: np.ndarray) -> np.ndarray:
     """The stack [(I - a*a)^(1/2), (I - aa*)^(1/2)] for one contraction or a
-    (..., 2, 2) stack, shape (2, ..., 2, 2), in the precision of alpha."""
+    (..., 2, 2) stack, shape (2, ..., 2, 2), in the precision of alpha.
+
+    The caller has tested every contraction; ``sqrtm_herm2`` still rejects a
+    defect that is not PSD or misses its residual check."""
     alpha = _complex(alpha)
-    for a in alpha.reshape(-1, 2, 2):
-        _require_contraction(a)
     aH = alpha.conj().swapaxes(-1, -2)
     H = np.empty((2, *alpha.shape), dtype=alpha.dtype)
     np.subtract(EYE2, aH @ alpha, out=H[0])
@@ -149,7 +150,11 @@ def _defect_roots(alpha: np.ndarray) -> np.ndarray:
 def defects(alpha: np.ndarray) -> DefectPair:
     """Principal square roots of I - a*a and I - aa* via the 2x2 closed form,
     in the precision of alpha; for a (..., 2, 2) stack, rhoL and rhoR are
-    stacks of the same shape, square-rooted in one call."""
+    stacks of the same shape, square-rooted in one call.  NotContraction if
+    any matrix is not a strict contraction."""
+    alpha = _complex(alpha)
+    for a in alpha.reshape(-1, 2, 2):
+        _require_contraction(a)
     return DefectPair(*_defect_roots(alpha))
 
 
@@ -270,9 +275,8 @@ def moments_from_alphas(alphas: MatVerblunskySeq, N: int) -> list[np.ndarray]:
         raise ValueError(f"need at least {N} coefficients, got {len(alphas)}")
     ld = np.clongdouble
     alpha = np.array([np.asarray(alphas[n]) for n in range(N)], dtype=ld).reshape(N, 2, 2)
-    rho = defects(alpha)
-    rhoR = rho.rhoR
-    rhoLi = _inv2(rho.rhoL)
+    rhoL, rhoR = _defect_roots(alpha)   # MatVerblunskySeq tested every alpha
+    rhoLi = _inv2(rhoL)
     alphaH = alpha.conj().transpose(0, 2, 1)
     C = []
     b = EYE2[None].astype(ld)  # b[k] = b_k[m-k], the m-th anti-diagonal
@@ -329,6 +333,7 @@ def alphas_from_moments(C, N: int) -> MatVerblunskySeq:
         alphas.append(alpha)
         if n == N - 1:
             break
+        # alpha_ld is within an ulp of the alpha tested above
         rhoLi, rhoRi = _inv2(_defect_roots(alpha_ld))
         num = A - alpha_ld @ B
         residual = float(np.max(np.abs(num[0])))

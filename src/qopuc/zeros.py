@@ -38,16 +38,21 @@ def multiset_distance(a, b) -> float:
     return worst
 
 
-def _horner(descending: list, zs: list) -> np.ndarray:
-    """Values at each of ``zs`` of the polynomial with these coefficients,
-    highest power first, by Horner's rule on Python complex scalars."""
-    out = []
+def _horner_pair(desc_p: list, desc_dp: list, zs: list) -> tuple[np.ndarray, np.ndarray]:
+    """Values at each of ``zs`` of two polynomials with these coefficients,
+    highest power first, by Horner's rule on Python complex scalars, in one
+    pass over the points."""
+    out_p, out_dp = [], []
     for z in zs:
         acc = 0j
-        for c in descending:
+        for c in desc_p:
             acc = acc * z + c
-        out.append(acc)
-    return np.array(out)
+        out_p.append(acc)
+        acc = 0j
+        for c in desc_dp:
+            acc = acc * z + c
+        out_dp.append(acc)
+    return np.array(out_p), np.array(out_dp)
 
 
 def roots(coeffs, max_iter: int = MAX_ABERTH_ITER,
@@ -84,13 +89,14 @@ def roots(coeffs, max_iter: int = MAX_ABERTH_ITER,
     z = radius * np.exp(1j * angles)
 
     # Python complex arithmetic gives the bits numpy scalars give, ~3x faster;
-    # a numpy Horner over all roots at once is slower at these degrees
+    # a numpy Horner over all roots at once is slower at these degrees.  The
+    # divisions and products stay in numpy: Python's complex division and
+    # numpy's vectorised product round differently.
     monic_desc = monic[::-1].tolist()
     deriv_desc = deriv[::-1].tolist()
+    zs = z.tolist()
     for _ in range(max_iter):
-        zs = z.tolist()
-        p = _horner(monic_desc, zs)
-        dp = _horner(deriv_desc, zs)
+        p, dp = _horner_pair(monic_desc, deriv_desc, zs)
         newton = np.where(dp != 0, p / np.where(dp == 0, 1.0, dp), 0.0)
         diff = z[:, None] - z[None, :]
         diff.flat[::deg + 1] = np.inf
@@ -98,19 +104,17 @@ def roots(coeffs, max_iter: int = MAX_ABERTH_ITER,
         denom = 1.0 - newton * sums
         step = newton / np.where(denom == 0, 1.0, denom)
         z = z - step
+        zs = z.tolist()
         if np.abs(step).max() < 1e-14 * np.maximum(1.0, np.abs(z).max()):
             break
-    zs = z.tolist()
-    p = _horner(monic_desc, zs)
-    dp = _horner(deriv_desc, zs)
+    p, dp = _horner_pair(monic_desc, deriv_desc, zs)
     residual = np.abs(p) / np.maximum(np.abs(dp), 1e-300)
     # multiple roots: |p| collapses into evaluation roundoff while |p'| stays
     # small; accept when the value is roundoff-indistinguishable from zero
-    absmon = np.abs(monic)
-    noise = np.array([np.sum(absmon * np.abs(zk) ** np.arange(deg + 1)) for zk in z])
+    noise = (np.abs(monic) * np.abs(z)[:, None] ** np.arange(deg + 1)).sum(axis=1)
     at_noise_floor = np.abs(p) <= 4.0 * np.finfo(float).eps * noise
-    if np.max(np.where(at_noise_floor, 0.0, residual)) > residual_tol:
-        worst = float(np.max(np.where(at_noise_floor, 0.0, residual)))
+    worst = float(np.max(np.where(at_noise_floor, 0.0, residual)))
+    if not worst <= residual_tol:   # also rejects NaN
         raise NoConvergence(f"root refinement stalled (max residual {worst:.3e})")
     return np.concatenate([np.zeros(n_zero, dtype=complex), z])
 
@@ -238,7 +242,12 @@ def _numeric_trim(psi, rel_tol: float = NUMERIC_DEGREE_TOL):
 def zero_slice(psi, frame: SliceFrame, route_tol: float = ROUTE_TOL) -> ZeroReport:
     """Slice zero set of a quaternionic polynomial, two routes cross-checked.
 
-    Route 1: Aberth roots of det(Phi-image of the monic-normalised input).
+    Route 1: Aberth roots of det(chi image of the monic-normalised input),
+    the companion polynomial a a-bar + b b-bar of the image's first row
+    (a, b).  When b is exactly zero, as for real coefficients in any frame,
+    the determinant is a a-bar and every root would be double; route 1 then
+    roots a alone, at degree n, and adds the conjugates (the roots of
+    a-bar), so a simple zero of psi stays a simple root for Aberth.
     Route 2: spectrum of the embedded companion matrix.
     """
     if not isinstance(psi, (QPolyL, QPolyR)):
@@ -252,8 +261,12 @@ def zero_slice(psi, frame: SliceFrame, route_tol: float = ROUTE_TOL) -> ZeroRepo
         return ZeroReport(slice_roots=(), moduli=(), all_inside_ball=True,
                           all_outside_closed_ball=True)
     comp = companion_left(monic) if left_space else companion_right(monic)
-    det = det_poly(chi(monic.arr, frame))
-    route1 = roots(det)
+    image = chi(monic.arr, frame)
+    if image[:, 0, 1].any():
+        route1 = roots(det_poly(image))
+    else:
+        scalar = roots(image[:, 0, 0])
+        route1 = np.concatenate([scalar, scalar.conj()])
     route2 = right_eigen_slice(comp, frame)
     dist = multiset_distance(route1, route2)
     if dist > route_tol:

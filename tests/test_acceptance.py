@@ -179,9 +179,13 @@ def test_criterion_5_zeros_theorem():
     worst_outside = float("inf")
     worst_lr = 0.0
     ok_flags = True
-    for seed, gammas in random_fixture_suite(count=20, N=10, base_seed=5000):
-        c = moments_from_verblunsky_q(gammas, 10, frame)
-        rows, _ = zeros_theorem_check(orthonormal_polys(c, 10), frame)
+    cases = [(moments_from_verblunsky_q(gammas, 10, frame), frame)
+             for seed, gammas in random_fixture_suite(count=20, N=10, base_seed=5000)]
+    cases += [(moments_from_density(d, 10), d.frame)
+              for d in (lebesgue_density(), bernstein_szego_density(),
+                        vanishing_density(), smooth_trig_density())]
+    for c, fr in cases:
+        rows, _ = zeros_theorem_check(orthonormal_polys(c, 10), fr)
         for row in rows:
             worst_inside = max(worst_inside, row["max_root_modulus"])
             worst_outside = min(worst_outside, row["min_reverse_modulus"])
@@ -191,7 +195,7 @@ def test_criterion_5_zeros_theorem():
     ok = (worst_inside < 1.0 and worst_outside > 1.0 and worst_lr < 1e-8
           and ok_flags and elapsed < 30.0)
     _report(5, "zeros-theorem", ok,
-            f"20 fixtures N<=10, max root modulus {worst_inside:.6f} < 1, "
+            f"20 fixtures and 4 densities N<=10, max root modulus {worst_inside:.6f} < 1, "
             f"min reverse modulus {worst_outside:.6f} > 1, left/right dist "
             f"{worst_lr:.2e} < 1e-8, {elapsed:.1f}s < 30s")
 
@@ -279,7 +283,7 @@ def test_criterion_9_cli_determinism_and_schemas(tmp_path):
         commands = [
             ("moments-to-verblunsky", "moments_to_verblunsky", [path, "--n", "4"]),
             ("orthopolys", "orthopolys", [path, "--n", "4"]),
-            ("zeros", "zeros", [path, "--n", "3", "--tol-route", "1e-7"]),
+            ("zeros", "zeros", [path, "--n", "3"]),
             ("cd", "cd", [path, "--n", "3", "--samples", "20", "--seed", "9"]),
         ]
         if fixture in density_fixtures:

@@ -195,17 +195,11 @@ def test_verblunsky_to_moments_rejects_non_contraction(tmp_path):
 @pytest.mark.parametrize("fixture", DENSITY_FIXTURES)
 def test_determinism_and_schema_all_commands(tmp_path, fixture):
     path = str(FIXDIR / fixture)
-    # single-plane moments square every factor of the determinant, so the
-    # two zero routes agree only to sqrt(eps) there; the tolerance override
-    # flag exists for exactly that case
-    zeros_args = [path, "--n", "3"]
-    if fixture == "vanishing_density.json":
-        zeros_args += ["--tol-route", "1e-7"]
     commands = [
         ("moments-to-verblunsky", "moments_to_verblunsky",
          [path, "--n", "4"]),
         ("orthopolys", "orthopolys", [path, "--n", "4"]),
-        ("zeros", "zeros", zeros_args),
+        ("zeros", "zeros", [path, "--n", "3"]),
         ("cd", "cd", [path, "--n", "3", "--samples", "20", "--seed", "5"]),
         ("sv", "sv", [path, "--n", "5"]),
         ("baxter", "baxter", [path, "--n", "12"]),
@@ -217,6 +211,23 @@ def test_determinism_and_schema_all_commands(tmp_path, fixture):
         code2, out2 = run(tmp_path, command, *argv)
         assert out1 == out2  # byte-identical reruns
         validate(schema, out1)
+
+
+def test_zeros_vanishing_density_in_any_frame(tmp_path):
+    # real coefficients: every slice is single-plane, and the determinant of
+    # the image would have only double roots
+    from qopuc.quaternions import SliceFrame
+    rng = np.random.default_rng(808)
+    frames = [[]] + [["--frame", json.dumps(SliceFrame.random(rng).to_json())]
+                     for _ in range(5)]
+    for frame in frames:
+        code, out = run(tmp_path, "zeros", str(FIXDIR / "vanishing_density.json"),
+                        "--n", "10", *frame)
+        assert code == 0, out[:200]
+        rows = json.loads(out)["result"]["per_degree"]
+        assert len(rows) == 10
+        assert max(row["left_right_distance"] for row in rows) <= 1e-8
+        assert all(row["all_inside_ball"] and row["reverses_outside"] for row in rows)
 
 
 def test_random_gamma_determinism(tmp_path):

@@ -746,3 +746,34 @@ def test_route_a_and_forward_map_make_no_linalg_call(monkeypatch):
         monkeypatch.setattr(np.linalg, name, refuse)
     assert same_bytes(alphas_from_moments(C, 200).alphas, want_a.alphas)
     assert same_bytes(moments_from_alphas(alphas, 80), want_c)
+
+
+def test_each_coefficient_contraction_tested_once_per_map(monkeypatch):
+    # route A tests each alpha_n once before its defects and once more when
+    # the returned MatVerblunskySeq is built; the forward map relies on its
+    # MatVerblunskySeq argument, whose construction tested every coefficient
+    import qopuc.matrix_opuc as matrix_opuc
+    from qopuc.fixtures import random_gamma_seq, smooth_trig_density
+    from qopuc.measures import matrix_moments, moments_from_density
+    from qopuc.quaternions import SliceFrame, chi
+
+    d = smooth_trig_density()
+    C = matrix_moments(moments_from_density(d, 50), d.frame, 50)[1:]
+    frame = SliceFrame.standard()
+    alphas = MatVerblunskySeq([chi(g, frame) for g in random_gamma_seq(7, 40)])
+    want_a, want_c = alphas_from_moments(C, 50), moments_from_alphas(alphas, 40)
+    calls = []
+
+    def counting_norm(A):
+        calls.append(1)
+        return operator_norm2(A)
+
+    monkeypatch.setattr(matrix_opuc, "operator_norm2", counting_norm)
+    assert same_bytes(alphas_from_moments(C, 50).alphas, want_a.alphas)
+    assert len(calls) == 2 * 50
+    calls.clear()
+    assert same_bytes(moments_from_alphas(alphas, 40), want_c)
+    assert calls == []
+    stack = np.stack([0.5 * EYE2, 1.5 * EYE2])
+    with pytest.raises(NotContraction):
+        defects(stack)

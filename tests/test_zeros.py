@@ -3,9 +3,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from qopuc.errors import NotMonic, NotPositiveDefinite
+import qopuc.zeros as zeros_module
+from qopuc.errors import NoConvergence, NotMonic, NotPositiveDefinite
 from qopuc.fixtures import (
-    bernstein_szego_density, lebesgue_density, random_moment_fixture,
+    bernstein_szego_density, lebesgue_density, random_moment_fixture, vanishing_density,
 )
 from qopuc.measures import MomentSequence, moments_from_density
 from qopuc.polynomials import QPolyL, QPolyR, orthonormal_polys, reverse_L, \
@@ -114,12 +115,66 @@ def test_zero_slice_bernstein(frame):
     fam = orthonormal_polys(c, 2)
     report = zero_slice(fam.right[1], frame)
     assert len(report.slice_roots) == 1
-    assert abs(report.slice_roots[0] - 0.5) < 1e-8
+    assert abs(report.slice_roots[0] - 0.5) < 1e-14
     assert report.moduli[0] < 1.0 and report.all_inside_ball
     rev = reverse_L(fam.right[1], 1)
     report = zero_slice(rev, frame)
-    assert abs(report.slice_roots[0] - 2.0) < 1e-8
+    assert abs(report.slice_roots[0] - 2.0) < 1e-14
     assert report.all_outside_closed_ball
+
+
+def test_bernstein_szego_closed_form_zeros(rng):
+    # phi_n = z^(n-1) (z - a) up to a positive factor, a = 1/2: roots 0 (n - 1
+    # times) and a; the reverse is a multiple of 1 - a z, root 1/a
+    c = moments_from_density(bernstein_szego_density(), 10)
+    fam = orthonormal_polys(c, 10)
+    for fr in (SliceFrame.standard(), SliceFrame.random(rng)):
+        _, reports = zeros_theorem_check(fam, fr)
+        for n, rep in enumerate(reports, start=1):
+            for name in ("right", "left"):
+                assert multiset_distance(rep[name].slice_roots,
+                                         [0.0] * (n - 1) + [0.5]) <= 1e-14
+            for name in ("right_reverse", "left_reverse"):
+                assert multiset_distance(rep[name].slice_roots, [2.0]) <= 1e-14
+
+
+def test_single_plane_slice_roots_the_scalar_factor(rng, monkeypatch):
+    # real coefficients embed as multiples of I in every frame, so the image's
+    # off-diagonal is exactly zero and route 1 roots a degree-n polynomial;
+    # otherwise it roots the degree-2n determinant
+    degrees = []
+
+    def counting_roots(coeffs, *args, **kwargs):
+        degrees.append(len(coeffs) - 1)
+        return roots(coeffs, *args, **kwargs)
+
+    monkeypatch.setattr(zeros_module, "roots", counting_roots)
+    single = orthonormal_polys(moments_from_density(vanishing_density(), 6), 6)
+    general = orthonormal_polys(random_moment_fixture(41, 7), 6)
+    for fr in (SliceFrame.standard(), SliceFrame.random(rng)):
+        for n in range(1, 7):
+            for fam, want in ((single, n), (general, 2 * n)):
+                for poly in (fam.right[n], fam.left[n]):
+                    degrees.clear()
+                    zero_slice(poly, fr)
+                    assert degrees == [want]
+    # coefficients in span{1, i} of the standard frame, where the star
+    # products stay exactly in the plane: a diagonal image whose entry a is
+    # not real, so its roots are not closed under conjugation
+    planted = [complex(*rng.uniform(-0.8, 0.8, size=2)) for _ in range(4)]
+    poly = QPolyL([Quaternion(1.0)])
+    for z in planted:
+        poly = star_mul_L(poly, QPolyL([Quaternion(-z.real, -z.imag), Quaternion(1.0)]))
+    degrees.clear()
+    report = zero_slice(poly, SliceFrame.standard())
+    assert degrees == [4]
+    expected = [complex(z.real, abs(z.imag)) for z in planted]
+    assert multiset_distance(report.slice_roots, expected) < 1e-12
+
+
+def test_roots_rejects_nan():
+    with np.errstate(invalid="ignore"), pytest.raises(NoConvergence):
+        roots([float("nan"), 1.0])
 
 
 def test_zero_slice_q_poly_r(rng, frame):
