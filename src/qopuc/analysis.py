@@ -26,7 +26,7 @@ from .polynomials import (
     OrthonormalFamily, Quaternion, VerblunskySeq, eval_norm_sq,
     orthonormal_polys, reverse_L, reverse_R, verblunsky_from_moments_q,
 )
-from .quaternions import SliceFrame
+from .quaternions import SliceFrame, qarr_norm_sq
 
 BOUNDARY_TOL = 1e-10
 ENTROPY_GRID = 4096
@@ -164,8 +164,8 @@ def sv_check(d: QPositiveDensity, N: int,
     exp_entropy = math.exp(entropy) if math.isfinite(entropy) else 0.0
     partial = []
     prod = 1.0
-    for g in gammas:
-        prod *= (1.0 - g.norm_sq()) ** 2
+    for defect in (1.0 - qarr_norm_sq(gammas.arr)).tolist():
+        prod *= defect ** 2
         partial.append(prod)
     gaps = tuple(p - exp_entropy for p in partial)
     quad_err = (abs(entropy - entropy_coarse)

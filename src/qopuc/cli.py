@@ -36,7 +36,7 @@ from .polynomials import (
     VerblunskySeq, moments_from_verblunsky_q, orthonormal_polys,
     verblunsky_from_moments_q,
 )
-from .quaternions import Quaternion, SliceFrame
+from .quaternions import SliceFrame
 from .zeros import zeros_theorem_check
 
 EXIT_OK = 0
@@ -204,7 +204,7 @@ def moments_from_fixture(obj: dict, n: int, override: SliceFrame | None) -> Mome
     if "w1" in obj:
         return moments_from_density(density_from_fixture(obj, override), n)
     if "gammas" in obj:
-        gammas = VerblunskySeq([Quaternion.from_array(g) for g in obj["gammas"]])
+        gammas = VerblunskySeq(obj["gammas"])
         frame = fixture_frame(obj, override)
         return moments_from_verblunsky_q(gammas, min(n, len(gammas)), frame)
     raise ValueError("fixture holds neither moments, density, nor gammas")
@@ -258,7 +258,7 @@ def cmd_moments_to_verblunsky(args) -> dict:
     ext = verblunsky_from_moments_q(c, args.n, frame, route_tol=args.tol_route,
                                     pivot_tol=args.tol_pd)
     return {
-        "gammas": [g.to_json() for g in ext.matrix_route],
+        "gammas": ext.matrix_route.to_json(),
         "route_residual": ext.route_residual,
     }
 
@@ -268,7 +268,7 @@ def cmd_verblunsky_to_moments(args) -> dict:
     if "gammas" not in obj:
         raise ValueError("this command needs a gamma fixture")
     frame = parse_frame(args.frame) or fixture_frame(obj, None)
-    gammas = VerblunskySeq([Quaternion.from_array(g) for g in obj["gammas"]])
+    gammas = VerblunskySeq(obj["gammas"])
     if len(gammas) < args.n:
         raise ValueError(f"fixture holds {len(gammas)} coefficients, need {args.n}")
     c = moments_from_verblunsky_q(gammas, args.n, frame)
@@ -338,7 +338,7 @@ def cmd_random_gamma(args) -> dict:
     gammas = random_gamma_seq(args.seed, args.n, rmax=args.rmax)
     return {
         "frame": SliceFrame.standard().to_json(),
-        "gammas": [g.to_json() for g in gammas],
+        "gammas": gammas.to_json(),
     }
 
 

@@ -8,7 +8,7 @@ import numpy as np
 
 from .measures import MomentSequence, QPositiveDensity
 from .polynomials import VerblunskySeq, moments_from_verblunsky_q
-from .quaternions import Quaternion, SliceFrame
+from .quaternions import SliceFrame
 
 
 def lebesgue_density(frame: SliceFrame | None = None) -> QPositiveDensity:
@@ -54,11 +54,11 @@ def smooth_trig_density(frame: SliceFrame | None = None) -> QPositiveDensity:
 def random_gamma_seq(seed: int, n: int, rmax: float = 0.8) -> VerblunskySeq:
     """Seeded random coefficients, radii uniform in [0.05, rmax)."""
     rng = np.random.default_rng(seed)
-    gammas = []
-    for _ in range(n):
+    gammas = np.empty((n, 4))
+    for k in range(n):
         v = rng.normal(size=4)
         v *= rng.uniform(0.05, rmax) / np.linalg.norm(v)
-        gammas.append(Quaternion(*v))
+        gammas[k] = v
     return VerblunskySeq(gammas)
 
 

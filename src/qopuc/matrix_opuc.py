@@ -90,15 +90,17 @@ def sqrtm_herm2(H: np.ndarray) -> np.ndarray:
 
 
 class MatVerblunskySeq:
-    """A finite sequence of strictly contractive 2x2 matrices."""
+    """Strictly contractive 2x2 matrices, tested at construction and stored
+    as a read-only (N, 2, 2) array ``alphas``."""
 
     __slots__ = ("alphas",)
 
     def __init__(self, alphas):
-        alphas = [np.asarray(a, dtype=complex) for a in alphas]
+        alphas = np.array(alphas, dtype=complex).reshape(-1, 2, 2)
         for n, a in enumerate(alphas):
             _require_contraction(a, n)
-        object.__setattr__(self, "alphas", tuple(a.copy() for a in alphas))
+        alphas.setflags(write=False)
+        object.__setattr__(self, "alphas", alphas)
 
     def __setattr__(self, name, value):
         raise AttributeError("MatVerblunskySeq is immutable")
@@ -236,10 +238,6 @@ def schur_coeffs_forward(alphas: MatVerblunskySeq, K: int) -> list[np.ndarray]:
     return [table[(0, k)] for k in range(K + 1)]
 
 
-def schur_series_from_alphas(alphas: MatVerblunskySeq, order: int) -> TruncSeries:
-    return TruncSeries(np.array(schur_coeffs_forward(alphas, order)))
-
-
 def _inv2(M: np.ndarray) -> np.ndarray:
     """Closed-form 2x2 inverse of one matrix or a (..., 2, 2) stack, in the
     dtype of M (np.linalg has no long double)."""
@@ -252,8 +250,9 @@ def _inv2(M: np.ndarray) -> np.ndarray:
     return adj / det[..., None, None]
 
 
-def moments_from_alphas(alphas: MatVerblunskySeq, N: int) -> list[np.ndarray]:
-    """Moment matrices C_1..C_N: Verblunsky's formula in generator form.
+def moments_from_alphas(alphas: MatVerblunskySeq, N: int) -> np.ndarray:
+    """Moment matrices C_1..C_N, as an (N, 2, 2) array: Verblunsky's formula
+    in generator form.
 
     Inverts the stripping update one anti-diagonal at a time.  With a_k, b_k
     the generators of f_k (a_0 = (C_1, C_2, ...), b_0 = (I, C_1, ...)),
@@ -274,18 +273,18 @@ def moments_from_alphas(alphas: MatVerblunskySeq, N: int) -> list[np.ndarray]:
     if len(alphas) < N:
         raise ValueError(f"need at least {N} coefficients, got {len(alphas)}")
     ld = np.clongdouble
-    alpha = np.array([np.asarray(alphas[n]) for n in range(N)], dtype=ld).reshape(N, 2, 2)
+    alpha = alphas.alphas[:N].astype(ld)
     rhoL, rhoR = _defect_roots(alpha)   # MatVerblunskySeq tested every alpha
     rhoLi = _inv2(rhoL)
     alphaH = alpha.conj().transpose(0, 2, 1)
-    C = []
+    C = np.empty((N, 2, 2), dtype=complex)
     b = EYE2[None].astype(ld)  # b[k] = b_k[m-k], the m-th anti-diagonal
     for m in range(N):
         a = np.empty_like(b)
         a[m] = alpha[m] @ b[m]
         for k in range(m - 1, -1, -1):
             a[k] = rhoR[k] @ a[k + 1] + alpha[k] @ b[k]
-        C.append(a[0].astype(complex))
+        C[m] = a[0]
         nxt = np.empty((m + 2, 2, 2), dtype=ld)
         nxt[0] = a[0]
         nxt[1:] = rhoLi[: m + 1] @ (b - alphaH[: m + 1] @ a)
@@ -293,9 +292,10 @@ def moments_from_alphas(alphas: MatVerblunskySeq, N: int) -> list[np.ndarray]:
     return C
 
 
-def alphas_from_moments(C, N: int) -> MatVerblunskySeq:
-    """Verblunsky coefficients alpha_0..alpha_{N-1}: Schur's algorithm in
-    generator form, the inverse of moments_from_alphas on positive-definite data.
+def alphas_from_moments(C, N: int) -> np.ndarray:
+    """Verblunsky coefficients alpha_0..alpha_{N-1} as a read-only (N, 2, 2)
+    array: Schur's algorithm in generator form, the inverse of
+    moments_from_alphas on positive-definite data.
 
     Starts from A = (C_1..C_N), B = (I, C_1..C_{N-1}) and applies the
     stripping update to whole coefficient arrays, N numpy steps in all.
@@ -307,30 +307,28 @@ def alphas_from_moments(C, N: int) -> MatVerblunskySeq:
     of seeded rmax-0.8 sequences at N = 25..40 miss their round trip more
     often.  Where np.longdouble is plain double the accuracy falls back to
     the double figures.  Each alpha_n is rounded to complex128 before it is
-    checked or returned.  Every coefficient array entry depends only on lower
-    entries, so alpha_0..alpha_{N-1} for N are a byte-identical prefix of
-    those for any larger N.
+    tested, once, and returned.  Every coefficient array entry depends only
+    on lower entries, so alpha_0..alpha_{N-1} for N are a byte-identical
+    prefix of those for any larger N.
 
     NotContraction (with the index) signals non-positive-definite moments;
     SingularConstantTerm and ShiftResidual guard B(0) and the exact shift.
     """
-    C = list(C)
     if len(C) < N:
         raise ValueError(f"need {N} moment matrices, got {len(C)}")
     ld = np.clongdouble
-    A = np.array([np.asarray(M) for M in C[:N]], dtype=ld).reshape(N, 2, 2)
+    A = np.array(C[:N], dtype=ld).reshape(N, 2, 2)
     B = np.empty_like(A)
     B[:1] = EYE2
     B[1:] = A[:-1]
-    alphas = []
+    alphas = np.empty((N, 2, 2), dtype=complex)
     for n in range(N):
         if not cond2(B[0]) <= COND_LIMIT:   # also rejects NaN
             raise SingularConstantTerm(
                 f"B(0) at step {n} is singular or too ill-conditioned to invert")
         alpha_ld = A[0] @ _inv2(B[0])
-        alpha = alpha_ld.astype(complex)
-        _require_contraction(alpha, n)
-        alphas.append(alpha)
+        alphas[n] = alpha_ld
+        _require_contraction(alphas[n], n)
         if n == N - 1:
             break
         # alpha_ld is within an ulp of the alpha tested above
@@ -341,4 +339,5 @@ def alphas_from_moments(C, N: int) -> MatVerblunskySeq:
             raise ShiftResidual(
                 f"degree-0 coefficient {residual:.3e} exceeds {SHIFT_TOL:.1e}")
         A, B = rhoRi @ num[1:], rhoLi @ (B[:-1] - alpha_ld.conj().T @ A[:-1])
-    return MatVerblunskySeq(alphas)
+    alphas.setflags(write=False)
+    return alphas

@@ -21,7 +21,8 @@ import numpy as np
 
 from .errors import HorizonExceeded, NotPositiveDefinite
 from .quaternions import (
-    Quaternion, SliceFrame, chi, chi_mat, qarr_conj, qpair_conj, qpair_outer,
+    Quaternion, SliceFrame, _frame_coords, _from_frame_coords, chi, chi_mat, qarr_abs,
+    qarr_conj, qarr_from, qarr_mul, qpair_conj, qpair_outer,
 )
 
 PSD_GRID = 2048
@@ -30,50 +31,58 @@ PIVOT_TOL = 1e-12
 
 
 class MomentSequence:
-    """Hermitian-symmetric quaternion moments c_{-N}..c_N with c_0 = 1.
+    """Hermitian-symmetric, finite quaternion moments c_{-N}..c_N with c_0 = 1.
 
-    Only the nonnegative half is stored; negative indices are synthesised
-    through c_{-n} = conj(c_n).
+    Only the nonnegative half is stored, as a read-only (N+1, 4) array
+    ``arr``; indexing synthesises c_{-n} = conj(c_n) and hands out
+    ``Quaternion`` objects for the API.
     """
 
-    __slots__ = ("_c",)
+    __slots__ = ("arr",)
 
     def __init__(self, nonneg):
-        c = tuple(q if isinstance(q, Quaternion) else Quaternion(q) for q in nonneg)
-        if not c:
+        arr = qarr_from(nonneg)
+        if not len(arr):
             raise ValueError("need at least c_0")
-        if abs(c[0] - Quaternion(1.0)) > 1e-9:
+        bad = np.flatnonzero(~np.isfinite(arr).all(axis=1))
+        if bad.size:
+            raise ValueError(f"moment c_{bad[0]} is not finite")
+        if qarr_abs(arr[0] - (1.0, 0.0, 0.0, 0.0)) > 1e-9:
             raise ValueError("c_0 must be 1 (probability normalisation)")
-        object.__setattr__(self, "_c", c)
+        arr.setflags(write=False)
+        object.__setattr__(self, "arr", arr)
 
     def __setattr__(self, name, value):
         raise AttributeError("MomentSequence is immutable")
 
     @classmethod
-    def from_map(cls, entries: dict[int, Quaternion]) -> "MomentSequence":
+    def from_map(cls, entries: dict) -> "MomentSequence":
+        """Moments from {n: c_n}, c_n a Quaternion or (w, x, y, z); a missing
+        c_n is 0, and a negative index must match conj(c_{-n})."""
         horizon = max(abs(n) for n in entries)
-        nonneg = [entries.get(n, Quaternion()) for n in range(horizon + 1)]
-        seq = cls(nonneg)
+        seq = cls([entries.get(n, 0.0) for n in range(horizon + 1)])
         for n, q in entries.items():
-            if n < 0 and abs(q - seq[n]) > 1e-12 * max(1.0, abs(q)):
-                raise ValueError(f"Hermitian symmetry violated at n={n}")
+            if n < 0:
+                q = qarr_from([q])[0]
+                if qarr_abs(q - qarr_conj(seq.arr[-n])) > 1e-12 * max(1.0, qarr_abs(q)):
+                    raise ValueError(f"Hermitian symmetry violated at n={n}")
         return seq
 
     @property
     def horizon(self) -> int:
-        return len(self._c) - 1
+        return len(self.arr) - 1
 
     def __getitem__(self, n: int) -> Quaternion:
         if abs(n) > self.horizon:
             raise HorizonExceeded(f"moment {n} beyond horizon {self.horizon}")
-        return self._c[n] if n >= 0 else self._c[-n].conjugate()
+        return Quaternion.from_array(self.arr[n] if n >= 0 else qarr_conj(self.arr[-n]))
 
     def to_json(self):
-        return [[n, self._c[n].to_json()] for n in range(self.horizon + 1)]
+        return [[n, row] for n, row in enumerate(self.arr.tolist())]
 
     @classmethod
     def from_json(cls, obj) -> "MomentSequence":
-        return cls.from_map({int(n): Quaternion.from_array(v) for n, v in obj})
+        return cls.from_map({int(n): v for n, v in obj})
 
     def __repr__(self):
         return f"MomentSequence(horizon={self.horizon})"
@@ -83,7 +92,7 @@ def toeplitz(c: MomentSequence, n: int) -> np.ndarray:
     """T_n(c) as an (n+1, n+1, 4) array; entry (k, j) is c_{j-k}."""
     if n > c.horizon:
         raise HorizonExceeded(f"order {n} beyond horizon {c.horizon}")
-    half = np.array([c[m].to_array() for m in range(n + 1)])
+    half = c.arr[: n + 1]
     full = np.concatenate([qarr_conj(half[:0:-1]), half])   # c_{-n}..c_n
     k = np.arange(n + 1)
     return full[n + k[None, :] - k[:, None]]
@@ -152,13 +161,6 @@ def require_nontrivial(c: MomentSequence, n: int, pivot_tol: float = PIVOT_TOL,
     return L.view(float), d
 
 
-def _eval_fourier(coeffs: dict[int, complex], thetas: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(thetas, dtype=complex)
-    for n, a in coeffs.items():
-        out = out + a * np.exp(1j * n * thetas)
-    return out
-
-
 def min_grid_eigenvalue(W: np.ndarray) -> float:
     """Smallest eigenvalue over a stack of 2x2 matrices, Hermitian part."""
     W = 0.5 * (W + np.conj(np.swapaxes(W, 1, 2)))
@@ -200,24 +202,13 @@ class QPositiveDensity:
     def __setattr__(self, name, value):
         raise AttributeError("QPositiveDensity is immutable")
 
-    @property
-    def degree(self) -> int:
-        support = [abs(n) for n in self.w1] + [abs(n) for n in self.w2]
-        return max(support) if support else 0
-
-    def w1_values(self, thetas: np.ndarray) -> np.ndarray:
-        return _eval_fourier(self.w1, np.asarray(thetas, dtype=float))
-
-    def w2_values(self, thetas: np.ndarray) -> np.ndarray:
-        return _eval_fourier(self.w2, np.asarray(thetas, dtype=float))
-
     def matrix_values(self, thetas: np.ndarray) -> np.ndarray:
         """The Hermitian matrix density W(theta), shape (len(thetas), 2, 2).
 
         One exponential per |n| serves every w1 and w2 term of that order:
         e^{-i n theta} is the conjugate of e^{i n theta} bit for bit, since
         cos is even and sin odd in the floating-point library too.  The terms
-        are summed in the order ``w1_values`` and ``w2_values`` sum them, so
+        are summed in the order of the dicts, one term at a time from 0, so
         the exponentials of one call stay alive together: 4.2 MB for the
         129-term Bernstein-Szego fixture on the 4096-point grid.
         """
@@ -263,12 +254,6 @@ class QPositiveDensity:
         self.min_eigenvalue_on_grid(grid)
         return self._grids[grid][0]
 
-    def value(self, theta: float) -> Quaternion:
-        """The quaternionic density w1(theta) + w2(theta) j in the frame."""
-        z1 = complex(self.w1_values(np.array([theta]))[0])
-        z2 = complex(self.w2_values(np.array([theta]))[0])
-        return self.frame.from_split(z1, z2)
-
     def to_json(self):
         return {
             "frame": self.frame.to_json(),
@@ -286,12 +271,9 @@ class QPositiveDensity:
 
 def moments_from_density(d: QPositiveDensity, N: int) -> MomentSequence:
     """Exact coefficient read-off: c_n = w1_{-n} + w2_{-n} j in the frame."""
-    nonneg = []
-    for n in range(N + 1):
-        z1 = d.w1.get(-n, 0j)
-        z2 = d.w2.get(-n, 0j)
-        nonneg.append(d.frame.from_split(z1, z2))
-    return MomentSequence(nonneg)
+    z1 = np.array([d.w1.get(-n, 0j) for n in range(N + 1)], dtype=complex)
+    z2 = np.array([d.w2.get(-n, 0j) for n in range(N + 1)], dtype=complex)
+    return MomentSequence(_from_frame_coords(z1, z2, d.frame))
 
 
 @dataclass(frozen=True)
@@ -301,10 +283,8 @@ class AtomicQMeasure:
     atoms: tuple
 
     def __post_init__(self):
-        total = Quaternion()
-        for theta, w in self.atoms:
-            total = total + w
-        if abs(total - Quaternion(1.0)) > 1e-9:
+        total = qarr_from([w for _, w in self.atoms]).sum(axis=0)
+        if qarr_abs(total - (1.0, 0.0, 0.0, 0.0)) > 1e-9:
             raise ValueError("atom weights must sum to 1 (c_0 normalisation)")
 
 
@@ -312,24 +292,19 @@ def moments_from_atoms(a: AtomicQMeasure, N: int,
                        frame: SliceFrame | None = None) -> MomentSequence:
     """c_n = sum_m e^{i n theta_m} weight_m, the exponential in the frame."""
     frame = frame or SliceFrame.standard()
-    nonneg = []
-    for n in range(N + 1):
-        acc = Quaternion()
-        for theta, w in a.atoms:
-            phase = frame.slice_point(complex(np.cos(n * theta), np.sin(n * theta)))
-            acc = acc + phase * w
-        nonneg.append(acc)
-    return MomentSequence(nonneg)
+    thetas = np.array([theta for theta, _ in a.atoms])
+    phase = _from_frame_coords(np.exp(1j * np.arange(N + 1)[:, None] * thetas), 0j, frame)
+    return MomentSequence(qarr_mul(phase, qarr_from([w for _, w in a.atoms])).sum(axis=1))
 
 
 def matrix_moments(c: MomentSequence, frame: SliceFrame | None = None,
-                   N: int | None = None) -> list[np.ndarray]:
-    """C_0..C_N with C_n = chi(c_n)."""
+                   N: int | None = None) -> np.ndarray:
+    """C_0..C_N with C_n = chi(c_n), as an (N+1, 2, 2) array."""
     frame = frame or SliceFrame.standard()
     N = c.horizon if N is None else N
     if N > c.horizon:
         raise HorizonExceeded(f"order {N} beyond horizon {c.horizon}")
-    return list(chi(np.array([c[n].to_array() for n in range(N + 1)]), frame))
+    return chi(c.arr[: N + 1], frame)
 
 
 def density_in_frame(d: QPositiveDensity, frame: SliceFrame) -> QPositiveDensity:
@@ -340,14 +315,12 @@ def density_in_frame(d: QPositiveDensity, frame: SliceFrame) -> QPositiveDensity
     symmetries transfer automatically.
     """
     support = sorted(set(d.w1) | set(d.w2))
-    w1: dict[int, complex] = {}
-    w2: dict[int, complex] = {}
-    for m in support:
-        q = d.frame.from_split(d.w1.get(m, 0j), d.w2.get(m, 0j))
-        z1, z2 = frame.split(q)
-        w1[m] = z1
-        w2[m] = z2
-    return QPositiveDensity(frame, w1, w2)
+    q = _from_frame_coords(np.array([d.w1.get(m, 0j) for m in support], dtype=complex),
+                           np.array([d.w2.get(m, 0j) for m in support], dtype=complex),
+                           d.frame)
+    z1, z2 = _frame_coords(q, frame)
+    return QPositiveDensity(frame, dict(zip(support, z1.tolist())),
+                            dict(zip(support, z2.tolist())))
 
 
 def wiener_coefficient_norm(d: QPositiveDensity) -> float:

@@ -23,26 +23,24 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegreeTooSmall, NotContraction, NotInImage, RouteMismatch
-from .matrix_opuc import alphas_from_moments
+from .matrix_opuc import CONTRACTION_MARGIN, MatVerblunskySeq, alphas_from_moments, \
+    moments_from_alphas
 from .measures import (
     PIVOT_TOL, MomentSequence, matrix_moments, require_nontrivial, toeplitz,
 )
 from .quaternions import (
-    Quaternion, SliceFrame, _coerce, chi, chi_inv, qarr_conj, qarr_inv,
-    qarr_mul, qmul_parts, qpair_outer,
+    Quaternion, SliceFrame, _coerce, chi, chi_inv, qarr_abs, qarr_conj, qarr_from,
+    qarr_inv, qarr_mul, qarr_norm_sq, qmul_parts, qpair_outer,
 )
 
 ROUTE_TOL = 1e-8
 
 
 def _coerce_coeffs(coeffs) -> np.ndarray:
-    """A fresh (n+1, 4) float array from an array or from a sequence of
-    Quaternions and reals, exact trailing zeros trimmed so that the degree
-    is the index of the last nonzero coefficient (-0.0 is zero, NaN not)."""
-    if not isinstance(coeffs, np.ndarray):
-        coeffs = [(c if isinstance(c, Quaternion) else Quaternion(c)).to_array()
-                  for c in coeffs]
-    arr = np.array(coeffs, dtype=float).reshape(-1, 4)
+    """A fresh (n+1, 4) float array (``qarr_from``), exact trailing zeros
+    trimmed so that the degree is the index of the last nonzero coefficient
+    (-0.0 is zero, NaN not)."""
+    arr = qarr_from(coeffs)
     n = len(arr)
     while n > 1 and not arr[n - 1].any():
         n -= 1
@@ -127,7 +125,7 @@ class QPolyR(_QPolyBase):
 
 def poly_from_json(obj):
     cls = QPolyL if obj["space"] == "L" else QPolyR
-    return cls([Quaternion.from_array(c) for c in obj["coeffs"]])
+    return cls(obj["coeffs"])
 
 
 def _horner(coeffs, p, left: bool) -> tuple:
@@ -288,40 +286,46 @@ def orthonormal_polys(c: MomentSequence, N: int,
 # ---------------------------------------------------------------------
 
 class VerblunskySeq:
-    """Quaternions strictly inside the unit ball, with r_n = sqrt(1-|g|^2)."""
+    """Quaternions with |gamma_n| < 1 - 1e-12, stored as a read-only (n, 4)
+    array ``arr``; indexing, iteration and ``gammas`` hand out ``Quaternion``
+    objects for the API, ``moduli()`` and ``r`` = sqrt(1 - |gamma|^2) arrays."""
 
-    __slots__ = ("gammas", "r")
+    __slots__ = ("arr",)
 
     def __init__(self, gammas):
-        gammas = tuple(g if isinstance(g, Quaternion) else Quaternion(g)
-                       for g in gammas)
-        r = []
-        for n, g in enumerate(gammas):
-            nsq = g.norm_sq()
-            if nsq >= 1.0 - 1e-12:
-                raise NotContraction(
-                    f"gamma_{n} has |gamma| >= 1 - 1e-12", index=n)
-            r.append(math.sqrt(1.0 - nsq))
-        object.__setattr__(self, "gammas", gammas)
-        object.__setattr__(self, "r", tuple(r))
+        arr = qarr_from(gammas)
+        bad = np.flatnonzero(~(qarr_abs(arr) < 1.0 - CONTRACTION_MARGIN))   # NaN too
+        if bad.size:
+            raise NotContraction(f"gamma_{bad[0]} has |gamma| >= 1 - 1e-12",
+                                 index=int(bad[0]))
+        arr.setflags(write=False)
+        object.__setattr__(self, "arr", arr)
 
     def __setattr__(self, name, value):
         raise AttributeError("VerblunskySeq is immutable")
 
     def __len__(self):
-        return len(self.gammas)
+        return len(self.arr)
 
     def __getitem__(self, n):
-        return self.gammas[n]
+        return Quaternion.from_array(self.arr[n])
 
     def __iter__(self):
         return iter(self.gammas)
 
+    @property
+    def gammas(self) -> tuple:
+        return tuple(Quaternion(*row) for row in self.arr.tolist())
+
+    @property
+    def r(self) -> np.ndarray:
+        return np.sqrt(1.0 - qarr_norm_sq(self.arr))
+
     def moduli(self) -> np.ndarray:
-        return np.array([abs(g) for g in self.gammas])
+        return qarr_abs(self.arr)
 
     def to_json(self):
-        return [g.to_json() for g in self.gammas]
+        return self.arr.tolist()
 
 
 @dataclass(frozen=True)
@@ -355,12 +359,11 @@ def szego_advance(state: SzegoState, gamma: Quaternion) -> SzegoState:
     the maintained reverses stay equal to the degree-matched reversals of the
     first two sequences.
     """
-    gamma = gamma if isinstance(gamma, Quaternion) else Quaternion(gamma)
-    nsq = gamma.norm_sq()
-    if nsq >= 1.0 - 1e-12:
+    g = qarr_from([gamma])[0]
+    nsq = float(qarr_norm_sq(g))
+    if not math.sqrt(nsq) < 1.0 - CONTRACTION_MARGIN:   # also rejects NaN
         raise NotContraction("gamma is not a strict contraction")
     r_inv = 1.0 / math.sqrt(1.0 - nsq)
-    g = gamma.to_array()
     gbar = qarr_conj(g)
     shift_l = state.left.shift().arr      # psi_n^L p  in H[p]^R
     shift_r = state.right.shift().arr     # p psi_n^R  in H[p]^L
@@ -380,7 +383,7 @@ def szego_family(gammas: VerblunskySeq, N: int):
         raise ValueError(f"need {N} coefficients, got {len(gammas)}")
     states = [SzegoState.initial()]
     for n in range(N):
-        states.append(szego_advance(states[n], gammas[n]))
+        states.append(szego_advance(states[n], gammas.arr[n]))
     return states
 
 
@@ -396,17 +399,10 @@ class VerblunskyExtraction:
     def gammas(self):
         return self.matrix_route.gammas
 
-    def __len__(self):
-        return len(self.matrix_route)
-
-    def __getitem__(self, n):
-        return self.matrix_route[n]
-
 
 def _gammas_via_matrix(c: MomentSequence, N: int, frame: SliceFrame) -> VerblunskySeq:
     C = matrix_moments(c, frame, N)
-    alphas = alphas_from_moments(C[1:], N)
-    return VerblunskySeq([chi_inv(a, frame) for a in alphas])
+    return VerblunskySeq(chi_inv(alphas_from_moments(C[1:], N), frame))
 
 
 def _gammas_via_szego(fam: OrthonormalFamily) -> VerblunskySeq:
@@ -418,8 +414,7 @@ def _gammas_via_szego(fam: OrthonormalFamily) -> VerblunskySeq:
         _real_part_checked(ratio[n], "leading ratio")
         _real_part_checked(kap_r[n], "leading coefficient")
     const = np.array([fam.left[n + 1].arr[0] for n in range(N)]).reshape(-1, 4)
-    gammas = -(const * (ratio[:, 0] / kap_r[:, 0])[:, None])
-    return VerblunskySeq([Quaternion(*g) for g in gammas.tolist()])
+    return VerblunskySeq(-(const * (ratio[:, 0] / kap_r[:, 0])[:, None]))
 
 
 def moments_from_verblunsky_q(gammas: VerblunskySeq, N: int,
@@ -428,15 +423,11 @@ def moments_from_verblunsky_q(gammas: VerblunskySeq, N: int,
 
     Exact inverse of the matrix route of ``verblunsky_from_moments_q``.
     """
-    from .matrix_opuc import MatVerblunskySeq, moments_from_alphas
-
     if len(gammas) < N:
         raise ValueError(f"need {N} coefficients, got {len(gammas)}")
     frame = frame or SliceFrame.standard()
-    G = np.array([g.to_array() for g in gammas]).reshape(-1, 4)
-    alphas = MatVerblunskySeq(chi(G, frame))
-    C = moments_from_alphas(alphas, N)
-    return MomentSequence([Quaternion(1.0)] + [chi_inv(M, frame) for M in C])
+    C = moments_from_alphas(MatVerblunskySeq(chi(gammas.arr, frame)), N)
+    return MomentSequence(np.concatenate([[[1.0, 0.0, 0.0, 0.0]], chi_inv(C, frame)]))
 
 
 def verblunsky_from_moments_q(c: MomentSequence, N: int,
@@ -461,10 +452,9 @@ def verblunsky_from_moments_q(c: MomentSequence, N: int,
     except NotInImage as exc:
         raise NotInImage(f"matrix route left the quaternionic subalgebra: {exc}") from exc
     via_szego = _gammas_via_szego(fam)
-    residual = max(
-        (abs(a - b) for a, b in zip(via_matrix, via_szego)), default=0.0)
+    residual = float(np.max(qarr_abs(via_matrix.arr - via_szego.arr), initial=0.0))
     if residual > route_tol:
         raise RouteMismatch(
             f"Verblunsky routes disagree by {residual:.3e}", residual=residual)
     return VerblunskyExtraction(matrix_route=via_matrix, szego_route=via_szego,
-                                route_residual=float(residual))
+                                route_residual=residual)

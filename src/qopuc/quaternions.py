@@ -8,12 +8,12 @@ matrix code frame-agnostic.
 
 Quaternion data inside the library are plain float arrays of shape
 (..., 4), the last axis holding coordinates in the basis (1, i, j, k):
-polynomial coefficients (n+1, 4), quaternion matrices (n, n, 4).  The
-``Quaternion`` class is the scalar type of the API and of JSON I/O (moments,
-Verblunsky coefficients, frame generators, evaluation results).  One
-Hamilton product, ``qmul_parts``, serves both forms; one frame-coordinate
-kernel, ``_frame_coords``, serves ``chi`` on (..., 4) arrays, the matrix
-embeddings ``chi_mat``/``blockwise_chi`` and ``SliceFrame.split``.
+moments and Verblunsky coefficients (n, 4), polynomial coefficients
+(n+1, 4), quaternion matrices (n, n, 4).  ``Quaternion`` is the scalar type
+of the API.  One Hamilton product, ``qmul_parts``, serves both forms; one
+frame-coordinate kernel, ``_frame_coords``, serves ``chi``, ``chi_mat``,
+``blockwise_chi`` and ``SliceFrame.split``, and its inverse
+``_from_frame_coords`` serves ``chi_inv`` and ``SliceFrame.from_split``.
 """
 
 from __future__ import annotations
@@ -210,8 +210,7 @@ class SliceFrame:
         return complex(z1), complex(z2)
 
     def from_split(self, z1: complex, z2: complex) -> Quaternion:
-        return (Quaternion(z1.real) + self.i * z1.imag
-                + self.j * z2.real + self.k * z2.imag)
+        return Quaternion.from_array(_from_frame_coords(z1, z2, self))
 
     def slice_point(self, z: complex) -> Quaternion:
         """The point of C_i with coordinates z."""
@@ -252,22 +251,26 @@ def chi(p, frame: SliceFrame) -> np.ndarray:
     return out
 
 
-def chi_inv(M: np.ndarray, frame: SliceFrame, tol: float = TAU_IMG) -> Quaternion:
-    """Invert the embedding; raises NotInImage when the structure fails.
-
-    The structural residual is the worst absolute defect in the identities
-    M[1,1] = conj(M[0,0]) and M[1,0] = -conj(M[0,1]).
+def chi_inv(M: np.ndarray, frame: SliceFrame, tol: float = TAU_IMG) -> np.ndarray:
+    """Invert the embedding: a (..., 2, 2) stack maps to the (..., 4) array of
+    its quaternions; NotInImage unless the structural residual, the worst
+    absolute defect over the stack in the identities M[1,1] = conj(M[0,0])
+    and M[1,0] = -conj(M[0,1]), is at most ``tol``.
     """
     M = np.asarray(M, dtype=complex)
     residual = chi_image_residual(M)
-    if residual > tol:
+    if not residual <= tol:
         raise NotInImage(f"matrix is not in the embedding image "
                          f"(structural residual {residual:.3e} > {tol:.1e})")
-    return frame.from_split(complex(M[0, 0]), complex(M[0, 1]))
+    return _from_frame_coords(M[..., 0, 0], M[..., 0, 1], frame)
 
 
 def chi_image_residual(M: np.ndarray) -> float:
-    return max(abs(M[1, 1] - np.conj(M[0, 0])), abs(M[1, 0] + np.conj(M[0, 1])))
+    """The worst structural defect over a (..., 2, 2) stack (NaN propagates)."""
+    M = np.asarray(M)
+    defect = np.maximum(np.abs(M[..., 1, 1] - np.conj(M[..., 0, 0])),
+                        np.abs(M[..., 1, 0] + np.conj(M[..., 0, 1])))
+    return float(np.max(defect, initial=0.0))
 
 
 # ---------------------------------------------------------------------
@@ -283,8 +286,7 @@ def qarr_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def qarr_inv(a: np.ndarray) -> np.ndarray:
     """Elementwise inverse conj(q) / |q|^2, in ``Quaternion.inverse``'s order."""
-    w, x, y, z = np.moveaxis(np.asarray(a, dtype=float), -1, 0)
-    return qarr_conj(a) / (w * w + x * x + y * y + z * z)[..., None]
+    return qarr_conj(a) / qarr_norm_sq(a)[..., None]
 
 
 def qarr_conj(a: np.ndarray) -> np.ndarray:
@@ -293,8 +295,23 @@ def qarr_conj(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def qarr_norm_sq(a: np.ndarray) -> np.ndarray:
+    """|q|^2 over an (..., 4) array, in ``Quaternion.norm_sq``'s order."""
+    w, x, y, z = np.moveaxis(np.asarray(a, dtype=float), -1, 0)
+    return w * w + x * x + y * y + z * z
+
+
 def qarr_abs(a: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.sum(np.asarray(a) ** 2, axis=-1))
+    return np.sqrt(qarr_norm_sq(a))
+
+
+def qarr_from(values) -> np.ndarray:
+    """A fresh (n, 4) float array from an array or from a sequence whose items
+    are Quaternions, reals (real quaternions) or 4-sequences (w, x, y, z)."""
+    if not isinstance(values, np.ndarray):
+        values = [v.to_array() if isinstance(v, Quaternion)
+                  else (v, 0.0, 0.0, 0.0) if np.ndim(v) == 0 else v for v in values]
+    return np.array(values, dtype=float).reshape(-1, 4)
 
 
 def qmat_mul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -341,6 +358,22 @@ def _frame_coords(A: np.ndarray, frame: SliceFrame):
     A2.real = np.vecdot(im, frame.j.imag)
     A2.imag = np.vecdot(im, frame.k.imag)
     return A1, A2
+
+
+def _from_frame_coords(z1, z2, frame: SliceFrame) -> np.ndarray:
+    """The (..., 4) array of q = z1 + z2 j, the inverse of ``_frame_coords``.
+
+    Summed as ((z1.real + i z1.imag) + j z2.real) + k z2.imag per component
+    from 0.0 off the real axis: the bits, signed zeros included, of the same
+    sum in ``Quaternion`` arithmetic.
+    """
+    z1 = np.asarray(z1, dtype=complex)
+    z2 = np.asarray(z2, dtype=complex)
+    out = np.zeros(np.broadcast_shapes(z1.shape, z2.shape) + (4,))
+    out[..., 0] = z1.real
+    for part, unit in ((z1.imag, frame.i), (z2.real, frame.j), (z2.imag, frame.k)):
+        out = out + part[..., None] * unit.to_array()
+    return out
 
 
 def chi_mat(A: np.ndarray, frame: SliceFrame) -> np.ndarray:

@@ -7,6 +7,16 @@ from qopuc.matrix_opuc import sqrtm_herm2
 from qopuc.quaternions import Quaternion, SliceFrame, chi
 
 
+def fourier_values(coeffs, thetas):
+    """sum_n coeffs[n] e^{i n theta}, one term at a time in the dict's order:
+    a density's w1 or w2 on the circle, the reference for ``matrix_values``."""
+    thetas = np.asarray(thetas, dtype=float)
+    out = np.zeros_like(thetas, dtype=complex)
+    for n, a in coeffs.items():
+        out = out + a * np.exp(1j * n * thetas)
+    return out
+
+
 def random_quaternion(rng, scale=1.0):
     return Quaternion(*(scale * rng.normal(size=4)))
 
@@ -133,3 +143,23 @@ def chi_scalar(p, frame):
     z1 = complex(p.w, float(np.dot(im, frame.i.imag)))
     z2 = complex(float(np.dot(im, frame.j.imag)), float(np.dot(im, frame.k.imag)))
     return np.array([[z1, z2], [-z2.conjugate(), z1.conjugate()]])
+
+
+def from_split_scalar(frame, z1, z2):
+    """p = z1 + z2 j in Quaternion arithmetic, one coordinate at a time: the
+    per-value form of ``SliceFrame.from_split`` that the array kernel
+    replaced, kept as its bitwise oracle."""
+    z1, z2 = complex(z1), complex(z2)
+    return Quaternion(z1.real) + frame.i * z1.imag + frame.j * z2.real + frame.k * z2.imag
+
+
+def signed_zero_frames(rng, count):
+    """The standard frame, a frame whose generators carry -0.0 components,
+    and ``count`` - 2 random frames."""
+    odd = SliceFrame(Quaternion(-0.0, -0.0, 1.0, -0.0), Quaternion(0.0, 1.0, -0.0, 0.0))
+    return [SliceFrame.standard(), odd] + [SliceFrame.random(rng) for _ in range(count - 2)]
+
+
+def qbytes(quaternions):
+    """The bits of a sequence of Quaternions, as an (n, 4) float array's."""
+    return np.array([q.to_array() for q in quaternions], dtype=float).reshape(-1, 4).tobytes()

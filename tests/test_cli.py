@@ -155,6 +155,41 @@ def test_baxter_runs_route_a_once(tmp_path, monkeypatch):
     assert len(json.loads(out)["result"]["gamma_moduli"]) == 8
 
 
+@pytest.mark.parametrize("argv, contraction_tests", [
+    (["baxter", "smooth_trig.json", "--n", "200"], 200),
+    (["moments-to-verblunsky", "smooth_trig.json", "--n", "40"], 40),
+    (["verblunsky-to-moments", "random_gamma_7.json", "--n", "12"], 12),
+    (["random-gamma", "--n", "40"], 0),
+])
+def test_sequence_jobs_build_no_quaternion_per_value(tmp_path, monkeypatch, argv,
+                                                     contraction_tests):
+    # moments and coefficients stay (n, 4) arrays from fixture to report: the
+    # only Quaternion objects a job builds are frame generators (their
+    # products k = i j included); route A and the forward map test each
+    # coefficient's contraction once
+    from qopuc import matrix_opuc
+    from qopuc.quaternions import Quaternion
+
+    built, norms = [], []
+    init, norm = Quaternion.__init__, matrix_opuc.operator_norm2
+
+    def counting_init(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    def counting_norm(A):
+        norms.append(1)
+        return norm(A)
+
+    monkeypatch.setattr(Quaternion, "__init__", counting_init)
+    monkeypatch.setattr(matrix_opuc, "operator_norm2", counting_norm)
+    argv = [str(FIXDIR / a) if a.endswith(".json") else a for a in argv]
+    code, _ = run(tmp_path, *argv)
+    assert code == 0
+    assert len(built) <= 8, built
+    assert len(norms) == contraction_tests
+
+
 def test_round_trip_through_cli(tmp_path):
     gamma_file = tmp_path / "g.json"
     code = main(["random-gamma", "--seed", "11", "--n", "8",

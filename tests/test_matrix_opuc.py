@@ -12,7 +12,7 @@ from qopuc.errors import (
 from qopuc.matrix_opuc import (
     CONTRACTION_MARGIN, SQRT_CHECK_TOL, MatVerblunskySeq, _inv2, alphas_from_moments,
     defects, inverse_schur_step, moments_from_alphas, operator_norm2, schur_algorithm,
-    schur_coeffs_forward, schur_series_from_alphas, schur_step, sqrtm_herm2,
+    schur_coeffs_forward, schur_step, sqrtm_herm2,
 )
 from qopuc.quaternions import chi_image_residual
 from qopuc.series import (
@@ -116,7 +116,7 @@ def test_schur_coeffs_match_inverted_stripping(rng):
     # series oracle: rebuild f by repeated inverse steps, compare coefficients
     K = 7
     alphas = random_alphas(rng, K + 1)
-    direct = schur_series_from_alphas(alphas, K)
+    direct = TruncSeries(np.array(schur_coeffs_forward(alphas, K)))
     rebuilt = TruncSeries.constant(alphas[K], 0)
     for n in range(K - 1, -1, -1):
         rebuilt = inverse_schur_step(rebuilt, alphas[n])
@@ -414,7 +414,7 @@ def test_forward_map_matches_series_chain(rng):
     K = 40
     for alphas in (random_alphas(rng, K, rmax=0.8),
                    MatVerblunskySeq([random_chi_contraction(rng) for _ in range(K)])):
-        F = herglotz_from_schur(schur_series_from_alphas(alphas, K - 1))
+        F = herglotz_from_schur(TruncSeries(np.array(schur_coeffs_forward(alphas, K - 1))))
         assert max_gap(moments_from_alphas(alphas, K), F.coeffs[1:] / 2.0) <= 1e-13
 
 
@@ -426,7 +426,7 @@ def test_route_a_horizon_prefix_is_byte_identical():
         C = matrix_moments(moments_from_density(d, 200), d.frame, 200)[1:]
         short = alphas_from_moments(C[:50], 50)
         full = alphas_from_moments(C, 200)
-        assert all(np.array_equal(a, b) for a, b in zip(short, full.alphas[:50]))
+        assert all(np.array_equal(a, b) for a, b in zip(short, full[:50]))
 
 
 def test_forward_map_horizon_prefix_is_byte_identical():
@@ -450,13 +450,13 @@ def test_route_a_vanishing_density_closed_form_n400():
     # in double precision the generator recursion reaches only about 4e-15 here
     from qopuc.fixtures import vanishing_density
     from qopuc.measures import matrix_moments, moments_from_density
-    from qopuc.quaternions import chi_inv
+    from qopuc.quaternions import chi_inv, qarr_abs
 
     d = vanishing_density()
     N = 400
     C = matrix_moments(moments_from_density(d, N), d.frame, N)[1:]
-    gammas = [chi_inv(a, d.frame) for a in alphas_from_moments(C, N)]
-    err = max(abs(abs(g) - 1.0 / (n + 2)) for n, g in enumerate(gammas))
+    gammas = chi_inv(alphas_from_moments(C, N), d.frame)
+    err = np.max(np.abs(qarr_abs(gammas) - 1.0 / np.arange(2, N + 2)))
     assert err <= 1e-15
 
 
@@ -705,8 +705,7 @@ def test_route_a_bitwise_equal_to_per_matrix_form(name):
 
     d = getattr(fixtures, name)()
     C = matrix_moments(moments_from_density(d, 200), d.frame, 200)[1:]
-    assert same_bytes(alphas_from_moments(C, 200).alphas,
-                      alphas_from_moments_per_matrix(C, 200))
+    assert same_bytes(alphas_from_moments(C, 200), alphas_from_moments_per_matrix(C, 200))
 
 
 def test_forward_map_and_route_a_bitwise_equal_to_per_matrix_form():
@@ -723,8 +722,7 @@ def test_forward_map_and_route_a_bitwise_equal_to_per_matrix_form():
         alphas = MatVerblunskySeq([random_contraction(general, 0.5) for _ in range(40)])
         C = moments_from_alphas(alphas, 40)
         assert same_bytes(C, moments_from_alphas_per_matrix(alphas, 40))
-        assert same_bytes(alphas_from_moments(C, 40).alphas,
-                          alphas_from_moments_per_matrix(C, 40))
+        assert same_bytes(alphas_from_moments(C, 40), alphas_from_moments_per_matrix(C, 40))
 
 
 def test_route_a_and_forward_map_make_no_linalg_call(monkeypatch):
@@ -744,14 +742,14 @@ def test_route_a_and_forward_map_make_no_linalg_call(monkeypatch):
     for name in ("svd", "norm", "cond", "inv", "det", "eig", "eigh", "eigvals",
                  "eigvalsh", "solve"):
         monkeypatch.setattr(np.linalg, name, refuse)
-    assert same_bytes(alphas_from_moments(C, 200).alphas, want_a.alphas)
+    assert same_bytes(alphas_from_moments(C, 200), want_a)
     assert same_bytes(moments_from_alphas(alphas, 80), want_c)
 
 
 def test_each_coefficient_contraction_tested_once_per_map(monkeypatch):
-    # route A tests each alpha_n once before its defects and once more when
-    # the returned MatVerblunskySeq is built; the forward map relies on its
-    # MatVerblunskySeq argument, whose construction tested every coefficient
+    # route A tests each alpha_n once, before its defects, and returns the
+    # tested array; the forward map relies on its MatVerblunskySeq argument,
+    # whose construction tested every coefficient
     import qopuc.matrix_opuc as matrix_opuc
     from qopuc.fixtures import random_gamma_seq, smooth_trig_density
     from qopuc.measures import matrix_moments, moments_from_density
@@ -769,8 +767,8 @@ def test_each_coefficient_contraction_tested_once_per_map(monkeypatch):
         return operator_norm2(A)
 
     monkeypatch.setattr(matrix_opuc, "operator_norm2", counting_norm)
-    assert same_bytes(alphas_from_moments(C, 50).alphas, want_a.alphas)
-    assert len(calls) == 2 * 50
+    assert same_bytes(alphas_from_moments(C, 50), want_a)
+    assert len(calls) == 50
     calls.clear()
     assert same_bytes(moments_from_alphas(alphas, 40), want_c)
     assert calls == []

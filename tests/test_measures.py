@@ -7,7 +7,7 @@ from qopuc.errors import HorizonExceeded, NotPositiveDefinite
 from qopuc.fixtures import bernstein_szego_density, lebesgue_density, \
     random_moment_fixture, vanishing_density, smooth_trig_density
 from qopuc.measures import (
-    AtomicQMeasure, MomentSequence, QPositiveDensity, is_nontrivial,
+    AtomicQMeasure, MomentSequence, QPositiveDensity, density_in_frame, is_nontrivial,
     matrix_moments, moments_from_atoms, moments_from_density, require_nontrivial,
     toeplitz, wiener_coefficient_norm,
 )
@@ -15,6 +15,7 @@ from qopuc.quaternions import (
     QI, Quaternion, SliceFrame, block_permutation, blockwise_chi, chi, chi_mat,
     qarr_mul, qmat_conj_T, qmat_mul,
 )
+from conftest import fourier_values, from_split_scalar, qbytes, signed_zero_frames
 
 
 def lebesgue_moments(N=6):
@@ -30,6 +31,43 @@ def test_moment_sequence_invariants():
         c[2]
     with pytest.raises(ValueError):
         MomentSequence.from_map({0: Quaternion(1), 1: QI, -1: QI})
+    c = MomentSequence.from_map({0: [1, 0, 0, 0], 2: [0.1, 0.2, 0, 0], -2: [0.1, -0.2, 0, 0]})
+    assert c.arr.tolist() == [[1, 0, 0, 0], [0, 0, 0, 0], [0.1, 0.2, 0, 0]]
+    assert not c.arr.flags.writeable
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_moment_sequence_rejects_non_finite(bad):
+    # a NaN c_0 used to pass the normalisation test and NaN or inf at n >= 1
+    # to surface only as a NaN pivot of the positive-definiteness check
+    with pytest.raises(ValueError, match="c_0 is not finite"):
+        MomentSequence([Quaternion(bad)])
+    with pytest.raises(ValueError, match="c_2 is not finite"):
+        MomentSequence([Quaternion(1.0), Quaternion(0.1), Quaternion(0.0, 0.0, bad)])
+    with pytest.raises(ValueError, match="c_1 is not finite"):
+        MomentSequence.from_map({0: [1.0, 0.0, 0.0, 0.0], 1: [0.0, bad, 0.0, 0.0]})
+
+
+def test_moments_and_frame_change_bitwise_equal_to_per_value_split(rng):
+    # the array read-off against the per-moment Quaternion sums it replaced
+    for fr in signed_zero_frames(rng, 6):
+        for make in (lebesgue_density, bernstein_szego_density, vanishing_density,
+                     smooth_trig_density):
+            d = make(frame=fr)
+            want = [from_split_scalar(fr, d.w1.get(-n, 0j), d.w2.get(-n, 0j))
+                    for n in range(41)]
+            assert moments_from_density(d, 40).arr.tobytes() == qbytes(want)
+            to = SliceFrame.random(rng)
+            moved = density_in_frame(d, to)
+            support = sorted(set(d.w1) | set(d.w2))
+            pairs = [to.split(from_split_scalar(fr, d.w1.get(m, 0j), d.w2.get(m, 0j)))
+                     for m in support]
+            want_w1 = {m: z1 for m, (z1, _) in zip(support, pairs) if z1 != 0}
+            want_w2 = {m: z2 for m, (_, z2) in zip(support, pairs) if z2 != 0}
+            for got, ref in ((moved.w1, want_w1), (moved.w2, want_w2)):
+                assert list(got) == list(ref)
+                assert (np.array(list(got.values()), dtype=complex).tobytes()
+                        == np.array(list(ref.values()), dtype=complex).tobytes())
 
 
 def test_toeplitz_small():
@@ -185,7 +223,7 @@ def moments_from_density_quadrature(d, N, grid=4096):
     exponential in the frame, with the error against half the grid."""
     def compute(g):
         thetas = 2.0 * np.pi * np.arange(g) / g
-        z1, z2 = d.w1_values(thetas), d.w2_values(thetas)
+        z1, z2 = fourier_values(d.w1, thetas), fourier_values(d.w2, thetas)
         basis = np.array([[1.0, 0.0, 0.0, 0.0], d.frame.i.to_array(),
                           d.frame.j.to_array(), d.frame.k.to_array()])
         vals = np.stack([z1.real, z1.imag, z2.real, z2.imag], axis=-1) @ basis
@@ -283,7 +321,7 @@ def test_density_matrix_form_hermitian(rng):
     W = d.matrix_values(thetas)
     assert np.max(np.abs(W - np.conj(np.swapaxes(W, 1, 2)))) < 1e-12
     # (2,2) entry is the reflected first density
-    a = d.w1_values(-thetas)
+    a = fourier_values(d.w1, -thetas)
     assert np.max(np.abs(W[:, 1, 1] - a)) < 1e-12
 
 
@@ -296,6 +334,7 @@ def test_matrix_values_bitwise_equal_to_per_term_sums(make):
     grids.append(rng.uniform(-4.0 * np.pi, 4.0 * np.pi, size=1000))
     for thetas in grids:
         W = d.matrix_values(thetas)
-        a, b, dd = d.w1_values(thetas), d.w2_values(thetas), d.w1_values(-thetas)
+        a, b = fourier_values(d.w1, thetas), fourier_values(d.w2, thetas)
+        dd = fourier_values(d.w1, -thetas)
         want = np.stack([np.stack([a, b], -1), np.stack([np.conj(b), dd], -1)], -2)
         assert W.tobytes() == want.tobytes()   # signed zeros included

@@ -1,13 +1,16 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
-from qopuc.errors import DegreeTooSmall, NotInImage, NotPositiveDefinite
+from qopuc.errors import DegreeTooSmall, NotContraction, NotInImage, NotPositiveDefinite
 from qopuc.fixtures import (
     bernstein_szego_density, lebesgue_density, random_gamma_seq,
     random_moment_fixture, smooth_trig_density, vanishing_density,
 )
+from qopuc.matrix_opuc import MatVerblunskySeq
 from qopuc.measures import MomentSequence, matrix_moments, moments_from_density
 from qopuc.polynomials import (
     QPolyL, QPolyR, SzegoState, VerblunskySeq, eval_L, eval_R, inner_L,
@@ -17,7 +20,7 @@ from qopuc.polynomials import (
 )
 from qopuc.quaternions import QI, QJ, QK, Quaternion, SliceFrame, chi, chi_inv
 from conftest import (
-    qmul_scalar, random_quaternion, random_unit_ball_quaternion,
+    fourier_values, qbytes, qmul_scalar, random_quaternion, random_unit_ball_quaternion,
     signed_zero_coeff_arrays,
 )
 
@@ -155,8 +158,8 @@ def quad_inner_R(phi, psi, d, grid=4096):
     for theta in 2 * np.pi * np.arange(grid) / grid:
         point = frame.slice_point(complex(np.cos(theta), np.sin(theta)))
         point_m = point.conjugate()
-        w1 = float(d.w1_values(np.array([theta]))[0].real)
-        w2 = frame.slice_point(complex(d.w2_values(np.array([theta]))[0]))
+        w1 = float(fourier_values(d.w1, np.array([theta]))[0].real)
+        w2 = frame.slice_point(complex(fourier_values(d.w2, np.array([theta]))[0]))
         term = eval_L(psi, point).conjugate() * w1 * eval_L(phi, point)
         term = term + eval_L(psi, point).conjugate() * w2 * j * eval_L(phi, point_m)
         total = total + term
@@ -170,8 +173,8 @@ def quad_inner_L(phi, psi, d, grid=4096):
     for theta in 2 * np.pi * np.arange(grid) / grid:
         point = frame.slice_point(complex(np.cos(theta), np.sin(theta)))
         point_m = point.conjugate()
-        w1 = float(d.w1_values(np.array([theta]))[0].real)
-        w2 = frame.slice_point(complex(d.w2_values(np.array([theta]))[0]))
+        w1 = float(fourier_values(d.w1, np.array([theta]))[0].real)
+        w2 = frame.slice_point(complex(fourier_values(d.w2, np.array([theta]))[0]))
         term = eval_R(phi, point) * w1 * eval_R(psi, point).conjugate()
         term = term + eval_R(phi, point) * w2 * j * eval_R(psi, point_m).conjugate()
         total = total + term
@@ -391,6 +394,38 @@ def test_verblunsky_seq_validation():
         VerblunskySeq([Quaternion(1.0)])
     seq = VerblunskySeq([Quaternion(0.3, 0.4, 0, 0)])
     assert abs(seq.r[0] - 0.8660254037844386) < 1e-15
+
+
+@pytest.mark.parametrize("bad", [Quaternion(float("nan")), Quaternion(0.0, float("inf")),
+                                 Quaternion(1.0 - 7e-13), Quaternion(0.0, 0.0, 0.0, -1.0)])
+def test_verblunsky_contraction_test_matches_matrix_layer(bad):
+    # |gamma| < 1 - CONTRACTION_MARGIN, the operator-norm test MatVerblunskySeq
+    # applies to chi(gamma): NaN and inf are rejected, and 1 - 7e-13 is
+    # rejected here as it is there, with the index
+    with pytest.raises(NotContraction) as info:
+        VerblunskySeq([Quaternion(0.5), Quaternion(-0.25, 0.1), bad])
+    assert info.value.index == 2
+    with pytest.raises(NotContraction):
+        szego_advance(SzegoState.initial(), bad)
+    if abs(bad) < 2.0:   # finite
+        with pytest.raises(NotContraction) as info:
+            MatVerblunskySeq([chi(bad, SliceFrame.standard())])
+        assert info.value.index == 0
+    inside = Quaternion(1.0 - 2e-12)
+    assert len(VerblunskySeq([inside])) == 1
+    assert len(MatVerblunskySeq([chi(inside, SliceFrame.standard())])) == 1
+    szego_advance(SzegoState.initial(), inside)
+
+
+def test_verblunsky_seq_arrays_bitwise_equal_to_quaternion_values(rng):
+    gammas = [random_unit_ball_quaternion(rng, rmax=0.99) for _ in range(200)]
+    gammas += [Quaternion(-0.0, 0.5, -0.0, 0.0), Quaternion(), Quaternion(1e-200, -3e-160)]
+    seq = VerblunskySeq(gammas)
+    assert seq.arr.tobytes() == qbytes(gammas) and not seq.arr.flags.writeable
+    assert seq.moduli().tobytes() == np.array([abs(g) for g in gammas]).tobytes()
+    assert seq.r.tobytes() == np.array([math.sqrt(1.0 - g.norm_sq()) for g in gammas]).tobytes()
+    assert list(seq) == gammas and seq[3] == gammas[3] and seq.gammas == tuple(gammas)
+    assert seq.to_json() == [g.to_json() for g in gammas]
 
 
 # ---- the Quaternion-object implementations the array forms replaced,

@@ -5,12 +5,12 @@ import pytest
 
 from qopuc.errors import NotInImage
 from qopuc.quaternions import (
-    ONE, QI, QJ, QK, Quaternion, SliceFrame, block_permutation, blockwise_chi,
-    chi, chi_inv, chi_mat, qarr_abs, qarr_mul, qmat_mul, right_eigen_slice,
+    ONE, QI, QJ, QK, Quaternion, SliceFrame, _from_frame_coords, block_permutation,
+    blockwise_chi, chi, chi_inv, chi_mat, qarr_abs, qarr_mul, qmat_mul, right_eigen_slice,
 )
 from conftest import (
-    chi_scalar, qmul_scalar, random_qmatrix, random_quaternion,
-    signed_zero_coeff_arrays,
+    chi_scalar, from_split_scalar, qbytes, qmul_scalar, random_qmatrix, random_quaternion,
+    signed_zero_coeff_arrays, signed_zero_frames,
 )
 
 
@@ -92,13 +92,48 @@ def test_chi_inv_round_trip(rng):
     for _ in range(50):
         fr = SliceFrame.random(rng)
         p = random_quaternion(rng)
-        assert abs(chi_inv(chi(p, fr), fr) - p) < 1e-12 * max(1.0, abs(p))
-    assert chi_inv(np.eye(2), SliceFrame.standard()) == ONE
+        back = Quaternion.from_array(chi_inv(chi(p, fr), fr))
+        assert abs(back - p) < 1e-12 * max(1.0, abs(p))
+    assert Quaternion.from_array(chi_inv(np.eye(2), SliceFrame.standard())) == ONE
 
 
 def test_chi_inv_rejects_structure_violations(frame):
     with pytest.raises(NotInImage):
         chi_inv(np.diag([1.0, 2.0]), frame)
+    # the residual is checked over the whole stack, and NaN does not pass
+    stack = chi(np.array([[0.5, 0.1, 0.0, 0.2], [0.3, 0.0, -0.4, 0.0]]), frame)
+    stack[1, 1, 1] += 1e-9
+    with pytest.raises(NotInImage):
+        chi_inv(stack, frame)
+    stack[1, 1, 1] = np.nan
+    with pytest.raises(NotInImage):
+        chi_inv(stack, frame)
+    assert chi_inv(np.empty((0, 2, 2)), frame).shape == (0, 4)
+
+
+def _signed_zero_coordinates(rng, n):
+    """n random complex pairs, a quarter of their parts replaced by 0.0 or -0.0."""
+    z = rng.normal(size=(4, n)) * 10.0 ** rng.integers(-3, 4, size=(4, n))
+    mask = rng.random(size=z.shape) < 0.25
+    z[mask] = rng.choice([0.0, -0.0], size=int(mask.sum()))
+    z1, z2 = np.empty(n, dtype=complex), np.empty(n, dtype=complex)
+    z1.real, z1.imag, z2.real, z2.imag = z
+    return z1, z2
+
+
+def test_from_frame_coords_bitwise_equal_to_quaternion_sum(rng):
+    # 300 frames, signed zeros included: the array kernel, chi_inv on a stack
+    # and SliceFrame.from_split give the bits of the per-value Quaternion sum
+    for fr in signed_zero_frames(rng, 300):
+        z1, z2 = _signed_zero_coordinates(rng, 12)
+        want = qbytes(from_split_scalar(fr, a, b) for a, b in zip(z1, z2))
+        assert _from_frame_coords(z1, z2, fr).tobytes() == want
+        assert qbytes(fr.from_split(complex(a), complex(b)) for a, b in zip(z1, z2)) == want
+        stack = np.empty((12, 2, 2), dtype=complex)
+        stack[:, 0, 0], stack[:, 0, 1] = z1, z2
+        stack[:, 1, 0], stack[:, 1, 1] = -np.conj(z2), np.conj(z1)
+        assert chi_inv(stack, fr).tobytes() == want
+        assert chi_inv(stack.reshape(3, 4, 2, 2), fr).tobytes() == want
 
 
 def test_chi_mat_scalar_case(frame):

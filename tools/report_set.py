@@ -1,0 +1,222 @@
+"""Write the qopuc CLI report set of one source tree, for byte-identity checks.
+
+Usage:
+
+    python tools/report_set.py --src SRC --out DIR
+
+SRC is the directory that holds the ``qopuc`` package (``src`` of a
+checkout).  Every report of the set runs in-process against that package;
+DIR receives ``fixtures/`` (the shipped fixtures and the ones the set
+generates) and ``reports/``, one file per report whose first line is
+``exit <code>`` (``raised <type>`` for an exception that escaped
+``qopuc.cli.main``), followed by the report text.  Commands run with DIR as
+the working directory and name fixtures by relative path, so the envelopes
+do not depend on DIR.  Comparing two trees is then
+
+    python tools/report_set.py --src parent/src --out /tmp/a
+    python tools/report_set.py --src src --out /tmp/b
+    diff -r /tmp/a /tmp/b
+
+The set, on the five shipped fixtures and six ``random-gamma --n 13``
+fixtures (seeds 1017-6017): ``zeros`` n = 1-10 json and n = 6 csv; ``cd``
+n = 1-11 at (samples, seed) = (1, 0), (1, 7), (100, 0), (100, 7),
+(333, 123); ``grid`` 1/7/2048/4096 json and csv; ``sv --n 20``,
+``baxter --n 50`` and ``moments-to-verblunsky --n 6`` json and csv;
+``orthopolys`` n = 8 and 13; ``moments-to-verblunsky --n 13``;
+``verblunsky-to-moments --n 6``; ``zeros`` and ``orthopolys`` n = 1-10,
+``moments-to-verblunsky`` and ``verblunsky-to-moments`` n = 6, under five
+seeded random frames.  Besides: ``baxter`` N = 50, 100, 200, 400 json and
+csv and ``moments-to-verblunsky`` N = 12, 25, 40 on the four densities;
+``verblunsky-to-moments`` K = 20, 40, 80 json and csv on the Bernstein-Szego
+gammas and three seeded 80-coefficient rmax-0.8 fixtures (seeds 1017-3017);
+four moment fixtures (the moments of ``random_gamma_7``, the same with
+negative indices, with a broken Hermitian symmetry, and with |c_5| raised to
+1.5) under ``moments-to-verblunsky`` n = 6 and 12, ``orthopolys``, ``zeros``
+and ``cd``; every ``random-gamma`` run that makes a fixture, four more, an
+``orthopolys --n 30`` past a horizon and a missing file.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import json
+import os
+import shutil
+import sys
+from pathlib import Path
+
+import numpy as np
+
+REPO = Path(__file__).resolve().parent.parent
+DENSITIES = ("bernstein_szego_05", "lebesgue", "smooth_trig", "vanishing_density")
+GAMMA_SEEDS = (1017, 2017, 3017, 4017, 5017, 6017)
+FRAME_SEEDS = (1, 2, 3, 4, 5)
+CD_RUNS = ((1, 0), (1, 7), (100, 0), (100, 7), (333, 123))
+
+
+def random_frame(seed: int) -> str:
+    """A frame as --frame JSON: Gram-Schmidt on two Gaussian 3-vectors."""
+    rng = np.random.default_rng(seed)
+    v1 = rng.normal(size=3)
+    v1 /= np.linalg.norm(v1)
+    v2 = rng.normal(size=3)
+    v2 -= np.dot(v1, v2) * v1
+    v2 /= np.linalg.norm(v2)
+    return json.dumps({"i": [0.0, *v1.tolist()], "j": [0.0, *v2.tolist()]})
+
+
+def run(main, argv) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        try:
+            head = f"exit {main(argv)}"
+        except Exception as exc:  # a traceback is a finding, not a stop
+            head = f"raised {type(exc).__name__}: {exc}"
+    return head + "\n" + out.getvalue()
+
+
+def report_set(frames: dict[str, str]):
+    """(name, argv) pairs of the set that needs no generated fixture data."""
+    fixtures = [f"fixtures/{name}.json" for name in
+                ("bernstein_szego_05", "lebesgue", "random_gamma_7", "smooth_trig",
+                 "vanishing_density")]
+    fixtures += [f"fixtures/random_gamma_{seed}.json" for seed in GAMMA_SEEDS]
+    for path in fixtures:
+        stem = Path(path).stem
+        for n in range(1, 11):
+            yield f"{stem}.zeros.n{n}", ["zeros", path, "--n", str(n)]
+        yield f"{stem}.zeros.n6.csv", ["zeros", path, "--n", "6", "--format", "csv"]
+        for n in range(1, 12):
+            for samples, seed in CD_RUNS:
+                yield (f"{stem}.cd.n{n}.s{samples}.seed{seed}",
+                       ["cd", path, "--n", str(n), "--samples", str(samples),
+                        "--seed", str(seed)])
+        for fmt in ("json", "csv"):
+            for grid in (1, 7, 2048, 4096):
+                yield (f"{stem}.grid.g{grid}.{fmt}",
+                       ["grid", path, "--grid", str(grid), "--format", fmt])
+            for command, n in (("sv", 20), ("baxter", 50), ("moments-to-verblunsky", 6)):
+                yield f"{stem}.{command}.n{n}.{fmt}", [command, path, "--n", str(n),
+                                                       "--format", fmt]
+        for command, n in (("orthopolys", 8), ("orthopolys", 13),
+                           ("moments-to-verblunsky", 13), ("verblunsky-to-moments", 6)):
+            yield f"{stem}.{command}.n{n}.json", [command, path, "--n", str(n)]
+        for fname, spec in frames.items():
+            for n in range(1, 11):
+                for command in ("zeros", "orthopolys"):
+                    yield (f"{stem}.{command}.n{n}.{fname}",
+                           [command, path, "--n", str(n), "--frame", spec])
+            for command in ("moments-to-verblunsky", "verblunsky-to-moments"):
+                yield (f"{stem}.{command}.n6.{fname}",
+                       [command, path, "--n", "6", "--frame", spec])
+    for density in DENSITIES:
+        path = f"fixtures/{density}.json"
+        for fmt in ("json", "csv"):
+            for n in (100, 200, 400):   # n = 50 is in the per-fixture set
+                yield f"{density}.baxter.n{n}.{fmt}", ["baxter", path, "--n", str(n),
+                                                       "--format", fmt]
+        for n in (12, 25, 40):
+            yield (f"{density}.moments-to-verblunsky.n{n}.json",
+                   ["moments-to-verblunsky", path, "--n", str(n)])
+    for stem in ["bernstein_gammas"] + [f"gammas80_{seed}" for seed in GAMMA_SEEDS[:3]]:
+        for fmt in ("json", "csv"):
+            for k in (20, 40, 80):
+                yield (f"{stem}.verblunsky-to-moments.n{k}.{fmt}",
+                       ["verblunsky-to-moments", f"fixtures/{stem}.json", "--n", str(k),
+                        "--format", fmt])
+    for stem in ("moments_rg7", "moments_rg7_negative", "moments_asymmetric",
+                 "moments_not_pd"):
+        path = f"fixtures/{stem}.json"
+        for n in (6, 12):
+            yield (f"{stem}.moments-to-verblunsky.n{n}",
+                   ["moments-to-verblunsky", path, "--n", str(n)])
+        for command in ("orthopolys", "zeros", "cd"):
+            yield f"{stem}.{command}.n5", [command, path, "--n", "5"]
+    for seed, n, rmax in ((0, 8, "0.8"), (11, 12, "0.8"), (5, 40, "0.95"), (3, 5, "0.5")):
+        yield (f"random-gamma.seed{seed}.n{n}.rmax{rmax}",
+               ["random-gamma", "--seed", str(seed), "--n", str(n), "--rmax", rmax])
+    yield "random_gamma_7.orthopolys.n30", ["orthopolys", "fixtures/random_gamma_7.json",
+                                            "--n", "30"]
+    yield "missing.zeros.n4", ["zeros", "fixtures/missing.json", "--n", "4"]
+
+
+def write_fixture(name: str, obj) -> None:
+    Path("fixtures", name + ".json").write_text(json.dumps(obj), encoding="utf-8")
+
+
+def make_fixtures(main, record) -> None:
+    """Copy the shipped fixtures and generate the rest with the tree under test;
+    the generating runs are reports of the set too."""
+    Path("fixtures").mkdir()
+    for path in sorted((REPO / "fixtures").glob("*.json")):
+        shutil.copy(path, Path("fixtures", path.name))
+
+    def generated(name, argv):
+        text = record(name, argv)
+        return json.loads(text.split("\n", 1)[1])["result"]
+
+    for seed in GAMMA_SEEDS:
+        write_fixture(f"random_gamma_{seed}", generated(
+            f"random-gamma.seed{seed}.n13", ["random-gamma", "--seed", str(seed), "--n", "13"]))
+        if seed in GAMMA_SEEDS[:3]:
+            write_fixture(f"gammas80_{seed}", generated(
+                f"random-gamma.seed{seed}.n80",
+                ["random-gamma", "--seed", str(seed), "--n", "80", "--rmax", "0.8"]))
+    write_fixture("bernstein_gammas", {"frame": {"i": [0.0, 1.0, 0.0, 0.0],
+                                                 "j": [0.0, 0.0, 1.0, 0.0]},
+                                       "gammas": [[0.5, 0.0, 0.0, 0.0]] + [[0.0] * 4] * 79})
+    moments = generated("random_gamma_7.verblunsky-to-moments.n12",
+                        ["verblunsky-to-moments", "fixtures/random_gamma_7.json", "--n", "12"])
+    moments = moments["moments"]
+    write_fixture("moments_rg7", {"moments": moments})
+    negative = [[-n, [q[0], -q[1], -q[2], -q[3]]] for n, q in moments if n > 0]
+    write_fixture("moments_rg7_negative", {"moments": moments + negative})
+    broken = [[-n, q] for n, q in moments if n == 3]
+    write_fixture("moments_asymmetric", {"moments": moments + broken})
+    raised = [[n, [1.5 * x / float(np.linalg.norm(q)) for x in q] if n == 5 else q]
+              for n, q in moments]
+    write_fixture("moments_not_pd", {"moments": raised})
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--src", required=True, help="directory holding the qopuc package")
+    parser.add_argument("--out", required=True, help="empty or new output directory")
+    args = parser.parse_args()
+    src, out = Path(args.src).resolve(), Path(args.out).resolve()
+    sys.path.insert(0, str(src))
+    import qopuc.cli
+    if not Path(qopuc.cli.__file__).resolve().is_relative_to(src):
+        raise SystemExit(f"imported qopuc from {qopuc.cli.__file__}, not from {src}")
+    out.mkdir(parents=True, exist_ok=True)
+    if any(out.iterdir()):
+        raise SystemExit(f"{out} is not empty")
+    os.chdir(out)
+    Path("reports").mkdir()
+    names: set[str] = set()
+
+    def record(name, argv) -> str:
+        if name in names:
+            raise SystemExit(f"report name {name} used twice")
+        names.add(name)
+        text = run(qopuc.cli.main, argv)
+        Path("reports", name).write_text(text, encoding="utf-8")
+        return text
+
+    make_fixtures(qopuc.cli.main, record)
+    frames = {f"frame{seed}": random_frame(seed) for seed in FRAME_SEEDS}
+    for name, argv in report_set(frames):
+        record(name, argv)
+    codes: dict[str, int] = {}
+    for name in names:
+        head = Path("reports", name).read_text(encoding="utf-8").split("\n", 1)[0]
+        codes[head] = codes.get(head, 0) + 1
+    print(f"{len(names)} reports in {out / 'reports'}: "
+          + ", ".join(f"{k}: {v}" for k, v in sorted(codes.items())))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
