@@ -194,19 +194,24 @@ def density_from_fixture(obj: dict, override: SliceFrame | None) -> QPositiveDen
     return d
 
 
-def moments_from_fixture(obj: dict, n: int, override: SliceFrame | None) -> MomentSequence:
+def moments_from_fixture(obj: dict, n: int,
+                         override: SliceFrame | None) -> tuple[MomentSequence, SliceFrame | None]:
+    """The moments c_0..c_n of a fixture and the frame they were read in:
+    ``override`` if given, else the frame a density or gamma fixture builds
+    from its own ``frame`` key, and None for a moment fixture."""
     if "moments" in obj:
         c = MomentSequence.from_json(obj["moments"])
         if c.horizon < n:
             raise HorizonExceeded(
                 f"fixture horizon {c.horizon} below requested order {n}")
-        return c
+        return c, override
     if "w1" in obj:
-        return moments_from_density(density_from_fixture(obj, override), n)
+        d = density_from_fixture(obj, override)
+        return moments_from_density(d, n), override or d.frame
     if "gammas" in obj:
         gammas = VerblunskySeq(obj["gammas"])
         frame = fixture_frame(obj, override)
-        return moments_from_verblunsky_q(gammas, min(n, len(gammas)), frame)
+        return moments_from_verblunsky_q(gammas, min(n, len(gammas)), frame), frame
     raise ValueError("fixture holds neither moments, density, nor gammas")
 
 
@@ -215,8 +220,8 @@ def moments_from_fixture(obj: dict, n: int, override: SliceFrame | None) -> Mome
 def _require_flags(args) -> None:
     """--n (an order or a count), --samples and --grid must be at least 1;
     --tol-route finite and > 0, --tol-pd finite and >= 0, --rmax finite in
-    [0.05, 1), the interval its radii are drawn from, --format csv only for
-    commands with a CSV view, and --frame a valid frame."""
+    [0.05, 1), the interval its radii are drawn from, and --format csv only
+    for commands with a CSV view."""
     for flag in ("n", "samples", "grid"):
         value = getattr(args, flag, None)
         if value is not None and value < 1:
@@ -230,11 +235,9 @@ def _require_flags(args) -> None:
         raise ValueError(f"--rmax must be finite and in [0.05, 1), got {rmax}")
     if args.format == "csv" and args.command not in CSV_COMMANDS:
         raise ValueError(f"--format csv has no view for command {args.command!r}")
-    parse_frame(args.frame)   # every envelope echoes the frame, so check it here
 
 
 def _envelope(args, result: dict) -> dict:
-    frame = parse_frame(args.frame)
     return {
         "command": args.command,
         "version": __version__,
@@ -242,7 +245,7 @@ def _envelope(args, result: dict) -> dict:
         "config": {
             "input": getattr(args, "input", None),
             "n": getattr(args, "n", None),
-            "frame": (frame or SliceFrame.standard()).to_json(),
+            "frame": (args.frame or SliceFrame.standard()).to_json(),
             "tol_route": getattr(args, "tol_route", None),
             "tol_pd": getattr(args, "tol_pd", None),
             "format": args.format,
@@ -253,10 +256,9 @@ def _envelope(args, result: dict) -> dict:
 
 def cmd_moments_to_verblunsky(args) -> dict:
     obj = load_fixture(args.input)
-    frame = parse_frame(args.frame) or fixture_frame(obj, None)
-    c = moments_from_fixture(obj, args.n, parse_frame(args.frame))
-    ext = verblunsky_from_moments_q(c, args.n, frame, route_tol=args.tol_route,
-                                    pivot_tol=args.tol_pd)
+    c, frame = moments_from_fixture(obj, args.n, args.frame)
+    ext = verblunsky_from_moments_q(c, args.n, frame or fixture_frame(obj, None),
+                                    route_tol=args.tol_route, pivot_tol=args.tol_pd)
     return {
         "gammas": ext.matrix_route.to_json(),
         "route_residual": ext.route_residual,
@@ -267,17 +269,17 @@ def cmd_verblunsky_to_moments(args) -> dict:
     obj = load_fixture(args.input)
     if "gammas" not in obj:
         raise ValueError("this command needs a gamma fixture")
-    frame = parse_frame(args.frame) or fixture_frame(obj, None)
+    frame = fixture_frame(obj, args.frame)
     gammas = VerblunskySeq(obj["gammas"])
     if len(gammas) < args.n:
-        raise ValueError(f"fixture holds {len(gammas)} coefficients, need {args.n}")
+        raise HorizonExceeded(f"fixture holds {len(gammas)} coefficients, need {args.n}")
     c = moments_from_verblunsky_q(gammas, args.n, frame)
     return {"moments": c.to_json()}
 
 
 def cmd_orthopolys(args) -> dict:
     obj = load_fixture(args.input)
-    c = moments_from_fixture(obj, args.n, parse_frame(args.frame))
+    c, _ = moments_from_fixture(obj, args.n, args.frame)
     fam = orthonormal_polys(c, args.n, args.tol_pd)
     return {
         "right": [p.to_json() for p in fam.right],
@@ -287,8 +289,8 @@ def cmd_orthopolys(args) -> dict:
 
 def cmd_zeros(args) -> dict:
     obj = load_fixture(args.input)
-    frame = parse_frame(args.frame) or fixture_frame(obj, None)
-    c = moments_from_fixture(obj, args.n, parse_frame(args.frame))
+    c, frame = moments_from_fixture(obj, args.n, args.frame)
+    frame = frame or fixture_frame(obj, None)
     fam = orthonormal_polys(c, args.n, args.tol_pd)
     rows, reports = zeros_theorem_check(fam, frame, route_tol=args.tol_route)
     families = [{"degree": n, "family": name, "report": report.to_json()}
@@ -299,21 +301,21 @@ def cmd_zeros(args) -> dict:
 
 def cmd_cd(args) -> dict:
     obj = load_fixture(args.input)
-    c = moments_from_fixture(obj, args.n + 1, parse_frame(args.frame))
+    c, _ = moments_from_fixture(obj, args.n + 1, args.frame)
     residual = cd_identity_check(c, args.n, samples=args.samples, seed=args.seed)
     return {"max_residual": residual, "samples": args.samples}
 
 
 def cmd_sv(args) -> dict:
     obj = load_fixture(args.input)
-    d = density_from_fixture(obj, parse_frame(args.frame))
+    d = density_from_fixture(obj, args.frame)
     rep = sv_check(d, args.n, allow_divergent=True)
     return rep.to_json()
 
 
 def cmd_baxter(args) -> dict:
     obj = load_fixture(args.input)
-    d = density_from_fixture(obj, parse_frame(args.frame))
+    d = density_from_fixture(obj, args.frame)
     return baxter_check(d, args.n).to_json()
 
 
@@ -323,7 +325,7 @@ GRID_COLUMNS = ("theta", "w11_re", "w11_im", "w12_re", "w12_im",
 
 def cmd_grid(args) -> dict:
     obj = load_fixture(args.input)
-    d = density_from_fixture(obj, parse_frame(args.frame))
+    d = density_from_fixture(obj, args.frame)
     thetas = 2.0 * np.pi * np.arange(args.grid) / args.grid
     W = d.grid_values(args.grid).reshape(len(thetas), 4)
     columns = [thetas.tolist()]
@@ -444,6 +446,9 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         _require_flags(args)
+        # parsed once: the commands and the envelope read the SliceFrame,
+        # None standing for the standard frame
+        args.frame = parse_frame(args.frame)
         result = _COMMANDS[args.command](args)
     except RouteMismatch as exc:
         _write(args, emit_json({"error": {"type": "RouteMismatch",

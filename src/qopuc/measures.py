@@ -22,7 +22,7 @@ import numpy as np
 from .errors import HorizonExceeded, NotPositiveDefinite
 from .quaternions import (
     Quaternion, SliceFrame, _frame_coords, _from_frame_coords, chi, chi_mat, qarr_abs,
-    qarr_conj, qarr_from, qarr_mul, qpair_conj, qpair_outer,
+    qarr_conj, qarr_from, qarr_from_planes, qarr_mul, qarr_planes,
 )
 
 PSD_GRID = 2048
@@ -140,25 +140,33 @@ def require_nontrivial(c: MomentSequence, n: int, pivot_tol: float = PIVOT_TOL,
     the form is not positive definite, and NotPositiveDefinite names it.  The
     transpose equals J T J for the reversal J, so it fails at the same order.
 
-    Elimination runs on complex pairs q = z1 + z2 j with no square root, so
-    inputs whose factors are exact in binary (Lebesgue, Bernstein-Szego with
-    g = 1/2) keep exact zero coefficients.
+    Elimination runs on the complex planes q = z1 + z2 j (``qarr_planes``),
+    updated in place, with no square root, so inputs whose factors are exact
+    in binary (Lebesgue, Bernstein-Szego with g = 1/2) keep exact zero
+    coefficients.  A step subtracts the outer Hamilton product
+    col_i conj(l_k), (a1 + a2 j)(b1 + b2 j) = (a1 b1 - a2 conj b2)
+    + (a1 b2 + a2 conj b1) j with b = conj(l), from the trailing block.
     """
     T = toeplitz(c, n)
-    A = np.ascontiguousarray(T.swapaxes(0, 1) if transpose else T).view(complex)
-    L = np.zeros_like(A)
+    A1, A2 = qarr_planes(T.swapaxes(0, 1) if transpose else T)
+    L1, L2 = np.zeros_like(A1), np.zeros_like(A2)
     d = np.empty(n + 1)
     for m in range(n + 1):
-        d[m] = A[m, m, 0].real
+        d[m] = A1[m, m].real
         if not d[m] > pivot_tol:  # also rejects a NaN pivot
             raise NotPositiveDefinite(
                 f"Toeplitz form not positive definite at order {m} "
                 f"(pivot {d[m]:.3e})", order=m)
-        col = A[m + 1:, m]
-        L[m + 1:, m] = col / d[m]
-        A[m + 1:, m + 1:] -= qpair_outer(col, qpair_conj(L[m + 1:, m]))
-    L[np.arange(n + 1), np.arange(n + 1), 0] = 1.0
-    return L.view(float), d
+        L1[m + 1:, m] = A1[m + 1:, m] / d[m]
+        L2[m + 1:, m] = A2[m + 1:, m] / d[m]
+        # both factors 2-D, as in the pair form: a 1 x 1 product then takes
+        # the same (fused multiply-add) ufunc loop, so every bit matches
+        a1, a2 = A1[m + 1:, m][:, None], A2[m + 1:, m][:, None]
+        b1, b2 = L1[m + 1:, m].conj()[None, :], -L2[m + 1:, m][None, :]
+        A1[m + 1:, m + 1:] -= a1 * b1 - a2 * b2.conj()
+        A2[m + 1:, m + 1:] -= a1 * b2 + a2 * b1.conj()
+    np.fill_diagonal(L1, 1.0)
+    return qarr_from_planes(L1, L2), d
 
 
 def min_grid_eigenvalue(W: np.ndarray) -> float:

@@ -7,16 +7,17 @@ stored only as a read-only (n+1, 4) float array ``arr`` (row k = phi_k in
 the basis 1, i, j, k); ``coeffs`` and ``coeff`` hand out ``Quaternion``
 objects for the API and evaluation takes and returns them.  Right-orthonormal
 polynomials live in the first space, left-orthonormal in the second; both
-families come from a square-root-free LDL* of the Toeplitz form.  The
-paired recurrences advance all four sequences (both families and their
-reverses); the Verblunsky coefficient entering them equals the coefficient
-stripped by the matrix Schur algorithm of the embedded moments, and the two
-extraction routes are cross-checked on every call of
-``verblunsky_from_moments_q``.
+families come from a square-root-free LDL* of the Toeplitz form, kept as
+its factors until a family is read.  The paired recurrences advance all
+four sequences (both families and their reverses); the Verblunsky
+coefficient entering them equals the coefficient stripped by the matrix
+Schur algorithm of the embedded moments, and the two extraction routes are
+cross-checked on every call of ``verblunsky_from_moments_q``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -30,7 +31,7 @@ from .measures import (
 )
 from .quaternions import (
     Quaternion, SliceFrame, _coerce, chi, chi_inv, qarr_abs, qarr_conj, qarr_from,
-    qarr_inv, qarr_mul, qarr_norm_sq, qmul_parts, qpair_outer,
+    qarr_from_planes, qarr_inv, qarr_mul, qarr_norm_sq, qarr_planes, qmul_parts,
 )
 
 ROUTE_TOL = 1e-8
@@ -229,36 +230,64 @@ def inner_L(phi: QPolyR, psi: QPolyR, c: MomentSequence) -> Quaternion:
     return Quaternion.from_array(qarr_mul(left, qarr_conj(b)).sum(axis=0))
 
 
-def _real_part_checked(q: np.ndarray, what: str, tol: float = 1e-8) -> None:
-    """ArithmeticError unless the quaternion row q is real to ``tol``."""
-    if np.abs(q[1:]).max() > tol * max(1.0, abs(q[0])):
-        raise ArithmeticError(f"{what} should be real, got {Quaternion(*q.tolist())!r}")
+def _real_rows_checked(q: np.ndarray, what: str, tol: float = 1e-8) -> None:
+    """ArithmeticError, naming the first offending row, unless every row of
+    the (n, 4) array q is real to ``tol`` * max(1, |q_0|)."""
+    bad = np.flatnonzero(np.abs(q[:, 1:]).max(axis=1)
+                         > tol * np.maximum(1.0, np.abs(q[:, 0])))
+    if bad.size:
+        raise ArithmeticError(f"{what} should be real, got {Quaternion(*q[bad[0]].tolist())!r}")
 
 
 # ---------------------------------------------------------------------
 # orthonormal polynomials
 # ---------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class OrthonormalFamily:
-    """right[n] in H[p]^L (right-orthonormal), left[n] in H[p]^R (left-)."""
+    """right[n] in H[p]^L (right-orthonormal), left[n] in H[p]^R (left-),
+    n = 0..order.
 
-    right: tuple
-    left: tuple
+    Holds the LDL* factors (L, d) of T (``factors_right``) and of T^T
+    (``factors_left``); ``right`` and ``left`` run the inverse-row
+    substitution and build their polynomials when first read.
+    """
+
+    def __init__(self, factors_right: tuple, factors_left: tuple):
+        self.factors_right = factors_right
+        self.factors_left = factors_left
 
     @property
     def order(self) -> int:
-        return len(self.right) - 1
+        return len(self.factors_right[1]) - 1
+
+    @functools.cached_property
+    def right(self) -> tuple:
+        # + 0.0 maps the -0.0 that conjugating an exact zero leaves back to 0.0
+        rows = qarr_conj(_inverse_columns(*self.factors_right, self.order + 1)) + 0.0
+        return tuple(QPolyL(rows[n, : n + 1]) for n in range(self.order + 1))
+
+    @functools.cached_property
+    def left(self) -> tuple:
+        rows = _inverse_columns(*self.factors_left, self.order + 1)
+        return tuple(QPolyR(rows[n, : n + 1]) for n in range(self.order + 1))
 
 
-def _inverse_rows(L: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """D^{-1/2} L^{-1} for unit lower L, by forward substitution on pairs."""
-    Lp = L.view(complex)
-    X = np.zeros_like(Lp)
-    X[np.arange(len(d)), np.arange(len(d)), 0] = 1.0
+def _inverse_columns(L: np.ndarray, d: np.ndarray, width: int) -> np.ndarray:
+    """Columns 0..width-1 of D^{-1/2} L^{-1} for unit lower L, an
+    (n+1, width, 4) array, by forward substitution on the complex planes:
+    step m subtracts the outer product L[m+1:, m] X[m, :m+1] from the rows
+    below m.  width = n+1 gives the rows of the orthonormal family, width = 1
+    its constant terms in O(n^2)."""
+    L1, L2 = qarr_planes(L)
+    X1 = np.eye(len(d), width, dtype=complex)
+    X2 = np.zeros_like(X1)
     for m in range(len(d) - 1):
-        X[m + 1:, : m + 1] -= qpair_outer(Lp[m + 1:, m], X[m, : m + 1])
-    return X.view(float) / np.sqrt(d)[:, None, None]
+        # both factors 2-D, as in the pair form (see ``require_nontrivial``)
+        a1, a2 = L1[m + 1:, m][:, None], L2[m + 1:, m][:, None]
+        b1, b2 = X1[m, : m + 1][None, :], X2[m, : m + 1][None, :]
+        X1[m + 1:, : m + 1] -= a1 * b1 - a2 * b2.conj()
+        X2[m + 1:, : m + 1] -= a1 * b2 + a2 * b1.conj()
+    return qarr_from_planes(X1, X2) / np.sqrt(d)[:, None, None]
 
 
 def orthonormal_polys(c: MomentSequence, N: int,
@@ -269,16 +298,14 @@ def orthonormal_polys(c: MomentSequence, N: int,
     the columns of L^{-*} D^{-1/2} right-orthonormal: right[n] has the
     coefficients conj(row n of D^{-1/2} L^{-1}).  <phi, psi>_L = phi T^T psi^*,
     so with T^T = L D L^* the left family is row n of D^{-1/2} L^{-1}.
-    Leading coefficients are d_n^{-1/2}, strictly positive real.  The frame
-    plays no part.  NotPositiveDefinite names the first order whose pivot is
-    at most ``pivot_tol``.
+    Leading coefficients are d_n^{-1/2}, strictly positive real.  Both
+    factorisations run here, so NotPositiveDefinite names the first order
+    whose pivot is at most ``pivot_tol``; the family keeps the factors and
+    builds its polynomials when ``right``/``left`` are first read.  The
+    frame plays no part.
     """
-    # + 0.0 maps the -0.0 that conjugating an exact zero leaves back to 0.0
-    rows_r = qarr_conj(_inverse_rows(*require_nontrivial(c, N, pivot_tol))) + 0.0
-    rows_l = _inverse_rows(*require_nontrivial(c, N, pivot_tol, transpose=True))
-    right = tuple(QPolyL(rows_r[n, : n + 1]) for n in range(N + 1))
-    left = tuple(QPolyR(rows_l[n, : n + 1]) for n in range(N + 1))
-    return OrthonormalFamily(right=right, left=left)
+    return OrthonormalFamily(require_nontrivial(c, N, pivot_tol),
+                             require_nontrivial(c, N, pivot_tol, transpose=True))
 
 
 # ---------------------------------------------------------------------
@@ -406,14 +433,18 @@ def _gammas_via_matrix(c: MomentSequence, N: int, frame: SliceFrame) -> Verbluns
 
 
 def _gammas_via_szego(fam: OrthonormalFamily) -> VerblunskySeq:
+    """gamma_n = -psi_{n+1}^L(0) kappa_n^L / (kappa_{n+1}^L kappa_n^R), read
+    from the pivots (kappa_n = d_n^{-1/2} of each factorisation) and the
+    left constant terms (column 0 of D^{-1/2} L^{-1} for T^T); the families
+    themselves are not built."""
     N = fam.order
-    kap_l = np.array([fam.left[n].arr[n] for n in range(N + 1)])
-    kap_r = np.array([fam.right[n].arr[n] for n in range(N)]).reshape(-1, 4)
+    (_, d_r), (L_l, d_l) = fam.factors_right, fam.factors_left
+    kap_l, kap_r = np.zeros((N + 1, 4)), np.zeros((N, 4))
+    kap_l[:, 0], kap_r[:, 0] = 1.0 / np.sqrt(d_l), 1.0 / np.sqrt(d_r[:N])
     ratio = qarr_mul(kap_l[:-1], qarr_inv(kap_l[1:]))
-    for n in range(N):
-        _real_part_checked(ratio[n], "leading ratio")
-        _real_part_checked(kap_r[n], "leading coefficient")
-    const = np.array([fam.left[n + 1].arr[0] for n in range(N)]).reshape(-1, 4)
+    _real_rows_checked(ratio, "leading ratio")
+    _real_rows_checked(kap_r, "leading coefficient")
+    const = _inverse_columns(L_l, d_l, 1)[1:, 0]
     return VerblunskySeq(-(const * (ratio[:, 0] / kap_r[:, 0])[:, None]))
 
 
@@ -421,12 +452,13 @@ def moments_from_verblunsky_q(gammas: VerblunskySeq, N: int,
                               frame: SliceFrame | None = None) -> MomentSequence:
     """Forward map gamma -> c through the embedded matrix engine.
 
-    Exact inverse of the matrix route of ``verblunsky_from_moments_q``.
+    Exact inverse of the matrix route of ``verblunsky_from_moments_q``.  Only
+    gamma_0..gamma_{N-1} are read: c_{m+1} depends on alpha_0..alpha_m alone.
     """
     if len(gammas) < N:
         raise ValueError(f"need {N} coefficients, got {len(gammas)}")
     frame = frame or SliceFrame.standard()
-    C = moments_from_alphas(MatVerblunskySeq(chi(gammas.arr, frame)), N)
+    C = moments_from_alphas(MatVerblunskySeq(chi(gammas.arr[:N], frame)), N)
     return MomentSequence(np.concatenate([[[1.0, 0.0, 0.0, 0.0]], chi_inv(C, frame)]))
 
 
@@ -437,10 +469,12 @@ def verblunsky_from_moments_q(c: MomentSequence, N: int,
     """Verblunsky coefficients by two independent routes, cross-checked.
 
     Route A embeds the moments, runs the matrix Schur algorithm, and pulls
-    the coefficients back; route B solves each Szego step for gamma_n given
-    consecutive members of the orthonormal families, which come from LDL* of
-    the Toeplitz form.  The families are built first, so moments that are not
-    positive definite (first pivot at most ``pivot_tol``) raise
+    the coefficients back; route B solves each Szego step for gamma_n from
+    what it reads of consecutive orthonormal polynomials: the leading
+    coefficients, which are the LDL* pivots of T and T^T, and the constant
+    terms of the left family, one column of the inverse factor of T^T.  No
+    polynomial is built.  Both factorisations run first, so moments that are
+    not positive definite (first pivot at most ``pivot_tol``) raise
     NotPositiveDefinite before route A runs.  RouteMismatch fires when the
     routes differ beyond tolerance - a correctness alarm, not a recoverable
     state.

@@ -319,22 +319,17 @@ def qmat_mul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return qarr_mul(A[:, :, None], B[None]).sum(axis=1)
 
 
-def qpair_conj(a: np.ndarray) -> np.ndarray:
-    """Conjugate of quaternions held as complex pairs (..., 2), q = z1 + z2 j.
+def qarr_planes(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The complex planes (z1, z2) of q = z1 + z2 j over an (..., 4) array,
+    z1 = w + x i and z2 = y + z i in the standard basis, as two fresh
+    contiguous arrays (the bits of ``A.view(complex)``, split)."""
+    P = np.ascontiguousarray(A, dtype=float).view(complex)
+    return P[..., 0].copy(), P[..., 1].copy()
 
-    ``A.view(complex)`` turns a contiguous (..., 4) array into this form.
-    """
-    return np.stack([a[..., 0].conj(), -a[..., 1]], axis=-1)
 
-
-def qpair_outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Outer Hamilton product out[i, k] = a_i b_k of complex-pair vectors.
-
-    (a1 + a2 j)(b1 + b2 j) = (a1 b1 - a2 conj b2) + (a1 b2 + a2 conj b1) j.
-    """
-    a1, a2 = a[:, None, 0], a[:, None, 1]
-    b1, b2 = b[None, :, 0], b[None, :, 1]
-    return np.stack([a1 * b1 - a2 * b2.conj(), a1 * b2 + a2 * b1.conj()], axis=-1)
+def qarr_from_planes(z1: np.ndarray, z2: np.ndarray) -> np.ndarray:
+    """The (..., 4) array of q = z1 + z2 j, the inverse of ``qarr_planes``."""
+    return np.stack([z1, z2], axis=-1).view(float)
 
 
 def qmat_conj_T(A: np.ndarray) -> np.ndarray:

@@ -163,3 +163,74 @@ def signed_zero_frames(rng, count):
 def qbytes(quaternions):
     """The bits of a sequence of Quaternions, as an (n, 4) float array's."""
     return np.array([q.to_array() for q in quaternions], dtype=float).reshape(-1, 4).tobytes()
+
+
+# ---- route B on interleaved complex pairs: the oracles of the planar forms ----
+
+def qpair_conj(a):
+    """Conjugate of quaternions held as complex pairs (..., 2), q = z1 + z2 j."""
+    return np.stack([a[..., 0].conj(), -a[..., 1]], axis=-1)
+
+
+def qpair_outer(a, b):
+    """Outer Hamilton product out[i, k] = a_i b_k of complex-pair vectors."""
+    a1, a2 = a[:, None, 0], a[:, None, 1]
+    b1, b2 = b[None, :, 0], b[None, :, 1]
+    return np.stack([a1 * b1 - a2 * b2.conj(), a1 * b2 + a2 * b1.conj()], axis=-1)
+
+
+def ldl_pairs(c, n, pivot_tol=1e-12, transpose=False):
+    """LDL* of T_n(c) (or its transpose) eliminating on (..., 2) complex pairs
+    that every step rebuilds, as ``require_nontrivial`` did before its planes."""
+    from qopuc.errors import NotPositiveDefinite
+    from qopuc.measures import toeplitz
+    T = toeplitz(c, n)
+    A = np.ascontiguousarray(T.swapaxes(0, 1) if transpose else T).view(complex)
+    L = np.zeros_like(A)
+    d = np.empty(n + 1)
+    for m in range(n + 1):
+        d[m] = A[m, m, 0].real
+        if not d[m] > pivot_tol:
+            raise NotPositiveDefinite(f"not positive definite at order {m}", order=m)
+        col = A[m + 1:, m]
+        L[m + 1:, m] = col / d[m]
+        A[m + 1:, m + 1:] -= qpair_outer(col, qpair_conj(L[m + 1:, m]))
+    L[np.arange(n + 1), np.arange(n + 1), 0] = 1.0
+    return L.view(float), d
+
+
+def inverse_rows_pairs(L, d):
+    """D^{-1/2} L^{-1} by forward substitution on complex pairs."""
+    Lp = L.view(complex)
+    X = np.zeros_like(Lp)
+    X[np.arange(len(d)), np.arange(len(d)), 0] = 1.0
+    for m in range(len(d) - 1):
+        X[m + 1:, : m + 1] -= qpair_outer(Lp[m + 1:, m], X[m, : m + 1])
+    return X.view(float) / np.sqrt(d)[:, None, None]
+
+
+def family_rows_pairs(c, N):
+    """The (N+1, N+1, 4) rows of the right and left orthonormal families."""
+    from qopuc.quaternions import qarr_conj
+    rows_r = qarr_conj(inverse_rows_pairs(*ldl_pairs(c, N))) + 0.0
+    rows_l = inverse_rows_pairs(*ldl_pairs(c, N, transpose=True))
+    return rows_r, rows_l
+
+
+def gammas_via_szego_family(c, N):
+    """Route B read off the built families, one realness check per degree and
+    array, as ``_gammas_via_szego`` did before it read the pivots alone."""
+    from qopuc.polynomials import QPolyL, QPolyR, VerblunskySeq
+    from qopuc.quaternions import qarr_inv, qarr_mul
+    rows_r, rows_l = family_rows_pairs(c, N)
+    right = [QPolyL(rows_r[n, : n + 1]) for n in range(N + 1)]
+    left = [QPolyR(rows_l[n, : n + 1]) for n in range(N + 1)]
+    kap_l = np.array([left[n].arr[n] for n in range(N + 1)])
+    kap_r = np.array([right[n].arr[n] for n in range(N)]).reshape(-1, 4)
+    ratio = qarr_mul(kap_l[:-1], qarr_inv(kap_l[1:]))
+    for n in range(N):
+        for q in (ratio[n], kap_r[n]):
+            if np.abs(q[1:]).max() > 1e-8 * max(1.0, abs(q[0])):
+                raise ArithmeticError(f"not real: {q}")
+    const = np.array([left[n + 1].arr[0] for n in range(N)]).reshape(-1, 4)
+    return VerblunskySeq(-(const * (ratio[:, 0] / kap_r[:, 0])[:, None]))

@@ -200,7 +200,7 @@ FIXTURE_NAMES = ("lebesgue", "bernstein_szego_05", "vanishing_density",
 def _fixture_moments(name, n):
     from qopuc.cli import load_fixture, moments_from_fixture
 
-    return moments_from_fixture(load_fixture(str(FIXDIR / f"{name}.json")), n, None)
+    return moments_from_fixture(load_fixture(str(FIXDIR / f"{name}.json")), n, None)[0]
 
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)

@@ -155,18 +155,29 @@ def test_baxter_runs_route_a_once(tmp_path, monkeypatch):
     assert len(json.loads(out)["result"]["gamma_moduli"]) == 8
 
 
+def _gammas80(tmp_path) -> str:
+    """A fixture of 80 seeded rmax-0.8 Verblunsky coefficients."""
+    from qopuc.fixtures import random_gamma_seq
+    path = tmp_path / "gammas80.json"
+    path.write_text(json.dumps({"frame": {"i": [0.0, 1.0, 0.0, 0.0], "j": [0.0, 0.0, 1.0, 0.0]},
+                                "gammas": random_gamma_seq(1017, 80, rmax=0.8).to_json()}))
+    return str(path)
+
+
 @pytest.mark.parametrize("argv, contraction_tests", [
     (["baxter", "smooth_trig.json", "--n", "200"], 200),
     (["moments-to-verblunsky", "smooth_trig.json", "--n", "40"], 40),
     (["verblunsky-to-moments", "random_gamma_7.json", "--n", "12"], 12),
     (["random-gamma", "--n", "40"], 0),
+    (["verblunsky-to-moments", "gammas80.json", "--n", "20"], 20),
 ])
 def test_sequence_jobs_build_no_quaternion_per_value(tmp_path, monkeypatch, argv,
                                                      contraction_tests):
     # moments and coefficients stay (n, 4) arrays from fixture to report: the
     # only Quaternion objects a job builds are frame generators (their
-    # products k = i j included); route A and the forward map test each
-    # coefficient's contraction once
+    # products k = i j included), one fixture frame and the envelope's
+    # standard frame; route A and the forward map test the contraction of
+    # each coefficient they read, once
     from qopuc import matrix_opuc
     from qopuc.quaternions import Quaternion
 
@@ -183,11 +194,128 @@ def test_sequence_jobs_build_no_quaternion_per_value(tmp_path, monkeypatch, argv
 
     monkeypatch.setattr(Quaternion, "__init__", counting_init)
     monkeypatch.setattr(matrix_opuc, "operator_norm2", counting_norm)
-    argv = [str(FIXDIR / a) if a.endswith(".json") else a for a in argv]
+    argv = [_gammas80(tmp_path) if a == "gammas80.json" else str(FIXDIR / a)
+            if a.endswith(".json") else a for a in argv]
     code, _ = run(tmp_path, *argv)
     assert code == 0
-    assert len(built) <= 8, built
+    assert len(built) <= 4, built
     assert len(norms) == contraction_tests
+
+
+@pytest.mark.parametrize("frame_flag, frame_builds, quaternions", [
+    ([], 1, 4),
+    (["--frame", "standard"], 1, 4),
+    (["--frame", json.dumps({"i": [0.0, 0.0, 1.0, 0.0], "j": [0.0, 0.0, 0.0, 1.0]})], 2, 6),
+])
+def test_one_frame_per_job(tmp_path, monkeypatch, frame_flag, frame_builds, quaternions):
+    # --frame is parsed once, and the density builds the fixture's frame once
+    from qopuc import cli
+    from qopuc.quaternions import Quaternion, SliceFrame
+
+    parses, builds, built = [], [], []
+    parse, from_json, init = cli.parse_frame, SliceFrame.from_json.__func__, Quaternion.__init__
+
+    def counting_parse(spec):
+        parses.append(spec)
+        return parse(spec)
+
+    def counting_from_json(cls, obj):
+        builds.append(obj)
+        return from_json(cls, obj)
+
+    def counting_init(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(cli, "parse_frame", counting_parse)
+    monkeypatch.setattr(SliceFrame, "from_json", classmethod(counting_from_json))
+    monkeypatch.setattr(Quaternion, "__init__", counting_init)
+    for command in ("moments-to-verblunsky", "zeros"):
+        parses.clear(), builds.clear(), built.clear()
+        code, _ = run(tmp_path, command, str(FIXDIR / "smooth_trig.json"), "--n", "8",
+                      *frame_flag)
+        assert code == 0
+        assert len(parses) == 1
+        assert len(builds) == frame_builds
+        assert len(built) == quaternions, built
+
+
+@pytest.mark.parametrize("command", ["moments-to-verblunsky", "sv"])
+def test_route_b_reads_pivots_and_one_column(tmp_path, monkeypatch, command):
+    # both factorisations run, but route B builds no polynomial and runs no
+    # inverse-row substitution: one column (width 1) of the T^T factor
+    from qopuc import polynomials
+
+    factorisations, widths, polys = [], [], []
+    ldl, columns, init = (polynomials.require_nontrivial, polynomials._inverse_columns,
+                          polynomials._QPolyBase.__init__)
+
+    def counting_ldl(*args, **kwargs):
+        factorisations.append(kwargs.get("transpose", False))
+        return ldl(*args, **kwargs)
+
+    def counting_columns(L, d, width):
+        widths.append(width)
+        return columns(L, d, width)
+
+    def counting_init(self, coeffs):
+        polys.append(type(self).__name__)
+        init(self, coeffs)
+
+    monkeypatch.setattr(polynomials, "require_nontrivial", counting_ldl)
+    monkeypatch.setattr(polynomials, "_inverse_columns", counting_columns)
+    monkeypatch.setattr(polynomials._QPolyBase, "__init__", counting_init)
+    code, _ = run(tmp_path, command, str(FIXDIR / "smooth_trig.json"), "--n", "40")
+    assert code == 0
+    assert factorisations == [False, True]
+    assert widths == [1]
+    assert polys == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["orthopolys", "smooth_trig.json", "--n", "12"],
+    ["orthopolys", "random_gamma_7.json", "--n", "12", "--frame", "standard"],
+    ["zeros", "vanishing_density.json", "--n", "10"],
+    ["zeros", "bernstein_szego_05.json", "--n", "6"],
+    ["cd", "lebesgue.json", "--n", "5", "--samples", "3"],
+    ["cd", "random_gamma_7.json", "--n", "11", "--samples", "3"],
+])
+def test_family_readers_get_the_pair_form_rows(tmp_path, monkeypatch, argv):
+    # the commands that read whole families get, member for member, the rows
+    # of the interleaved-pair elimination, byte for byte
+    from conftest import family_rows_pairs
+    from qopuc import analysis, cli
+
+    seen = []
+
+    def keeping(module):
+        original = module.orthonormal_polys
+
+        def wrapped(c, N, *args):
+            fam = original(c, N, *args)
+            seen.append((c, N, fam))
+            return fam
+        monkeypatch.setattr(module, "orthonormal_polys", wrapped)
+
+    keeping(cli)
+    keeping(analysis)
+    argv = [str(FIXDIR / a) if a.endswith(".json") else a for a in argv]
+    code, _ = run(tmp_path, *argv)
+    assert code == 0 and len(seen) == 1
+    c, N, fam = seen[0]
+    rows_r, rows_l = family_rows_pairs(c, N)
+    assert fam.order == N
+    for n in range(N + 1):
+        assert fam.right[n].arr.tobytes() == rows_r[n, : n + 1].tobytes()
+        assert fam.left[n].arr.tobytes() == rows_l[n, : n + 1].tobytes()
+
+
+def test_verblunsky_to_moments_past_the_coefficient_count(tmp_path):
+    code, out = run(tmp_path, "verblunsky-to-moments", str(FIXDIR / "random_gamma_7.json"),
+                    "--n", "30")
+    assert code == 2
+    assert json.loads(out)["error"] == {"type": "HorizonExceeded",
+                                        "message": "fixture holds 12 coefficients, need 30"}
 
 
 def test_round_trip_through_cli(tmp_path):

@@ -393,7 +393,7 @@ def test_route_a_matches_series_chain_on_fixtures(N):
         obj = load_fixture(str(path))
         if 0 < len(obj.get("gammas", [])) < N:
             continue  # a gamma fixture carries moments only up to its length
-        c = moments_from_fixture(obj, N, None)
+        c, _ = moments_from_fixture(obj, N, None)
         C = matrix_moments(c, fixture_frame(obj, None), N)[1:]
         assert max_gap(alphas_from_moments(C, N), reference_alphas(C, N)) <= 1e-13, path.name
         checked += 1

@@ -20,7 +20,7 @@ from qopuc.polynomials import (
 )
 from qopuc.quaternions import QI, QJ, QK, Quaternion, SliceFrame, chi, chi_inv
 from conftest import (
-    fourier_values, qbytes, qmul_scalar, random_quaternion, random_unit_ball_quaternion,
+    family_rows_pairs, fourier_values, qbytes, qmul_scalar, random_quaternion, random_unit_ball_quaternion,
     signed_zero_coeff_arrays,
 )
 
@@ -522,14 +522,10 @@ def test_eval_star_and_reverse_bitwise_equal_to_scalar_loops(rng):
 @pytest.mark.parametrize("density", [lebesgue_density, bernstein_szego_density,
                                      vanishing_density, smooth_trig_density])
 def test_family_and_szego_bitwise_equal_to_scalar_loops(density):
-    from qopuc.measures import require_nontrivial
-    from qopuc.polynomials import _inverse_rows
-    from qopuc.quaternions import qarr_conj
     N = 7
     c = moments_from_density(density(), N)
     fam = orthonormal_polys(c, N)
-    rows_r = qarr_conj(_inverse_rows(*require_nontrivial(c, N))) + 0.0
-    rows_l = _inverse_rows(*require_nontrivial(c, N, transpose=True))
+    rows_r, rows_l = family_rows_pairs(c, N)
     for n in range(N + 1):
         assert fam.right[n].arr.tobytes() == _bytes(map(Quaternion.from_array, rows_r[n, : n + 1]))
         assert fam.left[n].arr.tobytes() == _bytes(map(Quaternion.from_array, rows_l[n, : n + 1]))
@@ -548,3 +544,55 @@ def test_family_and_szego_bitwise_equal_to_scalar_loops(density):
         for got, ref in zip((nxt.left, nxt.right, nxt.left_rev, nxt.right_rev), expect):
             assert got.arr.tobytes() == _bytes(ref)
         state = nxt
+
+
+def _route_b_inputs(N):
+    """The four densities in their own frame and in five seeded frames, and
+    seeded rmax-0.8 Verblunsky moments in the standard and the same frames."""
+    from qopuc.measures import density_in_frame
+    frames = [SliceFrame.random(np.random.default_rng(seed)) for seed in range(1, 6)]
+    for density in (lebesgue_density, bernstein_szego_density, vanishing_density,
+                    smooth_trig_density):
+        d = density()
+        yield moments_from_density(d, N)
+        for fr in frames:
+            yield moments_from_density(density_in_frame(d, fr), N)
+    for seed, fr in enumerate([None] + frames):
+        yield random_moment_fixture(seed, N, rmax=0.8, frame=fr)
+
+
+@pytest.mark.parametrize("N", [12, 25, 40])
+def test_planar_route_b_bitwise_equal_to_pair_form(N):
+    # the planar LDL*, inverse rows and constant-term column, and route B read
+    # off pivots and that column, against the interleaved-pair forms and the
+    # built families: value and sign bit of every entry
+    from conftest import gammas_via_szego_family, inverse_rows_pairs, ldl_pairs
+    from qopuc.measures import require_nontrivial
+    from qopuc.polynomials import _gammas_via_szego, _inverse_columns
+    for c in _route_b_inputs(N):
+        for transpose in (False, True):
+            L, d = require_nontrivial(c, N, transpose=transpose)
+            L_ref, d_ref = ldl_pairs(c, N, transpose=transpose)
+            assert L.tobytes() == L_ref.tobytes() and d.tobytes() == d_ref.tobytes()
+            rows = inverse_rows_pairs(L_ref, d_ref)
+            assert _inverse_columns(L, d, N + 1).tobytes() == rows.tobytes()
+            assert _inverse_columns(L, d, 1).tobytes() == rows[:, :1].tobytes()
+        got = _gammas_via_szego(orthonormal_polys(c, N)).arr
+        assert got.tobytes() == gammas_via_szego_family(c, N).arr.tobytes()
+
+
+def test_realness_checks_name_the_first_non_real_row():
+    from qopuc.polynomials import _real_rows_checked
+    q = np.zeros((5, 4))
+    q[:, 0] = [4.0, 0.5, 2.0, 1.0, 3.0]
+    q[1, 3] = 1e-8                # at the tolerance 1e-8 * max(1, |q_0|): real
+    _real_rows_checked(q, "leading ratio")
+    q[2, 2] = 3e-8                # above 1e-8 * 2.0
+    q[4, 1] = 1.0
+    with pytest.raises(ArithmeticError) as info:
+        _real_rows_checked(q, "leading ratio")
+    assert str(info.value) == ("leading ratio should be real, got "
+                               f"{Quaternion(2.0, 0.0, 3e-8, 0.0)!r}")
+    q[2, 2] = float("nan")        # a NaN part fails no comparison, as before
+    with pytest.raises(ArithmeticError, match=r"got Quaternion\(3\.0, 1\.0, 0\.0, 0\.0\)"):
+        _real_rows_checked(q, "leading coefficient")

@@ -27,13 +27,17 @@ n = 1-11 at (samples, seed) = (1, 0), (1, 7), (100, 0), (100, 7),
 ``moments-to-verblunsky`` and ``verblunsky-to-moments`` n = 6, under five
 seeded random frames.  Besides: ``baxter`` N = 50, 100, 200, 400 json and
 csv and ``moments-to-verblunsky`` N = 12, 25, 40 on the four densities;
-``verblunsky-to-moments`` K = 20, 40, 80 json and csv on the Bernstein-Szego
-gammas and three seeded 80-coefficient rmax-0.8 fixtures (seeds 1017-3017);
+``sv`` N = 12, 25, 40 on the four densities; ``verblunsky-to-moments``
+K = 20, 40, 80 json and csv on the Bernstein-Szego gammas and three seeded
+80-coefficient rmax-0.8 fixtures (seeds 1017-3017); ``moments-to-verblunsky``
+N = 12, 25, 40 on three seeded 40-coefficient rmax-0.8 fixtures (seeds
+1017-3017), ill-conditioned inputs whose route-B bits decide a RouteMismatch;
 four moment fixtures (the moments of ``random_gamma_7``, the same with
 negative indices, with a broken Hermitian symmetry, and with |c_5| raised to
 1.5) under ``moments-to-verblunsky`` n = 6 and 12, ``orthopolys``, ``zeros``
 and ``cd``; every ``random-gamma`` run that makes a fixture, four more, an
-``orthopolys --n 30`` past a horizon and a missing file.
+``orthopolys --n 30`` past a horizon, a ``verblunsky-to-moments --n 30``
+past the coefficient count and a missing file.
 """
 
 from __future__ import annotations
@@ -118,14 +122,18 @@ def report_set(frames: dict[str, str]):
                 yield f"{density}.baxter.n{n}.{fmt}", ["baxter", path, "--n", str(n),
                                                        "--format", fmt]
         for n in (12, 25, 40):
-            yield (f"{density}.moments-to-verblunsky.n{n}.json",
-                   ["moments-to-verblunsky", path, "--n", str(n)])
+            for command in ("moments-to-verblunsky", "sv"):
+                yield f"{density}.{command}.n{n}.json", [command, path, "--n", str(n)]
     for stem in ["bernstein_gammas"] + [f"gammas80_{seed}" for seed in GAMMA_SEEDS[:3]]:
         for fmt in ("json", "csv"):
             for k in (20, 40, 80):
                 yield (f"{stem}.verblunsky-to-moments.n{k}.{fmt}",
                        ["verblunsky-to-moments", f"fixtures/{stem}.json", "--n", str(k),
                         "--format", fmt])
+    for seed in GAMMA_SEEDS[:3]:
+        for n in (12, 25, 40):
+            yield (f"gammas40_{seed}.moments-to-verblunsky.n{n}",
+                   ["moments-to-verblunsky", f"fixtures/gammas40_{seed}.json", "--n", str(n)])
     for stem in ("moments_rg7", "moments_rg7_negative", "moments_asymmetric",
                  "moments_not_pd"):
         path = f"fixtures/{stem}.json"
@@ -139,6 +147,8 @@ def report_set(frames: dict[str, str]):
                ["random-gamma", "--seed", str(seed), "--n", str(n), "--rmax", rmax])
     yield "random_gamma_7.orthopolys.n30", ["orthopolys", "fixtures/random_gamma_7.json",
                                             "--n", "30"]
+    yield ("random_gamma_7.verblunsky-to-moments.n30",
+           ["verblunsky-to-moments", "fixtures/random_gamma_7.json", "--n", "30"])
     yield "missing.zeros.n4", ["zeros", "fixtures/missing.json", "--n", "4"]
 
 
@@ -164,6 +174,9 @@ def make_fixtures(main, record) -> None:
             write_fixture(f"gammas80_{seed}", generated(
                 f"random-gamma.seed{seed}.n80",
                 ["random-gamma", "--seed", str(seed), "--n", "80", "--rmax", "0.8"]))
+            write_fixture(f"gammas40_{seed}", generated(
+                f"random-gamma.seed{seed}.n40",
+                ["random-gamma", "--seed", str(seed), "--n", "40", "--rmax", "0.8"]))
     write_fixture("bernstein_gammas", {"frame": {"i": [0.0, 1.0, 0.0, 0.0],
                                                  "j": [0.0, 0.0, 1.0, 0.0]},
                                        "gammas": [[0.5, 0.0, 0.0, 0.0]] + [[0.0] * 4] * 79})
