@@ -30,10 +30,10 @@ from .errors import (
 )
 from .fixtures import random_gamma_seq
 from .measures import (
-    MomentSequence, QPositiveDensity, density_in_frame, moments_from_density,
+    PIVOT_TOL, MomentSequence, QPositiveDensity, density_in_frame, moments_from_density,
 )
 from .polynomials import (
-    VerblunskySeq, moments_from_verblunsky_q, orthonormal_polys,
+    ROUTE_TOL, VerblunskySeq, moments_from_verblunsky_q, orthonormal_polys,
     verblunsky_from_moments_q,
 )
 from .quaternions import SliceFrame
@@ -407,9 +407,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="frame JSON override, or 'standard'")
         p.add_argument("--n", type=int, default=8, help="horizon / max degree")
         p.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
-        p.add_argument("--tol-route", dest="tol_route", type=float, default=1e-8,
+        p.add_argument("--tol-route", dest="tol_route", type=float, default=ROUTE_TOL,
                        help="cross-route agreement tolerance")
-        p.add_argument("--tol-pd", dest="tol_pd", type=float, default=1e-12,
+        p.add_argument("--tol-pd", dest="tol_pd", type=float, default=PIVOT_TOL,
                        help="positive-definiteness pivot tolerance")
         p.add_argument("--out", default=None, help="output path (default stdout)")
         p.add_argument("--format", choices=("json", "csv"), default="json")

@@ -22,7 +22,7 @@ import numpy as np
 from .errors import HorizonExceeded, NotPositiveDefinite
 from .quaternions import (
     Quaternion, SliceFrame, _frame_coords, _from_frame_coords, chi, chi_mat, qarr_abs,
-    qarr_conj, qarr_from, qarr_from_planes, qarr_mul, qarr_planes,
+    qarr_conj, qarr_from, qarr_mul,
 )
 
 PSD_GRID = 2048
@@ -130,43 +130,73 @@ def is_nontrivial(c: MomentSequence, n: int,
                                min_eigenvalue=min_eig)
 
 
-def require_nontrivial(c: MomentSequence, n: int, pivot_tol: float = PIVOT_TOL,
-                       transpose: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """Square-root-free quaternionic LDL* of T_n(c), or of its transpose.
+# E[a, b] = e_a e_b over the basis (1, i, j, k): the Hamilton product of
+# long-double rows is a contraction with these constants (qarr_mul is float64)
+_BASIS_PRODUCTS = qarr_mul(np.eye(4)[:, None], np.eye(4)).astype(np.longdouble)
+_CONJ = np.array([1.0, -1.0, -1.0, -1.0], dtype=np.longdouble)
 
-    Returns (L, d) with T = L diag(d) L^*: L unit lower triangular as an
-    (n+1, n+1, 4) array, d the real pivots.  The pivots are nested (d_0..d_m
-    factor T_m), so the first d_m <= pivot_tol is the first order m at which
-    the form is not positive definite, and NotPositiveDefinite names it.  The
-    transpose equals J T J for the reversal J, so it fails at the same order.
 
-    Elimination runs on the complex planes q = z1 + z2 j (``qarr_planes``),
-    updated in place, with no square root, so inputs whose factors are exact
-    in binary (Lebesgue, Bernstein-Szego with g = 1/2) keep exact zero
-    coefficients.  A step subtracts the outer Hamilton product
-    col_i conj(l_k), (a1 + a2 j)(b1 + b2 j) = (a1 b1 - a2 conj b2)
-    + (a1 b2 + a2 conj b1) j with b = conj(l), from the trailing block.
+def _qdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum_k a_k b_k over two (m, 4) long-double arrays of quaternions."""
+    return (a.T @ b).reshape(16) @ _BASIS_PRODUCTS.reshape(16, 4)
+
+
+def _pivot_checked(d, m: int, pivot_tol: float):
+    if not d > pivot_tol:  # also rejects a NaN prediction error
+        raise NotPositiveDefinite(f"Toeplitz form not positive definite at order {m} "
+                                  f"(pivot {float(d):.3e})", order=m)
+    return d
+
+
+def require_nontrivial(c: MomentSequence, n: int, pivot_tol: float = PIVOT_TOL
+                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The paired Szego recurrences run on the moments (multichannel Levinson).
+
+    Returns (gammas, right, left): the Verblunsky coefficients
+    gamma_0..gamma_{n-1} as an (n, 4) array, and the coefficient rows of the
+    right- and left-orthonormal families as (n+1, n+1, 4) arrays, row m
+    holding degree m zero-padded.  Step m reads gamma_m off one inner product
+    each, num = sum_k c_{k+1} phi_k and den = sum_k c_k rev(psi)_k, as
+    gamma = den^{-1} num (the right family phi_{m+1} is orthogonal to 1), then
+    advances both families in ``szego_advance``'s factor order:
+
+        phi <- r^{-1} (p phi - rev(psi) gamma),  psi <- r^{-1} (psi p - gamma rev(phi)).
+
+    den is the square root of the prediction error d_m, which is the m-th
+    LDL* pivot of T_n(c) in exact arithmetic; a den that is not real to
+    1e-8 * max(1, |den_0|) raises ArithmeticError.  The prediction errors
+    d_{m+1} = d_m (1 - |gamma_m|^2) are nested, so the first d_m <= pivot_tol
+    is the first order m at which the form is not positive definite, and
+    NotPositiveDefinite names it.  Everything runs in real long double and is
+    rounded to float64 once at the end, with -0.0 mapped to 0.0.
     """
-    T = toeplitz(c, n)
-    A1, A2 = qarr_planes(T.swapaxes(0, 1) if transpose else T)
-    L1, L2 = np.zeros_like(A1), np.zeros_like(A2)
-    d = np.empty(n + 1)
-    for m in range(n + 1):
-        d[m] = A1[m, m].real
-        if not d[m] > pivot_tol:  # also rejects a NaN pivot
-            raise NotPositiveDefinite(
-                f"Toeplitz form not positive definite at order {m} "
-                f"(pivot {d[m]:.3e})", order=m)
-        L1[m + 1:, m] = A1[m + 1:, m] / d[m]
-        L2[m + 1:, m] = A2[m + 1:, m] / d[m]
-        # both factors 2-D, as in the pair form: a 1 x 1 product then takes
-        # the same (fused multiply-add) ufunc loop, so every bit matches
-        a1, a2 = A1[m + 1:, m][:, None], A2[m + 1:, m][:, None]
-        b1, b2 = L1[m + 1:, m].conj()[None, :], -L2[m + 1:, m][None, :]
-        A1[m + 1:, m + 1:] -= a1 * b1 - a2 * b2.conj()
-        A2[m + 1:, m + 1:] -= a1 * b2 + a2 * b1.conj()
-    np.fill_diagonal(L1, 1.0)
-    return qarr_from_planes(L1, L2), d
+    if n > c.horizon:
+        raise HorizonExceeded(f"order {n} beyond horizon {c.horizon}")
+    mom = c.arr[: n + 1].astype(np.longdouble)
+    right = np.zeros((n + 1, n + 1, 4), dtype=np.longdouble)
+    left = np.zeros_like(right)
+    gammas = np.zeros((n, 4), dtype=np.longdouble)
+    d = _pivot_checked(mom[0, 0], 0, pivot_tol)   # within 1e-9 of 1 (MomentSequence)
+    right[0, 0, 0] = left[0, 0, 0] = 1 / np.sqrt(d)
+    for m in range(n):
+        phi, psi = right[m, : m + 1], left[m, : m + 1]
+        rev_phi, rev_psi = phi[::-1] * _CONJ, psi[::-1] * _CONJ
+        num = _qdot(mom[1: m + 2], phi)
+        den = _qdot(mom[: m + 1], rev_psi)
+        if np.abs(den[1:]).max() > 1e-8 * max(1.0, abs(den[0])):
+            raise ArithmeticError(f"sqrt of the prediction error at order {m} should be "
+                                  f"real, got {Quaternion(*den.astype(float).tolist())!r}")
+        g = gammas[m] = _qdot((den * _CONJ / (den @ den))[None], num[None])
+        nsq = g @ g
+        d = _pivot_checked(d * (1 - nsq), m + 1, pivot_tol)
+        r_inv = 1 / np.sqrt(1 - nsq)
+        right[m + 1, 1: m + 2] = phi
+        right[m + 1, : m + 1] -= rev_psi @ (_BASIS_PRODUCTS.swapaxes(1, 2) @ g)   # rev(psi) gamma
+        left[m + 1, 1: m + 2] = psi
+        left[m + 1, : m + 1] -= rev_phi @ (g @ _BASIS_PRODUCTS.swapaxes(0, 1))   # gamma rev(phi)
+        right[m + 1] *= r_inv
+        left[m + 1] *= r_inv
+    return tuple(a.astype(float) + 0.0 for a in (gammas, right, left))
 
 
 def min_grid_eigenvalue(W: np.ndarray) -> float:

@@ -7,12 +7,14 @@ stored only as a read-only (n+1, 4) float array ``arr`` (row k = phi_k in
 the basis 1, i, j, k); ``coeffs`` and ``coeff`` hand out ``Quaternion``
 objects for the API and evaluation takes and returns them.  Right-orthonormal
 polynomials live in the first space, left-orthonormal in the second; both
-families come from a square-root-free LDL* of the Toeplitz form, kept as
-its factors until a family is read.  The paired recurrences advance all
-four sequences (both families and their reverses); the Verblunsky
-coefficient entering them equals the coefficient stripped by the matrix
-Schur algorithm of the embedded moments, and the two extraction routes are
-cross-checked on every call of ``verblunsky_from_moments_q``.
+families and their Verblunsky coefficients come from one run of the paired
+Szego recurrences on the moments (``measures.require_nontrivial``), kept as
+coefficient rows until a family is read.  ``szego_advance`` runs the same
+recurrences on polynomials, all four sequences (both families and their
+reverses) from given coefficients; the Verblunsky coefficient entering them
+equals the coefficient stripped by the matrix Schur algorithm of the
+embedded moments, and the two extraction routes are cross-checked on every
+call of ``verblunsky_from_moments_q``.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .measures import (
 )
 from .quaternions import (
     Quaternion, SliceFrame, _coerce, chi, chi_inv, qarr_abs, qarr_conj, qarr_from,
-    qarr_from_planes, qarr_inv, qarr_mul, qarr_norm_sq, qarr_planes, qmul_parts,
+    qarr_mul, qarr_norm_sq, qmul_parts,
 )
 
 ROUTE_TOL = 1e-8
@@ -230,82 +232,51 @@ def inner_L(phi: QPolyR, psi: QPolyR, c: MomentSequence) -> Quaternion:
     return Quaternion.from_array(qarr_mul(left, qarr_conj(b)).sum(axis=0))
 
 
-def _real_rows_checked(q: np.ndarray, what: str, tol: float = 1e-8) -> None:
-    """ArithmeticError, naming the first offending row, unless every row of
-    the (n, 4) array q is real to ``tol`` * max(1, |q_0|)."""
-    bad = np.flatnonzero(np.abs(q[:, 1:]).max(axis=1)
-                         > tol * np.maximum(1.0, np.abs(q[:, 0])))
-    if bad.size:
-        raise ArithmeticError(f"{what} should be real, got {Quaternion(*q[bad[0]].tolist())!r}")
-
-
 # ---------------------------------------------------------------------
 # orthonormal polynomials
 # ---------------------------------------------------------------------
 
 class OrthonormalFamily:
     """right[n] in H[p]^L (right-orthonormal), left[n] in H[p]^R (left-),
-    n = 0..order.
+    n = 0..order, and the Verblunsky coefficients ``gammas`` that built them.
 
-    Holds the LDL* factors (L, d) of T (``factors_right``) and of T^T
-    (``factors_left``); ``right`` and ``left`` run the inverse-row
-    substitution and build their polynomials when first read.
+    Holds the (order+1, order+1, 4) coefficient rows of both families, row n
+    holding degree n; ``right`` and ``left`` build their polynomials when
+    first read.
     """
 
-    def __init__(self, factors_right: tuple, factors_left: tuple):
-        self.factors_right = factors_right
-        self.factors_left = factors_left
+    def __init__(self, gammas: np.ndarray, right_rows: np.ndarray, left_rows: np.ndarray):
+        self.gammas = gammas
+        self.right_rows = right_rows
+        self.left_rows = left_rows
 
     @property
     def order(self) -> int:
-        return len(self.factors_right[1]) - 1
+        return len(self.gammas)
 
     @functools.cached_property
     def right(self) -> tuple:
-        # + 0.0 maps the -0.0 that conjugating an exact zero leaves back to 0.0
-        rows = qarr_conj(_inverse_columns(*self.factors_right, self.order + 1)) + 0.0
-        return tuple(QPolyL(rows[n, : n + 1]) for n in range(self.order + 1))
+        return tuple(QPolyL(self.right_rows[n, : n + 1]) for n in range(self.order + 1))
 
     @functools.cached_property
     def left(self) -> tuple:
-        rows = _inverse_columns(*self.factors_left, self.order + 1)
-        return tuple(QPolyR(rows[n, : n + 1]) for n in range(self.order + 1))
-
-
-def _inverse_columns(L: np.ndarray, d: np.ndarray, width: int) -> np.ndarray:
-    """Columns 0..width-1 of D^{-1/2} L^{-1} for unit lower L, an
-    (n+1, width, 4) array, by forward substitution on the complex planes:
-    step m subtracts the outer product L[m+1:, m] X[m, :m+1] from the rows
-    below m.  width = n+1 gives the rows of the orthonormal family, width = 1
-    its constant terms in O(n^2)."""
-    L1, L2 = qarr_planes(L)
-    X1 = np.eye(len(d), width, dtype=complex)
-    X2 = np.zeros_like(X1)
-    for m in range(len(d) - 1):
-        # both factors 2-D, as in the pair form (see ``require_nontrivial``)
-        a1, a2 = L1[m + 1:, m][:, None], L2[m + 1:, m][:, None]
-        b1, b2 = X1[m, : m + 1][None, :], X2[m, : m + 1][None, :]
-        X1[m + 1:, : m + 1] -= a1 * b1 - a2 * b2.conj()
-        X2[m + 1:, : m + 1] -= a1 * b2 + a2 * b1.conj()
-    return qarr_from_planes(X1, X2) / np.sqrt(d)[:, None, None]
+        return tuple(QPolyR(self.left_rows[n, : n + 1]) for n in range(self.order + 1))
 
 
 def orthonormal_polys(c: MomentSequence, N: int,
                       pivot_tol: float = PIVOT_TOL) -> OrthonormalFamily:
-    """Both orthonormal families, degree 0..N, from LDL* of the Toeplitz form.
+    """Both orthonormal families, degree 0..N, from the paired Szego
+    recurrences on the moments (``measures.require_nontrivial``).
 
-    <phi, psi>_R = psi^* T phi with T = toeplitz(c, N), so T = L D L^* makes
-    the columns of L^{-*} D^{-1/2} right-orthonormal: right[n] has the
-    coefficients conj(row n of D^{-1/2} L^{-1}).  <phi, psi>_L = phi T^T psi^*,
-    so with T^T = L D L^* the left family is row n of D^{-1/2} L^{-1}.
-    Leading coefficients are d_n^{-1/2}, strictly positive real.  Both
-    factorisations run here, so NotPositiveDefinite names the first order
-    whose pivot is at most ``pivot_tol``; the family keeps the factors and
-    builds its polynomials when ``right``/``left`` are first read.  The
-    frame plays no part.
+    Right orthonormality is <phi, psi>_R = psi^* T phi with T = toeplitz(c, N),
+    left orthonormality <phi, psi>_L = phi T^T psi^*.  Leading coefficients
+    are d_n^{-1/2} for the prediction errors d_n, strictly positive real.
+    NotPositiveDefinite names the first order whose prediction error is at
+    most ``pivot_tol``.  The family keeps the coefficient rows and the
+    Verblunsky coefficients and builds its polynomials when ``right``/``left``
+    are first read.  The frame plays no part.
     """
-    return OrthonormalFamily(require_nontrivial(c, N, pivot_tol),
-                             require_nontrivial(c, N, pivot_tol, transpose=True))
+    return OrthonormalFamily(*require_nontrivial(c, N, pivot_tol))
 
 
 # ---------------------------------------------------------------------
@@ -432,22 +403,6 @@ def _gammas_via_matrix(c: MomentSequence, N: int, frame: SliceFrame) -> Verbluns
     return VerblunskySeq(chi_inv(alphas_from_moments(C[1:], N), frame))
 
 
-def _gammas_via_szego(fam: OrthonormalFamily) -> VerblunskySeq:
-    """gamma_n = -psi_{n+1}^L(0) kappa_n^L / (kappa_{n+1}^L kappa_n^R), read
-    from the pivots (kappa_n = d_n^{-1/2} of each factorisation) and the
-    left constant terms (column 0 of D^{-1/2} L^{-1} for T^T); the families
-    themselves are not built."""
-    N = fam.order
-    (_, d_r), (L_l, d_l) = fam.factors_right, fam.factors_left
-    kap_l, kap_r = np.zeros((N + 1, 4)), np.zeros((N, 4))
-    kap_l[:, 0], kap_r[:, 0] = 1.0 / np.sqrt(d_l), 1.0 / np.sqrt(d_r[:N])
-    ratio = qarr_mul(kap_l[:-1], qarr_inv(kap_l[1:]))
-    _real_rows_checked(ratio, "leading ratio")
-    _real_rows_checked(kap_r, "leading coefficient")
-    const = _inverse_columns(L_l, d_l, 1)[1:, 0]
-    return VerblunskySeq(-(const * (ratio[:, 0] / kap_r[:, 0])[:, None]))
-
-
 def moments_from_verblunsky_q(gammas: VerblunskySeq, N: int,
                               frame: SliceFrame | None = None) -> MomentSequence:
     """Forward map gamma -> c through the embedded matrix engine.
@@ -468,14 +423,13 @@ def verblunsky_from_moments_q(c: MomentSequence, N: int,
                               pivot_tol: float = PIVOT_TOL) -> VerblunskyExtraction:
     """Verblunsky coefficients by two independent routes, cross-checked.
 
-    Route A embeds the moments, runs the matrix Schur algorithm, and pulls
-    the coefficients back; route B solves each Szego step for gamma_n from
-    what it reads of consecutive orthonormal polynomials: the leading
-    coefficients, which are the LDL* pivots of T and T^T, and the constant
-    terms of the left family, one column of the inverse factor of T^T.  No
-    polynomial is built.  Both factorisations run first, so moments that are
-    not positive definite (first pivot at most ``pivot_tol``) raise
-    NotPositiveDefinite before route A runs.  RouteMismatch fires when the
+    Route A embeds the moments, runs the matrix Schur algorithm in complex
+    long double, and pulls the coefficients back; route B reads them off the
+    paired Szego recurrences on the moments in real long double
+    (``orthonormal_polys``), one inner product with the moments per
+    coefficient.  No polynomial is built.  Route B runs first, so moments that
+    are not positive definite (first prediction error at most ``pivot_tol``)
+    raise NotPositiveDefinite before route A runs.  RouteMismatch fires when the
     routes differ beyond tolerance - a correctness alarm, not a recoverable
     state.
     """
@@ -485,7 +439,7 @@ def verblunsky_from_moments_q(c: MomentSequence, N: int,
         via_matrix = _gammas_via_matrix(c, N, frame)
     except NotInImage as exc:
         raise NotInImage(f"matrix route left the quaternionic subalgebra: {exc}") from exc
-    via_szego = _gammas_via_szego(fam)
+    via_szego = VerblunskySeq(fam.gammas)
     residual = float(np.max(qarr_abs(via_matrix.arr - via_szego.arr), initial=0.0))
     if residual > route_tol:
         raise RouteMismatch(

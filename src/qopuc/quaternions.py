@@ -319,19 +319,6 @@ def qmat_mul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return qarr_mul(A[:, :, None], B[None]).sum(axis=1)
 
 
-def qarr_planes(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The complex planes (z1, z2) of q = z1 + z2 j over an (..., 4) array,
-    z1 = w + x i and z2 = y + z i in the standard basis, as two fresh
-    contiguous arrays (the bits of ``A.view(complex)``, split)."""
-    P = np.ascontiguousarray(A, dtype=float).view(complex)
-    return P[..., 0].copy(), P[..., 1].copy()
-
-
-def qarr_from_planes(z1: np.ndarray, z2: np.ndarray) -> np.ndarray:
-    """The (..., 4) array of q = z1 + z2 j, the inverse of ``qarr_planes``."""
-    return np.stack([z1, z2], axis=-1).view(float)
-
-
 def qmat_conj_T(A: np.ndarray) -> np.ndarray:
     return qarr_conj(np.swapaxes(A, 0, 1))
 

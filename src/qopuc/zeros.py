@@ -15,12 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoConvergence, NotMonic, RouteMismatch
-from .polynomials import OrthonormalFamily, QPolyL, QPolyR, reverse_L, reverse_R
+from .polynomials import ROUTE_TOL, OrthonormalFamily, QPolyL, QPolyR, reverse_L, reverse_R
 from .quaternions import SliceFrame, chi, qarr_inv, qarr_mul, right_eigen_slice
 
 ROOT_RESIDUAL_TOL = 1e-10
 MAX_ABERTH_ITER = 500
-ROUTE_TOL = 1e-8
 
 
 def multiset_distance(a, b) -> float:

@@ -165,7 +165,7 @@ def qbytes(quaternions):
     return np.array([q.to_array() for q in quaternions], dtype=float).reshape(-1, 4).tobytes()
 
 
-# ---- route B on interleaved complex pairs: the oracles of the planar forms ----
+# ---- LDL* of the Toeplitz form on complex pairs: the oracle of route B ----
 
 def qpair_conj(a):
     """Conjugate of quaternions held as complex pairs (..., 2), q = z1 + z2 j."""
@@ -180,8 +180,9 @@ def qpair_outer(a, b):
 
 
 def ldl_pairs(c, n, pivot_tol=1e-12, transpose=False):
-    """LDL* of T_n(c) (or its transpose) eliminating on (..., 2) complex pairs
-    that every step rebuilds, as ``require_nontrivial`` did before its planes."""
+    """Square-root-free LDL* of T_n(c) (or its transpose), eliminating on
+    (..., 2) complex pairs q = z1 + z2 j; NotPositiveDefinite names the first
+    pivot at most ``pivot_tol``."""
     from qopuc.errors import NotPositiveDefinite
     from qopuc.measures import toeplitz
     T = toeplitz(c, n)
@@ -215,22 +216,3 @@ def family_rows_pairs(c, N):
     rows_r = qarr_conj(inverse_rows_pairs(*ldl_pairs(c, N))) + 0.0
     rows_l = inverse_rows_pairs(*ldl_pairs(c, N, transpose=True))
     return rows_r, rows_l
-
-
-def gammas_via_szego_family(c, N):
-    """Route B read off the built families, one realness check per degree and
-    array, as ``_gammas_via_szego`` did before it read the pivots alone."""
-    from qopuc.polynomials import QPolyL, QPolyR, VerblunskySeq
-    from qopuc.quaternions import qarr_inv, qarr_mul
-    rows_r, rows_l = family_rows_pairs(c, N)
-    right = [QPolyL(rows_r[n, : n + 1]) for n in range(N + 1)]
-    left = [QPolyR(rows_l[n, : n + 1]) for n in range(N + 1)]
-    kap_l = np.array([left[n].arr[n] for n in range(N + 1)])
-    kap_r = np.array([right[n].arr[n] for n in range(N)]).reshape(-1, 4)
-    ratio = qarr_mul(kap_l[:-1], qarr_inv(kap_l[1:]))
-    for n in range(N):
-        for q in (ratio[n], kap_r[n]):
-            if np.abs(q[1:]).max() > 1e-8 * max(1.0, abs(q[0])):
-                raise ArithmeticError(f"not real: {q}")
-    const = np.array([left[n + 1].arr[0] for n in range(N)]).reshape(-1, 4)
-    return VerblunskySeq(-(const * (ratio[:, 0] / kap_r[:, 0])[:, None]))

@@ -241,34 +241,27 @@ def test_one_frame_per_job(tmp_path, monkeypatch, frame_flag, frame_builds, quat
 
 
 @pytest.mark.parametrize("command", ["moments-to-verblunsky", "sv"])
-def test_route_b_reads_pivots_and_one_column(tmp_path, monkeypatch, command):
-    # both factorisations run, but route B builds no polynomial and runs no
-    # inverse-row substitution: one column (width 1) of the T^T factor
+def test_route_b_runs_one_recursion_and_builds_no_polynomial(tmp_path, monkeypatch, command):
+    # route B reads the gammas of one Szego recursion on the moments; the
+    # families stay coefficient rows (the LDL* route ran two factorisations)
     from qopuc import polynomials
 
-    factorisations, widths, polys = [], [], []
-    ldl, columns, init = (polynomials.require_nontrivial, polynomials._inverse_columns,
-                          polynomials._QPolyBase.__init__)
+    recursions, polys = [], []
+    recursion, init = polynomials.require_nontrivial, polynomials._QPolyBase.__init__
 
-    def counting_ldl(*args, **kwargs):
-        factorisations.append(kwargs.get("transpose", False))
-        return ldl(*args, **kwargs)
-
-    def counting_columns(L, d, width):
-        widths.append(width)
-        return columns(L, d, width)
+    def counting_recursion(*args, **kwargs):
+        recursions.append(args[1])
+        return recursion(*args, **kwargs)
 
     def counting_init(self, coeffs):
         polys.append(type(self).__name__)
         init(self, coeffs)
 
-    monkeypatch.setattr(polynomials, "require_nontrivial", counting_ldl)
-    monkeypatch.setattr(polynomials, "_inverse_columns", counting_columns)
+    monkeypatch.setattr(polynomials, "require_nontrivial", counting_recursion)
     monkeypatch.setattr(polynomials._QPolyBase, "__init__", counting_init)
     code, _ = run(tmp_path, command, str(FIXDIR / "smooth_trig.json"), "--n", "40")
     assert code == 0
-    assert factorisations == [False, True]
-    assert widths == [1]
+    assert recursions == [40]
     assert polys == []
 
 
@@ -282,9 +275,13 @@ def test_route_b_reads_pivots_and_one_column(tmp_path, monkeypatch, command):
 ])
 def test_family_readers_get_the_pair_form_rows(tmp_path, monkeypatch, argv):
     # the commands that read whole families get, member for member, the rows
-    # of the interleaved-pair elimination, byte for byte
+    # of the interleaved-pair LDL* and of the polynomial recurrences run from
+    # route A's gammas, to 5e-14 and 5e-15 (measured worst, both on
+    # random_gamma_7: 1.7e-14 and 1.3e-15)
     from conftest import family_rows_pairs
     from qopuc import analysis, cli
+    from qopuc.polynomials import _gammas_via_matrix, szego_family
+    from qopuc.quaternions import SliceFrame
 
     seen = []
 
@@ -304,10 +301,13 @@ def test_family_readers_get_the_pair_form_rows(tmp_path, monkeypatch, argv):
     assert code == 0 and len(seen) == 1
     c, N, fam = seen[0]
     rows_r, rows_l = family_rows_pairs(c, N)
+    states = szego_family(_gammas_via_matrix(c, N, SliceFrame.standard()), N)
     assert fam.order == N
     for n in range(N + 1):
-        assert fam.right[n].arr.tobytes() == rows_r[n, : n + 1].tobytes()
-        assert fam.left[n].arr.tobytes() == rows_l[n, : n + 1].tobytes()
+        for got, pair, recurred in ((fam.right[n], rows_r[n, : n + 1], states[n].right),
+                                    (fam.left[n], rows_l[n, : n + 1], states[n].left)):
+            assert np.abs(got.arr - pair).max() <= 5e-14
+            assert np.abs(got.arr - recurred.arr).max() <= 5e-15
 
 
 def test_verblunsky_to_moments_past_the_coefficient_count(tmp_path):
@@ -470,6 +470,14 @@ def test_tol_pd_override(tmp_path):
                     "--tol-pd", "1e6")
     assert code == 2
     assert json.loads(out)["error"]["type"] == "NotPositiveDefinite"
+    # the defaults are the library's constants, shared with zeros
+    from qopuc import zeros
+    from qopuc.cli import build_parser
+    from qopuc.measures import PIVOT_TOL
+    from qopuc.polynomials import ROUTE_TOL
+    args = build_parser().parse_args(["moments-to-verblunsky", path])
+    assert args.tol_route is ROUTE_TOL and args.tol_pd is PIVOT_TOL
+    assert zeros.ROUTE_TOL is ROUTE_TOL
 
 
 def test_cli_reference_values(tmp_path):

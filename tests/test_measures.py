@@ -136,22 +136,31 @@ def _non_pd_moments(seed, N):
 
 @pytest.mark.parametrize("N", [12, 25, 40])
 def test_ldl_failing_order_matches_is_nontrivial_scan(N):
-    # the first LDL* pivot at or below the tolerance names the same order as
-    # the ascending scan of embedded-Cholesky reports, for T_N and T_N^T
+    # the first prediction error at or below the tolerance names the same
+    # order as the ascending scan of embedded-Cholesky reports, and as the
+    # first pivot of the LDL* oracle of T_N and of T_N^T
+    from conftest import ldl_pairs
     for seed in range(3):
         c = _non_pd_moments(seed, N)
         scan = next(k for k in range(N + 1) if not is_nontrivial(c, k).ok)
+        with pytest.raises(NotPositiveDefinite) as info:
+            require_nontrivial(c, N)
+        assert info.value.order == scan
         for transpose in (False, True):
             with pytest.raises(NotPositiveDefinite) as info:
-                require_nontrivial(c, N, transpose=transpose)
+                ldl_pairs(c, N, transpose=transpose)
             assert info.value.order == scan
 
 
 def test_ldl_reconstructs_toeplitz():
+    # the LDL* oracle factors T and T^T, and its pivots are the recursion's
+    # prediction errors: both families have leading coefficients d_m^{-1/2}
+    from conftest import ldl_pairs
     c = random_moment_fixture(8, 9)
     T = toeplitz(c, 9)
-    for transpose, A in ((False, T), (True, T.swapaxes(0, 1))):
-        L, d = require_nontrivial(c, 9, transpose=transpose)
+    _, right, left = require_nontrivial(c, 9)
+    for transpose, A, rows in ((False, T, right), (True, T.swapaxes(0, 1), left)):
+        L, d = ldl_pairs(c, 9, transpose=transpose)
         assert np.array_equal(L[np.arange(10), np.arange(10)],
                               np.tile([1.0, 0.0, 0.0, 0.0], (10, 1)))
         assert np.all(np.triu(np.abs(L).sum(axis=-1), 1) == 0)
@@ -159,6 +168,8 @@ def test_ldl_reconstructs_toeplitz():
         D[np.arange(10), np.arange(10), 0] = d
         rebuilt = qmat_mul(qmat_mul(L, D), qmat_conj_T(L))
         assert np.max(np.abs(rebuilt - A)) < 1e-13
+        lead = rows[np.arange(10), np.arange(10)]
+        assert np.max(np.abs(lead - np.stack([d ** -0.5, 0 * d, 0 * d, 0 * d], axis=1))) < 1e-14
 
 
 def _pivots_ok(M, tol=1e-12):

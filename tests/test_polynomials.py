@@ -16,7 +16,6 @@ from qopuc.polynomials import (
     QPolyL, QPolyR, SzegoState, VerblunskySeq, eval_L, eval_R, inner_L,
     inner_R, moments_from_verblunsky_q, orthonormal_polys, poly_from_json,
     reverse_L, reverse_R, star_mul_L, star_mul_R, szego_advance, szego_family, verblunsky_from_moments_q,
-    _gammas_via_szego,
 )
 from qopuc.quaternions import QI, QJ, QK, Quaternion, SliceFrame, chi, chi_inv
 from conftest import (
@@ -245,7 +244,7 @@ def test_orthonormal_exact_zeros():
 def test_szego_route_vanishing_density_closed_form():
     # |gamma_n| = 1/(n+2) for w = 1 + cos(theta), from route B alone
     c = moments_from_density(vanishing_density(), 100)
-    gammas = _gammas_via_szego(orthonormal_polys(c, 100))
+    gammas = VerblunskySeq(orthonormal_polys(c, 100).gammas)
     assert len(gammas) == 100
     err = max(abs(abs(g) - 1.0 / (n + 2)) for n, g in enumerate(gammas))
     assert err < 1e-12
@@ -522,27 +521,19 @@ def test_eval_star_and_reverse_bitwise_equal_to_scalar_loops(rng):
 @pytest.mark.parametrize("density", [lebesgue_density, bernstein_szego_density,
                                      vanishing_density, smooth_trig_density])
 def test_family_and_szego_bitwise_equal_to_scalar_loops(density):
+    # szego_family and szego_advance against the loop on Quaternion lists,
+    # from route B's gammas and a signed-zero gamma
     N = 7
-    c = moments_from_density(density(), N)
-    fam = orthonormal_polys(c, N)
-    rows_r, rows_l = family_rows_pairs(c, N)
-    for n in range(N + 1):
-        assert fam.right[n].arr.tobytes() == _bytes(map(Quaternion.from_array, rows_r[n, : n + 1]))
-        assert fam.left[n].arr.tobytes() == _bytes(map(Quaternion.from_array, rows_l[n, : n + 1]))
-    # route B, one leading-coefficient ratio per step
-    want = []
-    for n in range(N):
-        kap_n, kap_n1 = fam.left[n].coeffs[n], fam.left[n + 1].coeffs[n + 1]
-        r_n = qmul_scalar(kap_n, kap_n1.inverse()).w
-        want.append(-(fam.left[n + 1].coeff(0) * (r_n / fam.right[n].coeffs[n].w)))
-    assert _bytes(_gammas_via_szego(fam).gammas) == _bytes(want)
-    # the paired recurrences from these gammas, with a signed-zero gamma too
+    gammas = orthonormal_polys(moments_from_density(density(), N), N).gammas
+    states = szego_family(VerblunskySeq(gammas), N)
     state = SzegoState.initial()
-    for g in list(want) + [Quaternion(0.25, -0.0, 0.0, -0.125)]:
+    for n, g in enumerate(_quats(gammas) + [Quaternion(0.25, -0.0, 0.0, -0.125)]):
         nxt = szego_advance(state, g)
         expect = _szego_advance_scalar(state, g)
         for got, ref in zip((nxt.left, nxt.right, nxt.left_rev, nxt.right_rev), expect):
             assert got.arr.tobytes() == _bytes(ref)
+        if n < N:
+            assert nxt == states[n + 1]
         state = nxt
 
 
@@ -554,45 +545,87 @@ def _route_b_inputs(N):
     for density in (lebesgue_density, bernstein_szego_density, vanishing_density,
                     smooth_trig_density):
         d = density()
-        yield moments_from_density(d, N)
+        yield moments_from_density(d, N), False
         for fr in frames:
-            yield moments_from_density(density_in_frame(d, fr), N)
+            yield moments_from_density(density_in_frame(d, fr), N), False
     for seed, fr in enumerate([None] + frames):
-        yield random_moment_fixture(seed, N, rmax=0.8, frame=fr)
+        yield random_moment_fixture(seed, N, rmax=0.8, frame=fr), True
+
+
+def _szego_family_rows(gammas, N):
+    """The rows of the right and left members of ``szego_family``."""
+    rows = np.zeros((2, N + 1, N + 1, 4))
+    for n, st in enumerate(szego_family(VerblunskySeq(gammas), N)):
+        rows[0, n, : st.right.degree + 1] = st.right.arr
+        rows[1, n, : st.left.degree + 1] = st.left.arr
+    return rows
 
 
 @pytest.mark.parametrize("N", [12, 25, 40])
-def test_planar_route_b_bitwise_equal_to_pair_form(N):
-    # the planar LDL*, inverse rows and constant-term column, and route B read
-    # off pivots and that column, against the interleaved-pair forms and the
-    # built families: value and sign bit of every entry
-    from conftest import gammas_via_szego_family, inverse_rows_pairs, ldl_pairs
-    from qopuc.measures import require_nontrivial
-    from qopuc.polynomials import _gammas_via_szego, _inverse_columns
-    for c in _route_b_inputs(N):
-        for transpose in (False, True):
-            L, d = require_nontrivial(c, N, transpose=transpose)
-            L_ref, d_ref = ldl_pairs(c, N, transpose=transpose)
-            assert L.tobytes() == L_ref.tobytes() and d.tobytes() == d_ref.tobytes()
-            rows = inverse_rows_pairs(L_ref, d_ref)
-            assert _inverse_columns(L, d, N + 1).tobytes() == rows.tobytes()
-            assert _inverse_columns(L, d, 1).tobytes() == rows[:, :1].tobytes()
-        got = _gammas_via_szego(orthonormal_polys(c, N)).arr
-        assert got.tobytes() == gammas_via_szego_family(c, N).arr.tobytes()
+def test_route_b_families_match_pair_form_and_szego_family(N):
+    # the recursion's rows against the rows of the interleaved-pair LDL*, and
+    # against the polynomial recurrences run from route A's gammas.  Measured
+    # worst cases: densities 5.1e-15 and 1.6e-15 absolute; seeded rmax-0.8
+    # moments, relative to the largest coefficient (up to 4.8e3 at N = 40),
+    # 3.5e-8, the float64 LDL*'s own error on these ill-conditioned forms,
+    # and 4.9e-11
+    from qopuc.polynomials import _gammas_via_matrix
+    for c, seeded in _route_b_inputs(N):
+        fam = orthonormal_polys(c, N)
+        rows = np.stack([fam.right_rows, fam.left_rows])
+        scale = np.abs(rows).max() if seeded else 1.0
+        pair_tol, szego_tol = (1e-7, 1e-9) if seeded else (1e-14, 1e-14)
+        assert np.abs(rows - np.stack(family_rows_pairs(c, N))).max() <= pair_tol * scale
+        via_a = _gammas_via_matrix(c, N, SliceFrame.standard()).arr
+        assert np.abs(rows - _szego_family_rows(via_a, N)).max() <= szego_tol * scale
+        for n in range(N + 1):
+            assert fam.right[n] == QPolyL(rows[0, n, : n + 1])
+            assert fam.left[n] == QPolyR(rows[1, n, : n + 1])
+
+
+def test_route_b_atom_plus_lebesgue_closed_form():
+    # mu = (1 - t) Lebesgue + t delta_0 with t = 1/2: c_n = 1/2 for n >= 1 and
+    # gamma_n = t / (1 + n t); the double-precision LDL* route read 5.6e-17
+    t, N = 0.5, 200
+    c = MomentSequence([1.0] + [t] * N)
+    gammas = orthonormal_polys(c, N).gammas
+    n = np.arange(N)
+    assert np.abs(gammas[:, 1:]).max() == 0.0
+    assert np.abs(gammas[:, 0] - t / (1 + n * t)).max() <= 1e-17
+
+
+def test_route_b_no_route_mismatch_on_seeded_rmax08_moments():
+    # route B agrees with route A to ROUTE_TOL on ill-conditioned seeded
+    # moments; with the double-precision LDL* 16 of these 160 runs raised
+    # RouteMismatch.  Over seeds 1-200 one is left (N = 40, seed 193), where
+    # route A is the less accurate route against a 40-digit reference
+    from qopuc.errors import RouteMismatch
+    mismatches = []
+    for N in (25, 40):
+        for seed in range(1, 81):
+            try:
+                verblunsky_from_moments_q(random_moment_fixture(seed, N, rmax=0.8), N)
+            except RouteMismatch:
+                mismatches.append((N, seed))
+    assert mismatches == []
 
 
 def test_realness_checks_name_the_first_non_real_row():
-    from qopuc.polynomials import _real_rows_checked
-    q = np.zeros((5, 4))
-    q[:, 0] = [4.0, 0.5, 2.0, 1.0, 3.0]
-    q[1, 3] = 1e-8                # at the tolerance 1e-8 * max(1, |q_0|): real
-    _real_rows_checked(q, "leading ratio")
-    q[2, 2] = 3e-8                # above 1e-8 * 2.0
-    q[4, 1] = 1.0
+    # den = sqrt(d_m) must be real to 1e-8 * max(1, |den_0|); at order 0 it is
+    # c_0 / sqrt(Re c_0), with c_0 set past the MomentSequence check
+    from qopuc.measures import require_nontrivial
+
+    def moments(c0):
+        c = MomentSequence([1.0, 0.25, 0.125])
+        object.__setattr__(c, "arr", np.array([c0, [0.25, 0, 0, 0], [0.125, 0, 0, 0]]))
+        return c
+    require_nontrivial(moments([1.0, 0.0, 0.0, 1e-8]), 2)   # at the tolerance: real
+    require_nontrivial(moments([4.0, 0.0, 0.0, 3e-8]), 2)   # 1.5e-8 within 1e-8 * 2.0
     with pytest.raises(ArithmeticError) as info:
-        _real_rows_checked(q, "leading ratio")
-    assert str(info.value) == ("leading ratio should be real, got "
-                               f"{Quaternion(2.0, 0.0, 3e-8, 0.0)!r}")
-    q[2, 2] = float("nan")        # a NaN part fails no comparison, as before
-    with pytest.raises(ArithmeticError, match=r"got Quaternion\(3\.0, 1\.0, 0\.0, 0\.0\)"):
-        _real_rows_checked(q, "leading coefficient")
+        require_nontrivial(moments([1.0, 0.0, 3e-8, 0.0]), 2)
+    assert str(info.value) == ("sqrt of the prediction error at order 0 should be real, "
+                               f"got {Quaternion(1.0, 0.0, 3e-8, 0.0)!r}")
+    # a NaN part fails no comparison; the prediction error d_1 is NaN then
+    with pytest.raises(NotPositiveDefinite) as info:
+        require_nontrivial(moments([1.0, 0.0, float("nan"), 0.0]), 2)
+    assert info.value.order == 1

@@ -26,7 +26,8 @@ n = 1-11 at (samples, seed) = (1, 0), (1, 7), (100, 0), (100, 7),
 ``verblunsky-to-moments --n 6``; ``zeros`` and ``orthopolys`` n = 1-10,
 ``moments-to-verblunsky`` and ``verblunsky-to-moments`` n = 6, under five
 seeded random frames.  Besides: ``baxter`` N = 50, 100, 200, 400 json and
-csv and ``moments-to-verblunsky`` N = 12, 25, 40 on the four densities;
+csv and ``moments-to-verblunsky`` N = 12, 25, 40, 100, 200, 400 on the four
+densities;
 ``sv`` N = 12, 25, 40 on the four densities; ``verblunsky-to-moments``
 K = 20, 40, 80 json and csv on the Bernstein-Szego gammas and three seeded
 80-coefficient rmax-0.8 fixtures (seeds 1017-3017); ``moments-to-verblunsky``
@@ -35,7 +36,9 @@ N = 12, 25, 40 on three seeded 40-coefficient rmax-0.8 fixtures (seeds
 four moment fixtures (the moments of ``random_gamma_7``, the same with
 negative indices, with a broken Hermitian symmetry, and with |c_5| raised to
 1.5) under ``moments-to-verblunsky`` n = 6 and 12, ``orthopolys``, ``zeros``
-and ``cd``; every ``random-gamma`` run that makes a fixture, four more, an
+and ``cd``; the moments c_0 = 1, c_n = 1/2 of half Lebesgue measure plus half
+an atom at 0 under ``moments-to-verblunsky --n 200``, ``orthopolys --n 8``
+and ``zeros --n 8``; every ``random-gamma`` run that makes a fixture, four more, an
 ``orthopolys --n 30`` past a horizon, a ``verblunsky-to-moments --n 30``
 past the coefficient count and a missing file.
 """
@@ -124,6 +127,9 @@ def report_set(frames: dict[str, str]):
         for n in (12, 25, 40):
             for command in ("moments-to-verblunsky", "sv"):
                 yield f"{density}.{command}.n{n}.json", [command, path, "--n", str(n)]
+        for n in (100, 200, 400):
+            yield (f"{density}.moments-to-verblunsky.n{n}.json",
+                   ["moments-to-verblunsky", path, "--n", str(n)])
     for stem in ["bernstein_gammas"] + [f"gammas80_{seed}" for seed in GAMMA_SEEDS[:3]]:
         for fmt in ("json", "csv"):
             for k in (20, 40, 80):
@@ -142,6 +148,9 @@ def report_set(frames: dict[str, str]):
                    ["moments-to-verblunsky", path, "--n", str(n)])
         for command in ("orthopolys", "zeros", "cd"):
             yield f"{stem}.{command}.n5", [command, path, "--n", "5"]
+    for command, n in (("moments-to-verblunsky", 200), ("orthopolys", 8), ("zeros", 8)):
+        yield (f"atom_lebesgue.{command}.n{n}",
+               [command, "fixtures/atom_lebesgue.json", "--n", str(n)])
     for seed, n, rmax in ((0, 8, "0.8"), (11, 12, "0.8"), (5, 40, "0.95"), (3, 5, "0.5")):
         yield (f"random-gamma.seed{seed}.n{n}.rmax{rmax}",
                ["random-gamma", "--seed", str(seed), "--n", str(n), "--rmax", rmax])
@@ -191,6 +200,9 @@ def make_fixtures(main, record) -> None:
     raised = [[n, [1.5 * x / float(np.linalg.norm(q)) for x in q] if n == 5 else q]
               for n, q in moments]
     write_fixture("moments_not_pd", {"moments": raised})
+    # (1/2) Lebesgue + (1/2) delta_0: c_n = 1/2 for n >= 1, gamma_n = 1 / (2 + n)
+    write_fixture("atom_lebesgue", {"moments": [[0, [1.0, 0.0, 0.0, 0.0]]]
+                                    + [[n, [0.5, 0.0, 0.0, 0.0]] for n in range(1, 201)]})
 
 
 def main() -> int:
