@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import NotPositiveOnGrid, OnBoundary
 from .measures import (
-    MomentSequence, QPositiveDensity, moments_from_density,
+    MomentSequence, QPositiveDensity, _det_herm2, moments_from_density,
     wiener_coefficient_norm,
 )
 from .polynomials import (
@@ -109,20 +109,18 @@ def szego_entropy(d: QPositiveDensity, grid: int = ENTROPY_GRID,
                   allow_divergent: bool = False,
                   pd_tol: float = 1e-12) -> float:
     """Trapezoid quadrature of log det W over the circle, normalised by 2 pi,
-    on the density's kept grid values.
+    on the density's kept grid values, with det W = a d - |b|^2 in closed form.
 
     Requires W positive definite on the grid; with ``allow_divergent`` a
     grid zero reports -inf instead of raising NotPositiveOnGrid.
     """
-    W = d.grid_values(grid)
-    dets = np.linalg.det(W).real
     min_eig = d.min_eigenvalue_on_grid(grid)
     if not min_eig > pd_tol:   # also rejects a NaN grid value
         if allow_divergent:
             return float("-inf")
         raise NotPositiveOnGrid(
             f"matrix density has min grid eigenvalue {min_eig:.3e}")
-    return float(np.mean(np.log(dets)))
+    return float(np.mean(np.log(_det_herm2(d.grid_values(grid)))))
 
 
 @dataclass(frozen=True)

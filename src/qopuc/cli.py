@@ -132,6 +132,14 @@ def _require_list(obj: dict, key: str) -> list:
     return value
 
 
+def _require_new_index(seen: set, n: int, field: str) -> None:
+    """ValueError naming ``field`` if its index n was read before: building
+    the map would keep the later entry and drop the earlier one silently."""
+    if n in seen:
+        raise ValueError(f"{field} repeats index {n}")
+    seen.add(n)
+
+
 def _validate_frame(obj, field: str) -> None:
     if not isinstance(obj, dict):
         raise ValueError(f"{field} must be an object with keys i and j")
@@ -148,15 +156,19 @@ def _validate_fixture(obj) -> None:
     for k, g in enumerate(_require_list(obj, "gammas")):
         _require_numbers(g, 4, f"gammas[{k}]")
     for key in ("w1", "w2"):
+        seen = set()
         for k, entry in enumerate(_require_list(obj, key)):
             _require_numbers(entry, 3, f"{key}[{k}]")
             if not isinstance(entry[0], int):
                 raise ValueError(f"{key}[{k}] index must be an integer, got {entry[0]!r}")
+            _require_new_index(seen, entry[0], f"{key}[{k}]")
+    seen = set()
     for k, entry in enumerate(_require_list(obj, "moments")):
         if not (isinstance(entry, list) and len(entry) == 2
                 and isinstance(entry[0], int) and not isinstance(entry[0], bool)):
             raise ValueError(f"moments[{k}] must be [index, quaternion], got {entry!r}")
         _require_numbers(entry[1], 4, f"moments[{k}][1]")
+        _require_new_index(seen, entry[0], f"moments[{k}]")
     if "w1" in obj and "frame" not in obj:
         raise ValueError("frame is missing: a density fixture (w1/w2 keys) needs "
                          "a frame object with keys i and j")
@@ -327,7 +339,7 @@ def cmd_grid(args) -> dict:
     obj = load_fixture(args.input)
     d = density_from_fixture(obj, args.frame)
     thetas = 2.0 * np.pi * np.arange(args.grid) / args.grid
-    W = d.grid_values(args.grid).reshape(len(thetas), 4)
+    W = d.grid_values(args.grid).reshape(args.grid, 4)
     columns = [thetas.tolist()]
     for k in range(4):
         columns += [W[:, k].real.tolist(), W[:, k].imag.tolist()]

@@ -8,9 +8,12 @@ j-component); its 2x2 matrix form
     W(theta) = [[w1(theta),        w2(theta)],
                 [conj(w2(theta)),  w1(-theta)]]
 
-is Hermitian and must be positive semidefinite on the scan grid.  Moments
-follow the convention c_n = integral of e^{i n theta} d mu(theta), which for
-trigonometric densities reads off as c_n = w1_{-n} + w2_{-n} j.
+is Hermitian and must be positive semidefinite on the scan grid.  On the
+uniform grid 2 pi k / g each map's sum is an inverse DFT, taken as one FFT in
+long double; the smallest eigenvalue of each W(theta_k) and its determinant
+a d - |b|^2 are 2x2 closed forms.  Moments follow the convention
+c_n = integral of e^{i n theta} d mu(theta), which for trigonometric densities
+reads off as c_n = w1_{-n} + w2_{-n} j.
 """
 
 from __future__ import annotations
@@ -199,10 +202,34 @@ def require_nontrivial(c: MomentSequence, n: int, pivot_tol: float = PIVOT_TOL
     return tuple(a.astype(float) + 0.0 for a in (gammas, right, left))
 
 
-def min_grid_eigenvalue(W: np.ndarray) -> float:
-    """Smallest eigenvalue over a stack of 2x2 matrices, Hermitian part."""
-    W = 0.5 * (W + np.conj(np.swapaxes(W, 1, 2)))
-    return float(np.min(np.linalg.eigvalsh(W)))
+def _fourier_on_grid(coeffs: dict[int, complex], grid: int) -> np.ndarray:
+    """sum_n coeffs[n] e^{2 pi i n k / grid} for k < grid, rounded to float64 once.
+
+    Index n lands at n mod grid, which is exact on the grid, and one unscaled
+    inverse FFT in long double does the sum; an empty map is zero, with no
+    transform.
+    """
+    if not coeffs:
+        return np.zeros(grid, dtype=complex)
+    folded = np.zeros(grid, dtype=np.clongdouble)
+    np.add.at(folded, [n % grid for n in coeffs],
+              np.array(list(coeffs.values()), dtype=np.clongdouble))
+    return np.fft.ifft(folded, norm="forward").astype(complex)
+
+
+def _min_eig_herm2(W: np.ndarray) -> np.ndarray:
+    """Smallest eigenvalue of each Hermitian 2x2 matrix of a (..., 2, 2) stack,
+    in closed form; the diagonal's imaginary parts are dropped and W[..., 1, 0]
+    is read as conj(W[..., 0, 1])."""
+    a, d = W[..., 0, 0].real, W[..., 1, 1].real
+    return 0.5 * (a + d) - np.hypot(0.5 * (a - d), np.abs(W[..., 0, 1]))
+
+
+def _det_herm2(W: np.ndarray) -> np.ndarray:
+    """det of each Hermitian 2x2 matrix of a (..., 2, 2) stack, a d - |b|^2,
+    read as in ``_min_eig_herm2``."""
+    b = W[..., 0, 1]
+    return W[..., 0, 0].real * W[..., 1, 1].real - (b.real * b.real + b.imag * b.imag)
 
 
 class QPositiveDensity:
@@ -210,10 +237,12 @@ class QPositiveDensity:
 
     Invariants checked at construction: w1 real-valued on the circle
     (w1_{-n} = conj(w1_n)), the j-part symmetry w2_{-n} = -w2_n, and positive
-    semidefiniteness of the matrix form on a 2048-point grid.  W on the
-    uniform grid 2 pi k / g and its smallest eigenvalue are evaluated once per
-    grid size g and kept (``grid_values``, ``min_eigenvalue_on_grid``), so the
-    PSD scan, the Baxter check, the entropy and the grid report share them.
+    semidefiniteness of the matrix form on a 2048-point grid, which also
+    rejects a NaN grid value.  W on the uniform grid 2 pi k / g
+    (``matrix_values``) and its smallest eigenvalue, in closed form, are
+    evaluated once per grid size g and kept (``grid_values``,
+    ``min_eigenvalue_on_grid``), so the PSD scan, the Baxter check, the
+    entropy and the grid report share them.
     """
 
     __slots__ = ("frame", "w1", "w2", "_grids")
@@ -240,50 +269,32 @@ class QPositiveDensity:
     def __setattr__(self, name, value):
         raise AttributeError("QPositiveDensity is immutable")
 
-    def matrix_values(self, thetas: np.ndarray) -> np.ndarray:
-        """The Hermitian matrix density W(theta), shape (len(thetas), 2, 2).
+    def matrix_values(self, grid: int) -> np.ndarray:
+        """The Hermitian matrix density W(2 pi k / grid), k < grid, as a
+        (grid, 2, 2) array.
 
-        One exponential per |n| serves every w1 and w2 term of that order:
-        e^{-i n theta} is the conjugate of e^{i n theta} bit for bit, since
-        cos is even and sin odd in the floating-point library too.  The terms
-        are summed in the order of the dicts, one term at a time from 0, so
-        the exponentials of one call stay alive together: 4.2 MB for the
-        129-term Bernstein-Szego fixture on the 4096-point grid.
+        One long-double inverse FFT per non-empty coefficient map gives
+        a = w1 and b = w2 on the grid; W22(theta_k) = w1(-theta_k) is a at
+        index -k mod grid, and W21 = conj(b).
         """
-        thetas = np.asarray(thetas, dtype=float)
-        exps: dict[int, np.ndarray] = {}
-
-        def exp_pair(n):
-            e = exps.get(abs(n))
-            if e is None:
-                e = exps[abs(n)] = np.exp(1j * abs(n) * thetas)
-            e_conj = np.conj(e)
-            return (e, e_conj) if n >= 0 else (e_conj, e)
-
-        a = np.zeros_like(thetas, dtype=complex)
-        d = np.zeros_like(thetas, dtype=complex)
-        for n, coef in self.w1.items():
-            e, e_conj = exp_pair(n)
-            a = a + coef * e
-            d = d + coef * e_conj
-        b = np.zeros_like(thetas, dtype=complex)
-        for n, coef in self.w2.items():
-            b = b + coef * exp_pair(n)[0]
-        W = np.empty((len(thetas), 2, 2), dtype=complex)
+        a = _fourier_on_grid(self.w1, grid)
+        b = _fourier_on_grid(self.w2, grid)
+        W = np.empty((grid, 2, 2), dtype=complex)
         W[:, 0, 0] = a
         W[:, 0, 1] = b
         W[:, 1, 0] = np.conj(b)
-        W[:, 1, 1] = d
+        W[:, 1, 1] = np.roll(a[::-1], 1)
         return W
 
     def min_eigenvalue_on_grid(self, grid: int = PSD_GRID) -> float:
-        """Smallest eigenvalue of W on the grid 2 pi k / grid, k < grid; the
-        first call per grid size evaluates W there and keeps both."""
+        """Smallest eigenvalue of W on the grid 2 pi k / grid, k < grid, in
+        closed form; the first call per grid size evaluates W there and keeps
+        both."""
         kept = self._grids.get(grid)
         if kept is None:
-            W = self.matrix_values(2.0 * np.pi * np.arange(grid) / grid)
+            W = self.matrix_values(grid)
             W.setflags(write=False)
-            kept = self._grids[grid] = (W, min_grid_eigenvalue(W))
+            kept = self._grids[grid] = (W, float(np.min(_min_eig_herm2(W))))
         return kept[1]
 
     def grid_values(self, grid: int = PSD_GRID) -> np.ndarray:

@@ -9,7 +9,8 @@ from qopuc.quaternions import Quaternion, SliceFrame, chi
 
 def fourier_values(coeffs, thetas):
     """sum_n coeffs[n] e^{i n theta}, one term at a time in the dict's order:
-    a density's w1 or w2 on the circle, the reference for ``matrix_values``."""
+    a density's w1 or w2 on the circle, a reference for ``matrix_values`` at
+    grid points."""
     thetas = np.asarray(thetas, dtype=float)
     out = np.zeros_like(thetas, dtype=complex)
     for n, a in coeffs.items():

@@ -91,6 +91,28 @@ def test_density_fixture_without_frame_rejected_at_load(tmp_path):
         assert err["type"] == "ValueError" and err["message"].startswith("frame is missing")
 
 
+REPEATED_INDEX = {
+    "w1": ({"frame": {"i": [0, 1, 0, 0], "j": [0, 0, 1, 0]},
+            "w1": [[0, 1, 0], [0, 0.5, 0]]}, "w1[1] repeats index 0"),
+    "moments": ({"moments": [[0, [1, 0, 0, 0]], [1, [0.5, 0, 0, 0]], [1, [0.1, 0, 0, 0]]]},
+                "moments[2] repeats index 1"),
+}
+
+
+@pytest.mark.parametrize("key", sorted(REPEATED_INDEX))
+def test_repeated_index_rejected_at_load(tmp_path, key):
+    # a map built from these lists would keep the later entry: gamma_0 = 0.1
+    # from the moments, W(0) = 0.9 from the density
+    obj, message = REPEATED_INDEX[key]
+    bad = tmp_path / "repeat.json"
+    bad.write_text(json.dumps(obj))
+    for argv in (["moments-to-verblunsky", "--n", "1"], ["grid", "--grid", "4"],
+                 ["sv", "--n", "1"]):
+        code, out = run(tmp_path, argv[0], str(bad), *argv[1:])
+        assert code == 2
+        assert json.loads(out)["error"] == {"type": "ValueError", "message": message}
+
+
 def test_overflowing_density_rejected_as_not_psd(tmp_path):
     # finite coefficients whose grid values overflow: W(theta) holds inf and
     # the smallest grid eigenvalue is NaN, which must fail the PSD check
@@ -582,18 +604,21 @@ FUZZ_MAGNITUDES = (0.0, 1e-300, 1e-3, 0.3, 1.0, 3.0, 1e3, 1e154, 1e308, 1.7e308)
 def _fuzz_density(obj, rng):
     """Set one to three w1/w2 entries in symmetric pairs (w1_{-n} = conj w1_n,
     w2_{-n} = -w2_n), so the density still passes its symmetry checks and
-    reaches the grid, with magnitudes from 0 up to 1e308."""
-    w = {key: {n: complex(re, im) for n, re, im in obj.get(key, [])}
-         for key in ("w1", "w2")}
+    reaches the grid, with magnitudes from 0 up to 1e308.  Every entry of a
+    set index is rewritten, so a repeated index stays repeated."""
+    w = {key: [list(entry) for entry in obj.get(key, [])] for key in ("w1", "w2")}
     for _ in range(rng.integers(1, 4)):
         key = "w1" if rng.random() < 0.6 else "w2"
         n = int(rng.integers(0 if key == "w1" else 1, 5))
         mag = float(rng.choice(FUZZ_MAGNITUDES))
         a = mag * complex(np.exp(1j * rng.uniform(0, 2 * np.pi))) if n else complex(mag)
-        w[key][n] = a
-        w[key][-n] = a.conjugate() if key == "w1" else -a
-    return {**obj, **{key: [[n, a.real, a.imag] for n, a in sorted(w[key].items())]
-                      for key in ("w1", "w2")}}
+        for m, value in ((n, a), (-n, a.conjugate() if key == "w1" else -a)):
+            hits = [entry for entry in w[key] if entry[0] == m]
+            for entry in hits:
+                entry[1:] = [value.real, value.imag]
+            if not hits:
+                w[key].append([m, value.real, value.imag])
+    return {**obj, **w}
 
 
 def _fuzz_gammas(obj, rng):
@@ -641,8 +666,9 @@ def _fuzz_frame(rng):
 
 
 def _fuzz_fixtures():
-    """The shipped fixtures plus two moment fixtures of horizon 6, one with a
-    frame (moments read off Bernstein-Szego) and one without."""
+    """The shipped fixtures, two moment fixtures of horizon 6, one with a
+    frame (moments read off Bernstein-Szego) and one without, and the two
+    repeated-index fixtures."""
     from qopuc.fixtures import bernstein_szego_density, random_moment_fixture
     from qopuc.measures import moments_from_density
 
@@ -651,6 +677,8 @@ def _fuzz_fixtures():
     fixtures["moments_bs.json"] = {"frame": bs.frame.to_json(),
                                    "moments": moments_from_density(bs, 6).to_json()}
     fixtures["moments_random.json"] = {"moments": random_moment_fixture(5, 6).to_json()}
+    for key, (obj, _) in sorted(REPEATED_INDEX.items()):
+        fixtures[f"repeated_{key}.json"] = obj
     return fixtures
 
 
@@ -698,28 +726,46 @@ def test_density_grid_evaluated_once_per_size(tmp_path, monkeypatch):
     from qopuc.measures import QPositiveDensity
 
     sizes = []
-    eigvalsh_calls = []
+    lapack_calls = []
     matrix_values = QPositiveDensity.matrix_values
-    eigvalsh = np.linalg.eigvalsh
 
-    def counted_matrix_values(self, thetas):
-        sizes.append(len(thetas))
-        return matrix_values(self, thetas)
+    def counted_matrix_values(self, grid):
+        sizes.append(grid)
+        return matrix_values(self, grid)
 
-    def counted_eigvalsh(a, *args, **kwargs):
-        eigvalsh_calls.append(len(a))
-        return eigvalsh(a, *args, **kwargs)
+    def lapack(name):
+        return lambda *args, **kwargs: lapack_calls.append(name)
 
     monkeypatch.setattr(QPositiveDensity, "matrix_values", counted_matrix_values)
-    monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
+    monkeypatch.setattr(np.linalg, "eigvalsh", lapack("eigvalsh"))
+    monkeypatch.setattr(np.linalg, "det", lapack("det"))
     fixture = str(FIXDIR / "smooth_trig.json")
     for argv, grids in ((["baxter", fixture, "--n", "20"], [2048]),
                         (["sv", fixture, "--n", "10"], [2048, 4096]),
                         (["grid", fixture, "--grid", "2048"], [2048, 4096]),
                         (["grid", fixture, "--grid", "7"], [2048, 7, 4096])):
         sizes.clear()
-        eigvalsh_calls.clear()
         code, _ = run(tmp_path, *argv)
+        assert lapack_calls == [], argv
         assert code == 0
         assert sizes == grids, argv
-        assert eigvalsh_calls == grids, argv
+
+
+needs_long_double = pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                                       reason="needs an extended-precision np.longdouble")
+
+
+@needs_long_double
+def test_sv_bernstein_szego_entropy_exact(tmp_path):
+    # log det W = 2 log|D|^2 integrates to 2 log(1 - 0.5^2) = log(0.5625)
+    code, out = run(tmp_path, "sv", str(FIXDIR / "bernstein_szego_05.json"), "--n", "20")
+    assert code == 0
+    assert json.loads(out)["result"]["entropy"] == float(np.log(0.5625))
+
+
+@needs_long_double
+def test_baxter_bernstein_szego_density_min_correctly_rounded(tmp_path):
+    # the 64-term density's minimum, at theta = pi, is 1/3 + (2/3) 2^-64
+    code, out = run(tmp_path, "baxter", str(FIXDIR / "bernstein_szego_05.json"), "--n", "50")
+    assert code == 0
+    assert json.loads(out)["result"]["density_min"] == 1 / 3

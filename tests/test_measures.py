@@ -7,7 +7,8 @@ from qopuc.errors import HorizonExceeded, NotPositiveDefinite
 from qopuc.fixtures import bernstein_szego_density, lebesgue_density, \
     random_moment_fixture, vanishing_density, smooth_trig_density
 from qopuc.measures import (
-    AtomicQMeasure, MomentSequence, QPositiveDensity, density_in_frame, is_nontrivial,
+    AtomicQMeasure, MomentSequence, QPositiveDensity, _det_herm2, _min_eig_herm2,
+    density_in_frame, is_nontrivial,
     matrix_moments, moments_from_atoms, moments_from_density, require_nontrivial,
     toeplitz, wiener_coefficient_norm,
 )
@@ -326,26 +327,75 @@ def test_wiener_norm():
     assert abs(v64 - 3.0) < 1e-8  # sum 0.5^|m| = 2/(1-1/2) - 1
 
 
-def test_density_matrix_form_hermitian(rng):
+def test_density_matrix_form_hermitian():
     d = smooth_trig_density()
-    thetas = rng.uniform(0, 2 * np.pi, size=16)
-    W = d.matrix_values(thetas)
+    grid = 16
+    thetas = 2 * np.pi * np.arange(grid) / grid
+    W = d.matrix_values(grid)
     assert np.max(np.abs(W - np.conj(np.swapaxes(W, 1, 2)))) < 1e-12
-    # (2,2) entry is the reflected first density
+    # the grid points carry w1 and w2; the (2,2) entry is the reflected w1
+    assert np.max(np.abs(W[:, 0, 0] - fourier_values(d.w1, thetas))) < 1e-12
+    assert np.max(np.abs(W[:, 0, 1] - fourier_values(d.w2, thetas))) < 1e-12
     a = fourier_values(d.w1, -thetas)
     assert np.max(np.abs(W[:, 1, 1] - a)) < 1e-12
 
 
+_PI_LD = np.arccos(np.longdouble(-1.0))
+
+
+def _long_double_sums(coeffs, grid):
+    """sum_n coeffs[n] e^{2 pi i n k / grid}, k < grid, in long double, each
+    phase n k reduced mod grid in exact integer arithmetic."""
+    k = np.arange(grid)
+    out = np.zeros(grid, dtype=np.clongdouble)
+    for n, a in coeffs.items():
+        phase = 2 * _PI_LD * ((n * k) % grid).astype(np.longdouble) / grid
+        out += np.clongdouble(a) * (np.cos(phase) + 1j * np.sin(phase))
+    return out
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                    reason="needs an extended-precision np.longdouble")
 @pytest.mark.parametrize("make", [lebesgue_density, bernstein_szego_density,
                                   vanishing_density, smooth_trig_density])
-def test_matrix_values_bitwise_equal_to_per_term_sums(make):
-    d = make()
+def test_matrix_values_within_one_ulp_of_long_double_sums(make):
+    # the per-term float64 sums W replaced reach 6.3 ulp here
     rng = np.random.default_rng(31)
-    grids = [2.0 * np.pi * np.arange(g) / g for g in (2048, 4096)]
-    grids.append(rng.uniform(-4.0 * np.pi, 4.0 * np.pi, size=1000))
-    for thetas in grids:
-        W = d.matrix_values(thetas)
-        a, b = fourier_values(d.w1, thetas), fourier_values(d.w2, thetas)
-        dd = fourier_values(d.w1, -thetas)
-        want = np.stack([np.stack([a, b], -1), np.stack([np.conj(b), dd], -1)], -2)
-        assert W.tobytes() == want.tobytes()   # signed zeros included
+    for d in [make()] + [density_in_frame(make(), SliceFrame.random(rng)) for _ in range(3)]:
+        for grid in (1, 7, 2048, 4096):
+            W = d.matrix_values(grid)
+            a, b = _long_double_sums(d.w1, grid), _long_double_sums(d.w2, grid)
+            dd = _long_double_sums({-n: v for n, v in d.w1.items()}, grid)
+            want = np.stack([np.stack([a, b], -1), np.stack([np.conj(b), dd], -1)], -2)
+            ulp = np.finfo(float).eps * max(1.0, float(np.max(np.abs(want))))
+            assert float(np.max(np.abs(W - want))) <= ulp, (grid, d.frame)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                    reason="needs an extended-precision np.longdouble")
+def test_closed_form_min_eigenvalue_and_det_match_lapack():
+    rng = np.random.default_rng(47)
+    size = 2000
+    diag = rng.normal(size=(size, 2)) * 10.0 ** rng.uniform(-3, 3, size=(size, 1))
+    b = rng.normal(size=size) + 1j * rng.normal(size=size)
+    b *= np.sqrt(np.abs(diag[:, 0] * diag[:, 1])) / np.abs(b)
+    # the second half is near-singular: |b|^2 = a d (1 - t) with t down to 1e-15
+    b[size // 2:] *= np.sqrt(1.0 - 10.0 ** rng.uniform(-15, -1, size=size // 2))
+    diag[size // 2:] = np.abs(diag[size // 2:])
+    H = np.empty((size, 2, 2), dtype=complex)
+    H[:, 0, 0], H[:, 1, 1] = diag[:, 0], diag[:, 1]
+    H[:, 0, 1], H[:, 1, 0] = b, np.conj(b)
+    eps = np.finfo(float).eps
+    # against long-double references the closed forms are off by at most 0.9 and
+    # 1.0 eps * scale here, LAPACK by 2.4 (eigvalsh) and 7.9 (det)
+    a, d = diag.T.astype(np.longdouble)
+    b_sq = b.real.astype(np.longdouble) ** 2 + b.imag.astype(np.longdouble) ** 2
+    scale = np.abs(diag).max(axis=1) + np.abs(b)
+    lam = _min_eig_herm2(H)
+    assert np.all(np.abs(lam - ((a + d) / 2 - np.sqrt(((a - d) / 2) ** 2 + b_sq)))
+                  <= 2 * eps * scale)
+    assert np.all(np.abs(lam - np.linalg.eigvalsh(H)[:, 0]) <= 8 * eps * scale)
+    det_scale = np.abs(diag[:, 0] * diag[:, 1]) + np.abs(b) ** 2
+    det = _det_herm2(H)
+    assert np.all(np.abs(det - (a * d - b_sq)) <= 2 * eps * det_scale)
+    assert np.all(np.abs(det - np.linalg.det(H).real) <= 16 * eps * det_scale)

@@ -148,7 +148,7 @@ def test_herglotz_matches_riesz_herglotz_quadrature():
     F = herglotz_from_moments(matrix_moments(c, d.frame, 12)[1:], 12)
     grid = 8192
     thetas = 2 * np.pi * np.arange(grid) / grid
-    W = d.matrix_values(thetas)
+    W = d.matrix_values(grid)
     for z in (0.3, -0.2 + 0.1j, 0.05 - 0.4j):
         kernel = (1 + z * np.exp(1j * thetas)) / (1 - z * np.exp(1j * thetas))
         quad = np.einsum("g,gij->ij", kernel, W) / grid

@@ -27,9 +27,9 @@ n = 1-11 at (samples, seed) = (1, 0), (1, 7), (100, 0), (100, 7),
 ``moments-to-verblunsky`` and ``verblunsky-to-moments`` n = 6, under five
 seeded random frames.  Besides: ``baxter`` N = 50, 100, 200, 400 json and
 csv and ``moments-to-verblunsky`` N = 12, 25, 40, 100, 200, 400 on the four
-densities;
-``sv`` N = 12, 25, 40 on the four densities; ``verblunsky-to-moments``
-K = 20, 40, 80 json and csv on the Bernstein-Szego gammas and three seeded
+densities; ``sv`` N = 12, 25, 40 on the four densities; ``grid`` 7 and 2048,
+``sv --n 20`` and ``baxter --n 50`` on the four densities under the five
+seeded frames; ``verblunsky-to-moments`` K = 20, 40, 80 json and csv on the Bernstein-Szego gammas and three seeded
 80-coefficient rmax-0.8 fixtures (seeds 1017-3017); ``moments-to-verblunsky``
 N = 12, 25, 40 on three seeded 40-coefficient rmax-0.8 fixtures (seeds
 1017-3017), ill-conditioned inputs whose route-B bits decide a RouteMismatch;
@@ -38,7 +38,9 @@ negative indices, with a broken Hermitian symmetry, and with |c_5| raised to
 1.5) under ``moments-to-verblunsky`` n = 6 and 12, ``orthopolys``, ``zeros``
 and ``cd``; the moments c_0 = 1, c_n = 1/2 of half Lebesgue measure plus half
 an atom at 0 under ``moments-to-verblunsky --n 200``, ``orthopolys --n 8``
-and ``zeros --n 8``; every ``random-gamma`` run that makes a fixture, four more, an
+and ``zeros --n 8``; a density with a repeated ``w1`` index and moments with a
+repeated index under ``moments-to-verblunsky --n 1``, ``grid --grid 7`` and
+``sv --n 1``; every ``random-gamma`` run that makes a fixture, four more, an
 ``orthopolys --n 30`` past a horizon, a ``verblunsky-to-moments --n 30``
 past the coefficient count and a missing file.
 """
@@ -130,6 +132,13 @@ def report_set(frames: dict[str, str]):
         for n in (100, 200, 400):
             yield (f"{density}.moments-to-verblunsky.n{n}.json",
                    ["moments-to-verblunsky", path, "--n", str(n)])
+        for fname, spec in frames.items():
+            for name, argv in (("grid.g7", ["grid", "--grid", "7"]),
+                               ("grid.g2048", ["grid", "--grid", "2048"]),
+                               ("sv.n20", ["sv", "--n", "20"]),
+                               ("baxter.n50", ["baxter", "--n", "50"])):
+                yield (f"{density}.{name}.{fname}",
+                       [argv[0], path, *argv[1:], "--frame", spec])
     for stem in ["bernstein_gammas"] + [f"gammas80_{seed}" for seed in GAMMA_SEEDS[:3]]:
         for fmt in ("json", "csv"):
             for k in (20, 40, 80):
@@ -151,6 +160,11 @@ def report_set(frames: dict[str, str]):
     for command, n in (("moments-to-verblunsky", 200), ("orthopolys", 8), ("zeros", 8)):
         yield (f"atom_lebesgue.{command}.n{n}",
                [command, "fixtures/atom_lebesgue.json", "--n", str(n)])
+    for stem in ("repeated_w1", "repeated_moments"):
+        path = f"fixtures/{stem}.json"
+        yield f"{stem}.moments-to-verblunsky.n1", ["moments-to-verblunsky", path, "--n", "1"]
+        yield f"{stem}.grid.g7", ["grid", path, "--grid", "7"]
+        yield f"{stem}.sv.n1", ["sv", path, "--n", "1"]
     for seed, n, rmax in ((0, 8, "0.8"), (11, 12, "0.8"), (5, 40, "0.95"), (3, 5, "0.5")):
         yield (f"random-gamma.seed{seed}.n{n}.rmax{rmax}",
                ["random-gamma", "--seed", str(seed), "--n", str(n), "--rmax", rmax])
@@ -203,6 +217,12 @@ def make_fixtures(main, record) -> None:
     # (1/2) Lebesgue + (1/2) delta_0: c_n = 1/2 for n >= 1, gamma_n = 1 / (2 + n)
     write_fixture("atom_lebesgue", {"moments": [[0, [1.0, 0.0, 0.0, 0.0]]]
                                     + [[n, [0.5, 0.0, 0.0, 0.0]] for n in range(1, 201)]})
+    # a repeated index, which a map built from the list would overwrite
+    write_fixture("repeated_w1", {"frame": {"i": [0.0, 1.0, 0.0, 0.0], "j": [0.0, 0.0, 1.0, 0.0]},
+                                  "w1": [[0, 1.0, 0.0], [0, 0.5, 0.0]]})
+    write_fixture("repeated_moments", {"moments": [[0, [1.0, 0.0, 0.0, 0.0]],
+                                                   [1, [0.5, 0.0, 0.0, 0.0]],
+                                                   [1, [0.1, 0.0, 0.0, 0.0]]]})
 
 
 def main() -> int:
