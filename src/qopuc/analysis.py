@@ -17,20 +17,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotPositiveOnGrid, OnBoundary
+from .errors import OnBoundary
 from .measures import (
-    MomentSequence, QPositiveDensity, _det_herm2, moments_from_density,
+    PIVOT_TOL, MomentSequence, QPositiveDensity, _det_herm2, moments_from_density,
     wiener_coefficient_norm,
 )
 from .polynomials import (
-    OrthonormalFamily, Quaternion, VerblunskySeq, eval_norm_sq,
+    ROUTE_TOL, Quaternion, VerblunskySeq, _gammas_via_matrix, eval_norm_sq,
     orthonormal_polys, reverse_L, reverse_R, verblunsky_from_moments_q,
 )
-from .quaternions import SliceFrame, qarr_norm_sq
+from .quaternions import qarr_norm_sq
 
 BOUNDARY_TOL = 1e-10
 ENTROPY_GRID = 4096
 DENSITY_MIN_TOL = 1e-9
+ENTROPY_PD_TOL = 1e-12   # a grid eigenvalue at most this is a zero of W
 BLOCK_RATIO = 0.75
 CD_BLOCK = 1024     # sample points per evaluation block
 
@@ -43,12 +44,11 @@ def _kernel(plain: np.ndarray, N: int) -> np.ndarray:
     return total
 
 
-def cd_kernel_diag(c: MomentSequence, N: int, p: Quaternion,
-                   fam: OrthonormalFamily | None = None) -> float:
+def cd_kernel_diag(c: MomentSequence, N: int, p: Quaternion) -> float:
     """K_N(p) = sum_{l<=N} |psi_l^L(p)|^2 + |psi_l^R(p)|^2."""
     if abs(abs(p) - 1.0) < BOUNDARY_TOL:
         raise OnBoundary("kernel evaluation on the unit sphere boundary")
-    fam = fam or orthonormal_polys(c, N)
+    fam = orthonormal_polys(c, N)
     point = p.to_array()[None, :]
     in_r = eval_norm_sq(fam.left[: N + 1], point)
     in_l = eval_norm_sq(fam.right[: N + 1], point)
@@ -69,17 +69,18 @@ def _sample_points(samples: int, seed: int) -> np.ndarray:
 
 
 def cd_identity_check(c: MomentSequence, N: int, samples: int = 100,
-                      seed: int = 0) -> float:
+                      seed: int = 0, pivot_tol: float = PIVOT_TOL) -> float:
     """Max normalised residual of both closed forms of the diagonal identity.
 
     Evaluates at `samples` random points in the shells 0.05 < |p| < 0.95 and
     1.05 < |p| < 2 and returns max |K - RHS| / (1 + |K|) over points and the
     two forms ((n+1)-form and n-form).  Points are evaluated in blocks of
     CD_BLOCK, so memory beyond the points themselves does not grow with
-    ``samples``.
+    ``samples``.  NotPositiveDefinite names the first order whose prediction
+    error is at most ``pivot_tol``.
     """
     M = N + 1
-    fam = orthonormal_polys(c, M)
+    fam = orthonormal_polys(c, M, pivot_tol)
     # H[p]^R holds the left family and the reverses of the right one;
     # H[p]^L holds the right family and the reverses of the left one
     space_r = list(fam.left) + [reverse_L(fam.right[n], n) for n in (N, M)]
@@ -105,21 +106,15 @@ def cd_identity_check(c: MomentSequence, N: int, samples: int = 100,
     return worst
 
 
-def szego_entropy(d: QPositiveDensity, grid: int = ENTROPY_GRID,
-                  allow_divergent: bool = False,
-                  pd_tol: float = 1e-12) -> float:
+def szego_entropy(d: QPositiveDensity, grid: int = ENTROPY_GRID) -> float:
     """Trapezoid quadrature of log det W over the circle, normalised by 2 pi,
     on the density's kept grid values, with det W = a d - |b|^2 in closed form.
 
-    Requires W positive definite on the grid; with ``allow_divergent`` a
-    grid zero reports -inf instead of raising NotPositiveOnGrid.
+    The entropy is -inf on a grid zero, a grid eigenvalue at most
+    ENTROPY_PD_TOL: a density that vanishes on the circle is a valid input.
     """
-    min_eig = d.min_eigenvalue_on_grid(grid)
-    if not min_eig > pd_tol:   # also rejects a NaN grid value
-        if allow_divergent:
-            return float("-inf")
-        raise NotPositiveOnGrid(
-            f"matrix density has min grid eigenvalue {min_eig:.3e}")
+    if not d.min_eigenvalue_on_grid(grid) > ENTROPY_PD_TOL:   # a NaN too
+        return float("-inf")
     return float(np.mean(np.log(_det_herm2(d.grid_values(grid)))))
 
 
@@ -143,22 +138,20 @@ class SVReport:
         }
 
 
-def sv_check(d: QPositiveDensity, N: int,
-             frame: SliceFrame | None = None,
-             allow_divergent: bool = False) -> SVReport:
+def sv_check(d: QPositiveDensity, N: int, route_tol: float = ROUTE_TOL,
+             pivot_tol: float = PIVOT_TOL) -> SVReport:
     """Partial products of (1 - |gamma_n|^2)^2 against exp(entropy).
 
-    Uses the dual-route Verblunsky extraction; the quadrature error field is
-    the Richardson comparison of the 2048- and 4096-point entropy values.
-    With ``allow_divergent`` a density with a grid zero reports entropy
-    -inf (exp_entropy 0) instead of raising.
+    Uses the dual-route Verblunsky extraction in the density's frame, with
+    its route and pivot tolerances; the quadrature error field is the
+    Richardson comparison of the 2048- and 4096-point entropy values.  A
+    density with a grid zero has entropy -inf (exp_entropy 0).
     """
-    frame = frame or d.frame
     c = moments_from_density(d, N)
-    gammas = verblunsky_from_moments_q(c, N, frame).matrix_route
-    entropy = szego_entropy(d, ENTROPY_GRID, allow_divergent=allow_divergent)
-    entropy_coarse = szego_entropy(d, ENTROPY_GRID // 2,
-                                   allow_divergent=allow_divergent)
+    gammas = verblunsky_from_moments_q(c, N, d.frame, route_tol=route_tol,
+                                       pivot_tol=pivot_tol).matrix_route
+    entropy = szego_entropy(d)
+    entropy_coarse = szego_entropy(d, ENTROPY_GRID // 2)
     exp_entropy = math.exp(entropy) if math.isfinite(entropy) else 0.0
     partial = []
     prod = 1.0
@@ -241,8 +234,7 @@ class BaxterReport:
         }
 
 
-def baxter_check(d: QPositiveDensity, N: int,
-                 frame: SliceFrame | None = None) -> BaxterReport:
+def baxter_check(d: QPositiveDensity, N: int) -> BaxterReport:
     """Summability of gamma against Wiener norm and density positivity.
 
     The biconditional under test: summable gamma iff (finite Wiener norm and
@@ -252,11 +244,8 @@ def baxter_check(d: QPositiveDensity, N: int,
     horizons use the matrix route only; the dual-route cross-check runs at
     desk scale elsewhere.
     """
-    from .polynomials import _gammas_via_matrix
-
-    frame = frame or d.frame
     c = moments_from_density(d, N)
-    moduli = _gammas_via_matrix(c, N, frame).moduli()
+    moduli = _gammas_via_matrix(c, N, d.frame).moduli()
     diverging = _diverging_over_horizon(moduli)
     summable = not diverging
     density_min = d.min_eigenvalue_on_grid()

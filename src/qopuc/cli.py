@@ -24,9 +24,8 @@ import numpy as np
 from . import __version__
 from .analysis import baxter_check, cd_identity_check, sv_check, szego_entropy
 from .errors import (
-    HorizonExceeded, NoConvergence, NotChiImage, NotContraction, NotInImage,
-    NotPositiveDefinite, NotPositiveOnGrid, RouteMismatch, ShiftResidual,
-    SingularConstantTerm,
+    HorizonExceeded, NoConvergence, NotContraction, NotInImage, NotPositiveDefinite,
+    RouteMismatch, ShiftResidual, SingularConstantTerm,
 )
 from .fixtures import random_gamma_seq
 from .measures import (
@@ -46,7 +45,7 @@ EXIT_NO_CONVERGENCE = 4
 
 _INVALID_INPUT_ERRORS = (
     NotPositiveDefinite, NotContraction, HorizonExceeded, NotInImage,
-    NotChiImage, ShiftResidual, SingularConstantTerm, NotPositiveOnGrid,
+    ShiftResidual, SingularConstantTerm,
 )
 
 
@@ -147,6 +146,21 @@ def _validate_frame(obj, field: str) -> None:
         _require_numbers(obj.get(key), 4, f"{field}.{key}")
 
 
+_FIXTURE_KINDS = {"moments": "moments", "w1": "density", "w2": "density", "gammas": "gammas"}
+
+
+def fixture_kind(obj: dict) -> str | None:
+    """"moments", "density" (a w1 or a w2 key) or "gammas", None for a fixture
+    with none of these keys; ValueError naming the keys of a fixture with more
+    than one kind, which commands would read differently."""
+    found = [key for key in _FIXTURE_KINDS if key in obj]
+    kinds = {_FIXTURE_KINDS[key] for key in found}
+    if len(kinds) > 1:
+        raise ValueError(f"fixture holds more than one of moments, w1/w2 and gammas "
+                         f"(found {', '.join(found)})")
+    return kinds.pop() if kinds else None
+
+
 def _validate_fixture(obj) -> None:
     """Shape and finiteness of every field a command reads, checked at load."""
     if not isinstance(obj, dict):
@@ -169,7 +183,7 @@ def _validate_fixture(obj) -> None:
             raise ValueError(f"moments[{k}] must be [index, quaternion], got {entry!r}")
         _require_numbers(entry[1], 4, f"moments[{k}][1]")
         _require_new_index(seen, entry[0], f"moments[{k}]")
-    if "w1" in obj and "frame" not in obj:
+    if fixture_kind(obj) == "density" and "frame" not in obj:
         raise ValueError("frame is missing: a density fixture (w1/w2 keys) needs "
                          "a frame object with keys i and j")
 
@@ -198,7 +212,7 @@ def fixture_frame(obj: dict, override: SliceFrame | None) -> SliceFrame:
 
 
 def density_from_fixture(obj: dict, override: SliceFrame | None) -> QPositiveDensity:
-    if "w1" not in obj:
+    if fixture_kind(obj) != "density":
         raise ValueError("this command needs a density fixture (w1/w2 keys)")
     d = QPositiveDensity.from_json(obj)
     if override is not None and override != d.frame:
@@ -211,16 +225,17 @@ def moments_from_fixture(obj: dict, n: int,
     """The moments c_0..c_n of a fixture and the frame they were read in:
     ``override`` if given, else the frame a density or gamma fixture builds
     from its own ``frame`` key, and None for a moment fixture."""
-    if "moments" in obj:
+    kind = fixture_kind(obj)
+    if kind == "moments":
         c = MomentSequence.from_json(obj["moments"])
         if c.horizon < n:
             raise HorizonExceeded(
                 f"fixture horizon {c.horizon} below requested order {n}")
         return c, override
-    if "w1" in obj:
+    if kind == "density":
         d = density_from_fixture(obj, override)
         return moments_from_density(d, n), override or d.frame
-    if "gammas" in obj:
+    if kind == "gammas":
         gammas = VerblunskySeq(obj["gammas"])
         frame = fixture_frame(obj, override)
         return moments_from_verblunsky_q(gammas, min(n, len(gammas)), frame), frame
@@ -314,15 +329,15 @@ def cmd_zeros(args) -> dict:
 def cmd_cd(args) -> dict:
     obj = load_fixture(args.input)
     c, _ = moments_from_fixture(obj, args.n + 1, args.frame)
-    residual = cd_identity_check(c, args.n, samples=args.samples, seed=args.seed)
+    residual = cd_identity_check(c, args.n, samples=args.samples, seed=args.seed,
+                                 pivot_tol=args.tol_pd)
     return {"max_residual": residual, "samples": args.samples}
 
 
 def cmd_sv(args) -> dict:
     obj = load_fixture(args.input)
     d = density_from_fixture(obj, args.frame)
-    rep = sv_check(d, args.n, allow_divergent=True)
-    return rep.to_json()
+    return sv_check(d, args.n, route_tol=args.tol_route, pivot_tol=args.tol_pd).to_json()
 
 
 def cmd_baxter(args) -> dict:
@@ -344,8 +359,7 @@ def cmd_grid(args) -> dict:
     for k in range(4):
         columns += [W[:, k].real.tolist(), W[:, k].imag.tolist()]
     rows = [dict(zip(GRID_COLUMNS, values)) for values in zip(*columns)]
-    return {"grid": args.grid, "entropy": szego_entropy(d, allow_divergent=True),
-            "rows": rows}
+    return {"grid": args.grid, "entropy": szego_entropy(d), "rows": rows}
 
 
 def cmd_random_gamma(args) -> dict:

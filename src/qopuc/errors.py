@@ -18,10 +18,6 @@ class NotInImage(QopucError):
     """
 
 
-class NotChiImage(QopucError):
-    """A Verblunsky matrix is not (numerically) in the embedding image."""
-
-
 class NoConvergence(QopucError):
     """An iterative solver exhausted its iteration budget."""
 
@@ -76,7 +72,3 @@ class NotMonic(QopucError):
 
 class OnBoundary(QopucError):
     """Evaluation point lies (numerically) on the unit sphere boundary."""
-
-
-class NotPositiveOnGrid(QopucError):
-    """A density required to be positive definite on the grid is not."""

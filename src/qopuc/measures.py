@@ -248,7 +248,7 @@ class QPositiveDensity:
     __slots__ = ("frame", "w1", "w2", "_grids")
 
     def __init__(self, frame: SliceFrame, w1: dict[int, complex],
-                 w2: dict[int, complex] | None = None, grid: int = PSD_GRID):
+                 w2: dict[int, complex] | None = None):
         w1 = {int(n): complex(a) for n, a in (w1 or {}).items() if a != 0}
         w2 = {int(n): complex(a) for n, a in (w2 or {}).items() if a != 0}
         for n, a in w1.items():
@@ -261,7 +261,7 @@ class QPositiveDensity:
         object.__setattr__(self, "w1", w1)
         object.__setattr__(self, "w2", w2)
         object.__setattr__(self, "_grids", {})
-        min_eig = self.min_eigenvalue_on_grid(grid)
+        min_eig = self.min_eigenvalue_on_grid(PSD_GRID)
         if not min_eig >= PSD_FLOOR:   # also rejects a NaN grid value
             raise ValueError(
                 f"matrix density not PSD on the grid (min eigenvalue {min_eig:.3e})")

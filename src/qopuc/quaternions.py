@@ -251,17 +251,17 @@ def chi(p, frame: SliceFrame) -> np.ndarray:
     return out
 
 
-def chi_inv(M: np.ndarray, frame: SliceFrame, tol: float = TAU_IMG) -> np.ndarray:
+def chi_inv(M: np.ndarray, frame: SliceFrame) -> np.ndarray:
     """Invert the embedding: a (..., 2, 2) stack maps to the (..., 4) array of
     its quaternions; NotInImage unless the structural residual, the worst
     absolute defect over the stack in the identities M[1,1] = conj(M[0,0])
-    and M[1,0] = -conj(M[0,1]), is at most ``tol``.
+    and M[1,0] = -conj(M[0,1]), is at most TAU_IMG.
     """
     M = np.asarray(M, dtype=complex)
     residual = chi_image_residual(M)
-    if not residual <= tol:
+    if not residual <= TAU_IMG:
         raise NotInImage(f"matrix is not in the embedding image "
-                         f"(structural residual {residual:.3e} > {tol:.1e})")
+                         f"(structural residual {residual:.3e} > {TAU_IMG:.1e})")
     return _from_frame_coords(M[..., 0, 0], M[..., 0, 1], frame)
 
 

@@ -97,12 +97,12 @@ class TruncSeries:
         c[1:] = self.coeffs
         return TruncSeries(c)
 
-    def shift_down(self, tol: float = SHIFT_TOL) -> "TruncSeries":
-        """Divide by z exactly; the constant coefficient must vanish."""
+    def shift_down(self) -> "TruncSeries":
+        """Divide by z exactly; the constant coefficient must be at most SHIFT_TOL."""
         residual = float(np.max(np.abs(self.coeffs[0])))
-        if residual > tol:
+        if residual > SHIFT_TOL:
             raise ShiftResidual(
-                f"degree-0 coefficient {residual:.3e} exceeds {tol:.1e}")
+                f"degree-0 coefficient {residual:.3e} exceeds {SHIFT_TOL:.1e}")
         return TruncSeries(self.coeffs[1:].copy())
 
     def __add__(self, other: "TruncSeries") -> "TruncSeries":

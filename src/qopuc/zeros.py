@@ -54,15 +54,15 @@ def _horner_pair(desc_p: list, desc_dp: list, zs: list) -> tuple[np.ndarray, np.
     return np.array(out_p), np.array(out_dp)
 
 
-def roots(coeffs, max_iter: int = MAX_ABERTH_ITER,
-          residual_tol: float = ROOT_RESIDUAL_TOL) -> np.ndarray:
+def roots(coeffs) -> np.ndarray:
     """All roots of a complex polynomial by Aberth-Ehrlich iteration.
 
     ``coeffs`` are ascending (constant first); leading coefficient must be
     nonzero.  Exact zeros at the origin are deflated first, then the
     simultaneous iteration runs from a deterministic circular start.  The
     residual |p(root)| / |p'(root)| (the Newton-step length, a root-distance
-    estimate) must fall below 1e-10, else NoConvergence.
+    estimate) must fall below ROOT_RESIDUAL_TOL within MAX_ABERTH_ITER
+    iterations, else NoConvergence.
     """
     coeffs = np.asarray(coeffs, dtype=complex)
     if len(coeffs) < 2:
@@ -94,7 +94,7 @@ def roots(coeffs, max_iter: int = MAX_ABERTH_ITER,
     monic_desc = monic[::-1].tolist()
     deriv_desc = deriv[::-1].tolist()
     zs = z.tolist()
-    for _ in range(max_iter):
+    for _ in range(MAX_ABERTH_ITER):
         p, dp = _horner_pair(monic_desc, deriv_desc, zs)
         newton = np.where(dp != 0, p / np.where(dp == 0, 1.0, dp), 0.0)
         diff = z[:, None] - z[None, :]
@@ -113,7 +113,7 @@ def roots(coeffs, max_iter: int = MAX_ABERTH_ITER,
     noise = (np.abs(monic) * np.abs(z)[:, None] ** np.arange(deg + 1)).sum(axis=1)
     at_noise_floor = np.abs(p) <= 4.0 * np.finfo(float).eps * noise
     worst = float(np.max(np.where(at_noise_floor, 0.0, residual)))
-    if not worst <= residual_tol:   # also rejects NaN
+    if not worst <= ROOT_RESIDUAL_TOL:   # also rejects NaN
         raise NoConvergence(f"root refinement stalled (max residual {worst:.3e})")
     return np.concatenate([np.zeros(n_zero, dtype=complex), z])
 
@@ -220,8 +220,8 @@ def _reduce_conjugate_pairs(vals: np.ndarray) -> list[complex]:
 NUMERIC_DEGREE_TOL = 1e-12
 
 
-def _numeric_trim(psi, rel_tol: float = NUMERIC_DEGREE_TOL):
-    """Drop leading coefficients that are roundoff relative to the largest.
+def _numeric_trim(psi):
+    """Drop leading coefficients at most NUMERIC_DEGREE_TOL times the largest.
 
     A polynomial whose true degree dropped (e.g. the reverse of a family
     member with a vanishing constant term) would otherwise be normalised by
@@ -234,7 +234,7 @@ def _numeric_trim(psi, rel_tol: float = NUMERIC_DEGREE_TOL):
     scale = max(mags)
     if scale == 0.0:
         raise ValueError("zero polynomial has no zero-set report")
-    deg = max(k for k, m in enumerate(mags) if m > rel_tol * scale)
+    deg = max(k for k, m in enumerate(mags) if m > NUMERIC_DEGREE_TOL * scale)
     return type(psi)(psi.arr[: deg + 1])
 
 

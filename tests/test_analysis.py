@@ -10,7 +10,7 @@ from qopuc.analysis import (
     baxter_check, cd_identity_check, cd_kernel_diag, square_summability_report,
     sv_check, szego_entropy,
 )
-from qopuc.errors import NotPositiveOnGrid, OnBoundary
+from qopuc.errors import OnBoundary
 from qopuc.fixtures import (
     bernstein_szego_density, lebesgue_density, random_gamma_seq,
     random_moment_fixture, smooth_trig_density, vanishing_density,
@@ -68,9 +68,7 @@ def test_entropy_bernstein_closed_form():
 
 
 def test_entropy_grid_zero():
-    with pytest.raises(NotPositiveOnGrid):
-        szego_entropy(vanishing_density())
-    assert szego_entropy(vanishing_density(), allow_divergent=True) == float("-inf")
+    assert szego_entropy(vanishing_density()) == float("-inf")
 
 
 def test_sv_flat():
@@ -147,7 +145,7 @@ def test_square_summability_iff_finite_entropy():
         (vanishing_density(), False),  # entropy finite but gammas only l2
     ]
     for d, _ in cases[:2]:
-        ent = szego_entropy(d, allow_divergent=True)
+        ent = szego_entropy(d)
         c = moments_from_density(d, 40)
         g = _gammas_via_matrix(c, 40, d.frame)
         rep = square_summability_report(g)

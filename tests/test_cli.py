@@ -80,15 +80,49 @@ def test_nan_density_coefficient_rejected_at_load(tmp_path):
         assert "w1[0]" in err["message"]
 
 
+STANDARD_FRAME = {"i": [0, 1, 0, 0], "j": [0, 0, 1, 0]}
+W2_ONLY = {"frame": STANDARD_FRAME, "w2": [[1, 0.1, 0], [-1, -0.1, 0]]}
+MIXED = {"frame": STANDARD_FRAME, "w1": [[0, 1, 0]],
+         "moments": [[0, [1, 0, 0, 0]], [1, [0.9, 0, 0, 0]]]}
+FIXTURE_COMMANDS = (["moments-to-verblunsky", "--n", "1"], ["sv", "--n", "1"],
+                    ["grid", "--grid", "7"])
+
+
 def test_density_fixture_without_frame_rejected_at_load(tmp_path):
     bad = tmp_path / "noframe.json"
-    bad.write_text('{"w1": [[0, 1, 0]]}')
-    for argv in (["grid", "--grid", "4"], ["baxter", "--n", "3"],
-                 ["moments-to-verblunsky", "--n", "2"]):
+    for obj in ({"w1": [[0, 1, 0]]}, {"w2": W2_ONLY["w2"]}):
+        bad.write_text(json.dumps(obj))
+        for argv in (["grid", "--grid", "4"], ["baxter", "--n", "3"],
+                     ["moments-to-verblunsky", "--n", "2"], ["sv", "--n", "1"]):
+            code, out = run(tmp_path, argv[0], str(bad), *argv[1:])
+            assert code == 2
+            err = json.loads(out)["error"]
+            assert err["type"] == "ValueError" and err["message"].startswith("frame is missing")
+
+
+def test_w2_only_fixture_is_a_density(tmp_path):
+    # W = [[0, b], [conj b, 0]] with b = 0.2 i sin(theta) is not PSD
+    bad = tmp_path / "w2.json"
+    bad.write_text(json.dumps(W2_ONLY))
+    for argv in FIXTURE_COMMANDS:
         code, out = run(tmp_path, argv[0], str(bad), *argv[1:])
         assert code == 2
-        err = json.loads(out)["error"]
-        assert err["type"] == "ValueError" and err["message"].startswith("frame is missing")
+        assert json.loads(out)["error"] == {
+            "type": "ValueError",
+            "message": "matrix density not PSD on the grid (min eigenvalue -2.000e-01)"}
+
+
+def test_fixture_of_two_kinds_rejected_at_load(tmp_path):
+    # m2v would read the moments (gamma_0 = 0.9), sv the Lebesgue density
+    bad = tmp_path / "mixed.json"
+    bad.write_text(json.dumps(MIXED))
+    for argv in FIXTURE_COMMANDS:
+        code, out = run(tmp_path, argv[0], str(bad), *argv[1:])
+        assert code == 2
+        assert json.loads(out)["error"] == {
+            "type": "ValueError",
+            "message": "fixture holds more than one of moments, w1/w2 and gammas "
+                       "(found moments, w1)"}
 
 
 REPEATED_INDEX = {
@@ -502,6 +536,24 @@ def test_tol_pd_override(tmp_path):
     assert zeros.ROUTE_TOL is ROUTE_TOL
 
 
+@pytest.mark.parametrize("command", ["sv", "cd"])
+def test_tol_pd_reaches_sv_and_cd(tmp_path, command):
+    # the first prediction error of smooth_trig is 0.9299
+    code, out = run(tmp_path, command, str(FIXDIR / "smooth_trig.json"), "--n", "8",
+                    "--tol-pd", "0.95")
+    assert code == 2
+    err = json.loads(out)["error"]
+    assert err["type"] == "NotPositiveDefinite" and err["order"] == 1
+
+
+def test_tol_route_reaches_sv(tmp_path):
+    # the two Verblunsky routes agree to about 5e-29 on smooth_trig at n = 40
+    code, out = run(tmp_path, "sv", str(FIXDIR / "smooth_trig.json"), "--n", "40",
+                    "--tol-route", "1e-40")
+    assert code == 3
+    assert json.loads(out)["error"]["type"] == "RouteMismatch"
+
+
 def test_cli_reference_values(tmp_path):
     # gamma0 = 0.5 fixture: max root modulus 0.5, everything inside the ball
     code, out = run(tmp_path, "zeros", str(FIXDIR / "bernstein_szego_05.json"),
@@ -667,8 +719,9 @@ def _fuzz_frame(rng):
 
 def _fuzz_fixtures():
     """The shipped fixtures, two moment fixtures of horizon 6, one with a
-    frame (moments read off Bernstein-Szego) and one without, and the two
-    repeated-index fixtures."""
+    frame (moments read off Bernstein-Szego) and one without, the two
+    repeated-index fixtures, a w2-only density and a fixture that holds both
+    a density and moments."""
     from qopuc.fixtures import bernstein_szego_density, random_moment_fixture
     from qopuc.measures import moments_from_density
 
@@ -679,6 +732,8 @@ def _fuzz_fixtures():
     fixtures["moments_random.json"] = {"moments": random_moment_fixture(5, 6).to_json()}
     for key, (obj, _) in sorted(REPEATED_INDEX.items()):
         fixtures[f"repeated_{key}.json"] = obj
+    fixtures["w2_only.json"] = W2_ONLY
+    fixtures["mixed.json"] = MIXED
     return fixtures
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from qopuc.errors import (
-    ConstantMismatch, NotChiImage, NotContraction, ShiftResidual, SingularConstantTerm,
+    ConstantMismatch, NotContraction, NotInImage, ShiftResidual, SingularConstantTerm,
 )
 from qopuc.matrix_opuc import (
     CONTRACTION_MARGIN, SQRT_CHECK_TOL, MatVerblunskySeq, _inv2, alphas_from_moments,
@@ -206,7 +206,7 @@ def test_leading_term_law(rng):
 def require_chi_image(alpha, tol=1e-10):
     residual = chi_image_residual(np.asarray(alpha, dtype=complex))
     if residual > tol:
-        raise NotChiImage(
+        raise NotInImage(
             f"coefficient is not in the embedding image (residual {residual:.3e})")
 
 
@@ -277,7 +277,7 @@ def reverse_matrix_poly(P, degree):
 
 def test_matrix_szego_requires_chi_image(rng):
     alphas = MatVerblunskySeq([random_contraction(rng)])
-    with pytest.raises(NotChiImage):
+    with pytest.raises(NotInImage):
         matrix_szego_polys(alphas, 1)
 
 

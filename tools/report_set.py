@@ -38,9 +38,13 @@ negative indices, with a broken Hermitian symmetry, and with |c_5| raised to
 1.5) under ``moments-to-verblunsky`` n = 6 and 12, ``orthopolys``, ``zeros``
 and ``cd``; the moments c_0 = 1, c_n = 1/2 of half Lebesgue measure plus half
 an atom at 0 under ``moments-to-verblunsky --n 200``, ``orthopolys --n 8``
-and ``zeros --n 8``; a density with a repeated ``w1`` index and moments with a
-repeated index under ``moments-to-verblunsky --n 1``, ``grid --grid 7`` and
-``sv --n 1``; every ``random-gamma`` run that makes a fixture, four more, an
+and ``zeros --n 8``; a density with a repeated ``w1`` index, moments with a
+repeated index, a density given by ``w2`` alone with and without its frame,
+and a fixture that holds both a density and moments, under
+``moments-to-verblunsky --n 1``, ``grid --grid 7`` and ``sv --n 1``;
+``sv --n 40 --tol-route 1e-40``, ``sv --n 8 --tol-pd 0.95`` and
+``cd --n 8 --tol-pd 0.95`` on ``smooth_trig``; every ``random-gamma`` run
+that makes a fixture, four more, an
 ``orthopolys --n 30`` past a horizon, a ``verblunsky-to-moments --n 30``
 past the coefficient count and a missing file.
 """
@@ -160,11 +164,16 @@ def report_set(frames: dict[str, str]):
     for command, n in (("moments-to-verblunsky", 200), ("orthopolys", 8), ("zeros", 8)):
         yield (f"atom_lebesgue.{command}.n{n}",
                [command, "fixtures/atom_lebesgue.json", "--n", str(n)])
-    for stem in ("repeated_w1", "repeated_moments"):
+    for stem in ("repeated_w1", "repeated_moments", "w2_only", "w2_only_noframe",
+                 "mixed_density_moments"):
         path = f"fixtures/{stem}.json"
         yield f"{stem}.moments-to-verblunsky.n1", ["moments-to-verblunsky", path, "--n", "1"]
         yield f"{stem}.grid.g7", ["grid", path, "--grid", "7"]
         yield f"{stem}.sv.n1", ["sv", path, "--n", "1"]
+    for name, argv in (("sv.n40.tol-route1e-40", ["sv", "--n", "40", "--tol-route", "1e-40"]),
+                       ("sv.n8.tol-pd0.95", ["sv", "--n", "8", "--tol-pd", "0.95"]),
+                       ("cd.n8.tol-pd0.95", ["cd", "--n", "8", "--tol-pd", "0.95"])):
+        yield f"smooth_trig.{name}", [argv[0], "fixtures/smooth_trig.json", *argv[1:]]
     for seed, n, rmax in ((0, 8, "0.8"), (11, 12, "0.8"), (5, 40, "0.95"), (3, 5, "0.5")):
         yield (f"random-gamma.seed{seed}.n{n}.rmax{rmax}",
                ["random-gamma", "--seed", str(seed), "--n", str(n), "--rmax", rmax])
@@ -200,8 +209,8 @@ def make_fixtures(main, record) -> None:
             write_fixture(f"gammas40_{seed}", generated(
                 f"random-gamma.seed{seed}.n40",
                 ["random-gamma", "--seed", str(seed), "--n", "40", "--rmax", "0.8"]))
-    write_fixture("bernstein_gammas", {"frame": {"i": [0.0, 1.0, 0.0, 0.0],
-                                                 "j": [0.0, 0.0, 1.0, 0.0]},
+    standard = {"i": [0.0, 1.0, 0.0, 0.0], "j": [0.0, 0.0, 1.0, 0.0]}
+    write_fixture("bernstein_gammas", {"frame": standard,
                                        "gammas": [[0.5, 0.0, 0.0, 0.0]] + [[0.0] * 4] * 79})
     moments = generated("random_gamma_7.verblunsky-to-moments.n12",
                         ["verblunsky-to-moments", "fixtures/random_gamma_7.json", "--n", "12"])
@@ -218,11 +227,18 @@ def make_fixtures(main, record) -> None:
     write_fixture("atom_lebesgue", {"moments": [[0, [1.0, 0.0, 0.0, 0.0]]]
                                     + [[n, [0.5, 0.0, 0.0, 0.0]] for n in range(1, 201)]})
     # a repeated index, which a map built from the list would overwrite
-    write_fixture("repeated_w1", {"frame": {"i": [0.0, 1.0, 0.0, 0.0], "j": [0.0, 0.0, 1.0, 0.0]},
-                                  "w1": [[0, 1.0, 0.0], [0, 0.5, 0.0]]})
+    write_fixture("repeated_w1", {"frame": standard, "w1": [[0, 1.0, 0.0], [0, 0.5, 0.0]]})
     write_fixture("repeated_moments", {"moments": [[0, [1.0, 0.0, 0.0, 0.0]],
                                                    [1, [0.5, 0.0, 0.0, 0.0]],
                                                    [1, [0.1, 0.0, 0.0, 0.0]]]})
+    # a density given by w2 alone, with and without its frame, and a fixture
+    # that holds a density and moments
+    w2 = [[1, 0.1, 0.0], [-1, -0.1, 0.0]]
+    write_fixture("w2_only", {"frame": standard, "w2": w2})
+    write_fixture("w2_only_noframe", {"w2": w2})
+    write_fixture("mixed_density_moments", {"frame": standard, "w1": [[0, 1.0, 0.0]],
+                                            "moments": [[0, [1.0, 0.0, 0.0, 0.0]],
+                                                        [1, [0.9, 0.0, 0.0, 0.0]]]})
 
 
 def main() -> int:
