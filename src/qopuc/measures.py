@@ -30,6 +30,9 @@ from .quaternions import (
 
 PSD_GRID = 2048
 PSD_FLOOR = -1e-10
+# c_0 = w1_0 = 1 up to C0_TOL, checked for moments and densities alike
+C0_TOL = 1e-9
+NOT_NORMALISED = "c_0 must be 1 (probability normalisation)"
 PIVOT_TOL = 1e-12
 
 
@@ -50,8 +53,8 @@ class MomentSequence:
         bad = np.flatnonzero(~np.isfinite(arr).all(axis=1))
         if bad.size:
             raise ValueError(f"moment c_{bad[0]} is not finite")
-        if qarr_abs(arr[0] - (1.0, 0.0, 0.0, 0.0)) > 1e-9:
-            raise ValueError("c_0 must be 1 (probability normalisation)")
+        if qarr_abs(arr[0] - (1.0, 0.0, 0.0, 0.0)) > C0_TOL:
+            raise ValueError(NOT_NORMALISED)
         arr.setflags(write=False)
         object.__setattr__(self, "arr", arr)
 
@@ -238,7 +241,8 @@ class QPositiveDensity:
     Invariants checked at construction: w1 real-valued on the circle
     (w1_{-n} = conj(w1_n)), the j-part symmetry w2_{-n} = -w2_n, and positive
     semidefiniteness of the matrix form on a 2048-point grid, which also
-    rejects a NaN grid value.  W on the uniform grid 2 pi k / g
+    rejects a NaN grid value, then the normalisation w1_0 = c_0 = 1, as
+    ``MomentSequence`` checks it.  W on the uniform grid 2 pi k / g
     (``matrix_values``) and its smallest eigenvalue, in closed form, are
     evaluated once per grid size g and kept (``grid_values``,
     ``min_eigenvalue_on_grid``), so the PSD scan, the Baxter check, the
@@ -265,6 +269,8 @@ class QPositiveDensity:
         if not min_eig >= PSD_FLOOR:   # also rejects a NaN grid value
             raise ValueError(
                 f"matrix density not PSD on the grid (min eigenvalue {min_eig:.3e})")
+        if not abs(w1.get(0, 0j) - 1.0) <= C0_TOL:
+            raise ValueError(NOT_NORMALISED)
 
     def __setattr__(self, name, value):
         raise AttributeError("QPositiveDensity is immutable")

@@ -359,14 +359,15 @@ def _from_frame_coords(z1, z2, frame: SliceFrame) -> np.ndarray:
 
 
 def chi_mat(A: np.ndarray, frame: SliceFrame) -> np.ndarray:
-    """Entrywise-split embedding of an (n, n, 4) quaternion matrix.
+    """Entrywise-split embedding of an (..., n, n, 4) stack of quaternion
+    matrices.
 
-    Returns the 2n x 2n complex matrix [[A1, A2], [-conj A2, conj A1]].
+    Returns the 2n x 2n complex matrices [[A1, A2], [-conj A2, conj A1]].
     """
     A1, A2 = _frame_coords(A, frame)
-    top = np.concatenate([A1, A2], axis=1)
-    bot = np.concatenate([-np.conj(A2), np.conj(A1)], axis=1)
-    return np.concatenate([top, bot], axis=0)
+    top = np.concatenate([A1, A2], axis=-1)
+    bot = np.concatenate([-np.conj(A2), np.conj(A1)], axis=-1)
+    return np.concatenate([top, bot], axis=-2)
 
 
 def block_permutation(n: int) -> np.ndarray:
@@ -399,7 +400,9 @@ def blockwise_chi(A: np.ndarray, frame: SliceFrame) -> np.ndarray:
 def right_eigen_slice(A: np.ndarray, frame: SliceFrame) -> np.ndarray:
     """Spectrum of the embedded matrix = the C_i slice of the right spectrum.
 
-    Closed under complex conjugation; returned in no particular order.
+    ``A`` is an (n, n, 4) matrix or an (..., n, n, 4) stack, answered by one
+    LAPACK call with a (..., 2n) array; a stacked matrix gets the bits it
+    gets alone.  Closed under complex conjugation; in no particular order.
     """
     M = chi_mat(A, frame)
     try:

@@ -6,11 +6,19 @@ coefficient polynomial, and LAPACK eigenvalues of the embedded companion
 matrix.  Their agreement is asserted on every call; it is the computable
 content of the zero-set theorems.  Monic normalisation and the companion
 matrices are operations on the polynomials' (n+1, 4) coefficient arrays.
+
+A ``zeros`` job checks all its polynomials in one ``zero_slice`` call: one
+simultaneous Aberth run roots every determinant polynomial of the job
+(``roots``), and one stacked eigenvalue call per companion size gives
+route 2.  Every root keeps the bits of the one-polynomial iteration with
+Horner's rule on Python complex scalars, and every error is the one that
+checking the polynomials one at a time would raise first.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,33 +45,18 @@ def multiset_distance(a, b) -> float:
     return worst
 
 
-def _horner_pair(desc_p: list, desc_dp: list, zs: list) -> tuple[np.ndarray, np.ndarray]:
-    """Values at each of ``zs`` of two polynomials with these coefficients,
-    highest power first, by Horner's rule on Python complex scalars, in one
-    pass over the points."""
-    out_p, out_dp = [], []
-    for z in zs:
-        acc = 0j
-        for c in desc_p:
-            acc = acc * z + c
-        out_p.append(acc)
-        acc = 0j
-        for c in desc_dp:
-            acc = acc * z + c
-        out_dp.append(acc)
-    return np.array(out_p), np.array(out_dp)
+class _AberthStart(NamedTuple):
+    """One polynomial set up for the iteration: its number of exact roots at
+    the origin, its deflated monic form and derivative (ascending), and the
+    circular start, empty when every root is at the origin."""
+
+    n_zero: int
+    monic: np.ndarray
+    deriv: np.ndarray
+    z: np.ndarray
 
 
-def roots(coeffs) -> np.ndarray:
-    """All roots of a complex polynomial by Aberth-Ehrlich iteration.
-
-    ``coeffs`` are ascending (constant first); leading coefficient must be
-    nonzero.  Exact zeros at the origin are deflated first, then the
-    simultaneous iteration runs from a deterministic circular start.  The
-    residual |p(root)| / |p'(root)| (the Newton-step length, a root-distance
-    estimate) must fall below ROOT_RESIDUAL_TOL within MAX_ABERTH_ITER
-    iterations, else NoConvergence.
-    """
+def _aberth_start(coeffs) -> _AberthStart:
     coeffs = np.asarray(coeffs, dtype=complex)
     if len(coeffs) < 2:
         raise ValueError("degree must be at least 1")
@@ -77,45 +70,175 @@ def roots(coeffs) -> np.ndarray:
     work = coeffs[n_zero:]
     deg = len(work) - 1
     if deg == 0:
-        return np.zeros(n_zero, dtype=complex)
+        return _AberthStart(n_zero, work, work[:0], work[:0])
     monic = work / work[-1]
     deriv = monic[1:] * np.arange(1, deg + 1)
-
     # deterministic circular initialisation: Cauchy-style radius estimate
     radius = 1.0 + np.max(np.abs(monic[:-1]))
     radius = min(radius, max(np.abs(monic[:-1]) ** (1.0 / np.arange(deg, 0, -1))) * 2.0 + 0.5)
     angles = 2.0 * np.pi * np.arange(deg) / deg + 0.4
-    z = radius * np.exp(1j * angles)
+    return _AberthStart(n_zero, monic, deriv, radius * np.exp(1j * angles))
 
-    # Python complex arithmetic gives the bits numpy scalars give, ~3x faster;
-    # a numpy Horner over all roots at once is slower at these degrees.  The
-    # divisions and products stay in numpy: Python's complex division and
-    # numpy's vectorised product round differently.
-    monic_desc = monic[::-1].tolist()
-    deriv_desc = deriv[::-1].tolist()
-    zs = z.tolist()
+
+class _Layout(NamedTuple):
+    """The rows still iterating, sorted by degree, over the flat root array."""
+
+    roots: np.ndarray    # their roots' places in the flat root array
+    heads: np.ndarray    # where each row starts among those roots
+    coef: np.ndarray     # (K, 2, 2 * roots) planes: p, then p', at each root
+    groups: list         # per degree: first root, first row, rows, degree
+
+
+def _layout(live: np.ndarray, degs: np.ndarray, poly_coef: np.ndarray) -> _Layout:
+    """The layout of the rows ``live`` of ``degs``.  ``poly_coef`` holds the
+    coefficient rows of every p, then of every p', highest power first and
+    padded on the left with zeros."""
+    d = degs[live]
+    owner = np.repeat(np.flatnonzero(live), d)
+    k = int(d[-1]) + 1
+    planes = poly_coef[np.concatenate([owner, owner + len(degs)]), -k:].T
+    coef = np.empty((k, 2, planes.shape[1]))
+    coef[:, 0], coef[:, 1] = planes.real, planes.imag
+    groups, root = [], 0
+    for row, deg in enumerate(d.tolist()):
+        if groups and groups[-1][3] == deg:
+            groups[-1][2] += 1
+        else:
+            groups.append([root, row, 1, deg])
+        root += deg
+    return _Layout(np.flatnonzero(np.repeat(live, degs)),
+                   np.concatenate([[0], np.cumsum(d)[:-1]]), coef, groups)
+
+
+def _horner(coef: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """p and p' at the points z, given the (K, 2, 2 len(z)) coefficient
+    planes of p, then of p', at each point, highest power first and padded
+    on the left with zeros.
+
+    Each step is CPython's complex multiply-add acc * z + c as real ufunc
+    calls: (re, im) * (zr, zi) + (im, re) * (-zi, zr) + (cr, ci), which is
+    re = (re zr - im zi) + cr and im = (re zi + im zr) + ci bit for bit.
+    So the values carry the bits of Horner's rule on Python complex
+    scalars; numpy's complex multiply does not (it fuses multiply-adds
+    where the host has them).  Zero padding is exact: a padding step maps
+    acc = 0 to 0 * z + 0 = +0, the scalar rule's starting value.
+    """
+    n = len(z)
+    w = np.empty((2, 2, 2 * n))
+    w[0, 0, :n] = w[0, 0, n:] = z.real
+    w[0, 1, :n] = w[0, 1, n:] = z.imag
+    np.negative(w[0, 1], out=w[1, 0])
+    w[1, 1] = w[0, 0]
+    acc = np.zeros(w.shape[1:])
+    prod = np.empty_like(w)
+    with np.errstate(over="ignore", invalid="ignore"):   # as Python complex
+        for c in coef:
+            np.multiply(acc[:, None], w, out=prod)
+            np.add(prod[0], prod[1], out=acc)
+            np.add(acc, c, out=acc)
+    vals = np.ascontiguousarray(acc.T).view(complex)[:, 0]
+    return vals[:n], vals[n:]
+
+
+def _aberth(starts: list[_AberthStart]) -> tuple[list[np.ndarray], list[float]]:
+    """Iterate every start at once; the final iterates and the worst
+    residual not at the noise floor, per start.  ``starts`` are sorted by
+    degree, so the roots of one degree are one run of the flat array z."""
+    if not starts:
+        return [], []
+    n = len(starts)
+    degs = np.array([len(s.z) for s in starts])
+    top = int(degs[-1])
+    poly_coef = np.zeros((2 * n, top + 1), dtype=complex)
+    for i, s in enumerate(starts):
+        poly_coef[i, top - len(s.z):] = s.monic[::-1]
+        poly_coef[n + i, top + 1 - len(s.z):] = s.deriv[::-1]
+    z = np.concatenate([s.z for s in starts])
+    live = np.ones(n, dtype=bool)
+    full = lay = _layout(live, degs, poly_coef)
+    zl = z.copy()
     for _ in range(MAX_ABERTH_ITER):
-        p, dp = _horner_pair(monic_desc, deriv_desc, zs)
+        p, dp = _horner(lay.coef, zl)
         newton = np.where(dp != 0, p / np.where(dp == 0, 1.0, dp), 0.0)
-        diff = z[:, None] - z[None, :]
-        diff.flat[::deg + 1] = np.inf
-        sums = (1.0 / diff).sum(axis=1)
+        sums = np.empty_like(zl)
+        for lo, _, count, d in lay.groups:
+            zg = zl[lo:lo + count * d].reshape(count, d)
+            inv = zg[:, :, None] - zg[:, None, :]
+            inv.reshape(count, d * d)[:, ::d + 1] = np.inf
+            np.divide(1.0, inv, out=inv)
+            inv.sum(axis=2, out=sums[lo:lo + count * d].reshape(count, d))
         denom = 1.0 - newton * sums
         step = newton / np.where(denom == 0, 1.0, denom)
-        z = z - step
-        zs = z.tolist()
-        if np.abs(step).max() < 1e-14 * np.maximum(1.0, np.abs(z).max()):
-            break
-    p, dp = _horner_pair(monic_desc, deriv_desc, zs)
+        zl = zl - step
+        stop = (np.maximum.reduceat(np.abs(step), lay.heads)
+                < 1e-14 * np.maximum(1.0, np.maximum.reduceat(np.abs(zl), lay.heads)))
+        if stop.any():
+            # a row that stops keeps this iterate, as it would alone
+            z[lay.roots] = zl
+            live[np.flatnonzero(live)[stop]] = False
+            if not live.any():
+                break
+            lay = _layout(live, degs, poly_coef)
+            zl = z[lay.roots]
+    else:
+        z[lay.roots] = zl
+
+    p, dp = _horner(full.coef, z)
     residual = np.abs(p) / np.maximum(np.abs(dp), 1e-300)
     # multiple roots: |p| collapses into evaluation roundoff while |p'| stays
     # small; accept when the value is roundoff-indistinguishable from zero
-    noise = (np.abs(monic) * np.abs(z)[:, None] ** np.arange(deg + 1)).sum(axis=1)
+    noise = np.empty(len(z))
+    for lo, first, count, d in full.groups:
+        hi = lo + count * d
+        absmonic = np.abs(np.array([s.monic for s in starts[first:first + count]]))
+        absz = np.abs(z[lo:hi]).reshape(count, d)
+        noise[lo:hi] = (absmonic[:, None, :] * absz[:, :, None] ** np.arange(d + 1)
+                        ).sum(axis=2).ravel()
     at_noise_floor = np.abs(p) <= 4.0 * np.finfo(float).eps * noise
-    worst = float(np.max(np.where(at_noise_floor, 0.0, residual)))
-    if not worst <= ROOT_RESIDUAL_TOL:   # also rejects NaN
-        raise NoConvergence(f"root refinement stalled (max residual {worst:.3e})")
-    return np.concatenate([np.zeros(n_zero, dtype=complex), z])
+    worst = np.maximum.reduceat(np.where(at_noise_floor, 0.0, residual), full.heads)
+    return np.split(z, full.heads[1:]), worst.tolist()
+
+
+def roots(polys) -> list[np.ndarray]:
+    """All roots of each complex polynomial of ``polys`` by Aberth-Ehrlich
+    iteration, one simultaneous run over the whole sequence.
+
+    Each entry holds ascending coefficients (constant first) with a nonzero
+    leading one.  Per polynomial, exact zeros at the origin are deflated
+    first, then the iteration runs from a deterministic circular start.  The
+    residual |p(root)| / |p'(root)| (the Newton-step length, a root-distance
+    estimate) must fall below ROOT_RESIDUAL_TOL within MAX_ABERTH_ITER
+    iterations, else NoConvergence.  The error raised is the one of the
+    first failing polynomial, as if they were rooted one at a time.
+
+    The polynomials do not interact: each one's roots are bit for bit the
+    ones it gets alone, and the ones of Horner's rule on Python complex
+    scalars.  p and p' of every polynomial still iterating are evaluated
+    together on real planes (``_horner``), the Aberth step is one array
+    expression over all their roots, and each polynomial stops at the
+    iteration where it would stop alone.  Only the sums of 1 / (z_i - z_j)
+    run on the polynomials of one degree at a time: numpy's pairwise
+    summation order depends on the row length, so zero-padded rows would
+    sum in another order.
+    """
+    starts, pending = [], None
+    for coeffs in polys:
+        try:
+            starts.append(_aberth_start(coeffs))
+        except ValueError as exc:   # raised after the polynomials before it
+            pending = exc
+            break
+    order = sorted((k for k, s in enumerate(starts) if len(s.z)),
+                   key=lambda k: len(starts[k].z))
+    final, worst = _aberth([starts[k] for k in order])
+    found = [np.zeros(s.n_zero, dtype=complex) for s in starts]
+    for k, z, w in sorted(zip(order, final, worst), key=lambda t: t[0]):
+        if not w <= ROOT_RESIDUAL_TOL:   # also rejects NaN
+            raise NoConvergence(f"root refinement stalled (max residual {w:.3e})")
+        found[k] = np.concatenate([found[k], z])
+    if pending is not None:
+        raise pending
+    return found
 
 
 def det_poly(P: np.ndarray) -> np.ndarray:
@@ -238,8 +361,44 @@ def _numeric_trim(psi):
     return type(psi)(psi.arr[: deg + 1])
 
 
-def zero_slice(psi, frame: SliceFrame, route_tol: float = ROUTE_TOL) -> ZeroReport:
-    """Slice zero set of a quaternionic polynomial, two routes cross-checked.
+def _slice_problem(psi, frame: SliceFrame):
+    """Companion matrix, route-1 polynomial and whether that is the scalar
+    factor alone, for the monic form of a trimmed input; None for a nonzero
+    constant."""
+    if not isinstance(psi, (QPolyL, QPolyR)):
+        raise TypeError("expected QPolyL or QPolyR")
+    left_space = isinstance(psi, QPolyL)
+    psi = _numeric_trim(psi)
+    monic = monic_left(psi) if left_space else monic_right(psi)
+    if monic.degree < 1:
+        return None
+    comp = companion_left(monic) if left_space else companion_right(monic)
+    image = chi(monic.arr, frame)
+    if image[:, 0, 1].any():
+        return comp, det_poly(image), False
+    return comp, image[:, 0, 0], True
+
+
+def _spectra(comps: list[np.ndarray], frame: SliceFrame) -> list:
+    """Route 2 for every companion matrix, by one eigenvalue call per size;
+    None where that call failed, so the failing matrix can raise in turn."""
+    out = [None] * len(comps)
+    by_size: dict[int, list[int]] = {}
+    for k, comp in enumerate(comps):
+        by_size.setdefault(len(comp), []).append(k)
+    for ks in by_size.values():
+        try:
+            spectra = right_eigen_slice(np.stack([comps[k] for k in ks]), frame)
+        except NoConvergence:
+            continue
+        for k, spectrum in zip(ks, spectra):
+            out[k] = spectrum
+    return out
+
+
+def zero_slice(polys, frame: SliceFrame, route_tol: float = ROUTE_TOL) -> list[ZeroReport]:
+    """Slice zero sets of a sequence of quaternionic polynomials, two routes
+    cross-checked, one ZeroReport per polynomial.
 
     Route 1: Aberth roots of det(chi image of the monic-normalised input),
     the companion polynomial a a-bar + b b-bar of the image's first row
@@ -248,39 +407,59 @@ def zero_slice(psi, frame: SliceFrame, route_tol: float = ROUTE_TOL) -> ZeroRepo
     roots a alone, at degree n, and adds the conjugates (the roots of
     a-bar), so a simple zero of psi stays a simple root for Aberth.
     Route 2: spectrum of the embedded companion matrix.
+
+    One ``roots`` call serves route 1 of the whole sequence, and one
+    eigenvalue call route 2 of each companion size.  The error raised is
+    the one of the first failing polynomial at its first failing stage, as
+    if they were checked one at a time: after a stall, or a failed stacked
+    eigenvalue call, the polynomials are rooted or their companions
+    diagonalised one by one, in order.
     """
-    if not isinstance(psi, (QPolyL, QPolyR)):
-        raise TypeError("expected QPolyL or QPolyR")
-    left_space = isinstance(psi, QPolyL)
-    psi = _numeric_trim(psi)
-    monic = monic_left(psi) if left_space else monic_right(psi)
-    if monic.degree < 1:
-        # nonzero constants have empty zero sets; both location flags are
-        # vacuously true
-        return ZeroReport(slice_roots=(), moduli=(), all_inside_ball=True,
-                          all_outside_closed_ball=True)
-    comp = companion_left(monic) if left_space else companion_right(monic)
-    image = chi(monic.arr, frame)
-    if image[:, 0, 1].any():
-        route1 = roots(det_poly(image))
-    else:
-        scalar = roots(image[:, 0, 0])
-        route1 = np.concatenate([scalar, scalar.conj()])
-    route2 = right_eigen_slice(comp, frame)
-    dist = multiset_distance(route1, route2)
-    if dist > route_tol:
-        raise RouteMismatch(
-            f"determinant roots and companion spectrum disagree ({dist:.3e})",
-            residual=dist)
-    reps = _reduce_conjugate_pairs(route1)
-    reps.sort(key=lambda z: (abs(z), z.real, z.imag))
-    moduli = tuple(float(abs(z)) for z in reps)
-    return ZeroReport(
-        slice_roots=tuple(reps),
-        moduli=moduli,
-        all_inside_ball=bool(all(m < 1.0 for m in moduli)),
-        all_outside_closed_ball=bool(all(m > 1.0 for m in moduli)),
-    )
+    problems, pending = [], None
+    for psi in polys:
+        try:
+            problems.append(_slice_problem(psi, frame))
+        except (TypeError, ValueError, ZeroDivisionError, NotMonic) as exc:
+            # raised after the polynomials before it are checked
+            pending = exc
+            break
+    posed = [p for p in problems if p is not None]
+    try:
+        route1 = roots([coeffs for _, coeffs, _ in posed])
+    except NoConvergence:
+        route1 = [None] * len(posed)
+    route2 = _spectra([comp for comp, _, _ in posed], frame)
+    reports, k = [], 0
+    for problem in problems:
+        if problem is None:
+            # nonzero constants have empty zero sets; both location flags are
+            # vacuously true
+            reports.append(ZeroReport(slice_roots=(), moduli=(), all_inside_ball=True,
+                                      all_outside_closed_ball=True))
+            continue
+        comp, coeffs, scalar = problem
+        found = roots([coeffs])[0] if route1[k] is None else route1[k]
+        if scalar:
+            found = np.concatenate([found, found.conj()])
+        spectrum = right_eigen_slice(comp, frame) if route2[k] is None else route2[k]
+        k += 1
+        dist = multiset_distance(found, spectrum)
+        if dist > route_tol:
+            raise RouteMismatch(
+                f"determinant roots and companion spectrum disagree ({dist:.3e})",
+                residual=dist)
+        reps = _reduce_conjugate_pairs(found)
+        reps.sort(key=lambda z: (abs(z), z.real, z.imag))
+        moduli = tuple(float(abs(z)) for z in reps)
+        reports.append(ZeroReport(
+            slice_roots=tuple(reps),
+            moduli=moduli,
+            all_inside_ball=bool(all(m < 1.0 for m in moduli)),
+            all_outside_closed_ball=bool(all(m > 1.0 for m in moduli)),
+        ))
+    if pending is not None:
+        raise pending
+    return reports
 
 
 def zeros_theorem_check(fam: OrthonormalFamily, frame: SliceFrame | None = None,
@@ -292,16 +471,19 @@ def zeros_theorem_check(fam: OrthonormalFamily, frame: SliceFrame | None = None,
     strictly outside the closed ball, and the left/right slice zero
     multisets agree.  Returns the per-degree rows and, per degree, the four
     ZeroReports keyed "right", "left", "right_reverse", "left_reverse".
+    One ``zero_slice`` call checks all 4 * fam.order polynomials, per degree
+    in that order.
     """
     frame = frame or SliceFrame.standard()
-    rows, reports = [], []
+    polys = []
     for n in range(1, fam.order + 1):
         right_poly = fam.right[n]        # in H[p]^L
         left_poly = fam.left[n]          # in H[p]^R
-        rep_r = zero_slice(right_poly, frame, route_tol)
-        rep_l = zero_slice(left_poly, frame, route_tol)
-        rev_r = zero_slice(reverse_L(right_poly, n), frame, route_tol)
-        rev_l = zero_slice(reverse_R(left_poly, n), frame, route_tol)
+        polys += [right_poly, left_poly, reverse_L(right_poly, n), reverse_R(left_poly, n)]
+    found = zero_slice(polys, frame, route_tol)
+    rows, reports = [], []
+    for n in range(1, fam.order + 1):
+        rep_r, rep_l, rev_r, rev_l = found[4 * n - 4:4 * n]
         lr_dist = multiset_distance(rep_r.slice_roots, rep_l.slice_roots)
         rows.append({
             "degree": n,

@@ -84,6 +84,7 @@ STANDARD_FRAME = {"i": [0, 1, 0, 0], "j": [0, 0, 1, 0]}
 W2_ONLY = {"frame": STANDARD_FRAME, "w2": [[1, 0.1, 0], [-1, -0.1, 0]]}
 MIXED = {"frame": STANDARD_FRAME, "w1": [[0, 1, 0]],
          "moments": [[0, [1, 0, 0, 0]], [1, [0.9, 0, 0, 0]]]}
+UNNORMALISED = {"frame": STANDARD_FRAME, "w1": [[0, 2, 0]], "w2": []}
 FIXTURE_COMMANDS = (["moments-to-verblunsky", "--n", "1"], ["sv", "--n", "1"],
                     ["grid", "--grid", "7"])
 
@@ -110,6 +111,20 @@ def test_w2_only_fixture_is_a_density(tmp_path):
         assert json.loads(out)["error"] == {
             "type": "ValueError",
             "message": "matrix density not PSD on the grid (min eigenvalue -2.000e-01)"}
+
+
+def test_unnormalised_density_rejected_by_every_density_command(tmp_path):
+    # w = 2: c_0 = 2, which grid once accepted (entropy log 4) while every
+    # command that reads moments rejected it
+    bad = tmp_path / "unnormalised.json"
+    bad.write_text(json.dumps(UNNORMALISED))
+    for argv in (["grid", "--grid", "4"], ["sv", "--n", "1"], ["baxter", "--n", "4"],
+                 ["moments-to-verblunsky", "--n", "2"], ["zeros", "--n", "2"],
+                 ["cd", "--n", "2"], ["orthopolys", "--n", "2"]):
+        code, out = run(tmp_path, argv[0], str(bad), *argv[1:])
+        assert code == 2, argv
+        assert json.loads(out)["error"] == {
+            "type": "ValueError", "message": "c_0 must be 1 (probability normalisation)"}
 
 
 def test_fixture_of_two_kinds_rejected_at_load(tmp_path):
@@ -720,8 +735,8 @@ def _fuzz_frame(rng):
 def _fuzz_fixtures():
     """The shipped fixtures, two moment fixtures of horizon 6, one with a
     frame (moments read off Bernstein-Szego) and one without, the two
-    repeated-index fixtures, a w2-only density and a fixture that holds both
-    a density and moments."""
+    repeated-index fixtures, a w2-only density, a fixture that holds both
+    a density and moments, and a density with w1_0 = 2."""
     from qopuc.fixtures import bernstein_szego_density, random_moment_fixture
     from qopuc.measures import moments_from_density
 
@@ -734,6 +749,7 @@ def _fuzz_fixtures():
         fixtures[f"repeated_{key}.json"] = obj
     fixtures["w2_only.json"] = W2_ONLY
     fixtures["mixed.json"] = MIXED
+    fixtures["unnormalised.json"] = UNNORMALISED
     return fixtures
 
 

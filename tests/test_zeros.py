@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 import qopuc.zeros as zeros_module
-from qopuc.errors import NoConvergence, NotMonic, NotPositiveDefinite
+from qopuc.errors import NoConvergence, NotMonic, NotPositiveDefinite, RouteMismatch
 from qopuc.fixtures import (
-    bernstein_szego_density, lebesgue_density, random_moment_fixture, vanishing_density,
+    bernstein_szego_density, lebesgue_density, random_moment_fixture, smooth_trig_density,
+    vanishing_density,
 )
 from qopuc.measures import MomentSequence, moments_from_density
-from qopuc.polynomials import QPolyL, QPolyR, orthonormal_polys, reverse_L, \
+from qopuc.polynomials import QPolyL, QPolyR, orthonormal_polys, reverse_L, reverse_R, \
     star_mul_L
 from qopuc.quaternions import Quaternion, SliceFrame, chi
 from qopuc.zeros import (
@@ -24,7 +25,7 @@ from conftest import (
 
 
 def test_roots_simple():
-    got = roots([1.0, 0.0, 1.0])  # z^2 + 1
+    got, = roots([[1.0, 0.0, 1.0]])  # z^2 + 1
     assert multiset_distance(got, [1j, -1j]) < 1e-12
 
 
@@ -34,7 +35,7 @@ def test_roots_planted_products(rng):
         coeffs = np.array([1.0 + 0j])
         for r in planted:
             coeffs = np.convolve(coeffs, np.array([-r, 1.0]))
-        got = roots(coeffs)
+        got, = roots([coeffs])
         assert multiset_distance(got, planted) < 1e-10
 
 
@@ -44,7 +45,7 @@ def test_roots_wilkinson_mild():
     coeffs = np.array([1.0 + 0j])
     for r in planted:
         coeffs = np.convolve(coeffs, np.array([-r, 1.0]))
-    got = roots(coeffs)
+    got, = roots([coeffs])
     assert multiset_distance(got, planted) < 1e-8
 
 
@@ -52,7 +53,7 @@ def test_roots_deflates_origin():
     # z^8: all roots at the origin (Lebesgue-type determinant)
     coeffs = np.zeros(9)
     coeffs[8] = 1.0
-    got = roots(coeffs)
+    got, = roots([coeffs])
     assert np.max(np.abs(got)) == 0.0
 
 
@@ -99,13 +100,13 @@ def test_companion_planted_roots(rng, frame):
         poly = QPolyL([Quaternion(1.0)])
         for a in planted:
             poly = star_mul_L(poly, QPolyL([-a, Quaternion(1.0)]))
-        report = zero_slice(poly, frame)
+        report, = zero_slice([poly], frame)
         expected = [complex(a.w, np.linalg.norm(a.imag)) for a in planted]
         assert multiset_distance(report.slice_roots, expected) < 1e-8
 
 
 def test_zero_slice_simple(frame):
-    report = zero_slice(QPolyL([Quaternion(), Quaternion(1.0)]), frame)
+    report, = zero_slice([QPolyL([Quaternion(), Quaternion(1.0)])], frame)
     assert report.slice_roots == (0j,)
     assert report.all_inside_ball and not report.all_outside_closed_ball
 
@@ -113,12 +114,12 @@ def test_zero_slice_simple(frame):
 def test_zero_slice_bernstein(frame):
     c = moments_from_density(bernstein_szego_density(), 4)
     fam = orthonormal_polys(c, 2)
-    report = zero_slice(fam.right[1], frame)
+    report, = zero_slice([fam.right[1]], frame)
     assert len(report.slice_roots) == 1
     assert abs(report.slice_roots[0] - 0.5) < 1e-14
     assert report.moduli[0] < 1.0 and report.all_inside_ball
     rev = reverse_L(fam.right[1], 1)
-    report = zero_slice(rev, frame)
+    report, = zero_slice([rev], frame)
     assert abs(report.slice_roots[0] - 2.0) < 1e-14
     assert report.all_outside_closed_ball
 
@@ -144,9 +145,9 @@ def test_single_plane_slice_roots_the_scalar_factor(rng, monkeypatch):
     # otherwise it roots the degree-2n determinant
     degrees = []
 
-    def counting_roots(coeffs, *args, **kwargs):
-        degrees.append(len(coeffs) - 1)
-        return roots(coeffs, *args, **kwargs)
+    def counting_roots(polys):
+        degrees.extend(len(coeffs) - 1 for coeffs in polys)
+        return roots(polys)
 
     monkeypatch.setattr(zeros_module, "roots", counting_roots)
     single = orthonormal_polys(moments_from_density(vanishing_density(), 6), 6)
@@ -156,7 +157,7 @@ def test_single_plane_slice_roots_the_scalar_factor(rng, monkeypatch):
             for fam, want in ((single, n), (general, 2 * n)):
                 for poly in (fam.right[n], fam.left[n]):
                     degrees.clear()
-                    zero_slice(poly, fr)
+                    zero_slice([poly], fr)
                     assert degrees == [want]
     # coefficients in span{1, i} of the standard frame, where the star
     # products stay exactly in the plane: a diagonal image whose entry a is
@@ -166,7 +167,7 @@ def test_single_plane_slice_roots_the_scalar_factor(rng, monkeypatch):
     for z in planted:
         poly = star_mul_L(poly, QPolyL([Quaternion(-z.real, -z.imag), Quaternion(1.0)]))
     degrees.clear()
-    report = zero_slice(poly, SliceFrame.standard())
+    report, = zero_slice([poly], SliceFrame.standard())
     assert degrees == [4]
     expected = [complex(z.real, abs(z.imag)) for z in planted]
     assert multiset_distance(report.slice_roots, expected) < 1e-12
@@ -174,13 +175,13 @@ def test_single_plane_slice_roots_the_scalar_factor(rng, monkeypatch):
 
 def test_roots_rejects_nan():
     with np.errstate(invalid="ignore"), pytest.raises(NoConvergence):
-        roots([float("nan"), 1.0])
+        roots([[float("nan"), 1.0]])
 
 
 def test_zero_slice_q_poly_r(rng, frame):
     a = random_unit_ball_quaternion(rng, rmax=0.8, rmin=0.2)
     poly = QPolyR([-a, Quaternion(1.0)])
-    report = zero_slice(poly, frame)
+    report, = zero_slice([poly], frame)
     assert multiset_distance(report.slice_roots,
                              [complex(a.w, np.linalg.norm(a.imag))]) < 1e-10
 
@@ -213,7 +214,7 @@ def test_frame_independence_of_moduli(rng):
     base = None
     for _ in range(5):
         fr = SliceFrame.random(rng)
-        report = zero_slice(fam.right[5], fr)
+        report, = zero_slice([fam.right[5]], fr)
         mods = np.sort(np.array(report.moduli))
         if base is None:
             base = mods
@@ -225,7 +226,7 @@ def test_monic_normalisation_preserves_zeros(rng, frame):
     a = random_unit_ball_quaternion(rng, rmax=0.7, rmin=0.3)
     lead = random_quaternion(rng)
     poly = QPolyL([(-a) * lead, lead])  # (p - a) star lead
-    report = zero_slice(poly, frame)
+    report, = zero_slice([poly], frame)
     assert multiset_distance(report.slice_roots,
                              [complex(a.w, np.linalg.norm(a.imag))]) < 1e-9
     monic = monic_left(poly)
@@ -241,18 +242,26 @@ def test_two_route_agreement_desk_scale_ceiling(rng, frame):
         poly = QPolyL([Quaternion(1.0)])
         for a in planted:
             poly = star_mul_L(poly, QPolyL([-a, Quaternion(1.0)]))
-        report = zero_slice(poly, frame, route_tol=tol)
+        report, = zero_slice([poly], frame, route_tol=tol)
         expected = [complex(a.w, np.linalg.norm(a.imag)) for a in planted]
         assert multiset_distance(report.slice_roots, expected) < match
 
 
-# ---- the scalar Aberth loop that ``roots`` replaced, kept as its oracle ----
+# ---- the one-polynomial Aberth loop that the batched ``roots`` replaced,
+# Horner's rule on Python complex scalars, kept as its oracle ----
 
-def _polyval_ascending(coeffs, z):
-    acc = 0.0 + 0.0j
-    for c in coeffs[::-1]:
-        acc = acc * z + c
-    return acc
+def _horner_pair(desc_p, desc_dp, zs):
+    out_p, out_dp = [], []
+    for z in zs:
+        acc = 0j
+        for c in desc_p:
+            acc = acc * z + c
+        out_p.append(acc)
+        acc = 0j
+        for c in desc_dp:
+            acc = acc * z + c
+        out_dp.append(acc)
+    return np.array(out_p), np.array(out_dp)
 
 
 def _roots_scalar_loop(coeffs, max_iter=500, residual_tol=1e-10):
@@ -271,27 +280,33 @@ def _roots_scalar_loop(coeffs, max_iter=500, residual_tol=1e-10):
     radius = min(radius, max(np.abs(monic[:-1]) ** (1.0 / np.arange(deg, 0, -1))) * 2.0 + 0.5)
     angles = 2.0 * np.pi * np.arange(deg) / deg + 0.4
     z = radius * np.exp(1j * angles)
+    monic_desc = monic[::-1].tolist()
+    deriv_desc = deriv[::-1].tolist()
+    zs = z.tolist()
     for _ in range(max_iter):
-        p = np.array([_polyval_ascending(monic, zk) for zk in z])
-        dp = np.array([_polyval_ascending(deriv, zk) for zk in z])
+        p, dp = _horner_pair(monic_desc, deriv_desc, zs)
         newton = np.where(dp != 0, p / np.where(dp == 0, 1.0, dp), 0.0)
         diff = z[:, None] - z[None, :]
-        np.fill_diagonal(diff, np.inf)
-        sums = np.sum(1.0 / diff, axis=1)
+        diff.flat[::deg + 1] = np.inf
+        sums = (1.0 / diff).sum(axis=1)
         denom = 1.0 - newton * sums
         step = newton / np.where(denom == 0, 1.0, denom)
         z = z - step
-        if np.max(np.abs(step)) < 1e-14 * np.maximum(1.0, np.max(np.abs(z))):
+        zs = z.tolist()
+        if np.abs(step).max() < 1e-14 * np.maximum(1.0, np.abs(z).max()):
             break
-    p = np.array([_polyval_ascending(monic, zk) for zk in z])
-    dp = np.array([_polyval_ascending(deriv, zk) for zk in z])
+    p, dp = _horner_pair(monic_desc, deriv_desc, zs)
     residual = np.abs(p) / np.maximum(np.abs(dp), 1e-300)
-    absmon = np.abs(monic)
-    noise = np.array([np.sum(absmon * np.abs(zk) ** np.arange(deg + 1)) for zk in z])
+    noise = (np.abs(monic) * np.abs(z)[:, None] ** np.arange(deg + 1)).sum(axis=1)
     at_noise_floor = np.abs(p) <= 4.0 * np.finfo(float).eps * noise
-    if np.max(np.where(at_noise_floor, 0.0, residual)) > residual_tol:
-        raise AssertionError("the oracle did not converge")
+    worst = float(np.max(np.where(at_noise_floor, 0.0, residual)))
+    if not worst <= residual_tol:
+        raise NoConvergence(f"root refinement stalled (max residual {worst:.3e})")
     return np.concatenate([np.zeros(n_zero, dtype=complex), z])
+
+
+def _bytes(arrays):
+    return [np.asarray(a).tobytes() for a in arrays]
 
 
 def test_roots_bitwise_equal_to_scalar_loop():
@@ -306,10 +321,152 @@ def test_roots_bitwise_equal_to_scalar_loop():
         planted = np.concatenate([np.zeros(2), rng.normal(size=degree - 2)])
         cases.append(np.poly(planted)[::-1])
     cases.append(np.array([0.25, -1.0, 1.0]))   # (z - 1/2)^2, exactly
-    for coeffs in cases:
-        got = roots(coeffs)
-        want = _roots_scalar_loop(coeffs)
-        assert got.tobytes() == want.tobytes()
+    cases.append(np.array([0.0, 0.0, 2.0]))     # every root at the origin
+    want = _bytes(_roots_scalar_loop(c) for c in cases)
+    assert _bytes(roots(cases)) == want
+    assert [_bytes(roots([c]))[0] for c in cases] == want
+
+
+ZEROS_JOB_FIXTURES = ("bernstein_szego_05", "lebesgue", "random_gamma_7", "smooth_trig",
+                      "vanishing_density")
+
+
+def _zeros_job_batches(monkeypatch):
+    """The route-1 batch of every ``zeros --n 10`` job on the shipped
+    fixtures, in the standard frame and two seeded ones, as ``roots`` got it
+    and as it answered."""
+    import contextlib
+    import io
+    import json
+    from pathlib import Path
+
+    from qopuc import cli
+
+    batches = []
+
+    def recording_roots(polys):
+        polys = [np.array(c) for c in polys]
+        found = roots(polys)
+        batches.append((polys, found))
+        return found
+
+    monkeypatch.setattr(zeros_module, "roots", recording_roots)
+    fixdir = Path(__file__).resolve().parent.parent / "fixtures"
+    frames = [[]] + [["--frame", json.dumps(SliceFrame.random(np.random.default_rng(seed))
+                                            .to_json())] for seed in (31, 32)]
+    for name in ZEROS_JOB_FIXTURES:
+        for frame in frames:
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = cli.main(["zeros", str(fixdir / f"{name}.json"), "--n", "10", *frame])
+            assert code == 0
+    monkeypatch.undo()
+    return batches
+
+
+def test_batched_roots_of_zeros_jobs_bitwise_equal_to_one_at_a_time(monkeypatch):
+    """Every polynomial of a zeros job gets, in its batch, the bits of the
+    Python-complex oracle, of its own run alone and of a shuffled batch."""
+    rng = np.random.default_rng(14)
+    batches = _zeros_job_batches(monkeypatch)
+    assert len(batches) == 15
+    for polys, found in batches:
+        assert 20 <= len(polys) == len(found) <= 40   # constants are not rooted
+        want = _bytes(found)
+        assert _bytes(_roots_scalar_loop(c) for c in polys) == want
+        assert [_bytes(roots([c]))[0] for c in polys] == want
+        perm = rng.permutation(len(polys))
+        shuffled = roots([polys[k] for k in perm])
+        assert [shuffled[j].tobytes() for j in np.argsort(perm)] == want
+
+
+def test_stacked_spectra_bitwise_equal_to_one_at_a_time(rng):
+    from qopuc.quaternions import right_eigen_slice
+    fam = orthonormal_polys(random_moment_fixture(41, 9), 8)
+    for fr in (SliceFrame.standard(), SliceFrame.random(rng)):
+        comps = [companion_left(monic_left(fam.right[n])) for n in range(1, 9)]
+        comps += [companion_right(monic_right(fam.left[n])) for n in range(1, 9)]
+        for n in range(1, 9):
+            same = [A for A in comps if len(A) == n]
+            stacked = right_eigen_slice(np.stack(same), fr)
+            assert _bytes(stacked) == _bytes(right_eigen_slice(A, fr) for A in same)
+
+
+def _first_error_one_at_a_time(polys, frame, route_tol, max_iter=500):
+    """The error of checking the polynomials one at a time, each rooted by
+    the oracle: the error the job must raise."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(zeros_module, "roots",
+                   lambda batch: [_roots_scalar_loop(c, max_iter) for c in batch])
+        try:
+            for psi in polys:
+                zero_slice([psi], frame, route_tol)
+        except Exception as exc:
+            return exc
+    return None
+
+
+def _zeros_job_polys(fam):
+    return [poly for n in range(1, fam.order + 1)
+            for poly in (fam.right[n], fam.left[n], reverse_L(fam.right[n], n),
+                         reverse_R(fam.left[n], n))]
+
+
+def test_zeros_job_raises_the_first_error_in_order(monkeypatch):
+    """With the iteration budget cut so that high-degree rows stall, a
+    route tolerance below every residual still raises the degree-1
+    RouteMismatch, and the default one the stall of the first polynomial
+    that stalls."""
+    fam = orthonormal_polys(moments_from_density(smooth_trig_density(), 10), 10)
+    frame = SliceFrame.standard()
+    polys = _zeros_job_polys(fam)
+    with pytest.raises(RouteMismatch) as degree_1:
+        zero_slice(polys[:1], frame, route_tol=1e-40)
+    monkeypatch.setattr(zeros_module, "MAX_ABERTH_ITER", 8)
+    for route_tol, kind in ((1e-40, RouteMismatch), (1e-8, NoConvergence)):
+        want = _first_error_one_at_a_time(polys, frame, route_tol, max_iter=8)
+        with pytest.raises(kind) as got:
+            zeros_theorem_check(fam, frame, route_tol)
+        assert type(want) is kind and str(got.value) == str(want)
+    assert str(_first_error_one_at_a_time(polys, frame, 1e-40, max_iter=8)) == \
+        str(degree_1.value)
+
+
+def test_failed_stacked_spectrum_raises_in_order(monkeypatch):
+    """A LAPACK failure on one companion size fails its whole stacked call;
+    the job then diagonalises that size one matrix at a time, so an earlier
+    polynomial's RouteMismatch still comes first."""
+    from qopuc.quaternions import right_eigen_slice
+
+    def failing_on_size_3(A, frame):
+        if A.shape[-2] == 3:
+            raise NoConvergence("eigenvalue iteration failed: size 3")
+        return right_eigen_slice(A, frame)
+
+    monkeypatch.setattr(zeros_module, "right_eigen_slice", failing_on_size_3)
+    fam = orthonormal_polys(moments_from_density(smooth_trig_density(), 5), 5)
+    frame = SliceFrame.standard()
+    polys = _zeros_job_polys(fam)
+    for route_tol, kind in ((1e-40, RouteMismatch), (1e-8, NoConvergence)):
+        want = _first_error_one_at_a_time(polys, frame, route_tol)
+        with pytest.raises(kind) as got:
+            zeros_theorem_check(fam, frame, route_tol)
+        assert type(want) is kind and str(got.value) == str(want)
+
+
+def test_zero_slice_raises_a_stage_one_error_after_earlier_checks(monkeypatch):
+    """An input that fails before rooting (a zero polynomial) is raised only
+    after the polynomials before it are checked, and not before a later
+    polynomial's stall."""
+    fam = orthonormal_polys(moments_from_density(smooth_trig_density(), 3), 3)
+    frame = SliceFrame.standard()
+    zero = QPolyL(np.zeros((2, 4)))
+    with pytest.raises(RouteMismatch):
+        zero_slice([fam.right[2], zero], frame, route_tol=1e-40)
+    with pytest.raises(ValueError, match="zero polynomial"):
+        zero_slice([fam.right[2], zero, fam.right[3]], frame)
+    monkeypatch.setattr(zeros_module, "MAX_ABERTH_ITER", 2)
+    with pytest.raises(ValueError, match="zero polynomial"):
+        zero_slice([zero, fam.right[3]], frame)
 
 
 # ---- the Quaternion-object and numpy-scalar implementations that the array

@@ -42,8 +42,11 @@ and ``zeros --n 8``; a density with a repeated ``w1`` index, moments with a
 repeated index, a density given by ``w2`` alone with and without its frame,
 and a fixture that holds both a density and moments, under
 ``moments-to-verblunsky --n 1``, ``grid --grid 7`` and ``sv --n 1``;
-``sv --n 40 --tol-route 1e-40``, ``sv --n 8 --tol-pd 0.95`` and
-``cd --n 8 --tol-pd 0.95`` on ``smooth_trig``; every ``random-gamma`` run
+a density with w1_0 = 2 under ``grid --grid 7``, ``sv --n 1`` and
+``baxter --n 4``; ``sv --n 40 --tol-route 1e-40``, ``sv --n 8 --tol-pd
+0.95``, ``cd --n 8 --tol-pd 0.95`` and ``zeros --n 10 --tol-route 1e-40``
+on ``smooth_trig``; ``zeros --n 12`` on the six ``random-gamma --n 13``
+fixtures, root batches up to degree 24; every ``random-gamma`` run
 that makes a fixture, four more, an
 ``orthopolys --n 30`` past a horizon, a ``verblunsky-to-moments --n 30``
 past the coefficient count and a missing file.
@@ -170,10 +173,18 @@ def report_set(frames: dict[str, str]):
         yield f"{stem}.moments-to-verblunsky.n1", ["moments-to-verblunsky", path, "--n", "1"]
         yield f"{stem}.grid.g7", ["grid", path, "--grid", "7"]
         yield f"{stem}.sv.n1", ["sv", path, "--n", "1"]
+    yield "unnormalised.grid.g7", ["grid", "fixtures/unnormalised.json", "--grid", "7"]
+    yield "unnormalised.sv.n1", ["sv", "fixtures/unnormalised.json", "--n", "1"]
+    yield "unnormalised.baxter.n4", ["baxter", "fixtures/unnormalised.json", "--n", "4"]
     for name, argv in (("sv.n40.tol-route1e-40", ["sv", "--n", "40", "--tol-route", "1e-40"]),
                        ("sv.n8.tol-pd0.95", ["sv", "--n", "8", "--tol-pd", "0.95"]),
-                       ("cd.n8.tol-pd0.95", ["cd", "--n", "8", "--tol-pd", "0.95"])):
+                       ("cd.n8.tol-pd0.95", ["cd", "--n", "8", "--tol-pd", "0.95"]),
+                       ("zeros.n10.tol-route1e-40",
+                        ["zeros", "--n", "10", "--tol-route", "1e-40"])):
         yield f"smooth_trig.{name}", [argv[0], "fixtures/smooth_trig.json", *argv[1:]]
+    for seed in GAMMA_SEEDS:   # batches of roots up to degree 24
+        yield (f"random_gamma_{seed}.zeros.n12",
+               ["zeros", f"fixtures/random_gamma_{seed}.json", "--n", "12"])
     for seed, n, rmax in ((0, 8, "0.8"), (11, 12, "0.8"), (5, 40, "0.95"), (3, 5, "0.5")):
         yield (f"random-gamma.seed{seed}.n{n}.rmax{rmax}",
                ["random-gamma", "--seed", str(seed), "--n", str(n), "--rmax", rmax])
@@ -239,6 +250,8 @@ def make_fixtures(main, record) -> None:
     write_fixture("mixed_density_moments", {"frame": standard, "w1": [[0, 1.0, 0.0]],
                                             "moments": [[0, [1.0, 0.0, 0.0, 0.0]],
                                                         [1, [0.9, 0.0, 0.0, 0.0]]]})
+    # a density whose c_0 = w1_0 is 2, not 1
+    write_fixture("unnormalised", {"frame": standard, "w1": [[0, 2.0, 0.0]], "w2": []})
 
 
 def main() -> int:
