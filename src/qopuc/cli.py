@@ -175,6 +175,9 @@ def _validate_fixture(obj) -> None:
             _require_numbers(entry, 3, f"{key}[{k}]")
             if not isinstance(entry[0], int):
                 raise ValueError(f"{key}[{k}] index must be an integer, got {entry[0]!r}")
+            if abs(entry[0]) >= 2 ** 63:
+                raise ValueError(f"{key}[{k}] index must be below 2**63 in magnitude, "
+                                 f"got {entry[0]}")
             _require_new_index(seen, entry[0], f"{key}[{k}]")
     seen = set()
     for k, entry in enumerate(_require_list(obj, "moments")):
@@ -221,19 +224,19 @@ def density_from_fixture(obj: dict, override: SliceFrame | None) -> QPositiveDen
 
 
 def moments_from_fixture(obj: dict, n: int,
-                         override: SliceFrame | None) -> tuple[MomentSequence, SliceFrame | None]:
-    """The moments c_0..c_n of a fixture and the frame they were read in:
-    ``override`` if given, else the frame a density or gamma fixture builds
-    from its own ``frame`` key, and None for a moment fixture."""
+                         override: SliceFrame | None) -> tuple[MomentSequence, SliceFrame]:
+    """The moments c_0..c_n of a fixture and the frame the command works in:
+    ``override``, else the fixture's ``frame``, else the standard frame.  A
+    density's moments are frame-free, so it is read in its own frame."""
     kind = fixture_kind(obj)
     if kind == "moments":
         c = MomentSequence.from_json(obj["moments"])
         if c.horizon < n:
             raise HorizonExceeded(
                 f"fixture horizon {c.horizon} below requested order {n}")
-        return c, override
+        return c, fixture_frame(obj, override)
     if kind == "density":
-        d = density_from_fixture(obj, override)
+        d = QPositiveDensity.from_json(obj)
         return moments_from_density(d, n), override or d.frame
     if kind == "gammas":
         gammas = VerblunskySeq(obj["gammas"])
@@ -284,7 +287,7 @@ def _envelope(args, result: dict) -> dict:
 def cmd_moments_to_verblunsky(args) -> dict:
     obj = load_fixture(args.input)
     c, frame = moments_from_fixture(obj, args.n, args.frame)
-    ext = verblunsky_from_moments_q(c, args.n, frame or fixture_frame(obj, None),
+    ext = verblunsky_from_moments_q(c, args.n, frame,
                                     route_tol=args.tol_route, pivot_tol=args.tol_pd)
     return {
         "gammas": ext.matrix_route.to_json(),
@@ -317,7 +320,6 @@ def cmd_orthopolys(args) -> dict:
 def cmd_zeros(args) -> dict:
     obj = load_fixture(args.input)
     c, frame = moments_from_fixture(obj, args.n, args.frame)
-    frame = frame or fixture_frame(obj, None)
     fam = orthonormal_polys(c, args.n, args.tol_pd)
     rows, reports = zeros_theorem_check(fam, frame, route_tol=args.tol_route)
     families = [{"degree": n, "family": name, "report": report.to_json()}
@@ -455,21 +457,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write(args, text: str) -> None:
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
-
-
 @functools.lru_cache(maxsize=1)
 def _parser() -> argparse.ArgumentParser:
     """One parser per process; building it costs about 3 ms per call."""
     return build_parser()
 
 
-def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+def _run(args) -> tuple[int, str]:
+    """The exit code and the text of one parsed command line."""
     try:
         _require_flags(args)
         # parsed once: the commands and the envelope read the SliceFrame,
@@ -477,32 +472,39 @@ def main(argv=None) -> int:
         args.frame = parse_frame(args.frame)
         result = _COMMANDS[args.command](args)
     except RouteMismatch as exc:
-        _write(args, emit_json({"error": {"type": "RouteMismatch",
-                                          "message": str(exc),
-                                          "residual": exc.residual}}) + "\n")
-        return EXIT_CROSS_CHECK
+        return EXIT_CROSS_CHECK, _error_text(exc)
     except NoConvergence as exc:
-        _write(args, emit_json({"error": {"type": "NoConvergence",
-                                          "message": str(exc)}}) + "\n")
-        return EXIT_NO_CONVERGENCE
-    except _INVALID_INPUT_ERRORS as exc:
-        error = {"type": type(exc).__name__, "message": str(exc)}
-        if isinstance(exc, NotPositiveDefinite) and exc.order is not None:
-            error["order"] = exc.order
-        if isinstance(exc, NotContraction) and exc.index is not None:
-            error["index"] = exc.index
-        _write(args, emit_json({"error": error}) + "\n")
-        return EXIT_INVALID_INPUT
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
-        _write(args, emit_json({"error": {"type": type(exc).__name__,
-                                          "message": str(exc)}}) + "\n")
-        return EXIT_INVALID_INPUT
+        return EXIT_NO_CONVERGENCE, _error_text(exc)
+    except (*_INVALID_INPUT_ERRORS, ValueError, KeyError, OSError) as exc:
+        return EXIT_INVALID_INPUT, _error_text(exc)
     payload = _envelope(args, result)
     if args.format == "csv":
-        _write(args, csv_view(args.command, payload))
-    else:
-        _write(args, emit_json(payload) + "\n")
-    return EXIT_OK
+        return EXIT_OK, csv_view(args.command, payload)
+    return EXIT_OK, emit_json(payload) + "\n"
+
+
+def _error_text(exc: Exception) -> str:
+    """The error report: type, message and any typed field the error carries."""
+    error = {"type": type(exc).__name__, "message": str(exc)}
+    error.update((key, value) for key in ("residual", "order", "index")
+                 if (value := getattr(exc, key, None)) is not None)
+    return emit_json({"error": error}) + "\n"
+
+
+def main(argv=None) -> int:
+    """Run one command line; an ``--out`` that cannot be written puts its
+    error on stdout, with exit 2."""
+    args = _parser().parse_args(argv)
+    code, text = _run(args)
+    if not args.out:
+        sys.stdout.write(text)
+        return code
+    try:
+        Path(args.out).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        sys.stdout.write(_error_text(exc))
+        return EXIT_INVALID_INPUT
+    return code
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -13,7 +13,7 @@ from .quaternions import SliceFrame
 
 def lebesgue_density(frame: SliceFrame | None = None) -> QPositiveDensity:
     """Normalised arc length: w = 1, all Verblunsky coefficients zero."""
-    return QPositiveDensity(frame or SliceFrame.standard(), {0: 1.0})
+    return QPositiveDensity.from_maps(frame or SliceFrame.standard(), {0: 1.0})
 
 
 def bernstein_szego_density(gamma0: float = 0.5, cutoff: int = 64,
@@ -26,7 +26,7 @@ def bernstein_szego_density(gamma0: float = 0.5, cutoff: int = 64,
     if not 0 < gamma0 < 1:
         raise ValueError("gamma0 must lie in (0, 1)")
     w1 = {m: gamma0 ** abs(m) for m in range(-cutoff, cutoff + 1)}
-    return QPositiveDensity(frame or SliceFrame.standard(), w1)
+    return QPositiveDensity.from_maps(frame or SliceFrame.standard(), w1)
 
 
 def vanishing_density(frame: SliceFrame | None = None) -> QPositiveDensity:
@@ -35,8 +35,8 @@ def vanishing_density(frame: SliceFrame | None = None) -> QPositiveDensity:
     Square-summable but not summable coefficients; the Baxter diagnostic's
     nonsummable reference fixture.
     """
-    return QPositiveDensity(frame or SliceFrame.standard(),
-                            {0: 1.0, 1: 0.5, -1: 0.5})
+    return QPositiveDensity.from_maps(frame or SliceFrame.standard(),
+                                      {0: 1.0, 1: 0.5, -1: 0.5})
 
 
 def smooth_trig_density(frame: SliceFrame | None = None) -> QPositiveDensity:
@@ -48,7 +48,7 @@ def smooth_trig_density(frame: SliceFrame | None = None) -> QPositiveDensity:
     """
     w1 = {0: 1.0, 1: 0.22 - 0.1j, -1: 0.22 + 0.1j, 2: 0.05 + 0.04j, -2: 0.05 - 0.04j}
     w2 = {1: 0.06 + 0.09j, -1: -0.06 - 0.09j, 2: 0.03 - 0.02j, -2: -0.03 + 0.02j}
-    return QPositiveDensity(frame or SliceFrame.standard(), w1, w2)
+    return QPositiveDensity.from_maps(frame or SliceFrame.standard(), w1, w2)
 
 
 def random_gamma_seq(seed: int, n: int, rmax: float = 0.8) -> VerblunskySeq:

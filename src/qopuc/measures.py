@@ -1,19 +1,18 @@
 """Moment sequences, quaternionic Toeplitz forms, and computable measures.
 
 Measures appear only through computable surrogates: finite moment horizons,
-finitely supported Fourier densities, and finite atom lists.  A density d
-carries two coefficient maps (w1 for the real-valued part, w2 for the
-j-component); its 2x2 matrix form
+finitely supported Fourier densities, and finite atom lists.  Moments follow
+the convention c_n = integral of e^{i n theta} d mu(theta).  A density is
+held as its moments c_n on its support n >= 0, the same in every slice frame;
+in a frame they split as c_n = w1_{-n} + w2_{-n} j, and the 2x2 matrix form
 
     W(theta) = [[w1(theta),        w2(theta)],
                 [conj(w2(theta)),  w1(-theta)]]
 
 is Hermitian and must be positive semidefinite on the scan grid.  On the
-uniform grid 2 pi k / g each map's sum is an inverse DFT, taken as one FFT in
-long double; the smallest eigenvalue of each W(theta_k) and its determinant
-a d - |b|^2 are 2x2 closed forms.  Moments follow the convention
-c_n = integral of e^{i n theta} d mu(theta), which for trigonometric densities
-reads off as c_n = w1_{-n} + w2_{-n} j.
+uniform grid 2 pi k / g each of w1 and w2 is an inverse DFT, taken as one FFT
+in long double; the smallest eigenvalue of each W(theta_k) and its
+determinant a d - |b|^2 are 2x2 closed forms.
 """
 
 from __future__ import annotations
@@ -65,7 +64,7 @@ class MomentSequence:
     def from_map(cls, entries: dict) -> "MomentSequence":
         """Moments from {n: c_n}, c_n a Quaternion or (w, x, y, z); a missing
         c_n is 0, and a negative index must match conj(c_{-n})."""
-        horizon = max(abs(n) for n in entries)
+        horizon = max((abs(n) for n in entries), default=-1)
         seq = cls([entries.get(n, 0.0) for n in range(horizon + 1)])
         for n, q in entries.items():
             if n < 0:
@@ -205,18 +204,15 @@ def require_nontrivial(c: MomentSequence, n: int, pivot_tol: float = PIVOT_TOL
     return tuple(a.astype(float) + 0.0 for a in (gammas, right, left))
 
 
-def _fourier_on_grid(coeffs: dict[int, complex], grid: int) -> np.ndarray:
-    """sum_n coeffs[n] e^{2 pi i n k / grid} for k < grid, rounded to float64 once.
-
-    Index n lands at n mod grid, which is exact on the grid, and one unscaled
-    inverse FFT in long double does the sum; an empty map is zero, with no
-    transform.
-    """
-    if not coeffs:
+def _fourier_on_grid(index: np.ndarray, values: np.ndarray, grid: int) -> np.ndarray:
+    """sum_k values[k] e^{2 pi i index[k] j / grid} for j < grid, rounded to
+    float64 once: index n lands at n mod grid (exact on the grid), folded in
+    the order given, and one unscaled long-double inverse FFT does the sum;
+    all-zero values give zeros, with no transform."""
+    if not values.any():
         return np.zeros(grid, dtype=complex)
     folded = np.zeros(grid, dtype=np.clongdouble)
-    np.add.at(folded, [n % grid for n in coeffs],
-              np.array(list(coeffs.values()), dtype=np.clongdouble))
+    np.add.at(folded, index % grid, values.astype(np.clongdouble))
     return np.fft.ifft(folded, norm="forward").astype(complex)
 
 
@@ -236,23 +232,46 @@ def _det_herm2(W: np.ndarray) -> np.ndarray:
 
 
 class QPositiveDensity:
-    """A finitely supported Fourier density of a q-positive measure.
+    """A finitely supported Fourier density of a q-positive measure, held as
+    its moments: ``index``, ascending n >= 0 from 0, and the read-only (m, 4)
+    array ``coeffs`` of c_n; c_{-n} = conj(c_n).
 
-    Invariants checked at construction: w1 real-valued on the circle
-    (w1_{-n} = conj(w1_n)), the j-part symmetry w2_{-n} = -w2_n, and positive
-    semidefiniteness of the matrix form on a 2048-point grid, which also
-    rejects a NaN grid value, then the normalisation w1_0 = c_0 = 1, as
-    ``MomentSequence`` checks it.  W on the uniform grid 2 pi k / g
-    (``matrix_values``) and its smallest eigenvalue, in closed form, are
-    evaluated once per grid size g and kept (``grid_values``,
-    ``min_eigenvalue_on_grid``), so the PSD scan, the Baxter check, the
-    entropy and the grid report share them.
+    Construction checks that W is PSD on a 2048-point grid (a NaN grid value
+    fails), then c_0 = 1.  W on the grid 2 pi k / g (``matrix_values``) and
+    its smallest eigenvalue are evaluated once per g and kept (``grid_values``,
+    ``min_eigenvalue_on_grid``) for the PSD scan, the Baxter check, the
+    entropy and the grid report.
     """
 
-    __slots__ = ("frame", "w1", "w2", "_grids")
+    __slots__ = ("frame", "index", "coeffs", "_grids")
 
-    def __init__(self, frame: SliceFrame, w1: dict[int, complex],
-                 w2: dict[int, complex] | None = None):
+    def __init__(self, frame: SliceFrame, index, coeffs):
+        index = np.array(index, dtype=np.int64)
+        coeffs = qarr_from(coeffs)
+        if len(index) != len(coeffs) or index[:1].tolist() != [0] or (np.diff(index) <= 0).any():
+            raise ValueError("index must ascend from 0, one per coefficient")
+        index.setflags(write=False)
+        coeffs.setflags(write=False)
+        object.__setattr__(self, "frame", frame)
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "_grids", {})
+        min_eig = self.min_eigenvalue_on_grid(PSD_GRID)
+        if not min_eig >= PSD_FLOOR:   # also rejects a NaN grid value
+            raise ValueError(
+                f"matrix density not PSD on the grid (min eigenvalue {min_eig:.3e})")
+        if not qarr_abs(coeffs[0] - (1.0, 0.0, 0.0, 0.0)) <= C0_TOL:
+            raise ValueError(NOT_NORMALISED)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("QPositiveDensity is immutable")
+
+    @classmethod
+    def from_maps(cls, frame: SliceFrame, w1: dict[int, complex],
+                  w2: dict[int, complex] | None = None) -> "QPositiveDensity":
+        """The density W = [[w1, w2], [conj w2, w1(-theta)]] from {n: w_n}
+        maps in ``frame``, checked for w1_{-n} = conj(w1_n) and
+        w2_{-n} = -w2_n to 1e-12; c_n = w1_{-n} + w2_{-n} j."""
         w1 = {int(n): complex(a) for n, a in (w1 or {}).items() if a != 0}
         w2 = {int(n): complex(a) for n, a in (w2 or {}).items() if a != 0}
         for n, a in w1.items():
@@ -261,30 +280,24 @@ class QPositiveDensity:
         for n, a in w2.items():
             if abs(w2.get(-n, 0j) + a) > 1e-12 * max(1.0, abs(a)):
                 raise ValueError(f"w2 symmetry w2_(-n) = -w2_n violated (n={n})")
-        object.__setattr__(self, "frame", frame)
-        object.__setattr__(self, "w1", w1)
-        object.__setattr__(self, "w2", w2)
-        object.__setattr__(self, "_grids", {})
-        min_eig = self.min_eigenvalue_on_grid(PSD_GRID)
-        if not min_eig >= PSD_FLOOR:   # also rejects a NaN grid value
-            raise ValueError(
-                f"matrix density not PSD on the grid (min eigenvalue {min_eig:.3e})")
-        if not abs(w1.get(0, 0j) - 1.0) <= C0_TOL:
-            raise ValueError(NOT_NORMALISED)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QPositiveDensity is immutable")
+        index = sorted({0} | {-n for n in (*w1, *w2) if n <= 0})
+        z1 = np.array([w1.get(-n, 0j) for n in index], dtype=complex)
+        z2 = np.array([w2.get(-n, 0j) for n in index], dtype=complex)
+        return cls(frame, index, _from_frame_coords(z1, z2, frame))
 
     def matrix_values(self, grid: int) -> np.ndarray:
-        """The Hermitian matrix density W(2 pi k / grid), k < grid, as a
-        (grid, 2, 2) array.
+        """W(2 pi k / grid), k < grid, as a (grid, 2, 2) array.
 
-        One long-double inverse FFT per non-empty coefficient map gives
-        a = w1 and b = w2 on the grid; W22(theta_k) = w1(-theta_k) is a at
-        index -k mod grid, and W21 = conj(b).
+        With (z1, z2) the frame coordinates of c_n, w1_{-n} = z1, w1_n = conj(z1),
+        w2_{-n} = z2 and w2_n = -z2; one long-double inverse FFT each, terms
+        folded in ascending n, gives a = w1 and b = w2 on the grid.
+        W22(theta_k) = w1(-theta_k) is a at index -k mod grid, and W21 = conj(b).
         """
-        a = _fourier_on_grid(self.w1, grid)
-        b = _fourier_on_grid(self.w2, grid)
+        z1, z2 = _frame_coords(self.coeffs, self.frame)
+        n, pos = self.index, self.index > 0
+        ns = np.concatenate([-n[::-1], n[pos]])
+        a = _fourier_on_grid(ns, np.concatenate([z1[::-1], np.conj(z1[pos])]), grid)
+        b = _fourier_on_grid(ns, np.concatenate([z2[::-1], -z2[pos]]), grid)
         W = np.empty((grid, 2, 2), dtype=complex)
         W[:, 0, 0] = a
         W[:, 0, 1] = b
@@ -309,26 +322,20 @@ class QPositiveDensity:
         self.min_eigenvalue_on_grid(grid)
         return self._grids[grid][0]
 
-    def to_json(self):
-        return {
-            "frame": self.frame.to_json(),
-            "w1": [[n, a.real, a.imag] for n, a in sorted(self.w1.items())],
-            "w2": [[n, a.real, a.imag] for n, a in sorted(self.w2.items())],
-        }
-
     @classmethod
     def from_json(cls, obj) -> "QPositiveDensity":
         frame = SliceFrame.from_json(obj["frame"])
         w1 = {int(n): complex(re, im) for n, re, im in obj.get("w1", [])}
         w2 = {int(n): complex(re, im) for n, re, im in obj.get("w2", [])}
-        return cls(frame, w1, w2)
+        return cls.from_maps(frame, w1, w2)
 
 
 def moments_from_density(d: QPositiveDensity, N: int) -> MomentSequence:
-    """Exact coefficient read-off: c_n = w1_{-n} + w2_{-n} j in the frame."""
-    z1 = np.array([d.w1.get(-n, 0j) for n in range(N + 1)], dtype=complex)
-    z2 = np.array([d.w2.get(-n, 0j) for n in range(N + 1)], dtype=complex)
-    return MomentSequence(_from_frame_coords(z1, z2, d.frame))
+    """c_0..c_N of a density: its coefficients up to N, zero elsewhere."""
+    arr = np.zeros((N + 1, 4))
+    keep = d.index <= N
+    arr[d.index[keep]] = d.coeffs[keep]
+    return MomentSequence(arr)
 
 
 @dataclass(frozen=True)
@@ -363,23 +370,11 @@ def matrix_moments(c: MomentSequence, frame: SliceFrame | None = None,
 
 
 def density_in_frame(d: QPositiveDensity, frame: SliceFrame) -> QPositiveDensity:
-    """Re-express a density in another slice frame.
-
-    The quaternionic Fourier coefficients are the global object; splitting
-    them in the new frame gives the new (w1, w2) pair.  The required
-    symmetries transfer automatically.
-    """
-    support = sorted(set(d.w1) | set(d.w2))
-    q = _from_frame_coords(np.array([d.w1.get(m, 0j) for m in support], dtype=complex),
-                           np.array([d.w2.get(m, 0j) for m in support], dtype=complex),
-                           d.frame)
-    z1, z2 = _frame_coords(q, frame)
-    return QPositiveDensity(frame, dict(zip(support, z1.tolist())),
-                            dict(zip(support, z2.tolist())))
+    """The same density in another slice frame: its moments are frame-free,
+    and the PSD scan runs again on the new frame's grid."""
+    return QPositiveDensity(frame, d.index, d.coeffs)
 
 
 def wiener_coefficient_norm(d: QPositiveDensity) -> float:
-    """Sum over n of |w1_n + w2_n j| (quaternionic modulus per coefficient)."""
-    support = set(d.w1) | set(d.w2)
-    return float(sum(
-        np.hypot(abs(d.w1.get(n, 0j)), abs(d.w2.get(n, 0j))) for n in support))
+    """Sum over n in Z of |c_n| (quaternionic modulus per coefficient)."""
+    return float(np.where(d.index > 0, 2, 1) @ qarr_abs(d.coeffs))

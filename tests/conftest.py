@@ -18,6 +18,20 @@ def fourier_values(coeffs, thetas):
     return out
 
 
+def density_maps(d):
+    """A density's coefficient maps ({n: w1_n}, {n: w2_n}) in its own frame,
+    n ascending: w1_{-n} + w2_{-n} j = c_n split per value by np.dot, and
+    w1_n = conj(w1_{-n}), w2_n = -w2_{-n} for n > 0."""
+    w1, w2 = {}, {}
+    for n, row in zip(d.index[::-1].tolist(), d.coeffs[::-1]):
+        w1[-n] = complex(row[0], float(np.dot(row[1:], d.frame.i.imag)))
+        w2[-n] = complex(float(np.dot(row[1:], d.frame.j.imag)),
+                         float(np.dot(row[1:], d.frame.k.imag)))
+    for n in d.index[1:].tolist():
+        w1[n], w2[n] = w1[-n].conjugate(), -w2[-n]
+    return w1, w2
+
+
 def random_quaternion(rng, scale=1.0):
     return Quaternion(*(scale * rng.normal(size=4)))
 

@@ -85,6 +85,9 @@ W2_ONLY = {"frame": STANDARD_FRAME, "w2": [[1, 0.1, 0], [-1, -0.1, 0]]}
 MIXED = {"frame": STANDARD_FRAME, "w1": [[0, 1, 0]],
          "moments": [[0, [1, 0, 0, 0]], [1, [0.9, 0, 0, 0]]]}
 UNNORMALISED = {"frame": STANDARD_FRAME, "w1": [[0, 2, 0]], "w2": []}
+EMPTY_MOMENTS = {"moments": []}
+FAR_INDEX = {"frame": STANDARD_FRAME,
+             "w1": [[0, 1, 0], [10 ** 9, 0.25, 0], [-10 ** 9, 0.25, 0]]}
 FIXTURE_COMMANDS = (["moments-to-verblunsky", "--n", "1"], ["sv", "--n", "1"],
                     ["grid", "--grid", "7"])
 
@@ -138,6 +141,56 @@ def test_fixture_of_two_kinds_rejected_at_load(tmp_path):
             "type": "ValueError",
             "message": "fixture holds more than one of moments, w1/w2 and gammas "
                        "(found moments, w1)"}
+
+
+def test_empty_moment_list_needs_c0(tmp_path):
+    # the horizon of an empty map was max() of nothing: "max() arg is an
+    # empty sequence"
+    bad = tmp_path / "empty.json"
+    bad.write_text(json.dumps(EMPTY_MOMENTS))
+    for argv in (["moments-to-verblunsky", "--n", "1"], ["orthopolys", "--n", "1"],
+                 ["cd", "--n", "1"]):
+        code, out = run(tmp_path, argv[0], str(bad), *argv[1:])
+        assert code == 2
+        assert json.loads(out)["error"] == {"type": "ValueError",
+                                            "message": "need at least c_0"}
+
+
+def test_density_index_beyond_int64_rejected_at_load(tmp_path):
+    # densities keep their indices as int64, where 2**63 would overflow
+    bad = tmp_path / "huge.json"
+    bad.write_text(json.dumps({"frame": STANDARD_FRAME,
+                               "w1": [[0, 1, 0], [2 ** 63, 0.1, 0], [-2 ** 63, 0.1, 0]]}))
+    code, out = run(tmp_path, "sv", str(bad), "--n", "2")
+    assert code == 2
+    assert json.loads(out)["error"] == {
+        "type": "ValueError",
+        "message": f"w1[1] index must be below 2**63 in magnitude, got {2 ** 63}"}
+
+
+def test_unwritable_out_is_a_typed_error(tmp_path, capsys):
+    # writing the report, or the error report, to such a path once raised out
+    # of main: a traceback and exit 1
+    missing = tmp_path / "missing_dir" / "x.json"
+    for argv in (["random-gamma", "--n", "2"], ["sv", str(tmp_path / "nofile.json")]):
+        assert main([*argv, "--out", str(missing)]) == 2
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["type"] == "FileNotFoundError" and str(missing) in err["message"]
+    assert not missing.parent.exists()
+
+
+def test_density_far_index_is_sparse(tmp_path):
+    # w1 = 1 + cos(10^9 theta) / 2: moments past c_0 vanish up to 10^9, and
+    # 10^9 = 6 mod 7 on the 7-point grid
+    fixture = tmp_path / "far.json"
+    fixture.write_text(json.dumps(FAR_INDEX))
+    code, out = run(tmp_path, "sv", str(fixture), "--n", "4")
+    assert code == 0
+    assert json.loads(out)["result"]["partial_products"] == [1, 1, 1, 1]
+    code, out = run(tmp_path, "grid", str(fixture), "--grid", "7")
+    assert code == 0
+    w11 = [row["w11_re"] for row in json.loads(out)["result"]["rows"]]
+    assert np.max(np.abs(np.array(w11) - (1 + 0.5 * np.cos(2 * np.pi * np.arange(7) / 7)))) < 1e-15
 
 
 REPEATED_INDEX = {
@@ -698,6 +751,8 @@ def _fuzz_gammas(obj, rng):
 
 def _fuzz_moments(obj, rng):
     moments = [[n, list(q)] for n, q in obj["moments"]]
+    if not moments:
+        return obj
     for _ in range(rng.integers(1, 4)):
         k, comp = int(rng.integers(1, len(moments))), int(rng.integers(4))
         moments[k][1][comp] = float(rng.choice([-1.0, 1.0]) * rng.choice(FUZZ_MAGNITUDES))
@@ -736,7 +791,8 @@ def _fuzz_fixtures():
     """The shipped fixtures, two moment fixtures of horizon 6, one with a
     frame (moments read off Bernstein-Szego) and one without, the two
     repeated-index fixtures, a w2-only density, a fixture that holds both
-    a density and moments, and a density with w1_0 = 2."""
+    a density and moments, a density with w1_0 = 2, an empty moment list and
+    a density with indices +-10^9."""
     from qopuc.fixtures import bernstein_szego_density, random_moment_fixture
     from qopuc.measures import moments_from_density
 
@@ -750,6 +806,8 @@ def _fuzz_fixtures():
     fixtures["w2_only.json"] = W2_ONLY
     fixtures["mixed.json"] = MIXED
     fixtures["unnormalised.json"] = UNNORMALISED
+    fixtures["empty_moments.json"] = EMPTY_MOMENTS
+    fixtures["far_index.json"] = FAR_INDEX
     return fixtures
 
 

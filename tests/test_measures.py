@@ -16,7 +16,9 @@ from qopuc.quaternions import (
     QI, Quaternion, SliceFrame, block_permutation, blockwise_chi, chi, chi_mat,
     qarr_mul, qmat_conj_T, qmat_mul,
 )
-from conftest import fourier_values, from_split_scalar, qbytes, signed_zero_frames
+from conftest import (
+    density_maps, fourier_values, from_split_scalar, qbytes, signed_zero_frames,
+)
 
 
 def lebesgue_moments(N=6):
@@ -50,25 +52,57 @@ def test_moment_sequence_rejects_non_finite(bad):
 
 
 def test_moments_and_frame_change_bitwise_equal_to_per_value_split(rng):
-    # the array read-off against the per-moment Quaternion sums it replaced
-    for fr in signed_zero_frames(rng, 6):
-        for make in (lebesgue_density, bernstein_szego_density, vanishing_density,
-                     smooth_trig_density):
+    # the array read-off against the per-moment Quaternion sums it replaced;
+    # a frame change keeps the coefficients
+    for make in (lebesgue_density, bernstein_szego_density, vanishing_density,
+                 smooth_trig_density):
+        w1, w2 = density_maps(make())
+        for fr in signed_zero_frames(rng, 6):
             d = make(frame=fr)
-            want = [from_split_scalar(fr, d.w1.get(-n, 0j), d.w2.get(-n, 0j))
-                    for n in range(41)]
+            want = [from_split_scalar(fr, w1.get(-n, 0j), w2.get(-n, 0j)) for n in range(41)]
             assert moments_from_density(d, 40).arr.tobytes() == qbytes(want)
             to = SliceFrame.random(rng)
             moved = density_in_frame(d, to)
-            support = sorted(set(d.w1) | set(d.w2))
-            pairs = [to.split(from_split_scalar(fr, d.w1.get(m, 0j), d.w2.get(m, 0j)))
-                     for m in support]
-            want_w1 = {m: z1 for m, (z1, _) in zip(support, pairs) if z1 != 0}
-            want_w2 = {m: z2 for m, (_, z2) in zip(support, pairs) if z2 != 0}
-            for got, ref in ((moved.w1, want_w1), (moved.w2, want_w2)):
-                assert list(got) == list(ref)
-                assert (np.array(list(got.values()), dtype=complex).tobytes()
-                        == np.array(list(ref.values()), dtype=complex).tobytes())
+            assert moved.frame == to and moved.index.tolist() == d.index.tolist()
+            assert moved.coeffs.tobytes() == d.coeffs.tobytes()
+
+
+def test_density_moments_frame_free(rng):
+    # the moments of a density are the same bits in its own frame, in five
+    # seeded frames and through the CLI under --frame
+    from qopuc.cli import moments_from_fixture
+    for make in (bernstein_szego_density, vanishing_density, smooth_trig_density):
+        d = make()
+        obj = {"frame": d.frame.to_json()}
+        obj["w1"], obj["w2"] = ([[n, a.real, a.imag] for n, a in w.items()]
+                                for w in density_maps(d))
+        own = moments_from_density(d, 12).arr.tobytes()
+        for _ in range(5):
+            fr = SliceFrame.random(rng)
+            assert moments_from_density(density_in_frame(d, fr), 12).arr.tobytes() == own
+            c, frame = moments_from_fixture(obj, 12, fr)
+            assert frame == fr and c.arr.tobytes() == own
+
+
+def test_near_symmetric_density_grid_is_its_symmetric_part(frame):
+    # w1_1 = 0.3 + 1e-13 i passes the 1e-12 symmetry check; the density keeps
+    # c_1 = w1_{-1} = 0.3, so W is exactly Hermitian on the 7-point grid and
+    # every grid is that of the symmetric density
+    near = QPositiveDensity.from_maps(frame, {0: 1.0, 1: 0.3 + 1e-13j, -1: 0.3})
+    sym = QPositiveDensity.from_maps(frame, {0: 1.0, 1: 0.3, -1: 0.3})
+    W = near.matrix_values(7)
+    assert np.array_equal(W, np.conj(np.swapaxes(W, 1, 2)))
+    for grid in (1, 7, 2048):
+        assert near.matrix_values(grid).tobytes() == sym.matrix_values(grid).tobytes()
+
+
+def test_sparse_density_far_index(frame):
+    # indices +-10^9 are stored sparsely; a dense read-off would need 10^9 rows
+    d = QPositiveDensity.from_maps(frame, {0: 1.0, 10 ** 9: 0.25, -10 ** 9: 0.25})
+    assert d.index.tolist() == [0, 10 ** 9]
+    assert moments_from_density(d, 4).arr.tolist() == [[1, 0, 0, 0]] + [[0] * 4] * 4
+    assert wiener_coefficient_norm(d) == 1.5
+    assert d.min_eigenvalue_on_grid() == 0.5   # 10^9 = 0 mod 2048: w1 = 1.5 there
 
 
 def test_toeplitz_small():
@@ -201,14 +235,17 @@ def test_embedding_equivalence_blockwise(rng):
 
 def test_density_validation(frame):
     with pytest.raises(ValueError):
-        QPositiveDensity(frame, {1: 0.5})  # missing conjugate partner
+        QPositiveDensity.from_maps(frame, {1: 0.5})  # missing conjugate partner
     with pytest.raises(ValueError):
-        QPositiveDensity(frame, {0: 1.0}, {1: 0.5, -1: 0.5})  # wrong w2 symmetry
+        QPositiveDensity.from_maps(frame, {0: 1.0}, {1: 0.5, -1: 0.5})  # wrong w2 symmetry
     with pytest.raises(ValueError):
-        QPositiveDensity(frame, {0: -1.0})  # negative density
+        QPositiveDensity.from_maps(frame, {0: -1.0})  # negative density
     with pytest.raises(ValueError):
         # PSD violated: off-diagonal too large for the diagonal
-        QPositiveDensity(frame, {0: 0.1}, {1: 1.0, -1: -1.0})
+        QPositiveDensity.from_maps(frame, {0: 0.1}, {1: 1.0, -1: -1.0})
+    for index in ([1], [0, 0], [0]):   # no c_0, a repeated index, a missing row
+        with pytest.raises(ValueError, match="index must ascend from 0"):
+            QPositiveDensity(frame, index, [[1.0, 0.0, 0.0, 0.0]] * 2)
 
 
 def test_moments_from_density_read_off(frame):
@@ -217,7 +254,7 @@ def test_moments_from_density_read_off(frame):
     for n in range(1, 6):
         assert abs(c[n]) == 0.0
     a = 0.3 + 0.4j
-    d = QPositiveDensity(frame, {0: 1.0, 1: a / 2, -1: np.conj(a) / 2})
+    d = QPositiveDensity.from_maps(frame, {0: 1.0, 1: a / 2, -1: np.conj(a) / 2})
     c = moments_from_density(d, 2)
     assert abs(c[1] - frame.from_split(np.conj(a) / 2, 0j)) < 1e-15
     assert abs(c[2]) == 0.0
@@ -235,7 +272,7 @@ def moments_from_density_quadrature(d, N, grid=4096):
     exponential in the frame, with the error against half the grid."""
     def compute(g):
         thetas = 2.0 * np.pi * np.arange(g) / g
-        z1, z2 = fourier_values(d.w1, thetas), fourier_values(d.w2, thetas)
+        z1, z2 = (fourier_values(w, thetas) for w in density_maps(d))
         basis = np.array([[1.0, 0.0, 0.0, 0.0], d.frame.i.to_array(),
                           d.frame.j.to_array(), d.frame.k.to_array()])
         vals = np.stack([z1.real, z1.imag, z2.real, z2.imag], axis=-1) @ basis
@@ -332,11 +369,12 @@ def test_density_matrix_form_hermitian():
     grid = 16
     thetas = 2 * np.pi * np.arange(grid) / grid
     W = d.matrix_values(grid)
+    w1, w2 = density_maps(d)
     assert np.max(np.abs(W - np.conj(np.swapaxes(W, 1, 2)))) < 1e-12
     # the grid points carry w1 and w2; the (2,2) entry is the reflected w1
-    assert np.max(np.abs(W[:, 0, 0] - fourier_values(d.w1, thetas))) < 1e-12
-    assert np.max(np.abs(W[:, 0, 1] - fourier_values(d.w2, thetas))) < 1e-12
-    a = fourier_values(d.w1, -thetas)
+    assert np.max(np.abs(W[:, 0, 0] - fourier_values(w1, thetas))) < 1e-12
+    assert np.max(np.abs(W[:, 0, 1] - fourier_values(w2, thetas))) < 1e-12
+    a = fourier_values(w1, -thetas)
     assert np.max(np.abs(W[:, 1, 1] - a)) < 1e-12
 
 
@@ -364,8 +402,9 @@ def test_matrix_values_within_one_ulp_of_long_double_sums(make):
     for d in [make()] + [density_in_frame(make(), SliceFrame.random(rng)) for _ in range(3)]:
         for grid in (1, 7, 2048, 4096):
             W = d.matrix_values(grid)
-            a, b = _long_double_sums(d.w1, grid), _long_double_sums(d.w2, grid)
-            dd = _long_double_sums({-n: v for n, v in d.w1.items()}, grid)
+            w1, w2 = density_maps(d)
+            a, b = _long_double_sums(w1, grid), _long_double_sums(w2, grid)
+            dd = _long_double_sums({-n: v for n, v in w1.items()}, grid)
             want = np.stack([np.stack([a, b], -1), np.stack([np.conj(b), dd], -1)], -2)
             ulp = np.finfo(float).eps * max(1.0, float(np.max(np.abs(want))))
             assert float(np.max(np.abs(W - want))) <= ulp, (grid, d.frame)

@@ -19,7 +19,7 @@ from qopuc.polynomials import (
 )
 from qopuc.quaternions import QI, QJ, QK, Quaternion, SliceFrame, chi, chi_inv
 from conftest import (
-    family_rows_pairs, fourier_values, qbytes, qmul_scalar, random_quaternion, random_unit_ball_quaternion,
+    density_maps, family_rows_pairs, fourier_values, qbytes, qmul_scalar, random_quaternion, random_unit_ball_quaternion,
     signed_zero_coeff_arrays,
 )
 
@@ -152,13 +152,14 @@ def test_inner_product_small_cases():
 
 def quad_inner_R(phi, psi, d, grid=4096):
     frame = d.frame
+    maps = density_maps(d)
     total = Quaternion()
     j = frame.j
     for theta in 2 * np.pi * np.arange(grid) / grid:
         point = frame.slice_point(complex(np.cos(theta), np.sin(theta)))
         point_m = point.conjugate()
-        w1 = float(fourier_values(d.w1, np.array([theta]))[0].real)
-        w2 = frame.slice_point(complex(fourier_values(d.w2, np.array([theta]))[0]))
+        w1 = float(fourier_values(maps[0], np.array([theta]))[0].real)
+        w2 = frame.slice_point(complex(fourier_values(maps[1], np.array([theta]))[0]))
         term = eval_L(psi, point).conjugate() * w1 * eval_L(phi, point)
         term = term + eval_L(psi, point).conjugate() * w2 * j * eval_L(phi, point_m)
         total = total + term
@@ -167,13 +168,14 @@ def quad_inner_R(phi, psi, d, grid=4096):
 
 def quad_inner_L(phi, psi, d, grid=4096):
     frame = d.frame
+    maps = density_maps(d)
     total = Quaternion()
     j = frame.j
     for theta in 2 * np.pi * np.arange(grid) / grid:
         point = frame.slice_point(complex(np.cos(theta), np.sin(theta)))
         point_m = point.conjugate()
-        w1 = float(fourier_values(d.w1, np.array([theta]))[0].real)
-        w2 = frame.slice_point(complex(fourier_values(d.w2, np.array([theta]))[0]))
+        w1 = float(fourier_values(maps[0], np.array([theta]))[0].real)
+        w2 = frame.slice_point(complex(fourier_values(maps[1], np.array([theta]))[0]))
         term = eval_R(phi, point) * w1 * eval_R(psi, point).conjugate()
         term = term + eval_R(phi, point) * w2 * j * eval_R(psi, point_m).conjugate()
         total = total + term

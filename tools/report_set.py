@@ -43,13 +43,16 @@ repeated index, a density given by ``w2`` alone with and without its frame,
 and a fixture that holds both a density and moments, under
 ``moments-to-verblunsky --n 1``, ``grid --grid 7`` and ``sv --n 1``;
 a density with w1_0 = 2 under ``grid --grid 7``, ``sv --n 1`` and
-``baxter --n 4``; ``sv --n 40 --tol-route 1e-40``, ``sv --n 8 --tol-pd
-0.95``, ``cd --n 8 --tol-pd 0.95`` and ``zeros --n 10 --tol-route 1e-40``
-on ``smooth_trig``; ``zeros --n 12`` on the six ``random-gamma --n 13``
-fixtures, root batches up to degree 24; every ``random-gamma`` run
-that makes a fixture, four more, an
-``orthopolys --n 30`` past a horizon, a ``verblunsky-to-moments --n 30``
-past the coefficient count and a missing file.
+``baxter --n 4``; a density with w1_1 = conj(w1_{-1}) + 1e-13 i, one with
+indices +-10^9, an empty moment list and ``smooth_trig``'s coefficients in a
+non-standard frame of their own, under ``moments-to-verblunsky --n 6``,
+``sv --n 6`` and ``grid --grid 7``; ``sv --n 40 --tol-route 1e-40``,
+``sv --n 8 --tol-pd 0.95``, ``cd --n 8 --tol-pd 0.95`` and
+``zeros --n 10 --tol-route 1e-40`` on ``smooth_trig``; ``zeros --n 12`` on
+the six ``random-gamma --n 13`` fixtures, root batches up to degree 24; every
+``random-gamma`` run that makes a fixture, four more, an ``orthopolys --n 30``
+past a horizon, a ``verblunsky-to-moments --n 30`` past the coefficient count
+and a missing file.
 """
 
 from __future__ import annotations
@@ -173,6 +176,11 @@ def report_set(frames: dict[str, str]):
         yield f"{stem}.moments-to-verblunsky.n1", ["moments-to-verblunsky", path, "--n", "1"]
         yield f"{stem}.grid.g7", ["grid", path, "--grid", "7"]
         yield f"{stem}.sv.n1", ["sv", path, "--n", "1"]
+    for stem in ("near_symmetric", "far_index", "empty_moments", "smooth_trig_own_frame"):
+        path = f"fixtures/{stem}.json"
+        yield f"{stem}.moments-to-verblunsky.n6", ["moments-to-verblunsky", path, "--n", "6"]
+        yield f"{stem}.sv.n6", ["sv", path, "--n", "6"]
+        yield f"{stem}.grid.g7", ["grid", path, "--grid", "7"]
     yield "unnormalised.grid.g7", ["grid", "fixtures/unnormalised.json", "--grid", "7"]
     yield "unnormalised.sv.n1", ["sv", "fixtures/unnormalised.json", "--n", "1"]
     yield "unnormalised.baxter.n4", ["baxter", "fixtures/unnormalised.json", "--n", "4"]
@@ -252,6 +260,16 @@ def make_fixtures(main, record) -> None:
                                                         [1, [0.9, 0.0, 0.0, 0.0]]]})
     # a density whose c_0 = w1_0 is 2, not 1
     write_fixture("unnormalised", {"frame": standard, "w1": [[0, 2.0, 0.0]], "w2": []})
+    # w1_1 off conj(w1_{-1}) by 1e-13, inside the 1e-12 symmetry tolerance
+    write_fixture("near_symmetric", {"frame": standard, "w1": [[0, 1.0, 0.0], [1, 0.3, 1e-13],
+                                                               [-1, 0.3, 0.0]]})
+    # w1 = 1 + cos(10^9 theta) / 2, which a dense coefficient array cannot hold
+    write_fixture("far_index", {"frame": standard, "w1": [[0, 1.0, 0.0], [10 ** 9, 0.25, 0.0],
+                                                          [-10 ** 9, 0.25, 0.0]]})
+    write_fixture("empty_moments", {"moments": []})
+    # smooth_trig's coefficient maps read in a non-standard frame of their own
+    smooth = json.loads(Path("fixtures", "smooth_trig.json").read_text(encoding="utf-8"))
+    write_fixture("smooth_trig_own_frame", {**smooth, "frame": json.loads(random_frame(6))})
 
 
 def main() -> int:
