@@ -10,9 +10,9 @@ __version__ = "0.1.0"
 
 from .quaternions import Quaternion, SliceFrame, chi, chi_inv, chi_mat
 from .measures import (
-    AtomicQMeasure, MomentSequence, QPositiveDensity, density_in_frame,
-    is_nontrivial, matrix_moments, moments_from_atoms, moments_from_density,
-    require_nontrivial, toeplitz, wiener_coefficient_norm,
+    AtomicQMeasure, MomentSequence, QPositiveDensity, is_nontrivial, matrix_moments,
+    moments_from_atoms, moments_from_density, require_nontrivial, toeplitz,
+    wiener_coefficient_norm,
 )
 from .series import TruncSeries, herglotz_from_moments, herglotz_from_schur, \
     schur_from_herglotz
@@ -30,9 +30,8 @@ from .polynomials import (
 from .zeros import ZeroReport, companion_left, companion_right, det_poly, \
     roots, zero_slice, zeros_theorem_check
 from .analysis import (
-    BaxterReport, SummabilityReport, SVReport, baxter_check,
-    cd_identity_check, cd_kernel_diag, square_summability_report, sv_check,
-    szego_entropy,
+    BaxterReport, SVReport, baxter_check, cd_identity_check, cd_kernel_diag,
+    sv_check, szego_entropy,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

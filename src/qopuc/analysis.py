@@ -1,5 +1,5 @@
-"""Diagonal Christoffel-Darboux checks, the entropy identity, summability
-reports, and the Baxter diagnostic.
+"""Diagonal Christoffel-Darboux checks, the entropy identity, and the Baxter
+diagnostic.
 
 The entropy identity reads
 
@@ -23,7 +23,7 @@ from .measures import (
     wiener_coefficient_norm,
 )
 from .polynomials import (
-    ROUTE_TOL, Quaternion, VerblunskySeq, _gammas_via_matrix, eval_norm_sq,
+    ROUTE_TOL, Quaternion, _gammas_via_matrix, eval_norm_sq,
     orthonormal_polys, reverse_L, reverse_R, verblunsky_from_moments_q,
 )
 from .quaternions import qarr_norm_sq
@@ -171,22 +171,6 @@ def sv_check(d: QPositiveDensity, N: int, route_tol: float = ROUTE_TOL,
     )
 
 
-@dataclass(frozen=True)
-class SummabilityReport:
-    """A horizon-limited partial sum plus the divergence heuristic verdict."""
-
-    value: float
-    diverging_over_horizon: bool
-    horizon: int
-
-    def to_json(self):
-        return {
-            "value": self.value,
-            "diverging_over_horizon": self.diverging_over_horizon,
-            "horizon": self.horizon,
-        }
-
-
 def _diverging_over_horizon(increments: np.ndarray) -> bool:
     """Block-sum decay test: compare the last half against the quarter before.
 
@@ -203,13 +187,6 @@ def _diverging_over_horizon(increments: np.ndarray) -> bool:
     if tail <= flat_floor:
         return False
     return tail > BLOCK_RATIO * prev
-
-
-def square_summability_report(gammas: VerblunskySeq) -> SummabilityReport:
-    sq = gammas.moduli() ** 2
-    return SummabilityReport(value=float(np.sum(sq)),
-                             diverging_over_horizon=_diverging_over_horizon(sq),
-                             horizon=len(gammas))
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ import functools
 import json
 import math
 import sys
+from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -28,9 +29,7 @@ from .errors import (
     RouteMismatch, ShiftResidual, SingularConstantTerm,
 )
 from .fixtures import random_gamma_seq
-from .measures import (
-    PIVOT_TOL, MomentSequence, QPositiveDensity, density_in_frame, moments_from_density,
-)
+from .measures import PIVOT_TOL, MomentSequence, QPositiveDensity, moments_from_density
 from .polynomials import (
     ROUTE_TOL, VerblunskySeq, moments_from_verblunsky_q, orthonormal_polys,
     verblunsky_from_moments_q,
@@ -149,20 +148,9 @@ def _validate_frame(obj, field: str) -> None:
 _FIXTURE_KINDS = {"moments": "moments", "w1": "density", "w2": "density", "gammas": "gammas"}
 
 
-def fixture_kind(obj: dict) -> str | None:
-    """"moments", "density" (a w1 or a w2 key) or "gammas", None for a fixture
-    with none of these keys; ValueError naming the keys of a fixture with more
-    than one kind, which commands would read differently."""
-    found = [key for key in _FIXTURE_KINDS if key in obj]
-    kinds = {_FIXTURE_KINDS[key] for key in found}
-    if len(kinds) > 1:
-        raise ValueError(f"fixture holds more than one of moments, w1/w2 and gammas "
-                         f"(found {', '.join(found)})")
-    return kinds.pop() if kinds else None
-
-
-def _validate_fixture(obj) -> None:
-    """Shape and finiteness of every field a command reads, checked at load."""
+def _validate_fixture(obj) -> str | None:
+    """Shape and finiteness of every field a command reads, checked at load;
+    the kind: "moments", "density" (a w1 or a w2 key), "gammas" or None."""
     if not isinstance(obj, dict):
         raise ValueError("fixture must be a JSON object")
     if "frame" in obj:
@@ -186,16 +174,49 @@ def _validate_fixture(obj) -> None:
             raise ValueError(f"moments[{k}] must be [index, quaternion], got {entry!r}")
         _require_numbers(entry[1], 4, f"moments[{k}][1]")
         _require_new_index(seen, entry[0], f"moments[{k}]")
-    if fixture_kind(obj) == "density" and "frame" not in obj:
+    found = [key for key in _FIXTURE_KINDS if key in obj]
+    kinds = {_FIXTURE_KINDS[key] for key in found}
+    if len(kinds) > 1:   # commands would read such a fixture differently
+        raise ValueError(f"fixture holds more than one of moments, w1/w2 and gammas "
+                         f"(found {', '.join(found)})")
+    kind = kinds.pop() if kinds else None
+    if kind == "density" and "frame" not in obj:
         raise ValueError("frame is missing: a density fixture (w1/w2 keys) needs "
                          "a frame object with keys i and j")
+    return kind
 
 
-def load_fixture(path: str) -> dict:
+@dataclass(frozen=True)
+class Fixture:
+    """A loaded fixture: the frame its job runs in and at most one payload,
+    the sparse moment map {n: c_n}, the density (held in ``frame``) or the
+    Verblunsky coefficients."""
+
+    frame: SliceFrame
+    moments: dict | None = None
+    density: QPositiveDensity | None = None
+    gammas: VerblunskySeq | None = None
+
+
+def load_fixture(path: str, override: SliceFrame | None) -> Fixture:
+    """The fixture at ``path``, checked once, for a job in ``override``, else
+    in the fixture's ``frame``, else in the standard frame.  A density is read
+    in its own frame and then held in the job's."""
     with open(path, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
-    _validate_fixture(obj)
-    return obj
+    kind = _validate_fixture(obj)
+    if kind == "density":
+        d = QPositiveDensity.from_json(obj, fixture_frame(obj, None))
+        frame = override or d.frame
+        if frame != d.frame:
+            d = QPositiveDensity(frame, d.index, d.coeffs)
+        return Fixture(frame, density=d)
+    frame = fixture_frame(obj, override)
+    if kind == "moments":
+        return Fixture(frame, moments=dict(obj["moments"]))
+    if kind == "gammas":
+        return Fixture(frame, gammas=VerblunskySeq(obj["gammas"]))
+    return Fixture(frame)
 
 
 def parse_frame(spec: str | None) -> SliceFrame | None:
@@ -214,34 +235,21 @@ def fixture_frame(obj: dict, override: SliceFrame | None) -> SliceFrame:
     return SliceFrame.standard()
 
 
-def density_from_fixture(obj: dict, override: SliceFrame | None) -> QPositiveDensity:
-    if fixture_kind(obj) != "density":
+def density_from_fixture(fix: Fixture) -> QPositiveDensity:
+    if fix.density is None:
         raise ValueError("this command needs a density fixture (w1/w2 keys)")
-    d = QPositiveDensity.from_json(obj)
-    if override is not None and override != d.frame:
-        d = density_in_frame(d, override)
-    return d
+    return fix.density
 
 
-def moments_from_fixture(obj: dict, n: int,
-                         override: SliceFrame | None) -> tuple[MomentSequence, SliceFrame]:
-    """The moments c_0..c_n of a fixture and the frame the command works in:
-    ``override``, else the fixture's ``frame``, else the standard frame.  A
-    density's moments are frame-free, so it is read in its own frame."""
-    kind = fixture_kind(obj)
-    if kind == "moments":
-        c = MomentSequence.from_json(obj["moments"])
-        if c.horizon < n:
-            raise HorizonExceeded(
-                f"fixture horizon {c.horizon} below requested order {n}")
-        return c, fixture_frame(obj, override)
-    if kind == "density":
-        d = QPositiveDensity.from_json(obj)
-        return moments_from_density(d, n), override or d.frame
-    if kind == "gammas":
-        gammas = VerblunskySeq(obj["gammas"])
-        frame = fixture_frame(obj, override)
-        return moments_from_verblunsky_q(gammas, min(n, len(gammas)), frame), frame
+def moments_from_fixture(fix: Fixture, n: int) -> MomentSequence:
+    """The moments c_0..c_n of a fixture; a gamma fixture gives at most as
+    many moments past c_0 as it holds coefficients."""
+    if fix.moments is not None:
+        return MomentSequence.from_map(fix.moments, n)
+    if fix.density is not None:
+        return moments_from_density(fix.density, n)
+    if fix.gammas is not None:
+        return moments_from_verblunsky_q(fix.gammas, min(n, len(fix.gammas)), fix.frame)
     raise ValueError("fixture holds neither moments, density, nor gammas")
 
 
@@ -267,7 +275,8 @@ def _require_flags(args) -> None:
         raise ValueError(f"--format csv has no view for command {args.command!r}")
 
 
-def _envelope(args, result: dict) -> dict:
+def _envelope(args, fix: Fixture | None, result: dict) -> dict:
+    frame = fix.frame if fix else args.frame or SliceFrame.standard()
     return {
         "command": args.command,
         "version": __version__,
@@ -275,7 +284,7 @@ def _envelope(args, result: dict) -> dict:
         "config": {
             "input": getattr(args, "input", None),
             "n": getattr(args, "n", None),
-            "frame": (args.frame or SliceFrame.standard()).to_json(),
+            "frame": frame.to_json(),
             "tol_route": getattr(args, "tol_route", None),
             "tol_pd": getattr(args, "tol_pd", None),
             "format": args.format,
@@ -284,10 +293,8 @@ def _envelope(args, result: dict) -> dict:
     }
 
 
-def cmd_moments_to_verblunsky(args) -> dict:
-    obj = load_fixture(args.input)
-    c, frame = moments_from_fixture(obj, args.n, args.frame)
-    ext = verblunsky_from_moments_q(c, args.n, frame,
+def cmd_moments_to_verblunsky(args, fix: Fixture) -> dict:
+    ext = verblunsky_from_moments_q(moments_from_fixture(fix, args.n), args.n, fix.frame,
                                     route_tol=args.tol_route, pivot_tol=args.tol_pd)
     return {
         "gammas": ext.matrix_route.to_json(),
@@ -295,66 +302,52 @@ def cmd_moments_to_verblunsky(args) -> dict:
     }
 
 
-def cmd_verblunsky_to_moments(args) -> dict:
-    obj = load_fixture(args.input)
-    if "gammas" not in obj:
+def cmd_verblunsky_to_moments(args, fix: Fixture) -> dict:
+    if fix.gammas is None:
         raise ValueError("this command needs a gamma fixture")
-    frame = fixture_frame(obj, args.frame)
-    gammas = VerblunskySeq(obj["gammas"])
-    if len(gammas) < args.n:
-        raise HorizonExceeded(f"fixture holds {len(gammas)} coefficients, need {args.n}")
-    c = moments_from_verblunsky_q(gammas, args.n, frame)
-    return {"moments": c.to_json()}
+    if len(fix.gammas) < args.n:
+        raise HorizonExceeded(f"fixture holds {len(fix.gammas)} coefficients, need {args.n}")
+    return {"moments": moments_from_verblunsky_q(fix.gammas, args.n, fix.frame).to_json()}
 
 
-def cmd_orthopolys(args) -> dict:
-    obj = load_fixture(args.input)
-    c, _ = moments_from_fixture(obj, args.n, args.frame)
-    fam = orthonormal_polys(c, args.n, args.tol_pd)
+def cmd_orthopolys(args, fix: Fixture) -> dict:
+    fam = orthonormal_polys(moments_from_fixture(fix, args.n), args.n, args.tol_pd)
     return {
         "right": [p.to_json() for p in fam.right],
         "left": [p.to_json() for p in fam.left],
     }
 
 
-def cmd_zeros(args) -> dict:
-    obj = load_fixture(args.input)
-    c, frame = moments_from_fixture(obj, args.n, args.frame)
-    fam = orthonormal_polys(c, args.n, args.tol_pd)
-    rows, reports = zeros_theorem_check(fam, frame, route_tol=args.tol_route)
+def cmd_zeros(args, fix: Fixture) -> dict:
+    fam = orthonormal_polys(moments_from_fixture(fix, args.n), args.n, args.tol_pd)
+    rows, reports = zeros_theorem_check(fam, fix.frame, route_tol=args.tol_route)
     families = [{"degree": n, "family": name, "report": report.to_json()}
                 for n, per_family in enumerate(reports, start=1)
                 for name, report in per_family.items()]
     return {"per_degree": rows, "reports": families}
 
 
-def cmd_cd(args) -> dict:
-    obj = load_fixture(args.input)
-    c, _ = moments_from_fixture(obj, args.n + 1, args.frame)
-    residual = cd_identity_check(c, args.n, samples=args.samples, seed=args.seed,
-                                 pivot_tol=args.tol_pd)
+def cmd_cd(args, fix: Fixture) -> dict:
+    residual = cd_identity_check(moments_from_fixture(fix, args.n + 1), args.n,
+                                 samples=args.samples, seed=args.seed, pivot_tol=args.tol_pd)
     return {"max_residual": residual, "samples": args.samples}
 
 
-def cmd_sv(args) -> dict:
-    obj = load_fixture(args.input)
-    d = density_from_fixture(obj, args.frame)
-    return sv_check(d, args.n, route_tol=args.tol_route, pivot_tol=args.tol_pd).to_json()
+def cmd_sv(args, fix: Fixture) -> dict:
+    return sv_check(density_from_fixture(fix), args.n, route_tol=args.tol_route,
+                    pivot_tol=args.tol_pd).to_json()
 
 
-def cmd_baxter(args) -> dict:
-    obj = load_fixture(args.input)
-    d = density_from_fixture(obj, args.frame)
-    return baxter_check(d, args.n).to_json()
+def cmd_baxter(args, fix: Fixture) -> dict:
+    return baxter_check(density_from_fixture(fix), args.n).to_json()
 
 
 GRID_COLUMNS = ("theta", "w11_re", "w11_im", "w12_re", "w12_im",
                 "w21_re", "w21_im", "w22_re", "w22_im")
 
 
-def cmd_grid(args) -> dict:
-    obj = load_fixture(args.input)
-    d = density_from_fixture(obj, args.frame)
+def cmd_grid(args, fix: Fixture) -> dict:
+    d = density_from_fixture(fix)
     thetas = 2.0 * np.pi * np.arange(args.grid) / args.grid
     W = d.grid_values(args.grid).reshape(args.grid, 4)
     columns = [thetas.tolist()]
@@ -364,7 +357,7 @@ def cmd_grid(args) -> dict:
     return {"grid": args.grid, "entropy": szego_entropy(d), "rows": rows}
 
 
-def cmd_random_gamma(args) -> dict:
+def cmd_random_gamma(args, _) -> dict:
     gammas = random_gamma_seq(args.seed, args.n, rmax=args.rmax)
     return {
         "frame": SliceFrame.standard().to_json(),
@@ -467,17 +460,18 @@ def _run(args) -> tuple[int, str]:
     """The exit code and the text of one parsed command line."""
     try:
         _require_flags(args)
-        # parsed once: the commands and the envelope read the SliceFrame,
-        # None standing for the standard frame
+        # parsed once, None standing for the standard frame; a fixture is
+        # loaded once, and its commands and the envelope read its record
         args.frame = parse_frame(args.frame)
-        result = _COMMANDS[args.command](args)
+        fix = load_fixture(args.input, args.frame) if "input" in args else None
+        result = _COMMANDS[args.command](args, fix)
     except RouteMismatch as exc:
         return EXIT_CROSS_CHECK, _error_text(exc)
     except NoConvergence as exc:
         return EXIT_NO_CONVERGENCE, _error_text(exc)
     except (*_INVALID_INPUT_ERRORS, ValueError, KeyError, OSError) as exc:
         return EXIT_INVALID_INPUT, _error_text(exc)
-    payload = _envelope(args, result)
+    payload = _envelope(args, fix, result)
     if args.format == "csv":
         return EXIT_OK, csv_view(args.command, payload)
     return EXIT_OK, emit_json(payload) + "\n"

@@ -1,13 +1,13 @@
 """Fixture library: the named densities shipped with the repository and
-seeded random generators used by tests and the CLI.
+the seeded random Verblunsky coefficients of the CLI.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .measures import MomentSequence, QPositiveDensity
-from .polynomials import VerblunskySeq, moments_from_verblunsky_q
+from .measures import QPositiveDensity
+from .polynomials import VerblunskySeq
 from .quaternions import SliceFrame
 
 
@@ -60,10 +60,3 @@ def random_gamma_seq(seed: int, n: int, rmax: float = 0.8) -> VerblunskySeq:
         v *= rng.uniform(0.05, rmax) / np.linalg.norm(v)
         gammas[k] = v
     return VerblunskySeq(gammas)
-
-
-def random_moment_fixture(seed: int, N: int, rmax: float = 0.8,
-                          frame: SliceFrame | None = None) -> MomentSequence:
-    """Moments of a random Verblunsky sequence (guaranteed non-trivial)."""
-    return moments_from_verblunsky_q(random_gamma_seq(seed, N, rmax), N, frame)
-

@@ -61,16 +61,19 @@ class MomentSequence:
         raise AttributeError("MomentSequence is immutable")
 
     @classmethod
-    def from_map(cls, entries: dict) -> "MomentSequence":
-        """Moments from {n: c_n}, c_n a Quaternion or (w, x, y, z); a missing
-        c_n is 0, and a negative index must match conj(c_{-n})."""
+    def from_map(cls, entries: dict, N: int) -> "MomentSequence":
+        """c_0..c_N from a sparse {n: c_n}, c_n a Quaternion or (w, x, y, z); a
+        missing c_n is 0, and a negative index must match conj(c_{-n}).  Only
+        c_0..c_N are built; HorizonExceeded if no |n| reaches N."""
         horizon = max((abs(n) for n in entries), default=-1)
-        seq = cls([entries.get(n, 0.0) for n in range(horizon + 1)])
+        seq = cls([entries.get(n, 0.0) for n in range(min(horizon, N) + 1)])
         for n, q in entries.items():
             if n < 0:
-                q = qarr_from([q])[0]
-                if qarr_abs(q - qarr_conj(seq.arr[-n])) > 1e-12 * max(1.0, qarr_abs(q)):
+                q, p = qarr_from([q, entries.get(-n, 0.0)])
+                if qarr_abs(q - qarr_conj(p)) > 1e-12 * max(1.0, qarr_abs(q)):
                     raise ValueError(f"Hermitian symmetry violated at n={n}")
+        if horizon < N:
+            raise HorizonExceeded(f"fixture horizon {horizon} below requested order {N}")
         return seq
 
     @property
@@ -84,10 +87,6 @@ class MomentSequence:
 
     def to_json(self):
         return [[n, row] for n, row in enumerate(self.arr.tolist())]
-
-    @classmethod
-    def from_json(cls, obj) -> "MomentSequence":
-        return cls.from_map({int(n): v for n, v in obj})
 
     def __repr__(self):
         return f"MomentSequence(horizon={self.horizon})"
@@ -323,8 +322,9 @@ class QPositiveDensity:
         return self._grids[grid][0]
 
     @classmethod
-    def from_json(cls, obj) -> "QPositiveDensity":
-        frame = SliceFrame.from_json(obj["frame"])
+    def from_json(cls, obj, frame: SliceFrame) -> "QPositiveDensity":
+        """The density of a fixture's ``w1``/``w2`` lists of [n, re, im], read
+        in ``frame``, the fixture's own."""
         w1 = {int(n): complex(re, im) for n, re, im in obj.get("w1", [])}
         w2 = {int(n): complex(re, im) for n, re, im in obj.get("w2", [])}
         return cls.from_maps(frame, w1, w2)
@@ -367,12 +367,6 @@ def matrix_moments(c: MomentSequence, frame: SliceFrame | None = None,
     if N > c.horizon:
         raise HorizonExceeded(f"order {N} beyond horizon {c.horizon}")
     return chi(c.arr[: N + 1], frame)
-
-
-def density_in_frame(d: QPositiveDensity, frame: SliceFrame) -> QPositiveDensity:
-    """The same density in another slice frame: its moments are frame-free,
-    and the PSD scan runs again on the new frame's grid."""
-    return QPositiveDensity(frame, d.index, d.coeffs)
 
 
 def wiener_coefficient_norm(d: QPositiveDensity) -> float:

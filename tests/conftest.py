@@ -3,7 +3,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from qopuc.fixtures import random_gamma_seq
 from qopuc.matrix_opuc import sqrtm_herm2
+from qopuc.polynomials import moments_from_verblunsky_q
 from qopuc.quaternions import Quaternion, SliceFrame, chi
 
 
@@ -30,6 +32,11 @@ def density_maps(d):
     for n in d.index[1:].tolist():
         w1[n], w2[n] = w1[-n].conjugate(), -w2[-n]
     return w1, w2
+
+
+def random_moment_fixture(seed, N, rmax=0.8, frame=None):
+    """Moments of a seeded random Verblunsky sequence (guaranteed non-trivial)."""
+    return moments_from_verblunsky_q(random_gamma_seq(seed, N, rmax), N, frame)
 
 
 def random_quaternion(rng, scale=1.0):

@@ -22,7 +22,7 @@ from qopuc.fixtures import (
     smooth_trig_density, vanishing_density,
 )
 from qopuc.matrix_opuc import MatVerblunskySeq, defects, moments_from_alphas
-from qopuc.measures import density_in_frame, matrix_moments, moments_from_density
+from qopuc.measures import QPositiveDensity, matrix_moments, moments_from_density
 from qopuc.polynomials import (
     moments_from_verblunsky_q, orthonormal_polys, inner_L, inner_R, reverse_L, reverse_R, verblunsky_from_moments_q,
 )
@@ -235,7 +235,8 @@ def test_criterion_7_szego_verblunsky():
     frame_dev = 0.0
     for _ in range(3):
         fr = SliceFrame.random(rng)
-        frame_dev = max(frame_dev, abs(szego_entropy(density_in_frame(d, fr)) - base))
+        moved = QPositiveDensity(fr, d.index, d.coeffs)
+        frame_dev = max(frame_dev, abs(szego_entropy(moved) - base))
     ok = bs_gap < 1e-8 and smooth_gap < 1e-6 and frame_dev < 1e-8 and richardson_ok
     _report(7, "szego-verblunsky", ok,
             f"BS both sides vs 0.5625: {bs_gap:.2e} < 1e-8 by N=5; smooth gap "

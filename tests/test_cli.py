@@ -326,15 +326,27 @@ def test_sequence_jobs_build_no_quaternion_per_value(tmp_path, monkeypatch, argv
     assert len(norms) == contraction_tests
 
 
-@pytest.mark.parametrize("frame_flag, frame_builds, quaternions", [
-    ([], 1, 4),
-    (["--frame", "standard"], 1, 4),
-    (["--frame", json.dumps({"i": [0.0, 0.0, 1.0, 0.0], "j": [0.0, 0.0, 0.0, 1.0]})], 2, 6),
-])
-def test_one_frame_per_job(tmp_path, monkeypatch, frame_flag, frame_builds, quaternions):
-    # --frame is parsed once, and the density builds the fixture's frame once
+@pytest.mark.parametrize("fixture, n, override_builds", [
+    ("smooth_trig.json", "8", 2), ("random_gamma_7.json", "6", 1), ("moments.json", "6", 1),
+], ids=["density", "gammas", "moments"])
+@pytest.mark.parametrize("frame_flag, overridden", [
+    ([], False),
+    (["--frame", "standard"], False),
+    (["--frame", json.dumps({"i": [0.0, 0.0, 1.0, 0.0], "j": [0.0, 0.0, 0.0, 1.0]})], True),
+], ids=["no-frame", "standard", "override"])
+def test_one_frame_per_job(tmp_path, monkeypatch, fixture, n, override_builds, frame_flag,
+                           overridden):
+    # --frame is parsed once and the fixture's frame built once; under
+    # --frame only a density builds its own frame, to read its w1/w2 maps.
+    # Each frame builds i, j and k = i j, and nothing else builds a Quaternion
     from qopuc import cli
     from qopuc.quaternions import Quaternion, SliceFrame
+    from conftest import random_moment_fixture
+
+    (tmp_path / "moments.json").write_text(json.dumps(
+        {"frame": STANDARD_FRAME, "moments": random_moment_fixture(7, 6).to_json()}))
+    path = str(tmp_path / fixture if fixture == "moments.json" else FIXDIR / fixture)
+    frame_builds = override_builds if overridden else 1
 
     parses, builds, built = [], [], []
     parse, from_json, init = cli.parse_frame, SliceFrame.from_json.__func__, Quaternion.__init__
@@ -356,12 +368,58 @@ def test_one_frame_per_job(tmp_path, monkeypatch, frame_flag, frame_builds, quat
     monkeypatch.setattr(Quaternion, "__init__", counting_init)
     for command in ("moments-to-verblunsky", "zeros"):
         parses.clear(), builds.clear(), built.clear()
-        code, _ = run(tmp_path, command, str(FIXDIR / "smooth_trig.json"), "--n", "8",
-                      *frame_flag)
+        code, _ = run(tmp_path, command, path, "--n", n, *frame_flag)
         assert code == 0
         assert len(parses) == 1
         assert len(builds) == frame_builds
-        assert len(built) == quaternions, built
+        assert len(built) == 3 * frame_builds, built
+
+
+def test_config_frame_is_the_frame_the_job_ran_in(tmp_path):
+    # a fixture's own frame, when --frame does not override it; the envelope
+    # once reported the standard frame for these
+    from conftest import random_moment_fixture
+    from qopuc.quaternions import SliceFrame
+
+    rng = np.random.default_rng(616)
+    own, override = (SliceFrame.random(rng).to_json() for _ in range(2))
+    smooth = json.loads((FIXDIR / "smooth_trig.json").read_text())
+    gammas = json.loads((FIXDIR / "random_gamma_7.json").read_text())["gammas"]
+    cases = {
+        "density.json": ({**smooth, "frame": own},
+                         (["grid", "--grid", "7"], ["sv", "--n", "6"],
+                          ["moments-to-verblunsky", "--n", "6"])),
+        "moments.json": ({"frame": own, "moments": random_moment_fixture(7, 6).to_json()},
+                         (["moments-to-verblunsky", "--n", "6"], ["zeros", "--n", "4"])),
+        "gammas.json": ({"frame": own, "gammas": gammas},
+                        (["verblunsky-to-moments", "--n", "6"], ["zeros", "--n", "4"])),
+    }
+    for name, (obj, argvs) in cases.items():
+        path = tmp_path / name
+        path.write_text(json.dumps(obj))
+        for argv in argvs:
+            for flag, want in (([], own), (["--frame", json.dumps(override)], override)):
+                code, out = run(tmp_path, argv[0], str(path), *argv[1:], *flag)
+                assert code == 0, (name, argv, out[:200])
+                assert json.loads(out)["config"]["frame"] == want, (name, argv, flag)
+
+
+def test_moment_fixture_far_index_is_sparse(tmp_path):
+    # c_{+-10^6} = 0.1: a dense list up to 10^6 took 127 MB and 2.5 s
+    import tracemalloc
+
+    fixture = tmp_path / "far.json"
+    fixture.write_text(json.dumps({"moments": [[0, [1, 0, 0, 0]], [10 ** 6, [0.1, 0, 0, 0]],
+                                               [-10 ** 6, [0.1, 0, 0, 0]]]}))
+    tracemalloc.start()
+    try:
+        code, out = run(tmp_path, "moments-to-verblunsky", str(fixture), "--n", "2")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert json.loads(out)["result"]["gammas"] == [[0, 0, 0, 0], [0, 0, 0, 0]]
+    assert peak < 8 * 2 ** 20, peak
 
 
 @pytest.mark.parametrize("command", ["moments-to-verblunsky", "sv"])
@@ -574,7 +632,7 @@ def test_no_convergence_maps_to_exit_4(tmp_path, monkeypatch):
     from qopuc import cli
     from qopuc.errors import NoConvergence
 
-    def boom(args):
+    def boom(args, fix):
         raise NoConvergence("iteration budget exhausted")
 
     monkeypatch.setitem(cli._COMMANDS, "sv", boom)
@@ -793,8 +851,9 @@ def _fuzz_fixtures():
     repeated-index fixtures, a w2-only density, a fixture that holds both
     a density and moments, a density with w1_0 = 2, an empty moment list and
     a density with indices +-10^9."""
-    from qopuc.fixtures import bernstein_szego_density, random_moment_fixture
+    from qopuc.fixtures import bernstein_szego_density
     from qopuc.measures import moments_from_density
+    from conftest import random_moment_fixture
 
     fixtures = {p.name: json.loads(p.read_text()) for p in sorted(FIXDIR.glob("*.json"))}
     bs = bernstein_szego_density()

@@ -385,16 +385,16 @@ def max_gap(xs, ys):
 
 @pytest.mark.parametrize("N", [12, 25, 40])
 def test_route_a_matches_series_chain_on_fixtures(N):
-    from qopuc.cli import fixture_frame, load_fixture, moments_from_fixture
+    from qopuc.cli import load_fixture, moments_from_fixture
     from qopuc.measures import matrix_moments
 
     checked = 0
     for path in sorted(FIXDIR.glob("*.json")):
-        obj = load_fixture(str(path))
-        if 0 < len(obj.get("gammas", [])) < N:
+        fix = load_fixture(str(path), None)
+        if fix.gammas is not None and 0 < len(fix.gammas) < N:
             continue  # a gamma fixture carries moments only up to its length
-        c, _ = moments_from_fixture(obj, N, None)
-        C = matrix_moments(c, fixture_frame(obj, None), N)[1:]
+        c = moments_from_fixture(fix, N)
+        C = matrix_moments(c, fix.frame, N)[1:]
         assert max_gap(alphas_from_moments(C, N), reference_alphas(C, N)) <= 1e-13, path.name
         checked += 1
     assert checked >= 4

@@ -5,10 +5,10 @@ import pytest
 
 from qopuc.errors import HorizonExceeded, NotPositiveDefinite
 from qopuc.fixtures import bernstein_szego_density, lebesgue_density, \
-    random_moment_fixture, vanishing_density, smooth_trig_density
+    vanishing_density, smooth_trig_density
 from qopuc.measures import (
     AtomicQMeasure, MomentSequence, QPositiveDensity, _det_herm2, _min_eig_herm2,
-    density_in_frame, is_nontrivial,
+    is_nontrivial,
     matrix_moments, moments_from_atoms, moments_from_density, require_nontrivial,
     toeplitz, wiener_coefficient_norm,
 )
@@ -17,7 +17,8 @@ from qopuc.quaternions import (
     qarr_mul, qmat_conj_T, qmat_mul,
 )
 from conftest import (
-    density_maps, fourier_values, from_split_scalar, qbytes, signed_zero_frames,
+    density_maps, fourier_values, from_split_scalar, qbytes, random_moment_fixture,
+    signed_zero_frames,
 )
 
 
@@ -33,8 +34,8 @@ def test_moment_sequence_invariants():
     with pytest.raises(HorizonExceeded):
         c[2]
     with pytest.raises(ValueError):
-        MomentSequence.from_map({0: Quaternion(1), 1: QI, -1: QI})
-    c = MomentSequence.from_map({0: [1, 0, 0, 0], 2: [0.1, 0.2, 0, 0], -2: [0.1, -0.2, 0, 0]})
+        MomentSequence.from_map({0: Quaternion(1), 1: QI, -1: QI}, 1)
+    c = MomentSequence.from_map({0: [1, 0, 0, 0], 2: [0.1, 0.2, 0, 0], -2: [0.1, -0.2, 0, 0]}, 2)
     assert c.arr.tolist() == [[1, 0, 0, 0], [0, 0, 0, 0], [0.1, 0.2, 0, 0]]
     assert not c.arr.flags.writeable
 
@@ -48,7 +49,7 @@ def test_moment_sequence_rejects_non_finite(bad):
     with pytest.raises(ValueError, match="c_2 is not finite"):
         MomentSequence([Quaternion(1.0), Quaternion(0.1), Quaternion(0.0, 0.0, bad)])
     with pytest.raises(ValueError, match="c_1 is not finite"):
-        MomentSequence.from_map({0: [1.0, 0.0, 0.0, 0.0], 1: [0.0, bad, 0.0, 0.0]})
+        MomentSequence.from_map({0: [1.0, 0.0, 0.0, 0.0], 1: [0.0, bad, 0.0, 0.0]}, 1)
 
 
 def test_moments_and_frame_change_bitwise_equal_to_per_value_split(rng):
@@ -62,26 +63,30 @@ def test_moments_and_frame_change_bitwise_equal_to_per_value_split(rng):
             want = [from_split_scalar(fr, w1.get(-n, 0j), w2.get(-n, 0j)) for n in range(41)]
             assert moments_from_density(d, 40).arr.tobytes() == qbytes(want)
             to = SliceFrame.random(rng)
-            moved = density_in_frame(d, to)
+            moved = QPositiveDensity(to, d.index, d.coeffs)
             assert moved.frame == to and moved.index.tolist() == d.index.tolist()
             assert moved.coeffs.tobytes() == d.coeffs.tobytes()
 
 
-def test_density_moments_frame_free(rng):
+def test_density_moments_frame_free(rng, tmp_path):
     # the moments of a density are the same bits in its own frame, in five
     # seeded frames and through the CLI under --frame
-    from qopuc.cli import moments_from_fixture
+    import json
+    from qopuc.cli import load_fixture, moments_from_fixture
+    path = tmp_path / "density.json"
     for make in (bernstein_szego_density, vanishing_density, smooth_trig_density):
         d = make()
         obj = {"frame": d.frame.to_json()}
         obj["w1"], obj["w2"] = ([[n, a.real, a.imag] for n, a in w.items()]
                                 for w in density_maps(d))
+        path.write_text(json.dumps(obj))
         own = moments_from_density(d, 12).arr.tobytes()
         for _ in range(5):
             fr = SliceFrame.random(rng)
-            assert moments_from_density(density_in_frame(d, fr), 12).arr.tobytes() == own
-            c, frame = moments_from_fixture(obj, 12, fr)
-            assert frame == fr and c.arr.tobytes() == own
+            moved = QPositiveDensity(fr, d.index, d.coeffs)
+            assert moments_from_density(moved, 12).arr.tobytes() == own
+            fix = load_fixture(str(path), fr)
+            assert fix.frame == fr and moments_from_fixture(fix, 12).arr.tobytes() == own
 
 
 def test_near_symmetric_density_grid_is_its_symmetric_part(frame):
@@ -399,7 +404,9 @@ def _long_double_sums(coeffs, grid):
 def test_matrix_values_within_one_ulp_of_long_double_sums(make):
     # the per-term float64 sums W replaced reach 6.3 ulp here
     rng = np.random.default_rng(31)
-    for d in [make()] + [density_in_frame(make(), SliceFrame.random(rng)) for _ in range(3)]:
+    base = make()
+    for d in [base] + [QPositiveDensity(SliceFrame.random(rng), base.index, base.coeffs)
+                       for _ in range(3)]:
         for grid in (1, 7, 2048, 4096):
             W = d.matrix_values(grid)
             w1, w2 = density_maps(d)

@@ -7,11 +7,11 @@ import pytest
 
 from qopuc.errors import DegreeTooSmall, NotContraction, NotInImage, NotPositiveDefinite
 from qopuc.fixtures import (
-    bernstein_szego_density, lebesgue_density, random_gamma_seq,
-    random_moment_fixture, smooth_trig_density, vanishing_density,
+    bernstein_szego_density, lebesgue_density, random_gamma_seq, smooth_trig_density,
+    vanishing_density,
 )
 from qopuc.matrix_opuc import MatVerblunskySeq
-from qopuc.measures import MomentSequence, matrix_moments, moments_from_density
+from qopuc.measures import MomentSequence, QPositiveDensity, matrix_moments, moments_from_density
 from qopuc.polynomials import (
     QPolyL, QPolyR, SzegoState, VerblunskySeq, eval_L, eval_R, inner_L,
     inner_R, moments_from_verblunsky_q, orthonormal_polys, poly_from_json,
@@ -19,7 +19,8 @@ from qopuc.polynomials import (
 )
 from qopuc.quaternions import QI, QJ, QK, Quaternion, SliceFrame, chi, chi_inv
 from conftest import (
-    density_maps, family_rows_pairs, fourier_values, qbytes, qmul_scalar, random_quaternion, random_unit_ball_quaternion,
+    density_maps, family_rows_pairs, fourier_values, qbytes, qmul_scalar, random_moment_fixture,
+    random_quaternion, random_unit_ball_quaternion,
     signed_zero_coeff_arrays,
 )
 
@@ -542,14 +543,13 @@ def test_family_and_szego_bitwise_equal_to_scalar_loops(density):
 def _route_b_inputs(N):
     """The four densities in their own frame and in five seeded frames, and
     seeded rmax-0.8 Verblunsky moments in the standard and the same frames."""
-    from qopuc.measures import density_in_frame
     frames = [SliceFrame.random(np.random.default_rng(seed)) for seed in range(1, 6)]
     for density in (lebesgue_density, bernstein_szego_density, vanishing_density,
                     smooth_trig_density):
         d = density()
         yield moments_from_density(d, N), False
         for fr in frames:
-            yield moments_from_density(density_in_frame(d, fr), N), False
+            yield moments_from_density(QPositiveDensity(fr, d.index, d.coeffs), N), False
     for seed, fr in enumerate([None] + frames):
         yield random_moment_fixture(seed, N, rmax=0.8, frame=fr), True
 

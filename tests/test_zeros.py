@@ -6,8 +6,7 @@ import pytest
 import qopuc.zeros as zeros_module
 from qopuc.errors import NoConvergence, NotMonic, NotPositiveDefinite, RouteMismatch
 from qopuc.fixtures import (
-    bernstein_szego_density, lebesgue_density, random_moment_fixture, smooth_trig_density,
-    vanishing_density,
+    bernstein_szego_density, lebesgue_density, smooth_trig_density, vanishing_density,
 )
 from qopuc.measures import MomentSequence, moments_from_density
 from qopuc.polynomials import QPolyL, QPolyR, orthonormal_polys, reverse_L, reverse_R, \
@@ -19,7 +18,7 @@ from qopuc.zeros import (
     zeros_theorem_check,
 )
 from conftest import (
-    qmul_scalar, random_quaternion, random_unit_ball_quaternion,
+    qmul_scalar, random_moment_fixture, random_quaternion, random_unit_ball_quaternion,
     signed_zero_coeff_arrays,
 )
 

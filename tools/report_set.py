@@ -44,9 +44,12 @@ and a fixture that holds both a density and moments, under
 ``moments-to-verblunsky --n 1``, ``grid --grid 7`` and ``sv --n 1``;
 a density with w1_0 = 2 under ``grid --grid 7``, ``sv --n 1`` and
 ``baxter --n 4``; a density with w1_1 = conj(w1_{-1}) + 1e-13 i, one with
-indices +-10^9, an empty moment list and ``smooth_trig``'s coefficients in a
-non-standard frame of their own, under ``moments-to-verblunsky --n 6``,
-``sv --n 6`` and ``grid --grid 7``; ``sv --n 40 --tol-route 1e-40``,
+indices +-10^9, an empty moment list, ``smooth_trig``'s coefficients in a
+non-standard frame of their own and moments at indices +-10^9, under
+``moments-to-verblunsky --n 6``, ``sv --n 6`` and ``grid --grid 7``; the
+moments and the coefficients of ``random_gamma_7`` in that same frame of
+their own under ``moments-to-verblunsky --n 6`` and
+``verblunsky-to-moments --n 6`` respectively, and ``zeros --n 4``; ``sv --n 40 --tol-route 1e-40``,
 ``sv --n 8 --tol-pd 0.95``, ``cd --n 8 --tol-pd 0.95`` and
 ``zeros --n 10 --tol-route 1e-40`` on ``smooth_trig``; ``zeros --n 12`` on
 the six ``random-gamma --n 13`` fixtures, root batches up to degree 24; every
@@ -176,11 +179,17 @@ def report_set(frames: dict[str, str]):
         yield f"{stem}.moments-to-verblunsky.n1", ["moments-to-verblunsky", path, "--n", "1"]
         yield f"{stem}.grid.g7", ["grid", path, "--grid", "7"]
         yield f"{stem}.sv.n1", ["sv", path, "--n", "1"]
-    for stem in ("near_symmetric", "far_index", "empty_moments", "smooth_trig_own_frame"):
+    for stem in ("near_symmetric", "far_index", "empty_moments", "smooth_trig_own_frame",
+                 "far_moments"):
         path = f"fixtures/{stem}.json"
         yield f"{stem}.moments-to-verblunsky.n6", ["moments-to-verblunsky", path, "--n", "6"]
         yield f"{stem}.sv.n6", ["sv", path, "--n", "6"]
         yield f"{stem}.grid.g7", ["grid", path, "--grid", "7"]
+    for stem, command in (("moments_own_frame", "moments-to-verblunsky"),
+                          ("gammas_own_frame", "verblunsky-to-moments")):
+        path = f"fixtures/{stem}.json"
+        yield f"{stem}.{command}.n6", [command, path, "--n", "6"]
+        yield f"{stem}.zeros.n4", ["zeros", path, "--n", "4"]
     yield "unnormalised.grid.g7", ["grid", "fixtures/unnormalised.json", "--grid", "7"]
     yield "unnormalised.sv.n1", ["sv", "fixtures/unnormalised.json", "--n", "1"]
     yield "unnormalised.baxter.n4", ["baxter", "fixtures/unnormalised.json", "--n", "4"]
@@ -270,6 +279,15 @@ def make_fixtures(main, record) -> None:
     # smooth_trig's coefficient maps read in a non-standard frame of their own
     smooth = json.loads(Path("fixtures", "smooth_trig.json").read_text(encoding="utf-8"))
     write_fixture("smooth_trig_own_frame", {**smooth, "frame": json.loads(random_frame(6))})
+    # moments at +-10^9, which a dense moment array cannot hold
+    write_fixture("far_moments", {"moments": [[0, [1.0, 0.0, 0.0, 0.0]],
+                                              [10 ** 9, [0.1, 0.0, 0.0, 0.0]],
+                                              [-10 ** 9, [0.1, 0.0, 0.0, 0.0]]]})
+    # random_gamma_7's moments and its coefficients in that frame of their own
+    write_fixture("moments_own_frame", {"frame": json.loads(random_frame(6)),
+                                        "moments": moments})
+    rg7 = json.loads(Path("fixtures", "random_gamma_7.json").read_text(encoding="utf-8"))
+    write_fixture("gammas_own_frame", {**rg7, "frame": json.loads(random_frame(6))})
 
 
 def main() -> int:
