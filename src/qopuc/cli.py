@@ -200,17 +200,15 @@ class Fixture:
 
 def load_fixture(path: str, override: SliceFrame | None) -> Fixture:
     """The fixture at ``path``, checked once, for a job in ``override``, else
-    in the fixture's ``frame``, else in the standard frame.  A density is read
-    in its own frame and then held in the job's."""
+    in the fixture's ``frame``, else in the standard frame.  A density's maps
+    are read in its own frame, and the density is built once, in the job's."""
     with open(path, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
     kind = _validate_fixture(obj)
     if kind == "density":
-        d = QPositiveDensity.from_json(obj, fixture_frame(obj, None))
-        frame = override or d.frame
-        if frame != d.frame:
-            d = QPositiveDensity(frame, d.index, d.coeffs)
-        return Fixture(frame, density=d)
+        own = fixture_frame(obj, None)
+        frame = override or own
+        return Fixture(frame, density=QPositiveDensity.from_json(obj, own, frame))
     frame = fixture_frame(obj, override)
     if kind == "moments":
         return Fixture(frame, moments=dict(obj["moments"]))
@@ -275,8 +273,7 @@ def _require_flags(args) -> None:
         raise ValueError(f"--format csv has no view for command {args.command!r}")
 
 
-def _envelope(args, fix: Fixture | None, result: dict) -> dict:
-    frame = fix.frame if fix else args.frame or SliceFrame.standard()
+def _envelope(args, fix: Fixture, result: dict) -> dict:
     return {
         "command": args.command,
         "version": __version__,
@@ -284,7 +281,7 @@ def _envelope(args, fix: Fixture | None, result: dict) -> dict:
         "config": {
             "input": getattr(args, "input", None),
             "n": getattr(args, "n", None),
-            "frame": frame.to_json(),
+            "frame": fix.frame.to_json(),
             "tol_route": getattr(args, "tol_route", None),
             "tol_pd": getattr(args, "tol_pd", None),
             "format": args.format,
@@ -357,10 +354,10 @@ def cmd_grid(args, fix: Fixture) -> dict:
     return {"grid": args.grid, "entropy": szego_entropy(d), "rows": rows}
 
 
-def cmd_random_gamma(args, _) -> dict:
+def cmd_random_gamma(args, fix: Fixture) -> dict:
     gammas = random_gamma_seq(args.seed, args.n, rmax=args.rmax)
     return {
-        "frame": SliceFrame.standard().to_json(),
+        "frame": fix.frame.to_json(),
         "gammas": gammas.to_json(),
     }
 
@@ -461,9 +458,11 @@ def _run(args) -> tuple[int, str]:
     try:
         _require_flags(args)
         # parsed once, None standing for the standard frame; a fixture is
-        # loaded once, and its commands and the envelope read its record
-        args.frame = parse_frame(args.frame)
-        fix = load_fixture(args.input, args.frame) if "input" in args else None
+        # loaded once, and its commands and the envelope read its record,
+        # which holds only the job's frame for a command without an input
+        override = parse_frame(args.frame)
+        fix = (load_fixture(args.input, override) if "input" in args
+               else Fixture(override or SliceFrame.standard()))
         result = _COMMANDS[args.command](args, fix)
     except RouteMismatch as exc:
         return EXIT_CROSS_CHECK, _error_text(exc)

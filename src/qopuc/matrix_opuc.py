@@ -23,14 +23,18 @@ and one stripping step is the linear update
     B_{n+1} = (rho_n^L)^{-1} (B_n - alpha_n^* A_n),
 
 so no series inverse is needed.  ``alphas_from_moments`` runs it forward
-over whole coefficient arrays; ``moments_from_alphas`` inverts it one
-anti-diagonal at a time.  Both are O(N^2), run in extended precision
-(np.clongdouble) and round only what they return, and every output is exact
-under truncation of the horizon.  They make no LAPACK call per step: the
-operator norm, the condition number, the defect square roots and the
-inverses are 2x2 closed forms, and ``sqrtm_herm2``, ``_inv2`` and
-``defects`` take whole (..., 2, 2) stacks, so the forward map builds all N
-defects and inverses in one call each.  ``schur_step``,
+over whole coefficient arrays, N numpy steps.  ``moments_from_alphas``
+inverts it over the grid of generator entries a_k[j], b_k[j] in waves
+T = 2j + k: an entry reads only the two waves before its own and the b of
+its own wave, so each wave is a few stacked 2x2 products, 2N - 1 numpy
+steps in all, and each entry gets the operations it would get on its own.
+Both are O(N^2), run in extended precision (np.clongdouble) and round only
+what they return, and every output is exact under truncation of the
+horizon.  They make no LAPACK call per step: the operator norm, the
+condition number, the defect square roots and the inverses are 2x2 closed
+forms, and ``sqrtm_herm2``, ``_inv2`` and ``defects`` take whole
+(..., 2, 2) stacks, so the forward map builds all N defects and inverses in
+one call each.  ``schur_step``,
 ``inverse_schur_step``, ``schur_algorithm`` and ``schur_coeffs_forward``
 are the paper's series recursions, kept as independent references.
 """
@@ -254,13 +258,22 @@ def moments_from_alphas(alphas: MatVerblunskySeq, N: int) -> np.ndarray:
     """Moment matrices C_1..C_N, as an (N, 2, 2) array: Verblunsky's formula
     in generator form.
 
-    Inverts the stripping update one anti-diagonal at a time.  With a_k, b_k
-    the generators of f_k (a_0 = (C_1, C_2, ...), b_0 = (I, C_1, ...)),
-    step m sets a_m[0] = alpha_m b_m[0], then for k = m-1..0
-    a_k[m-k] = rho_k^R a_{k+1}[m-k-1] + alpha_k b_k[m-k], reads
-    C_{m+1} = a_0[m], and advances b to the next anti-diagonal by
-    b_0[m+1] = C_{m+1}, b_{k+1}[m-k] = (rho_k^L)^{-1} (b_k[m-k] - alpha_k^* a_k[m-k]).
-    So C_{m+1} depends on alpha_0..alpha_m alone, through the same
+    Inverts the stripping update.  With a_k, b_k the generators of f_k
+    (a_0 = (C_1, C_2, ...), b_0 = (I, C_1, ...)), for k + j <= N - 1
+
+        a_k[j] = rho_k^R a_{k+1}[j-1] + alpha_k b_k[j]   (a_k[0] = alpha_k b_k[0]),
+        b_{k+1}[j] = (rho_k^L)^{-1} (b_k[j] - alpha_k^* a_k[j]),
+        b_0[0] = I,  b_0[j] = a_0[j-1],
+
+    and C_{m+1} = a_0[m].  The entries are swept by waves T = 2j + k,
+    T = 0..2N-2: b_k[j] reads wave T-1 (b_{k-1}[j], a_{k-1}[j]) or, for
+    k = 0, is the copy of a_0[j-1] that wave T-2 stored, and a_k[j] reads
+    wave T-1 (a_{k+1}[j-1]) and b_k[j], which its own wave sets first.  So
+    the loop keeps the last two waves only, and each wave is a few stacked
+    2x2 products: 2N - 1 numpy steps.  The coefficient arrays are reversed,
+    which makes the k = T - 2j of a wave a stride-2 slice.  Every entry gets
+    the operations it would get on its own, with no ``+ 0`` at j = 0, so
+    C_{m+1} depends on alpha_0..alpha_m alone, through the same
     floating-point operations for every N: the moments for N are a
     byte-identical prefix of those for any larger N.  O(N^2) 2x2 products.
 
@@ -275,20 +288,33 @@ def moments_from_alphas(alphas: MatVerblunskySeq, N: int) -> np.ndarray:
     ld = np.clongdouble
     alpha = alphas.alphas[:N].astype(ld)
     rhoL, rhoR = _defect_roots(alpha)   # MatVerblunskySeq tested every alpha
-    rhoLi = _inv2(rhoL)
-    alphaH = alpha.conj().transpose(0, 2, 1)
+    # reversed, alpha_k at N - 1 - k, so that the k = T - 2j of a wave step by 2
+    alpha, rhoR, rhoLi = alpha[::-1], rhoR[::-1], _inv2(rhoL)[::-1]
+    alphaH = alpha.conj().swapaxes(-1, -2)
+
+    def ks(T, j0, j1):
+        """The k = T - 2j of j = j0..j1 as a slice of the reversed arrays."""
+        return slice(N - 1 - T + 2 * j0, N - T + 2 * j1, 2)
+
     C = np.empty((N, 2, 2), dtype=complex)
-    b = EYE2[None].astype(ld)  # b[k] = b_k[m-k], the m-th anti-diagonal
-    for m in range(N):
-        a = np.empty_like(b)
-        a[m] = alpha[m] @ b[m]
-        for k in range(m - 1, -1, -1):
-            a[k] = rhoR[k] @ a[k + 1] + alpha[k] @ b[k]
-        C[m] = a[0]
-        nxt = np.empty((m + 2, 2, 2), dtype=ld)
-        nxt[0] = a[0]
-        nxt[1:] = rhoLi[: m + 1] @ (b - alphaH[: m + 1] @ a)
-        b = nxt
+    a = np.empty((2, N, 2, 2), dtype=ld)       # a_k[j] at [T % 2, j], the last two waves
+    b = np.empty((2, N + 1, 2, 2), dtype=ld)   # b_k[j] likewise
+    b[0, 0] = EYE2
+    for T in range(2 * N - 1):
+        lo, hi = max(0, T - N + 1), T // 2   # the j of wave T
+        a_new, a_old, b_new, b_old = a[T % 2], a[1 - T % 2], b[T % 2], b[1 - T % 2]
+        top = (T - 1) // 2   # the last j with k >= 1
+        if lo <= top:
+            K = ks(T - 1, lo, top)
+            b_new[lo:top + 1] = rhoLi[K] @ (b_old[lo:top + 1] - alphaH[K] @ a_old[lo:top + 1])
+        if lo == 0:
+            a_new[0] = alpha[N - 1 - T] @ b_new[0]
+        first = max(lo, 1)
+        if first <= hi:
+            K = ks(T, first, hi)
+            a_new[first:hi + 1] = rhoR[K] @ a_old[first - 1:hi] + alpha[K] @ b_new[first:hi + 1]
+        if T % 2 == 0:   # k = 0: C_{hi+1} = a_0[hi] = b_0[hi+1], which wave T + 2 reads
+            C[hi] = b_new[hi + 1] = a_new[hi]
     return C
 
 

@@ -267,10 +267,13 @@ class QPositiveDensity:
 
     @classmethod
     def from_maps(cls, frame: SliceFrame, w1: dict[int, complex],
-                  w2: dict[int, complex] | None = None) -> "QPositiveDensity":
+                  w2: dict[int, complex] | None = None,
+                  held_in: SliceFrame | None = None) -> "QPositiveDensity":
         """The density W = [[w1, w2], [conj w2, w1(-theta)]] from {n: w_n}
         maps in ``frame``, checked for w1_{-n} = conj(w1_n) and
-        w2_{-n} = -w2_n to 1e-12; c_n = w1_{-n} + w2_{-n} j."""
+        w2_{-n} = -w2_n to 1e-12; c_n = w1_{-n} + w2_{-n} j.  The density is
+        held in ``held_in`` (default ``frame``), which alone gets the PSD scan:
+        its moments are the same quaternions in any frame."""
         w1 = {int(n): complex(a) for n, a in (w1 or {}).items() if a != 0}
         w2 = {int(n): complex(a) for n, a in (w2 or {}).items() if a != 0}
         for n, a in w1.items():
@@ -282,7 +285,7 @@ class QPositiveDensity:
         index = sorted({0} | {-n for n in (*w1, *w2) if n <= 0})
         z1 = np.array([w1.get(-n, 0j) for n in index], dtype=complex)
         z2 = np.array([w2.get(-n, 0j) for n in index], dtype=complex)
-        return cls(frame, index, _from_frame_coords(z1, z2, frame))
+        return cls(held_in or frame, index, _from_frame_coords(z1, z2, frame))
 
     def matrix_values(self, grid: int) -> np.ndarray:
         """W(2 pi k / grid), k < grid, as a (grid, 2, 2) array.
@@ -322,12 +325,14 @@ class QPositiveDensity:
         return self._grids[grid][0]
 
     @classmethod
-    def from_json(cls, obj, frame: SliceFrame) -> "QPositiveDensity":
+    def from_json(cls, obj, frame: SliceFrame,
+                  held_in: SliceFrame | None = None) -> "QPositiveDensity":
         """The density of a fixture's ``w1``/``w2`` lists of [n, re, im], read
-        in ``frame``, the fixture's own."""
+        in ``frame``, the fixture's own, and held in ``held_in`` (default
+        ``frame``)."""
         w1 = {int(n): complex(re, im) for n, re, im in obj.get("w1", [])}
         w2 = {int(n): complex(re, im) for n, re, im in obj.get("w2", [])}
-        return cls.from_maps(frame, w1, w2)
+        return cls.from_maps(frame, w1, w2, held_in)
 
 
 def moments_from_density(d: QPositiveDensity, N: int) -> MomentSequence:

@@ -404,6 +404,48 @@ def test_config_frame_is_the_frame_the_job_ran_in(tmp_path):
                 assert json.loads(out)["config"]["frame"] == want, (name, argv, flag)
 
 
+def test_random_gamma_result_frame_is_the_job_frame(tmp_path):
+    # the fixture it writes once held the standard frame under --frame
+    from qopuc.quaternions import SliceFrame
+
+    frame = SliceFrame.random(np.random.default_rng(617)).to_json()
+    for flag, want in (([], STANDARD_FRAME), (["--frame", "standard"], STANDARD_FRAME),
+                       (["--frame", json.dumps(frame)], frame)):
+        code, out = run(tmp_path, "random-gamma", "--n", "3", *flag)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["result"]["frame"] == payload["config"]["frame"] == want, flag
+
+
+@pytest.mark.parametrize("fixture", DENSITY_FIXTURES)
+def test_density_load_scans_once_under_frame_override(monkeypatch, fixture):
+    # the w1/w2 maps are read in the fixture's frame and the density is built
+    # once, in the job's; each build scans W on the PSD grid
+    from qopuc import cli
+    from qopuc.measures import PSD_GRID, QPositiveDensity
+    from qopuc.quaternions import SliceFrame
+
+    scans = []
+    matrix_values = QPositiveDensity.matrix_values
+
+    def counting_matrix_values(self, grid):
+        scans.append(grid)
+        return matrix_values(self, grid)
+
+    monkeypatch.setattr(QPositiveDensity, "matrix_values", counting_matrix_values)
+    override = SliceFrame.random(np.random.default_rng(618))
+    path = str(FIXDIR / fixture)
+    for frame in (None, override):
+        scans.clear()
+        fix = cli.load_fixture(path, frame)
+        assert scans == [PSD_GRID]
+        assert fix.density.frame is fix.frame
+    assert fix.frame is override
+    base = cli.load_fixture(path, None).density
+    assert np.array_equal(fix.density.coeffs, base.coeffs)
+    assert np.array_equal(fix.density.index, base.index)
+
+
 def test_moment_fixture_far_index_is_sparse(tmp_path):
     # c_{+-10^6} = 0.1: a dense list up to 10^6 took 127 MB and 2.5 s
     import tracemalloc

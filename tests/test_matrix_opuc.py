@@ -430,7 +430,8 @@ def test_route_a_horizon_prefix_is_byte_identical():
 
 
 def test_forward_map_horizon_prefix_is_byte_identical():
-    # C_{m+1} is read off after step m, which uses alpha_0..alpha_m only.  The
+    # C_{m+1} = a_0[m] is made from the entries a_k[j], b_k[j] with k + j <= m,
+    # which use alpha_0..alpha_m only and get the same operations for every K.  The
     # inverse recursion run tail first (from alpha_{K-1} down to alpha_0) gives
     # the same moments only up to roundoff (its K = 20 and K = 80 runs are
     # about 2e-13 apart on this sequence) and fails this check.
@@ -440,8 +441,8 @@ def test_forward_map_horizon_prefix_is_byte_identical():
     frame = SliceFrame.standard()
     alphas = MatVerblunskySeq([chi(g, frame) for g in random_gamma_seq(7, 80)])
     full = moments_from_alphas(alphas, 80)
-    for K in (20, 40):
-        assert all(np.array_equal(a, b) for a, b in zip(moments_from_alphas(alphas, K), full))
+    for K in range(1, 80):
+        assert same_bytes(moments_from_alphas(alphas, K), full[:K])
 
 
 @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
@@ -717,12 +718,28 @@ def test_forward_map_and_route_a_bitwise_equal_to_per_matrix_form():
         alphas = MatVerblunskySeq([chi(g, frame) for g in random_gamma_seq(seed, 80, rmax=0.8)])
         C = moments_from_alphas(alphas, 80)
         assert same_bytes(C, moments_from_alphas_per_matrix(alphas, 80))
+    alphas = MatVerblunskySeq([chi(g, frame) for g in random_gamma_seq(1017, 400, rmax=0.8)])
+    C = moments_from_alphas(alphas, 400)
+    assert same_bytes(C, moments_from_alphas_per_matrix(alphas, 400))
     general = np.random.default_rng(4101)
     for _ in range(3):
         alphas = MatVerblunskySeq([random_contraction(general, 0.5) for _ in range(40)])
         C = moments_from_alphas(alphas, 40)
         assert same_bytes(C, moments_from_alphas_per_matrix(alphas, 40))
         assert same_bytes(alphas_from_moments(C, 40), alphas_from_moments_per_matrix(C, 40))
+    # every N from 1 to 9: odd and even N, and the first and last waves
+    for N in range(1, 10):
+        alphas = random_alphas(general, N, rmax=0.5)
+        C = moments_from_alphas(alphas, N)
+        assert same_bytes(C, moments_from_alphas_per_matrix(alphas, N))
+    # coefficients with signed zeros.  numpy's matmul sums from +0.0, so no
+    # product carries a -0.0, and a "+ 0" at the j = 0 entries would not show
+    signed = [-0.0 * EYE2, np.diag([0.3, -0.0])]
+    for mats in (signed, signed[::-1], [signed[0]] * 5,
+                 [*signed, *(random_contraction(general, 0.5) for _ in range(4)), *signed]):
+        alphas = MatVerblunskySeq(mats)
+        C = moments_from_alphas(alphas, len(alphas))
+        assert same_bytes(C, moments_from_alphas_per_matrix(alphas, len(alphas)))
 
 
 def test_route_a_and_forward_map_make_no_linalg_call(monkeypatch):

@@ -30,7 +30,9 @@ csv and ``moments-to-verblunsky`` N = 12, 25, 40, 100, 200, 400 on the four
 densities; ``sv`` N = 12, 25, 40 on the four densities; ``grid`` 7 and 2048,
 ``sv --n 20`` and ``baxter --n 50`` on the four densities under the five
 seeded frames; ``verblunsky-to-moments`` K = 20, 40, 80 json and csv on the Bernstein-Szego gammas and three seeded
-80-coefficient rmax-0.8 fixtures (seeds 1017-3017); ``moments-to-verblunsky``
+80-coefficient rmax-0.8 fixtures (seeds 1017-3017), and K = 1, 2, 3, 200, 400
+on a seeded 400-coefficient rmax-0.8 fixture (seed 1017), the first and the
+last waves of the forward map; ``moments-to-verblunsky``
 N = 12, 25, 40 on three seeded 40-coefficient rmax-0.8 fixtures (seeds
 1017-3017), ill-conditioned inputs whose route-B bits decide a RouteMismatch;
 four moment fixtures (the moments of ``random_gamma_7``, the same with
@@ -158,6 +160,9 @@ def report_set(frames: dict[str, str]):
                 yield (f"{stem}.verblunsky-to-moments.n{k}.{fmt}",
                        ["verblunsky-to-moments", f"fixtures/{stem}.json", "--n", str(k),
                         "--format", fmt])
+    for k in (1, 2, 3, 200, 400):
+        yield (f"gammas400_1017.verblunsky-to-moments.n{k}",
+               ["verblunsky-to-moments", "fixtures/gammas400_1017.json", "--n", str(k)])
     for seed in GAMMA_SEEDS[:3]:
         for n in (12, 25, 40):
             yield (f"gammas40_{seed}.moments-to-verblunsky.n{n}",
@@ -237,6 +242,9 @@ def make_fixtures(main, record) -> None:
             write_fixture(f"gammas40_{seed}", generated(
                 f"random-gamma.seed{seed}.n40",
                 ["random-gamma", "--seed", str(seed), "--n", "40", "--rmax", "0.8"]))
+    write_fixture("gammas400_1017", generated(
+        "random-gamma.seed1017.n400",
+        ["random-gamma", "--seed", "1017", "--n", "400", "--rmax", "0.8"]))
     standard = {"i": [0.0, 1.0, 0.0, 0.0], "j": [0.0, 0.0, 1.0, 0.0]}
     write_fixture("bernstein_gammas", {"frame": standard,
                                        "gammas": [[0.5, 0.0, 0.0, 0.0]] + [[0.0] * 4] * 79})
