@@ -31,12 +31,19 @@ steps in all, and each entry gets the operations it would get on its own.
 Both are O(N^2), run in extended precision (np.clongdouble) and round only
 what they return, and every output is exact under truncation of the
 horizon.  They make no LAPACK call per step: the operator norm, the
-condition number, the defect square roots and the inverses are 2x2 closed
-forms, and ``sqrtm_herm2``, ``_inv2`` and ``defects`` take whole
-(..., 2, 2) stacks, so the forward map builds all N defects and inverses in
-one call each.  ``schur_step``,
-``inverse_schur_step``, ``schur_algorithm`` and ``schur_coeffs_forward``
-are the paper's series recursions, kept as independent references.
+condition number, the defect square roots, the inverses and the products
+are 2x2 closed forms.  The last three (``_sqrt_psd2``, ``_inv2``,
+``_mul2``) are written once over the four entries (m00, m01, m10, m11),
+each product entry summed as 0 + a b + c d in matmul's order, so they give
+matmul's bits.  Route A's step is a chain of such constants, B(0)^{-1},
+alpha_n, both defects, their roots and inverses, so it hands them numpy
+scalars, whose arithmetic costs about a tenth of what a numpy call on a
+(2, 2) array costs; only its O(N) array update stays stacked matmuls.  The
+forward map, ``defects`` and ``sqrtm_herm2`` hand the same functions whole
+stacks of entries, so the forward map builds all N defects and inverses in
+one call each.  ``schur_step``, ``inverse_schur_step``, ``schur_algorithm``
+and ``schur_coeffs_forward`` are the paper's series recursions, kept as
+independent references.
 """
 
 from __future__ import annotations
@@ -69,28 +76,86 @@ def _complex(x) -> np.ndarray:
     return x.astype(np.result_type(x.dtype, np.complex128), copy=False)
 
 
+def _entries(M: np.ndarray) -> tuple:
+    """The entries (m00, m01, m10, m11) of a (..., 2, 2) array, as arrays of
+    its batch shape: 0-d for one matrix, so that it takes the array loops a
+    stack takes and gets a stack's bits (in complex128 those loops fuse
+    multiply-adds that numpy scalar arithmetic rounds separately)."""
+    return M[..., 0, 0], M[..., 0, 1], M[..., 1, 0], M[..., 1, 1]
+
+
+def _matrix(m) -> np.ndarray:
+    """The 2x2 matrix, or the (..., 2, 2) stack, of entries (m00, m01, m10, m11)."""
+    shape = m[0].shape
+    if not shape:
+        return np.array(m).reshape(2, 2)
+    return np.stack(m, axis=-1).reshape(*shape, 2, 2)
+
+
+# Entry-wise helpers that keep a scalar's work off numpy's reduction and
+# binary-ufunc machinery, which costs microseconds per call on a scalar.
+
+def _all(mask) -> bool:
+    """Whether a boolean scalar holds, or every entry of a boolean array."""
+    return bool(mask.all() if isinstance(mask, np.ndarray) else mask)
+
+
+def _max(x, y):
+    """np.maximum(x, y): x where x >= y or x is NaN, else y.  On a scalar x
+    that y is returned as given, so give it a value that is exact in x's
+    precision."""
+    return np.maximum(x, y) if isinstance(x, np.ndarray) else (y if y > x else x)
+
+
+def _mul2(a: tuple, b: tuple) -> tuple:
+    """The 2x2 product a b over entries.  Each entry is 0 + a_i0 b_0j + a_i1 b_1j
+    in that order, the sum numpy's matmul forms, so it has matmul's bits."""
+    a00, a01, a10, a11 = a
+    b00, b01, b10, b11 = b
+    return (0 + a00 * b00 + a01 * b10, 0 + a00 * b01 + a01 * b11,
+            0 + a10 * b00 + a11 * b10, 0 + a10 * b01 + a11 * b11)
+
+
+def _inv2(m: tuple) -> tuple:
+    """The closed-form 2x2 inverse over entries (np.linalg has no long double)."""
+    m00, m01, m10, m11 = m
+    det = m00 * m11 - m01 * m10
+    return m11 / det, -m01 / det, -m10 / det, m00 / det
+
+
+def _sqrt_psd2(h: tuple) -> tuple:
+    """The principal square root of a 2x2 Hermitian PSD matrix over entries, in
+    their precision: the closed form and checks of ``sqrtm_herm2``."""
+    h00, h01, h10, h11 = h
+    t = h00.real + h11.real
+    s = np.sqrt(_max((h00 * h11 - h01 * h10).real, 0.0))
+    denom = t + 2.0 * s
+    if not _all(denom > 0.0):   # also rejects NaN
+        raise ValueError("matrix is not positive semidefinite")
+    q = np.sqrt(denom)
+    # H + s I adds 0 off the diagonal too, which makes a -0.0 part 0.0
+    R = ((h00 + s) / q, (h01 + 0) / q, (h10 + 0) / q, (h11 + s) / q)
+    lim = SQRT_CHECK_TOL * _max(t, 1.0)
+    e00, e01, e10, e11 = _mul2(R, R)
+    if not _all((abs(e00 - h00) <= lim) & (abs(e01 - h01) <= lim)
+                & (abs(e10 - h10) <= lim) & (abs(e11 - h11) <= lim)):   # also rejects NaN
+        raise ValueError("square-root residual beyond tolerance")
+    return R
+
+
 def sqrtm_herm2(H: np.ndarray) -> np.ndarray:
     """Principal square roots of 2x2 Hermitian PSD matrices, closed form, for
     one matrix or a (..., 2, 2) stack, in the precision of H (long double
     input stays long double).
 
-    With t = tr H and d = det H >= 0: sqrt(H) = (H + sqrt(d) I) / sqrt(t + 2 sqrt(d)).
-    Every matrix of a stack gets the operations it would get on its own.
-    ValueError if any matrix is not PSD or misses the residual check
-    |R R - H| <= SQRT_CHECK_TOL max(1, t).
+    With t = tr H and d = det H >= 0: sqrt(H) = (H + sqrt(d) I) / sqrt(t + 2 sqrt(d)),
+    written once over the four entries, which are scalars in route A's steps
+    and arrays over a stack here, so every matrix of a stack gets the bits it
+    gets on its own.  ValueError if any matrix is not PSD or misses the
+    residual check |R R - H| <= SQRT_CHECK_TOL max(1, t), NaN and inf entries
+    included.
     """
-    H = _complex(H)
-    h00, h11 = H[..., 0, 0], H[..., 1, 1]
-    t = h00.real + h11.real
-    s = np.sqrt(np.maximum((h00 * h11 - H[..., 0, 1] * H[..., 1, 0]).real, 0.0))
-    denom = t + 2.0 * s
-    if np.any(denom <= 0.0):
-        raise ValueError("matrix is not positive semidefinite")
-    R = (H + s[..., None, None] * EYE2) / np.sqrt(denom)[..., None, None]
-    residual = np.max(np.abs(R @ R - H), axis=(-2, -1))
-    if np.any(residual > SQRT_CHECK_TOL * np.where(t > 1.0, t, 1.0)):
-        raise ValueError("square-root residual beyond tolerance")
-    return R
+    return _matrix(_sqrt_psd2(_entries(_complex(H))))
 
 
 class MatVerblunskySeq:
@@ -139,18 +204,22 @@ def _require_contraction(alpha: np.ndarray, index=None):
             f">= 1 - 1e-12; not a strict contraction", index=index)
 
 
-def _defect_roots(alpha: np.ndarray) -> np.ndarray:
-    """The stack [(I - a*a)^(1/2), (I - aa*)^(1/2)] for one contraction or a
-    (..., 2, 2) stack, shape (2, ..., 2, 2), in the precision of alpha.
+def _defect_root(x, y) -> tuple:
+    """The entries of (I - x y)^(1/2) from those of x and y: rho^L for
+    (x, y) = (a*, a), rho^R for (a, a*).
 
-    The caller has tested every contraction; ``sqrtm_herm2`` still rejects a
+    The caller has tested every contraction; the square root still rejects a
     defect that is not PSD or misses its residual check."""
-    alpha = _complex(alpha)
-    aH = alpha.conj().swapaxes(-1, -2)
-    H = np.empty((2, *alpha.shape), dtype=alpha.dtype)
-    np.subtract(EYE2, aH @ alpha, out=H[0])
-    np.subtract(EYE2, alpha @ aH, out=H[1])
-    return sqrtm_herm2(H)
+    p00, p01, p10, p11 = _mul2(x, y)
+    return _sqrt_psd2((1 - p00, 0 - p01, 0 - p10, 1 - p11))
+
+
+def _defect_roots(alpha: np.ndarray) -> np.ndarray:
+    """The stack [(I - a*a)^(1/2), (I - aa*)^(1/2)] of a (..., 2, 2) stack,
+    shape (2, ..., 2, 2), in the precision of alpha, from one closed-form
+    call on the entries of both."""
+    pair = np.stack((alpha.conj().swapaxes(-1, -2), alpha))
+    return _matrix(_defect_root(_entries(pair), _entries(pair[::-1])))
 
 
 def defects(alpha: np.ndarray) -> DefectPair:
@@ -242,18 +311,6 @@ def schur_coeffs_forward(alphas: MatVerblunskySeq, K: int) -> list[np.ndarray]:
     return [table[(0, k)] for k in range(K + 1)]
 
 
-def _inv2(M: np.ndarray) -> np.ndarray:
-    """Closed-form 2x2 inverse of one matrix or a (..., 2, 2) stack, in the
-    dtype of M (np.linalg has no long double)."""
-    det = M[..., 0, 0] * M[..., 1, 1] - M[..., 0, 1] * M[..., 1, 0]
-    adj = np.empty_like(M)
-    adj[..., 0, 0] = M[..., 1, 1]
-    adj[..., 0, 1] = -M[..., 0, 1]
-    adj[..., 1, 0] = -M[..., 1, 0]
-    adj[..., 1, 1] = M[..., 0, 0]
-    return adj / det[..., None, None]
-
-
 def moments_from_alphas(alphas: MatVerblunskySeq, N: int) -> np.ndarray:
     """Moment matrices C_1..C_N, as an (N, 2, 2) array: Verblunsky's formula
     in generator form.
@@ -289,7 +346,7 @@ def moments_from_alphas(alphas: MatVerblunskySeq, N: int) -> np.ndarray:
     alpha = alphas.alphas[:N].astype(ld)
     rhoL, rhoR = _defect_roots(alpha)   # MatVerblunskySeq tested every alpha
     # reversed, alpha_k at N - 1 - k, so that the k = T - 2j of a wave step by 2
-    alpha, rhoR, rhoLi = alpha[::-1], rhoR[::-1], _inv2(rhoL)[::-1]
+    alpha, rhoR, rhoLi = alpha[::-1], rhoR[::-1], _matrix(_inv2(_entries(rhoL)))[::-1]
     alphaH = alpha.conj().swapaxes(-1, -2)
 
     def ks(T, j0, j1):
@@ -324,10 +381,13 @@ def alphas_from_moments(C, N: int) -> np.ndarray:
     moments_from_alphas on positive-definite data.
 
     Starts from A = (C_1..C_N), B = (I, C_1..C_{N-1}) and applies the
-    stripping update to whole coefficient arrays, N numpy steps in all.
-    A and B, and the defects of each alpha_n, are carried in np.clongdouble
-    (the 80-bit x87 type on x86-64, eps 1.1e-19): rounding in the A/B
-    updates is what limits accuracy.  In double the vanishing density's
+    stripping update to whole coefficient arrays, N numpy steps in all.  A
+    step's 2x2 constants (B(0)^{-1}, alpha_n, both defects, their roots and
+    inverses) run on numpy scalars through the entry-wise closed forms,
+    which give matmul's bits; only the O(N) update of A and B is stacked
+    matmuls.  A and B, and the defects of each alpha_n, are carried in
+    np.clongdouble (the 80-bit x87 type on x86-64, eps 1.1e-19): rounding
+    in the A/B updates is what limits accuracy.  In double the vanishing density's
     |gamma_n| = 1/(n+2) is met only to about 4e-15 at N = 400, against about
     5e-18 here, and with double-precision defects the ill-conditioned moments
     of seeded rmax-0.8 sequences at N = 25..40 miss their round trip more
@@ -352,18 +412,22 @@ def alphas_from_moments(C, N: int) -> np.ndarray:
         if not cond2(B[0]) <= COND_LIMIT:   # also rejects NaN
             raise SingularConstantTerm(
                 f"B(0) at step {n} is singular or too ill-conditioned to invert")
-        alpha_ld = A[0] @ _inv2(B[0])
-        alphas[n] = alpha_ld
+        # numpy scalars (long double has no Python type), the cheapest operands
+        a = _mul2(A[0].reshape(4).tolist(), _inv2(B[0].reshape(4).tolist()))
+        alphas[n] = alpha_ld = _matrix(a)
         _require_contraction(alphas[n], n)
         if n == N - 1:
             break
         # alpha_ld is within an ulp of the alpha tested above
-        rhoLi, rhoRi = _inv2(_defect_roots(alpha_ld))
+        alphaH = alpha_ld.conj().T
+        aH = alphaH.reshape(4).tolist()
+        rhoL, rhoR = _defect_root(aH, a), _defect_root(a, aH)
         num = A - alpha_ld @ B
-        residual = float(np.max(np.abs(num[0])))
+        residual = float(abs(num[0]).max())
         if residual > SHIFT_TOL:
             raise ShiftResidual(
                 f"degree-0 coefficient {residual:.3e} exceeds {SHIFT_TOL:.1e}")
-        A, B = rhoRi @ num[1:], rhoLi @ (B[:-1] - alpha_ld.conj().T @ A[:-1])
+        A, B = (_matrix(_inv2(rhoR)) @ num[1:],
+                _matrix(_inv2(rhoL)) @ (B[:-1] - alphaH @ A[:-1]))
     alphas.setflags(write=False)
     return alphas

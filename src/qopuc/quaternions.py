@@ -11,8 +11,8 @@ Quaternion data inside the library are plain float arrays of shape
 moments and Verblunsky coefficients (n, 4), polynomial coefficients
 (n+1, 4), quaternion matrices (n, n, 4).  ``Quaternion`` is the scalar type
 of the API.  One Hamilton product, ``qmul_parts``, serves both forms; one
-frame-coordinate kernel, ``_frame_coords``, serves ``chi``, ``chi_mat``,
-``blockwise_chi`` and ``SliceFrame.split``, and its inverse
+frame-coordinate kernel, ``_frame_coords``, serves ``chi``, ``chi_mat``
+and ``SliceFrame.split``, and its inverse
 ``_from_frame_coords`` serves ``chi_inv`` and ``SliceFrame.from_split``.
 """
 
@@ -368,33 +368,6 @@ def chi_mat(A: np.ndarray, frame: SliceFrame) -> np.ndarray:
     top = np.concatenate([A1, A2], axis=-1)
     bot = np.concatenate([-np.conj(A2), np.conj(A1)], axis=-1)
     return np.concatenate([top, bot], axis=-2)
-
-
-def block_permutation(n: int) -> np.ndarray:
-    """The permutation U_n with chi_mat(A) = U_n [chi(a_kl)]_blocks U_n^*.
-
-    Row m has its 1 in column 2m-1 and row n+m in column 2m (1-based).
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    U = np.zeros((2 * n, 2 * n), dtype=int)
-    for m in range(n):
-        U[m, 2 * m] = 1
-        U[n + m, 2 * m + 1] = 1
-    return U
-
-
-def blockwise_chi(A: np.ndarray, frame: SliceFrame) -> np.ndarray:
-    """The n x n block matrix [chi(a_kl)] as a 2n x 2n complex matrix."""
-    A = np.asarray(A, dtype=float)
-    n = A.shape[0]
-    out = np.zeros((2 * n, 2 * n), dtype=complex)
-    A1, A2 = _frame_coords(A, frame)
-    out[0::2, 0::2] = A1
-    out[0::2, 1::2] = A2
-    out[1::2, 0::2] = -np.conj(A2)
-    out[1::2, 1::2] = np.conj(A1)
-    return out
 
 
 def right_eigen_slice(A: np.ndarray, frame: SliceFrame) -> np.ndarray:

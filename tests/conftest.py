@@ -74,6 +74,27 @@ def frame():
     return SliceFrame.standard()
 
 
+# ---- the block form of the embedding: the oracle of chi_mat's entrywise split ----
+
+def block_permutation(n: int) -> np.ndarray:
+    """The permutation U_n with chi_mat(A) = U_n [chi(a_kl)]_blocks U_n^*.
+
+    Row m has its 1 in column 2m-1 and row n+m in column 2m (1-based).
+    """
+    U = np.zeros((2 * n, 2 * n), dtype=int)
+    for m in range(n):
+        U[m, 2 * m] = 1
+        U[n + m, 2 * m + 1] = 1
+    return U
+
+
+def blockwise_chi(A, frame) -> np.ndarray:
+    """The n x n block matrix [chi(a_kl)] as a 2n x 2n complex matrix, each
+    block the per-quaternion image of its entry."""
+    n = len(A)
+    return chi(np.asarray(A, dtype=float), frame).transpose(0, 2, 1, 3).reshape(2 * n, 2 * n)
+
+
 # ---- chi-embedded matrix Gram-Schmidt: the independent oracle for the
 # quaternionic orthonormal families ----
 

@@ -26,11 +26,9 @@ from qopuc.measures import QPositiveDensity, matrix_moments, moments_from_densit
 from qopuc.polynomials import (
     moments_from_verblunsky_q, orthonormal_polys, inner_L, inner_R, reverse_L, reverse_R, verblunsky_from_moments_q,
 )
-from qopuc.quaternions import (
-    Quaternion, SliceFrame, block_permutation, blockwise_chi, chi, chi_mat,
-)
+from qopuc.quaternions import Quaternion, SliceFrame, chi, chi_mat
 from qopuc.zeros import zeros_theorem_check
-from conftest import matrix_gram_schmidt, random_quaternion
+from conftest import block_permutation, blockwise_chi, matrix_gram_schmidt, random_quaternion
 
 FIXDIR = Path(__file__).resolve().parent.parent / "fixtures"
 EYE2 = np.eye(2, dtype=complex)

@@ -10,16 +10,18 @@ from qopuc.errors import (
     ConstantMismatch, NotContraction, NotInImage, ShiftResidual, SingularConstantTerm,
 )
 from qopuc.matrix_opuc import (
-    CONTRACTION_MARGIN, SQRT_CHECK_TOL, MatVerblunskySeq, _inv2, alphas_from_moments,
-    defects, inverse_schur_step, moments_from_alphas, operator_norm2, schur_algorithm,
-    schur_coeffs_forward, schur_step, sqrtm_herm2,
+    CONTRACTION_MARGIN, SQRT_CHECK_TOL, MatVerblunskySeq, _entries, _inv2, _matrix, _mul2,
+    alphas_from_moments, defects, inverse_schur_step, moments_from_alphas, operator_norm2,
+    schur_algorithm, schur_coeffs_forward, schur_step, sqrtm_herm2,
 )
 from qopuc.quaternions import chi_image_residual
 from qopuc.series import (
     COND_LIMIT, EYE2, SHIFT_TOL, TruncSeries, cond2, herglotz_from_moments,
     herglotz_from_schur, schur_from_herglotz,
 )
-from conftest import random_chi_contraction, random_contraction, random_unit_ball_quaternion
+from conftest import (
+    random_chi_contraction, random_contraction, random_moment_fixture, random_unit_ball_quaternion,
+)
 
 FIXDIR = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -36,6 +38,24 @@ def test_sqrtm_herm2(rng):
         assert np.max(np.abs(R @ R - H)) < 1e-12 * np.max(np.abs(H))
         assert np.max(np.abs(R - R.conj().T)) < 1e-13
         assert np.min(np.linalg.eigvalsh(R)) > 0
+
+
+def test_sqrtm_herm2_rejects_non_finite_entries(rng):
+    # NaN passes a test of the form "x <= 0" or "x > tol"; the checks are
+    # written to reject it, on one matrix and on any member of a stack
+    B = rng.normal(size=(5, 2, 2)) + 1j * rng.normal(size=(5, 2, 2))
+    good = B @ B.conj().transpose(0, 2, 1) + 0.1 * EYE2
+    bad = [np.full((2, 2), np.nan), np.array([[np.inf, 0.0], [0.0, 1.0]]),
+           np.array([[1.0, np.nan], [np.nan, 1.0]]), np.array([[1.0, np.inf], [np.inf, 1.0]])]
+    for dtype in (complex, LD):
+        for M in bad:
+            with pytest.raises(ValueError), np.errstate(invalid="ignore"):
+                sqrtm_herm2(M.astype(dtype))
+            stack = good.astype(dtype)
+            stack[3] = M
+            with pytest.raises(ValueError), np.errstate(invalid="ignore"):
+                sqrtm_herm2(stack)
+        assert np.all(np.isfinite(sqrtm_herm2(good.astype(dtype))))
 
 
 def test_defects_basics(rng):
@@ -690,23 +710,82 @@ def test_stacked_2x2_forms_bitwise_equal_to_per_matrix_forms(rng):
     assert all(same_bytes([defects(a).rhoL, defects(a).rhoR], r) for a, r in zip(alpha, roots))
     H = np.array([EYE2 - a.conj().T @ a for a in alpha])
     assert same_bytes(list(sqrtm_herm2(H)), [sqrtm_herm2_single(h) for h in H])
-    assert same_bytes(list(_inv2(d.rhoL)), [inv2_single(r[0]) for r in roots])
-    assert same_bytes([_inv2(alpha[0])], [inv2_single(alpha[0])])
+    # H + s I turns an off-diagonal -0.0 into 0.0, which the division
+    # keeps where the imaginary part is negative
+    H = np.array([[[1.0, complex(-0.0, -0.5)], [complex(-0.0, 0.5), 1.0]],
+                  [[0.5, -0.0], [-0.0, 0.5]]], dtype=LD)
+    assert same_bytes(list(sqrtm_herm2(H)), [sqrtm_herm2_single(h) for h in H])
+    assert same_bytes(list(_matrix(_inv2(_entries(d.rhoL)))), [inv2_single(r[0]) for r in roots])
+    assert same_bytes([_matrix(_inv2(_entries(alpha[0])))], [inv2_single(alpha[0])])
+    # the entry-wise product sums 0 + a b + c d, as matmul does: where both
+    # terms are -0.0 the sum is +0.0, and a product of one matrix and of a
+    # stack get the same bits
+    x, y = alpha[:-1], alpha[1:]
+    assert same_bytes(list(_matrix(_mul2(_entries(x), _entries(y)))), list(x @ y))
+    ones, zeros = np.ones((2, 2), dtype=LD), np.full((2, 2), -0.0, dtype=LD)
+    assert same_bytes([_matrix(_mul2(_entries(ones), _entries(zeros)))], [ones @ zeros])
+    assert same_bytes([_matrix(_mul2(_entries(x[3]), _entries(y[3])))], [x[3] @ y[3]])
     d128 = defects(alpha.astype(complex))
     for a, rL, rR in zip(alpha.astype(complex), d128.rhoL, d128.rhoR):
         wL, wR = defects_single(a)
         assert np.max(np.abs(rL - wL)) <= 1e-15 and np.max(np.abs(rR - wR)) <= 1e-15
 
 
-@pytest.mark.parametrize("name", ["vanishing_density", "bernstein_szego_density",
-                                  "smooth_trig_density"])
-def test_route_a_bitwise_equal_to_per_matrix_form(name):
+def route_a_cases(name):
+    """(C, N) inputs of route A: a density's moments at N = 200; the
+    all-zero Lebesgue moments (signed zeros); c_n = 1/2 of half Lebesgue plus
+    half an atom at 0; every N from 1 to 9 (the first steps and the last
+    step's early exit); the seeded rmax-0.8 moments of dual_route at N = 12,
+    25 and 40, which are ill-conditioned; and seeded moments in a seeded
+    non-standard frame."""
     from qopuc import fixtures
-    from qopuc.measures import matrix_moments, moments_from_density
+    from qopuc.measures import MomentSequence, matrix_moments, moments_from_density
+    from qopuc.quaternions import SliceFrame
 
-    d = getattr(fixtures, name)()
-    C = matrix_moments(moments_from_density(d, 200), d.frame, 200)[1:]
-    assert same_bytes(alphas_from_moments(C, 200), alphas_from_moments_per_matrix(C, 200))
+    if name.endswith("_density"):
+        d = getattr(fixtures, name)()
+        return [(matrix_moments(moments_from_density(d, 200), d.frame, 200)[1:], 200)]
+    if name == "atom_lebesgue":
+        c = MomentSequence([[1.0, 0.0, 0.0, 0.0]] + [[0.5, 0.0, 0.0, 0.0]] * 200)
+        return [(matrix_moments(c)[1:], 200)]
+    if name == "first_steps":
+        d = fixtures.smooth_trig_density()
+        C = matrix_moments(moments_from_density(d, 9), d.frame, 9)[1:]
+        seeded = matrix_moments(random_moment_fixture(1017, 9))[1:]
+        return [(M, N) for M in (C, seeded) for N in range(1, 10)]
+    if name == "rmax08_seeded":
+        return [(matrix_moments(random_moment_fixture(seed, 40))[1:], N)
+                for seed in (1017, 2017, 3017) for N in (12, 25, 40)]
+    assert name == "seeded_frame"
+    fr = SliceFrame.random(np.random.default_rng(4103))
+    return [(matrix_moments(random_moment_fixture(1017, 40, frame=fr), fr)[1:], 40)]
+
+
+@pytest.mark.parametrize("name", ["vanishing_density", "bernstein_szego_density",
+                                  "smooth_trig_density", "lebesgue_density", "atom_lebesgue",
+                                  "first_steps", "rmax08_seeded", "seeded_frame"])
+def test_route_a_bitwise_equal_to_per_matrix_form(name):
+    for C, N in route_a_cases(name):
+        assert same_bytes(alphas_from_moments(C, N), alphas_from_moments_per_matrix(C, N))
+
+
+def test_route_a_errors_on_non_pd_moments_pinned():
+    # seeded moments with |c_m| raised to 1.5 are positive definite below
+    # order m and not at m: route A rejects alpha_{m-1}, with the type,
+    # index and message it gave before its steps ran on scalars
+    from qopuc.quaternions import SliceFrame, chi
+
+    for seed in (1017, 2017, 3017):
+        arr = random_moment_fixture(seed, 12).arr
+        for m in range(1, 13):
+            c = arr.copy()
+            c[m] *= 1.5 / np.linalg.norm(c[m])
+            with pytest.raises(NotContraction) as info:
+                alphas_from_moments(chi(c, SliceFrame.standard())[1:], 12)
+            assert type(info.value) is NotContraction
+            assert info.value.index == m - 1
+            assert str(info.value) == (f"coefficient {m - 1} has norm >= 1 - 1e-12; "
+                                       f"not a strict contraction")
 
 
 def test_forward_map_and_route_a_bitwise_equal_to_per_matrix_form():

@@ -13,12 +13,11 @@ from qopuc.measures import (
     toeplitz, wiener_coefficient_norm,
 )
 from qopuc.quaternions import (
-    QI, Quaternion, SliceFrame, block_permutation, blockwise_chi, chi, chi_mat,
-    qarr_mul, qmat_conj_T, qmat_mul,
+    QI, Quaternion, SliceFrame, chi, chi_mat, qarr_mul, qmat_conj_T, qmat_mul,
 )
 from conftest import (
-    density_maps, fourier_values, from_split_scalar, qbytes, random_moment_fixture,
-    signed_zero_frames,
+    block_permutation, blockwise_chi, density_maps, fourier_values, from_split_scalar, qbytes,
+    random_moment_fixture, signed_zero_frames,
 )
 
 

@@ -5,12 +5,12 @@ import pytest
 
 from qopuc.errors import NotInImage
 from qopuc.quaternions import (
-    ONE, QI, QJ, QK, Quaternion, SliceFrame, _from_frame_coords, block_permutation,
-    blockwise_chi, chi, chi_inv, chi_mat, qarr_abs, qarr_mul, qmat_mul, right_eigen_slice,
+    ONE, QI, QJ, QK, Quaternion, SliceFrame, _from_frame_coords, chi, chi_inv, chi_mat,
+    qarr_abs, qarr_mul, qmat_mul, right_eigen_slice,
 )
 from conftest import (
-    chi_scalar, from_split_scalar, qbytes, qmul_scalar, random_qmatrix, random_quaternion,
-    signed_zero_coeff_arrays, signed_zero_frames,
+    block_permutation, blockwise_chi, chi_scalar, from_split_scalar, qbytes, qmul_scalar,
+    random_qmatrix, random_quaternion, signed_zero_coeff_arrays, signed_zero_frames,
 )
 
 

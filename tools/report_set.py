@@ -27,9 +27,10 @@ n = 1-11 at (samples, seed) = (1, 0), (1, 7), (100, 0), (100, 7),
 ``moments-to-verblunsky`` and ``verblunsky-to-moments`` n = 6, under five
 seeded random frames.  Besides: ``baxter`` N = 50, 100, 200, 400 json and
 csv and ``moments-to-verblunsky`` N = 12, 25, 40, 100, 200, 400 on the four
-densities; ``sv`` N = 12, 25, 40 on the four densities; ``grid`` 7 and 2048,
-``sv --n 20`` and ``baxter --n 50`` on the four densities under the five
-seeded frames; ``verblunsky-to-moments`` K = 20, 40, 80 json and csv on the Bernstein-Szego gammas and three seeded
+densities, and both at N = 1, 2, 3, route A's first steps; ``sv`` N = 12,
+25, 40 on the four densities; ``grid`` 7 and 2048, ``sv --n 20`` and
+``baxter --n 50`` on the four densities under the five seeded frames;
+``verblunsky-to-moments`` K = 20, 40, 80 json and csv on the Bernstein-Szego gammas and three seeded
 80-coefficient rmax-0.8 fixtures (seeds 1017-3017), and K = 1, 2, 3, 200, 400
 on a seeded 400-coefficient rmax-0.8 fixture (seed 1017), the first and the
 last waves of the forward map; ``moments-to-verblunsky``
@@ -147,6 +148,9 @@ def report_set(frames: dict[str, str]):
         for n in (100, 200, 400):
             yield (f"{density}.moments-to-verblunsky.n{n}.json",
                    ["moments-to-verblunsky", path, "--n", str(n)])
+        for n in (1, 2, 3):   # route A's first steps and its last step's early exit
+            for command in ("baxter", "moments-to-verblunsky"):
+                yield f"{density}.{command}.n{n}.json", [command, path, "--n", str(n)]
         for fname, spec in frames.items():
             for name, argv in (("grid.g7", ["grid", "--grid", "7"]),
                                ("grid.g2048", ["grid", "--grid", "2048"]),
