@@ -10,9 +10,8 @@ __version__ = "0.1.0"
 
 from .quaternions import Quaternion, SliceFrame, chi, chi_inv, chi_mat
 from .measures import (
-    AtomicQMeasure, MomentSequence, QPositiveDensity, is_nontrivial, matrix_moments,
-    moments_from_atoms, moments_from_density, require_nontrivial, toeplitz,
-    wiener_coefficient_norm,
+    MomentSequence, QPositiveDensity, is_nontrivial, matrix_moments, moments_from_density,
+    require_nontrivial, toeplitz, wiener_coefficient_norm,
 )
 from .series import TruncSeries, herglotz_from_moments, herglotz_from_schur, \
     schur_from_herglotz
@@ -21,17 +20,13 @@ from .matrix_opuc import (
     schur_algorithm, schur_coeffs_forward, schur_step,
 )
 from .polynomials import (
-    OrthonormalFamily, QPolyL, QPolyR, SzegoState, VerblunskyExtraction,
-    VerblunskySeq, eval_L, eval_R, eval_norm_sq, inner_L, inner_R,
-    moments_from_verblunsky_q, orthonormal_polys, poly_from_json, reverse_L,
-    reverse_R, star_mul_L, star_mul_R,
-    szego_advance, szego_family, verblunsky_from_moments_q,
+    OrthonormalFamily, QPolyL, QPolyR, VerblunskyExtraction, VerblunskySeq, eval_L, eval_R,
+    eval_norm_sq, moments_from_verblunsky_q, orthonormal_polys, reverse_L, reverse_R,
+    verblunsky_from_moments_q,
 )
-from .zeros import ZeroReport, companion_left, companion_right, det_poly, \
-    roots, zero_slice, zeros_theorem_check
+from .zeros import ZeroReport, det_poly, roots, zero_slice, zeros_theorem_check
 from .analysis import (
-    BaxterReport, SVReport, baxter_check, cd_identity_check, cd_kernel_diag,
-    sv_check, szego_entropy,
+    BaxterReport, SVReport, baxter_check, cd_identity_check, sv_check, szego_entropy,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -17,18 +17,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OnBoundary
 from .measures import (
     PIVOT_TOL, MomentSequence, QPositiveDensity, _det_herm2, moments_from_density,
     wiener_coefficient_norm,
 )
 from .polynomials import (
-    ROUTE_TOL, Quaternion, _gammas_via_matrix, eval_norm_sq,
-    orthonormal_polys, reverse_L, reverse_R, verblunsky_from_moments_q,
+    ROUTE_TOL, _gammas_via_matrix, eval_norm_sq, orthonormal_polys, reverse_L, reverse_R,
+    verblunsky_from_moments_q,
 )
 from .quaternions import qarr_norm_sq
 
-BOUNDARY_TOL = 1e-10
 ENTROPY_GRID = 4096
 DENSITY_MIN_TOL = 1e-9
 ENTROPY_PD_TOL = 1e-12   # a grid eigenvalue at most this is a zero of W
@@ -42,17 +40,6 @@ def _kernel(plain: np.ndarray, N: int) -> np.ndarray:
     for l in range(N + 1):
         total = total + plain[l]
     return total
-
-
-def cd_kernel_diag(c: MomentSequence, N: int, p: Quaternion) -> float:
-    """K_N(p) = sum_{l<=N} |psi_l^L(p)|^2 + |psi_l^R(p)|^2."""
-    if abs(abs(p) - 1.0) < BOUNDARY_TOL:
-        raise OnBoundary("kernel evaluation on the unit sphere boundary")
-    fam = orthonormal_polys(c, N)
-    point = p.to_array()[None, :]
-    in_r = eval_norm_sq(fam.left[: N + 1], point)
-    in_l = eval_norm_sq(fam.right[: N + 1], point)
-    return float(_kernel(in_r + in_l, N)[0])
 
 
 def _sample_points(samples: int, seed: int) -> np.ndarray:

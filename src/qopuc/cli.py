@@ -114,11 +114,20 @@ def emit_csv(header, rows) -> str:
 
 # ------------------------------ fixture I/O --------------------------------
 
+def _finite(x) -> bool:
+    """Whether a JSON number is finite as a float: an integer too large for
+    a float is not."""
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
+
+
 def _require_numbers(value, count: int, field: str) -> None:
     """ValueError naming ``field`` unless value is a list of count finite numbers."""
     if not (isinstance(value, list) and len(value) == count
             and all(isinstance(x, (int, float)) and not isinstance(x, bool)
-                    and math.isfinite(x) for x in value)):
+                    and _finite(x) for x in value)):
         raise ValueError(f"{field} must be a list of {count} finite numbers, "
                          f"got {value!r}")
 
@@ -186,6 +195,15 @@ def _validate_fixture(obj) -> str | None:
     return kind
 
 
+def _parse_json(text: str, what: str):
+    """The JSON value of ``text``; ValueError naming ``what`` if it nests
+    too deeply for the parser."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError(f"{what} JSON nests too deeply to parse") from None
+
+
 @dataclass(frozen=True)
 class Fixture:
     """A loaded fixture: the frame its job runs in and at most one payload,
@@ -203,7 +221,7 @@ def load_fixture(path: str, override: SliceFrame | None) -> Fixture:
     in the fixture's ``frame``, else in the standard frame.  A density's maps
     are read in its own frame, and the density is built once, in the job's."""
     with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
+        obj = _parse_json(fh.read(), "fixture")
     kind = _validate_fixture(obj)
     if kind == "density":
         own = fixture_frame(obj, None)
@@ -220,7 +238,7 @@ def load_fixture(path: str, override: SliceFrame | None) -> Fixture:
 def parse_frame(spec: str | None) -> SliceFrame | None:
     if spec is None or spec == "standard":
         return None
-    obj = json.loads(spec)
+    obj = _parse_json(spec, "--frame")
     _validate_frame(obj, "--frame")
     return SliceFrame.from_json(obj)
 

@@ -64,11 +64,3 @@ class RouteMismatch(QopucError):
 
 class DegreeTooSmall(QopucError):
     """Reversal requested at a degree below the polynomial degree."""
-
-
-class NotMonic(QopucError):
-    """Companion-matrix construction requires a monic polynomial."""
-
-
-class OnBoundary(QopucError):
-    """Evaluation point lies (numerically) on the unit sphere boundary."""

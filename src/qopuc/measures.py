@@ -1,10 +1,10 @@
 """Moment sequences, quaternionic Toeplitz forms, and computable measures.
 
-Measures appear only through computable surrogates: finite moment horizons,
-finitely supported Fourier densities, and finite atom lists.  Moments follow
-the convention c_n = integral of e^{i n theta} d mu(theta).  A density is
-held as its moments c_n on its support n >= 0, the same in every slice frame;
-in a frame they split as c_n = w1_{-n} + w2_{-n} j, and the 2x2 matrix form
+Measures appear only through computable surrogates: finite moment horizons
+and finitely supported Fourier densities.  Moments follow the convention
+c_n = integral of e^{i n theta} d mu(theta).  A density is held as its
+moments c_n on its support n >= 0, the same in every slice frame; in a frame
+they split as c_n = w1_{-n} + w2_{-n} j, and the 2x2 matrix form
 
     W(theta) = [[w1(theta),        w2(theta)],
                 [conj(w2(theta)),  w1(-theta)]]
@@ -162,7 +162,8 @@ def require_nontrivial(c: MomentSequence, n: int, pivot_tol: float = PIVOT_TOL
     holding degree m zero-padded.  Step m reads gamma_m off one inner product
     each, num = sum_k c_{k+1} phi_k and den = sum_k c_k rev(psi)_k, as
     gamma = den^{-1} num (the right family phi_{m+1} is orthogonal to 1), then
-    advances both families in ``szego_advance``'s factor order:
+    advances both families, with the factor order fixed by the moment
+    convention c_n = int e^{in t} dmu:
 
         phi <- r^{-1} (p phi - rev(psi) gamma),  psi <- r^{-1} (psi p - gamma rev(phi)).
 
@@ -341,27 +342,6 @@ def moments_from_density(d: QPositiveDensity, N: int) -> MomentSequence:
     keep = d.index <= N
     arr[d.index[keep]] = d.coeffs[keep]
     return MomentSequence(arr)
-
-
-@dataclass(frozen=True)
-class AtomicQMeasure:
-    """A finite atom list (theta_m, weight_m); degenerate test fixtures."""
-
-    atoms: tuple
-
-    def __post_init__(self):
-        total = qarr_from([w for _, w in self.atoms]).sum(axis=0)
-        if qarr_abs(total - (1.0, 0.0, 0.0, 0.0)) > 1e-9:
-            raise ValueError("atom weights must sum to 1 (c_0 normalisation)")
-
-
-def moments_from_atoms(a: AtomicQMeasure, N: int,
-                       frame: SliceFrame | None = None) -> MomentSequence:
-    """c_n = sum_m e^{i n theta_m} weight_m, the exponential in the frame."""
-    frame = frame or SliceFrame.standard()
-    thetas = np.array([theta for theta, _ in a.atoms])
-    phase = _from_frame_coords(np.exp(1j * np.arange(N + 1)[:, None] * thetas), 0j, frame)
-    return MomentSequence(qarr_mul(phase, qarr_from([w for _, w in a.atoms])).sum(axis=1))
 
 
 def matrix_moments(c: MomentSequence, frame: SliceFrame | None = None,

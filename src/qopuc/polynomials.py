@@ -1,5 +1,5 @@
-"""Quaternionic polynomial spaces, inner products, orthonormal families,
-and the Szego recurrences.
+"""Quaternionic polynomial spaces, orthonormal families, and the two routes
+from moments to Verblunsky coefficients.
 
 Two polynomial spaces appear: QPolyL holds sums p^k phi_k (coefficients on
 the right of the powers), QPolyR holds sums phi_k p^k.  A polynomial is
@@ -9,18 +9,15 @@ objects for the API and evaluation takes and returns them.  Right-orthonormal
 polynomials live in the first space, left-orthonormal in the second; both
 families and their Verblunsky coefficients come from one run of the paired
 Szego recurrences on the moments (``measures.require_nontrivial``), kept as
-coefficient rows until a family is read.  ``szego_advance`` runs the same
-recurrences on polynomials, all four sequences (both families and their
-reverses) from given coefficients; the Verblunsky coefficient entering them
-equals the coefficient stripped by the matrix Schur algorithm of the
-embedded moments, and the two extraction routes are cross-checked on every
-call of ``verblunsky_from_moments_q``.
+coefficient rows until a family is read.  The Verblunsky coefficients those
+recurrences read off equal the ones the matrix Schur algorithm strips from
+the embedded moments, and the two extraction routes are cross-checked on
+every call of ``verblunsky_from_moments_q``.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,12 +25,9 @@ import numpy as np
 from .errors import DegreeTooSmall, NotContraction, NotInImage, RouteMismatch
 from .matrix_opuc import CONTRACTION_MARGIN, MatVerblunskySeq, alphas_from_moments, \
     moments_from_alphas
-from .measures import (
-    PIVOT_TOL, MomentSequence, matrix_moments, require_nontrivial, toeplitz,
-)
+from .measures import PIVOT_TOL, MomentSequence, matrix_moments, require_nontrivial
 from .quaternions import (
-    Quaternion, SliceFrame, _coerce, chi, chi_inv, qarr_abs, qarr_conj, qarr_from,
-    qarr_mul, qarr_norm_sq, qmul_parts,
+    Quaternion, SliceFrame, _coerce, chi, chi_inv, qarr_abs, qarr_conj, qarr_from, qmul_parts,
 )
 
 ROUTE_TOL = 1e-8
@@ -126,11 +120,6 @@ class QPolyR(_QPolyBase):
         return eval_R(self, p)
 
 
-def poly_from_json(obj):
-    cls = QPolyL if obj["space"] == "L" else QPolyR
-    return cls(obj["coeffs"])
-
-
 def _horner(coeffs, p, left: bool) -> tuple:
     """Horner's rule on component tuples: ``coeffs`` iterates over the
     coefficients as (w, x, y, z), constant first, and ``p`` is one such
@@ -173,23 +162,6 @@ def eval_norm_sq(polys, points: np.ndarray) -> np.ndarray:
                            (len(polys), len(points)))
 
 
-def _star_coeffs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """c_l = sum over alpha ascending of a_alpha b_{l-alpha}, from 0.0."""
-    out = np.zeros((len(a) + len(b) - 1, 4))
-    for alpha in range(len(a)):
-        out[alpha: alpha + len(b)] += qarr_mul(a[alpha], b)
-    return out
-
-
-def star_mul_L(phi: QPolyL, psi: QPolyL) -> QPolyL:
-    """Coefficient convolution c_l = sum_{a+b=l} phi_a psi_b (order fixed)."""
-    return QPolyL(_star_coeffs(phi.arr, psi.arr))
-
-
-def star_mul_R(phi: QPolyR, psi: QPolyR) -> QPolyR:
-    return QPolyR(_star_coeffs(phi.arr, psi.arr))
-
-
 def _reversed_coeffs(poly, n: int) -> np.ndarray:
     """conj(poly_{n-k}) for k = 0..n, the polynomial zero-padded to degree n."""
     if n < poly.degree:
@@ -205,31 +177,6 @@ def reverse_L(phi: QPolyL, n: int) -> QPolyR:
 def reverse_R(psi: QPolyR, m: int) -> QPolyL:
     """psi^#(p) = p^m conj(psi(1/conj p)); k-th coefficient conj(psi_{m-k})."""
     return QPolyL(_reversed_coeffs(psi, m))
-
-
-# ---------------------------------------------------------------------
-# inner products
-# ---------------------------------------------------------------------
-
-def inner_R(phi: QPolyL, psi: QPolyL, c: MomentSequence) -> Quaternion:
-    """<phi, psi>_R = psi_hat^* T_N(c) phi_hat (right-linear in phi).
-
-    Coefficient vectors are zero-padded to the longer degree.
-    """
-    n = max(phi.degree, psi.degree)
-    a, b = _padded(phi.arr, n + 1), _padded(psi.arr, n + 1)
-    T = toeplitz(c, n).swapaxes(0, 1)   # T[k, l] = c_{k-l}; row l pairs psi_l
-    tphi = qarr_mul(T, a[:, None]).sum(axis=0)
-    return Quaternion.from_array(qarr_mul(qarr_conj(b), tphi).sum(axis=0))
-
-
-def inner_L(phi: QPolyR, psi: QPolyR, c: MomentSequence) -> Quaternion:
-    """<phi, psi>_L = sum_{k,l} phi_k c_{k-l} conj(psi_l) (left-linear in phi)."""
-    n = max(phi.degree, psi.degree)
-    a, b = _padded(phi.arr, n + 1), _padded(psi.arr, n + 1)
-    T = toeplitz(c, n).swapaxes(0, 1)
-    left = qarr_mul(a[:, None], T).sum(axis=0)
-    return Quaternion.from_array(qarr_mul(left, qarr_conj(b)).sum(axis=0))
 
 
 # ---------------------------------------------------------------------
@@ -280,13 +227,13 @@ def orthonormal_polys(c: MomentSequence, N: int,
 
 
 # ---------------------------------------------------------------------
-# Verblunsky coefficients and the paired Szego recurrences
+# Verblunsky coefficients
 # ---------------------------------------------------------------------
 
 class VerblunskySeq:
     """Quaternions with |gamma_n| < 1 - 1e-12, stored as a read-only (n, 4)
     array ``arr``; indexing, iteration and ``gammas`` hand out ``Quaternion``
-    objects for the API, ``moduli()`` and ``r`` = sqrt(1 - |gamma|^2) arrays."""
+    objects for the API, ``moduli()`` the array of |gamma_n|."""
 
     __slots__ = ("arr",)
 
@@ -315,74 +262,11 @@ class VerblunskySeq:
     def gammas(self) -> tuple:
         return tuple(Quaternion(*row) for row in self.arr.tolist())
 
-    @property
-    def r(self) -> np.ndarray:
-        return np.sqrt(1.0 - qarr_norm_sq(self.arr))
-
     def moduli(self) -> np.ndarray:
         return qarr_abs(self.arr)
 
     def to_json(self):
         return self.arr.tolist()
-
-
-@dataclass(frozen=True)
-class SzegoState:
-    """The four intertwined sequences at a common degree.
-
-    left, right_rev live in H[p]^R; right, left_rev in H[p]^L.
-    """
-
-    left: QPolyR
-    right: QPolyL
-    left_rev: QPolyL
-    right_rev: QPolyR
-
-    @classmethod
-    def initial(cls) -> "SzegoState":
-        one_l = QPolyL([Quaternion(1.0)])
-        one_r = QPolyR([Quaternion(1.0)])
-        return cls(left=one_r, right=one_l, left_rev=one_l, right_rev=one_r)
-
-
-def szego_advance(state: SzegoState, gamma: Quaternion) -> SzegoState:
-    """One step of the paired recurrences.
-
-        psi_{n+1}^L     = r^-1 (psi_n^L p - gamma psi_n^{R,#})
-        psi_{n+1}^R     = r^-1 (p psi_n^R - psi_n^{L,#} gamma)
-        psi_{n+1}^{L,#} = r^-1 (psi_n^{L,#} - p psi_n^R conj(gamma))
-        psi_{n+1}^{R,#} = r^-1 (psi_n^{R,#} - conj(gamma) psi_n^L p)
-
-    The factor order is fixed by the moment convention c_n = int e^{in t} dmu;
-    the maintained reverses stay equal to the degree-matched reversals of the
-    first two sequences.
-    """
-    g = qarr_from([gamma])[0]
-    nsq = float(qarr_norm_sq(g))
-    if not math.sqrt(nsq) < 1.0 - CONTRACTION_MARGIN:   # also rejects NaN
-        raise NotContraction("gamma is not a strict contraction")
-    r_inv = 1.0 / math.sqrt(1.0 - nsq)
-    gbar = qarr_conj(g)
-    shift_l = state.left.shift().arr      # psi_n^L p  in H[p]^R
-    shift_r = state.right.shift().arr     # p psi_n^R  in H[p]^L
-    right_rev = _padded(state.right_rev.arr, len(shift_l))
-    left_rev = _padded(state.left_rev.arr, len(shift_r))
-    new_left = QPolyR((shift_l - qarr_mul(g, right_rev)) * r_inv)
-    new_right = QPolyL((shift_r - qarr_mul(left_rev, g)) * r_inv)
-    new_left_rev = QPolyL((left_rev - qarr_mul(shift_r, gbar)) * r_inv)
-    new_right_rev = QPolyR((right_rev - qarr_mul(gbar, shift_l)) * r_inv)
-    return SzegoState(left=new_left, right=new_right,
-                      left_rev=new_left_rev, right_rev=new_right_rev)
-
-
-def szego_family(gammas: VerblunskySeq, N: int):
-    """States 0..N generated from the Verblunsky coefficients."""
-    if len(gammas) < N:
-        raise ValueError(f"need {N} coefficients, got {len(gammas)}")
-    states = [SzegoState.initial()]
-    for n in range(N):
-        states.append(szego_advance(states[n], gammas.arr[n]))
-    return states
 
 
 @dataclass(frozen=True)

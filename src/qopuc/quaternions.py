@@ -136,10 +136,8 @@ def _coerce(value) -> Quaternion:
     raise TypeError(f"cannot interpret {value!r} as a quaternion")
 
 
-ONE = Quaternion(1.0)
 QI = Quaternion(0.0, 1.0)
 QJ = Quaternion(0.0, 0.0, 1.0)
-QK = Quaternion(0.0, 0.0, 0.0, 1.0)
 
 
 def qmul_parts(a, b) -> tuple:
@@ -312,15 +310,6 @@ def qarr_from(values) -> np.ndarray:
         values = [v.to_array() if isinstance(v, Quaternion)
                   else (v, 0.0, 0.0, 0.0) if np.ndim(v) == 0 else v for v in values]
     return np.array(values, dtype=float).reshape(-1, 4)
-
-
-def qmat_mul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Product of quaternion matrices stored as (n, m, 4) arrays."""
-    return qarr_mul(A[:, :, None], B[None]).sum(axis=1)
-
-
-def qmat_conj_T(A: np.ndarray) -> np.ndarray:
-    return qarr_conj(np.swapaxes(A, 0, 1))
 
 
 def _frame_coords(A: np.ndarray, frame: SliceFrame):

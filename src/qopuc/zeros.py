@@ -4,8 +4,9 @@ Two independent routes to the slice zero set of a quaternionic polynomial
 are kept deliberately: Aberth-Ehrlich on the determinant of the embedded
 coefficient polynomial, and LAPACK eigenvalues of the embedded companion
 matrix.  Their agreement is asserted on every call; it is the computable
-content of the zero-set theorems.  Monic normalisation and the companion
-matrices are operations on the polynomials' (n+1, 4) coefficient arrays.
+content of the zero-set theorems.  Both routes start from one private
+builder, ``_companion``, which makes a polynomial monic and forms its
+companion matrix on the (n+1, 4) coefficient array.
 
 A ``zeros`` job checks all its polynomials in one ``zero_slice`` call: one
 simultaneous Aberth run roots every determinant polynomial of the job
@@ -22,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NoConvergence, NotMonic, RouteMismatch
+from .errors import NoConvergence, RouteMismatch
 from .polynomials import ROUTE_TOL, OrthonormalFamily, QPolyL, QPolyR, reverse_L, reverse_R
 from .quaternions import SliceFrame, chi, qarr_inv, qarr_mul, right_eigen_slice
 
@@ -252,57 +253,34 @@ def det_poly(P: np.ndarray) -> np.ndarray:
 _ONE = np.array([1.0, 0.0, 0.0, 0.0])
 
 
-def _companion(psi) -> tuple[int, np.ndarray]:
-    """Degree and a zero (n, n, 4) matrix for a monic psi of degree >= 1."""
-    n = psi.degree
-    if n < 1:
-        raise NotMonic("degree must be at least 1")
-    if not (psi.arr[n] == _ONE).all():
-        raise NotMonic("leading coefficient must be exactly 1")
-    return n, np.zeros((n, n, 4))
+def _companion(psi) -> tuple[np.ndarray, np.ndarray] | None:
+    """The monic form of psi and its (n, n, 4) companion matrix; None below
+    degree 1.
 
-
-def companion_left(psi: QPolyL) -> np.ndarray:
-    """Companion matrix (subdiagonal ones, last column -coefficients).
-
-    The polynomial must be monic: callers pre-divide on the zero-preserving
-    side (see monic_left).
+    The leading coefficient is divided out on the zero-preserving side: for
+    QPolyL (coefficients right of the powers) every coefficient is
+    right-multiplied by its inverse, which multiplies all values on the right
+    and so fixes the zero set; for QPolyR it is left-multiplied.  The
+    companion matrix of QPolyL has subdiagonal ones and the last column
+    -coefficients, its mirror for QPolyR superdiagonal ones and the bottom
+    row -coefficients.
     """
-    n, A = _companion(psi)
-    A[np.arange(1, n), np.arange(n - 1), 0] = 1.0
-    A[:, n - 1] = -psi.arr[:n]
-    return A
-
-
-def companion_right(psi: QPolyR) -> np.ndarray:
-    """Mirror form: superdiagonal ones, bottom row -coefficients."""
-    n, A = _companion(psi)
-    A[np.arange(n - 1), np.arange(1, n), 0] = 1.0
-    A[n - 1] = -psi.arr[:n]
-    return A
-
-
-def _monic(psi, left: bool) -> np.ndarray:
-    lead = psi.arr[psi.degree]
+    n, left = psi.degree, isinstance(psi, QPolyL)
+    lead = psi.arr[n]
     if (lead * lead).sum() == 0.0:   # as Quaternion.inverse: |lead|^2 underflows
         raise ZeroDivisionError("zero quaternion has no inverse")
+    if n < 1:
+        return None
     inv = qarr_inv(lead)
     body = qarr_mul(psi.arr[:-1], inv) if left else qarr_mul(inv, psi.arr[:-1])
-    return np.concatenate([body, _ONE[None]])
-
-
-def monic_left(psi: QPolyL) -> QPolyL:
-    """Divide out the leading coefficient on the zero-preserving side.
-
-    For coefficients sitting right of the powers, right-multiplying every
-    coefficient by the inverse leading coefficient multiplies all values on
-    the right and so fixes the zero set.
-    """
-    return QPolyL(_monic(psi, left=True))
-
-
-def monic_right(psi: QPolyR) -> QPolyR:
-    return QPolyR(_monic(psi, left=False))
+    A = np.zeros((n, n, 4))
+    if left:
+        A[np.arange(1, n), np.arange(n - 1), 0] = 1.0
+        A[:, n - 1] = -body
+    else:
+        A[np.arange(n - 1), np.arange(1, n), 0] = 1.0
+        A[n - 1] = -body
+    return np.concatenate([body, _ONE[None]]), A
 
 
 @dataclass(frozen=True)
@@ -367,13 +345,11 @@ def _slice_problem(psi, frame: SliceFrame):
     constant."""
     if not isinstance(psi, (QPolyL, QPolyR)):
         raise TypeError("expected QPolyL or QPolyR")
-    left_space = isinstance(psi, QPolyL)
-    psi = _numeric_trim(psi)
-    monic = monic_left(psi) if left_space else monic_right(psi)
-    if monic.degree < 1:
+    built = _companion(_numeric_trim(psi))
+    if built is None:
         return None
-    comp = companion_left(monic) if left_space else companion_right(monic)
-    image = chi(monic.arr, frame)
+    monic, comp = built
+    image = chi(monic, frame)
     if image[:, 0, 1].any():
         return comp, det_poly(image), False
     return comp, image[:, 0, 0], True
@@ -419,7 +395,7 @@ def zero_slice(polys, frame: SliceFrame, route_tol: float = ROUTE_TOL) -> list[Z
     for psi in polys:
         try:
             problems.append(_slice_problem(psi, frame))
-        except (TypeError, ValueError, ZeroDivisionError, NotMonic) as exc:
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
             # raised after the polynomials before it are checked
             pending = exc
             break

@@ -1,12 +1,25 @@
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
+from qopuc.analysis import _kernel
+from qopuc.errors import NotContraction, NotPositiveDefinite
 from qopuc.fixtures import random_gamma_seq
-from qopuc.matrix_opuc import sqrtm_herm2
-from qopuc.polynomials import moments_from_verblunsky_q
-from qopuc.quaternions import Quaternion, SliceFrame, chi
+from qopuc.matrix_opuc import CONTRACTION_MARGIN, sqrtm_herm2
+from qopuc.measures import toeplitz
+from qopuc.polynomials import (
+    QPolyL, QPolyR, _padded, eval_norm_sq, moments_from_verblunsky_q, orthonormal_polys,
+)
+from qopuc.quaternions import (
+    Quaternion, SliceFrame, chi, qarr_conj, qarr_from, qarr_mul, qarr_norm_sq,
+)
+
+ONE = Quaternion(1.0)
+QK = Quaternion(0.0, 0.0, 0.0, 1.0)
 
 
 def fourier_values(coeffs, thetas):
@@ -226,8 +239,6 @@ def ldl_pairs(c, n, pivot_tol=1e-12, transpose=False):
     """Square-root-free LDL* of T_n(c) (or its transpose), eliminating on
     (..., 2) complex pairs q = z1 + z2 j; NotPositiveDefinite names the first
     pivot at most ``pivot_tol``."""
-    from qopuc.errors import NotPositiveDefinite
-    from qopuc.measures import toeplitz
     T = toeplitz(c, n)
     A = np.ascontiguousarray(T.swapaxes(0, 1) if transpose else T).view(complex)
     L = np.zeros_like(A)
@@ -255,7 +266,127 @@ def inverse_rows_pairs(L, d):
 
 def family_rows_pairs(c, N):
     """The (N+1, N+1, 4) rows of the right and left orthonormal families."""
-    from qopuc.quaternions import qarr_conj
     rows_r = qarr_conj(inverse_rows_pairs(*ldl_pairs(c, N))) + 0.0
     rows_l = inverse_rows_pairs(*ldl_pairs(c, N, transpose=True))
     return rows_r, rows_l
+
+
+# ---- quaternion matrices, star products, the inner products, the Szego
+# recurrences on polynomials and the CD kernel at one point: the tests'
+# builders and oracles, which no command calls ----
+
+def qmat_mul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Product of quaternion matrices stored as (n, m, 4) arrays."""
+    return qarr_mul(A[:, :, None], B[None]).sum(axis=1)
+
+
+def qmat_conj_T(A: np.ndarray) -> np.ndarray:
+    return qarr_conj(np.swapaxes(A, 0, 1))
+
+
+def _star_coeffs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """c_l = sum over alpha ascending of a_alpha b_{l-alpha}, from 0.0."""
+    out = np.zeros((len(a) + len(b) - 1, 4))
+    for alpha in range(len(a)):
+        out[alpha: alpha + len(b)] += qarr_mul(a[alpha], b)
+    return out
+
+
+def star_mul_L(phi: QPolyL, psi: QPolyL) -> QPolyL:
+    """Coefficient convolution c_l = sum_{a+b=l} phi_a psi_b (order fixed):
+    the product whose zeros are planted one linear factor at a time."""
+    return QPolyL(_star_coeffs(phi.arr, psi.arr))
+
+
+def star_mul_R(phi: QPolyR, psi: QPolyR) -> QPolyR:
+    return QPolyR(_star_coeffs(phi.arr, psi.arr))
+
+
+def inner_R(phi: QPolyL, psi: QPolyL, c) -> Quaternion:
+    """<phi, psi>_R = psi_hat^* T_N(c) phi_hat (right-linear in phi).
+
+    Coefficient vectors are zero-padded to the longer degree.
+    """
+    n = max(phi.degree, psi.degree)
+    a, b = _padded(phi.arr, n + 1), _padded(psi.arr, n + 1)
+    T = toeplitz(c, n).swapaxes(0, 1)   # T[k, l] = c_{k-l}; row l pairs psi_l
+    tphi = qarr_mul(T, a[:, None]).sum(axis=0)
+    return Quaternion.from_array(qarr_mul(qarr_conj(b), tphi).sum(axis=0))
+
+
+def inner_L(phi: QPolyR, psi: QPolyR, c) -> Quaternion:
+    """<phi, psi>_L = sum_{k,l} phi_k c_{k-l} conj(psi_l) (left-linear in phi)."""
+    n = max(phi.degree, psi.degree)
+    a, b = _padded(phi.arr, n + 1), _padded(psi.arr, n + 1)
+    T = toeplitz(c, n).swapaxes(0, 1)
+    left = qarr_mul(a[:, None], T).sum(axis=0)
+    return Quaternion.from_array(qarr_mul(left, qarr_conj(b)).sum(axis=0))
+
+
+@dataclass(frozen=True)
+class SzegoState:
+    """The four intertwined sequences at a common degree.
+
+    left, right_rev live in H[p]^R; right, left_rev in H[p]^L.
+    """
+
+    left: QPolyR
+    right: QPolyL
+    left_rev: QPolyL
+    right_rev: QPolyR
+
+    @classmethod
+    def initial(cls) -> "SzegoState":
+        one_l = QPolyL([Quaternion(1.0)])
+        one_r = QPolyR([Quaternion(1.0)])
+        return cls(left=one_r, right=one_l, left_rev=one_l, right_rev=one_r)
+
+
+def szego_advance(state: SzegoState, gamma) -> SzegoState:
+    """One step of the paired recurrences on polynomials.
+
+        psi_{n+1}^L     = r^-1 (psi_n^L p - gamma psi_n^{R,#})
+        psi_{n+1}^R     = r^-1 (p psi_n^R - psi_n^{L,#} gamma)
+        psi_{n+1}^{L,#} = r^-1 (psi_n^{L,#} - p psi_n^R conj(gamma))
+        psi_{n+1}^{R,#} = r^-1 (psi_n^{R,#} - conj(gamma) psi_n^L p)
+
+    The factor order is fixed by the moment convention c_n = int e^{in t} dmu;
+    the maintained reverses stay equal to the degree-matched reversals of the
+    first two sequences.
+    """
+    g = qarr_from([gamma])[0]
+    nsq = float(qarr_norm_sq(g))
+    if not math.sqrt(nsq) < 1.0 - CONTRACTION_MARGIN:   # also rejects NaN
+        raise NotContraction("gamma is not a strict contraction")
+    r_inv = 1.0 / math.sqrt(1.0 - nsq)
+    gbar = qarr_conj(g)
+    shift_l = state.left.shift().arr      # psi_n^L p  in H[p]^R
+    shift_r = state.right.shift().arr     # p psi_n^R  in H[p]^L
+    right_rev = _padded(state.right_rev.arr, len(shift_l))
+    left_rev = _padded(state.left_rev.arr, len(shift_r))
+    new_left = QPolyR((shift_l - qarr_mul(g, right_rev)) * r_inv)
+    new_right = QPolyL((shift_r - qarr_mul(left_rev, g)) * r_inv)
+    new_left_rev = QPolyL((left_rev - qarr_mul(shift_r, gbar)) * r_inv)
+    new_right_rev = QPolyR((right_rev - qarr_mul(gbar, shift_l)) * r_inv)
+    return SzegoState(left=new_left, right=new_right,
+                      left_rev=new_left_rev, right_rev=new_right_rev)
+
+
+def szego_family(gammas, N: int):
+    """States 0..N generated from the Verblunsky coefficients."""
+    if len(gammas) < N:
+        raise ValueError(f"need {N} coefficients, got {len(gammas)}")
+    states = [SzegoState.initial()]
+    for n in range(N):
+        states.append(szego_advance(states[n], gammas.arr[n]))
+    return states
+
+
+def cd_kernel_diag(c, N: int, p: Quaternion) -> float:
+    """K_N(p) = sum_{l<=N} |psi_l^L(p)|^2 + |psi_l^R(p)|^2, at one point off
+    the unit sphere."""
+    fam = orthonormal_polys(c, N)
+    point = p.to_array()[None, :]
+    in_r = eval_norm_sq(fam.left[: N + 1], point)
+    in_l = eval_norm_sq(fam.right[: N + 1], point)
+    return float(_kernel(in_r + in_l, N)[0])

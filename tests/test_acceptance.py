@@ -14,8 +14,7 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 
-from qopuc.analysis import baxter_check, cd_identity_check, cd_kernel_diag, sv_check, \
-    szego_entropy
+from qopuc.analysis import baxter_check, cd_identity_check, sv_check, szego_entropy
 from qopuc.cli import main as cli_main
 from qopuc.fixtures import (
     bernstein_szego_density, lebesgue_density, random_gamma_seq,
@@ -24,11 +23,14 @@ from qopuc.fixtures import (
 from qopuc.matrix_opuc import MatVerblunskySeq, defects, moments_from_alphas
 from qopuc.measures import QPositiveDensity, matrix_moments, moments_from_density
 from qopuc.polynomials import (
-    moments_from_verblunsky_q, orthonormal_polys, inner_L, inner_R, reverse_L, reverse_R, verblunsky_from_moments_q,
+    moments_from_verblunsky_q, orthonormal_polys, reverse_L, reverse_R, verblunsky_from_moments_q,
 )
 from qopuc.quaternions import Quaternion, SliceFrame, chi, chi_mat
 from qopuc.zeros import zeros_theorem_check
-from conftest import block_permutation, blockwise_chi, matrix_gram_schmidt, random_quaternion
+from conftest import (
+    block_permutation, blockwise_chi, cd_kernel_diag, inner_L, inner_R, matrix_gram_schmidt,
+    random_quaternion,
+)
 
 FIXDIR = Path(__file__).resolve().parent.parent / "fixtures"
 EYE2 = np.eye(2, dtype=complex)

@@ -7,10 +7,9 @@ import numpy as np
 import pytest
 
 from qopuc.analysis import (
-    _diverging_over_horizon, baxter_check, cd_identity_check, cd_kernel_diag, sv_check,
+    _diverging_over_horizon, baxter_check, cd_identity_check, sv_check,
     szego_entropy,
 )
-from qopuc.errors import OnBoundary
 from qopuc.fixtures import (
     bernstein_szego_density, lebesgue_density, random_gamma_seq, smooth_trig_density,
     vanishing_density,
@@ -18,7 +17,7 @@ from qopuc.fixtures import (
 from qopuc.measures import QPositiveDensity, moments_from_density
 from qopuc.polynomials import VerblunskySeq, _gammas_via_matrix, orthonormal_polys
 from qopuc.quaternions import Quaternion, SliceFrame
-from conftest import random_moment_fixture, random_unit_ball_quaternion
+from conftest import cd_kernel_diag, random_moment_fixture, random_unit_ball_quaternion
 
 
 def test_cd_kernel_base_case(rng):
@@ -35,12 +34,6 @@ def test_cd_kernel_lebesgue_closed_form(rng):
         N = 5
         expected = 2.0 * sum(p.norm_sq() ** l for l in range(N + 1))
         assert abs(cd_kernel_diag(c, N, p) - expected) < 1e-10 * expected
-
-
-def test_cd_kernel_boundary_rejected():
-    c = moments_from_density(lebesgue_density(), 4)
-    with pytest.raises(OnBoundary):
-        cd_kernel_diag(c, 2, Quaternion(0.6, 0.8, 0, 0))
 
 
 def test_cd_identity_lebesgue():

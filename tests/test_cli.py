@@ -168,6 +168,48 @@ def test_density_index_beyond_int64_rejected_at_load(tmp_path):
         "message": f"w1[1] index must be below 2**63 in magnitude, got {2 ** 63}"}
 
 
+DEEP_JSON = "[" * 100000 + "]" * 100000
+HUGE_GAMMA = {"gammas": [[10 ** 400, 0, 0, 0]]}
+
+
+def test_deeply_nested_json_is_a_typed_error(tmp_path):
+    # the parser's RecursionError once escaped main: a traceback and exit 1
+    deep = tmp_path / "deep.json"
+    deep.write_text(DEEP_JSON)
+    code, out = run(tmp_path, "moments-to-verblunsky", str(deep), "--n", "2")
+    assert code == 2
+    assert json.loads(out)["error"] == {"type": "ValueError",
+                                        "message": "fixture JSON nests too deeply to parse"}
+    code, out = run(tmp_path, "random-gamma", "--n", "2", "--frame", "[" * 100000)
+    assert code == 2
+    assert json.loads(out)["error"] == {"type": "ValueError",
+                                        "message": "--frame JSON nests too deeply to parse"}
+
+
+@pytest.mark.parametrize("obj, field", [
+    (HUGE_GAMMA, "gammas[0]"),
+    ({"frame": STANDARD_FRAME, "w1": [[0, 10 ** 400, 0]]}, "w1[0]"),
+    ({"frame": STANDARD_FRAME, "w1": [[0, 1, 0], [10 ** 400, 0.1, 0]]}, "w1[1]"),
+    ({"frame": {"i": [0, 10 ** 400, 0, 0], "j": [0, 0, 1, 0]}, "w1": [[0, 1, 0]]}, "frame.i"),
+    ({"moments": [[0, [1, 0, 0, 0]], [1, [10 ** 400, 0, 0, 0]]]}, "moments[1][1]"),
+    (None, "--frame.i"),
+], ids=["gamma", "w1-value", "w1-index", "frame", "moment", "frame-flag"])
+def test_integer_beyond_float_range_is_a_typed_error(tmp_path, obj, field):
+    # math.isfinite raised OverflowError on such an integer: a traceback and
+    # exit 1
+    if obj is None:
+        frame = json.dumps({"i": [0, 10 ** 400, 0, 0], "j": [0, 0, 1, 0]})
+        code, out = run(tmp_path, "random-gamma", "--n", "2", "--frame", frame)
+    else:
+        fixture = tmp_path / "huge.json"
+        fixture.write_text(json.dumps(obj))
+        code, out = run(tmp_path, "moments-to-verblunsky", str(fixture), "--n", "1")
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["type"] == "ValueError"
+    assert error["message"].startswith(f"{field} must be a list of ")
+
+
 def test_unwritable_out_is_a_typed_error(tmp_path, capsys):
     # writing the report, or the error report, to such a path once raised out
     # of main: a traceback and exit 1
@@ -502,9 +544,9 @@ def test_family_readers_get_the_pair_form_rows(tmp_path, monkeypatch, argv):
     # of the interleaved-pair LDL* and of the polynomial recurrences run from
     # route A's gammas, to 5e-14 and 5e-15 (measured worst, both on
     # random_gamma_7: 1.7e-14 and 1.3e-15)
-    from conftest import family_rows_pairs
+    from conftest import family_rows_pairs, szego_family
     from qopuc import analysis, cli
-    from qopuc.polynomials import _gammas_via_matrix, szego_family
+    from qopuc.polynomials import _gammas_via_matrix
     from qopuc.quaternions import SliceFrame
 
     seen = []
@@ -891,8 +933,9 @@ def _fuzz_fixtures():
     """The shipped fixtures, two moment fixtures of horizon 6, one with a
     frame (moments read off Bernstein-Szego) and one without, the two
     repeated-index fixtures, a w2-only density, a fixture that holds both
-    a density and moments, a density with w1_0 = 2, an empty moment list and
-    a density with indices +-10^9."""
+    a density and moments, a density with w1_0 = 2, an empty moment list, a
+    density with indices +-10^9, a gamma of 10^400 and, as raw text, 100000
+    nested lists."""
     from qopuc.fixtures import bernstein_szego_density
     from qopuc.measures import moments_from_density
     from conftest import random_moment_fixture
@@ -909,6 +952,8 @@ def _fuzz_fixtures():
     fixtures["unnormalised.json"] = UNNORMALISED
     fixtures["empty_moments.json"] = EMPTY_MOMENTS
     fixtures["far_index.json"] = FAR_INDEX
+    fixtures["huge_gamma.json"] = HUGE_GAMMA
+    fixtures["deep.json"] = DEEP_JSON
     return fixtures
 
 
@@ -926,8 +971,12 @@ def test_cli_fuzz_exit_codes(tmp_path):
     for case in range(200):
         command = FUZZ_COMMANDS[case % len(FUZZ_COMMANDS)]
         name = str(rng.choice(list(fixtures)))
-        obj = _fuzz_fixture(fixtures[name], rng)
-        fixture.write_text(json.dumps(obj))
+        obj = fixtures[name]
+        if isinstance(obj, str):   # raw text, written as it is
+            fixture.write_text(obj)
+        else:
+            obj = _fuzz_fixture(obj, rng)
+            fixture.write_text(json.dumps(obj))
         argv = [command] + ([] if command == "random-gamma" else [str(fixture)])
         argv += ["--n", str(int(rng.integers(1, 10))), "--seed", str(int(rng.integers(100)))]
         argv += _fuzz_frame(rng)

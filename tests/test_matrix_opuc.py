@@ -221,7 +221,7 @@ def test_leading_term_law(rng):
 
 
 # ---- matrix Szego recurrences for embedding-image coefficients: the
-# chi-side oracle for polynomials.szego_advance ----
+# chi-side oracle for conftest.szego_advance ----
 
 def require_chi_image(alpha, tol=1e-10):
     residual = chi_image_residual(np.asarray(alpha, dtype=complex))
@@ -483,7 +483,7 @@ def test_route_a_vanishing_density_closed_form_n400():
 
 def test_szego_advance_matches_matrix_szego_recurrence(rng):
     # the quaternionic recurrence, embedded coefficientwise, is the matrix one
-    from qopuc.polynomials import SzegoState, szego_advance
+    from conftest import SzegoState, szego_advance
     from qopuc.quaternions import SliceFrame, chi
 
     frame = SliceFrame.standard()

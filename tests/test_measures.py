@@ -7,17 +7,14 @@ from qopuc.errors import HorizonExceeded, NotPositiveDefinite
 from qopuc.fixtures import bernstein_szego_density, lebesgue_density, \
     vanishing_density, smooth_trig_density
 from qopuc.measures import (
-    AtomicQMeasure, MomentSequence, QPositiveDensity, _det_herm2, _min_eig_herm2,
-    is_nontrivial,
-    matrix_moments, moments_from_atoms, moments_from_density, require_nontrivial,
-    toeplitz, wiener_coefficient_norm,
+    MomentSequence, QPositiveDensity, _det_herm2, _min_eig_herm2, is_nontrivial,
+    matrix_moments, moments_from_density, require_nontrivial, toeplitz,
+    wiener_coefficient_norm,
 )
-from qopuc.quaternions import (
-    QI, Quaternion, SliceFrame, chi, chi_mat, qarr_mul, qmat_conj_T, qmat_mul,
-)
+from qopuc.quaternions import QI, Quaternion, SliceFrame, chi, chi_mat, qarr_mul
 from conftest import (
     block_permutation, blockwise_chi, density_maps, fourier_values, from_split_scalar, qbytes,
-    random_moment_fixture, signed_zero_frames,
+    qmat_conj_T, qmat_mul, random_moment_fixture, signed_zero_frames,
 )
 
 
@@ -307,37 +304,6 @@ def test_density_psd_implies_nontrivial():
         c = moments_from_density(d, 8)
         for n in range(8):
             assert is_nontrivial(c, n).ok
-
-
-def test_moments_from_atoms_basic(frame):
-    one = AtomicQMeasure(((0.0, Quaternion(1.0)),))
-    c = moments_from_atoms(one, 5, frame)
-    for n in range(6):
-        assert abs(c[n] - Quaternion(1.0)) < 1e-15
-    two = AtomicQMeasure(((0.0, Quaternion(0.5)), (np.pi, Quaternion(0.5))))
-    c = moments_from_atoms(two, 6, frame)
-    for n in range(7):
-        expected = Quaternion(1.0 if n % 2 == 0 else 0.0)
-        assert abs(c[n] - expected) < 1e-12
-
-
-def test_moments_from_atoms_hermitian_symmetry(rng, frame):
-    # q-positive atomic fixture: real positive weights plus paired j-parts
-    thetas = rng.uniform(0.1, np.pi - 0.1, size=3)
-    w1 = rng.uniform(0.05, 0.3, size=3)
-    w2 = [Quaternion(0, 0, z[0], z[1]) * 0.05 for z in rng.normal(size=(3, 2))]
-    atoms = []
-    for t, a, b in zip(thetas, w1, w2):
-        atoms.append((float(t), Quaternion(a / 2) + b))
-        atoms.append((float(2 * np.pi - t), Quaternion(a / 2) - b))
-    weight_sum = Quaternion()
-    for _, w in atoms:
-        weight_sum = weight_sum + w
-    atoms[0] = (atoms[0][0], atoms[0][1] + (Quaternion(1.0) - weight_sum))
-    fixture = AtomicQMeasure(tuple(atoms))
-    c = moments_from_atoms(fixture, 8, frame)
-    for n in range(9):
-        assert abs(c[-n] - c[n].conjugate()) < 1e-12
 
 
 def test_matrix_moments(frame):

@@ -13,15 +13,14 @@ from qopuc.fixtures import (
 from qopuc.matrix_opuc import MatVerblunskySeq
 from qopuc.measures import MomentSequence, QPositiveDensity, matrix_moments, moments_from_density
 from qopuc.polynomials import (
-    QPolyL, QPolyR, SzegoState, VerblunskySeq, eval_L, eval_R, inner_L,
-    inner_R, moments_from_verblunsky_q, orthonormal_polys, poly_from_json,
-    reverse_L, reverse_R, star_mul_L, star_mul_R, szego_advance, szego_family, verblunsky_from_moments_q,
+    QPolyL, QPolyR, VerblunskySeq, eval_L, eval_R, moments_from_verblunsky_q, orthonormal_polys,
+    reverse_L, reverse_R, verblunsky_from_moments_q,
 )
-from qopuc.quaternions import QI, QJ, QK, Quaternion, SliceFrame, chi, chi_inv
+from qopuc.quaternions import QI, QJ, Quaternion, SliceFrame, chi, chi_inv
 from conftest import (
-    density_maps, family_rows_pairs, fourier_values, qbytes, qmul_scalar, random_moment_fixture,
-    random_quaternion, random_unit_ball_quaternion,
-    signed_zero_coeff_arrays,
+    QK, SzegoState, density_maps, family_rows_pairs, fourier_values, inner_L, inner_R, qbytes,
+    qmul_scalar, random_moment_fixture, random_quaternion, random_unit_ball_quaternion,
+    signed_zero_coeff_arrays, star_mul_L, star_mul_R, szego_advance, szego_family,
 )
 
 EYE2 = np.eye(2, dtype=complex)
@@ -130,9 +129,9 @@ def test_phi_maps_and_inverses(rng, frame):
 
 def test_poly_json_round_trip(rng):
     phi = QPolyL([random_quaternion(rng) for _ in range(3)])
-    assert poly_from_json(phi.to_json()) == phi
+    assert phi.to_json()["space"] == "L" and QPolyL(phi.to_json()["coeffs"]) == phi
     psi = QPolyR([random_quaternion(rng) for _ in range(3)])
-    assert poly_from_json(psi.to_json()) == psi
+    assert psi.to_json()["space"] == "R" and QPolyR(psi.to_json()["coeffs"]) == psi
 
 
 # ------------------------------ inner products -----------------------------
@@ -335,7 +334,7 @@ def test_szego_recurrence_residuals(rng):
     for n in range(10):
         g = gammas[n]
         gbar = g.conjugate()
-        r = gammas.r[n]
+        r = math.sqrt(1.0 - g.norm_sq())
         shift_l = fam.left[n].shift()
         shift_r = fam.right[n].shift()
         res = 0.0
@@ -395,7 +394,7 @@ def test_verblunsky_seq_validation():
     with pytest.raises(Exception):
         VerblunskySeq([Quaternion(1.0)])
     seq = VerblunskySeq([Quaternion(0.3, 0.4, 0, 0)])
-    assert abs(seq.r[0] - 0.8660254037844386) < 1e-15
+    assert abs(seq.moduli()[0] - 0.5) < 1e-15
 
 
 @pytest.mark.parametrize("bad", [Quaternion(float("nan")), Quaternion(0.0, float("inf")),
@@ -425,7 +424,6 @@ def test_verblunsky_seq_arrays_bitwise_equal_to_quaternion_values(rng):
     seq = VerblunskySeq(gammas)
     assert seq.arr.tobytes() == qbytes(gammas) and not seq.arr.flags.writeable
     assert seq.moduli().tobytes() == np.array([abs(g) for g in gammas]).tobytes()
-    assert seq.r.tobytes() == np.array([math.sqrt(1.0 - g.norm_sq()) for g in gammas]).tobytes()
     assert list(seq) == gammas and seq[3] == gammas[3] and seq.gammas == tuple(gammas)
     assert seq.to_json() == [g.to_json() for g in gammas]
 

@@ -5,12 +5,13 @@ import pytest
 
 from qopuc.errors import NotInImage
 from qopuc.quaternions import (
-    ONE, QI, QJ, QK, Quaternion, SliceFrame, _from_frame_coords, chi, chi_inv, chi_mat,
-    qarr_abs, qarr_mul, qmat_mul, right_eigen_slice,
+    QI, QJ, Quaternion, SliceFrame, _from_frame_coords, chi, chi_inv, chi_mat, qarr_abs,
+    qarr_mul, right_eigen_slice,
 )
 from conftest import (
-    block_permutation, blockwise_chi, chi_scalar, from_split_scalar, qbytes, qmul_scalar,
-    random_qmatrix, random_quaternion, signed_zero_coeff_arrays, signed_zero_frames,
+    ONE, QK, block_permutation, blockwise_chi, chi_scalar, from_split_scalar, qbytes,
+    qmat_conj_T, qmat_mul, qmul_scalar, random_qmatrix, random_quaternion,
+    signed_zero_coeff_arrays, signed_zero_frames,
 )
 
 
@@ -155,7 +156,6 @@ def test_chi_mat_positivity(rng, frame):
     # Hermitian PD quaternionic matrix -> Hermitian PD complex matrix
     for _ in range(10):
         B = random_qmatrix(rng, 3)
-        from qopuc.quaternions import qmat_conj_T
         A = qmat_mul(B, qmat_conj_T(B))
         A[np.arange(3), np.arange(3), 0] += 0.5  # push eigenvalues off zero
         M = chi_mat(A, frame)
@@ -212,7 +212,6 @@ def test_right_eigen_slice_conjugation_symmetry(rng):
 
 
 def test_right_eigen_slice_hermitian(rng, frame):
-    from qopuc.quaternions import qmat_conj_T
     for _ in range(5):
         B = random_qmatrix(rng, 3)
         A = 0.5 * (B + qmat_conj_T(B))

@@ -4,22 +4,20 @@ import numpy as np
 import pytest
 
 import qopuc.zeros as zeros_module
-from qopuc.errors import NoConvergence, NotMonic, NotPositiveDefinite, RouteMismatch
+from qopuc.errors import NoConvergence, NotPositiveDefinite, RouteMismatch
 from qopuc.fixtures import (
     bernstein_szego_density, lebesgue_density, smooth_trig_density, vanishing_density,
 )
 from qopuc.measures import MomentSequence, moments_from_density
-from qopuc.polynomials import QPolyL, QPolyR, orthonormal_polys, reverse_L, reverse_R, \
-    star_mul_L
+from qopuc.polynomials import QPolyL, QPolyR, orthonormal_polys, reverse_L, reverse_R
 from qopuc.quaternions import Quaternion, SliceFrame, chi
 from qopuc.zeros import (
-    _numeric_trim, _reduce_conjugate_pairs, companion_left, companion_right,
-    det_poly, monic_left, monic_right, multiset_distance, roots, zero_slice,
-    zeros_theorem_check,
+    _companion, _numeric_trim, _reduce_conjugate_pairs, det_poly, multiset_distance, roots,
+    zero_slice, zeros_theorem_check,
 )
 from conftest import (
     qmul_scalar, random_moment_fixture, random_quaternion, random_unit_ball_quaternion,
-    signed_zero_coeff_arrays,
+    signed_zero_coeff_arrays, star_mul_L,
 )
 
 
@@ -76,17 +74,20 @@ def test_det_poly_examples(rng, frame):
 
 def test_companion_shapes():
     psi = QPolyL([Quaternion(-0.3, 0.1, 0, 0), Quaternion(1.0)])  # p - a
-    C = companion_left(psi)
+    _, C = _companion(psi)
     assert C.shape == (1, 1, 4)
     assert Quaternion.from_array(C[0, 0]) == -psi.coeffs[0]
     p2 = QPolyL([Quaternion(), Quaternion(), Quaternion(1.0)])
-    C = companion_left(p2)
+    _, C = _companion(p2)
     assert Quaternion.from_array(C[1, 0]) == Quaternion(1.0)
     assert Quaternion.from_array(C[0, 0]) == Quaternion()
-    with pytest.raises(NotMonic):
-        companion_left(QPolyL([Quaternion(1.0), Quaternion(2.0)]))
+    # the leading coefficient is divided out first; a constant has none
+    monic, C = _companion(QPolyL([Quaternion(1.0), Quaternion(2.0)]))
+    assert monic.tolist() == [[0.5, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]]
+    assert C.tolist() == [[[-0.5, -0.0, -0.0, -0.0]]]
+    assert _companion(QPolyL([Quaternion(2.0)])) is None
     p2r = QPolyR([Quaternion(), Quaternion(), Quaternion(1.0)])
-    C = companion_right(p2r)
+    _, C = _companion(p2r)
     assert Quaternion.from_array(C[0, 1]) == Quaternion(1.0)
 
 
@@ -228,8 +229,8 @@ def test_monic_normalisation_preserves_zeros(rng, frame):
     report, = zero_slice([poly], frame)
     assert multiset_distance(report.slice_roots,
                              [complex(a.w, np.linalg.norm(a.imag))]) < 1e-9
-    monic = monic_left(poly)
-    assert monic.coeffs[1] == Quaternion(1.0)
+    monic, _ = _companion(poly)
+    assert Quaternion.from_array(monic[1]) == Quaternion(1.0)
 
 
 def test_two_route_agreement_desk_scale_ceiling(rng, frame):
@@ -382,8 +383,8 @@ def test_stacked_spectra_bitwise_equal_to_one_at_a_time(rng):
     from qopuc.quaternions import right_eigen_slice
     fam = orthonormal_polys(random_moment_fixture(41, 9), 8)
     for fr in (SliceFrame.standard(), SliceFrame.random(rng)):
-        comps = [companion_left(monic_left(fam.right[n])) for n in range(1, 9)]
-        comps += [companion_right(monic_right(fam.left[n])) for n in range(1, 9)]
+        comps = [_companion(fam.right[n])[1] for n in range(1, 9)]
+        comps += [_companion(fam.left[n])[1] for n in range(1, 9)]
         for n in range(1, 9):
             same = [A for A in comps if len(A) == n]
             stacked = right_eigen_slice(np.stack(same), fr)
@@ -524,12 +525,11 @@ def _reduce_conjugate_pairs_numpy(vals):
 def test_monic_companion_trim_bitwise_equal_to_scalar_loops(rng):
     for arr in signed_zero_coeff_arrays(rng)[1:]:
         quats = [Quaternion(*row) for row in arr.tolist()]
-        for left, cls, monic, companion in ((True, QPolyL, monic_left, companion_left),
-                                            (False, QPolyR, monic_right, companion_right)):
-            m = monic(cls(arr))
-            assert m.arr.tobytes() == _monic_scalar(quats, left).tobytes()
-            mq = [Quaternion(*row) for row in m.arr.tolist()]
-            assert companion(m).tobytes() == _companion_scalar(mq, left).tobytes()
+        for left, cls in ((True, QPolyL), (False, QPolyR)):
+            monic, comp = _companion(cls(arr))
+            assert monic.tobytes() == _monic_scalar(quats, left).tobytes()
+            mq = [Quaternion(*row) for row in monic.tolist()]
+            assert comp.tobytes() == _companion_scalar(mq, left).tobytes()
             tiny = np.concatenate([arr, [[1e-15, -0.0, 0.0, 0.0]]])
             mags = [abs(Quaternion(*row)) for row in tiny.tolist()]
             deg = max(k for k, v in enumerate(mags) if v > 1e-12 * max(mags))

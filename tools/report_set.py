@@ -58,7 +58,10 @@ their own under ``moments-to-verblunsky --n 6`` and
 the six ``random-gamma --n 13`` fixtures, root batches up to degree 24; every
 ``random-gamma`` run that makes a fixture, four more, an ``orthopolys --n 30``
 past a horizon, a ``verblunsky-to-moments --n 30`` past the coefficient count
-and a missing file.
+and a missing file; a fixture of 100000 nested lists under
+``moments-to-verblunsky --n 2``, a gamma of 10^400 under
+``verblunsky-to-moments --n 1``, and ``random-gamma --n 2`` with a ``--frame``
+of 100000 open brackets and with one whose i holds 10^400.
 """
 
 from __future__ import annotations
@@ -219,6 +222,13 @@ def report_set(frames: dict[str, str]):
     yield ("random_gamma_7.verblunsky-to-moments.n30",
            ["verblunsky-to-moments", "fixtures/random_gamma_7.json", "--n", "30"])
     yield "missing.zeros.n4", ["zeros", "fixtures/missing.json", "--n", "4"]
+    yield "deep.moments-to-verblunsky.n2", ["moments-to-verblunsky", "fixtures/deep.json",
+                                            "--n", "2"]
+    yield "huge_gamma.verblunsky-to-moments.n1", ["verblunsky-to-moments",
+                                                  "fixtures/huge_gamma.json", "--n", "1"]
+    huge_frame = json.dumps({"i": [0, 10 ** 400, 0, 0], "j": [0, 0, 1, 0]})
+    for name, spec in (("deep_frame", "[" * 100000), ("huge_frame", huge_frame)):
+        yield f"random-gamma.{name}.n2", ["random-gamma", "--n", "2", "--frame", spec]
 
 
 def write_fixture(name: str, obj) -> None:
@@ -300,6 +310,10 @@ def make_fixtures(main, record) -> None:
                                         "moments": moments})
     rg7 = json.loads(Path("fixtures", "random_gamma_7.json").read_text(encoding="utf-8"))
     write_fixture("gammas_own_frame", {**rg7, "frame": json.loads(random_frame(6))})
+    # nesting deeper than the JSON parser recurses, and an integer beyond the
+    # float range
+    Path("fixtures", "deep.json").write_text("[" * 100000 + "]" * 100000, encoding="utf-8")
+    write_fixture("huge_gamma", {"gammas": [[10 ** 400, 0, 0, 0]]})
 
 
 def main() -> int:
