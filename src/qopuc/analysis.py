@@ -99,10 +99,12 @@ def szego_entropy(d: QPositiveDensity, grid: int = ENTROPY_GRID) -> float:
 
     The entropy is -inf on a grid zero, a grid eigenvalue at most
     ENTROPY_PD_TOL: a density that vanishes on the circle is a valid input.
+    ValueError if W is not finite on the grid (``grid_values``).
     """
+    W = d.grid_values(grid)
     if not d.min_eigenvalue_on_grid(grid) > ENTROPY_PD_TOL:   # a NaN too
         return float("-inf")
-    return float(np.mean(np.log(_det_herm2(d.grid_values(grid)))))
+    return float(np.mean(np.log(_det_herm2(W))))
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,8 @@ report, prints floats with 17 significant digits, and keeps key order
 fixed, so identical configurations reproduce byte-identical output.
 
 Exit codes: 0 ok, 2 invalid input (non-positive-definite moments, bad
-coefficients, malformed fixture), 3 internal cross-check mismatch, 4 no
-convergence.
+coefficients, malformed fixture, a density beyond float64 on a grid), 3
+internal cross-check mismatch, 4 no convergence.
 """
 
 from __future__ import annotations
@@ -71,7 +71,8 @@ def emit_json(obj) -> str:
     """Fixed-order JSON with 17-significant-digit floats.
 
     Exact floats take a fast path, inline in lists and dicts too; strings
-    and keys come out as json.dumps writes them.
+    and keys come out as json.dumps writes them.  A grid report's rows
+    (``_GridRows``) are one row template filled from their text columns.
     """
     if type(obj) is float:
         return format(obj, ".17g") if -_INF < obj < _INF else _fmt_float(obj)
@@ -96,20 +97,27 @@ def emit_json(obj) -> str:
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
         return _fmt_float(float(obj))
+    if isinstance(obj, _GridRows):
+        return "[" + ", ".join(map(_GRID_ROW.__mod__, zip(*obj.text_columns()))) + "]"
     raise TypeError(f"cannot serialise {type(obj)!r}")
 
 
-def emit_csv(header, rows) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        cells = []
-        for v in row:
-            if isinstance(v, (float, np.floating)):
-                cells.append(format(float(v), ".17g"))
-            else:
-                cells.append(str(v))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+def _float_text(values) -> list[str]:
+    """format(x, '.17g') of each float of a 1-D array.  Each distinct float,
+    told apart by its bits (so 0.0 and -0.0 stay apart), is formatted once,
+    all of them by one '%.17g' format, which writes the same text."""
+    bits, inverse = np.unique(np.ascontiguousarray(values, dtype=float).view(np.int64),
+                              return_inverse=True)
+    text = ("%.17g\n" * len(bits) % tuple(bits.view(float).tolist())).split("\n")
+    return np.array(text[:-1], dtype=object)[inverse].tolist()
+
+
+def emit_csv(header, columns) -> str:
+    """CSV of a table given by its columns: a float array as in
+    ``_float_text``, the cells of any other column (ints, strings, text
+    already formatted) with str."""
+    cells = [_float_text(c) if isinstance(c, np.ndarray) else map(str, c) for c in columns]
+    return "\n".join([",".join(header), *map(",".join, zip(*cells))]) + "\n"
 
 
 # ------------------------------ fixture I/O --------------------------------
@@ -359,16 +367,43 @@ def cmd_baxter(args, fix: Fixture) -> dict:
 
 GRID_COLUMNS = ("theta", "w11_re", "w11_im", "w12_re", "w12_im",
                 "w21_re", "w21_im", "w22_re", "w22_im")
+# one JSON row of a grid report, the fields in GRID_COLUMNS order
+_GRID_ROW = "{" + ", ".join(f"{_emit_key(h)}: %s" for h in GRID_COLUMNS) + "}"
+
+
+def _negated(text: list[str]) -> list[str]:
+    """The text of -x from that of a finite x: the sign toggled, 0 <-> -0 too."""
+    return [s[1:] if s[0] == "-" else "-" + s for s in text]
+
+
+def _reflected(text: list[str]) -> list[str]:
+    """Entry (-k) mod g of g entries, for k < g."""
+    return text[:1] + text[:0:-1]
+
+
+@dataclass(frozen=True)
+class _GridRows:
+    """The rows of a grid report by column: theta_k = 2 pi k / g, and the
+    finite a = W11 and b = W12 at theta_k.  ``matrix_values`` makes
+    W21 = conj(b) and W22(theta_k) = a(theta_{-k}) bit for bit, so their
+    text is b's with the imaginary part's sign toggled, and a's reflected."""
+
+    theta: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+
+    def text_columns(self) -> list[list[str]]:
+        """The GRID_COLUMNS as text, five of them formatted by ``_float_text``."""
+        theta, a_re, a_im, b_re, b_im = map(_float_text, (
+            self.theta, self.a.real, self.a.imag, self.b.real, self.b.imag))
+        return [theta, a_re, a_im, b_re, b_im,
+                b_re, _negated(b_im), _reflected(a_re), _reflected(a_im)]
 
 
 def cmd_grid(args, fix: Fixture) -> dict:
     d = density_from_fixture(fix)
-    thetas = 2.0 * np.pi * np.arange(args.grid) / args.grid
-    W = d.grid_values(args.grid).reshape(args.grid, 4)
-    columns = [thetas.tolist()]
-    for k in range(4):
-        columns += [W[:, k].real.tolist(), W[:, k].imag.tolist()]
-    rows = [dict(zip(GRID_COLUMNS, values)) for values in zip(*columns)]
+    W = d.grid_values(args.grid)
+    rows = _GridRows(2.0 * np.pi * np.arange(args.grid) / args.grid, W[:, 0, 0], W[:, 0, 1])
     return {"grid": args.grid, "entropy": szego_entropy(d), "rows": rows}
 
 
@@ -386,32 +421,44 @@ CSV_COMMANDS = ("zeros", "sv", "baxter", "grid", "verblunsky-to-moments",
                 "moments-to-verblunsky")
 
 
+def _quaternion_columns(quaternions: list) -> list[np.ndarray]:
+    """The w, x, y, z columns of a list of quaternions (w, x, y, z)."""
+    return list(np.array(quaternions, dtype=float).reshape(-1, 4).T)
+
+
 def csv_view(command: str, payload: dict) -> str:
+    """The CSV view of a command's report, built column by column."""
     result = payload["result"]
     if command == "zeros":
-        rows = []
-        for entry in result["reports"]:
+        degree, family, roots, moduli = [], [], [], []
+        for entry in result["reports"]:   # one row per root, a modulus each
             rep = entry["report"]
-            for (re, im), mod in zip(rep["slice_roots"], rep["moduli"]):
-                rows.append([entry["degree"], entry["family"], re, im, mod])
-        return emit_csv(["degree", "family", "root_re", "root_im", "modulus"], rows)
+            degree += [entry["degree"]] * len(rep["moduli"])
+            family += [entry["family"]] * len(rep["moduli"])
+            roots += rep["slice_roots"]
+            moduli += rep["moduli"]
+        re, im = np.array(roots, dtype=float).reshape(-1, 2).T
+        return emit_csv(["degree", "family", "root_re", "root_im", "modulus"],
+                        [degree, family, re, im, np.array(moduli, dtype=float)])
     if command == "sv":
-        rows = [[n, p, g] for n, (p, g) in enumerate(
-            zip(result["partial_products"], result["gap_history"]))]
-        return emit_csv(["n", "partial_product", "gap"], rows)
+        return emit_csv(["n", "partial_product", "gap"], [
+            range(len(result["partial_products"])),
+            np.array(result["partial_products"], dtype=float),
+            np.array(result["gap_history"], dtype=float)])
     if command == "baxter":
-        rows = [[n, m, s] for n, (m, s) in enumerate(
-            zip(result["gamma_moduli"], result["gamma_l1_partial"]))]
-        return emit_csv(["n", "gamma_modulus", "l1_partial_sum"], rows)
+        return emit_csv(["n", "gamma_modulus", "l1_partial_sum"], [
+            range(len(result["gamma_moduli"])),
+            np.array(result["gamma_moduli"], dtype=float),
+            np.array(result["gamma_l1_partial"], dtype=float)])
     if command == "grid":
-        rows = [[r[h] for h in GRID_COLUMNS] for r in result["rows"]]
-        return emit_csv(GRID_COLUMNS, rows)
+        return emit_csv(GRID_COLUMNS, result["rows"].text_columns())
     if command == "verblunsky-to-moments":
-        rows = [[n, *q] for n, q in result["moments"]]
-        return emit_csv(["n", "w", "x", "y", "z"], rows)
+        return emit_csv(["n", "w", "x", "y", "z"], [
+            [n for n, _ in result["moments"]],
+            *_quaternion_columns([q for _, q in result["moments"]])])
     if command == "moments-to-verblunsky":
-        rows = [[n, *q] for n, q in enumerate(result["gammas"])]
-        return emit_csv(["n", "w", "x", "y", "z"], rows)
+        return emit_csv(["n", "w", "x", "y", "z"], [
+            range(len(result["gammas"])), *_quaternion_columns(result["gammas"])])
     raise ValueError(f"no CSV view for command {command!r}")
 
 

@@ -208,12 +208,14 @@ def _fourier_on_grid(index: np.ndarray, values: np.ndarray, grid: int) -> np.nda
     """sum_k values[k] e^{2 pi i index[k] j / grid} for j < grid, rounded to
     float64 once: index n lands at n mod grid (exact on the grid), folded in
     the order given, and one unscaled long-double inverse FFT does the sum;
-    all-zero values give zeros, with no transform."""
+    all-zero values give zeros, with no transform.  A sum beyond the float64
+    range rounds to an infinity, which the caller rejects."""
     if not values.any():
         return np.zeros(grid, dtype=complex)
     folded = np.zeros(grid, dtype=np.clongdouble)
     np.add.at(folded, index % grid, values.astype(np.clongdouble))
-    return np.fft.ifft(folded, norm="forward").astype(complex)
+    with np.errstate(over="ignore"):
+        return np.fft.ifft(folded, norm="forward").astype(complex)
 
 
 def _min_eig_herm2(W: np.ndarray) -> np.ndarray:
@@ -240,7 +242,7 @@ class QPositiveDensity:
     fails), then c_0 = 1.  W on the grid 2 pi k / g (``matrix_values``) and
     its smallest eigenvalue are evaluated once per g and kept (``grid_values``,
     ``min_eigenvalue_on_grid``) for the PSD scan, the Baxter check, the
-    entropy and the grid report.
+    entropy and the grid report; ``grid_values`` hands out finite W only.
     """
 
     __slots__ = ("frame", "index", "coeffs", "_grids")
@@ -294,7 +296,8 @@ class QPositiveDensity:
         With (z1, z2) the frame coordinates of c_n, w1_{-n} = z1, w1_n = conj(z1),
         w2_{-n} = z2 and w2_n = -z2; one long-double inverse FFT each, terms
         folded in ascending n, gives a = w1 and b = w2 on the grid.
-        W22(theta_k) = w1(-theta_k) is a at index -k mod grid, and W21 = conj(b).
+        W22(theta_k) = w1(-theta_k) is a at index -k mod grid, and W21 = conj(b),
+        both bit for bit.
         """
         z1, z2 = _frame_coords(self.coeffs, self.frame)
         n, pos = self.index, self.index > 0
@@ -311,19 +314,28 @@ class QPositiveDensity:
     def min_eigenvalue_on_grid(self, grid: int = PSD_GRID) -> float:
         """Smallest eigenvalue of W on the grid 2 pi k / grid, k < grid, in
         closed form; the first call per grid size evaluates W there and keeps
-        both."""
+        both.  W beyond the float64 range gives a NaN or -inf eigenvalue,
+        without a warning."""
         kept = self._grids.get(grid)
         if kept is None:
             W = self.matrix_values(grid)
             W.setflags(write=False)
-            kept = self._grids[grid] = (W, float(np.min(_min_eig_herm2(W))))
+            with np.errstate(over="ignore", invalid="ignore"):
+                kept = self._grids[grid] = (W, float(np.min(_min_eig_herm2(W))))
         return kept[1]
 
     def grid_values(self, grid: int = PSD_GRID) -> np.ndarray:
         """W on the grid 2 pi k / grid as a read-only (grid, 2, 2) array,
-        evaluated once per grid size together with its smallest eigenvalue."""
+        evaluated once per grid size together with its smallest eigenvalue;
+        ValueError naming the grid size where the terms overflow float64
+        (on the PSD grid, construction rejects such a W first: its smallest
+        eigenvalue is NaN or -inf)."""
         self.min_eigenvalue_on_grid(grid)
-        return self._grids[grid][0]
+        W = self._grids[grid][0]
+        if not np.isfinite(W).all():
+            raise ValueError(f"matrix density is not finite on the {grid}-point grid "
+                             f"(its terms overflow float64)")
+        return W
 
     @classmethod
     def from_json(cls, obj, frame: SliceFrame,

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import csv
+import io
 import json
+import warnings
 from importlib import resources
 from pathlib import Path
 
@@ -9,6 +12,7 @@ import numpy as np
 import pytest
 
 from qopuc.cli import main
+from qopuc.quaternions import SliceFrame
 
 FIXDIR = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -88,6 +92,10 @@ UNNORMALISED = {"frame": STANDARD_FRAME, "w1": [[0, 2, 0]], "w2": []}
 EMPTY_MOMENTS = {"moments": []}
 FAR_INDEX = {"frame": STANDARD_FRAME,
              "w1": [[0, 1, 0], [10 ** 9, 0.25, 0], [-10 ** 9, 0.25, 0]]}
+# +-1e308 terms that cancel on the 2048-point PSD grid (2049 = 1 mod 2048)
+OVERFLOW = {"frame": STANDARD_FRAME,
+            "w1": [[0, 1, 0], [1, 1e308, 0], [-1, 1e308, 0], [2049, -1e308, 0],
+                   [-2049, -1e308, 0]]}
 FIXTURE_COMMANDS = (["moments-to-verblunsky", "--n", "1"], ["sv", "--n", "1"],
                     ["grid", "--grid", "7"])
 
@@ -684,6 +692,121 @@ def test_csv_outputs(tmp_path):
     code = main(["grid", path, "--grid", "32", "--format", "csv", "--out", str(out)])
     assert code == 0
     assert out.read_text().splitlines()[0].startswith("theta,w11_re")
+
+
+SEEDED_FRAME = ["--frame", json.dumps(SliceFrame.random(np.random.default_rng(73)).to_json())]
+
+
+def _grid_reference(argv) -> str:
+    """The grid report of ``argv`` made cell by cell: nine-key rows from every
+    entry of W, through the recursive emitter or the per-cell CSV rule."""
+    from qopuc.analysis import szego_entropy
+    from qopuc.cli import GRID_COLUMNS, _envelope, _parser, load_fixture, parse_frame
+
+    args = _parser().parse_args(argv)
+    fix = load_fixture(args.input, parse_frame(args.frame))
+    W = fix.density.matrix_values(args.grid).reshape(args.grid, 4)
+    columns = [(2.0 * np.pi * np.arange(args.grid) / args.grid).tolist()]
+    for k in range(4):
+        columns += [W[:, k].real.tolist(), W[:, k].imag.tolist()]
+    rows = [dict(zip(GRID_COLUMNS, values)) for values in zip(*columns)]
+    if args.format == "csv":
+        return "\n".join([",".join(GRID_COLUMNS)] + [
+            ",".join(format(float(v), ".17g") for v in row.values()) for row in rows]) + "\n"
+    result = {"grid": args.grid, "entropy": szego_entropy(fix.density), "rows": rows}
+    return _emit_json_recursive(_envelope(args, fix, result)) + "\n"
+
+
+@pytest.mark.parametrize("fixture", DENSITY_FIXTURES)
+def test_grid_report_bytes_match_the_per_cell_emitters(tmp_path, fixture):
+    # the report formats theta, W11 and W12 by column and writes W21 and W22
+    # from their text; the smallest grids reflect onto themselves
+    for frame in ([], SEEDED_FRAME):
+        for grid in (1, 2, 3, 7, 2048):
+            for fmt in ("json", "csv"):
+                argv = ["grid", str(FIXDIR / fixture), "--grid", str(grid), *frame,
+                        "--format", fmt]
+                code, out = run(tmp_path, *argv)
+                assert code == 0, argv
+                assert out.decode() == _grid_reference(argv), argv
+                if fixture == "lebesgue.json":   # W21 = conj(0)
+                    cells = ('"w21_im": -0,' if fmt == "json" else ",-0,1,0\n").encode()
+                    assert out.count(cells) == grid, argv
+
+
+def test_float_text_is_format_17g_and_negated_text_is_minus():
+    from qopuc.cli import _float_text, _negated
+
+    rng = np.random.default_rng(61)
+    values = [0.0, -0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308, float("inf"),
+              float("-inf"), float("nan"), 1 / 3, 1 / 3, -2.5, 1e16, 123456789.0]
+    values += (rng.normal(size=200) * 10.0 ** rng.integers(-300, 300, size=200)).tolist()
+    values += values[::3]
+    assert _float_text(np.array(values)) == [format(x, ".17g") for x in values]
+    assert _float_text(np.array([])) == []
+    signed = [0.0, -0.0, 5e-324, -2.5]
+    assert _negated(_float_text(np.array(signed))) == ["-0", "0", "-4.9406564584124654e-324",
+                                                       "2.5"]
+    finite = [x for x in values if np.isfinite(x)]
+    assert _negated(_float_text(np.array(finite))) == [format(-x, ".17g") for x in finite]
+
+
+def test_grid_beyond_float64_is_a_typed_error(tmp_path):
+    # the +-1e308 terms cancel on the 2048-point PSD grid, so the density
+    # loads; the 7-point grid once came out as a report with "-inf" rows,
+    # which the grid schema rejects, and a cast warning on stderr
+    fixture = tmp_path / "overflow.json"
+    fixture.write_text(json.dumps(OVERFLOW))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for fmt in ("json", "csv"):
+            code, out = run(tmp_path, "grid", str(fixture), "--grid", "7", "--format", fmt)
+            assert code == 2
+            assert json.loads(out)["error"] == {
+                "type": "ValueError", "message": "matrix density is not finite on the "
+                                                 "7-point grid (its terms overflow float64)"}
+
+
+# the CSV rows of each view, read off its JSON report field by field
+CSV_FIELDS = {
+    "zeros": lambda r: [[e["degree"], e["family"], re, im, m] for e in r["reports"]
+                        for (re, im), m in zip(e["report"]["slice_roots"],
+                                               e["report"]["moduli"])],
+    "sv": lambda r: [[n, p, g] for n, (p, g) in enumerate(zip(r["partial_products"],
+                                                              r["gap_history"]))],
+    "baxter": lambda r: [[n, m, s] for n, (m, s) in enumerate(zip(r["gamma_moduli"],
+                                                                  r["gamma_l1_partial"]))],
+    "grid": lambda r: [list(row.values()) for row in r["rows"]],
+    "verblunsky-to-moments": lambda r: [[n, *q] for n, q in r["moments"]],
+    "moments-to-verblunsky": lambda r: [[n, *q] for n, q in enumerate(r["gammas"])],
+}
+CSV_ARGV = {"zeros": ["--n", "6"], "sv": ["--n", "20"], "baxter": ["--n", "50"],
+            "grid": ["--grid", "64"], "verblunsky-to-moments": ["--n", "6"],
+            "moments-to-verblunsky": ["--n", "6"]}
+
+
+@pytest.mark.parametrize("command", sorted(CSV_FIELDS))
+def test_every_csv_cell_equals_its_json_field(tmp_path, command):
+    from qopuc.cli import CSV_COMMANDS
+
+    assert sorted(CSV_COMMANDS) == sorted(CSV_FIELDS)
+    sources = (["random_gamma_7.json"] if command == "verblunsky-to-moments"
+               else DENSITY_FIXTURES)
+    for fixture in sources:
+        for frame in ([], SEEDED_FRAME):
+            argv = [command, str(FIXDIR / fixture), *CSV_ARGV[command], *frame]
+            code, report = run(tmp_path, *argv)
+            assert code == 0, argv
+            code, table = run(tmp_path, *argv, "--format", "csv")
+            assert code == 0, argv
+            want = CSV_FIELDS[command](json.loads(report)["result"])
+            got = list(csv.reader(io.StringIO(table.decode())))[1:]
+            assert len(got) == len(want) > 0, argv
+            for line, fields in zip(got, want):
+                assert len(line) == len(fields), argv
+                for cell, value in zip(line, fields):
+                    assert (cell == value if isinstance(value, str)
+                            else float(cell) == value), (argv, line, fields)
 
 
 def test_frame_override(tmp_path):

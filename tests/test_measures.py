@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -346,6 +348,33 @@ def test_density_matrix_form_hermitian():
     assert np.max(np.abs(W[:, 0, 1] - fourier_values(w2, thetas))) < 1e-12
     a = fourier_values(w1, -thetas)
     assert np.max(np.abs(W[:, 1, 1] - a)) < 1e-12
+
+
+@pytest.mark.parametrize("make", [lebesgue_density, bernstein_szego_density,
+                                  vanishing_density, smooth_trig_density])
+def test_matrix_values_lower_row_is_the_upper_row_bit_for_bit(make):
+    # the grid report writes W21 and W22 from the text of W12 and W11
+    rng = np.random.default_rng(59)
+    base = make()
+    for d in (base, QPositiveDensity(SliceFrame.random(rng), base.index, base.coeffs)):
+        for grid in (1, 2, 3, 7, 2048):
+            W = d.matrix_values(grid)
+            reflect = (-np.arange(grid)) % grid
+            assert W[:, 1, 0].tobytes() == np.conj(W[:, 0, 1]).tobytes(), grid
+            assert W[:, 1, 1].tobytes() == W[reflect, 0, 0].tobytes(), grid
+
+
+def test_density_beyond_float64_on_a_grid_is_a_value_error():
+    # the +-1e308 terms cancel on the 2048-point PSD grid (2049 = 1 mod 2048),
+    # so the density loads, and overflow to infinities on the 7 and 4096 grids
+    w1 = {0: 1.0, 1: 1e308, -1: 1e308, 2049: -1e308, -2049: -1e308}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")   # the float64 cast warns no more
+        d = QPositiveDensity.from_maps(SliceFrame.standard(), w1)
+        assert np.isfinite(d.grid_values(2048)).all()
+        for grid in (7, 4096):
+            with pytest.raises(ValueError, match=f"not finite on the {grid}-point grid"):
+                d.grid_values(grid)
 
 
 _PI_LD = np.arccos(np.longdouble(-1.0))

@@ -27,9 +27,11 @@ n = 1-11 at (samples, seed) = (1, 0), (1, 7), (100, 0), (100, 7),
 ``moments-to-verblunsky`` and ``verblunsky-to-moments`` n = 6, under five
 seeded random frames.  Besides: ``baxter`` N = 50, 100, 200, 400 json and
 csv and ``moments-to-verblunsky`` N = 12, 25, 40, 100, 200, 400 on the four
-densities, and both at N = 1, 2, 3, route A's first steps; ``sv`` N = 12,
-25, 40 on the four densities; ``grid`` 7 and 2048, ``sv --n 20`` and
-``baxter --n 50`` on the four densities under the five seeded frames;
+densities, and both at N = 1, 2, 3, route A's first steps; ``grid`` 2 and
+3 json and csv on the four densities, the smallest even and odd
+reflections of W22; ``sv`` N = 12, 25, 40 on the four densities; ``grid``
+7 and 2048, ``sv --n 20`` and ``baxter --n 50`` on the four densities
+under the five seeded frames;
 ``verblunsky-to-moments`` K = 20, 40, 80 json and csv on the Bernstein-Szego gammas and three seeded
 80-coefficient rmax-0.8 fixtures (seeds 1017-3017), and K = 1, 2, 3, 200, 400
 on a seeded 400-coefficient rmax-0.8 fixture (seed 1017), the first and the
@@ -46,7 +48,9 @@ repeated index, a density given by ``w2`` alone with and without its frame,
 and a fixture that holds both a density and moments, under
 ``moments-to-verblunsky --n 1``, ``grid --grid 7`` and ``sv --n 1``;
 a density with w1_0 = 2 under ``grid --grid 7``, ``sv --n 1`` and
-``baxter --n 4``; a density with w1_1 = conj(w1_{-1}) + 1e-13 i, one with
+``baxter --n 4``; a density whose +-1e308 terms cancel on the 2048-point
+PSD grid but overflow on the 7-point one under ``grid --grid 7`` json and
+csv (exit 2); a density with w1_1 = conj(w1_{-1}) + 1e-13 i, one with
 indices +-10^9, an empty moment list, ``smooth_trig``'s coefficients in a
 non-standard frame of their own and moments at indices +-10^9, under
 ``moments-to-verblunsky --n 6``, ``sv --n 6`` and ``grid --grid 7``; the
@@ -145,6 +149,9 @@ def report_set(frames: dict[str, str]):
             for n in (100, 200, 400):   # n = 50 is in the per-fixture set
                 yield f"{density}.baxter.n{n}.{fmt}", ["baxter", path, "--n", str(n),
                                                        "--format", fmt]
+            for grid in (2, 3):   # the smallest even and odd reflections k -> -k
+                yield (f"{density}.grid.g{grid}.{fmt}",
+                       ["grid", path, "--grid", str(grid), "--format", fmt])
         for n in (12, 25, 40):
             for command in ("moments-to-verblunsky", "sv"):
                 yield f"{density}.{command}.n{n}.json", [command, path, "--n", str(n)]
@@ -205,6 +212,9 @@ def report_set(frames: dict[str, str]):
     yield "unnormalised.grid.g7", ["grid", "fixtures/unnormalised.json", "--grid", "7"]
     yield "unnormalised.sv.n1", ["sv", "fixtures/unnormalised.json", "--n", "1"]
     yield "unnormalised.baxter.n4", ["baxter", "fixtures/unnormalised.json", "--n", "4"]
+    for fmt in ("json", "csv"):
+        yield f"overflow.grid.g7.{fmt}", ["grid", "fixtures/overflow.json", "--grid", "7",
+                                          "--format", fmt]
     for name, argv in (("sv.n40.tol-route1e-40", ["sv", "--n", "40", "--tol-route", "1e-40"]),
                        ("sv.n8.tol-pd0.95", ["sv", "--n", "8", "--tol-pd", "0.95"]),
                        ("cd.n8.tol-pd0.95", ["cd", "--n", "8", "--tol-pd", "0.95"]),
@@ -291,6 +301,11 @@ def make_fixtures(main, record) -> None:
                                                         [1, [0.9, 0.0, 0.0, 0.0]]]})
     # a density whose c_0 = w1_0 is 2, not 1
     write_fixture("unnormalised", {"frame": standard, "w1": [[0, 2.0, 0.0]], "w2": []})
+    # +-1e308 terms that cancel on the 2048-point PSD grid and overflow float64
+    # on the 7-point grid
+    write_fixture("overflow", {"frame": standard, "w1": [
+        [0, 1.0, 0.0], [1, 1e308, 0.0], [-1, 1e308, 0.0], [2049, -1e308, 0.0],
+        [-2049, -1e308, 0.0]]})
     # w1_1 off conj(w1_{-1}) by 1e-13, inside the 1e-12 symmetry tolerance
     write_fixture("near_symmetric", {"frame": standard, "w1": [[0, 1.0, 0.0], [1, 0.3, 1e-13],
                                                                [-1, 0.3, 0.0]]})
