@@ -4,16 +4,21 @@ Two independent routes to the slice zero set of a quaternionic polynomial
 are kept deliberately: Aberth-Ehrlich on the determinant of the embedded
 coefficient polynomial, and LAPACK eigenvalues of the embedded companion
 matrix.  Their agreement is asserted on every call; it is the computable
-content of the zero-set theorems.  Both routes start from one private
-builder, ``_companion``, which makes a polynomial monic and forms its
-companion matrix on the (n+1, 4) coefficient array.
+content of the zero-set theorems.  Both routes start from one pose of the
+input, ``_pose``, which trims each polynomial, makes it monic and takes its
+coefficient image.
 
-A ``zeros`` job checks all its polynomials in one ``zero_slice`` call: one
-simultaneous Aberth run roots every determinant polynomial of the job
-(``roots``), and one stacked eigenvalue call per companion size gives
-route 2.  Every root keeps the bits of the one-polynomial iteration with
-Horner's rule on Python complex scalars, and every error is the one that
-checking the polynomials one at a time would raise first.
+A ``zeros`` job checks all its polynomials in one ``zero_slice`` call, and
+each stage of that call runs once over the whole job, in stacked numpy
+steps on zero-padded arrays: the pose on one (P, D+1, 4) coefficient array;
+route 1 as one simultaneous Aberth run (``roots``); route 2 as one stacked
+eigenvalue call per companion size; and the report, whose route
+cross-check and conjugate-pair reduction take one greedy step per root
+over all polynomials at once.  Only the determinant's convolution runs per
+polynomial.  Every root, distance and flag keeps the bits of checking the
+polynomials one at a time, with Horner's rule and the root matching on
+Python complex scalars, and every error is the one that checking them one
+at a time would raise first.
 """
 
 from __future__ import annotations
@@ -29,86 +34,126 @@ from .quaternions import SliceFrame, chi, qarr_inv, qarr_mul, right_eigen_slice
 
 ROOT_RESIDUAL_TOL = 1e-10
 MAX_ABERTH_ITER = 500
+NUMERIC_DEGREE_TOL = 1e-12
 
 
-def multiset_distance(a, b) -> float:
-    """Greedy matching distance between two complex multisets of equal size."""
-    a = np.asarray(a, dtype=complex).tolist()
-    b = np.asarray(b, dtype=complex).tolist()
-    if len(a) != len(b):
-        return float("inf")
-    worst = 0.0
-    for x in sorted(a, key=abs, reverse=True):
-        dists = [abs(x - y) for y in b]
-        k = min(range(len(dists)), key=dists.__getitem__)
-        worst = max(worst, dists[k])
-        b.pop(k)
-    return worst
+def _abs(z: np.ndarray) -> np.ndarray:
+    """|z| by libm's hypot: the bits of Python's abs(complex), which numpy's
+    complex absolute does not keep."""
+    return np.hypot(z.real, z.imag)
 
 
-class _AberthStart(NamedTuple):
-    """One polynomial set up for the iteration: its number of exact roots at
-    the origin, its deflated monic form and derivative (ascending), and the
-    circular start, empty when every root is at the origin."""
+def _stack(rows, dtype, tail: tuple = ()) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of varying length as one zero-padded array, and their lengths."""
+    size = np.array([len(row) for row in rows], dtype=int)
+    out = np.zeros((len(rows), int(size.max(initial=1))) + tail, dtype=dtype)
+    out[np.arange(out.shape[1]) < size[:, None]] = np.concatenate(
+        [*rows, np.zeros((0,) + tail)])
+    return out, size
 
-    n_zero: int
+
+def _greedy_distances(a: np.ndarray, a_size: np.ndarray, b: np.ndarray,
+                      b_size: np.ndarray) -> np.ndarray:
+    """Greedy matching distance of each pair of complex multisets, the first
+    ``a_size`` entries of a row of ``a`` against the first ``b_size`` of that
+    row of ``b``; inf where the sizes differ.
+
+    Per row this is the one-pair loop on Python complex scalars, bit for
+    bit: the entries of a go by decreasing modulus, ties in their order,
+    each to the nearest entry of b not yet taken, the first on a tie, and
+    the distance is the largest such step.
+    """
+    rows = np.arange(len(a))
+    key = np.where(np.arange(a.shape[1]) < a_size[:, None], _abs(a), -np.inf)
+    xs = np.take_along_axis(a, np.argsort(-key, axis=1, kind="stable"), axis=1)
+    free = np.arange(b.shape[1]) < b_size[:, None]
+    worst = np.zeros(len(a))
+    for t in range(int(a_size.max(initial=0))):
+        dist = np.where(free, _abs(xs[:, t, None] - b), np.inf)
+        k = dist.argmin(axis=1)
+        step = dist[rows, k]
+        live = t < a_size
+        worst = np.where(live & (step > worst), step, worst)
+        free[rows[live], k[live]] = False
+    return np.where(a_size == b_size, worst, np.inf)
+
+
+def _conjugate_representatives(vals: np.ndarray, size: np.ndarray
+                               ) -> tuple[np.ndarray, np.ndarray]:
+    """One representative with Im >= 0 of each conjugate pair among the first
+    ``size`` entries of each row of ``vals``, sorted by (modulus, real,
+    imaginary part), and their number per row; entries past that number
+    are unspecified.
+
+    Per row this is the one-row loop on Python complex scalars, bit for
+    bit: the first unpaired entry z pairs with the unpaired entry nearest
+    conj z, the first on a tie; the representative is z if Im z >= 0, else
+    that partner, else (an odd leftover) conj z; and an imaginary part
+    below 1e-12 max(1, |rep|) is made nonnegative.
+    """
+    rows = np.arange(len(vals))
+    free = np.arange(vals.shape[1]) < size[:, None]
+    count = (size + 1) // 2
+    reps = np.zeros((len(vals), int(count.max(initial=0))), dtype=complex)
+    for t in range(reps.shape[1]):
+        live = t < count
+        i = free.argmax(axis=1)
+        z = vals[rows, i]
+        free[rows[live], i[live]] = False
+        target = np.conj(z)
+        paired = live & free.any(axis=1)
+        j = np.where(free, _abs(vals - target[:, None]), np.inf).argmin(axis=1)
+        free[rows[paired], j[paired]] = False
+        rep = np.where(z.imag >= 0, z, np.where(paired, vals[rows, j], target))
+        flat = np.abs(rep.imag) < 1e-12 * np.maximum(1.0, _abs(rep))
+        reps.real[:, t] = rep.real
+        reps.imag[:, t] = np.where(flat, np.abs(rep.imag), rep.imag)
+    modulus = np.where(np.arange(reps.shape[1]) < count[:, None], _abs(reps), np.inf)
+    order = np.lexsort((reps.imag, reps.real, modulus), axis=1)
+    return np.take_along_axis(reps, order, axis=1), count
+
+
+class _Start(NamedTuple):
+    """Polynomials set up for the iteration, one row each: the number of
+    exact roots at the origin, the degree left after deflating them, the
+    deflated monic form and its derivative (ascending), and the circular
+    start, all zero-padded."""
+
+    n_zero: np.ndarray
+    degree: np.ndarray
     monic: np.ndarray
     deriv: np.ndarray
     z: np.ndarray
 
 
-def _aberth_start(coeffs) -> _AberthStart:
-    coeffs = np.asarray(coeffs, dtype=complex)
-    if len(coeffs) < 2:
-        raise ValueError("degree must be at least 1")
-    if coeffs[-1] == 0:
-        raise ValueError("leading coefficient must be nonzero")
-    scale = np.max(np.abs(coeffs))
+def _aberth_start(coeffs: np.ndarray, length: np.ndarray) -> _Start:
+    """The starts of the ascending coefficient rows ``coeffs``, zero-padded
+    past ``length``, each of degree at least 1 with a nonzero leading
+    coefficient: the deflation, the monic form and the radius as stacked
+    steps, the circle once per degree."""
+    rows, col = np.arange(len(coeffs)), np.arange(coeffs.shape[1])
+    scale = np.abs(coeffs).max(axis=1, initial=0.0)
     # deflate exact (or numerically negligible) roots at the origin
-    n_zero = 0
-    while n_zero < len(coeffs) - 1 and abs(coeffs[n_zero]) <= 1e-300 * scale:
-        n_zero += 1
-    work = coeffs[n_zero:]
-    deg = len(work) - 1
-    if deg == 0:
-        return _AberthStart(n_zero, work, work[:0], work[:0])
-    monic = work / work[-1]
-    deriv = monic[1:] * np.arange(1, deg + 1)
+    origin = (_abs(coeffs) <= 1e-300 * scale[:, None]) & (col < length[:, None] - 1)
+    n_zero = origin.argmin(axis=1)
+    degree = length - 1 - n_zero
+    kept = col <= degree[:, None]
+    work = np.take_along_axis(coeffs, np.minimum(col + n_zero[:, None], col[-1]), axis=1)
+    monic = np.where(kept, work / work[rows, degree][:, None], 0.0)
+    below = col[:-1] < degree[:, None]   # the powers under the leading one
+    deriv = np.zeros_like(monic)
+    deriv[:, :-1] = np.where(below, monic[:, 1:] * col[1:], 0.0)
     # deterministic circular initialisation: Cauchy-style radius estimate
-    radius = 1.0 + np.max(np.abs(monic[:-1]))
-    radius = min(radius, max(np.abs(monic[:-1]) ** (1.0 / np.arange(deg, 0, -1))) * 2.0 + 0.5)
-    angles = 2.0 * np.pi * np.arange(deg) / deg + 0.4
-    return _AberthStart(n_zero, monic, deriv, radius * np.exp(1j * angles))
-
-
-class _Layout(NamedTuple):
-    """The rows still iterating, sorted by degree, over the flat root array."""
-
-    roots: np.ndarray    # their roots' places in the flat root array
-    heads: np.ndarray    # where each row starts among those roots
-    coef: np.ndarray     # (K, 2, 2 * roots) planes: p, then p', at each root
-    groups: list         # per degree: first root, first row, rows, degree
-
-
-def _layout(live: np.ndarray, degs: np.ndarray, poly_coef: np.ndarray) -> _Layout:
-    """The layout of the rows ``live`` of ``degs``.  ``poly_coef`` holds the
-    coefficient rows of every p, then of every p', highest power first and
-    padded on the left with zeros."""
-    d = degs[live]
-    owner = np.repeat(np.flatnonzero(live), d)
-    k = int(d[-1]) + 1
-    planes = poly_coef[np.concatenate([owner, owner + len(degs)]), -k:].T
-    coef = np.empty((k, 2, planes.shape[1]))
-    coef[:, 0], coef[:, 1] = planes.real, planes.imag
-    groups, root = [], 0
-    for row, deg in enumerate(d.tolist()):
-        if groups and groups[-1][3] == deg:
-            groups[-1][2] += 1
-        else:
-            groups.append([root, row, 1, deg])
-        root += deg
-    return _Layout(np.flatnonzero(np.repeat(live, degs)),
-                   np.concatenate([[0], np.cumsum(d)[:-1]]), coef, groups)
+    absm = np.where(below, np.abs(monic)[:, :-1], 0.0)
+    radius = 1.0 + absm.max(axis=1, initial=0.0)
+    bound = (absm ** (1.0 / np.where(below, degree[:, None] - col[:-1], 1))
+             ).max(axis=1, initial=0.0) * 2.0 + 0.5
+    radius = np.where(bound < radius, bound, radius)
+    z = np.zeros(deriv.shape, dtype=complex)
+    for d in sorted(set(degree.tolist()) - {0}):
+        ks = np.flatnonzero(degree == d)
+        z[ks, :d] = radius[ks, None] * np.exp(1j * (2.0 * np.pi * np.arange(d) / d + 0.4))
+    return _Start(n_zero, degree, monic, deriv, z)
 
 
 def _horner(coef: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -141,63 +186,72 @@ def _horner(coef: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return vals[:n], vals[n:]
 
 
-def _aberth(starts: list[_AberthStart]) -> tuple[list[np.ndarray], list[float]]:
-    """Iterate every start at once; the final iterates and the worst
-    residual not at the noise floor, per start.  ``starts`` are sorted by
-    degree, so the roots of one degree are one run of the flat array z."""
-    if not starts:
-        return [], []
-    n = len(starts)
-    degs = np.array([len(s.z) for s in starts])
-    top = int(degs[-1])
-    poly_coef = np.zeros((2 * n, top + 1), dtype=complex)
-    for i, s in enumerate(starts):
-        poly_coef[i, top - len(s.z):] = s.monic[::-1]
-        poly_coef[n + i, top + 1 - len(s.z):] = s.deriv[::-1]
-    z = np.concatenate([s.z for s in starts])
-    live = np.ones(n, dtype=bool)
-    full = lay = _layout(live, degs, poly_coef)
-    zl = z.copy()
-    for _ in range(MAX_ABERTH_ITER):
-        p, dp = _horner(lay.coef, zl)
-        newton = np.where(dp != 0, p / np.where(dp == 0, 1.0, dp), 0.0)
-        sums = np.empty_like(zl)
-        for lo, _, count, d in lay.groups:
-            zg = zl[lo:lo + count * d].reshape(count, d)
-            inv = zg[:, :, None] - zg[:, None, :]
-            inv.reshape(count, d * d)[:, ::d + 1] = np.inf
-            np.divide(1.0, inv, out=inv)
-            inv.sum(axis=2, out=sums[lo:lo + count * d].reshape(count, d))
-        denom = 1.0 - newton * sums
-        step = newton / np.where(denom == 0, 1.0, denom)
-        zl = zl - step
-        stop = (np.maximum.reduceat(np.abs(step), lay.heads)
-                < 1e-14 * np.maximum(1.0, np.maximum.reduceat(np.abs(zl), lay.heads)))
-        if stop.any():
-            # a row that stops keeps this iterate, as it would alone
-            z[lay.roots] = zl
-            live[np.flatnonzero(live)[stop]] = False
-            if not live.any():
-                break
-            lay = _layout(live, degs, poly_coef)
-            zl = z[lay.roots]
-    else:
-        z[lay.roots] = zl
+def _aberth(start: _Start) -> tuple[list[np.ndarray], np.ndarray]:
+    """Iterate every row of ``start`` at once; the final iterates and the
+    worst residual not at the noise floor, per row.  The rows are sorted by
+    degree, each at least 1, so the roots of one degree are one run of the
+    flat root array z.
 
-    p, dp = _horner(full.coef, z)
+    A row that stops keeps its iterate, as it would alone, and leaves the
+    live mask; the others go on.  The coefficient planes of all rows are
+    built once: a stopped row's work is cheaper to carry than to cut out.
+    Degrees whose rows all stopped skip the 1 / (z_i - z_j) sums.
+    """
+    degree = start.degree
+    if not len(degree):
+        return [], np.zeros(0)
+    top = int(degree[-1])
+    owner = np.repeat(np.arange(len(degree)), degree)
+    heads = np.concatenate([[0], np.cumsum(degree)[:-1]])
+    planes = np.concatenate([start.monic[owner, top::-1], start.deriv[owner, top::-1]]).T
+    coef = np.empty((top + 1, 2, planes.shape[1]))
+    coef[:, 0], coef[:, 1] = planes.real, planes.imag
+    z = start.z[owner, np.arange(len(owner)) - heads[owner]]
+    first = np.flatnonzero(np.diff(degree, prepend=0))
+    groups = list(zip(heads[first].tolist(), first.tolist(),
+                      np.diff(first, append=len(degree)).tolist(), degree[first].tolist()))
+    live = np.ones(len(degree), dtype=bool)
+    live_roots, live_groups = np.ones(len(z), dtype=bool), groups
+    # stopped rows iterate on unchecked: their divisions may meet 0 or inf
+    with np.errstate(all="ignore"):
+        for _ in range(MAX_ABERTH_ITER):
+            p, dp = _horner(coef, z)
+            newton = np.where(dp != 0, p / np.where(dp == 0, 1.0, dp), 0.0)
+            sums = np.zeros_like(z)
+            for lo, _, count, d in live_groups:
+                zg = z[lo:lo + count * d].reshape(count, d)
+                inv = zg[:, :, None] - zg[:, None, :]
+                inv.reshape(count, d * d)[:, ::d + 1] = np.inf
+                np.divide(1.0, inv, out=inv)
+                inv.sum(axis=2, out=sums[lo:lo + count * d].reshape(count, d))
+            denom = 1.0 - newton * sums
+            step = newton / np.where(denom == 0, 1.0, denom)
+            zl = z - step
+            stop = live & (np.maximum.reduceat(np.abs(step), heads)
+                           < 1e-14 * np.maximum(1.0, np.maximum.reduceat(np.abs(zl), heads)))
+            z = np.where(live_roots, zl, z)
+            if stop.any():
+                live &= ~stop
+                if not live.any():
+                    break
+                live_roots = np.repeat(live, degree)
+                live_groups = [(lo, f, c, d) for lo, f, c, d in live_groups
+                               if live[f:f + c].any()]
+
+    p, dp = _horner(coef, z)
     residual = np.abs(p) / np.maximum(np.abs(dp), 1e-300)
     # multiple roots: |p| collapses into evaluation roundoff while |p'| stays
     # small; accept when the value is roundoff-indistinguishable from zero
     noise = np.empty(len(z))
-    for lo, first, count, d in full.groups:
+    absmonic = np.abs(start.monic)
+    for lo, first, count, d in groups:
         hi = lo + count * d
-        absmonic = np.abs(np.array([s.monic for s in starts[first:first + count]]))
         absz = np.abs(z[lo:hi]).reshape(count, d)
-        noise[lo:hi] = (absmonic[:, None, :] * absz[:, :, None] ** np.arange(d + 1)
-                        ).sum(axis=2).ravel()
+        noise[lo:hi] = (absmonic[first:first + count, None, :d + 1]
+                        * absz[:, :, None] ** np.arange(d + 1)).sum(axis=2).ravel()
     at_noise_floor = np.abs(p) <= 4.0 * np.finfo(float).eps * noise
-    worst = np.maximum.reduceat(np.where(at_noise_floor, 0.0, residual), full.heads)
-    return np.split(z, full.heads[1:]), worst.tolist()
+    worst = np.maximum.reduceat(np.where(at_noise_floor, 0.0, residual), heads)
+    return np.split(z, heads[1:]), worst
 
 
 def roots(polys) -> list[np.ndarray]:
@@ -214,7 +268,8 @@ def roots(polys) -> list[np.ndarray]:
 
     The polynomials do not interact: each one's roots are bit for bit the
     ones it gets alone, and the ones of Horner's rule on Python complex
-    scalars.  p and p' of every polynomial still iterating are evaluated
+    scalars.  The starts are stacked steps on the zero-padded coefficient
+    rows (``_aberth_start``); p and p' of every polynomial are evaluated
     together on real planes (``_horner``), the Aberth step is one array
     expression over all their roots, and each polynomial stops at the
     iteration where it would stop alone.  Only the sums of 1 / (z_i - z_j)
@@ -222,21 +277,25 @@ def roots(polys) -> list[np.ndarray]:
     summation order depends on the row length, so zero-padded rows would
     sum in another order.
     """
-    starts, pending = [], None
+    rows, pending = [], None
     for coeffs in polys:
-        try:
-            starts.append(_aberth_start(coeffs))
-        except ValueError as exc:   # raised after the polynomials before it
-            pending = exc
+        coeffs = np.asarray(coeffs, dtype=complex)
+        if len(coeffs) < 2:   # raised after the polynomials before it
+            pending = ValueError("degree must be at least 1")
             break
-    order = sorted((k for k, s in enumerate(starts) if len(s.z)),
-                   key=lambda k: len(starts[k].z))
-    final, worst = _aberth([starts[k] for k in order])
-    found = [np.zeros(s.n_zero, dtype=complex) for s in starts]
-    for k, z, w in sorted(zip(order, final, worst), key=lambda t: t[0]):
-        if not w <= ROOT_RESIDUAL_TOL:   # also rejects NaN
-            raise NoConvergence(f"root refinement stalled (max residual {w:.3e})")
-        found[k] = np.concatenate([found[k], z])
+        if coeffs[-1] == 0:
+            pending = ValueError("leading coefficient must be nonzero")
+            break
+        rows.append(coeffs)
+    start = _aberth_start(*_stack(rows, complex))
+    order = np.flatnonzero(start.degree)
+    order = order[np.argsort(start.degree[order], kind="stable")]
+    final, worst = _aberth(_Start(*(field[order] for field in start)))
+    found = [np.zeros(k, dtype=complex) for k in start.n_zero.tolist()]
+    for i in np.argsort(order).tolist():
+        if not worst[i] <= ROOT_RESIDUAL_TOL:   # also rejects NaN
+            raise NoConvergence(f"root refinement stalled (max residual {worst[i]:.3e})")
+        found[order[i]] = np.concatenate([found[order[i]], final[i]])
     if pending is not None:
         raise pending
     return found
@@ -253,34 +312,90 @@ def det_poly(P: np.ndarray) -> np.ndarray:
 _ONE = np.array([1.0, 0.0, 0.0, 0.0])
 
 
-def _companion(psi) -> tuple[np.ndarray, np.ndarray] | None:
-    """The monic form of psi and its (n, n, 4) companion matrix; None below
-    degree 1.
+class _Posed(NamedTuple):
+    """The polynomials of a ``zero_slice`` call before the first one that
+    cannot be posed, one row each, and that one's error (None if every one
+    is posed): the degree after the numeric trim (0 for a nonzero
+    constant), whether the polynomial is a QPolyL, its monic form and that
+    form's coefficient image (zero-padded), and whether the image's
+    off-diagonal is exactly zero."""
 
-    The leading coefficient is divided out on the zero-preserving side: for
-    QPolyL (coefficients right of the powers) every coefficient is
-    right-multiplied by its inverse, which multiplies all values on the right
-    and so fixes the zero set; for QPolyR it is left-multiplied.  The
-    companion matrix of QPolyL has subdiagonal ones and the last column
-    -coefficients, its mirror for QPolyR superdiagonal ones and the bottom
-    row -coefficients.
+    degree: np.ndarray
+    left: np.ndarray
+    monic: np.ndarray
+    image: np.ndarray
+    single_plane: np.ndarray
+    error: Exception | None
+
+
+def _pose(polys, frame: SliceFrame) -> _Posed:
+    """Trim, make monic and embed every polynomial of ``polys``, as stacked
+    steps on one zero-padded (P, D+1, 4) coefficient array.
+
+    The trim drops leading coefficients of norm at most NUMERIC_DEGREE_TOL
+    times the largest.  A polynomial whose true degree dropped (e.g. the
+    reverse of a family member with a vanishing constant term) would
+    otherwise be normalised by a roundoff-sized leading coefficient,
+    manufacturing spurious roots near infinity; dropped directions lie far
+    outside the closed ball, so the location flags are unaffected.
+
+    The leading coefficient is then divided out on the zero-preserving
+    side: for QPolyL (coefficients right of the powers) every coefficient is
+    right-multiplied by its inverse, which multiplies all values on the
+    right and so fixes the zero set; for QPolyR it is left-multiplied.
+
+    Per polynomial, in order, the errors are: TypeError unless it is a
+    QPolyL or QPolyR, ValueError for a coefficient that is not finite or
+    whose squared norm overflows, and ValueError for the zero polynomial.
     """
-    n, left = psi.degree, isinstance(psi, QPolyL)
-    lead = psi.arr[n]
-    if (lead * lead).sum() == 0.0:   # as Quaternion.inverse: |lead|^2 underflows
-        raise ZeroDivisionError("zero quaternion has no inverse")
-    if n < 1:
-        return None
-    inv = qarr_inv(lead)
-    body = qarr_mul(psi.arr[:-1], inv) if left else qarr_mul(inv, psi.arr[:-1])
-    A = np.zeros((n, n, 4))
-    if left:
-        A[np.arange(1, n), np.arange(n - 1), 0] = 1.0
-        A[:, n - 1] = -body
-    else:
-        A[np.arange(n - 1), np.arange(1, n), 0] = 1.0
-        A[n - 1] = -body
-    return np.concatenate([body, _ONE[None]]), A
+    arrs, left, error = [], [], None
+    for psi in polys:
+        if not isinstance(psi, (QPolyL, QPolyR)):
+            error = TypeError("expected QPolyL or QPolyR")
+            break
+        arrs.append(psi.arr)
+        left.append(isinstance(psi, QPolyL))
+    arr, _ = _stack(arrs, float, (4,))
+    left = np.array(left, dtype=bool)
+    w, x, y, z = np.moveaxis(arr, -1, 0)
+    with np.errstate(over="ignore", invalid="ignore"):   # rejected below
+        mags = np.sqrt(w * w + x * x + y * y + z * z)
+    scale = mags.max(axis=1, initial=0.0)
+    finite = np.isfinite(arr).all(axis=(1, 2))
+    checks = ((~finite, "polynomial coefficients must be finite"),
+              (finite & (scale == np.inf), "polynomial coefficient norms overflow"),
+              (scale == 0.0, "zero polynomial has no zero-set report"))
+    bad = np.any([fails for fails, _ in checks], axis=0)
+    if bad.any():   # raised after the polynomials before it are checked
+        p = int(bad.argmax())
+        error = ValueError(next(message for fails, message in checks if fails[p]))
+        arr, left, mags, scale = arr[:p], left[:p], mags[:p], scale[:p]
+    kept = mags > NUMERIC_DEGREE_TOL * scale[:, None]
+    degree = kept.shape[1] - 1 - kept[:, ::-1].argmax(axis=1)
+    inv = qarr_inv(arr[np.arange(len(arr)), degree])[:, None]
+    monic = np.where(left[:, None, None], qarr_mul(arr, inv), qarr_mul(inv, arr))
+    col = np.arange(arr.shape[1])
+    monic[col > degree[:, None]] = 0.0
+    monic[col == degree[:, None]] = _ONE
+    image = chi(monic, frame)
+    return _Posed(degree, left, monic, image, ~image[:, :, 0, 1].any(axis=1), error)
+
+
+def _companions(body: np.ndarray, left: np.ndarray) -> np.ndarray:
+    """The (k, n, n, 4) companion matrices of k monic polynomials of degree
+    n, given their lower coefficients ``body`` (k, n, 4).  The companion
+    matrix of QPolyL has subdiagonal ones and the last column -coefficients,
+    its mirror for QPolyR superdiagonal ones and the bottom row
+    -coefficients."""
+    k, n = body.shape[:2]
+    A = np.zeros((k, n, n, 4))
+    lo, up = np.arange(1, n), np.arange(n - 1)
+    ls, rs = np.flatnonzero(left), np.flatnonzero(~left)
+    A[ls[:, None], lo, up, 0] = 1.0
+    A[ls, :, n - 1] = -body[ls]
+    A[rs[:, None], up, lo, 0] = 1.0
+    A[rs, n - 1] = -body[rs]
+    return A
 
 
 @dataclass(frozen=True)
@@ -301,75 +416,20 @@ class ZeroReport:
         }
 
 
-def _reduce_conjugate_pairs(vals: np.ndarray) -> list[complex]:
-    """Pick one representative with Im >= 0 from each conjugate pair."""
-    remaining = np.asarray(vals, dtype=complex).tolist()
-    reps: list[complex] = []
-    while remaining:
-        z = remaining.pop(0)
-        target = z.conjugate()
-        dists = [abs(y - target) for y in remaining]
-        if dists:
-            partner = remaining.pop(min(range(len(dists)), key=dists.__getitem__))
-            rep = z if z.imag >= 0 else partner
-        else:  # odd leftover: force into the closed upper half plane
-            rep = z if z.imag >= 0 else target
-        reps.append(complex(rep.real, abs(rep.imag)) if abs(rep.imag) < 1e-12 * max(1.0, abs(rep)) else rep)
-    return reps
+# nonzero constants have empty zero sets; both location flags are vacuously true
+_NO_ZEROS = ZeroReport(slice_roots=(), moduli=(), all_inside_ball=True,
+                       all_outside_closed_ball=True)
 
 
-NUMERIC_DEGREE_TOL = 1e-12
+def _with_conjugates(found: np.ndarray, single_plane: bool) -> np.ndarray:
+    """Route 1's roots of det: those of a, then of a-bar, for a
+    single-plane image."""
+    return np.concatenate([found, found.conj()]) if single_plane else found
 
 
-def _numeric_trim(psi):
-    """Drop leading coefficients at most NUMERIC_DEGREE_TOL times the largest.
-
-    A polynomial whose true degree dropped (e.g. the reverse of a family
-    member with a vanishing constant term) would otherwise be normalised by
-    a roundoff-sized leading coefficient, manufacturing spurious roots near
-    infinity.  Dropped directions lie far outside the closed ball, so the
-    location flags are unaffected.
-    """
-    w, x, y, z = psi.arr.T
-    mags = np.sqrt(w * w + x * x + y * y + z * z).tolist()
-    scale = max(mags)
-    if scale == 0.0:
-        raise ValueError("zero polynomial has no zero-set report")
-    deg = max(k for k, m in enumerate(mags) if m > NUMERIC_DEGREE_TOL * scale)
-    return type(psi)(psi.arr[: deg + 1])
-
-
-def _slice_problem(psi, frame: SliceFrame):
-    """Companion matrix, route-1 polynomial and whether that is the scalar
-    factor alone, for the monic form of a trimmed input; None for a nonzero
-    constant."""
-    if not isinstance(psi, (QPolyL, QPolyR)):
-        raise TypeError("expected QPolyL or QPolyR")
-    built = _companion(_numeric_trim(psi))
-    if built is None:
-        return None
-    monic, comp = built
-    image = chi(monic, frame)
-    if image[:, 0, 1].any():
-        return comp, det_poly(image), False
-    return comp, image[:, 0, 0], True
-
-
-def _spectra(comps: list[np.ndarray], frame: SliceFrame) -> list:
-    """Route 2 for every companion matrix, by one eigenvalue call per size;
-    None where that call failed, so the failing matrix can raise in turn."""
-    out = [None] * len(comps)
-    by_size: dict[int, list[int]] = {}
-    for k, comp in enumerate(comps):
-        by_size.setdefault(len(comp), []).append(k)
-    for ks in by_size.values():
-        try:
-            spectra = right_eigen_slice(np.stack([comps[k] for k in ks]), frame)
-        except NoConvergence:
-            continue
-        for k, spectrum in zip(ks, spectra):
-            out[k] = spectrum
-    return out
+def _route_mismatch(dist: float) -> RouteMismatch:
+    return RouteMismatch(f"determinant roots and companion spectrum disagree ({dist:.3e})",
+                         residual=dist)
 
 
 def zero_slice(polys, frame: SliceFrame, route_tol: float = ROUTE_TOL) -> list[ZeroReport]:
@@ -384,58 +444,85 @@ def zero_slice(polys, frame: SliceFrame, route_tol: float = ROUTE_TOL) -> list[Z
     a-bar), so a simple zero of psi stays a simple root for Aberth.
     Route 2: spectrum of the embedded companion matrix.
 
-    One ``roots`` call serves route 1 of the whole sequence, and one
-    eigenvalue call route 2 of each companion size.  The error raised is
-    the one of the first failing polynomial at its first failing stage, as
-    if they were checked one at a time: after a stall, or a failed stacked
-    eigenvalue call, the polynomials are rooted or their companions
-    diagonalised one by one, in order.
+    Each stage runs once over the whole sequence: the pose (``_pose``), one
+    ``roots`` call for route 1, one eigenvalue call per companion size for
+    route 2, and the report, where the route cross-check (greedy matching
+    distance against ``route_tol``), the reduction to one representative per
+    conjugate pair and the sort of the representatives are stacked steps on
+    zero-padded rows.
+
+    The error raised is the one of the first failing polynomial at its
+    first failing stage, as if they were checked one at a time.  Per
+    polynomial the stages are the pose (TypeError, then ValueError for a
+    non-finite coefficient, an overflowing coefficient norm or the zero
+    polynomial), route 1 (NoConvergence), route 2 (NoConvergence) and the
+    cross-check (RouteMismatch).  After a stall, or a failed stacked
+    eigenvalue call, the polynomials are rooted, diagonalised and
+    cross-checked one by one, in order.
     """
-    problems, pending = [], None
-    for psi in polys:
-        try:
-            problems.append(_slice_problem(psi, frame))
-        except (TypeError, ValueError, ZeroDivisionError) as exc:
-            # raised after the polynomials before it are checked
-            pending = exc
-            break
-    posed = [p for p in problems if p is not None]
+    posed = _pose(polys, frame)
+    rows = np.flatnonzero(posed.degree)
+    degree = posed.degree[rows]
+    single = posed.single_plane[rows]
+    coeffs = [posed.image[p, :n + 1, 0, 0] if s else det_poly(posed.image[p, :n + 1])
+              for p, n, s in zip(rows.tolist(), degree.tolist(), single.tolist())]
     try:
-        route1 = roots([coeffs for _, coeffs, _ in posed])
+        route1 = roots(coeffs)
     except NoConvergence:
-        route1 = [None] * len(posed)
-    route2 = _spectra([comp for comp, _, _ in posed], frame)
-    reports, k = [], 0
-    for problem in problems:
-        if problem is None:
-            # nonzero constants have empty zero sets; both location flags are
-            # vacuously true
-            reports.append(ZeroReport(slice_roots=(), moduli=(), all_inside_ball=True,
-                                      all_outside_closed_ball=True))
-            continue
-        comp, coeffs, scalar = problem
-        found = roots([coeffs])[0] if route1[k] is None else route1[k]
-        if scalar:
-            found = np.concatenate([found, found.conj()])
-        spectrum = right_eigen_slice(comp, frame) if route2[k] is None else route2[k]
-        k += 1
-        dist = multiset_distance(found, spectrum)
-        if dist > route_tol:
-            raise RouteMismatch(
-                f"determinant roots and companion spectrum disagree ({dist:.3e})",
-                residual=dist)
-        reps = _reduce_conjugate_pairs(found)
-        reps.sort(key=lambda z: (abs(z), z.real, z.imag))
-        moduli = tuple(float(abs(z)) for z in reps)
-        reports.append(ZeroReport(
-            slice_roots=tuple(reps),
-            moduli=moduli,
-            all_inside_ball=bool(all(m < 1.0 for m in moduli)),
-            all_outside_closed_ball=bool(all(m > 1.0 for m in moduli)),
-        ))
-    if pending is not None:
-        raise pending
+        route1 = None
+    size = 2 * degree
+    spectra = np.zeros((len(rows), int(size.max(initial=0))), dtype=complex)
+    failed = np.zeros(len(rows), dtype=bool)
+    for n in sorted(set(degree.tolist())):
+        ks = np.flatnonzero(degree == n)
+        comps = _companions(posed.monic[rows[ks], :n], posed.left[rows[ks]])
+        try:
+            spectra[ks, :2 * n] = right_eigen_slice(comps, frame)
+        except NoConvergence:
+            failed[ks] = True
+    if route1 is None or failed.any():
+        route1 = _one_at_a_time(posed, rows, coeffs, route1, spectra, failed, frame, route_tol)
+    found, _ = _stack([_with_conjugates(f, s) for f, s in zip(route1, single.tolist())],
+                      complex)
+    dist = _greedy_distances(found, size, spectra, size)
+    over = dist > route_tol
+    if over.any():
+        raise _route_mismatch(float(dist[over.argmax()]))
+    reps, count = _conjugate_representatives(found, size)
+    moduli = _abs(reps)
+    padding = np.arange(reps.shape[1]) >= count[:, None]
+    inside = ((moduli < 1.0) | padding).all(axis=1).tolist()
+    outside = ((moduli > 1.0) | padding).all(axis=1).tolist()
+    reports = [_NO_ZEROS] * len(posed.degree)
+    for p, c, r, m, i, o in zip(rows.tolist(), count.tolist(), reps.tolist(),
+                                moduli.tolist(), inside, outside):
+        reports[p] = ZeroReport(slice_roots=tuple(r[:c]), moduli=tuple(m[:c]),
+                                all_inside_ball=i, all_outside_closed_ball=o)
+    if posed.error is not None:
+        raise posed.error
     return reports
+
+
+def _one_at_a_time(posed: _Posed, rows, coeffs, route1, spectra, failed, frame,
+                   route_tol) -> list[np.ndarray]:
+    """Route 1 of every posed polynomial, after the batch stalled or a stacked
+    eigenvalue call failed: each polynomial is rooted, diagonalised and
+    cross-checked alone, in order, so that the first error is raised.
+    ``spectra`` gets the rows that ``failed``."""
+    found = []
+    for k, p in enumerate(rows.tolist()):
+        f = roots([coeffs[k]])[0] if route1 is None else route1[k]
+        n = int(posed.degree[p])
+        if failed[k]:
+            spectra[k, :2 * n] = right_eigen_slice(
+                _companions(posed.monic[[p], :n], posed.left[[p]])[0], frame)
+        size = np.array([2 * n])
+        dist = float(_greedy_distances(_with_conjugates(f, posed.single_plane[p])[None], size,
+                                       spectra[k:k + 1], size)[0])
+        if dist > route_tol:
+            raise _route_mismatch(dist)
+        found.append(f)
+    return found
 
 
 def zeros_theorem_check(fam: OrthonormalFamily, frame: SliceFrame | None = None,
@@ -448,7 +535,8 @@ def zeros_theorem_check(fam: OrthonormalFamily, frame: SliceFrame | None = None,
     multisets agree.  Returns the per-degree rows and, per degree, the four
     ZeroReports keyed "right", "left", "right_reverse", "left_reverse".
     One ``zero_slice`` call checks all 4 * fam.order polynomials, per degree
-    in that order.
+    in that order, and one stacked greedy matching gives the left/right
+    distance of every degree.
     """
     frame = frame or SliceFrame.standard()
     polys = []
@@ -457,10 +545,11 @@ def zeros_theorem_check(fam: OrthonormalFamily, frame: SliceFrame | None = None,
         left_poly = fam.left[n]          # in H[p]^R
         polys += [right_poly, left_poly, reverse_L(right_poly, n), reverse_R(left_poly, n)]
     found = zero_slice(polys, frame, route_tol)
+    lr_dist = _greedy_distances(*_stack([r.slice_roots for r in found[0::4]], complex),
+                                *_stack([r.slice_roots for r in found[1::4]], complex))
     rows, reports = [], []
     for n in range(1, fam.order + 1):
         rep_r, rep_l, rev_r, rev_l = found[4 * n - 4:4 * n]
-        lr_dist = multiset_distance(rep_r.slice_roots, rep_l.slice_roots)
         rows.append({
             "degree": n,
             "max_root_modulus": max(rep_r.moduli + rep_l.moduli),
@@ -468,7 +557,7 @@ def zeros_theorem_check(fam: OrthonormalFamily, frame: SliceFrame | None = None,
                                        default=float("inf")),
             "all_inside_ball": rep_r.all_inside_ball and rep_l.all_inside_ball,
             "reverses_outside": rev_r.all_outside_closed_ball and rev_l.all_outside_closed_ball,
-            "left_right_distance": float(lr_dist),
+            "left_right_distance": float(lr_dist[n - 1]),
         })
         reports.append({"right": rep_r, "left": rep_l,
                         "right_reverse": rev_r, "left_reverse": rev_l})

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -15,8 +16,9 @@ from qopuc.polynomials import (
     QPolyL, QPolyR, _padded, eval_norm_sq, moments_from_verblunsky_q, orthonormal_polys,
 )
 from qopuc.quaternions import (
-    Quaternion, SliceFrame, chi, qarr_conj, qarr_from, qarr_mul, qarr_norm_sq,
+    Quaternion, SliceFrame, chi, qarr_conj, qarr_from, qarr_inv, qarr_mul, qarr_norm_sq,
 )
+from qopuc.zeros import NUMERIC_DEGREE_TOL, det_poly
 
 ONE = Quaternion(1.0)
 QK = Quaternion(0.0, 0.0, 0.0, 1.0)
@@ -390,3 +392,124 @@ def cd_kernel_diag(c, N: int, p: Quaternion) -> float:
     in_r = eval_norm_sq(fam.left[: N + 1], point)
     in_l = eval_norm_sq(fam.right[: N + 1], point)
     return float(_kernel(in_r + in_l, N)[0])
+
+
+# ---- the one-polynomial stages of the zero pass that the stacked stages of
+# ``zero_slice`` and ``roots`` replaced, kept as their bitwise oracles ----
+
+def multiset_distance(a, b) -> float:
+    """Greedy matching distance between two complex multisets of equal size."""
+    a = np.asarray(a, dtype=complex).tolist()
+    b = np.asarray(b, dtype=complex).tolist()
+    if len(a) != len(b):
+        return float("inf")
+    worst = 0.0
+    for x in sorted(a, key=abs, reverse=True):
+        dists = [abs(x - y) for y in b]
+        k = min(range(len(dists)), key=dists.__getitem__)
+        worst = max(worst, dists[k])
+        b.pop(k)
+    return worst
+
+
+class AberthStart(NamedTuple):
+    """One polynomial set up for the iteration: its number of exact roots at
+    the origin, its deflated monic form and derivative (ascending), and the
+    circular start, empty when every root is at the origin."""
+
+    n_zero: int
+    monic: np.ndarray
+    deriv: np.ndarray
+    z: np.ndarray
+
+
+def aberth_start(coeffs) -> AberthStart:
+    coeffs = np.asarray(coeffs, dtype=complex)
+    if len(coeffs) < 2:
+        raise ValueError("degree must be at least 1")
+    if coeffs[-1] == 0:
+        raise ValueError("leading coefficient must be nonzero")
+    scale = np.max(np.abs(coeffs))
+    # deflate exact (or numerically negligible) roots at the origin
+    n_zero = 0
+    while n_zero < len(coeffs) - 1 and abs(coeffs[n_zero]) <= 1e-300 * scale:
+        n_zero += 1
+    work = coeffs[n_zero:]
+    deg = len(work) - 1
+    if deg == 0:
+        return AberthStart(n_zero, work, work[:0], work[:0])
+    monic = work / work[-1]
+    deriv = monic[1:] * np.arange(1, deg + 1)
+    # deterministic circular initialisation: Cauchy-style radius estimate
+    radius = 1.0 + np.max(np.abs(monic[:-1]))
+    radius = min(radius, max(np.abs(monic[:-1]) ** (1.0 / np.arange(deg, 0, -1))) * 2.0 + 0.5)
+    angles = 2.0 * np.pi * np.arange(deg) / deg + 0.4
+    return AberthStart(n_zero, monic, deriv, radius * np.exp(1j * angles))
+
+
+_ONE_Q = np.array([1.0, 0.0, 0.0, 0.0])
+
+
+def companion(psi) -> tuple[np.ndarray, np.ndarray] | None:
+    """The monic form of psi and its (n, n, 4) companion matrix; None below
+    degree 1."""
+    n, left = psi.degree, isinstance(psi, QPolyL)
+    lead = psi.arr[n]
+    if (lead * lead).sum() == 0.0:   # as Quaternion.inverse: |lead|^2 underflows
+        raise ZeroDivisionError("zero quaternion has no inverse")
+    if n < 1:
+        return None
+    inv = qarr_inv(lead)
+    body = qarr_mul(psi.arr[:-1], inv) if left else qarr_mul(inv, psi.arr[:-1])
+    A = np.zeros((n, n, 4))
+    if left:
+        A[np.arange(1, n), np.arange(n - 1), 0] = 1.0
+        A[:, n - 1] = -body
+    else:
+        A[np.arange(n - 1), np.arange(1, n), 0] = 1.0
+        A[n - 1] = -body
+    return np.concatenate([body, _ONE_Q[None]]), A
+
+
+def reduce_conjugate_pairs(vals: np.ndarray) -> list[complex]:
+    """Pick one representative with Im >= 0 from each conjugate pair."""
+    remaining = np.asarray(vals, dtype=complex).tolist()
+    reps: list[complex] = []
+    while remaining:
+        z = remaining.pop(0)
+        target = z.conjugate()
+        dists = [abs(y - target) for y in remaining]
+        if dists:
+            partner = remaining.pop(min(range(len(dists)), key=dists.__getitem__))
+            rep = z if z.imag >= 0 else partner
+        else:  # odd leftover: force into the closed upper half plane
+            rep = z if z.imag >= 0 else target
+        reps.append(complex(rep.real, abs(rep.imag)) if abs(rep.imag) < 1e-12 * max(1.0, abs(rep)) else rep)
+    return reps
+
+
+def numeric_trim(psi):
+    """Drop leading coefficients at most NUMERIC_DEGREE_TOL times the largest."""
+    w, x, y, z = psi.arr.T
+    mags = np.sqrt(w * w + x * x + y * y + z * z).tolist()
+    scale = max(mags)
+    if scale == 0.0:
+        raise ValueError("zero polynomial has no zero-set report")
+    deg = max(k for k, m in enumerate(mags) if m > NUMERIC_DEGREE_TOL * scale)
+    return type(psi)(psi.arr[: deg + 1])
+
+
+def slice_problem(psi, frame: SliceFrame):
+    """Companion matrix, route-1 polynomial and whether that is the scalar
+    factor alone, for the monic form of a trimmed input; None for a nonzero
+    constant."""
+    if not isinstance(psi, (QPolyL, QPolyR)):
+        raise TypeError("expected QPolyL or QPolyR")
+    built = companion(numeric_trim(psi))
+    if built is None:
+        return None
+    monic, comp = built
+    image = chi(monic, frame)
+    if image[:, 0, 1].any():
+        return comp, det_poly(image), False
+    return comp, image[:, 0, 0], True

@@ -203,7 +203,7 @@ def test_right_eigen_slice_small_cases(frame):
 
 
 def test_right_eigen_slice_conjugation_symmetry(rng):
-    from qopuc.zeros import multiset_distance
+    from conftest import multiset_distance
     for _ in range(10):
         fr = SliceFrame.random(rng)
         A = random_qmatrix(rng, 3)

@@ -12,12 +12,13 @@ from qopuc.measures import MomentSequence, moments_from_density
 from qopuc.polynomials import QPolyL, QPolyR, orthonormal_polys, reverse_L, reverse_R
 from qopuc.quaternions import Quaternion, SliceFrame, chi
 from qopuc.zeros import (
-    _companion, _numeric_trim, _reduce_conjugate_pairs, det_poly, multiset_distance, roots,
-    zero_slice, zeros_theorem_check,
+    _aberth_start, _companions, _conjugate_representatives, _greedy_distances, _pose, _stack,
+    det_poly, roots, zero_slice, zeros_theorem_check,
 )
 from conftest import (
-    qmul_scalar, random_moment_fixture, random_quaternion, random_unit_ball_quaternion,
-    signed_zero_coeff_arrays, star_mul_L,
+    aberth_start, companion, multiset_distance, qmul_scalar, random_moment_fixture,
+    random_quaternion, random_unit_ball_quaternion, reduce_conjugate_pairs,
+    signed_zero_coeff_arrays, slice_problem, star_mul_L,
 )
 
 
@@ -72,22 +73,35 @@ def test_det_poly_examples(rng, frame):
             assert abs(val - np.linalg.det(M)) < 1e-9 * max(1.0, abs(val))
 
 
+def _posed_companions(polys, frame=SliceFrame.standard()):
+    """Per polynomial, its monic form and companion matrix as the stacked pose
+    gives them; None for a nonzero constant."""
+    posed = _pose(polys, frame)
+    out = []
+    for p, n in enumerate(posed.degree.tolist()):
+        out.append(None if n == 0 else (
+            posed.monic[p, :n + 1], _companions(posed.monic[[p], :n], posed.left[[p]])[0]))
+    return out
+
+
 def test_companion_shapes():
     psi = QPolyL([Quaternion(-0.3, 0.1, 0, 0), Quaternion(1.0)])  # p - a
-    _, C = _companion(psi)
+    p2 = QPolyL([Quaternion(), Quaternion(), Quaternion(1.0)])
+    p2r = QPolyR([Quaternion(), Quaternion(), Quaternion(1.0)])
+    lin, sq, halved, const, sq_r = _posed_companions(
+        [psi, p2, QPolyL([Quaternion(1.0), Quaternion(2.0)]), QPolyL([Quaternion(2.0)]), p2r])
+    C = lin[1]
     assert C.shape == (1, 1, 4)
     assert Quaternion.from_array(C[0, 0]) == -psi.coeffs[0]
-    p2 = QPolyL([Quaternion(), Quaternion(), Quaternion(1.0)])
-    _, C = _companion(p2)
+    C = sq[1]
     assert Quaternion.from_array(C[1, 0]) == Quaternion(1.0)
     assert Quaternion.from_array(C[0, 0]) == Quaternion()
     # the leading coefficient is divided out first; a constant has none
-    monic, C = _companion(QPolyL([Quaternion(1.0), Quaternion(2.0)]))
+    monic, C = halved
     assert monic.tolist() == [[0.5, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]]
     assert C.tolist() == [[[-0.5, -0.0, -0.0, -0.0]]]
-    assert _companion(QPolyL([Quaternion(2.0)])) is None
-    p2r = QPolyR([Quaternion(), Quaternion(), Quaternion(1.0)])
-    _, C = _companion(p2r)
+    assert const is None
+    C = sq_r[1]
     assert Quaternion.from_array(C[0, 1]) == Quaternion(1.0)
 
 
@@ -229,7 +243,7 @@ def test_monic_normalisation_preserves_zeros(rng, frame):
     report, = zero_slice([poly], frame)
     assert multiset_distance(report.slice_roots,
                              [complex(a.w, np.linalg.norm(a.imag))]) < 1e-9
-    monic, _ = _companion(poly)
+    (monic, _), = _posed_companions([poly], frame)
     assert Quaternion.from_array(monic[1]) == Quaternion(1.0)
 
 
@@ -383,8 +397,8 @@ def test_stacked_spectra_bitwise_equal_to_one_at_a_time(rng):
     from qopuc.quaternions import right_eigen_slice
     fam = orthonormal_polys(random_moment_fixture(41, 9), 8)
     for fr in (SliceFrame.standard(), SliceFrame.random(rng)):
-        comps = [_companion(fam.right[n])[1] for n in range(1, 9)]
-        comps += [_companion(fam.left[n])[1] for n in range(1, 9)]
+        comps = [companion(fam.right[n])[1] for n in range(1, 9)]
+        comps += [companion(fam.left[n])[1] for n in range(1, 9)]
         for n in range(1, 9):
             same = [A for A in comps if len(A) == n]
             stacked = right_eigen_slice(np.stack(same), fr)
@@ -469,6 +483,152 @@ def test_zero_slice_raises_a_stage_one_error_after_earlier_checks(monkeypatch):
         zero_slice([zero, fam.right[3]], frame)
 
 
+@pytest.mark.parametrize("bad, message", [
+    ([[1.0, 0, 0, 0], [float("nan"), 0, 0, 0]], "must be finite"),
+    ([[0.5, 0, 0, 0], [1.0, 0, 0, 0], [float("inf"), 0, 0, 0]], "must be finite"),
+    ([[float("nan"), 0, 0, 0], [1.0, 0, 0, 0]], "must be finite"),
+    ([[0.5, 0, 0, 0], [float("nan"), 0, 0, 0], [1.0, 0, 0, 0]], "must be finite"),
+    ([[1e200, 0, 0, 0], [1.0, 0, 0, 0]], "norms overflow"),
+])
+def test_zero_slice_rejects_non_finite_coefficients(bad, message):
+    """A polynomial with a non-finite coefficient (or one whose squared norm
+    overflows) fails its pose with a ValueError after the good polynomial
+    before it is checked, and before a later polynomial is."""
+    good = QPolyL([[-0.5, 0, 0, 0], [1.0, 0, 0, 0]])
+    frame = SliceFrame.standard()
+    for cls in (QPolyL, QPolyR):
+        with pytest.raises(ValueError, match=message):
+            zero_slice([good, cls(bad), QPolyL(np.zeros((2, 4)))], frame)
+    with pytest.raises(RouteMismatch):
+        zero_slice([good, QPolyL(bad)], frame, route_tol=-1.0)
+
+
+def _report_bits(report):
+    return (np.array(report.slice_roots, dtype=complex).tobytes(),
+            np.array(report.moduli, dtype=float).tobytes(),
+            report.all_inside_ball, report.all_outside_closed_ball)
+
+
+def _zero_report_one(psi, frame):
+    """The zero report of one polynomial by the one-polynomial stages: the
+    bits that ``zero_slice`` gives each polynomial of a batch."""
+    problem = slice_problem(psi, frame)
+    if problem is None:
+        return (np.zeros(0, complex).tobytes(), np.zeros(0).tobytes(), True, True)
+    comp, coeffs, scalar = problem
+    found = roots([coeffs])[0]
+    if scalar:
+        found = np.concatenate([found, found.conj()])
+    from qopuc.quaternions import right_eigen_slice
+    assert multiset_distance(found, right_eigen_slice(comp, frame)) <= 1e-8
+    reps = _sorted_reps(reduce_conjugate_pairs(found))
+    moduli = np.array([abs(z) for z in reps.tolist()])
+    return (reps.tobytes(), moduli.tobytes(), bool(all(moduli < 1.0)),
+            bool(all(moduli > 1.0)))
+
+
+def test_mixed_and_shuffled_batches_bitwise_equal_to_one_polynomial_stages(rng):
+    """A batch that mixes trimmed-degree, single-plane (b = 0) and constant
+    polynomials of both spaces, as given and shuffled: every report has the
+    bits of the one-polynomial stages."""
+    frame = SliceFrame.random(np.random.default_rng(33))
+    fam = orthonormal_polys(random_moment_fixture(41, 7), 6)
+    real = orthonormal_polys(moments_from_density(vanishing_density(), 6), 6)
+    batch = _zeros_job_polys(fam)[:12]
+    for cls in (QPolyL, QPolyR):
+        batch += [
+            cls(np.concatenate([fam.right[3].arr, [[1e-15, 0.0, -0.0, 1e-16]]])),   # trimmed
+            cls(np.concatenate([fam.left[4].arr, [[2e-14, 0.0, 0.0, 0.0]] * 2])),
+            cls([[1.0, 0, 0, 0], [-0.5, 0, 0, 0], [1e-12, 0, 0, 0]]),   # at the threshold
+            cls(real.right[5].arr), cls(real.left[2].arr),                         # b = 0
+            cls([[2.0, 0.0, 0.0, 0.0]]), cls([[0.5, -0.5, 0.0, 0.0], [1e-13, 0, 0, 0]]),
+        ]
+    want = [_zero_report_one(psi, frame) for psi in batch]
+    assert sum(w[0] == b"" for w in want) == 4
+    assert [_report_bits(r) for r in zero_slice(batch, frame)] == want
+    perm = rng.permutation(len(batch))
+    shuffled = zero_slice([batch[k] for k in perm], frame)
+    assert [_report_bits(shuffled[j]) for j in np.argsort(perm)] == want
+
+
+def _fixture_family(name, n, frame):
+    from pathlib import Path
+
+    from qopuc.cli import load_fixture, moments_from_fixture
+
+    fix = load_fixture(str(Path(__file__).resolve().parent.parent / "fixtures" / f"{name}.json"),
+                       frame)
+    return orthonormal_polys(moments_from_fixture(fix, n), n), fix.frame
+
+
+def test_stacked_stages_of_zeros_jobs_bitwise_equal_to_one_polynomial_oracles(monkeypatch):
+    """Every ``zeros`` job of the report set's shipped fixtures at n = 1-12,
+    in the standard frame and two seeded ones: the stacked pose, the route-1
+    polynomials, the stacked Aberth starts, the route cross-check, the
+    conjugate-pair reduction with its sort, and the left/right distance,
+    against the one-polynomial oracles, row by row and bit for bit."""
+    calls = {"roots": [], "match": [], "pairs": []}
+
+    def recording(name, fn):
+        def wrapper(*args):
+            out = fn(*args)
+            calls[name].append(([np.array(a) for a in args[0]] if name == "roots"
+                                else [np.array(a) for a in args], out))
+            return out
+        return wrapper
+
+    monkeypatch.setattr(zeros_module, "roots", recording("roots", roots))
+    monkeypatch.setattr(zeros_module, "_greedy_distances",
+                        recording("match", _greedy_distances))
+    monkeypatch.setattr(zeros_module, "_conjugate_representatives",
+                        recording("pairs", _conjugate_representatives))
+    frames = [None] + [SliceFrame.random(np.random.default_rng(seed)) for seed in (31, 32)]
+    jobs = 0
+    for name in ZEROS_JOB_FIXTURES:
+        for override in frames:
+            for n in range(1, 13):
+                for batch in calls.values():
+                    batch.clear()
+                fam, frame = _fixture_family(name, n, override)
+                polys = _zeros_job_polys(fam)
+                zeros_theorem_check(fam, frame)
+                jobs += 1
+                posed = _pose(polys, frame)
+                problems = [slice_problem(psi, frame) for psi in polys]
+                (batch, _), = calls["roots"]
+                assert len(batch) == sum(pr is not None for pr in problems)
+                posed_coeffs = iter(batch)
+                for p, problem in enumerate(problems):
+                    deg = int(posed.degree[p])
+                    if problem is None:
+                        assert deg == 0
+                        continue
+                    comp, coeffs, scalar = problem
+                    got = _companions(posed.monic[[p], :deg], posed.left[[p]])[0]
+                    assert got.tobytes() == comp.tobytes()
+                    assert bool(posed.single_plane[p]) == scalar
+                    assert next(posed_coeffs).tobytes() == np.asarray(coeffs).tobytes()
+                start = _aberth_start(*_stack(batch, complex))
+                for k, coeffs in enumerate(batch):
+                    want = aberth_start(coeffs)
+                    d = len(want.z)
+                    assert (start.n_zero[k], start.degree[k]) == (want.n_zero, d)
+                    assert start.monic[k, :d + 1].tobytes() == want.monic.tobytes()
+                    assert start.deriv[k, :d].tobytes() == want.deriv.tobytes()
+                    assert start.z[k, :d].tobytes() == want.z.tobytes()
+                route, lr = calls["match"]
+                assert len(lr[1]) == n
+                for (a, a_size, b, b_size), out in (route, lr):
+                    for r in range(len(a)):
+                        want = multiset_distance(a[r, :a_size[r]], b[r, :b_size[r]])
+                        assert np.float64(want).tobytes() == out[r].tobytes()
+                (vals, size), (reps, count) = calls["pairs"][0]
+                for r in range(len(vals)):
+                    want = _sorted_reps(reduce_conjugate_pairs(vals[r, :size[r]]))
+                    assert reps[r, :count[r]].tobytes() == want.tobytes()
+    assert jobs == 180
+
+
 # ---- the Quaternion-object and numpy-scalar implementations that the array
 # and Python-complex forms replaced, kept as byte-level oracles ----
 
@@ -523,17 +683,46 @@ def _reduce_conjugate_pairs_numpy(vals):
 
 
 def test_monic_companion_trim_bitwise_equal_to_scalar_loops(rng):
-    for arr in signed_zero_coeff_arrays(rng)[1:]:
+    """The stacked pose of one batch of signed-zero inputs, in both spaces and
+    with a negligible leading coefficient appended, against the Quaternion
+    loops and the Python trim."""
+    arrays = signed_zero_coeff_arrays(rng)[1:]
+    polys, want = [], []
+    for arr in arrays:
         quats = [Quaternion(*row) for row in arr.tolist()]
+        tiny = np.concatenate([arr, [[1e-15, -0.0, 0.0, 0.0]]])
+        mags = [abs(Quaternion(*row)) for row in tiny.tolist()]
+        deg = max(k for k, v in enumerate(mags) if v > 1e-12 * max(mags))
+        assert deg == len(arr) - 1
         for left, cls in ((True, QPolyL), (False, QPolyR)):
-            monic, comp = _companion(cls(arr))
-            assert monic.tobytes() == _monic_scalar(quats, left).tobytes()
-            mq = [Quaternion(*row) for row in monic.tolist()]
-            assert comp.tobytes() == _companion_scalar(mq, left).tobytes()
-            tiny = np.concatenate([arr, [[1e-15, -0.0, 0.0, 0.0]]])
-            mags = [abs(Quaternion(*row)) for row in tiny.tolist()]
-            deg = max(k for k, v in enumerate(mags) if v > 1e-12 * max(mags))
-            assert _numeric_trim(cls(tiny)).arr.tobytes() == tiny[: deg + 1].tobytes()
+            polys += [cls(arr), cls(tiny)]
+            want += [(quats, left)] * 2
+    got = _posed_companions(polys)
+    for (monic, comp), (quats, left) in zip(got, want):
+        assert monic.tobytes() == _monic_scalar(quats, left).tobytes()
+        mq = [Quaternion(*row) for row in monic.tolist()]
+        assert comp.tobytes() == _companion_scalar(mq, left).tobytes()
+
+
+def _sorted_reps(reps):
+    return np.array(sorted(reps, key=lambda z: (abs(z), z.real, z.imag)), dtype=complex)
+
+
+def _check_matching(pairs, reductions):
+    """The stacked greedy distances of ``pairs`` and the stacked pair
+    reductions of ``reductions`` against the one-row oracles, bit for bit."""
+    a, a_size = _stack([a for a, _ in pairs], complex)
+    b, b_size = _stack([b for _, b in pairs], complex)
+    got = _greedy_distances(a, a_size, b, b_size)
+    for (x, y), dist in zip(pairs, got.tolist()):
+        want = multiset_distance(x, y)
+        assert np.float64(dist).tobytes() == np.float64(want).tobytes()
+        assert np.float64(want).tobytes() == np.float64(_multiset_distance_numpy(x, y)).tobytes()
+    reps, count = _conjugate_representatives(*_stack(reductions, complex))
+    for vals, row, c in zip(reductions, reps, count.tolist()):
+        want = _sorted_reps(reduce_conjugate_pairs(vals))
+        assert row[:c].tobytes() == want.tobytes()
+        assert want.tobytes() == _sorted_reps(_reduce_conjugate_pairs_numpy(vals)).tobytes()
 
 
 def test_root_matching_bitwise_equal_to_numpy_scalar_loops(rng):
@@ -546,11 +735,26 @@ def test_root_matching_bitwise_equal_to_numpy_scalar_loops(rng):
                            1j, -1j, 1j, -1j]))          # ties, signed zeros, repeats
     cases.append(np.array([0.3 - 0.2j, 0.3 + 0.2j, -0.7 - 1e-14j]))   # odd leftover
     cases.append(np.array([], dtype=complex))
+    pairs = []
     for vals in cases:
-        got = _reduce_conjugate_pairs(vals)
-        want = _reduce_conjugate_pairs_numpy(vals)
-        assert np.array(got, dtype=complex).tobytes() == np.array(want, dtype=complex).tobytes()
         other = rng.permutation(vals) + 1e-12 * rng.normal(size=len(vals))
-        for a, b in ((vals, other), (other, vals), (vals, vals), (vals, other[:-1])):
-            assert np.float64(multiset_distance(a, b)).tobytes() == \
-                np.float64(_multiset_distance_numpy(a, b)).tobytes()
+        pairs += [(vals, other), (other, vals), (vals, vals), (vals, other[:-1])]
+    _check_matching(pairs, cases)
+
+
+def test_matching_ties_and_odd_leftovers_bitwise_equal_to_oracles():
+    """Entries on a coarse grid tie in modulus and in distance, so the greedy
+    order and the first-on-a-tie choices decide the results; odd sizes leave
+    a leftover, real or below the axis, to the pair reduction."""
+    rng = np.random.default_rng(2111)
+    grid = lambda n: (rng.integers(-3, 4, size=n) + 1j * rng.integers(-3, 4, size=n)) / 4
+    pairs = [(np.array([2.0, 0.1, 3.5]), np.array([1.0, 3.0, 3.5]))]   # a tie that decides
+    reductions = [np.array([0.5 - 0.5j, 0.5 + 0.25j, 0.5 + 0.75j]),  # partners tie
+                  np.array([-0.7 - 1e-14j]), np.array([0.25 - 0.5j]), np.array([0.5 + 0j])]
+    for _ in range(60):
+        n = int(rng.integers(1, 12))
+        vals = grid(n)
+        reductions += [vals, np.concatenate([vals, np.conj(vals)])[rng.permutation(2 * n)]]
+        pairs += [(vals, grid(n)), (vals, vals[::-1]), (vals, np.conj(vals))]
+    assert multiset_distance(*pairs[0]) == 2.9
+    _check_matching(pairs, reductions)

@@ -29,7 +29,9 @@ seeded random frames.  Besides: ``baxter`` N = 50, 100, 200, 400 json and
 csv and ``moments-to-verblunsky`` N = 12, 25, 40, 100, 200, 400 on the four
 densities, and both at N = 1, 2, 3, route A's first steps; ``grid`` 2 and
 3 json and csv on the four densities, the smallest even and odd
-reflections of W22; ``sv`` N = 12, 25, 40 on the four densities; ``grid``
+reflections of W22; ``sv`` N = 12, 25, 40 on the four densities;
+``zeros`` n = 20 and 30 on the four densities, root batches up to degree 60
+and companions up to size 30; ``grid``
 7 and 2048, ``sv --n 20`` and ``baxter --n 50`` on the four densities
 under the five seeded frames;
 ``verblunsky-to-moments`` K = 20, 40, 80 json and csv on the Bernstein-Szego gammas and three seeded
@@ -155,6 +157,8 @@ def report_set(frames: dict[str, str]):
         for n in (12, 25, 40):
             for command in ("moments-to-verblunsky", "sv"):
                 yield f"{density}.{command}.n{n}.json", [command, path, "--n", str(n)]
+        for n in (20, 30):
+            yield f"{density}.zeros.n{n}", ["zeros", path, "--n", str(n)]
         for n in (100, 200, 400):
             yield (f"{density}.moments-to-verblunsky.n{n}.json",
                    ["moments-to-verblunsky", path, "--n", str(n)])
