@@ -49,7 +49,7 @@ def _sample_points(samples: int, seed: int) -> np.ndarray:
     points = np.empty((samples, 4))
     for s in range(samples):
         v = rng.normal(size=4)
-        v /= np.linalg.norm(v)
+        v /= math.sqrt(v.dot(v))
         radius = (rng.uniform(0.05, 0.95) if s % 2 == 0 else rng.uniform(1.05, 2.0))
         points[s] = radius * v
     return points

@@ -138,11 +138,13 @@ def is_nontrivial(c: MomentSequence, n: int,
 # long-double rows is a contraction with these constants (qarr_mul is float64)
 _BASIS_PRODUCTS = qarr_mul(np.eye(4)[:, None], np.eye(4)).astype(np.longdouble)
 _CONJ = np.array([1.0, -1.0, -1.0, -1.0], dtype=np.longdouble)
+# _FACTOR_SIDES @ g: the matrices of x -> x g (right rows), x -> g x (left rows)
+_FACTOR_SIDES = np.stack([_BASIS_PRODUCTS.swapaxes(1, 2), _BASIS_PRODUCTS.transpose(1, 2, 0)])
 
 
 def _qdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """sum_k a_k b_k over two (m, 4) long-double arrays of quaternions."""
-    return (a.T @ b).reshape(16) @ _BASIS_PRODUCTS.reshape(16, 4)
+    """sum_k a_k b_k over two (..., m, 4) long-double stacks of quaternions."""
+    return (a.swapaxes(-1, -2) @ b).reshape(*a.shape[:-2], 16) @ _BASIS_PRODUCTS.reshape(16, 4)
 
 
 def _pivot_checked(d, m: int, pivot_tol: float):
@@ -153,17 +155,18 @@ def _pivot_checked(d, m: int, pivot_tol: float):
 
 
 def require_nontrivial(c: MomentSequence, n: int, pivot_tol: float = PIVOT_TOL
-                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                       ) -> tuple[np.ndarray, np.ndarray]:
     """The paired Szego recurrences run on the moments (multichannel Levinson).
 
-    Returns (gammas, right, left): the Verblunsky coefficients
-    gamma_0..gamma_{n-1} as an (n, 4) array, and the coefficient rows of the
-    right- and left-orthonormal families as (n+1, n+1, 4) arrays, row m
-    holding degree m zero-padded.  Step m reads gamma_m off one inner product
-    each, num = sum_k c_{k+1} phi_k and den = sum_k c_k rev(psi)_k, as
+    Returns (gammas, rows): the Verblunsky coefficients gamma_0..gamma_{n-1}
+    as an (n, 4) array, and the coefficient rows of the right- and
+    left-orthonormal families stacked as a (2, n+1, n+1, 4) array, rows[0]
+    right and rows[1] left, row m holding degree m zero-padded.  Step m reads
+    gamma_m off one stacked inner product with the moment pair (c_{k+1}, c_k),
+    num = sum_k c_{k+1} phi_k and den = sum_k c_k rev(psi)_k, as
     gamma = den^{-1} num (the right family phi_{m+1} is orthogonal to 1), then
-    advances both families, with the factor order fixed by the moment
-    convention c_n = int e^{in t} dmu:
+    advances both families as one stack, with the factor order fixed by the
+    moment convention c_n = int e^{in t} dmu:
 
         phi <- r^{-1} (p phi - rev(psi) gamma),  psi <- r^{-1} (psi p - gamma rev(phi)).
 
@@ -178,30 +181,24 @@ def require_nontrivial(c: MomentSequence, n: int, pivot_tol: float = PIVOT_TOL
     if n > c.horizon:
         raise HorizonExceeded(f"order {n} beyond horizon {c.horizon}")
     mom = c.arr[: n + 1].astype(np.longdouble)
-    right = np.zeros((n + 1, n + 1, 4), dtype=np.longdouble)
-    left = np.zeros_like(right)
+    pair = np.stack([mom[1:], mom[:-1]])   # (c_{k+1}, c_k)
+    rows = np.zeros((2, n + 1, n + 1, 4), dtype=np.longdouble)
     gammas = np.zeros((n, 4), dtype=np.longdouble)
     d = _pivot_checked(mom[0, 0], 0, pivot_tol)   # within 1e-9 of 1 (MomentSequence)
-    right[0, 0, 0] = left[0, 0, 0] = 1 / np.sqrt(d)
+    rows[:, 0, 0, 0] = 1 / np.sqrt(d)
     for m in range(n):
-        phi, psi = right[m, : m + 1], left[m, : m + 1]
-        rev_phi, rev_psi = phi[::-1] * _CONJ, psi[::-1] * _CONJ
-        num = _qdot(mom[1: m + 2], phi)
-        den = _qdot(mom[: m + 1], rev_psi)
+        rev = rows[::-1, m, m::-1] * _CONJ   # rev(psi), rev(phi)
+        num, den = _qdot(pair[:, : m + 1], np.stack([rows[0, m, : m + 1], rev[0]]))
         if np.abs(den[1:]).max() > 1e-8 * max(1.0, abs(den[0])):
             raise ArithmeticError(f"sqrt of the prediction error at order {m} should be "
                                   f"real, got {Quaternion(*den.astype(float).tolist())!r}")
         g = gammas[m] = _qdot((den * _CONJ / (den @ den))[None], num[None])
         nsq = g @ g
         d = _pivot_checked(d * (1 - nsq), m + 1, pivot_tol)
-        r_inv = 1 / np.sqrt(1 - nsq)
-        right[m + 1, 1: m + 2] = phi
-        right[m + 1, : m + 1] -= rev_psi @ (_BASIS_PRODUCTS.swapaxes(1, 2) @ g)   # rev(psi) gamma
-        left[m + 1, 1: m + 2] = psi
-        left[m + 1, : m + 1] -= rev_phi @ (g @ _BASIS_PRODUCTS.swapaxes(0, 1))   # gamma rev(phi)
-        right[m + 1] *= r_inv
-        left[m + 1] *= r_inv
-    return tuple(a.astype(float) + 0.0 for a in (gammas, right, left))
+        rows[:, m + 1, 1: m + 2] = rows[:, m, : m + 1]
+        rows[:, m + 1, : m + 1] -= rev @ (_FACTOR_SIDES @ g)   # rev(psi) gamma, gamma rev(phi)
+        rows[:, m + 1] *= 1 / np.sqrt(1 - nsq)
+    return gammas.astype(float) + 0.0, rows.astype(float) + 0.0
 
 
 def _fourier_on_grid(index: np.ndarray, values: np.ndarray, grid: int) -> np.ndarray:

@@ -187,15 +187,14 @@ class OrthonormalFamily:
     """right[n] in H[p]^L (right-orthonormal), left[n] in H[p]^R (left-),
     n = 0..order, and the Verblunsky coefficients ``gammas`` that built them.
 
-    Holds the (order+1, order+1, 4) coefficient rows of both families, row n
-    holding degree n; ``right`` and ``left`` build their polynomials when
-    first read.
+    Holds the coefficient rows of both families as one (2, order+1, order+1, 4)
+    array ``rows``, rows[0] right and rows[1] left, row n holding degree n;
+    ``right`` and ``left`` build their polynomials when first read.
     """
 
-    def __init__(self, gammas: np.ndarray, right_rows: np.ndarray, left_rows: np.ndarray):
+    def __init__(self, gammas: np.ndarray, rows: np.ndarray):
         self.gammas = gammas
-        self.right_rows = right_rows
-        self.left_rows = left_rows
+        self.rows = rows
 
     @property
     def order(self) -> int:
@@ -203,11 +202,11 @@ class OrthonormalFamily:
 
     @functools.cached_property
     def right(self) -> tuple:
-        return tuple(QPolyL(self.right_rows[n, : n + 1]) for n in range(self.order + 1))
+        return tuple(QPolyL(self.rows[0, n, : n + 1]) for n in range(self.order + 1))
 
     @functools.cached_property
     def left(self) -> tuple:
-        return tuple(QPolyR(self.left_rows[n, : n + 1]) for n in range(self.order + 1))
+        return tuple(QPolyR(self.rows[1, n, : n + 1]) for n in range(self.order + 1))
 
 
 def orthonormal_polys(c: MomentSequence, N: int,
@@ -219,9 +218,10 @@ def orthonormal_polys(c: MomentSequence, N: int,
     left orthonormality <phi, psi>_L = phi T^T psi^*.  Leading coefficients
     are d_n^{-1/2} for the prediction errors d_n, strictly positive real.
     NotPositiveDefinite names the first order whose prediction error is at
-    most ``pivot_tol``.  The family keeps the coefficient rows and the
-    Verblunsky coefficients and builds its polynomials when ``right``/``left``
-    are first read.  The frame plays no part.
+    most ``pivot_tol``.  The family keeps the Verblunsky coefficients and the
+    stacked (2, N+1, N+1, 4) coefficient rows of both families, and builds its
+    polynomials when ``right``/``left`` are first read.  The frame plays no
+    part.
     """
     return OrthonormalFamily(*require_nontrivial(c, N, pivot_tol))
 

@@ -307,7 +307,8 @@ def qarr_from(values) -> np.ndarray:
     """A fresh (n, 4) float array from an array or from a sequence whose items
     are Quaternions, reals (real quaternions) or 4-sequences (w, x, y, z)."""
     if not isinstance(values, np.ndarray):
-        values = [v.to_array() if isinstance(v, Quaternion)
+        values = [v if isinstance(v, (list, tuple))
+                  else v.to_array() if isinstance(v, Quaternion)
                   else (v, 0.0, 0.0, 0.0) if np.ndim(v) == 0 else v for v in values]
     return np.array(values, dtype=float).reshape(-1, 4)
 

@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 
 from qopuc.analysis import _kernel
-from qopuc.errors import NotContraction, NotPositiveDefinite
+from qopuc.errors import HorizonExceeded, NotContraction, NotPositiveDefinite
 from qopuc.fixtures import random_gamma_seq
 from qopuc.matrix_opuc import CONTRACTION_MARGIN, sqrtm_herm2
-from qopuc.measures import toeplitz
+from qopuc.measures import _BASIS_PRODUCTS, _CONJ, _pivot_checked, toeplitz
 from qopuc.polynomials import (
     QPolyL, QPolyR, _padded, eval_norm_sq, moments_from_verblunsky_q, orthonormal_polys,
 )
@@ -271,6 +271,43 @@ def family_rows_pairs(c, N):
     rows_r = qarr_conj(inverse_rows_pairs(*ldl_pairs(c, N))) + 0.0
     rows_l = inverse_rows_pairs(*ldl_pairs(c, N, transpose=True))
     return rows_r, rows_l
+
+
+def szego_two_arrays(c, n, pivot_tol=1e-12):
+    """The paired Szego recurrences on the moments as two mirrored loops, one
+    array per family: (gammas, right, left), bit for bit the stacked
+    ``require_nontrivial``'s (gammas, rows[0], rows[1]), with its errors in
+    its order."""
+    if n > c.horizon:
+        raise HorizonExceeded(f"order {n} beyond horizon {c.horizon}")
+
+    def qdot(a, b):
+        return (a.T @ b).reshape(16) @ _BASIS_PRODUCTS.reshape(16, 4)
+    mom = c.arr[: n + 1].astype(np.longdouble)
+    right = np.zeros((n + 1, n + 1, 4), dtype=np.longdouble)
+    left = np.zeros_like(right)
+    gammas = np.zeros((n, 4), dtype=np.longdouble)
+    d = _pivot_checked(mom[0, 0], 0, pivot_tol)
+    right[0, 0, 0] = left[0, 0, 0] = 1 / np.sqrt(d)
+    for m in range(n):
+        phi, psi = right[m, : m + 1], left[m, : m + 1]
+        rev_phi, rev_psi = phi[::-1] * _CONJ, psi[::-1] * _CONJ
+        num = qdot(mom[1: m + 2], phi)
+        den = qdot(mom[: m + 1], rev_psi)
+        if np.abs(den[1:]).max() > 1e-8 * max(1.0, abs(den[0])):
+            raise ArithmeticError(f"sqrt of the prediction error at order {m} should be "
+                                  f"real, got {Quaternion(*den.astype(float).tolist())!r}")
+        g = gammas[m] = qdot((den * _CONJ / (den @ den))[None], num[None])
+        nsq = g @ g
+        d = _pivot_checked(d * (1 - nsq), m + 1, pivot_tol)
+        r_inv = 1 / np.sqrt(1 - nsq)
+        right[m + 1, 1: m + 2] = phi
+        right[m + 1, : m + 1] -= rev_psi @ (_BASIS_PRODUCTS.swapaxes(1, 2) @ g)   # rev(psi) gamma
+        left[m + 1, 1: m + 2] = psi
+        left[m + 1, : m + 1] -= rev_phi @ (g @ _BASIS_PRODUCTS.swapaxes(0, 1))   # gamma rev(phi)
+        right[m + 1] *= r_inv
+        left[m + 1] *= r_inv
+    return tuple(a.astype(float) + 0.0 for a in (gammas, right, left))
 
 
 # ---- quaternion matrices, star products, the inner products, the Szego

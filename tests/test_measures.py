@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +19,9 @@ from conftest import (
     block_permutation, blockwise_chi, density_maps, fourier_values, from_split_scalar, qbytes,
     qmat_conj_T, qmat_mul, random_moment_fixture, signed_zero_frames,
 )
+
+
+FIXDIR = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def lebesgue_moments(N=6):
@@ -196,7 +200,7 @@ def test_ldl_reconstructs_toeplitz():
     from conftest import ldl_pairs
     c = random_moment_fixture(8, 9)
     T = toeplitz(c, 9)
-    _, right, left = require_nontrivial(c, 9)
+    _, (right, left) = require_nontrivial(c, 9)
     for transpose, A, rows in ((False, T, right), (True, T.swapaxes(0, 1), left)):
         L, d = ldl_pairs(c, 9, transpose=transpose)
         assert np.array_equal(L[np.arange(10), np.arange(10)],
@@ -208,6 +212,45 @@ def test_ldl_reconstructs_toeplitz():
         assert np.max(np.abs(rebuilt - A)) < 1e-13
         lead = rows[np.arange(10), np.arange(10)]
         assert np.max(np.abs(lead - np.stack([d ** -0.5, 0 * d, 0 * d, 0 * d], axis=1))) < 1e-14
+
+
+def _route_b_outcome(run, c, n):
+    """The bytes of (gammas, right rows, left rows), or the error's type,
+    message and order."""
+    try:
+        return [a.tobytes() for a in run(c, n)]
+    except (ArithmeticError, HorizonExceeded, NotPositiveDefinite) as exc:
+        return [type(exc), str(exc), getattr(exc, "order", None)]
+
+
+def _stacked(c, n):
+    gammas, rows = require_nontrivial(c, n)
+    assert rows.shape == (2, n + 1, n + 1, 4)
+    return gammas, rows[0], rows[1]
+
+
+def test_stacked_recursion_bitwise_equal_to_two_array_loop():
+    # one stack for both families gives the bits and the errors of the two
+    # mirrored loops: shipped fixtures, seeded rmax-0.8 moments, non-PD moments
+    # and c_0 set past the MomentSequence check (dens not real, a NaN part)
+    from conftest import szego_two_arrays
+    from qopuc.cli import load_fixture, moments_from_fixture
+    cases = []
+    for path in sorted(FIXDIR.glob("*.json")):
+        fix = load_fixture(str(path), None)
+        for N in (1, 2, 12, 25, 40, 100):
+            c = moments_from_fixture(fix, N)   # a gamma fixture's horizon stops at 12
+            cases.append((c, c.horizon))
+    cases += [(random_moment_fixture(seed, 40, rmax=0.8), 40) for seed in range(1, 41)]
+    cases += [(_non_pd_moments(seed, 12), 12) for seed in range(3)]
+    for c0 in ([1.0, 0.0, 0.0, 1e-8], [1.0, 0.0, 3e-8, 0.0], [1.0, 0.0, float("nan"), 0.0]):
+        c = MomentSequence([1.0, 0.25, 0.125])
+        object.__setattr__(c, "arr", np.array([c0, [0.25, 0, 0, 0], [0.125, 0, 0, 0]]))
+        cases.append((c, 2))
+    outcomes = [_route_b_outcome(_stacked, c, n) for c, n in cases]
+    assert outcomes == [_route_b_outcome(szego_two_arrays, c, n) for c, n in cases]
+    errors = [out[0] for out in outcomes if isinstance(out[0], type)]
+    assert errors == [NotPositiveDefinite] * 3 + [ArithmeticError, NotPositiveDefinite]
 
 
 def _pivots_ok(M, tol=1e-12):

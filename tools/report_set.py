@@ -38,8 +38,9 @@ under the five seeded frames;
 80-coefficient rmax-0.8 fixtures (seeds 1017-3017), and K = 1, 2, 3, 200, 400
 on a seeded 400-coefficient rmax-0.8 fixture (seed 1017), the first and the
 last waves of the forward map; ``moments-to-verblunsky``
-N = 12, 25, 40 on three seeded 40-coefficient rmax-0.8 fixtures (seeds
-1017-3017), ill-conditioned inputs whose route-B bits decide a RouteMismatch;
+N = 12, 25, 40 and ``orthopolys --n 40`` on three seeded 40-coefficient
+rmax-0.8 fixtures (seeds 1017-3017), ill-conditioned inputs whose route-B
+bits decide a RouteMismatch, with route B's full rows;
 four moment fixtures (the moments of ``random_gamma_7``, the same with
 negative indices, with a broken Hermitian symmetry, and with |c_5| raised to
 1.5) under ``moments-to-verblunsky`` n = 6 and 12, ``orthopolys``, ``zeros``
@@ -185,6 +186,8 @@ def report_set(frames: dict[str, str]):
         for n in (12, 25, 40):
             yield (f"gammas40_{seed}.moments-to-verblunsky.n{n}",
                    ["moments-to-verblunsky", f"fixtures/gammas40_{seed}.json", "--n", str(n)])
+        yield (f"gammas40_{seed}.orthopolys.n40",
+               ["orthopolys", f"fixtures/gammas40_{seed}.json", "--n", "40"])
     for stem in ("moments_rg7", "moments_rg7_negative", "moments_asymmetric",
                  "moments_not_pd"):
         path = f"fixtures/{stem}.json"
