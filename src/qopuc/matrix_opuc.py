@@ -217,8 +217,13 @@ def _defect_root(x, y) -> tuple:
 def _defect_roots(alpha: np.ndarray) -> np.ndarray:
     """The stack [(I - a*a)^(1/2), (I - aa*)^(1/2)] of a (..., 2, 2) stack,
     shape (2, ..., 2, 2), in the precision of alpha, from one closed-form
-    call on the entries of both."""
+    call on the entries of both.  In long double both products are one
+    stacked matmul, which sums 0 + a b + c d as ``_mul2`` does; a complex128
+    matmul goes to BLAS, which may fuse a multiply-add, so there the
+    products stay entry-wise."""
     pair = np.stack((alpha.conj().swapaxes(-1, -2), alpha))
+    if alpha.dtype == np.clongdouble:
+        return _matrix(_sqrt_psd2(_entries(EYE2 - pair @ pair[::-1])))
     return _matrix(_defect_root(_entries(pair), _entries(pair[::-1])))
 
 

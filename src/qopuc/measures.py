@@ -24,7 +24,7 @@ import numpy as np
 from .errors import HorizonExceeded, NotPositiveDefinite
 from .quaternions import (
     Quaternion, SliceFrame, _frame_coords, _from_frame_coords, chi, chi_mat, qarr_abs,
-    qarr_conj, qarr_from, qarr_mul,
+    qarr_conj, qarr_from, qarr_mul, qmul_parts,
 )
 
 PSD_GRID = 2048
@@ -138,13 +138,14 @@ def is_nontrivial(c: MomentSequence, n: int,
 # long-double rows is a contraction with these constants (qarr_mul is float64)
 _BASIS_PRODUCTS = qarr_mul(np.eye(4)[:, None], np.eye(4)).astype(np.longdouble)
 _CONJ = np.array([1.0, -1.0, -1.0, -1.0], dtype=np.longdouble)
-# _FACTOR_SIDES @ g: the matrices of x -> x g (right rows), x -> g x (left rows)
-_FACTOR_SIDES = np.stack([_BASIS_PRODUCTS.swapaxes(1, 2), _BASIS_PRODUCTS.transpose(1, 2, 0)])
-
-
-def _qdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """sum_k a_k b_k over two (..., m, 4) long-double stacks of quaternions."""
-    return (a.swapaxes(-1, -2) @ b).reshape(*a.shape[:-2], 16) @ _BASIS_PRODUCTS.reshape(16, 4)
+# The conjugations of rev(.) folded into the constants: a sign flip commutes
+# with rounding, so x conj(y) contracts y with E * _CONJ over b exactly as
+# conj(y) with E.  _NUM_DEN: sum_k a_k b_k (num) and sum_k a_k conj(b_k) (den)
+# from the stack of sum_k a_k (x) b_k; _FACTOR_SIDES @ g: the matrices of
+# x -> conj(x) g (right rows) and x -> g conj(x) (left rows).
+_NUM_DEN = np.stack([_BASIS_PRODUCTS, _BASIS_PRODUCTS * _CONJ[:, None]]).reshape(2, 16, 4)
+_FACTOR_SIDES = np.stack([_BASIS_PRODUCTS.swapaxes(1, 2),
+                          _BASIS_PRODUCTS.transpose(1, 2, 0)]) * _CONJ[:, None, None]
 
 
 def _pivot_checked(d, m: int, pivot_tol: float):
@@ -177,28 +178,52 @@ def require_nontrivial(c: MomentSequence, n: int, pivot_tol: float = PIVOT_TOL
     is the first order m at which the form is not positive definite, and
     NotPositiveDefinite names it.  Everything runs in real long double and is
     rounded to float64 once at the end, with -0.0 mapped to 0.0.
+
+    A step is a handful of numpy calls.  The rows are held family-innermost,
+    so that row m + 1 is one contiguous block.  (phi_m, psi_m reversed) is
+    copied into one buffer allocated once, and two matmuls, with the moment
+    pair and with ``_NUM_DEN``, give num and den.  The conjugations of rev(.)
+    live in ``_NUM_DEN`` and ``_FACTOR_SIDES``, so the update reads the rows
+    reversed as a view.  The realness test, gamma = qmul_parts(conj(den) /
+    |den|^2, num), |gamma|^2 and the pivot run on long-double scalars.
+    qmul_parts sums the nonzero terms of the stacked contraction in its
+    order, so every value keeps the bits of the contraction; at most the sign
+    of a zero gamma part differs, which no later step reads and the return
+    clears.
     """
     if n > c.horizon:
         raise HorizonExceeded(f"order {n} beyond horizon {c.horizon}")
     mom = c.arr[: n + 1].astype(np.longdouble)
-    pair = np.stack([mom[1:], mom[:-1]])   # (c_{k+1}, c_k)
-    rows = np.zeros((2, n + 1, n + 1, 4), dtype=np.longdouble)
+    moments = np.stack([mom[1:].T, mom[:-1].T])   # (c_{k+1}, c_k), components first
+    # rows[m, k + 1] = (phi_m, psi_m) at k; column 0 is the zero p^-1 coefficient,
+    # so rows[m, : m + 2] is (p phi_m, p psi_m)
+    rows = np.zeros((n + 1, n + 2, 2, 4), dtype=np.longdouble)
+    pair = np.empty((2, n, 4), dtype=np.longdouble)   # (phi_m, psi_m reversed)
     gammas = np.zeros((n, 4), dtype=np.longdouble)
     d = _pivot_checked(mom[0, 0], 0, pivot_tol)   # within 1e-9 of 1 (MomentSequence)
-    rows[:, 0, 0, 0] = 1 / np.sqrt(d)
+    rows[0, 1, :, 0] = 1 / np.sqrt(d)
     for m in range(n):
-        rev = rows[::-1, m, m::-1] * _CONJ   # rev(psi), rev(phi)
-        num, den = _qdot(pair[:, : m + 1], np.stack([rows[0, m, : m + 1], rev[0]]))
-        if np.abs(den[1:]).max() > 1e-8 * max(1.0, abs(den[0])):
+        pair[0, : m + 1] = rows[m, 1: m + 2, 0]
+        pair[1, : m + 1] = rows[m, m + 1: 0: -1, 1]
+        nd = (moments[:, :, : m + 1] @ pair[:, : m + 1]).reshape(2, 1, 16) @ _NUM_DEN
+        num, (d0, d1, d2, d3) = nd.reshape(2, 4).tolist()
+        tol = 1e-8 * max(1.0, abs(d0))
+        # all 16 products enter every part, so a NaN reaches all four and
+        # passes, as np.max's NaN did; the pivot check rejects it
+        if abs(d1) > tol or abs(d2) > tol or abs(d3) > tol:
             raise ArithmeticError(f"sqrt of the prediction error at order {m} should be "
-                                  f"real, got {Quaternion(*den.astype(float).tolist())!r}")
-        g = gammas[m] = _qdot((den * _CONJ / (den @ den))[None], num[None])
-        nsq = g @ g
+                                  f"real, got {Quaternion(d0, d1, d2, d3)!r}")
+        s = d0 * d0 + d1 * d1 + d2 * d2 + d3 * d3
+        gammas[m] = g0, g1, g2, g3 = qmul_parts((d0 / s, -d1 / s, -d2 / s, -d3 / s), num)
+        nsq = g0 * g0 + g1 * g1 + g2 * g2 + g3 * g3
         d = _pivot_checked(d * (1 - nsq), m + 1, pivot_tol)
-        rows[:, m + 1, 1: m + 2] = rows[:, m, : m + 1]
-        rows[:, m + 1, : m + 1] -= rev @ (_FACTOR_SIDES @ g)   # rev(psi) gamma, gamma rev(phi)
-        rows[:, m + 1] *= 1 / np.sqrt(1 - nsq)
-    return gammas.astype(float) + 0.0, rows.astype(float) + 0.0
+        # rev(psi) gamma and gamma rev(phi) at k = 0..m + 1, from the reversal
+        # that ends in column 0
+        sides = rows[m, m + 1:: -1, ::-1, None] @ (_FACTOR_SIDES @ gammas[m])
+        np.subtract(rows[m, : m + 2], sides[:, :, 0], out=rows[m + 1, 1: m + 3])
+        rows[m + 1, 1: m + 3] *= 1 / np.sqrt(1 - nsq)
+    return (gammas.astype(float) + 0.0,
+            rows[:, 1:].transpose(2, 0, 1, 3).astype(float, order="C") + 0.0)
 
 
 def _fourier_on_grid(index: np.ndarray, values: np.ndarray, grid: int) -> np.ndarray:

@@ -10,8 +10,11 @@ Quaternion data inside the library are plain float arrays of shape
 (..., 4), the last axis holding coordinates in the basis (1, i, j, k):
 moments and Verblunsky coefficients (n, 4), polynomial coefficients
 (n+1, 4), quaternion matrices (n, n, 4).  ``Quaternion`` is the scalar type
-of the API.  One Hamilton product, ``qmul_parts``, serves both forms; one
-frame-coordinate kernel, ``_frame_coords``, serves ``chi``, ``chi_mat``
+of the API.  One Hamilton product, ``qmul_parts``, serves both forms, on
+floats, on long-double scalars (route B's gamma) and on arrays;
+``polynomials.eval_norm_sq`` reads its terms as a table, in its order, to
+form a Horner step's 16 products in one multiply.  One frame-coordinate
+kernel, ``_frame_coords``, serves ``chi``, ``chi_mat``
 and ``SliceFrame.split``, and its inverse
 ``_from_frame_coords`` serves ``chi_inv`` and ``SliceFrame.from_split``.
 """

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from qopuc.analysis import (
-    _diverging_over_horizon, baxter_check, cd_identity_check, sv_check,
+    CD_BLOCK, _diverging_over_horizon, baxter_check, cd_identity_check, sv_check,
     szego_entropy,
 )
 from qopuc.fixtures import (
@@ -214,7 +214,8 @@ def test_eval_norm_sq_bitwise_equal_to_scalar_eval(name):
     space_l = list(fam.right) + [reverse_R(fam.left[n], n) for n in range(N + 1)]
     space_r = list(fam.left) + [reverse_L(fam.right[n], n) for n in range(N + 1)]
     rng = np.random.default_rng(88)
-    points = rng.normal(size=(64, 4)) * rng.uniform(0.05, 2.0, size=(64, 1))
+    # 240 points: two evaluation blocks of the 2 N + 2 polynomials
+    points = rng.normal(size=(240, 4)) * rng.uniform(0.05, 2.0, size=(240, 1))
     points[0] = 0.0
     for polys, scalar in ((space_l, eval_L), (space_r, eval_R)):
         got = eval_norm_sq(polys, points)
@@ -260,7 +261,9 @@ def _cd_identity_scalar(c, N, samples, seed):
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
 def test_cd_identity_bitwise_equal_to_scalar_loop(name):
-    for N, samples, seed in ((1, 1, 0), (4, 37, 3), (8, 100, 11)):
+    # the last: two full CD_BLOCKs and a partial one, each in several
+    # evaluation blocks of eval_norm_sq
+    for N, samples, seed in ((1, 1, 0), (4, 37, 3), (8, 100, 11), (2, 2 * CD_BLOCK + 300, 5)):
         c = _fixture_moments(name, N + 1)
         assert cd_identity_check(c, N, samples, seed) == _cd_identity_scalar(c, N, samples, seed)
     c = _fixture_moments(name, 5)

@@ -238,19 +238,23 @@ def test_stacked_recursion_bitwise_equal_to_two_array_loop():
     cases = []
     for path in sorted(FIXDIR.glob("*.json")):
         fix = load_fixture(str(path), None)
-        for N in (1, 2, 12, 25, 40, 100):
+        for N in (1, 2, 12, 25, 40, 100, 200):
             c = moments_from_fixture(fix, N)   # a gamma fixture's horizon stops at 12
             cases.append((c, c.horizon))
     cases += [(random_moment_fixture(seed, 40, rmax=0.8), 40) for seed in range(1, 41)]
+    cases += [(random_moment_fixture(seed, 60, rmax=0.8), 60) for seed in range(1, 21)]
     cases += [(_non_pd_moments(seed, 12), 12) for seed in range(3)]
-    for c0 in ([1.0, 0.0, 0.0, 1e-8], [1.0, 0.0, 3e-8, 0.0], [1.0, 0.0, float("nan"), 0.0]):
+    # a NaN part of c_0 beside a part past the tolerance reaches every part
+    # of den, which the realness test passes and the pivot check rejects
+    for c0 in ([1.0, 0.0, 0.0, 1e-8], [1.0, 0.0, 3e-8, 0.0], [1.0, 0.0, float("nan"), 0.0],
+               [1.0, 1.0, float("nan"), 0.0]):
         c = MomentSequence([1.0, 0.25, 0.125])
         object.__setattr__(c, "arr", np.array([c0, [0.25, 0, 0, 0], [0.125, 0, 0, 0]]))
         cases.append((c, 2))
     outcomes = [_route_b_outcome(_stacked, c, n) for c, n in cases]
     assert outcomes == [_route_b_outcome(szego_two_arrays, c, n) for c, n in cases]
     errors = [out[0] for out in outcomes if isinstance(out[0], type)]
-    assert errors == [NotPositiveDefinite] * 3 + [ArithmeticError, NotPositiveDefinite]
+    assert errors == [NotPositiveDefinite] * 3 + [ArithmeticError] + [NotPositiveDefinite] * 2
 
 
 def _pivots_ok(M, tol=1e-12):
