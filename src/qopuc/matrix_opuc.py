@@ -23,27 +23,29 @@ and one stripping step is the linear update
     B_{n+1} = (rho_n^L)^{-1} (B_n - alpha_n^* A_n),
 
 so no series inverse is needed.  ``alphas_from_moments`` runs it forward
-over whole coefficient arrays, N numpy steps.  ``moments_from_alphas``
-inverts it over the grid of generator entries a_k[j], b_k[j] in waves
-T = 2j + k: an entry reads only the two waves before its own and the b of
-its own wave, so each wave is a few stacked 2x2 products, 2N - 1 numpy
-steps in all, and each entry gets the operations it would get on its own.
-Both are O(N^2), run in extended precision (np.clongdouble) and round only
-what they return, and every output is exact under truncation of the
-horizon.  They make no LAPACK call per step: the operator norm, the
-condition number, the defect square roots, the inverses and the products
-are 2x2 closed forms.  The last three (``_sqrt_psd2``, ``_inv2``,
-``_mul2``) are written once over the four entries (m00, m01, m10, m11),
-each product entry summed as 0 + a b + c d in matmul's order, so they give
-matmul's bits.  Route A's step is a chain of such constants, B(0)^{-1},
-alpha_n, both defects, their roots and inverses, so it hands them numpy
-scalars, whose arithmetic costs about a tenth of what a numpy call on a
-(2, 2) array costs; only its O(N) array update stays stacked matmuls.  The
-forward map, ``defects`` and ``sqrtm_herm2`` hand the same functions whole
-stacks of entries, so the forward map builds all N defects and inverses in
-one call each.  ``schur_step``, ``inverse_schur_step``, ``schur_algorithm``
-and ``schur_coeffs_forward`` are the paper's series recursions, kept as
-independent references.
+over whole coefficient arrays, N numpy steps.  If C_K is the last nonzero
+moment (K is a density's Fourier degree), A_n[j] and B_n[j] vanish past
+j = K, so the arrays it updates are at most K + 1 wide and it costs
+O(N min(N, K)).  ``moments_from_alphas`` inverts it over the grid of
+generator entries a_k[j], b_k[j] in waves T = 2j + k: an entry reads only
+the two waves before its own and the b of its own wave, so each wave is a
+few stacked 2x2 products, 2N - 1 numpy steps in all, O(N^2), and each entry
+gets the operations it would get on its own.  Both run in extended
+precision (np.clongdouble) and round only what they return, and every
+output is exact under truncation of the horizon.  They make no LAPACK call
+per step: the operator norm, the condition number, the defect square
+roots, the inverses and the products are 2x2 closed forms.  The last three
+(``_sqrt_psd2``, ``_inv2``, ``_mul2``) are written once over the four
+entries (m00, m01, m10, m11), each product entry summed as 0 + a b + c d
+in matmul's order, so they give matmul's bits.  Route A's step is a chain
+of such constants, B(0)^{-1}, alpha_n, both defects, their roots and
+inverses, so it hands them numpy scalars, whose arithmetic costs about a
+tenth of what a numpy call on a (2, 2) array costs; only its array update
+stays stacked matmuls.  The forward map, ``defects`` and ``sqrtm_herm2``
+hand the same functions whole stacks of entries, so the forward map builds
+all N defects and inverses in one call each.  ``schur_step``,
+``inverse_schur_step``, ``schur_algorithm`` and ``schur_coeffs_forward``
+are the paper's series recursions, kept as independent references.
 """
 
 from __future__ import annotations
@@ -386,21 +388,30 @@ def alphas_from_moments(C, N: int) -> np.ndarray:
     moments_from_alphas on positive-definite data.
 
     Starts from A = (C_1..C_N), B = (I, C_1..C_{N-1}) and applies the
-    stripping update to whole coefficient arrays, N numpy steps in all.  A
-    step's 2x2 constants (B(0)^{-1}, alpha_n, both defects, their roots and
-    inverses) run on numpy scalars through the entry-wise closed forms,
-    which give matmul's bits; only the O(N) update of A and B is stacked
+    stripping update to whole coefficient arrays, N numpy steps in all.
+    With C_K the last nonzero moment, which one numpy call finds, A_n[j] and
+    B_n[j] vanish past j = K, so step n updates only their first
+    min(K + 1, N - n) entries, O(N min(N, K)) in all.  Past this band B keeps
+    its entry K and A gains a +0 row, which gives the full arrays' bits:
+    matmul's long-double loop sums each entry into +0, so alpha @ 0 and
+    rho^{-1} @ (+-0) are +0, and after the first step every dropped entry
+    is +0.  The first step drops chi images of zero moments, which may hold
+    -0.0; of the band they reach only A_1[K], which is +0 either way.
+
+    A step's 2x2 constants (B(0)^{-1}, alpha_n, both defects, their roots
+    and inverses) run on numpy scalars through the entry-wise closed forms,
+    which give matmul's bits; only the update of A and B is stacked
     matmuls.  A and B, and the defects of each alpha_n, are carried in
     np.clongdouble (the 80-bit x87 type on x86-64, eps 1.1e-19): rounding
-    in the A/B updates is what limits accuracy.  In double the vanishing density's
-    |gamma_n| = 1/(n+2) is met only to about 4e-15 at N = 400, against about
-    5e-18 here, and with double-precision defects the ill-conditioned moments
-    of seeded rmax-0.8 sequences at N = 25..40 miss their round trip more
-    often.  Where np.longdouble is plain double the accuracy falls back to
-    the double figures.  Each alpha_n is rounded to complex128 before it is
-    tested, once, and returned.  Every coefficient array entry depends only
-    on lower entries, so alpha_0..alpha_{N-1} for N are a byte-identical
-    prefix of those for any larger N.
+    in the A/B updates is what limits accuracy.  In double the vanishing
+    density's |gamma_n| = 1/(n+2) is met only to about 4e-15 at N = 400,
+    against about 5e-18 here, and with double-precision defects the
+    ill-conditioned moments of seeded rmax-0.8 sequences at N = 25..40 miss
+    their round trip more often.  Where np.longdouble is plain double the
+    accuracy falls back to the double figures.  Each alpha_n is rounded to
+    complex128 before it is tested, once, and returned.  Every coefficient
+    array entry depends only on lower entries, so alpha_0..alpha_{N-1} for
+    N are a byte-identical prefix of those for any larger N.
 
     NotContraction (with the index) signals non-positive-definite moments;
     SingularConstantTerm and ShiftResidual guard B(0) and the exact shift.
@@ -409,9 +420,12 @@ def alphas_from_moments(C, N: int) -> np.ndarray:
         raise ValueError(f"need {N} moment matrices, got {len(C)}")
     ld = np.clongdouble
     A = np.array(C[:N], dtype=ld).reshape(N, 2, 2)
+    nonzero = np.flatnonzero(A)   # its last entry lies in A[K - 1] = C_K
+    A = A[:int(nonzero[-1]) // 4 + 2 if len(nonzero) else 1]   # min(K + 1, N) wide
     B = np.empty_like(A)
     B[:1] = EYE2
     B[1:] = A[:-1]
+    band = np.zeros((2, *A.shape), dtype=ld)   # A by turns; the last rows stay +0
     alphas = np.empty((N, 2, 2), dtype=complex)
     for n in range(N):
         if not cond2(B[0]) <= COND_LIMIT:   # also rejects NaN
@@ -432,7 +446,12 @@ def alphas_from_moments(C, N: int) -> np.ndarray:
         if residual > SHIFT_TOL:
             raise ShiftResidual(
                 f"degree-0 coefficient {residual:.3e} exceeds {SHIFT_TOL:.1e}")
-        A, B = (_matrix(_inv2(rhoR)) @ num[1:],
-                _matrix(_inv2(rhoL)) @ (B[:-1] - alphaH @ A[:-1]))
+        if len(A) < N - n:   # the band: A and B stay K + 1 wide, A ending in +0
+            A_next = band[n % 2]
+            np.matmul(_matrix(_inv2(rhoR)), num[1:], out=A_next[:-1])
+            A, B = A_next, _matrix(_inv2(rhoL)) @ (B - alphaH @ A)
+        else:
+            A, B = (_matrix(_inv2(rhoR)) @ num[1:],
+                    _matrix(_inv2(rhoL)) @ (B[:-1] - alphaH @ A[:-1]))
     alphas.setflags(write=False)
     return alphas

@@ -277,6 +277,26 @@ def test_cd_identity_bitwise_equal_to_scalar_loop(name):
         assert cd_kernel_diag(c, 4, p) == want
 
 
+def test_cd_identity_evaluates_every_sample_point(monkeypatch):
+    # the residual is a maximum, which a point dropped at a block edge may not
+    # move: each space must get the sample points whole, in order, block by block
+    import qopuc.analysis as analysis
+
+    evaluate = analysis.eval_norm_sq
+    seen = {}
+
+    def recording(polys, points):
+        seen.setdefault(id(polys), []).append(points)
+        return evaluate(polys, points)
+
+    monkeypatch.setattr(analysis, "eval_norm_sq", recording)
+    samples, seed = 2 * CD_BLOCK + 300, 5
+    cd_identity_check(moments_from_density(smooth_trig_density(), 3), 2, samples, seed)
+    want = analysis._sample_points(samples, seed).tobytes()
+    assert len(seen) == 2
+    assert all(np.concatenate(blocks).tobytes() == want for blocks in seen.values())
+
+
 def test_cd_identity_memory_bounded_in_samples():
     import tracemalloc
 

@@ -439,14 +439,17 @@ def test_forward_map_matches_series_chain(rng):
 
 
 def test_route_a_horizon_prefix_is_byte_identical():
-    from qopuc.fixtures import smooth_trig_density, vanishing_density
+    # at N <= K + 1 A and B shrink from the first step, past it they stay
+    # K + 1 wide until N - n reaches K + 1: both give the prefix of N = 200
+    from qopuc.fixtures import bernstein_szego_density, smooth_trig_density, vanishing_density
     from qopuc.measures import matrix_moments, moments_from_density
 
-    for d in (vanishing_density(), smooth_trig_density()):
+    for d in (vanishing_density(), smooth_trig_density(), bernstein_szego_density()):
         C = matrix_moments(moments_from_density(d, 200), d.frame, 200)[1:]
-        short = alphas_from_moments(C[:50], 50)
         full = alphas_from_moments(C, 200)
-        assert all(np.array_equal(a, b) for a, b in zip(short, full[:50]))
+        K = int(d.index[-1])
+        for N in sorted({1, K, K + 1, K + 2, 50}):
+            assert same_bytes(alphas_from_moments(C[:N], N), full[:N]), (K, N)
 
 
 def test_forward_map_horizon_prefix_is_byte_identical():
@@ -731,20 +734,40 @@ def test_stacked_2x2_forms_bitwise_equal_to_per_matrix_forms(rng):
         assert np.max(np.abs(rL - wL)) <= 1e-15 and np.max(np.abs(rR - wR)) <= 1e-15
 
 
+DENSITY_NAMES = ("lebesgue_density", "vanishing_density", "smooth_trig_density",
+                 "bernstein_szego_density")
+
+
 def route_a_cases(name):
-    """(C, N) inputs of route A: a density's moments at N = 200; the
-    all-zero Lebesgue moments (signed zeros); c_n = 1/2 of half Lebesgue plus
-    half an atom at 0; every N from 1 to 9 (the first steps and the last
-    step's early exit); the seeded rmax-0.8 moments of dual_route at N = 12,
-    25 and 40, which are ill-conditioned; and seeded moments in a seeded
-    non-standard frame."""
+    """(C, N) inputs of route A: a degree-K density's moments at N = K and
+    K + 1 (A and B shrink from the first step) and K + 2, 200 and 400 (they
+    first stay K + 1 wide), the Lebesgue ones all signed zeros; the four densities in a seeded frame at
+    N = 200; moments with a zero inside the band and -0.0 entries past it;
+    c_n = 1/2 of half Lebesgue plus half an atom at 0; every N from 1 to 9
+    (the first steps and the last step's early exit); the seeded rmax-0.8
+    moments of dual_route at N = 12, 25 and 40, which are ill-conditioned;
+    and seeded moments in a seeded non-standard frame."""
     from qopuc import fixtures
     from qopuc.measures import MomentSequence, matrix_moments, moments_from_density
     from qopuc.quaternions import SliceFrame
 
     if name.endswith("_density"):
         d = getattr(fixtures, name)()
-        return [(matrix_moments(moments_from_density(d, 200), d.frame, 200)[1:], 200)]
+        C = matrix_moments(moments_from_density(d, 400), d.frame, 400)[1:]
+        K = int(d.index[-1])   # C_K is the last nonzero moment
+        return [(C, N) for N in (K, K + 1, K + 2, 200, 400) if N >= 1]
+    if name == "densities_seeded_frame":
+        fr = SliceFrame.random(np.random.default_rng(4107))
+        densities = [getattr(fixtures, f)(frame=fr) for f in DENSITY_NAMES]
+        return [(matrix_moments(moments_from_density(d, 200), fr, 200)[1:], 200)
+                for d in densities]
+    if name == "banded_moments":
+        # C_3 is the last nonzero moment, C_2 = 0 lies inside the band
+        c = MomentSequence([[1.0, 0.0, 0.0, 0.0], [0.3, 0.1, -0.05, 0.02], [0.0] * 4,
+                            [0.05, -0.02, 0.01, 0.03]] + [[0.0] * 4] * 37)
+        C = matrix_moments(c)[1:]
+        C[3:] = complex(-0.0, -0.0)
+        return [(C, N) for N in (1, 2, 3, 4, 5, 40)]
     if name == "atom_lebesgue":
         c = MomentSequence([[1.0, 0.0, 0.0, 0.0]] + [[0.5, 0.0, 0.0, 0.0]] * 200)
         return [(matrix_moments(c)[1:], 200)]
@@ -761,9 +784,9 @@ def route_a_cases(name):
     return [(matrix_moments(random_moment_fixture(1017, 40, frame=fr), fr)[1:], 40)]
 
 
-@pytest.mark.parametrize("name", ["vanishing_density", "bernstein_szego_density",
-                                  "smooth_trig_density", "lebesgue_density", "atom_lebesgue",
-                                  "first_steps", "rmax08_seeded", "seeded_frame"])
+@pytest.mark.parametrize("name", [*DENSITY_NAMES, "densities_seeded_frame", "banded_moments",
+                                  "atom_lebesgue", "first_steps", "rmax08_seeded",
+                                  "seeded_frame"])
 def test_route_a_bitwise_equal_to_per_matrix_form(name):
     for C, N in route_a_cases(name):
         assert same_bytes(alphas_from_moments(C, N), alphas_from_moments_per_matrix(C, N))

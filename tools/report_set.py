@@ -32,8 +32,9 @@ densities, and both at N = 1, 2, 3, route A's first steps; ``grid`` 2 and
 reflections of W22; ``sv`` N = 12, 25, 40 on the four densities;
 ``zeros`` n = 20 and 30 on the four densities, root batches up to degree 60
 and companions up to size 30; ``grid``
-7 and 2048, ``sv --n 20`` and ``baxter --n 50`` on the four densities
-under the five seeded frames;
+7 and 2048, ``sv --n 20``, ``baxter --n 50`` and ``--n 200`` and
+``moments-to-verblunsky --n 40`` on the four densities under the five
+seeded frames;
 ``verblunsky-to-moments`` K = 20, 40, 80 json and csv on the Bernstein-Szego gammas and three seeded
 80-coefficient rmax-0.8 fixtures (seeds 1017-3017), and K = 1, 2, 3, 200, 400
 on a seeded 400-coefficient rmax-0.8 fixture (seed 1017), the first and the
@@ -49,7 +50,9 @@ negative indices, with a broken Hermitian symmetry, and with |c_5| raised to
 1.5) under ``moments-to-verblunsky`` n = 6 and 12, ``orthopolys``, ``zeros``
 and ``cd``; the moments c_0 = 1, c_n = 1/2 of half Lebesgue measure plus half
 an atom at 0 under ``moments-to-verblunsky --n 200``, ``orthopolys --n 8``
-and ``zeros --n 8``; a density with a repeated ``w1`` index, moments with a
+and ``zeros --n 8``; moments whose last nonzero one is c_3, with c_2 = 0
+and -0.0 entries up to c_40, under ``moments-to-verblunsky`` N = 2, 3, 4, 5
+and 40; a density with a repeated ``w1`` index, moments with a
 repeated index, a density given by ``w2`` alone with and without its frame,
 and a fixture that holds both a density and moments, under
 ``moments-to-verblunsky --n 1``, ``grid --grid 7`` and ``sv --n 1``;
@@ -173,7 +176,10 @@ def report_set(frames: dict[str, str]):
             for name, argv in (("grid.g7", ["grid", "--grid", "7"]),
                                ("grid.g2048", ["grid", "--grid", "2048"]),
                                ("sv.n20", ["sv", "--n", "20"]),
-                               ("baxter.n50", ["baxter", "--n", "50"])):
+                               ("baxter.n50", ["baxter", "--n", "50"]),
+                               ("baxter.n200", ["baxter", "--n", "200"]),
+                               ("moments-to-verblunsky.n40",
+                                ["moments-to-verblunsky", "--n", "40"])):
                 yield (f"{density}.{name}.{fname}",
                        [argv[0], path, *argv[1:], "--frame", spec])
     for stem in ["bernstein_gammas"] + [f"gammas80_{seed}" for seed in GAMMA_SEEDS[:3]]:
@@ -206,6 +212,9 @@ def report_set(frames: dict[str, str]):
     for command, n in (("moments-to-verblunsky", 200), ("orthopolys", 8), ("zeros", 8)):
         yield (f"atom_lebesgue.{command}.n{n}",
                [command, "fixtures/atom_lebesgue.json", "--n", str(n)])
+    for n in (2, 3, 4, 5, 40):   # K = 3: N below, at and past K + 1
+        yield (f"banded_moments.moments-to-verblunsky.n{n}",
+               ["moments-to-verblunsky", "fixtures/banded_moments.json", "--n", str(n)])
     for stem in ("repeated_w1", "repeated_moments", "w2_only", "w2_only_noframe",
                  "mixed_density_moments"):
         path = f"fixtures/{stem}.json"
@@ -300,6 +309,10 @@ def make_fixtures(main, record) -> None:
     # (1/2) Lebesgue + (1/2) delta_0: c_n = 1/2 for n >= 1, gamma_n = 1 / (2 + n)
     write_fixture("atom_lebesgue", {"moments": [[0, [1.0, 0.0, 0.0, 0.0]]]
                                     + [[n, [0.5, 0.0, 0.0, 0.0]] for n in range(1, 201)]})
+    # c_3 the last nonzero moment, c_2 = 0 inside the band, -0.0 entries past it
+    write_fixture("banded_moments", {"moments": [
+        [0, [1.0, 0.0, 0.0, 0.0]], [1, [0.3, 0.1, -0.05, 0.02]], [2, [0.0, 0.0, 0.0, 0.0]],
+        [3, [0.05, -0.02, 0.01, 0.03]]] + [[n, [-0.0] * 4] for n in range(4, 41)]})
     # a repeated index, which a map built from the list would overwrite
     write_fixture("repeated_w1", {"frame": standard, "w1": [[0, 1.0, 0.0], [0, 0.5, 0.0]]})
     write_fixture("repeated_moments", {"moments": [[0, [1.0, 0.0, 0.0, 0.0]],
