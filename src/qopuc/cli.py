@@ -280,14 +280,14 @@ def moments_from_fixture(fix: Fixture, n: int) -> MomentSequence:
 # ------------------------------- commands ----------------------------------
 
 def _require_flags(args) -> None:
-    """--n (an order or a count), --samples and --grid must be at least 1;
-    --tol-route finite and > 0, --tol-pd finite and >= 0, --rmax finite in
-    [0.05, 1), the interval its radii are drawn from, and --format csv only
-    for commands with a CSV view."""
-    for flag in ("n", "samples", "grid"):
+    """--n (an order or a count), --samples and --grid must be at least 1,
+    --seed at least 0; --tol-route finite and > 0, --tol-pd finite and
+    >= 0, --rmax finite in [0.05, 1), the interval its radii are drawn from,
+    and --format csv only for commands with a CSV view."""
+    for flag, low in (("n", 1), ("samples", 1), ("grid", 1), ("seed", 0)):
         value = getattr(args, flag, None)
-        if value is not None and value < 1:
-            raise ValueError(f"--{flag} must be at least 1, got {value}")
+        if value is not None and value < low:
+            raise ValueError(f"--{flag} must be at least {low}, got {value}")
     if not (math.isfinite(args.tol_route) and args.tol_route > 0):
         raise ValueError(f"--tol-route must be finite and > 0, got {args.tol_route}")
     if not (math.isfinite(args.tol_pd) and args.tol_pd >= 0):

@@ -17,8 +17,13 @@ cross-check and conjugate-pair reduction take one greedy step per root
 over all polynomials at once.  Only the determinant's convolution runs per
 polynomial.  Every root, distance and flag keeps the bits of checking the
 polynomials one at a time, with Horner's rule and the root matching on
-Python complex scalars, and every error is the one that checking them one
-at a time would raise first.
+Python complex scalars.
+
+Every error is the one that checking the polynomials one at a time would
+raise first.  The stacked pass keeps no record of which polynomial failed:
+a cross-check failure is already the first in order, as every polynomial
+has passed the stages before it, and a failure before the cross-check
+sends the job through ``zero_slice`` again, one polynomial per call.
 """
 
 from __future__ import annotations
@@ -313,22 +318,20 @@ _ONE = np.array([1.0, 0.0, 0.0, 0.0])
 
 
 class _Posed(NamedTuple):
-    """The polynomials of a ``zero_slice`` call before the first one that
-    cannot be posed, one row each, and that one's error (None if every one
-    is posed): the degree after the numeric trim (0 for a nonzero
-    constant), whether the polynomial is a QPolyL, its monic form and that
-    form's coefficient image (zero-padded), and whether the image's
-    off-diagonal is exactly zero."""
+    """The polynomials of a ``zero_slice`` call, one row each: the degree
+    after the numeric trim (0 for a nonzero constant), whether the
+    polynomial is a QPolyL, its monic form and that form's coefficient
+    image (zero-padded), and whether the image's off-diagonal is exactly
+    zero."""
 
     degree: np.ndarray
     left: np.ndarray
     monic: np.ndarray
     image: np.ndarray
     single_plane: np.ndarray
-    error: Exception | None
 
 
-def _pose(polys, frame: SliceFrame) -> _Posed:
+def _pose(polys: list, frame: SliceFrame) -> _Posed:
     """Trim, make monic and embed every polynomial of ``polys``, as stacked
     steps on one zero-padded (P, D+1, 4) coefficient array.
 
@@ -344,32 +347,25 @@ def _pose(polys, frame: SliceFrame) -> _Posed:
     right-multiplied by its inverse, which multiplies all values on the
     right and so fixes the zero set; for QPolyR it is left-multiplied.
 
-    Per polynomial, in order, the errors are: TypeError unless it is a
-    QPolyL or QPolyR, ValueError for a coefficient that is not finite or
-    whose squared norm overflows, and ValueError for the zero polynomial.
+    It raises at once: TypeError if an entry is not a QPolyL or QPolyR,
+    else ValueError for a coefficient that is not finite, then for a
+    squared coefficient norm that overflows, then for the zero polynomial.
+    Which polynomial of a batch fails first is ``zero_slice``'s question.
     """
-    arrs, left, error = [], [], None
-    for psi in polys:
-        if not isinstance(psi, (QPolyL, QPolyR)):
-            error = TypeError("expected QPolyL or QPolyR")
-            break
-        arrs.append(psi.arr)
-        left.append(isinstance(psi, QPolyL))
-    arr, _ = _stack(arrs, float, (4,))
-    left = np.array(left, dtype=bool)
+    if not all(isinstance(psi, (QPolyL, QPolyR)) for psi in polys):
+        raise TypeError("expected QPolyL or QPolyR")
+    arr, _ = _stack([psi.arr for psi in polys], float, (4,))
+    left = np.array([isinstance(psi, QPolyL) for psi in polys], dtype=bool)
     w, x, y, z = np.moveaxis(arr, -1, 0)
     with np.errstate(over="ignore", invalid="ignore"):   # rejected below
         mags = np.sqrt(w * w + x * x + y * y + z * z)
     scale = mags.max(axis=1, initial=0.0)
     finite = np.isfinite(arr).all(axis=(1, 2))
-    checks = ((~finite, "polynomial coefficients must be finite"),
-              (finite & (scale == np.inf), "polynomial coefficient norms overflow"),
-              (scale == 0.0, "zero polynomial has no zero-set report"))
-    bad = np.any([fails for fails, _ in checks], axis=0)
-    if bad.any():   # raised after the polynomials before it are checked
-        p = int(bad.argmax())
-        error = ValueError(next(message for fails, message in checks if fails[p]))
-        arr, left, mags, scale = arr[:p], left[:p], mags[:p], scale[:p]
+    for fails, message in ((~finite, "polynomial coefficients must be finite"),
+                           (scale == np.inf, "polynomial coefficient norms overflow"),
+                           (scale == 0.0, "zero polynomial has no zero-set report")):
+        if fails.any():
+            raise ValueError(message)
     kept = mags > NUMERIC_DEGREE_TOL * scale[:, None]
     degree = kept.shape[1] - 1 - kept[:, ::-1].argmax(axis=1)
     inv = qarr_inv(arr[np.arange(len(arr)), degree])[:, None]
@@ -378,7 +374,7 @@ def _pose(polys, frame: SliceFrame) -> _Posed:
     monic[col > degree[:, None]] = 0.0
     monic[col == degree[:, None]] = _ONE
     image = chi(monic, frame)
-    return _Posed(degree, left, monic, image, ~image[:, :, 0, 1].any(axis=1), error)
+    return _Posed(degree, left, monic, image, ~image[:, :, 0, 1].any(axis=1))
 
 
 def _companions(body: np.ndarray, left: np.ndarray) -> np.ndarray:
@@ -421,17 +417,6 @@ _NO_ZEROS = ZeroReport(slice_roots=(), moduli=(), all_inside_ball=True,
                        all_outside_closed_ball=True)
 
 
-def _with_conjugates(found: np.ndarray, single_plane: bool) -> np.ndarray:
-    """Route 1's roots of det: those of a, then of a-bar, for a
-    single-plane image."""
-    return np.concatenate([found, found.conj()]) if single_plane else found
-
-
-def _route_mismatch(dist: float) -> RouteMismatch:
-    return RouteMismatch(f"determinant roots and companion spectrum disagree ({dist:.3e})",
-                         residual=dist)
-
-
 def zero_slice(polys, frame: SliceFrame, route_tol: float = ROUTE_TOL) -> list[ZeroReport]:
     """Slice zero sets of a sequence of quaternionic polynomials, two routes
     cross-checked, one ZeroReport per polynomial.
@@ -451,43 +436,43 @@ def zero_slice(polys, frame: SliceFrame, route_tol: float = ROUTE_TOL) -> list[Z
     conjugate pair and the sort of the representatives are stacked steps on
     zero-padded rows.
 
-    The error raised is the one of the first failing polynomial at its
-    first failing stage, as if they were checked one at a time.  Per
-    polynomial the stages are the pose (TypeError, then ValueError for a
-    non-finite coefficient, an overflowing coefficient norm or the zero
-    polynomial), route 1 (NoConvergence), route 2 (NoConvergence) and the
-    cross-check (RouteMismatch).  After a stall, or a failed stacked
-    eigenvalue call, the polynomials are rooted, diagonalised and
-    cross-checked one by one, in order.
+    The error raised is the one that checking the polynomials one at a time
+    would raise first.  Per polynomial the stages are the pose (TypeError,
+    then ValueError for a non-finite coefficient, an overflowing coefficient
+    norm or the zero polynomial), route 1 (NoConvergence), route 2
+    (NoConvergence) and the cross-check (RouteMismatch).  The cross-check
+    runs only once every polynomial has passed the stages before it, so its
+    first failing row is that error.  If an earlier stage raises, a call of
+    more than one polynomial checks them again one at a time, in order,
+    and raises the first error; a one-polynomial call raises it directly.
     """
-    posed = _pose(polys, frame)
-    rows = np.flatnonzero(posed.degree)
-    degree = posed.degree[rows]
-    single = posed.single_plane[rows]
-    coeffs = [posed.image[p, :n + 1, 0, 0] if s else det_poly(posed.image[p, :n + 1])
-              for p, n, s in zip(rows.tolist(), degree.tolist(), single.tolist())]
+    polys = list(polys)
     try:
-        route1 = roots(coeffs)
-    except NoConvergence:
-        route1 = None
-    size = 2 * degree
-    spectra = np.zeros((len(rows), int(size.max(initial=0))), dtype=complex)
-    failed = np.zeros(len(rows), dtype=bool)
-    for n in sorted(set(degree.tolist())):
-        ks = np.flatnonzero(degree == n)
-        comps = _companions(posed.monic[rows[ks], :n], posed.left[rows[ks]])
-        try:
-            spectra[ks, :2 * n] = right_eigen_slice(comps, frame)
-        except NoConvergence:
-            failed[ks] = True
-    if route1 is None or failed.any():
-        route1 = _one_at_a_time(posed, rows, coeffs, route1, spectra, failed, frame, route_tol)
-    found, _ = _stack([_with_conjugates(f, s) for f, s in zip(route1, single.tolist())],
-                      complex)
+        posed = _pose(polys, frame)
+        rows = np.flatnonzero(posed.degree)
+        degree = posed.degree[rows]
+        single = posed.single_plane[rows]
+        route1 = roots([posed.image[p, :n + 1, 0, 0] if s else det_poly(posed.image[p, :n + 1])
+                        for p, n, s in zip(rows.tolist(), degree.tolist(), single.tolist())])
+        size = 2 * degree
+        spectra = np.zeros((len(rows), int(size.max(initial=0))), dtype=complex)
+        for n in sorted(set(degree.tolist())):
+            ks = np.flatnonzero(degree == n)
+            spectra[ks, :2 * n] = right_eigen_slice(
+                _companions(posed.monic[rows[ks], :n], posed.left[rows[ks]]), frame)
+    except (TypeError, ValueError, NoConvergence):
+        if len(polys) > 1:
+            for psi in polys:
+                zero_slice([psi], frame, route_tol)
+        raise
+    found, _ = _stack([np.concatenate([f, f.conj()]) if s else f
+                       for f, s in zip(route1, single.tolist())], complex)
     dist = _greedy_distances(found, size, spectra, size)
     over = dist > route_tol
     if over.any():
-        raise _route_mismatch(float(dist[over.argmax()]))
+        worst = float(dist[over.argmax()])
+        raise RouteMismatch(f"determinant roots and companion spectrum disagree ({worst:.3e})",
+                            residual=worst)
     reps, count = _conjugate_representatives(found, size)
     moduli = _abs(reps)
     padding = np.arange(reps.shape[1]) >= count[:, None]
@@ -498,31 +483,7 @@ def zero_slice(polys, frame: SliceFrame, route_tol: float = ROUTE_TOL) -> list[Z
                                 moduli.tolist(), inside, outside):
         reports[p] = ZeroReport(slice_roots=tuple(r[:c]), moduli=tuple(m[:c]),
                                 all_inside_ball=i, all_outside_closed_ball=o)
-    if posed.error is not None:
-        raise posed.error
     return reports
-
-
-def _one_at_a_time(posed: _Posed, rows, coeffs, route1, spectra, failed, frame,
-                   route_tol) -> list[np.ndarray]:
-    """Route 1 of every posed polynomial, after the batch stalled or a stacked
-    eigenvalue call failed: each polynomial is rooted, diagonalised and
-    cross-checked alone, in order, so that the first error is raised.
-    ``spectra`` gets the rows that ``failed``."""
-    found = []
-    for k, p in enumerate(rows.tolist()):
-        f = roots([coeffs[k]])[0] if route1 is None else route1[k]
-        n = int(posed.degree[p])
-        if failed[k]:
-            spectra[k, :2 * n] = right_eigen_slice(
-                _companions(posed.monic[[p], :n], posed.left[[p]])[0], frame)
-        size = np.array([2 * n])
-        dist = float(_greedy_distances(_with_conjugates(f, posed.single_plane[p])[None], size,
-                                       spectra[k:k + 1], size)[0])
-        if dist > route_tol:
-            raise _route_mismatch(dist)
-        found.append(f)
-    return found
 
 
 def zeros_theorem_check(fam: OrthonormalFamily, frame: SliceFrame | None = None,

@@ -7,6 +7,13 @@ re-export from ``__init__`` and a type annotation do not count), or be named
 by ``perfbench/`` or ``tools/`` as ``<module>.<name>`` or ``qopuc.<name>``,
 or be on the allowlist below with its reason.  A name only the tests call
 belongs in the tests.
+
+The same holds for every public method (properties and class methods
+included; dunder methods aside) of a module-level class, named
+``<module>.<class>.<method>``: an attribute of its name must be loaded in
+``src/qopuc`` outside its own definition, or ``.<method>`` be named by
+``perfbench/`` or ``tools/``.  Attribute loads are not resolved to a class,
+so a method whose name another class also uses may pass unseen.
 """
 
 from __future__ import annotations
@@ -30,6 +37,17 @@ ALLOWLIST = {
     "fixtures.bernstein_szego_density": "a named shipped density, closed form gamma_0 = g",
     "fixtures.vanishing_density": "a named shipped density, closed form |gamma_n| = 1/(n+2)",
     "fixtures.smooth_trig_density": "a named shipped density with a genuine j-part",
+    "polynomials._QPolyBase.coeff": "the k-th coefficient as a Quaternion, zero past the "
+                                    "degree: the paper's coefficientwise statements of "
+                                    "the Szego recurrence read it",
+    "polynomials._QPolyBase.shift": "multiplication by the variable p, the p psi_n of the "
+                                    "paper's Szego recurrence",
+    "quaternions.SliceFrame.from_split": "the inverse of SliceFrame.split, q = z1 + z2 j in "
+                                         "the frame",
+    "quaternions.SliceFrame.slice_point": "the point of the slice C_i with coordinates z, "
+                                          "where a zero report's slice roots live",
+    "series.TruncSeries.truncate": "lowering the order of a truncated series, which its "
+                                   "product and inverse commute with",
 }
 
 
@@ -49,6 +67,15 @@ def _definitions(tree: ast.Module) -> dict[str, tuple[int, int]]:
             if not name.startswith("_"):
                 out[name] = (node.lineno, node.end_lineno)
     return out
+
+
+def _methods(tree: ast.Module) -> dict[str, tuple[int, int]]:
+    """Public methods of the module-level classes, as ``<class>.<method>``,
+    and the line span of their definition."""
+    return {f"{cls.name}.{fn.name}": (fn.lineno, fn.end_lineno)
+            for cls in tree.body if isinstance(cls, ast.ClassDef)
+            for fn in cls.body
+            if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")}
 
 
 def _loads(module: str, tree: ast.Module):
@@ -82,6 +109,16 @@ def _unneeded() -> list[str]:
                        for mod, n, user, line in loads)
             named = re.search(rf"\b(?:{module}|qopuc)\.{name}\b", outside)
             if not (used or named):
+                unneeded.append(f"{module}.{name}")
+    attributes = {(node.attr, user, node.lineno) for user, tree in trees.items()
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    for module, tree in trees.items():
+        for name, (first, last) in _methods(tree).items():
+            method = name.split(".")[1]
+            used = any(attr == method and not (user == module and first <= line <= last)
+                       for attr, user, line in attributes)
+            if not (used or re.search(rf"\.{method}\b", outside)):
                 unneeded.append(f"{module}.{name}")
     return unneeded
 

@@ -302,6 +302,9 @@ def test_overflowing_density_rejected_as_not_psd(tmp_path):
     (["orthopolys", "smooth_trig.json", "--format", "csv"], "--format"),
     (["cd", "smooth_trig.json", "--format", "csv"], "--format"),
     (["random-gamma", "--format", "csv"], "--format"),
+    # --seed must be at least 0
+    (["cd", "smooth_trig.json", "--seed", "-1"], "--seed"),
+    (["random-gamma", "--seed", "-1"], "--seed"),
 ])
 def test_counts_below_one_rejected(tmp_path, argv, flag):
     argv = [str(FIXDIR / a) if a.endswith(".json") else a for a in argv]

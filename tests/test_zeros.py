@@ -419,6 +419,19 @@ def _first_error_one_at_a_time(polys, frame, route_tol, max_iter=500):
     return None
 
 
+def _counted_zero_slice(monkeypatch):
+    """Route ``zero_slice`` through a wrapper; the list of its entries, a
+    re-check of one polynomial included."""
+    entries, original = [], zeros_module.zero_slice
+
+    def counted(*args, **kwargs):
+        entries.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(zeros_module, "zero_slice", counted)
+    return entries
+
+
 def _zeros_job_polys(fam):
     return [poly for n in range(1, fam.order + 1)
             for poly in (fam.right[n], fam.left[n], reverse_L(fam.right[n], n),
@@ -429,7 +442,7 @@ def test_zeros_job_raises_the_first_error_in_order(monkeypatch):
     """With the iteration budget cut so that high-degree rows stall, a
     route tolerance below every residual still raises the degree-1
     RouteMismatch, and the default one the stall of the first polynomial
-    that stalls."""
+    that stalls; so does the job passed as an iterator."""
     fam = orthonormal_polys(moments_from_density(smooth_trig_density(), 10), 10)
     frame = SliceFrame.standard()
     polys = _zeros_job_polys(fam)
@@ -441,6 +454,9 @@ def test_zeros_job_raises_the_first_error_in_order(monkeypatch):
         with pytest.raises(kind) as got:
             zeros_theorem_check(fam, frame, route_tol)
         assert type(want) is kind and str(got.value) == str(want)
+        with pytest.raises(kind) as got_iter:
+            zero_slice(iter(polys), frame, route_tol)
+        assert str(got_iter.value) == str(want)
     assert str(_first_error_one_at_a_time(polys, frame, 1e-40, max_iter=8)) == \
         str(degree_1.value)
 
@@ -448,7 +464,8 @@ def test_zeros_job_raises_the_first_error_in_order(monkeypatch):
 def test_failed_stacked_spectrum_raises_in_order(monkeypatch):
     """A LAPACK failure on one companion size fails its whole stacked call;
     the job then diagonalises that size one matrix at a time, so an earlier
-    polynomial's RouteMismatch still comes first."""
+    polynomial's RouteMismatch still comes first.  A lone polynomial of
+    that size raises the failure itself, without a re-check."""
     from qopuc.quaternions import right_eigen_slice
 
     def failing_on_size_3(A, frame):
@@ -465,22 +482,39 @@ def test_failed_stacked_spectrum_raises_in_order(monkeypatch):
         with pytest.raises(kind) as got:
             zeros_theorem_check(fam, frame, route_tol)
         assert type(want) is kind and str(got.value) == str(want)
+    entries = _counted_zero_slice(monkeypatch)
+    with pytest.raises(NoConvergence, match="size 3"):
+        zeros_module.zero_slice([fam.right[3]], frame)
+    assert len(entries) == 1
 
 
 def test_zero_slice_raises_a_stage_one_error_after_earlier_checks(monkeypatch):
-    """An input that fails before rooting (a zero polynomial) is raised only
-    after the polynomials before it are checked, and not before a later
-    polynomial's stall."""
+    """An input that fails before rooting (a zero polynomial, or an entry
+    that is not a quaternionic polynomial) is raised only after the
+    polynomials before it are checked, and not before a later polynomial's
+    stall.  A lone stalling polynomial raises its stall without a
+    re-check."""
     fam = orthonormal_polys(moments_from_density(smooth_trig_density(), 3), 3)
     frame = SliceFrame.standard()
     zero = QPolyL(np.zeros((2, 4)))
+    not_a_poly = fam.right[2].arr
     with pytest.raises(RouteMismatch):
         zero_slice([fam.right[2], zero], frame, route_tol=1e-40)
+    with pytest.raises(RouteMismatch):
+        zero_slice([fam.right[2], not_a_poly], frame, route_tol=-1.0)
     with pytest.raises(ValueError, match="zero polynomial"):
         zero_slice([fam.right[2], zero, fam.right[3]], frame)
     monkeypatch.setattr(zeros_module, "MAX_ABERTH_ITER", 2)
     with pytest.raises(ValueError, match="zero polynomial"):
         zero_slice([zero, fam.right[3]], frame)
+    with pytest.raises(TypeError, match="expected QPolyL or QPolyR"):
+        zero_slice([not_a_poly, fam.right[3]], frame)
+    with pytest.raises(NoConvergence, match="stalled"):
+        zero_slice([fam.right[3], not_a_poly], frame)
+    entries = _counted_zero_slice(monkeypatch)
+    with pytest.raises(NoConvergence, match="stalled"):
+        zeros_module.zero_slice([fam.right[3]], frame)
+    assert len(entries) == 1
 
 
 @pytest.mark.parametrize("bad, message", [
