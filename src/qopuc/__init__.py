@@ -16,8 +16,8 @@ from .measures import (
 from .series import TruncSeries, herglotz_from_moments, herglotz_from_schur, \
     schur_from_herglotz
 from .matrix_opuc import (
-    MatVerblunskySeq, alphas_from_moments, defects, moments_from_alphas,
-    schur_algorithm, schur_coeffs_forward, schur_step,
+    alphas_from_moments, defects, moments_from_alphas, schur_algorithm, schur_coeffs_forward,
+    schur_step,
 )
 from .polynomials import (
     OrthonormalFamily, QPolyL, QPolyR, VerblunskyExtraction, VerblunskySeq, eval_L, eval_R,

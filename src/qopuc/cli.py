@@ -5,8 +5,16 @@ report, prints floats with 17 significant digits, and keeps key order
 fixed, so identical configurations reproduce byte-identical output.
 
 Exit codes: 0 ok, 2 invalid input (non-positive-definite moments, bad
-coefficients, malformed fixture, a density beyond float64 on a grid), 3
-internal cross-check mismatch, 4 no convergence.
+coefficients, malformed fixture, a density beyond float64 on a grid, an
+input too large to allocate), 3 internal cross-check mismatch, 4 no
+convergence.
+
+One loader per job reads and checks the fixture once and resolves the
+frame the job runs in (``load_fixture``).  Report tables are built by
+column: each distinct float of a float column is formatted once
+(``_float_text``), and a ``grid`` report writes W21 and W22 from the text
+of W12 and W11 (``_GridRows``), then fills one JSON row template or joins
+the same strings for CSV.
 """
 
 from __future__ import annotations
@@ -535,6 +543,8 @@ def _run(args) -> tuple[int, str]:
         return EXIT_NO_CONVERGENCE, _error_text(exc)
     except (*_INVALID_INPUT_ERRORS, ValueError, KeyError, OSError) as exc:
         return EXIT_INVALID_INPUT, _error_text(exc)
+    except MemoryError as exc:   # numpy's private subclass, reported as the builtin
+        return EXIT_INVALID_INPUT, _error_text(MemoryError(str(exc)))
     payload = _envelope(args, fix, result)
     if args.format == "csv":
         return EXIT_OK, csv_view(args.command, payload)

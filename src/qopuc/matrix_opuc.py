@@ -46,6 +46,13 @@ hand the same functions whole stacks of entries, so the forward map builds
 all N defects and inverses in one call each.  ``schur_step``,
 ``inverse_schur_step``, ``schur_algorithm`` and ``schur_coeffs_forward``
 are the paper's series recursions, kept as independent references.
+
+Matrix Verblunsky coefficients are one read-only (N, 2, 2) complex array,
+which route A and ``schur_algorithm`` return and the forward map and
+``schur_coeffs_forward`` read; a defect pair is one (2, ..., 2, 2) stack
+[rhoL, rhoR].  Every coefficient is tested for strict contraction once
+where it enters this layer: route A tests each alpha_n it makes, and the
+forward map each one it reads, through ``defects``.
 """
 
 from __future__ import annotations
@@ -160,45 +167,6 @@ def sqrtm_herm2(H: np.ndarray) -> np.ndarray:
     return _matrix(_sqrt_psd2(_entries(_complex(H))))
 
 
-class MatVerblunskySeq:
-    """Strictly contractive 2x2 matrices, tested at construction and stored
-    as a read-only (N, 2, 2) array ``alphas``."""
-
-    __slots__ = ("alphas",)
-
-    def __init__(self, alphas):
-        alphas = np.array(alphas, dtype=complex).reshape(-1, 2, 2)
-        for n, a in enumerate(alphas):
-            _require_contraction(a, n)
-        alphas.setflags(write=False)
-        object.__setattr__(self, "alphas", alphas)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MatVerblunskySeq is immutable")
-
-    def __len__(self):
-        return len(self.alphas)
-
-    def __getitem__(self, n):
-        return self.alphas[n]
-
-    def __iter__(self):
-        return iter(self.alphas)
-
-
-class DefectPair:
-    """rhoL = (I - a* a)^(1/2) and rhoR = (I - a a*)^(1/2), both Hermitian PD."""
-
-    __slots__ = ("rhoL", "rhoR")
-
-    def __init__(self, rhoL, rhoR):
-        object.__setattr__(self, "rhoL", _complex(rhoL))
-        object.__setattr__(self, "rhoR", _complex(rhoR))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DefectPair is immutable")
-
-
 def _require_contraction(alpha: np.ndarray, index=None):
     if not operator_norm2(alpha) < 1.0 - CONTRACTION_MARGIN:   # also rejects NaN
         raise NotContraction(
@@ -216,28 +184,24 @@ def _defect_root(x, y) -> tuple:
     return _sqrt_psd2((1 - p00, 0 - p01, 0 - p10, 1 - p11))
 
 
-def _defect_roots(alpha: np.ndarray) -> np.ndarray:
-    """The stack [(I - a*a)^(1/2), (I - aa*)^(1/2)] of a (..., 2, 2) stack,
-    shape (2, ..., 2, 2), in the precision of alpha, from one closed-form
-    call on the entries of both.  In long double both products are one
-    stacked matmul, which sums 0 + a b + c d as ``_mul2`` does; a complex128
-    matmul goes to BLAS, which may fuse a multiply-add, so there the
-    products stay entry-wise."""
+def defects(alpha: np.ndarray) -> np.ndarray:
+    """The defect pair [rhoL, rhoR] = [(I - a*a)^(1/2), (I - aa*)^(1/2)] of a
+    2x2 matrix or a (..., 2, 2) stack, as one (2, ..., 2, 2) stack in the
+    precision of alpha, so ``rhoL, rhoR = defects(a)``.
+
+    Tests every matrix once: NotContraction if one is not a strict
+    contraction, carrying its flat index for a stack.  Both roots come from
+    one closed-form call on the entries of both.  In long double both
+    products are one stacked matmul, which sums 0 + a b + c d as ``_mul2``
+    does; a complex128 matmul goes to BLAS, which may fuse a multiply-add,
+    so there the products stay entry-wise."""
+    alpha = _complex(alpha)
+    for n, a in enumerate(alpha.reshape(-1, 2, 2)):
+        _require_contraction(a, n if alpha.ndim > 2 else None)
     pair = np.stack((alpha.conj().swapaxes(-1, -2), alpha))
     if alpha.dtype == np.clongdouble:
         return _matrix(_sqrt_psd2(_entries(EYE2 - pair @ pair[::-1])))
     return _matrix(_defect_root(_entries(pair), _entries(pair[::-1])))
-
-
-def defects(alpha: np.ndarray) -> DefectPair:
-    """Principal square roots of I - a*a and I - aa* via the 2x2 closed form,
-    in the precision of alpha; for a (..., 2, 2) stack, rhoL and rhoR are
-    stacks of the same shape, square-rooted in one call.  NotContraction if
-    any matrix is not a strict contraction."""
-    alpha = _complex(alpha)
-    for a in alpha.reshape(-1, 2, 2):
-        _require_contraction(a)
-    return DefectPair(*_defect_roots(alpha))
 
 
 def schur_step(f_n: TruncSeries, alpha_n: np.ndarray) -> TruncSeries:
@@ -245,14 +209,14 @@ def schur_step(f_n: TruncSeries, alpha_n: np.ndarray) -> TruncSeries:
     alpha_n = np.asarray(alpha_n, dtype=complex)
     if np.max(np.abs(f_n.coeffs[0] - alpha_n)) > CONSTANT_TOL:
         raise ConstantMismatch("f_n(0) differs from alpha_n beyond 1e-10")
-    d = defects(alpha_n)
+    rhoL, rhoR = defects(alpha_n)
     order = f_n.order
     num = TruncSeries(f_n.coeffs - TruncSeries.constant(alpha_n, order).coeffs)
     den = TruncSeries.identity(order) - TruncSeries.constant(alpha_n.conj().T, order) * f_n
     core = num * series_inv(den)
     shifted = core.shift_down()
-    rhoRi = np.linalg.inv(d.rhoR)
-    return TruncSeries(np.einsum("ij,njk,kl->nil", rhoRi, shifted.coeffs, d.rhoL))
+    rhoRi = np.linalg.inv(rhoR)
+    return TruncSeries(np.einsum("ij,njk,kl->nil", rhoRi, shifted.coeffs, rhoL))
 
 
 def inverse_schur_step(f_next: TruncSeries, alpha_n: np.ndarray) -> TruncSeries:
@@ -262,65 +226,66 @@ def inverse_schur_step(f_next: TruncSeries, alpha_n: np.ndarray) -> TruncSeries:
     f_n = (I + W alpha_n^*)^{-1} (W + alpha_n).
     """
     alpha_n = np.asarray(alpha_n, dtype=complex)
-    d = defects(alpha_n)
+    rhoL, rhoR = defects(alpha_n)
     z_next = f_next.shift_up()
-    rhoLi = np.linalg.inv(d.rhoL)
-    W = TruncSeries(np.einsum("ij,njk,kl->nil", d.rhoR, z_next.coeffs, rhoLi))
+    rhoLi = np.linalg.inv(rhoL)
+    W = TruncSeries(np.einsum("ij,njk,kl->nil", rhoR, z_next.coeffs, rhoLi))
     order = W.order
     lhs = TruncSeries.identity(order) + W * TruncSeries.constant(alpha_n.conj().T, order)
     return series_inv(lhs) * (W + TruncSeries.constant(alpha_n, order))
 
 
-def schur_algorithm(f: TruncSeries, N: int) -> MatVerblunskySeq:
-    """Strip N coefficients alpha_0..alpha_{N-1} from a Schur-class truncation.
+def schur_algorithm(f: TruncSeries, N: int) -> np.ndarray:
+    """Strip N coefficients alpha_0..alpha_{N-1} from a Schur-class
+    truncation, as a read-only (N, 2, 2) array, the type route A returns.
 
     Needs order(f) >= N - 1 (the last coefficient is read without a further
-    stripping step).  NotContraction propagates when the input is not a
-    Schur-class truncation, i.e. the underlying moment data is not positive
-    definite.
+    stripping step).  NotContraction (with the index) propagates when the
+    input is not a Schur-class truncation, i.e. the underlying moment data
+    is not positive definite.
     """
     if f.order < N - 1:
         raise ValueError(f"series order {f.order} too small for {N} coefficients")
-    alphas = []
+    alphas = np.empty((N, 2, 2), dtype=complex)
     current = f
     for n in range(N):
-        alpha = np.array(current.coeffs[0])
-        try:
-            _require_contraction(alpha, n)
-        except NotContraction as exc:
-            raise NotContraction(str(exc), index=n) from None
-        alphas.append(alpha)
+        alphas[n] = current.coeffs[0]
+        _require_contraction(alphas[n], n)
         if n < N - 1:
-            current = schur_step(current, alpha)
-    return MatVerblunskySeq(alphas)
+            current = schur_step(current, alphas[n])
+    alphas.setflags(write=False)
+    return alphas
 
 
-def schur_coeffs_forward(alphas: MatVerblunskySeq, K: int) -> list[np.ndarray]:
-    """Schur-function coefficients s_0(f)..s_K(f) by the triangular recursion.
+def schur_coeffs_forward(alphas: np.ndarray, K: int) -> list[np.ndarray]:
+    """Schur-function coefficients s_0(f)..s_K(f) by the triangular recursion,
+    from at least K + 1 coefficients (an (N, 2, 2) array).
 
     The leading structure is s_k(f) = rho_0^R..rho_{k-1}^R alpha_k
     rho_{k-1}^L..rho_0^L plus contributions from lower-index coefficients.
     """
+    alphas = np.asarray(alphas, dtype=complex)
     if len(alphas) < K + 1:
         raise ValueError(f"need at least {K + 1} coefficients, got {len(alphas)}")
-    dpairs = [defects(alphas[n]) for n in range(K + 1)]
-    rhoLi = [np.linalg.inv(d.rhoL) for d in dpairs]
+    rhoL, rhoR = defects(alphas[:K + 1])
+    rhoLi = np.linalg.inv(rhoL)
     table: dict[tuple[int, int], np.ndarray] = {}
     for n in range(K, -1, -1):
-        table[(n, 0)] = np.asarray(alphas[n], dtype=complex)
+        table[(n, 0)] = alphas[n]
+        aH = alphas[n].conj().T
         for k in range(1, K - n + 1):
-            val = dpairs[n].rhoR @ table[(n + 1, k - 1)] @ dpairs[n].rhoL
-            aH = np.asarray(alphas[n]).conj().T
+            val = rhoR[n] @ table[(n + 1, k - 1)] @ rhoL[n]
             for l in range(1, k):
-                val = val - (dpairs[n].rhoR @ table[(n + 1, k - l - 1)]
-                             @ rhoLi[n] @ aH @ table[(n, l)])
+                val = val - (rhoR[n] @ table[(n + 1, k - l - 1)] @ rhoLi[n] @ aH @ table[(n, l)])
             table[(n, k)] = val
     return [table[(0, k)] for k in range(K + 1)]
 
 
-def moments_from_alphas(alphas: MatVerblunskySeq, N: int) -> np.ndarray:
-    """Moment matrices C_1..C_N, as an (N, 2, 2) array: Verblunsky's formula
-    in generator form.
+def moments_from_alphas(alphas, N: int) -> np.ndarray:
+    """Moment matrices C_1..C_N, as an (N, 2, 2) array, from at least N 2x2
+    coefficients (any array-like): Verblunsky's formula in generator form.
+    alpha_0..alpha_{N-1} are tested once, by ``defects``, which raises
+    NotContraction with the index; later ones are not read.
 
     Inverts the stripping update.  With a_k, b_k the generators of f_k
     (a_0 = (C_1, C_2, ...), b_0 = (I, C_1, ...)), for k + j <= N - 1
@@ -347,11 +312,12 @@ def moments_from_alphas(alphas: MatVerblunskySeq, N: int) -> np.ndarray:
     against 5e-16 in double; the inverse problem amplifies that difference
     by up to 1e7 at N = 25..40.
     """
-    if len(alphas) < N:
-        raise ValueError(f"need at least {N} coefficients, got {len(alphas)}")
+    alpha = np.asarray(alphas, dtype=complex).reshape(-1, 2, 2)
+    if len(alpha) < N:
+        raise ValueError(f"need at least {N} coefficients, got {len(alpha)}")
     ld = np.clongdouble
-    alpha = alphas.alphas[:N].astype(ld)
-    rhoL, rhoR = _defect_roots(alpha)   # MatVerblunskySeq tested every alpha
+    alpha = alpha[:N].astype(ld)
+    rhoL, rhoR = defects(alpha)
     # reversed, alpha_k at N - 1 - k, so that the k = T - 2j of a wave step by 2
     alpha, rhoR, rhoLi = alpha[::-1], rhoR[::-1], _matrix(_inv2(_entries(rhoL)))[::-1]
     alphaH = alpha.conj().swapaxes(-1, -2)

@@ -13,6 +13,12 @@ is Hermitian and must be positive semidefinite on the scan grid.  On the
 uniform grid 2 pi k / g each of w1 and w2 is an inverse DFT, taken as one FFT
 in long double; the smallest eigenvalue of each W(theta_k) and its
 determinant a d - |b|^2 are 2x2 closed forms.
+
+A moment sequence is one read-only (N+1, 4) array.  Positive definiteness
+is decided by the paired Szego recurrences on the moments
+(``require_nontrivial``, the recursion of route B), in real long double,
+which also give the Verblunsky coefficients and the coefficient rows of
+both orthonormal families.
 """
 
 from __future__ import annotations

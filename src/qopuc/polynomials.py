@@ -23,8 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegreeTooSmall, NotContraction, NotInImage, RouteMismatch
-from .matrix_opuc import CONTRACTION_MARGIN, MatVerblunskySeq, alphas_from_moments, \
-    moments_from_alphas
+from .matrix_opuc import CONTRACTION_MARGIN, alphas_from_moments, moments_from_alphas
 from .measures import _BASIS_PRODUCTS, PIVOT_TOL, MomentSequence, matrix_moments, \
     require_nontrivial
 from .quaternions import (
@@ -339,7 +338,7 @@ def moments_from_verblunsky_q(gammas: VerblunskySeq, N: int,
     if len(gammas) < N:
         raise ValueError(f"need {N} coefficients, got {len(gammas)}")
     frame = frame or SliceFrame.standard()
-    C = moments_from_alphas(MatVerblunskySeq(chi(gammas.arr[:N], frame)), N)
+    C = moments_from_alphas(chi(gammas.arr[:N], frame), N)
     return MomentSequence(np.concatenate([[[1.0, 0.0, 0.0, 0.0]], chi_inv(C, frame)]))
 
 

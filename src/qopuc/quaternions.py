@@ -16,7 +16,11 @@ floats, on long-double scalars (route B's gamma) and on arrays;
 form a Horner step's 16 products in one multiply.  One frame-coordinate
 kernel, ``_frame_coords``, serves ``chi``, ``chi_mat``
 and ``SliceFrame.split``, and its inverse
-``_from_frame_coords`` serves ``chi_inv`` and ``SliceFrame.from_split``.
+``_from_frame_coords`` serves ``chi_inv`` and ``SliceFrame.from_split``,
+so ``chi`` of a whole (..., 4) array and ``chi_inv`` of a whole
+(..., 2, 2) stack give the bits of the per-quaternion sums.
+``right_eigen_slice`` answers one quaternion matrix or a stack with one
+LAPACK call.
 """
 
 from __future__ import annotations

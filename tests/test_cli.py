@@ -229,6 +229,26 @@ def test_unwritable_out_is_a_typed_error(tmp_path, capsys):
     assert not missing.parent.exists()
 
 
+def test_oversized_allocation_is_a_typed_error(tmp_path, monkeypatch):
+    # an oversized --n, --grid or --samples once raised numpy's MemoryError
+    # out of main; the command is stubbed so that nothing is allocated, and
+    # raises a subclass, as numpy does, which is reported as MemoryError
+    from qopuc import cli
+
+    message = "Unable to allocate 29.1 TiB for an array with shape (1000000000000,)"
+
+    class ArrayMemoryError(MemoryError):
+        pass
+
+    def oversized(args, fix):
+        raise ArrayMemoryError(message)
+
+    monkeypatch.setitem(cli._COMMANDS, "grid", oversized)
+    code, out = run(tmp_path, "grid", str(FIXDIR / "smooth_trig.json"), "--grid", "1000000000000")
+    assert code == 2
+    assert json.loads(out)["error"] == {"type": "MemoryError", "message": message}
+
+
 def test_density_far_index_is_sparse(tmp_path):
     # w1 = 1 + cos(10^9 theta) / 2: moments past c_0 vanish up to 10^9, and
     # 10^9 = 6 mod 7 on the 7-point grid
@@ -630,6 +650,14 @@ def test_verblunsky_to_moments_rejects_non_contraction(tmp_path):
     code, out = run(tmp_path, "verblunsky-to-moments", str(fixture), "--n", "1")
     assert code == 2
     assert json.loads(out)["error"]["type"] == "NotContraction"
+    # the bound is |gamma| < 1 - 1e-12, with the index of the first miss
+    fixture.write_text(json.dumps({"gammas": [[0.5, 0, 0, 0], [1 - 7e-13, 0, 0, 0]]}))
+    code, out = run(tmp_path, "verblunsky-to-moments", str(fixture), "--n", "2")
+    error = json.loads(out)["error"]
+    assert code == 2 and error["type"] == "NotContraction" and error["index"] == 1
+    fixture.write_text(json.dumps({"gammas": [[0.5, 0, 0, 0], [1 - 2e-12, 0, 0, 0]]}))
+    code, out = run(tmp_path, "verblunsky-to-moments", str(fixture), "--n", "2")
+    assert code == 0 and len(json.loads(out)["result"]["moments"]) == 3
 
 
 @pytest.mark.parametrize("fixture", DENSITY_FIXTURES)

@@ -10,7 +10,7 @@ from qopuc.fixtures import (
     bernstein_szego_density, lebesgue_density, random_gamma_seq, smooth_trig_density,
     vanishing_density,
 )
-from qopuc.matrix_opuc import MatVerblunskySeq
+from qopuc.matrix_opuc import moments_from_alphas
 from qopuc.measures import MomentSequence, QPositiveDensity, matrix_moments, moments_from_density
 from qopuc.polynomials import (
     QPolyL, QPolyR, VerblunskySeq, eval_L, eval_R, moments_from_verblunsky_q, orthonormal_polys,
@@ -400,21 +400,23 @@ def test_verblunsky_seq_validation():
 @pytest.mark.parametrize("bad", [Quaternion(float("nan")), Quaternion(0.0, float("inf")),
                                  Quaternion(1.0 - 7e-13), Quaternion(0.0, 0.0, 0.0, -1.0)])
 def test_verblunsky_contraction_test_matches_matrix_layer(bad):
-    # |gamma| < 1 - CONTRACTION_MARGIN, the operator-norm test MatVerblunskySeq
+    # |gamma| < 1 - CONTRACTION_MARGIN, the operator-norm test the forward map
     # applies to chi(gamma): NaN and inf are rejected, and 1 - 7e-13 is
     # rejected here as it is there, with the index
+    frame = SliceFrame.standard()
+    head = [Quaternion(0.5), Quaternion(-0.25, 0.1)]
     with pytest.raises(NotContraction) as info:
-        VerblunskySeq([Quaternion(0.5), Quaternion(-0.25, 0.1), bad])
+        VerblunskySeq([*head, bad])
     assert info.value.index == 2
     with pytest.raises(NotContraction):
         szego_advance(SzegoState.initial(), bad)
     if abs(bad) < 2.0:   # finite
         with pytest.raises(NotContraction) as info:
-            MatVerblunskySeq([chi(bad, SliceFrame.standard())])
-        assert info.value.index == 0
+            moments_from_alphas([chi(g, frame) for g in (*head, bad)], 3)
+        assert info.value.index == 2
     inside = Quaternion(1.0 - 2e-12)
     assert len(VerblunskySeq([inside])) == 1
-    assert len(MatVerblunskySeq([chi(inside, SliceFrame.standard())])) == 1
+    assert moments_from_alphas([chi(g, frame) for g in (*head, inside)], 3).shape == (3, 2, 2)
     szego_advance(SzegoState.initial(), inside)
 
 
