@@ -20,7 +20,7 @@ from .matrix_opuc import (
     schur_step,
 )
 from .polynomials import (
-    OrthonormalFamily, QPolyL, QPolyR, VerblunskyExtraction, VerblunskySeq, eval_L, eval_R,
+    OrthonormalFamily, QPolyL, QPolyR, VerblunskySeq, eval_L, eval_R,
     eval_norm_sq, moments_from_verblunsky_q, orthonormal_polys, reverse_L, reverse_R,
     verblunsky_from_moments_q,
 )

@@ -325,12 +325,10 @@ def _envelope(args, fix: Fixture, result: dict) -> dict:
 
 
 def cmd_moments_to_verblunsky(args, fix: Fixture) -> dict:
-    ext = verblunsky_from_moments_q(moments_from_fixture(fix, args.n), args.n, fix.frame,
-                                    route_tol=args.tol_route, pivot_tol=args.tol_pd)
-    return {
-        "gammas": ext.matrix_route.to_json(),
-        "route_residual": ext.route_residual,
-    }
+    gammas, residual = verblunsky_from_moments_q(
+        moments_from_fixture(fix, args.n), args.n, fix.frame,
+        route_tol=args.tol_route, pivot_tol=args.tol_pd)
+    return {"gammas": gammas.to_json(), "route_residual": residual}
 
 
 def cmd_verblunsky_to_moments(args, fix: Fixture) -> dict:

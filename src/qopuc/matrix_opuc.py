@@ -357,12 +357,15 @@ def alphas_from_moments(C, N: int) -> np.ndarray:
     stripping update to whole coefficient arrays, N numpy steps in all.
     With C_K the last nonzero moment, which one numpy call finds, A_n[j] and
     B_n[j] vanish past j = K, so step n updates only their first
-    min(K + 1, N - n) entries, O(N min(N, K)) in all.  Past this band B keeps
-    its entry K and A gains a +0 row, which gives the full arrays' bits:
-    matmul's long-double loop sums each entry into +0, so alpha @ 0 and
-    rho^{-1} @ (+-0) are +0, and after the first step every dropped entry
-    is +0.  The first step drops chi images of zero moments, which may hold
-    -0.0; of the band they reach only A_1[K], which is +0 either way.
+    min(K + 1, N - n) entries, O(N min(N, K)) in all.  One update serves
+    both widths: the next A and B are w = min(len(A), N - n - 1) entries
+    wide, A written into one of two reused buffers.  While the band holds
+    (w = K + 1) B keeps its entry K and A's row K stays +0, which gives the
+    full arrays' bits: matmul's long-double loop sums each entry into +0, so
+    alpha @ 0 and rho^{-1} @ (+-0) are +0, and after the first step every
+    dropped entry is +0.  The first step drops chi images of zero moments,
+    which may hold -0.0; of the band they reach only A_1[K], which is +0
+    either way.  Past the band both lose their last entry each step.
 
     A step's 2x2 constants (B(0)^{-1}, alpha_n, both defects, their roots
     and inverses) run on numpy scalars through the entry-wise closed forms,
@@ -412,12 +415,9 @@ def alphas_from_moments(C, N: int) -> np.ndarray:
         if residual > SHIFT_TOL:
             raise ShiftResidual(
                 f"degree-0 coefficient {residual:.3e} exceeds {SHIFT_TOL:.1e}")
-        if len(A) < N - n:   # the band: A and B stay K + 1 wide, A ending in +0
-            A_next = band[n % 2]
-            np.matmul(_matrix(_inv2(rhoR)), num[1:], out=A_next[:-1])
-            A, B = A_next, _matrix(_inv2(rhoL)) @ (B - alphaH @ A)
-        else:
-            A, B = (_matrix(_inv2(rhoR)) @ num[1:],
-                    _matrix(_inv2(rhoL)) @ (B[:-1] - alphaH @ A[:-1]))
+        w = min(len(A), N - n - 1)   # the band's K + 1, or one row fewer past it
+        A_next = band[n % 2, :w]   # in the band its last row stays +0
+        np.matmul(_matrix(_inv2(rhoR)), num[1:], out=A_next[:len(A) - 1])
+        A, B = A_next, _matrix(_inv2(rhoL)) @ (B[:w] - alphaH @ A[:w])
     alphas.setflags(write=False)
     return alphas

@@ -18,7 +18,6 @@ every call of ``verblunsky_from_moments_q``.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -144,11 +143,6 @@ def eval_R(phi: QPolyR, p: Quaternion) -> Quaternion:
 # terms _TERM_SIGNS[l, i] * a_i * b_{_TERM_INDEX[l, i]}
 _TERM_INDEX = np.abs(_BASIS_PRODUCTS).argmax(axis=1).T
 _TERM_SIGNS = _BASIS_PRODUCTS[np.arange(4), _TERM_INDEX, np.arange(4)[:, None]].astype(float)
-# polynomials x points per evaluation block: a Horner step's 16 products
-# then take at most 2^16 doubles (512 KB).  Larger blocks fall out of cache:
-# on a 2-vCPU x86-64 host, 42 polynomials at 1024 points in one block ran at
-# 1.0-1.1x the time of 32 calls per step, and at 0.6x in blocks
-_BLOCK_TERMS = 2 ** 12
 
 
 def _horner_terms(C: np.ndarray, points: np.ndarray, left: bool) -> np.ndarray:
@@ -183,9 +177,9 @@ def eval_norm_sq(polys, points: np.ndarray) -> np.ndarray:
     ``eval_L``/``eval_R`` on component arrays (``_horner_terms``), so every
     finite value is bitwise the one ``eval_L(phi, p).norm_sq()`` /
     ``eval_R`` give; shorter polynomials are zero-padded at the top, which
-    changes no nonzero bit.  The points go in blocks of about
-    ``_BLOCK_TERMS / len(polys)``, so a step's temporary, four times the
-    accumulator, stays under 512 KB.
+    changes no nonzero bit.  All the points go through one ``_horner_terms``
+    call, whose step temporary is 16 len(polys) S doubles; a caller with
+    many points blocks them (``analysis.cd_identity_check``).
     """
     left = isinstance(polys[0], QPolyL)
     if any(isinstance(phi, QPolyL) != left for phi in polys):
@@ -194,13 +188,8 @@ def eval_norm_sq(polys, points: np.ndarray) -> np.ndarray:
     C = np.zeros((D + 1, 4, len(polys), 1))
     for f, phi in enumerate(polys):
         C[: phi.degree + 1, :, f, 0] = phi.arr
-    points = np.asarray(points, dtype=float)
-    out = np.empty((len(polys), len(points)))
-    block = max(1, _BLOCK_TERMS // len(polys))
-    for start in range(0, len(points), block):
-        aw, ax, ay, az = _horner_terms(C, points[start: start + block], left)
-        out[:, start: start + block] = aw * aw + ax * ax + ay * ay + az * az
-    return out
+    aw, ax, ay, az = _horner_terms(C, np.asarray(points, dtype=float), left)
+    return aw * aw + ax * ax + ay * ay + az * az
 
 
 def _reversed_coeffs(poly, n: int) -> np.ndarray:
@@ -310,19 +299,6 @@ class VerblunskySeq:
         return self.arr.tolist()
 
 
-@dataclass(frozen=True)
-class VerblunskyExtraction:
-    """Both construction routes plus their disagreement."""
-
-    matrix_route: VerblunskySeq
-    szego_route: VerblunskySeq
-    route_residual: float
-
-    @property
-    def gammas(self):
-        return self.matrix_route.gammas
-
-
 def _gammas_via_matrix(c: MomentSequence, N: int, frame: SliceFrame) -> VerblunskySeq:
     C = matrix_moments(c, frame, N)
     return VerblunskySeq(chi_inv(alphas_from_moments(C[1:], N), frame))
@@ -334,9 +310,8 @@ def moments_from_verblunsky_q(gammas: VerblunskySeq, N: int,
 
     Exact inverse of the matrix route of ``verblunsky_from_moments_q``.  Only
     gamma_0..gamma_{N-1} are read: c_{m+1} depends on alpha_0..alpha_m alone.
+    ValueError (``moments_from_alphas``) if fewer than N are given.
     """
-    if len(gammas) < N:
-        raise ValueError(f"need {N} coefficients, got {len(gammas)}")
     frame = frame or SliceFrame.standard()
     C = moments_from_alphas(chi(gammas.arr[:N], frame), N)
     return MomentSequence(np.concatenate([[[1.0, 0.0, 0.0, 0.0]], chi_inv(C, frame)]))
@@ -345,8 +320,10 @@ def moments_from_verblunsky_q(gammas: VerblunskySeq, N: int,
 def verblunsky_from_moments_q(c: MomentSequence, N: int,
                               frame: SliceFrame | None = None,
                               route_tol: float = ROUTE_TOL,
-                              pivot_tol: float = PIVOT_TOL) -> VerblunskyExtraction:
-    """Verblunsky coefficients by two independent routes, cross-checked.
+                              pivot_tol: float = PIVOT_TOL) -> tuple[VerblunskySeq, float]:
+    """Verblunsky coefficients by two independent routes, cross-checked, as
+    (gammas, route_residual): route A's coefficients and the largest
+    |gamma_n| difference between the routes.
 
     Route A embeds the moments, runs the matrix Schur algorithm in complex
     long double, and pulls the coefficients back; route B reads them off the
@@ -364,10 +341,9 @@ def verblunsky_from_moments_q(c: MomentSequence, N: int,
         via_matrix = _gammas_via_matrix(c, N, frame)
     except NotInImage as exc:
         raise NotInImage(f"matrix route left the quaternionic subalgebra: {exc}") from exc
-    via_szego = VerblunskySeq(fam.gammas)
+    via_szego = VerblunskySeq(fam.gammas)   # route B's contraction test
     residual = float(np.max(qarr_abs(via_matrix.arr - via_szego.arr), initial=0.0))
     if residual > route_tol:
         raise RouteMismatch(
             f"Verblunsky routes disagree by {residual:.3e}", residual=residual)
-    return VerblunskyExtraction(matrix_route=via_matrix, szego_route=via_szego,
-                                route_residual=residual)
+    return via_matrix, residual

@@ -191,23 +191,6 @@ class SliceFrame:
     def standard(cls) -> "SliceFrame":
         return cls(QI, QJ)
 
-    @classmethod
-    def random(cls, rng: np.random.Generator) -> "SliceFrame":
-        """Draw a uniformly random frame (Gram-Schmidt on Gaussian vectors)."""
-        while True:
-            v1 = rng.normal(size=3)
-            v2 = rng.normal(size=3)
-            n1 = np.linalg.norm(v1)
-            if n1 < 1e-6:
-                continue
-            v1 = v1 / n1
-            v2 = v2 - np.dot(v1, v2) * v1
-            n2 = np.linalg.norm(v2)
-            if n2 < 1e-6:
-                continue
-            v2 = v2 / n2
-            return cls(Quaternion(0.0, *v1), Quaternion(0.0, *v2))
-
     # -- slice coordinates ---------------------------------------------
     def split(self, p: Quaternion) -> tuple[complex, complex]:
         """Coordinates (z1, z2) of p = z1 + z2 j in the frame basis."""

@@ -172,22 +172,8 @@ def schur_from_herglotz(F: TruncSeries) -> TruncSeries:
     return zf.shift_down()
 
 
-def herglotz_from_schur(f: TruncSeries, cross_check: bool = False):
-    """F = (I + zf) (I - zf)^{-1}; output order is one above the input.
-
-    With ``cross_check`` the geometric form I + 2 sum_(n>=1) (zf)^n is also
-    evaluated and the maximum coefficient discrepancy returned alongside.
-    """
+def herglotz_from_schur(f: TruncSeries) -> TruncSeries:
+    """F = (I + zf) (I - zf)^{-1}; output order is one above the input."""
     zf = f.shift_up()
-    order = zf.order
-    eye = TruncSeries.identity(order)
-    F = (eye + zf) * series_inv(eye - zf)
-    if not cross_check:
-        return F
-    acc = TruncSeries.identity(order)
-    power = TruncSeries.identity(order)
-    for _ in range(order):
-        power = power * zf
-        acc = acc + TruncSeries(2.0 * power.coeffs)
-    disagreement = float(np.max(np.abs(F.coeffs - acc.coeffs)))
-    return F, disagreement
+    eye = TruncSeries.identity(zf.order)
+    return (eye + zf) * series_inv(eye - zf)

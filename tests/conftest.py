@@ -54,6 +54,24 @@ def random_moment_fixture(seed, N, rmax=0.8, frame=None):
     return moments_from_verblunsky_q(random_gamma_seq(seed, N, rmax), N, frame)
 
 
+def random_frame(rng) -> SliceFrame:
+    """A uniformly random frame: Gram-Schmidt on Gaussian vectors, redrawn
+    while either vector is shorter than 1e-6."""
+    while True:
+        v1 = rng.normal(size=3)
+        v2 = rng.normal(size=3)
+        n1 = np.linalg.norm(v1)
+        if n1 < 1e-6:
+            continue
+        v1 = v1 / n1
+        v2 = v2 - np.dot(v1, v2) * v1
+        n2 = np.linalg.norm(v2)
+        if n2 < 1e-6:
+            continue
+        v2 = v2 / n2
+        return SliceFrame(Quaternion(0.0, *v1), Quaternion(0.0, *v2))
+
+
 def random_quaternion(rng, scale=1.0):
     return Quaternion(*(scale * rng.normal(size=4)))
 
@@ -215,7 +233,7 @@ def signed_zero_frames(rng, count):
     """The standard frame, a frame whose generators carry -0.0 components,
     and ``count`` - 2 random frames."""
     odd = SliceFrame(Quaternion(-0.0, -0.0, 1.0, -0.0), Quaternion(0.0, 1.0, -0.0, 0.0))
-    return [SliceFrame.standard(), odd] + [SliceFrame.random(rng) for _ in range(count - 2)]
+    return [SliceFrame.standard(), odd] + [random_frame(rng) for _ in range(count - 2)]
 
 
 def qbytes(quaternions):

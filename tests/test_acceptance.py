@@ -29,7 +29,7 @@ from qopuc.quaternions import Quaternion, SliceFrame, chi, chi_mat
 from qopuc.zeros import zeros_theorem_check
 from conftest import (
     block_permutation, blockwise_chi, cd_kernel_diag, inner_L, inner_R, matrix_gram_schmidt,
-    random_quaternion,
+    random_frame, random_quaternion,
 )
 
 FIXDIR = Path(__file__).resolve().parent.parent / "fixtures"
@@ -50,7 +50,7 @@ def random_fixture_suite(count=20, N=12, rmax=0.8, base_seed=1000):
 def test_criterion_1_embedding_suite():
     t0 = time.time()
     rng = np.random.default_rng(101)
-    frames = [SliceFrame.standard()] + [SliceFrame.random(rng) for _ in range(3)]
+    frames = [SliceFrame.standard()] + [random_frame(rng) for _ in range(3)]
     worst = 0.0
     for k in range(10_000):
         fr = frames[k % len(frames)]
@@ -96,7 +96,7 @@ def test_criterion_2_moments_verblunsky_round_trip():
             C[1] - (rhoR @ alphas[1] @ rhoL + alphas[0] @ alphas[0])))
         worst_closed = max(worst_closed, float(closed_c1), float(closed_c2))
         c = moments_from_verblunsky_q(gammas, 10, frame)
-        back = verblunsky_from_moments_q(c, 10, frame).matrix_route
+        back, _ = verblunsky_from_moments_q(c, 10, frame)
         worst_rt = max(worst_rt, max(abs(a - b) for a, b in zip(gammas, back)))
     elapsed = time.time() - t0
     ok = worst_rt < 1e-9 and worst_closed < 1e-12 and elapsed < 10.0
@@ -140,9 +140,9 @@ def test_criterion_4_szego_recurrence_residuals():
     worst = 0.0
     suites = [random_gamma_seq(s, 12) for s in (4001, 4002, 4003, 4004, 4005)]
     suites.append(verblunsky_from_moments_q(
-        moments_from_density(bernstein_szego_density(), 12), 12).matrix_route)
+        moments_from_density(bernstein_szego_density(), 12), 12)[0])
     suites.append(verblunsky_from_moments_q(
-        moments_from_density(smooth_trig_density(), 12), 12).matrix_route)
+        moments_from_density(smooth_trig_density(), 12), 12)[0])
     for gammas in suites:
         N = len(gammas)
         c = moments_from_verblunsky_q(gammas, N, frame)
@@ -234,7 +234,7 @@ def test_criterion_7_szego_verblunsky():
     base = szego_entropy(d)
     frame_dev = 0.0
     for _ in range(3):
-        fr = SliceFrame.random(rng)
+        fr = random_frame(rng)
         moved = QPositiveDensity(fr, d.index, d.coeffs)
         frame_dev = max(frame_dev, abs(szego_entropy(moved) - base))
     ok = bs_gap < 1e-8 and smooth_gap < 1e-6 and frame_dev < 1e-8 and richardson_ok

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from qopuc.analysis import (
-    CD_BLOCK, _diverging_over_horizon, baxter_check, cd_identity_check, sv_check,
+    _diverging_over_horizon, baxter_check, cd_identity_check, sv_check,
     szego_entropy,
 )
 from qopuc.fixtures import (
@@ -16,8 +16,10 @@ from qopuc.fixtures import (
 )
 from qopuc.measures import QPositiveDensity, moments_from_density
 from qopuc.polynomials import VerblunskySeq, _gammas_via_matrix, orthonormal_polys
-from qopuc.quaternions import Quaternion, SliceFrame
-from conftest import cd_kernel_diag, random_moment_fixture, random_unit_ball_quaternion
+from qopuc.quaternions import Quaternion
+from conftest import (
+    cd_kernel_diag, random_frame, random_moment_fixture, random_unit_ball_quaternion,
+)
 
 
 def test_cd_kernel_base_case(rng):
@@ -97,7 +99,7 @@ def test_entropy_slice_invariance(rng):
     d = smooth_trig_density()
     base = szego_entropy(d)
     for _ in range(3):
-        fr = SliceFrame.random(rng)
+        fr = random_frame(rng)
         moved = QPositiveDensity(fr, d.index, d.coeffs)
         assert abs(szego_entropy(moved) - base) < 1e-8
 
@@ -109,7 +111,7 @@ def test_smooth_trig_grid_frame_invariant_to_four_ulp():
     entropy, density_min = szego_entropy(d), d.min_eigenvalue_on_grid()
     tol = 4 * np.finfo(float).eps
     for seed in range(5):
-        moved = QPositiveDensity(SliceFrame.random(np.random.default_rng(seed)), d.index,
+        moved = QPositiveDensity(random_frame(np.random.default_rng(seed)), d.index,
                                  d.coeffs)
         assert abs(szego_entropy(moved) - entropy) <= tol * max(1.0, abs(entropy))
         assert abs(moved.min_eigenvalue_on_grid() - density_min) <= tol * max(1.0, density_min)
@@ -214,7 +216,7 @@ def test_eval_norm_sq_bitwise_equal_to_scalar_eval(name):
     space_l = list(fam.right) + [reverse_R(fam.left[n], n) for n in range(N + 1)]
     space_r = list(fam.left) + [reverse_L(fam.right[n], n) for n in range(N + 1)]
     rng = np.random.default_rng(88)
-    # 240 points: two evaluation blocks of the 2 N + 2 polynomials
+    # 240 points in one evaluation, more than a CD block of the 2 N + 2 polynomials
     points = rng.normal(size=(240, 4)) * rng.uniform(0.05, 2.0, size=(240, 1))
     points[0] = 0.0
     for polys, scalar in ((space_l, eval_L), (space_r, eval_R)):
@@ -261,9 +263,8 @@ def _cd_identity_scalar(c, N, samples, seed):
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
 def test_cd_identity_bitwise_equal_to_scalar_loop(name):
-    # the last: two full CD_BLOCKs and a partial one, each in several
-    # evaluation blocks of eval_norm_sq
-    for N, samples, seed in ((1, 1, 0), (4, 37, 3), (8, 100, 11), (2, 2 * CD_BLOCK + 300, 5)):
+    # the last: three full blocks of 2^12 // 6 = 682 points and a partial one
+    for N, samples, seed in ((1, 1, 0), (4, 37, 3), (8, 100, 11), (2, 2348, 5)):
         c = _fixture_moments(name, N + 1)
         assert cd_identity_check(c, N, samples, seed) == _cd_identity_scalar(c, N, samples, seed)
     c = _fixture_moments(name, 5)
@@ -290,7 +291,7 @@ def test_cd_identity_evaluates_every_sample_point(monkeypatch):
         return evaluate(polys, points)
 
     monkeypatch.setattr(analysis, "eval_norm_sq", recording)
-    samples, seed = 2 * CD_BLOCK + 300, 5
+    samples, seed = 2348, 5   # three full blocks of 682 points and a partial one
     cd_identity_check(moments_from_density(smooth_trig_density(), 3), 2, samples, seed)
     want = analysis._sample_points(samples, seed).tobytes()
     assert len(seen) == 2

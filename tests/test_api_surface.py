@@ -13,7 +13,8 @@ included; dunder methods aside) of a module-level class, named
 ``<module>.<class>.<method>``: an attribute of its name must be loaded in
 ``src/qopuc`` outside its own definition, or ``.<method>`` be named by
 ``perfbench/`` or ``tools/``.  Attribute loads are not resolved to a class,
-so a method whose name another class also uses may pass unseen.
+so a method whose name another class also uses may pass unseen; a load on
+an imported module (``np.random``, ``math.sqrt``) is not a method use.
 """
 
 from __future__ import annotations
@@ -95,13 +96,22 @@ def _loads(module: str, tree: ast.Module):
             yield (*imported.get(node.id, (module, node.id)), node.lineno)
 
 
+def _module_names(tree: ast.Module) -> set[str]:
+    """The names that ``import`` statements in ``tree`` bind to modules."""
+    return {alias.asname or alias.name.split(".")[0]
+            for node in ast.walk(tree) if isinstance(node, ast.Import)
+            for alias in node.names}
+
+
 def _unneeded() -> list[str]:
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted(PACKAGE.glob("*.py"))}
     loads = {(mod, name, user, line) for user, tree in trees.items()
              for mod, name, line in _loads(user, tree)}
-    outside = "".join(path.read_text(encoding="utf-8") for folder in ("perfbench", "tools")
-                      for path in sorted((REPO / folder).glob("*.py")))
+    sources = [path.read_text(encoding="utf-8") for folder in ("perfbench", "tools")
+               for path in sorted((REPO / folder).glob("*.py"))]
+    outside = "".join(sources)
+    outside_modules = set().union(*(_module_names(ast.parse(source)) for source in sources))
     unneeded = []
     for module, tree in trees.items():
         for name, (first, last) in _definitions(tree).items():
@@ -110,15 +120,19 @@ def _unneeded() -> list[str]:
             named = re.search(rf"\b(?:{module}|qopuc)\.{name}\b", outside)
             if not (used or named):
                 unneeded.append(f"{module}.{name}")
+    modules = {user: _module_names(tree) for user, tree in trees.items()}
     attributes = {(node.attr, user, node.lineno) for user, tree in trees.items()
                   for node in ast.walk(tree)
-                  if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+                  if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                  and not (isinstance(node.value, ast.Name) and node.value.id in modules[user])}
     for module, tree in trees.items():
         for name, (first, last) in _methods(tree).items():
             method = name.split(".")[1]
             used = any(attr == method and not (user == module and first <= line <= last)
                        for attr, user, line in attributes)
-            if not (used or re.search(rf"\.{method}\b", outside)):
+            named = any(match[1] not in outside_modules
+                        for match in re.finditer(rf"(\w*)\.{method}\b", outside))
+            if not (used or named):
                 unneeded.append(f"{module}.{name}")
     return unneeded
 

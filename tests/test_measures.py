@@ -17,7 +17,7 @@ from qopuc.measures import (
 from qopuc.quaternions import QI, Quaternion, SliceFrame, chi, chi_mat, qarr_mul
 from conftest import (
     block_permutation, blockwise_chi, density_maps, fourier_values, from_split_scalar, qbytes,
-    qmat_conj_T, qmat_mul, random_moment_fixture, signed_zero_frames,
+    qmat_conj_T, qmat_mul, random_frame, random_moment_fixture, signed_zero_frames,
 )
 
 
@@ -64,7 +64,7 @@ def test_moments_and_frame_change_bitwise_equal_to_per_value_split(rng):
             d = make(frame=fr)
             want = [from_split_scalar(fr, w1.get(-n, 0j), w2.get(-n, 0j)) for n in range(41)]
             assert moments_from_density(d, 40).arr.tobytes() == qbytes(want)
-            to = SliceFrame.random(rng)
+            to = random_frame(rng)
             moved = QPositiveDensity(to, d.index, d.coeffs)
             assert moved.frame == to and moved.index.tolist() == d.index.tolist()
             assert moved.coeffs.tobytes() == d.coeffs.tobytes()
@@ -84,7 +84,7 @@ def test_density_moments_frame_free(rng, tmp_path):
         path.write_text(json.dumps(obj))
         own = moments_from_density(d, 12).arr.tobytes()
         for _ in range(5):
-            fr = SliceFrame.random(rng)
+            fr = random_frame(rng)
             moved = QPositiveDensity(fr, d.index, d.coeffs)
             assert moments_from_density(moved, 12).arr.tobytes() == own
             fix = load_fixture(str(path), fr)
@@ -271,7 +271,7 @@ def test_embedding_equivalence_blockwise(rng):
     # both judged by Cholesky pivots at the same tolerance
     mixed = [random_moment_fixture(5, 8),
              MomentSequence([Quaternion(1.0)] * 9)]  # PD and rank-one cases
-    fr = SliceFrame.random(rng)
+    fr = random_frame(rng)
     for c in mixed:
         for n in range(1, 8):
             T = toeplitz(c, n)
@@ -403,7 +403,7 @@ def test_matrix_values_lower_row_is_the_upper_row_bit_for_bit(make):
     # the grid report writes W21 and W22 from the text of W12 and W11
     rng = np.random.default_rng(59)
     base = make()
-    for d in (base, QPositiveDensity(SliceFrame.random(rng), base.index, base.coeffs)):
+    for d in (base, QPositiveDensity(random_frame(rng), base.index, base.coeffs)):
         for grid in (1, 2, 3, 7, 2048):
             W = d.matrix_values(grid)
             reflect = (-np.arange(grid)) % grid
@@ -446,7 +446,7 @@ def test_matrix_values_within_one_ulp_of_long_double_sums(make):
     # the per-term float64 sums W replaced reach 6.3 ulp here
     rng = np.random.default_rng(31)
     base = make()
-    for d in [base] + [QPositiveDensity(SliceFrame.random(rng), base.index, base.coeffs)
+    for d in [base] + [QPositiveDensity(random_frame(rng), base.index, base.coeffs)
                        for _ in range(3)]:
         for grid in (1, 7, 2048, 4096):
             W = d.matrix_values(grid)

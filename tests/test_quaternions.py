@@ -10,7 +10,7 @@ from qopuc.quaternions import (
 )
 from conftest import (
     ONE, QK, block_permutation, blockwise_chi, chi_scalar, from_split_scalar, qbytes,
-    qmat_conj_T, qmat_mul, qmul_scalar, random_qmatrix, random_quaternion,
+    qmat_conj_T, qmat_mul, qmul_scalar, random_frame, random_qmatrix, random_quaternion,
     signed_zero_coeff_arrays, signed_zero_frames,
 )
 
@@ -53,7 +53,7 @@ def test_split_standard_frame(frame):
 
 def test_split_reassembly_random_frames(rng):
     for _ in range(50):
-        fr = SliceFrame.random(rng)
+        fr = random_frame(rng)
         p = random_quaternion(rng)
         z1, z2 = fr.split(p)
         back = fr.from_split(z1, z2)
@@ -79,7 +79,7 @@ def test_chi_basics(frame):
 
 def test_chi_homomorphism_isometry(rng):
     for _ in range(100):
-        fr = SliceFrame.random(rng)
+        fr = random_frame(rng)
         p = random_quaternion(rng)
         q = random_quaternion(rng)
         Mp, Mq = chi(p, fr), chi(q, fr)
@@ -91,7 +91,7 @@ def test_chi_homomorphism_isometry(rng):
 
 def test_chi_inv_round_trip(rng):
     for _ in range(50):
-        fr = SliceFrame.random(rng)
+        fr = random_frame(rng)
         p = random_quaternion(rng)
         back = Quaternion.from_array(chi_inv(chi(p, fr), fr))
         assert abs(back - p) < 1e-12 * max(1.0, abs(p))
@@ -144,7 +144,7 @@ def test_chi_mat_scalar_case(frame):
 
 def test_chi_mat_multiplicative(rng):
     for _ in range(20):
-        fr = SliceFrame.random(rng)
+        fr = random_frame(rng)
         A = random_qmatrix(rng, 3)
         B = random_qmatrix(rng, 3)
         lhs = chi_mat(qmat_mul(A, B), fr)
@@ -185,7 +185,7 @@ def test_block_permutation_printed_matrices():
 
 def test_block_permutation_conjugation_exact(rng):
     for n in range(1, 7):
-        fr = SliceFrame.random(rng)
+        fr = random_frame(rng)
         A = random_qmatrix(rng, n)
         U = block_permutation(n)
         lhs = chi_mat(A, fr)
@@ -205,7 +205,7 @@ def test_right_eigen_slice_small_cases(frame):
 def test_right_eigen_slice_conjugation_symmetry(rng):
     from conftest import multiset_distance
     for _ in range(10):
-        fr = SliceFrame.random(rng)
+        fr = random_frame(rng)
         A = random_qmatrix(rng, 3)
         vals = right_eigen_slice(A, fr)
         assert multiset_distance(vals, np.conj(vals)) < 1e-9
@@ -251,7 +251,7 @@ def test_qarr_mul_bitwise_equal_to_scalar_product(rng):
 
 def test_chi_on_arrays_bitwise_equal_to_scalar_chi(rng):
     rows = np.concatenate(signed_zero_coeff_arrays(rng) + [rng.normal(size=(40, 4))])
-    for fr in (SliceFrame.standard(), SliceFrame.random(rng)):
+    for fr in (SliceFrame.standard(), random_frame(rng)):
         want = np.array([chi_scalar(Quaternion(*q), fr) for q in rows])
         assert chi(rows, fr).tobytes() == want.tobytes()
         assert chi(Quaternion(*rows[5]), fr).tobytes() == want[5].tobytes()

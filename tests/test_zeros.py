@@ -16,7 +16,7 @@ from qopuc.zeros import (
     det_poly, roots, zero_slice, zeros_theorem_check,
 )
 from conftest import (
-    aberth_start, companion, multiset_distance, qmul_scalar, random_moment_fixture,
+    aberth_start, companion, multiset_distance, qmul_scalar, random_frame, random_moment_fixture,
     random_quaternion, random_unit_ball_quaternion, reduce_conjugate_pairs,
     signed_zero_coeff_arrays, slice_problem, star_mul_L,
 )
@@ -143,7 +143,7 @@ def test_bernstein_szego_closed_form_zeros(rng):
     # times) and a; the reverse is a multiple of 1 - a z, root 1/a
     c = moments_from_density(bernstein_szego_density(), 10)
     fam = orthonormal_polys(c, 10)
-    for fr in (SliceFrame.standard(), SliceFrame.random(rng)):
+    for fr in (SliceFrame.standard(), random_frame(rng)):
         _, reports = zeros_theorem_check(fam, fr)
         for n, rep in enumerate(reports, start=1):
             for name in ("right", "left"):
@@ -166,7 +166,7 @@ def test_single_plane_slice_roots_the_scalar_factor(rng, monkeypatch):
     monkeypatch.setattr(zeros_module, "roots", counting_roots)
     single = orthonormal_polys(moments_from_density(vanishing_density(), 6), 6)
     general = orthonormal_polys(random_moment_fixture(41, 7), 6)
-    for fr in (SliceFrame.standard(), SliceFrame.random(rng)):
+    for fr in (SliceFrame.standard(), random_frame(rng)):
         for n in range(1, 7):
             for fam, want in ((single, n), (general, 2 * n)):
                 for poly in (fam.right[n], fam.left[n]):
@@ -227,7 +227,7 @@ def test_frame_independence_of_moduli(rng):
     fam = orthonormal_polys(c, 6)
     base = None
     for _ in range(5):
-        fr = SliceFrame.random(rng)
+        fr = random_frame(rng)
         report, = zero_slice([fam.right[5]], fr)
         mods = np.sort(np.array(report.moduli))
         if base is None:
@@ -366,7 +366,7 @@ def _zeros_job_batches(monkeypatch):
 
     monkeypatch.setattr(zeros_module, "roots", recording_roots)
     fixdir = Path(__file__).resolve().parent.parent / "fixtures"
-    frames = [[]] + [["--frame", json.dumps(SliceFrame.random(np.random.default_rng(seed))
+    frames = [[]] + [["--frame", json.dumps(random_frame(np.random.default_rng(seed))
                                             .to_json())] for seed in (31, 32)]
     for name in ZEROS_JOB_FIXTURES:
         for frame in frames:
@@ -396,7 +396,7 @@ def test_batched_roots_of_zeros_jobs_bitwise_equal_to_one_at_a_time(monkeypatch)
 def test_stacked_spectra_bitwise_equal_to_one_at_a_time(rng):
     from qopuc.quaternions import right_eigen_slice
     fam = orthonormal_polys(random_moment_fixture(41, 9), 8)
-    for fr in (SliceFrame.standard(), SliceFrame.random(rng)):
+    for fr in (SliceFrame.standard(), random_frame(rng)):
         comps = [companion(fam.right[n])[1] for n in range(1, 9)]
         comps += [companion(fam.left[n])[1] for n in range(1, 9)]
         for n in range(1, 9):
@@ -565,7 +565,7 @@ def test_mixed_and_shuffled_batches_bitwise_equal_to_one_polynomial_stages(rng):
     """A batch that mixes trimmed-degree, single-plane (b = 0) and constant
     polynomials of both spaces, as given and shuffled: every report has the
     bits of the one-polynomial stages."""
-    frame = SliceFrame.random(np.random.default_rng(33))
+    frame = random_frame(np.random.default_rng(33))
     fam = orthonormal_polys(random_moment_fixture(41, 7), 6)
     real = orthonormal_polys(moments_from_density(vanishing_density(), 6), 6)
     batch = _zeros_job_polys(fam)[:12]
@@ -616,7 +616,7 @@ def test_stacked_stages_of_zeros_jobs_bitwise_equal_to_one_polynomial_oracles(mo
                         recording("match", _greedy_distances))
     monkeypatch.setattr(zeros_module, "_conjugate_representatives",
                         recording("pairs", _conjugate_representatives))
-    frames = [None] + [SliceFrame.random(np.random.default_rng(seed)) for seed in (31, 32)]
+    frames = [None] + [random_frame(np.random.default_rng(seed)) for seed in (31, 32)]
     jobs = 0
     for name in ZEROS_JOB_FIXTURES:
         for override in frames:

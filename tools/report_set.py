@@ -43,8 +43,8 @@ N = 12, 25, 40 and ``orthopolys --n 40`` on three seeded 40-coefficient
 rmax-0.8 fixtures (seeds 1017-3017), ill-conditioned inputs whose route-B
 bits decide a RouteMismatch, with route B's full rows;
 ``cd --n 11 --samples 2500`` on ``smooth_trig`` and ``random_gamma_1017``,
-two full evaluation blocks and a partial one, and ``orthopolys --n 40`` on
-``smooth_trig``;
+nine full evaluation blocks of 273 points and a partial one, and
+``orthopolys --n 40`` on ``smooth_trig``;
 four moment fixtures (the moments of ``random_gamma_7``, the same with
 negative indices, with a broken Hermitian symmetry, and with |c_5| raised to
 1.5) under ``moments-to-verblunsky`` n = 6 and 12, ``orthopolys``, ``zeros``
@@ -197,7 +197,7 @@ def report_set(frames: dict[str, str]):
                    ["moments-to-verblunsky", f"fixtures/gammas40_{seed}.json", "--n", str(n)])
         yield (f"gammas40_{seed}.orthopolys.n40",
                ["orthopolys", f"fixtures/gammas40_{seed}.json", "--n", "40"])
-    for stem in ("smooth_trig", f"random_gamma_{GAMMA_SEEDS[0]}"):   # past two CD blocks
+    for stem in ("smooth_trig", f"random_gamma_{GAMMA_SEEDS[0]}"):   # past nine CD blocks
         yield (f"{stem}.cd.n11.s2500.seed0",
                ["cd", f"fixtures/{stem}.json", "--n", "11", "--samples", "2500"])
     yield "smooth_trig.orthopolys.n40", ["orthopolys", "fixtures/smooth_trig.json", "--n", "40"]
