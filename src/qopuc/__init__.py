@@ -15,10 +15,7 @@ from .measures import (
 )
 from .series import TruncSeries, herglotz_from_moments, herglotz_from_schur, \
     schur_from_herglotz
-from .matrix_opuc import (
-    alphas_from_moments, defects, moments_from_alphas, schur_algorithm, schur_coeffs_forward,
-    schur_step,
-)
+from .matrix_opuc import alphas_from_moments, defects, moments_from_alphas, schur_step
 from .polynomials import (
     OrthonormalFamily, QPolyL, QPolyR, VerblunskySeq, eval_L, eval_R,
     eval_norm_sq, moments_from_verblunsky_q, orthonormal_polys, reverse_L, reverse_R,

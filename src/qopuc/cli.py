@@ -252,8 +252,12 @@ def load_fixture(path: str, override: SliceFrame | None) -> Fixture:
 
 
 def parse_frame(spec: str | None) -> SliceFrame | None:
-    if spec is None or spec == "standard":
+    """The --frame override: None without the flag, else the frame it names,
+    which a fixture's own frame does not replace."""
+    if spec is None:
         return None
+    if spec == "standard":
+        return SliceFrame.standard()
     obj = _parse_json(spec, "--frame")
     _validate_frame(obj, "--frame")
     return SliceFrame.from_json(obj)
@@ -528,9 +532,9 @@ def _run(args) -> tuple[int, str]:
     """The exit code and the text of one parsed command line."""
     try:
         _require_flags(args)
-        # parsed once, None standing for the standard frame; a fixture is
-        # loaded once, and its commands and the envelope read its record,
-        # which holds only the job's frame for a command without an input
+        # parsed once, None without the flag; a fixture is loaded once, and
+        # its commands and the envelope read its record, which holds only the
+        # job's frame for a command without an input
         override = parse_frame(args.frame)
         fix = (load_fixture(args.input, override) if "input" in args
                else Fixture(override or SliceFrame.standard()))

@@ -5,14 +5,17 @@ Conventions (fixed across the library):
   * moments enter through F = I + 2 sum_{n>=1} C_n z^n;
   * stripping is f_{n+1} = z^{-1} (rho_n^R)^{-1} (f_n - alpha_n)
     (I - alpha_n^* f_n)^{-1} rho_n^L, the z^{-1} realised as an exact
-    coefficient shift;
+    coefficient shift (``schur_step``);
   * the coefficient recursion is
     s_k(f_n) = rho_n^R s_{k-1}(f_{n+1}) rho_n^L
                - sum_{l=1..k-1} rho_n^R s_{k-l-1}(f_{n+1}) (rho_n^L)^{-1}
                  alpha_n^* s_l(f_n),
     with base s_0(f_n) = alpha_n.
-These three are mutually inverse/consistent; the round trip is tested to
-machine precision.
+These are mutually inverse.  Of the series recursions built on them only
+the stripping step ``schur_step`` stays here, which ``perfbench`` times; the
+tests hold the inverse step, Schur's algorithm and the coefficient
+recursion as the references of the two maps below, and check the round
+trip to machine precision.
 
 The two maps used by the library run in generator (Kailath "fast Schur")
 form instead: f_n = A_n B_n^{-1} with A_0 = (F - I)/2z and B_0 = (F + I)/2,
@@ -41,18 +44,15 @@ in matmul's order, so they give matmul's bits.  Route A's step is a chain
 of such constants, B(0)^{-1}, alpha_n, both defects, their roots and
 inverses, so it hands them numpy scalars, whose arithmetic costs about a
 tenth of what a numpy call on a (2, 2) array costs; only its array update
-stays stacked matmuls.  The forward map, ``defects`` and ``sqrtm_herm2``
-hand the same functions whole stacks of entries, so the forward map builds
-all N defects and inverses in one call each.  ``schur_step``,
-``inverse_schur_step``, ``schur_algorithm`` and ``schur_coeffs_forward``
-are the paper's series recursions, kept as independent references.
+stays stacked matmuls.  The forward map and ``defects`` hand the same
+functions whole stacks of entries, so the forward map builds all N defects
+and inverses in one call each.
 
 Matrix Verblunsky coefficients are one read-only (N, 2, 2) complex array,
-which route A and ``schur_algorithm`` return and the forward map and
-``schur_coeffs_forward`` read; a defect pair is one (2, ..., 2, 2) stack
-[rhoL, rhoR].  Every coefficient is tested for strict contraction once
-where it enters this layer: route A tests each alpha_n it makes, and the
-forward map each one it reads, through ``defects``.
+which route A returns and the forward map reads; a defect pair is one
+(2, ..., 2, 2) stack [rhoL, rhoR].  Every coefficient is tested for strict
+contraction once where it enters this layer: route A tests each alpha_n it
+makes, and the forward map each one it reads, through ``defects``.
 """
 
 from __future__ import annotations
@@ -133,8 +133,15 @@ def _inv2(m: tuple) -> tuple:
 
 
 def _sqrt_psd2(h: tuple) -> tuple:
-    """The principal square root of a 2x2 Hermitian PSD matrix over entries, in
-    their precision: the closed form and checks of ``sqrtm_herm2``."""
+    """The principal square root of a 2x2 Hermitian PSD matrix over entries
+    (scalars in route A's steps, arrays over a stack in ``defects``), in
+    their precision, so every matrix of a stack gets the bits it gets on its
+    own.
+
+    With t = tr H and d = det H >= 0: sqrt(H) = (H + sqrt(d) I) / sqrt(t + 2 sqrt(d)).
+    ValueError if any matrix is not PSD or misses the residual check
+    |R R - H| <= SQRT_CHECK_TOL max(1, t), NaN and inf entries included.
+    """
     h00, h01, h10, h11 = h
     t = h00.real + h11.real
     s = np.sqrt(_max((h00 * h11 - h01 * h10).real, 0.0))
@@ -150,21 +157,6 @@ def _sqrt_psd2(h: tuple) -> tuple:
                 & (abs(e10 - h10) <= lim) & (abs(e11 - h11) <= lim)):   # also rejects NaN
         raise ValueError("square-root residual beyond tolerance")
     return R
-
-
-def sqrtm_herm2(H: np.ndarray) -> np.ndarray:
-    """Principal square roots of 2x2 Hermitian PSD matrices, closed form, for
-    one matrix or a (..., 2, 2) stack, in the precision of H (long double
-    input stays long double).
-
-    With t = tr H and d = det H >= 0: sqrt(H) = (H + sqrt(d) I) / sqrt(t + 2 sqrt(d)),
-    written once over the four entries, which are scalars in route A's steps
-    and arrays over a stack here, so every matrix of a stack gets the bits it
-    gets on its own.  ValueError if any matrix is not PSD or misses the
-    residual check |R R - H| <= SQRT_CHECK_TOL max(1, t), NaN and inf entries
-    included.
-    """
-    return _matrix(_sqrt_psd2(_entries(_complex(H))))
 
 
 def _require_contraction(alpha: np.ndarray, index=None):
@@ -217,68 +209,6 @@ def schur_step(f_n: TruncSeries, alpha_n: np.ndarray) -> TruncSeries:
     shifted = core.shift_down()
     rhoRi = np.linalg.inv(rhoR)
     return TruncSeries(np.einsum("ij,njk,kl->nil", rhoRi, shifted.coeffs, rhoL))
-
-
-def inverse_schur_step(f_next: TruncSeries, alpha_n: np.ndarray) -> TruncSeries:
-    """Rebuild f_n from (alpha_n, f_{n+1}); exact inverse of schur_step.
-
-    With W = rho_n^R (z f_{n+1}) (rho_n^L)^{-1}:
-    f_n = (I + W alpha_n^*)^{-1} (W + alpha_n).
-    """
-    alpha_n = np.asarray(alpha_n, dtype=complex)
-    rhoL, rhoR = defects(alpha_n)
-    z_next = f_next.shift_up()
-    rhoLi = np.linalg.inv(rhoL)
-    W = TruncSeries(np.einsum("ij,njk,kl->nil", rhoR, z_next.coeffs, rhoLi))
-    order = W.order
-    lhs = TruncSeries.identity(order) + W * TruncSeries.constant(alpha_n.conj().T, order)
-    return series_inv(lhs) * (W + TruncSeries.constant(alpha_n, order))
-
-
-def schur_algorithm(f: TruncSeries, N: int) -> np.ndarray:
-    """Strip N coefficients alpha_0..alpha_{N-1} from a Schur-class
-    truncation, as a read-only (N, 2, 2) array, the type route A returns.
-
-    Needs order(f) >= N - 1 (the last coefficient is read without a further
-    stripping step).  NotContraction (with the index) propagates when the
-    input is not a Schur-class truncation, i.e. the underlying moment data
-    is not positive definite.
-    """
-    if f.order < N - 1:
-        raise ValueError(f"series order {f.order} too small for {N} coefficients")
-    alphas = np.empty((N, 2, 2), dtype=complex)
-    current = f
-    for n in range(N):
-        alphas[n] = current.coeffs[0]
-        _require_contraction(alphas[n], n)
-        if n < N - 1:
-            current = schur_step(current, alphas[n])
-    alphas.setflags(write=False)
-    return alphas
-
-
-def schur_coeffs_forward(alphas: np.ndarray, K: int) -> list[np.ndarray]:
-    """Schur-function coefficients s_0(f)..s_K(f) by the triangular recursion,
-    from at least K + 1 coefficients (an (N, 2, 2) array).
-
-    The leading structure is s_k(f) = rho_0^R..rho_{k-1}^R alpha_k
-    rho_{k-1}^L..rho_0^L plus contributions from lower-index coefficients.
-    """
-    alphas = np.asarray(alphas, dtype=complex)
-    if len(alphas) < K + 1:
-        raise ValueError(f"need at least {K + 1} coefficients, got {len(alphas)}")
-    rhoL, rhoR = defects(alphas[:K + 1])
-    rhoLi = np.linalg.inv(rhoL)
-    table: dict[tuple[int, int], np.ndarray] = {}
-    for n in range(K, -1, -1):
-        table[(n, 0)] = alphas[n]
-        aH = alphas[n].conj().T
-        for k in range(1, K - n + 1):
-            val = rhoR[n] @ table[(n + 1, k - 1)] @ rhoL[n]
-            for l in range(1, k):
-                val = val - (rhoR[n] @ table[(n + 1, k - l - 1)] @ rhoLi[n] @ aH @ table[(n, l)])
-            table[(n, k)] = val
-    return [table[(0, k)] for k in range(K + 1)]
 
 
 def moments_from_alphas(alphas, N: int) -> np.ndarray:

@@ -4,8 +4,8 @@ from moments to Verblunsky coefficients.
 Two polynomial spaces appear: QPolyL holds sums p^k phi_k (coefficients on
 the right of the powers), QPolyR holds sums phi_k p^k.  A polynomial is
 stored only as a read-only (n+1, 4) float array ``arr`` (row k = phi_k in
-the basis 1, i, j, k); ``coeffs`` and ``coeff`` hand out ``Quaternion``
-objects for the API and evaluation takes and returns them.  Right-orthonormal
+the basis 1, i, j, k); ``coeffs`` hands out ``Quaternion`` objects for
+the API and evaluation takes and returns them.  Right-orthonormal
 polynomials live in the first space, left-orthonormal in the second; both
 families and their Verblunsky coefficients come from one run of the paired
 Szego recurrences on the moments (``measures.require_nontrivial``), kept as
@@ -89,13 +89,6 @@ class _QPolyBase:
             raise TypeError("cannot mix polynomial spaces")
         n = max(self.degree, other.degree) + 1
         return type(self)(_padded(self.arr, n) - _padded(other.arr, n))
-
-    def coeff(self, k: int) -> Quaternion:
-        return Quaternion(*self.arr[k].tolist()) if 0 <= k <= self.degree else Quaternion()
-
-    def shift(self):
-        """Multiply by the variable (coefficients move up one power)."""
-        return type(self)(np.concatenate([np.zeros((1, 4)), self.arr]))
 
     def __repr__(self):
         return f"{type(self).__name__}(degree={self.degree})"

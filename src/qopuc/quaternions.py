@@ -14,11 +14,10 @@ of the API.  One Hamilton product, ``qmul_parts``, serves both forms, on
 floats, on long-double scalars (route B's gamma) and on arrays;
 ``polynomials.eval_norm_sq`` reads its terms as a table, in its order, to
 form a Horner step's 16 products in one multiply.  One frame-coordinate
-kernel, ``_frame_coords``, serves ``chi``, ``chi_mat``
-and ``SliceFrame.split``, and its inverse
-``_from_frame_coords`` serves ``chi_inv`` and ``SliceFrame.from_split``,
-so ``chi`` of a whole (..., 4) array and ``chi_inv`` of a whole
-(..., 2, 2) stack give the bits of the per-quaternion sums.
+kernel, ``_frame_coords``, serves ``chi`` and ``chi_mat``, and its inverse
+``_from_frame_coords`` serves ``chi_inv``, so ``chi`` of a whole (..., 4)
+array and ``chi_inv`` of a whole (..., 2, 2) stack give the bits of the
+per-quaternion sums.
 ``right_eigen_slice`` answers one quaternion matrix or a stack with one
 LAPACK call.
 """
@@ -190,19 +189,6 @@ class SliceFrame:
     @classmethod
     def standard(cls) -> "SliceFrame":
         return cls(QI, QJ)
-
-    # -- slice coordinates ---------------------------------------------
-    def split(self, p: Quaternion) -> tuple[complex, complex]:
-        """Coordinates (z1, z2) of p = z1 + z2 j in the frame basis."""
-        z1, z2 = _frame_coords(_coerce(p).to_array(), self)
-        return complex(z1), complex(z2)
-
-    def from_split(self, z1: complex, z2: complex) -> Quaternion:
-        return Quaternion.from_array(_from_frame_coords(z1, z2, self))
-
-    def slice_point(self, z: complex) -> Quaternion:
-        """The point of C_i with coordinates z."""
-        return Quaternion(z.real) + self.i * z.imag
 
     def __eq__(self, other):
         if not isinstance(other, SliceFrame):

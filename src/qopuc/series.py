@@ -6,9 +6,9 @@ agrees coefficientwise with computing at the lower order.
 
 The Cayley transforms between moment (Herglotz) series and contractive
 (Schur) series live here.  They and ``series_inv`` serve the paper's series
-recursions in ``matrix_opuc`` (``schur_step``, ``schur_algorithm``), which
-are kept as references; the library's moments <-> Verblunsky maps run in
-generator form there and use no series inverse.
+recursions (``matrix_opuc.schur_step``, and the tests' references of the
+library's two maps); those maps run in generator form in ``matrix_opuc``
+and use no series inverse.
 
 So do the 2x2 closed forms both use: the larger eigenvalue of a Gram matrix
 (``_gram_max_eigenvalue``, behind ``matrix_opuc.operator_norm2``) and the
@@ -85,11 +85,6 @@ class TruncSeries:
     @classmethod
     def identity(cls, order: int) -> "TruncSeries":
         return cls.constant(EYE2, order)
-
-    def truncate(self, order: int) -> "TruncSeries":
-        if order > self.order:
-            raise ValueError("cannot extend a truncated series")
-        return TruncSeries(self.coeffs[: order + 1].copy())
 
     def shift_up(self) -> "TruncSeries":
         """Multiply by z; all coefficients are known, order grows by one."""

@@ -10,18 +10,65 @@ import pytest
 from qopuc.analysis import _kernel
 from qopuc.errors import HorizonExceeded, NotContraction, NotPositiveDefinite
 from qopuc.fixtures import random_gamma_seq
-from qopuc.matrix_opuc import CONTRACTION_MARGIN, sqrtm_herm2
-from qopuc.measures import _BASIS_PRODUCTS, _CONJ, _pivot_checked, toeplitz
+from qopuc.matrix_opuc import (
+    CONTRACTION_MARGIN, _complex, _entries, _matrix, _require_contraction, _sqrt_psd2, defects,
+    schur_step,
+)
+from qopuc.measures import _BASIS_PRODUCTS, _CONJ, QPositiveDensity, _pivot_checked, toeplitz
 from qopuc.polynomials import (
     QPolyL, QPolyR, _padded, eval_norm_sq, moments_from_verblunsky_q, orthonormal_polys,
 )
 from qopuc.quaternions import (
     Quaternion, SliceFrame, chi, qarr_conj, qarr_from, qarr_inv, qarr_mul, qarr_norm_sq,
 )
+from qopuc.series import TruncSeries, series_inv
 from qopuc.zeros import NUMERIC_DEGREE_TOL, det_poly
 
 ONE = Quaternion(1.0)
 QK = Quaternion(0.0, 0.0, 0.0, 1.0)
+
+
+# ---- the named densities with closed forms, as the tests build them; the
+# CLI reads the same densities from the JSON fixtures ----
+
+def lebesgue_density(frame: SliceFrame | None = None) -> QPositiveDensity:
+    """Normalised arc length: w = 1, all Verblunsky coefficients zero."""
+    return QPositiveDensity.from_maps(frame or SliceFrame.standard(), {0: 1.0})
+
+
+def bernstein_szego_density(gamma0: float = 0.5, cutoff: int = 64,
+                            frame: SliceFrame | None = None) -> QPositiveDensity:
+    """(1 - g^2)/|1 - g e^{i theta}|^2 for real g, truncated at |n| <= cutoff.
+
+    Moments are g^n for n >= 0; the single nonzero Verblunsky coefficient is
+    gamma_0 = g.  Truncation error is geometric (g^cutoff).
+    """
+    if not 0 < gamma0 < 1:
+        raise ValueError("gamma0 must lie in (0, 1)")
+    w1 = {m: gamma0 ** abs(m) for m in range(-cutoff, cutoff + 1)}
+    return QPositiveDensity.from_maps(frame or SliceFrame.standard(), w1)
+
+
+def vanishing_density(frame: SliceFrame | None = None) -> QPositiveDensity:
+    """w = 1 + cos(theta): vanishes at theta = pi, |gamma_n| = 1/(n+2).
+
+    Square-summable but not summable coefficients; the Baxter diagnostic's
+    nonsummable reference fixture.
+    """
+    return QPositiveDensity.from_maps(frame or SliceFrame.standard(),
+                                      {0: 1.0, 1: 0.5, -1: 0.5})
+
+
+def smooth_trig_density(frame: SliceFrame | None = None) -> QPositiveDensity:
+    """A strictly positive trigonometric density with a genuine j-part.
+
+    Low Fourier degree and a comfortable positivity margin, so the
+    Verblunsky coefficients decay geometrically and the entropy identity
+    closes well before N = 50.
+    """
+    w1 = {0: 1.0, 1: 0.22 - 0.1j, -1: 0.22 + 0.1j, 2: 0.05 + 0.04j, -2: 0.05 - 0.04j}
+    w2 = {1: 0.06 + 0.09j, -1: -0.06 - 0.09j, 2: 0.03 - 0.02j, -2: -0.03 + 0.02j}
+    return QPositiveDensity.from_maps(frame or SliceFrame.standard(), w1, w2)
 
 
 def fourier_values(coeffs, thetas):
@@ -128,6 +175,78 @@ def blockwise_chi(A, frame) -> np.ndarray:
     return chi(np.asarray(A, dtype=float), frame).transpose(0, 2, 1, 3).reshape(2 * n, 2 * n)
 
 
+# ---- the paper's series recursions: the references of route A and the
+# forward map ----
+
+def sqrtm_herm2(H: np.ndarray) -> np.ndarray:
+    """Principal square roots of 2x2 Hermitian PSD matrices, one matrix or a
+    (..., 2, 2) stack, in the precision of H: ``matrix_opuc._sqrt_psd2``'s
+    closed form and checks on the entries of H."""
+    return _matrix(_sqrt_psd2(_entries(_complex(H))))
+
+
+def inverse_schur_step(f_next: TruncSeries, alpha_n: np.ndarray) -> TruncSeries:
+    """Rebuild f_n from (alpha_n, f_{n+1}); exact inverse of schur_step.
+
+    With W = rho_n^R (z f_{n+1}) (rho_n^L)^{-1}:
+    f_n = (I + W alpha_n^*)^{-1} (W + alpha_n).
+    """
+    alpha_n = np.asarray(alpha_n, dtype=complex)
+    rhoL, rhoR = defects(alpha_n)
+    z_next = f_next.shift_up()
+    rhoLi = np.linalg.inv(rhoL)
+    W = TruncSeries(np.einsum("ij,njk,kl->nil", rhoR, z_next.coeffs, rhoLi))
+    order = W.order
+    lhs = TruncSeries.identity(order) + W * TruncSeries.constant(alpha_n.conj().T, order)
+    return series_inv(lhs) * (W + TruncSeries.constant(alpha_n, order))
+
+
+def schur_algorithm(f: TruncSeries, N: int) -> np.ndarray:
+    """Strip N coefficients alpha_0..alpha_{N-1} from a Schur-class
+    truncation, as a read-only (N, 2, 2) array, the type route A returns.
+
+    Needs order(f) >= N - 1 (the last coefficient is read without a further
+    stripping step).  NotContraction (with the index) propagates when the
+    input is not a Schur-class truncation, i.e. the underlying moment data
+    is not positive definite.
+    """
+    if f.order < N - 1:
+        raise ValueError(f"series order {f.order} too small for {N} coefficients")
+    alphas = np.empty((N, 2, 2), dtype=complex)
+    current = f
+    for n in range(N):
+        alphas[n] = current.coeffs[0]
+        _require_contraction(alphas[n], n)
+        if n < N - 1:
+            current = schur_step(current, alphas[n])
+    alphas.setflags(write=False)
+    return alphas
+
+
+def schur_coeffs_forward(alphas: np.ndarray, K: int) -> list[np.ndarray]:
+    """Schur-function coefficients s_0(f)..s_K(f) by the triangular recursion,
+    from at least K + 1 coefficients (an (N, 2, 2) array).
+
+    The leading structure is s_k(f) = rho_0^R..rho_{k-1}^R alpha_k
+    rho_{k-1}^L..rho_0^L plus contributions from lower-index coefficients.
+    """
+    alphas = np.asarray(alphas, dtype=complex)
+    if len(alphas) < K + 1:
+        raise ValueError(f"need at least {K + 1} coefficients, got {len(alphas)}")
+    rhoL, rhoR = defects(alphas[:K + 1])
+    rhoLi = np.linalg.inv(rhoL)
+    table: dict[tuple[int, int], np.ndarray] = {}
+    for n in range(K, -1, -1):
+        table[(n, 0)] = alphas[n]
+        aH = alphas[n].conj().T
+        for k in range(1, K - n + 1):
+            val = rhoR[n] @ table[(n + 1, k - 1)] @ rhoL[n]
+            for l in range(1, k):
+                val = val - (rhoR[n] @ table[(n + 1, k - l - 1)] @ rhoLi[n] @ aH @ table[(n, l)])
+            table[(n, k)] = val
+    return [table[(0, k)] for k in range(K + 1)]
+
+
 # ---- chi-embedded matrix Gram-Schmidt: the independent oracle for the
 # quaternionic orthonormal families ----
 
@@ -223,8 +342,8 @@ def chi_scalar(p, frame):
 
 def from_split_scalar(frame, z1, z2):
     """p = z1 + z2 j in Quaternion arithmetic, one coordinate at a time: the
-    per-value form of ``SliceFrame.from_split`` that the array kernel
-    replaced, kept as its bitwise oracle."""
+    per-value form of ``quaternions._from_frame_coords``, kept as its
+    bitwise oracle."""
     z1, z2 = complex(z1), complex(z2)
     return Quaternion(z1.real) + frame.i * z1.imag + frame.j * z2.real + frame.k * z2.imag
 
@@ -332,6 +451,16 @@ def szego_two_arrays(c, n, pivot_tol=1e-12):
 # recurrences on polynomials and the CD kernel at one point: the tests'
 # builders and oracles, which no command calls ----
 
+def coeff(p, k: int) -> Quaternion:
+    """The k-th coefficient of a polynomial as a Quaternion, zero past its degree."""
+    return Quaternion(*p.arr[k]) if k <= p.degree else Quaternion()
+
+
+def shift(p):
+    """p times the variable: its coefficients move up one power."""
+    return type(p)(np.concatenate([np.zeros((1, 4)), p.arr]))
+
+
 def qmat_mul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Product of quaternion matrices stored as (n, m, 4) arrays."""
     return qarr_mul(A[:, :, None], B[None]).sum(axis=1)
@@ -417,8 +546,8 @@ def szego_advance(state: SzegoState, gamma) -> SzegoState:
         raise NotContraction("gamma is not a strict contraction")
     r_inv = 1.0 / math.sqrt(1.0 - nsq)
     gbar = qarr_conj(g)
-    shift_l = state.left.shift().arr      # psi_n^L p  in H[p]^R
-    shift_r = state.right.shift().arr     # p psi_n^R  in H[p]^L
+    shift_l = shift(state.left).arr      # psi_n^L p  in H[p]^R
+    shift_r = shift(state.right).arr     # p psi_n^R  in H[p]^L
     right_rev = _padded(state.right_rev.arr, len(shift_l))
     left_rev = _padded(state.left_rev.arr, len(shift_r))
     new_left = QPolyR((shift_l - qarr_mul(g, right_rev)) * r_inv)

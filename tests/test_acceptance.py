@@ -16,10 +16,7 @@ import numpy as np
 
 from qopuc.analysis import baxter_check, cd_identity_check, sv_check, szego_entropy
 from qopuc.cli import main as cli_main
-from qopuc.fixtures import (
-    bernstein_szego_density, lebesgue_density, random_gamma_seq,
-    smooth_trig_density, vanishing_density,
-)
+from qopuc.fixtures import random_gamma_seq
 from qopuc.matrix_opuc import defects, moments_from_alphas
 from qopuc.measures import QPositiveDensity, matrix_moments, moments_from_density
 from qopuc.polynomials import (
@@ -28,8 +25,9 @@ from qopuc.polynomials import (
 from qopuc.quaternions import Quaternion, SliceFrame, chi, chi_mat
 from qopuc.zeros import zeros_theorem_check
 from conftest import (
-    block_permutation, blockwise_chi, cd_kernel_diag, inner_L, inner_R, matrix_gram_schmidt,
-    random_frame, random_quaternion,
+    bernstein_szego_density, block_permutation, blockwise_chi, cd_kernel_diag, coeff, inner_L,
+    inner_R, lebesgue_density, matrix_gram_schmidt, random_frame, random_quaternion, shift,
+    smooth_trig_density, vanishing_density,
 )
 
 FIXDIR = Path(__file__).resolve().parent.parent / "fixtures"
@@ -153,19 +151,19 @@ def test_criterion_4_szego_recurrence_residuals():
             g = gammas[n]
             gbar = g.conjugate()
             r = math.sqrt(1.0 - g.norm_sq())
-            shift_l = fam.left[n].shift()
-            shift_r = fam.right[n].shift()
+            shift_l = shift(fam.left[n])
+            shift_r = shift(fam.right[n])
             for k in range(n + 2):
                 worst = max(
                     worst,
-                    abs(shift_l.coeff(k) - fam.left[n + 1].coeff(k) * r
-                        - g * revs_r[n].coeff(k)),
-                    abs(shift_r.coeff(k) - fam.right[n + 1].coeff(k) * r
-                        - revs_l[n].coeff(k) * g),
-                    abs(revs_l[n + 1].coeff(k) * r - revs_l[n].coeff(k)
-                        + shift_r.coeff(k) * gbar),
-                    abs(revs_r[n + 1].coeff(k) * r - revs_r[n].coeff(k)
-                        + gbar * shift_l.coeff(k)),
+                    abs(coeff(shift_l, k) - coeff(fam.left[n + 1], k) * r
+                        - g * coeff(revs_r[n], k)),
+                    abs(coeff(shift_r, k) - coeff(fam.right[n + 1], k) * r
+                        - coeff(revs_l[n], k) * g),
+                    abs(coeff(revs_l[n + 1], k) * r - coeff(revs_l[n], k)
+                        + coeff(shift_r, k) * gbar),
+                    abs(coeff(revs_r[n + 1], k) * r - coeff(revs_r[n], k)
+                        + gbar * coeff(shift_l, k)),
                 )
     ok = worst < 1e-10
     _report(4, "szego-recurrences", ok,

@@ -10,15 +10,13 @@ from qopuc.analysis import (
     _diverging_over_horizon, baxter_check, cd_identity_check, sv_check,
     szego_entropy,
 )
-from qopuc.fixtures import (
-    bernstein_szego_density, lebesgue_density, random_gamma_seq, smooth_trig_density,
-    vanishing_density,
-)
+from qopuc.fixtures import random_gamma_seq
 from qopuc.measures import QPositiveDensity, moments_from_density
 from qopuc.polynomials import VerblunskySeq, _gammas_via_matrix, orthonormal_polys
 from qopuc.quaternions import Quaternion
 from conftest import (
-    cd_kernel_diag, random_frame, random_moment_fixture, random_unit_ball_quaternion,
+    bernstein_szego_density, cd_kernel_diag, lebesgue_density, random_frame,
+    random_moment_fixture, random_unit_ball_quaternion, smooth_trig_density, vanishing_density,
 )
 
 

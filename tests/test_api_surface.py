@@ -1,20 +1,20 @@
-"""The library keeps only what a command, the benchmark or the documented API
-needs.
+"""The library keeps only what a command or the benchmark needs.
 
 Every public module-level function, class and constant of ``src/qopuc``
 must be loaded somewhere in ``src/qopuc`` outside its own definition (a
 re-export from ``__init__`` and a type annotation do not count), or be named
-by ``perfbench/`` or ``tools/`` as ``<module>.<name>`` or ``qopuc.<name>``,
-or be on the allowlist below with its reason.  A name only the tests call
-belongs in the tests.
+by ``perfbench/`` or ``tools/`` as ``<module>.<name>`` or ``qopuc.<name>``.
+There are no exceptions: a name only the tests call belongs in the tests.
 
 The same holds for every public method (properties and class methods
 included; dunder methods aside) of a module-level class, named
 ``<module>.<class>.<method>``: an attribute of its name must be loaded in
 ``src/qopuc`` outside its own definition, or ``.<method>`` be named by
 ``perfbench/`` or ``tools/``.  Attribute loads are not resolved to a class,
-so a method whose name another class also uses may pass unseen; a load on
-an imported module (``np.random``, ``math.sqrt``) is not a method use.
+so a method whose name another class or type also uses may pass unseen:
+``SliceFrame.split`` did, while only the tests called it, because ``cli``
+loads ``str.split``.  A load on an imported module (``np.random``,
+``math.sqrt``) is not a method use.
 """
 
 from __future__ import annotations
@@ -25,31 +25,6 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 PACKAGE = REPO / "src" / "qopuc"
-
-ALLOWLIST = {
-    "matrix_opuc.schur_algorithm": "the paper's matrix Schur recursion, the oracle of route A",
-    "matrix_opuc.schur_coeffs_forward": "the paper's Verblunsky formula, the oracle of the "
-                                        "forward map",
-    "matrix_opuc.inverse_schur_step": "the inverse of the paper's Schur step, which rebuilds "
-                                      "the Schur function from its coefficients",
-    "matrix_opuc.sqrtm_herm2": "the 2x2 PSD square root on one matrix, the API form of the "
-                               "closed form that route A and the defects use",
-    "fixtures.lebesgue_density": "a named shipped density, closed form gamma_n = 0",
-    "fixtures.bernstein_szego_density": "a named shipped density, closed form gamma_0 = g",
-    "fixtures.vanishing_density": "a named shipped density, closed form |gamma_n| = 1/(n+2)",
-    "fixtures.smooth_trig_density": "a named shipped density with a genuine j-part",
-    "polynomials._QPolyBase.coeff": "the k-th coefficient as a Quaternion, zero past the "
-                                    "degree: the paper's coefficientwise statements of "
-                                    "the Szego recurrence read it",
-    "polynomials._QPolyBase.shift": "multiplication by the variable p, the p psi_n of the "
-                                    "paper's Szego recurrence",
-    "quaternions.SliceFrame.from_split": "the inverse of SliceFrame.split, q = z1 + z2 j in "
-                                         "the frame",
-    "quaternions.SliceFrame.slice_point": "the point of the slice C_i with coordinates z, "
-                                          "where a zero report's slice roots live",
-    "series.TruncSeries.truncate": "lowering the order of a truncated series, which its "
-                                   "product and inverse commute with",
-}
 
 
 def _definitions(tree: ast.Module) -> dict[str, tuple[int, int]]:
@@ -138,7 +113,4 @@ def _unneeded() -> list[str]:
 
 
 def test_every_public_name_has_a_caller_outside_the_tests():
-    unneeded = _unneeded()
-    assert sorted(set(unneeded) - set(ALLOWLIST)) == []
-    # an entry that gains a caller leaves the list
-    assert sorted(set(ALLOWLIST) - set(unneeded)) == []
+    assert _unneeded() == []

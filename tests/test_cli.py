@@ -400,19 +400,20 @@ def test_sequence_jobs_build_no_quaternion_per_value(tmp_path, monkeypatch, argv
     assert len(norms) == contraction_tests
 
 
-@pytest.mark.parametrize("fixture, n, override_builds", [
-    ("smooth_trig.json", "8", 2), ("random_gamma_7.json", "6", 1), ("moments.json", "6", 1),
+@pytest.mark.parametrize("fixture, n, own_builds", [
+    ("smooth_trig.json", "8", 1), ("random_gamma_7.json", "6", 0), ("moments.json", "6", 0),
 ], ids=["density", "gammas", "moments"])
-@pytest.mark.parametrize("frame_flag, overridden", [
-    ([], False),
-    (["--frame", "standard"], False),
-    (["--frame", json.dumps({"i": [0.0, 0.0, 1.0, 0.0], "j": [0.0, 0.0, 0.0, 1.0]})], True),
+@pytest.mark.parametrize("frame_flag, flag_builds, flag_quaternions", [
+    ([], 0, 0),
+    (["--frame", "standard"], 0, 1),
+    (["--frame", json.dumps({"i": [0.0, 0.0, 1.0, 0.0], "j": [0.0, 0.0, 0.0, 1.0]})], 1, 3),
 ], ids=["no-frame", "standard", "override"])
-def test_one_frame_per_job(tmp_path, monkeypatch, fixture, n, override_builds, frame_flag,
-                           overridden):
+def test_one_frame_per_job(tmp_path, monkeypatch, fixture, n, own_builds, frame_flag,
+                           flag_builds, flag_quaternions):
     # --frame is parsed once and the fixture's frame built once; under
     # --frame only a density builds its own frame, to read its w1/w2 maps.
-    # Each frame builds i, j and k = i j, and nothing else builds a Quaternion
+    # A frame from JSON builds i, j and k = i j, the standard frame k alone
+    # (i and j are module constants), and nothing else builds a Quaternion
     from qopuc import cli
     from qopuc.quaternions import Quaternion, SliceFrame
     from conftest import random_moment_fixture
@@ -420,7 +421,7 @@ def test_one_frame_per_job(tmp_path, monkeypatch, fixture, n, override_builds, f
     (tmp_path / "moments.json").write_text(json.dumps(
         {"frame": STANDARD_FRAME, "moments": random_moment_fixture(7, 6).to_json()}))
     path = str(tmp_path / fixture if fixture == "moments.json" else FIXDIR / fixture)
-    frame_builds = override_builds if overridden else 1
+    frame_builds = flag_builds + (own_builds if frame_flag else 1)
 
     parses, builds, built = [], [], []
     parse, from_json, init = cli.parse_frame, SliceFrame.from_json.__func__, Quaternion.__init__
@@ -446,12 +447,14 @@ def test_one_frame_per_job(tmp_path, monkeypatch, fixture, n, override_builds, f
         assert code == 0
         assert len(parses) == 1
         assert len(builds) == frame_builds
-        assert len(built) == 3 * frame_builds, built
+        assert len(built) == flag_quaternions + 3 * (frame_builds - flag_builds), built
 
 
 def test_config_frame_is_the_frame_the_job_ran_in(tmp_path):
     # a fixture's own frame, when --frame does not override it; the envelope
-    # once reported the standard frame for these
+    # once reported the standard frame for these.  --frame standard once
+    # parsed to the None of no flag and ran in the fixture's frame: it runs
+    # in the standard frame, byte for byte as the standard frame as JSON does
     from conftest import random_moment_fixture
 
     rng = np.random.default_rng(616)
@@ -471,10 +474,15 @@ def test_config_frame_is_the_frame_the_job_ran_in(tmp_path):
         path = tmp_path / name
         path.write_text(json.dumps(obj))
         for argv in argvs:
-            for flag, want in (([], own), (["--frame", json.dumps(override)], override)):
+            reports = []
+            for flag, want in (([], own), (["--frame", json.dumps(override)], override),
+                               (["--frame", "standard"], STANDARD_FRAME),
+                               (["--frame", json.dumps(STANDARD_FRAME)], STANDARD_FRAME)):
                 code, out = run(tmp_path, argv[0], str(path), *argv[1:], *flag)
                 assert code == 0, (name, argv, out[:200])
                 assert json.loads(out)["config"]["frame"] == want, (name, argv, flag)
+                reports.append(out)
+            assert reports[2] == reports[3], (name, argv)
 
 
 def test_random_gamma_result_frame_is_the_job_frame(tmp_path):
@@ -1087,9 +1095,8 @@ def _fuzz_fixtures():
     a density and moments, a density with w1_0 = 2, an empty moment list, a
     density with indices +-10^9, a gamma of 10^400 and, as raw text, 100000
     nested lists."""
-    from qopuc.fixtures import bernstein_szego_density
     from qopuc.measures import moments_from_density
-    from conftest import random_moment_fixture
+    from conftest import bernstein_szego_density, random_moment_fixture
 
     fixtures = {p.name: json.loads(p.read_text()) for p in sorted(FIXDIR.glob("*.json"))}
     bs = bernstein_szego_density()

@@ -11,8 +11,7 @@ from qopuc.errors import (
 )
 from qopuc.matrix_opuc import (
     CONTRACTION_MARGIN, SQRT_CHECK_TOL, _entries, _inv2, _matrix, _mul2,
-    alphas_from_moments, defects, inverse_schur_step, moments_from_alphas, operator_norm2,
-    schur_algorithm, schur_coeffs_forward, schur_step, sqrtm_herm2,
+    alphas_from_moments, defects, moments_from_alphas, operator_norm2, schur_step,
 )
 from qopuc.quaternions import chi_image_residual
 from qopuc.series import (
@@ -20,8 +19,9 @@ from qopuc.series import (
     herglotz_from_schur, schur_from_herglotz, series_inv,
 )
 from conftest import (
-    random_chi_contraction, random_contraction, random_frame, random_moment_fixture,
-    random_unit_ball_quaternion,
+    bernstein_szego_density, inverse_schur_step, lebesgue_density, random_chi_contraction,
+    random_contraction, random_frame, random_moment_fixture, random_unit_ball_quaternion,
+    schur_algorithm, schur_coeffs_forward, smooth_trig_density, sqrtm_herm2, vanishing_density,
 )
 
 FIXDIR = Path(__file__).resolve().parent.parent / "fixtures"
@@ -475,7 +475,6 @@ def test_second_kind_identity():
 def test_route_a_horizon_prefix_is_byte_identical():
     # at N <= K + 1 A and B shrink from the first step, past it they stay
     # K + 1 wide until N - n reaches K + 1: both give the prefix of N = 200
-    from qopuc.fixtures import bernstein_szego_density, smooth_trig_density, vanishing_density
     from qopuc.measures import matrix_moments, moments_from_density
 
     for d in (vanishing_density(), smooth_trig_density(), bernstein_szego_density()):
@@ -506,7 +505,6 @@ def test_forward_map_horizon_prefix_is_byte_identical():
                     reason="needs an extended-precision np.longdouble")
 def test_route_a_vanishing_density_closed_form_n400():
     # in double precision the generator recursion reaches only about 4e-15 here
-    from qopuc.fixtures import vanishing_density
     from qopuc.measures import matrix_moments, moments_from_density
     from qopuc.quaternions import chi_inv, qarr_abs
 
@@ -767,8 +765,8 @@ def test_stacked_2x2_forms_bitwise_equal_to_per_matrix_forms(rng):
         assert np.max(np.abs(rL - wL)) <= 1e-15 and np.max(np.abs(rR - wR)) <= 1e-15
 
 
-DENSITY_NAMES = ("lebesgue_density", "vanishing_density", "smooth_trig_density",
-                 "bernstein_szego_density")
+DENSITIES = {d.__name__: d for d in (lebesgue_density, vanishing_density, smooth_trig_density,
+                                      bernstein_szego_density)}
 
 
 def route_a_cases(name):
@@ -780,17 +778,16 @@ def route_a_cases(name):
     (the first steps and the last step's early exit); the seeded rmax-0.8
     moments of dual_route at N = 12, 25 and 40, which are ill-conditioned;
     and seeded moments in a seeded non-standard frame."""
-    from qopuc import fixtures
     from qopuc.measures import MomentSequence, matrix_moments, moments_from_density
 
     if name.endswith("_density"):
-        d = getattr(fixtures, name)()
+        d = DENSITIES[name]()
         C = matrix_moments(moments_from_density(d, 400), d.frame, 400)[1:]
         K = int(d.index[-1])   # C_K is the last nonzero moment
         return [(C, N) for N in (K, K + 1, K + 2, 200, 400) if N >= 1]
     if name == "densities_seeded_frame":
         fr = random_frame(np.random.default_rng(4107))
-        densities = [getattr(fixtures, f)(frame=fr) for f in DENSITY_NAMES]
+        densities = [make(frame=fr) for make in DENSITIES.values()]
         return [(matrix_moments(moments_from_density(d, 200), fr, 200)[1:], 200)
                 for d in densities]
     if name == "banded_moments":
@@ -804,7 +801,7 @@ def route_a_cases(name):
         c = MomentSequence([[1.0, 0.0, 0.0, 0.0]] + [[0.5, 0.0, 0.0, 0.0]] * 200)
         return [(matrix_moments(c)[1:], 200)]
     if name == "first_steps":
-        d = fixtures.smooth_trig_density()
+        d = smooth_trig_density()
         C = matrix_moments(moments_from_density(d, 9), d.frame, 9)[1:]
         seeded = matrix_moments(random_moment_fixture(1017, 9))[1:]
         return [(M, N) for M in (C, seeded) for N in range(1, 10)]
@@ -816,7 +813,7 @@ def route_a_cases(name):
     return [(matrix_moments(random_moment_fixture(1017, 40, frame=fr), fr)[1:], 40)]
 
 
-@pytest.mark.parametrize("name", [*DENSITY_NAMES, "densities_seeded_frame", "banded_moments",
+@pytest.mark.parametrize("name", [*DENSITIES, "densities_seeded_frame", "banded_moments",
                                   "atom_lebesgue", "first_steps", "rmax08_seeded",
                                   "seeded_frame"])
 def test_route_a_bitwise_equal_to_per_matrix_form(name):
@@ -877,7 +874,7 @@ def test_forward_map_and_route_a_bitwise_equal_to_per_matrix_form():
 
 
 def test_route_a_and_forward_map_make_no_linalg_call(monkeypatch):
-    from qopuc.fixtures import random_gamma_seq, smooth_trig_density
+    from qopuc.fixtures import random_gamma_seq
     from qopuc.measures import matrix_moments, moments_from_density
     from qopuc.quaternions import SliceFrame, chi
 
@@ -902,7 +899,7 @@ def test_each_coefficient_contraction_tested_once_per_map(monkeypatch):
     # returns the tested array; the forward map tests each alpha_n it reads
     # once, through defects
     import qopuc.matrix_opuc as matrix_opuc
-    from qopuc.fixtures import random_gamma_seq, smooth_trig_density
+    from qopuc.fixtures import random_gamma_seq
     from qopuc.measures import matrix_moments, moments_from_density
     from qopuc.quaternions import SliceFrame, chi
 

@@ -7,8 +7,6 @@ import numpy as np
 import pytest
 
 from qopuc.errors import HorizonExceeded, NotPositiveDefinite
-from qopuc.fixtures import bernstein_szego_density, lebesgue_density, \
-    vanishing_density, smooth_trig_density
 from qopuc.measures import (
     MomentSequence, QPositiveDensity, _det_herm2, _min_eig_herm2, is_nontrivial,
     matrix_moments, moments_from_density, require_nontrivial, toeplitz,
@@ -16,8 +14,9 @@ from qopuc.measures import (
 )
 from qopuc.quaternions import QI, Quaternion, SliceFrame, chi, chi_mat, qarr_mul
 from conftest import (
-    block_permutation, blockwise_chi, density_maps, fourier_values, from_split_scalar, qbytes,
-    qmat_conj_T, qmat_mul, random_frame, random_moment_fixture, signed_zero_frames,
+    bernstein_szego_density, block_permutation, blockwise_chi, density_maps, fourier_values,
+    from_split_scalar, lebesgue_density, qbytes, qmat_conj_T, qmat_mul, random_frame,
+    random_moment_fixture, signed_zero_frames, smooth_trig_density, vanishing_density,
 )
 
 
@@ -306,7 +305,7 @@ def test_moments_from_density_read_off(frame):
     a = 0.3 + 0.4j
     d = QPositiveDensity.from_maps(frame, {0: 1.0, 1: a / 2, -1: np.conj(a) / 2})
     c = moments_from_density(d, 2)
-    assert abs(c[1] - frame.from_split(np.conj(a) / 2, 0j)) < 1e-15
+    assert abs(c[1] - from_split_scalar(frame, np.conj(a) / 2, 0j)) < 1e-15
     assert abs(c[2]) == 0.0
 
 

@@ -6,10 +6,7 @@ import numpy as np
 import pytest
 
 from qopuc.errors import DegreeTooSmall, NotContraction, NotInImage, NotPositiveDefinite
-from qopuc.fixtures import (
-    bernstein_szego_density, lebesgue_density, random_gamma_seq, smooth_trig_density,
-    vanishing_density,
-)
+from qopuc.fixtures import random_gamma_seq
 from qopuc.matrix_opuc import alphas_from_moments, moments_from_alphas
 from qopuc.measures import MomentSequence, QPositiveDensity, matrix_moments, moments_from_density
 from qopuc.polynomials import (
@@ -18,10 +15,11 @@ from qopuc.polynomials import (
 )
 from qopuc.quaternions import QI, QJ, Quaternion, SliceFrame, chi, chi_inv, qarr_abs
 from conftest import (
-    QK, SzegoState, density_maps, family_rows_pairs, fourier_values, inner_L, inner_R, qbytes,
-    qmul_scalar, random_frame, random_moment_fixture, random_quaternion,
-    random_unit_ball_quaternion, signed_zero_coeff_arrays, star_mul_L, star_mul_R,
-    szego_advance, szego_family,
+    QK, SzegoState, bernstein_szego_density, coeff, density_maps, family_rows_pairs,
+    fourier_values, from_split_scalar, inner_L, inner_R, lebesgue_density, qbytes, qmul_scalar,
+    random_frame, random_moment_fixture, random_quaternion, random_unit_ball_quaternion, shift,
+    signed_zero_coeff_arrays, smooth_trig_density, star_mul_L, star_mul_R, szego_advance,
+    szego_family, vanishing_density,
 )
 
 EYE2 = np.eye(2, dtype=complex)
@@ -157,10 +155,10 @@ def quad_inner_R(phi, psi, d, grid=4096):
     total = Quaternion()
     j = frame.j
     for theta in 2 * np.pi * np.arange(grid) / grid:
-        point = frame.slice_point(complex(np.cos(theta), np.sin(theta)))
+        point = from_split_scalar(frame, complex(np.cos(theta), np.sin(theta)), 0j)
         point_m = point.conjugate()
         w1 = float(fourier_values(maps[0], np.array([theta]))[0].real)
-        w2 = frame.slice_point(complex(fourier_values(maps[1], np.array([theta]))[0]))
+        w2 = from_split_scalar(frame, fourier_values(maps[1], np.array([theta]))[0], 0j)
         term = eval_L(psi, point).conjugate() * w1 * eval_L(phi, point)
         term = term + eval_L(psi, point).conjugate() * w2 * j * eval_L(phi, point_m)
         total = total + term
@@ -173,10 +171,10 @@ def quad_inner_L(phi, psi, d, grid=4096):
     total = Quaternion()
     j = frame.j
     for theta in 2 * np.pi * np.arange(grid) / grid:
-        point = frame.slice_point(complex(np.cos(theta), np.sin(theta)))
+        point = from_split_scalar(frame, complex(np.cos(theta), np.sin(theta)), 0j)
         point_m = point.conjugate()
         w1 = float(fourier_values(maps[0], np.array([theta]))[0].real)
-        w2 = frame.slice_point(complex(fourier_values(maps[1], np.array([theta]))[0]))
+        w2 = from_split_scalar(frame, fourier_values(maps[1], np.array([theta]))[0], 0j)
         term = eval_R(phi, point) * w1 * eval_R(psi, point).conjugate()
         term = term + eval_R(phi, point) * w2 * j * eval_R(psi, point_m).conjugate()
         total = total + term
@@ -336,18 +334,18 @@ def test_szego_recurrence_residuals(rng):
         g = gammas[n]
         gbar = g.conjugate()
         r = math.sqrt(1.0 - g.norm_sq())
-        shift_l = fam.left[n].shift()
-        shift_r = fam.right[n].shift()
+        shift_l = shift(fam.left[n])
+        shift_r = shift(fam.right[n])
         res = 0.0
         for k in range(n + 2):
-            res = max(res, abs(shift_l.coeff(k) - fam.left[n + 1].coeff(k) * r
-                               - g * revs_r[n].coeff(k)))
-            res = max(res, abs(shift_r.coeff(k) - fam.right[n + 1].coeff(k) * r
-                               - revs_l[n].coeff(k) * g))
-            res = max(res, abs(revs_l[n + 1].coeff(k) * r - revs_l[n].coeff(k)
-                               + shift_r.coeff(k) * gbar))
-            res = max(res, abs(revs_r[n + 1].coeff(k) * r - revs_r[n].coeff(k)
-                               + gbar * shift_l.coeff(k)))
+            res = max(res, abs(coeff(shift_l, k) - coeff(fam.left[n + 1], k) * r
+                               - g * coeff(revs_r[n], k)))
+            res = max(res, abs(coeff(shift_r, k) - coeff(fam.right[n + 1], k) * r
+                               - coeff(revs_l[n], k) * g))
+            res = max(res, abs(coeff(revs_l[n + 1], k) * r - coeff(revs_l[n], k)
+                               + coeff(shift_r, k) * gbar))
+            res = max(res, abs(coeff(revs_r[n + 1], k) * r - coeff(revs_r[n], k)
+                               + gbar * coeff(shift_l, k)))
         assert res < 1e-10
 
 
@@ -504,7 +502,7 @@ def test_polynomial_storage_bitwise(rng):
             assert not poly.arr.flags.writeable
             assert poly == cls(_quats(arr)) and hash(poly) == hash(cls(_quats(arr)))
             assert poly.coeffs == tuple(_quats(arr))
-            assert poly.shift().arr.tobytes() == _bytes(_trimmed([Quaternion()] + _quats(arr)))
+            assert shift(poly).arr.tobytes() == _bytes(_trimmed([Quaternion()] + _quats(arr)))
             other = cls(arr[::-1])
             n = max(len(arr), len(other.arr))
             for op in ("__add__", "__sub__"):

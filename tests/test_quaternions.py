@@ -5,8 +5,8 @@ import pytest
 
 from qopuc.errors import NotInImage
 from qopuc.quaternions import (
-    QI, QJ, Quaternion, SliceFrame, _from_frame_coords, chi, chi_inv, chi_mat, qarr_abs,
-    qarr_mul, right_eigen_slice,
+    QI, QJ, Quaternion, SliceFrame, _frame_coords, _from_frame_coords, chi, chi_inv, chi_mat,
+    qarr_abs, qarr_mul, right_eigen_slice,
 )
 from conftest import (
     ONE, QK, block_permutation, blockwise_chi, chi_scalar, from_split_scalar, qbytes,
@@ -45,9 +45,9 @@ def test_norm_multiplicative_and_conj(rng):
 
 
 def test_split_standard_frame(frame):
-    z1, z2 = frame.split(Quaternion(1, 2, 3, 4))
+    z1, z2 = _frame_coords(Quaternion(1, 2, 3, 4).to_array(), frame)
     assert z1 == 1 + 2j and z2 == 3 + 4j
-    z1, z2 = frame.split(Quaternion(5))
+    z1, z2 = _frame_coords(Quaternion(5).to_array(), frame)
     assert z1 == 5 + 0j and z2 == 0j
 
 
@@ -55,8 +55,8 @@ def test_split_reassembly_random_frames(rng):
     for _ in range(50):
         fr = random_frame(rng)
         p = random_quaternion(rng)
-        z1, z2 = fr.split(p)
-        back = fr.from_split(z1, z2)
+        z1, z2 = _frame_coords(p.to_array(), fr)
+        back = from_split_scalar(fr, z1, z2)
         assert abs(back - p) < 4 * np.finfo(float).eps * max(1.0, abs(p))
 
 
@@ -123,13 +123,15 @@ def _signed_zero_coordinates(rng, n):
 
 
 def test_from_frame_coords_bitwise_equal_to_quaternion_sum(rng):
-    # 300 frames, signed zeros included: the array kernel, chi_inv on a stack
-    # and SliceFrame.from_split give the bits of the per-value Quaternion sum
+    # 300 frames, signed zeros included: the array kernel on an array and on
+    # one pair, and chi_inv on a stack, give the bits of the per-value
+    # Quaternion sum
     for fr in signed_zero_frames(rng, 300):
         z1, z2 = _signed_zero_coordinates(rng, 12)
         want = qbytes(from_split_scalar(fr, a, b) for a, b in zip(z1, z2))
         assert _from_frame_coords(z1, z2, fr).tobytes() == want
-        assert qbytes(fr.from_split(complex(a), complex(b)) for a, b in zip(z1, z2)) == want
+        assert qbytes(Quaternion.from_array(_from_frame_coords(complex(a), complex(b), fr))
+                      for a, b in zip(z1, z2)) == want
         stack = np.empty((12, 2, 2), dtype=complex)
         stack[:, 0, 0], stack[:, 0, 1] = z1, z2
         stack[:, 1, 0], stack[:, 1, 1] = -np.conj(z2), np.conj(z1)
@@ -256,7 +258,7 @@ def test_chi_on_arrays_bitwise_equal_to_scalar_chi(rng):
         assert chi(rows, fr).tobytes() == want.tobytes()
         assert chi(Quaternion(*rows[5]), fr).tobytes() == want[5].tobytes()
         for k, q in enumerate(rows):
-            z1, z2 = fr.split(Quaternion(*q))
+            z1, z2 = _frame_coords(Quaternion(*q).to_array(), fr)
             assert np.array([z1, z2]).tobytes() == want[k, 0].tobytes()
         A = rows[:36].reshape(6, 6, 4)
         blocks = want[:36].reshape(6, 6, 2, 2)

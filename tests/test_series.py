@@ -71,13 +71,13 @@ def test_truncation_consistency(rng):
     a = random_series(rng, 20)
     b = random_series(rng, 20)
     full = a * b
-    short = a.truncate(9) * b.truncate(9)
-    assert np.array_equal(full.truncate(9).coeffs, short.coeffs)
+    short = TruncSeries(a.coeffs[:10]) * TruncSeries(b.coeffs[:10])
+    assert np.array_equal(full.coeffs[:10], short.coeffs)
     ac = np.array(a.coeffs)
     ac[0] = 2 * EYE2
     a = TruncSeries(ac)
-    assert np.array_equal(series_inv(a).truncate(9).coeffs,
-                          series_inv(a.truncate(9)).coeffs)
+    assert np.array_equal(series_inv(a).coeffs[:10],
+                          series_inv(TruncSeries(a.coeffs[:10])).coeffs)
 
 
 def test_herglotz_from_moments_trivial():
@@ -147,7 +147,7 @@ def test_malformed_herglotz_rejected():
 def test_herglotz_matches_riesz_herglotz_quadrature():
     # moment series vs direct quadrature of the transform kernel against the
     # matrix density, at sample points inside the disc
-    from qopuc.fixtures import bernstein_szego_density
+    from conftest import bernstein_szego_density
     from qopuc.measures import matrix_moments, moments_from_density
 
     d = bernstein_szego_density(0.5, cutoff=48)

@@ -5,9 +5,6 @@ import pytest
 
 import qopuc.zeros as zeros_module
 from qopuc.errors import NoConvergence, NotPositiveDefinite, RouteMismatch
-from qopuc.fixtures import (
-    bernstein_szego_density, lebesgue_density, smooth_trig_density, vanishing_density,
-)
 from qopuc.measures import MomentSequence, moments_from_density
 from qopuc.polynomials import QPolyL, QPolyR, orthonormal_polys, reverse_L, reverse_R
 from qopuc.quaternions import Quaternion, SliceFrame, chi
@@ -16,9 +13,10 @@ from qopuc.zeros import (
     det_poly, roots, zero_slice, zeros_theorem_check,
 )
 from conftest import (
-    aberth_start, companion, multiset_distance, qmul_scalar, random_frame, random_moment_fixture,
-    random_quaternion, random_unit_ball_quaternion, reduce_conjugate_pairs,
-    signed_zero_coeff_arrays, slice_problem, star_mul_L,
+    aberth_start, bernstein_szego_density, companion, lebesgue_density, multiset_distance,
+    qmul_scalar, random_frame, random_moment_fixture, random_quaternion,
+    random_unit_ball_quaternion, reduce_conjugate_pairs, signed_zero_coeff_arrays, slice_problem,
+    smooth_trig_density, star_mul_L, vanishing_density,
 )
 
 

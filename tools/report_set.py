@@ -65,7 +65,14 @@ non-standard frame of their own and moments at indices +-10^9, under
 ``moments-to-verblunsky --n 6``, ``sv --n 6`` and ``grid --grid 7``; the
 moments and the coefficients of ``random_gamma_7`` in that same frame of
 their own under ``moments-to-verblunsky --n 6`` and
-``verblunsky-to-moments --n 6`` respectively, and ``zeros --n 4``; ``sv --n 40 --tol-route 1e-40``,
+``verblunsky-to-moments --n 6`` respectively, and ``zeros --n 4``; the
+same five runs of ``smooth_trig``'s coefficients (``moments-to-verblunsky``,
+``sv``, ``grid``) and of ``random_gamma_7``'s (``verblunsky-to-moments``,
+``zeros``) in that frame under ``--frame standard``, which overrides it;
+coefficients with |gamma_1| = 1 - 7e-13 (exit 2, ``NotContraction`` at index
+1) and 1 - 2e-12, just outside and inside the contraction margin, under
+``verblunsky-to-moments --n 3`` json and csv and
+``moments-to-verblunsky --n 3``; ``sv --n 40 --tol-route 1e-40``,
 ``sv --n 8 --tol-pd 0.95``, ``cd --n 8 --tol-pd 0.95`` and
 ``zeros --n 10 --tol-route 1e-40`` on ``smooth_trig``; ``zeros --n 12`` on
 the six ``random-gamma --n 13`` fixtures, root batches up to degree 24; every
@@ -232,6 +239,24 @@ def report_set(frames: dict[str, str]):
         path = f"fixtures/{stem}.json"
         yield f"{stem}.{command}.n6", [command, path, "--n", "6"]
         yield f"{stem}.zeros.n4", ["zeros", path, "--n", "4"]
+    # --frame standard overrides a fixture's own frame
+    for stem, name, argv in (
+            ("smooth_trig_own_frame", "moments-to-verblunsky.n6",
+             ["moments-to-verblunsky", "--n", "6"]),
+            ("smooth_trig_own_frame", "sv.n6", ["sv", "--n", "6"]),
+            ("smooth_trig_own_frame", "grid.g7", ["grid", "--grid", "7"]),
+            ("gammas_own_frame", "verblunsky-to-moments.n6", ["verblunsky-to-moments", "--n", "6"]),
+            ("gammas_own_frame", "zeros.n4", ["zeros", "--n", "4"])):
+        yield (f"{stem}.{name}.standard",
+               [argv[0], f"fixtures/{stem}.json", *argv[1:], "--frame", "standard"])
+    # |gamma_1| = 1 - 7e-13 fails the 1e-12 contraction margin, 1 - 2e-12 passes it
+    for stem in ("gamma1_margin_fail", "gamma1_margin_pass"):
+        path = f"fixtures/{stem}.json"
+        for fmt in ("json", "csv"):
+            yield (f"{stem}.verblunsky-to-moments.n3.{fmt}",
+                   ["verblunsky-to-moments", path, "--n", "3", "--format", fmt])
+        yield (f"{stem}.moments-to-verblunsky.n3",
+               ["moments-to-verblunsky", path, "--n", "3"])
     yield "unnormalised.grid.g7", ["grid", "fixtures/unnormalised.json", "--grid", "7"]
     yield "unnormalised.sv.n1", ["sv", "fixtures/unnormalised.json", "--n", "1"]
     yield "unnormalised.baxter.n4", ["baxter", "fixtures/unnormalised.json", "--n", "4"]
@@ -352,6 +377,10 @@ def make_fixtures(main, record) -> None:
                                         "moments": moments})
     rg7 = json.loads(Path("fixtures", "random_gamma_7.json").read_text(encoding="utf-8"))
     write_fixture("gammas_own_frame", {**rg7, "frame": json.loads(random_frame(6))})
+    # gamma_1 just outside and just inside the contraction margin 1e-12
+    for stem, radius in (("gamma1_margin_fail", 1 - 7e-13), ("gamma1_margin_pass", 1 - 2e-12)):
+        write_fixture(stem, {"frame": standard, "gammas": [
+            [0.3, 0.1, -0.2, 0.05], [radius, 0.0, 0.0, 0.0], [0.2, -0.1, 0.0, 0.1]]})
     # nesting deeper than the JSON parser recurses, and an integer beyond the
     # float range
     Path("fixtures", "deep.json").write_text("[" * 100000 + "]" * 100000, encoding="utf-8")
