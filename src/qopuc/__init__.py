@@ -21,9 +21,7 @@ from .polynomials import (
     eval_norm_sq, moments_from_verblunsky_q, orthonormal_polys, reverse_L, reverse_R,
     verblunsky_from_moments_q,
 )
-from .zeros import ZeroReport, det_poly, roots, zero_slice, zeros_theorem_check
-from .analysis import (
-    BaxterReport, SVReport, baxter_check, cd_identity_check, sv_check, szego_entropy,
-)
+from .zeros import det_poly, roots, zero_slice, zeros_theorem_check
+from .analysis import baxter_check, cd_identity_check, sv_check, szego_entropy
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -8,12 +8,13 @@ The entropy identity reads
 the square on the left being an artefact of the 2x2 embedding.  No finite
 computation proves divergence, so summability verdicts are always "over
 horizon": a tail is flagged diverging when its block sums stop decaying.
+``sv_check`` and ``baxter_check`` return the reports that ``sv`` and
+``baxter`` print, as dicts in the schemas' key order.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -115,34 +116,17 @@ def szego_entropy(d: QPositiveDensity, grid: int = ENTROPY_GRID) -> float:
     return float(np.mean(np.log(_det_herm2(W))))
 
 
-@dataclass(frozen=True)
-class SVReport:
-    """Both sides of the entropy identity and their gap history."""
-
-    partial_products: tuple
-    entropy: float
-    exp_entropy: float
-    gap_history: tuple
-    quadrature_error: float
-
-    def to_json(self):
-        return {
-            "partial_products": list(self.partial_products),
-            "entropy": self.entropy,
-            "exp_entropy": self.exp_entropy,
-            "gap_history": list(self.gap_history),
-            "quadrature_error": self.quadrature_error,
-        }
-
-
 def sv_check(d: QPositiveDensity, N: int, route_tol: float = ROUTE_TOL,
-             pivot_tol: float = PIVOT_TOL) -> SVReport:
-    """Partial products of (1 - |gamma_n|^2)^2 against exp(entropy).
+             pivot_tol: float = PIVOT_TOL) -> dict:
+    """Partial products of (1 - |gamma_n|^2)^2 against exp(entropy), as the
+    ``sv`` report: ``partial_products``, ``entropy``, ``exp_entropy``,
+    ``gap_history`` (each partial product minus exp_entropy) and
+    ``quadrature_error``.
 
     Uses the dual-route Verblunsky extraction in the density's frame, with
-    its route and pivot tolerances; the quadrature error field is the
-    Richardson comparison of the 2048- and 4096-point entropy values.  A
-    density with a grid zero has entropy -inf (exp_entropy 0).
+    its route and pivot tolerances; the quadrature error is the Richardson
+    comparison of the 2048- and 4096-point entropy values.  A density with a
+    grid zero has entropy -inf (exp_entropy 0).
     """
     c = moments_from_density(d, N)
     gammas, _ = verblunsky_from_moments_q(c, N, d.frame, route_tol=route_tol,
@@ -155,17 +139,16 @@ def sv_check(d: QPositiveDensity, N: int, route_tol: float = ROUTE_TOL,
     for defect in (1.0 - qarr_norm_sq(gammas.arr)).tolist():
         prod *= defect ** 2
         partial.append(prod)
-    gaps = tuple(p - exp_entropy for p in partial)
     quad_err = (abs(entropy - entropy_coarse)
                 if math.isfinite(entropy) and math.isfinite(entropy_coarse)
                 else 0.0)
-    return SVReport(
-        partial_products=tuple(partial),
-        entropy=entropy,
-        exp_entropy=exp_entropy,
-        gap_history=gaps,
-        quadrature_error=quad_err,
-    )
+    return {
+        "partial_products": partial,
+        "entropy": entropy,
+        "exp_entropy": exp_entropy,
+        "gap_history": [p - exp_entropy for p in partial],
+        "quadrature_error": quad_err,
+    }
 
 
 def _diverging_over_horizon(increments: np.ndarray) -> bool:
@@ -186,35 +169,20 @@ def _diverging_over_horizon(increments: np.ndarray) -> bool:
     return tail > BLOCK_RATIO * prev
 
 
-@dataclass(frozen=True)
-class BaxterReport:
-    gamma_l1: float
-    gamma_l1_diverging: bool
-    wiener_norm: float
-    density_min: float
-    verdict: str
-    gamma_moduli: tuple
-
-    def to_json(self):
-        moduli = np.array(self.gamma_moduli)
-        return {
-            "gamma_l1": self.gamma_l1,
-            "gamma_l1_diverging": self.gamma_l1_diverging,
-            "wiener_norm": self.wiener_norm,
-            "density_min": self.density_min,
-            "verdict": self.verdict,
-            "gamma_moduli": [float(m) for m in moduli],
-            "gamma_l1_partial": [float(s) for s in np.cumsum(moduli)],
-        }
-
-
-def baxter_check(d: QPositiveDensity, N: int) -> BaxterReport:
-    """Summability of gamma against Wiener norm and density positivity.
+def baxter_check(d: QPositiveDensity, N: int) -> dict:
+    """Summability of gamma against Wiener norm and density positivity, as
+    the ``baxter`` report: ``gamma_l1``, ``gamma_l1_diverging``,
+    ``wiener_norm``, ``density_min``, ``verdict``, ``gamma_moduli`` and
+    their running sums ``gamma_l1_partial``.
 
     The biconditional under test: summable gamma iff (finite Wiener norm and
     strictly positive density).  A density here is a trigonometric
     polynomial, so its Wiener norm is always finite (it is reported, not
-    tested) and the verdict compares summability with positivity.  Long
+    tested) and the verdict compares summability with positivity.  The
+    gammas count as summable unless their block sums stop decaying
+    (``_diverging_over_horizon``); below 8 coefficients (N < 8) there are
+    too few blocks to compare, so the gammas count as summable unlooked,
+    and a density with a zero on the circle gets "inconsistent".  Long
     horizons use the matrix route only; the dual-route cross-check runs at
     desk scale elsewhere.
     """
@@ -230,6 +198,12 @@ def baxter_check(d: QPositiveDensity, N: int) -> BaxterReport:
         verdict = "consistent-nonsummable"
     else:
         verdict = "inconsistent"
-    return BaxterReport(gamma_l1=float(np.sum(moduli)), gamma_l1_diverging=diverging,
-                        wiener_norm=wiener_coefficient_norm(d), density_min=density_min,
-                        verdict=verdict, gamma_moduli=tuple(float(m) for m in moduli))
+    return {
+        "gamma_l1": float(np.sum(moduli)),
+        "gamma_l1_diverging": diverging,
+        "wiener_norm": wiener_coefficient_norm(d),
+        "density_min": density_min,
+        "verdict": verdict,
+        "gamma_moduli": moduli.tolist(),
+        "gamma_l1_partial": np.cumsum(moduli).tolist(),
+    }

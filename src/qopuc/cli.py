@@ -353,11 +353,7 @@ def cmd_orthopolys(args, fix: Fixture) -> dict:
 
 def cmd_zeros(args, fix: Fixture) -> dict:
     fam = orthonormal_polys(moments_from_fixture(fix, args.n), args.n, args.tol_pd)
-    rows, reports = zeros_theorem_check(fam, fix.frame, route_tol=args.tol_route)
-    families = [{"degree": n, "family": name, "report": report.to_json()}
-                for n, per_family in enumerate(reports, start=1)
-                for name, report in per_family.items()]
-    return {"per_degree": rows, "reports": families}
+    return zeros_theorem_check(fam, fix.frame, route_tol=args.tol_route)
 
 
 def cmd_cd(args, fix: Fixture) -> dict:
@@ -368,11 +364,11 @@ def cmd_cd(args, fix: Fixture) -> dict:
 
 def cmd_sv(args, fix: Fixture) -> dict:
     return sv_check(density_from_fixture(fix), args.n, route_tol=args.tol_route,
-                    pivot_tol=args.tol_pd).to_json()
+                    pivot_tol=args.tol_pd)
 
 
 def cmd_baxter(args, fix: Fixture) -> dict:
-    return baxter_check(density_from_fixture(fix), args.n).to_json()
+    return baxter_check(density_from_fixture(fix), args.n)
 
 
 GRID_COLUMNS = ("theta", "w11_re", "w11_im", "w12_re", "w12_im",

@@ -23,6 +23,7 @@ both orthonormal families.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,7 +77,9 @@ class MomentSequence:
         for n, q in entries.items():
             if n < 0:
                 q, p = qarr_from([q, entries.get(-n, 0.0)])
-                if qarr_abs(q - qarr_conj(p)) > 1e-12 * max(1.0, qarr_abs(q)):
+                with np.errstate(over="ignore"):   # a gap beyond the float range
+                    gap = qarr_abs(q - qarr_conj(p))
+                if gap > 1e-12 * max(1.0, qarr_abs(q)) or gap == np.inf:
                     raise ValueError(f"Hermitian symmetry violated at n={n}")
         if horizon < N:
             raise HorizonExceeded(f"fixture horizon {horizon} below requested order {N}")
@@ -261,6 +264,15 @@ def _det_herm2(W: np.ndarray) -> np.ndarray:
     return W[..., 0, 0].real * W[..., 1, 1].real - (b.real * b.real + b.imag * b.imag)
 
 
+def _modulus(z: complex) -> float:
+    """abs(z), or inf where abs raises OverflowError: |z| beyond the float
+    range although both parts are finite."""
+    try:
+        return abs(z)
+    except OverflowError:
+        return math.inf
+
+
 class QPositiveDensity:
     """A finitely supported Fourier density of a q-positive measure, held as
     its moments: ``index``, ascending n >= 0 from 0, and the read-only (m, 4)
@@ -301,17 +313,24 @@ class QPositiveDensity:
                   w2: dict[int, complex] | None = None,
                   held_in: SliceFrame | None = None) -> "QPositiveDensity":
         """The density W = [[w1, w2], [conj w2, w1(-theta)]] from {n: w_n}
-        maps in ``frame``, checked for w1_{-n} = conj(w1_n) and
-        w2_{-n} = -w2_n to 1e-12; c_n = w1_{-n} + w2_{-n} j.  The density is
+        maps in ``frame``, checked for a modulus beyond the float range (a
+        ValueError naming the map and the index), then for
+        w1_{-n} = conj(w1_n) and w2_{-n} = -w2_n to 1e-12;
+        c_n = w1_{-n} + w2_{-n} j.  The density is
         held in ``held_in`` (default ``frame``), which alone gets the PSD scan:
         its moments are the same quaternions in any frame."""
         w1 = {int(n): complex(a) for n, a in (w1 or {}).items() if a != 0}
         w2 = {int(n): complex(a) for n, a in (w2 or {}).items() if a != 0}
+        for key, w in (("w1", w1), ("w2", w2)):
+            for n, a in w.items():
+                if _modulus(a) == math.inf:
+                    raise ValueError(f"{key} coefficient at n={n} has a modulus "
+                                     "beyond the float range")
         for n, a in w1.items():
-            if abs(w1.get(-n, 0j) - a.conjugate()) > 1e-12 * max(1.0, abs(a)):
+            if _modulus(w1.get(-n, 0j) - a.conjugate()) > 1e-12 * max(1.0, abs(a)):
                 raise ValueError(f"w1 is not real-valued on the circle (n={n})")
         for n, a in w2.items():
-            if abs(w2.get(-n, 0j) + a) > 1e-12 * max(1.0, abs(a)):
+            if _modulus(w2.get(-n, 0j) + a) > 1e-12 * max(1.0, abs(a)):
                 raise ValueError(f"w2 symmetry w2_(-n) = -w2_n violated (n={n})")
         index = sorted({0} | {-n for n in (*w1, *w2) if n <= 0})
         z1 = np.array([w1.get(-n, 0j) for n in index], dtype=complex)

@@ -5,7 +5,7 @@ Two polynomial spaces appear: QPolyL holds sums p^k phi_k (coefficients on
 the right of the powers), QPolyR holds sums phi_k p^k.  A polynomial is
 stored only as a read-only (n+1, 4) float array ``arr`` (row k = phi_k in
 the basis 1, i, j, k); ``coeffs`` hands out ``Quaternion`` objects for
-the API and evaluation takes and returns them.  Right-orthonormal
+the API, and ``eval_L``/``eval_R`` take and return them.  Right-orthonormal
 polynomials live in the first space, left-orthonormal in the second; both
 families and their Verblunsky coefficients come from one run of the paired
 Szego recurrences on the moments (``measures.require_nontrivial``), kept as
@@ -101,15 +101,9 @@ class _QPolyBase:
 class QPolyL(_QPolyBase):
     """sum_k p^k phi_k: left-slice hyperholomorphic, coefficients on the right."""
 
-    def __call__(self, p: Quaternion) -> Quaternion:
-        return eval_L(self, p)
-
 
 class QPolyR(_QPolyBase):
     """sum_k phi_k p^k: right-slice hyperholomorphic, coefficients on the left."""
-
-    def __call__(self, p: Quaternion) -> Quaternion:
-        return eval_R(self, p)
 
 
 def _horner(coeffs, p, left: bool) -> tuple:

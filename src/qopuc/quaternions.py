@@ -276,7 +276,16 @@ def qarr_norm_sq(a: np.ndarray) -> np.ndarray:
 
 
 def qarr_abs(a: np.ndarray) -> np.ndarray:
-    return np.sqrt(qarr_norm_sq(a))
+    """|q| over an (..., 4) array, the square root of ``qarr_norm_sq``.  Where
+    |q|^2 overflows, q is scaled by 2^-600 first and |q| by 2^600 after, so a
+    finite q's |q| is inf only beyond the float range, and no overflow
+    warning escapes."""
+    with np.errstate(over="ignore"):
+        norm = np.sqrt(qarr_norm_sq(a))
+        if np.isinf(norm).any():
+            scaled = np.sqrt(qarr_norm_sq(np.multiply(a, 2.0 ** -600))) * 2.0 ** 600
+            norm = np.where(np.isinf(norm), scaled, norm)
+    return norm
 
 
 def qarr_from(values) -> np.ndarray:

@@ -19,6 +19,11 @@ polynomial.  Every root, distance and flag keeps the bits of checking the
 polynomials one at a time, with Horner's rule and the root matching on
 Python complex scalars.
 
+The reports are the ones the ``zeros`` command prints: ``zero_slice`` gives
+one dict per polynomial in the schema's shape, its roots as [re, im]
+pairs, and ``zeros_theorem_check`` returns the whole result, the per-degree
+rows and those reports, which it reads back for the left/right matching.
+
 Every error is the one that checking the polynomials one at a time would
 raise first.  The stacked pass keeps no record of which polynomial failed:
 a cross-check failure is already the first in order, as every polynomial
@@ -28,7 +33,6 @@ sends the job through ``zero_slice`` again, one polynomial per call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -394,32 +398,14 @@ def _companions(body: np.ndarray, left: np.ndarray) -> np.ndarray:
     return A
 
 
-@dataclass(frozen=True)
-class ZeroReport:
-    """Slice zero set reduced to closed-upper-half-plane representatives."""
-
-    slice_roots: tuple
-    moduli: tuple
-    all_inside_ball: bool
-    all_outside_closed_ball: bool
-
-    def to_json(self):
-        return {
-            "slice_roots": [[z.real, z.imag] for z in self.slice_roots],
-            "moduli": list(self.moduli),
-            "all_inside_ball": self.all_inside_ball,
-            "all_outside_closed_ball": self.all_outside_closed_ball,
-        }
-
-
-# nonzero constants have empty zero sets; both location flags are vacuously true
-_NO_ZEROS = ZeroReport(slice_roots=(), moduli=(), all_inside_ball=True,
-                       all_outside_closed_ball=True)
-
-
-def zero_slice(polys, frame: SliceFrame, route_tol: float = ROUTE_TOL) -> list[ZeroReport]:
+def zero_slice(polys, frame: SliceFrame, route_tol: float = ROUTE_TOL) -> list[dict]:
     """Slice zero sets of a sequence of quaternionic polynomials, two routes
-    cross-checked, one ZeroReport per polynomial.
+    cross-checked, one report per polynomial in the ``zeros`` schema's
+    shape: ``slice_roots``, one representative with Im >= 0 of each
+    conjugate pair as an [re, im] pair, sorted by (modulus, real, imaginary
+    part); their ``moduli``; and the flags ``all_inside_ball`` and
+    ``all_outside_closed_ball``, both true for a nonzero constant, which has
+    no zeros.
 
     Route 1: Aberth roots of det(chi image of the monic-normalised input),
     the companion polynomial a a-bar + b b-bar of the image's first row
@@ -478,26 +464,37 @@ def zero_slice(polys, frame: SliceFrame, route_tol: float = ROUTE_TOL) -> list[Z
     padding = np.arange(reps.shape[1]) >= count[:, None]
     inside = ((moduli < 1.0) | padding).all(axis=1).tolist()
     outside = ((moduli > 1.0) | padding).all(axis=1).tolist()
-    reports = [_NO_ZEROS] * len(posed.degree)
-    for p, c, r, m, i, o in zip(rows.tolist(), count.tolist(), reps.tolist(),
-                                moduli.tolist(), inside, outside):
-        reports[p] = ZeroReport(slice_roots=tuple(r[:c]), moduli=tuple(m[:c]),
-                                all_inside_ball=i, all_outside_closed_ball=o)
+    pairs = reps[..., None].view(float).tolist()   # [re, im] per root
+    reports = [{"slice_roots": [], "moduli": [], "all_inside_ball": True,
+                "all_outside_closed_ball": True} for _ in polys]
+    for p, c, r, m, i, o in zip(rows.tolist(), count.tolist(), pairs, moduli.tolist(),
+                                inside, outside):
+        reports[p] = {"slice_roots": r[:c], "moduli": m[:c], "all_inside_ball": i,
+                      "all_outside_closed_ball": o}
     return reports
 
 
+def _slice_roots(reports: list[dict]) -> tuple[np.ndarray, np.ndarray]:
+    """The slice roots of each report, read back from their [re, im] pairs
+    (exactly, through ``view(complex)``), zero-padded, and their numbers."""
+    pairs, size = _stack([np.reshape(r["slice_roots"], (-1, 2)) for r in reports], float, (2,))
+    return pairs.view(complex)[..., 0], size
+
+
 def zeros_theorem_check(fam: OrthonormalFamily, frame: SliceFrame | None = None,
-                        route_tol: float = ROUTE_TOL) -> tuple[list[dict], list[dict]]:
-    """Per-degree zero-location checks for an orthonormal family.
+                        route_tol: float = ROUTE_TOL) -> dict:
+    """Per-degree zero-location checks for an orthonormal family, as the
+    ``zeros`` report.
 
     For each degree 1 <= n <= fam.order: all slice roots of the orthonormal
     polynomials lie strictly inside the ball, all roots of their reverses
     strictly outside the closed ball, and the left/right slice zero
-    multisets agree.  Returns the per-degree rows and, per degree, the four
-    ZeroReports keyed "right", "left", "right_reverse", "left_reverse".
-    One ``zero_slice`` call checks all 4 * fam.order polynomials, per degree
-    in that order, and one stacked greedy matching gives the left/right
-    distance of every degree.
+    multisets agree.  Returns {"per_degree": one row per degree, "reports":
+    one {"degree", "family", "report"} entry per polynomial}, the families
+    "right", "left", "right_reverse" and "left_reverse" in that order per
+    degree, each report as ``zero_slice`` gives it.  One ``zero_slice`` call
+    checks all 4 * fam.order polynomials, and one stacked greedy matching
+    gives the left/right distance of every degree.
     """
     frame = frame or SliceFrame.standard()
     polys = []
@@ -506,20 +503,21 @@ def zeros_theorem_check(fam: OrthonormalFamily, frame: SliceFrame | None = None,
         left_poly = fam.left[n]          # in H[p]^R
         polys += [right_poly, left_poly, reverse_L(right_poly, n), reverse_R(left_poly, n)]
     found = zero_slice(polys, frame, route_tol)
-    lr_dist = _greedy_distances(*_stack([r.slice_roots for r in found[0::4]], complex),
-                                *_stack([r.slice_roots for r in found[1::4]], complex))
-    rows, reports = [], []
+    lr_dist = _greedy_distances(*_slice_roots(found[0::4]), *_slice_roots(found[1::4]))
+    rows = []
     for n in range(1, fam.order + 1):
         rep_r, rep_l, rev_r, rev_l = found[4 * n - 4:4 * n]
         rows.append({
             "degree": n,
-            "max_root_modulus": max(rep_r.moduli + rep_l.moduli),
-            "min_reverse_modulus": min(rev_r.moduli + rev_l.moduli,
+            "max_root_modulus": max(rep_r["moduli"] + rep_l["moduli"]),
+            "min_reverse_modulus": min(rev_r["moduli"] + rev_l["moduli"],
                                        default=float("inf")),
-            "all_inside_ball": rep_r.all_inside_ball and rep_l.all_inside_ball,
-            "reverses_outside": rev_r.all_outside_closed_ball and rev_l.all_outside_closed_ball,
+            "all_inside_ball": rep_r["all_inside_ball"] and rep_l["all_inside_ball"],
+            "reverses_outside": (rev_r["all_outside_closed_ball"]
+                                 and rev_l["all_outside_closed_ball"]),
             "left_right_distance": float(lr_dist[n - 1]),
         })
-        reports.append({"right": rep_r, "left": rep_l,
-                        "right_reverse": rev_r, "left_reverse": rev_l})
-    return rows, reports
+    families = ("right", "left", "right_reverse", "left_reverse")
+    return {"per_degree": rows,
+            "reports": [{"degree": k // 4 + 1, "family": families[k % 4], "report": report}
+                        for k, report in enumerate(found)]}

@@ -578,6 +578,12 @@ def cd_kernel_diag(c, N: int, p: Quaternion) -> float:
     return float(_kernel(in_r + in_l, N)[0])
 
 
+def root_values(report) -> np.ndarray:
+    """The slice roots of a zero report as complex numbers, read back from
+    their [re, im] pairs."""
+    return np.array(report["slice_roots"], dtype=float).reshape(-1, 2).view(complex)[:, 0]
+
+
 # ---- the one-polynomial stages of the zero pass that the stacked stages of
 # ``zero_slice`` and ``roots`` replaced, kept as their bitwise oracles ----
 

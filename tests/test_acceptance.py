@@ -183,7 +183,7 @@ def test_criterion_5_zeros_theorem():
               for d in (lebesgue_density(), bernstein_szego_density(),
                         vanishing_density(), smooth_trig_density())]
     for c, fr in cases:
-        rows, _ = zeros_theorem_check(orthonormal_polys(c, 10), fr)
+        rows = zeros_theorem_check(orthonormal_polys(c, 10), fr)["per_degree"]
         for row in rows:
             worst_inside = max(worst_inside, row["max_root_modulus"])
             worst_outside = min(worst_outside, row["min_reverse_modulus"])
@@ -222,12 +222,12 @@ def test_criterion_6_cd_identity():
 
 def test_criterion_7_szego_verblunsky():
     rep = sv_check(bernstein_szego_density(0.5), 5)
-    bs_gap = max(abs(rep.partial_products[-1] - 0.75 ** 2),
-                 abs(rep.exp_entropy - 0.75 ** 2))
+    bs_gap = max(abs(rep["partial_products"][-1] - 0.75 ** 2),
+                 abs(rep["exp_entropy"] - 0.75 ** 2))
     d = smooth_trig_density()
     rep_s = sv_check(d, 50)
-    smooth_gap = abs(rep_s.gap_history[-1])
-    richardson_ok = rep_s.quadrature_error < 1e-7  # must dominate the 1e-6 gap
+    smooth_gap = abs(rep_s["gap_history"][-1])
+    richardson_ok = rep_s["quadrature_error"] < 1e-7  # must dominate the 1e-6 gap
     rng = np.random.default_rng(77)
     base = szego_entropy(d)
     frame_dev = 0.0
@@ -238,7 +238,7 @@ def test_criterion_7_szego_verblunsky():
     ok = bs_gap < 1e-8 and smooth_gap < 1e-6 and frame_dev < 1e-8 and richardson_ok
     _report(7, "szego-verblunsky", ok,
             f"BS both sides vs 0.5625: {bs_gap:.2e} < 1e-8 by N=5; smooth gap "
-            f"{smooth_gap:.2e} < 1e-6 by N=50 (Richardson {rep_s.quadrature_error:.1e}); "
+            f"{smooth_gap:.2e} < 1e-6 by N=50 (Richardson {rep_s['quadrature_error']:.1e}); "
             f"slice invariance {frame_dev:.2e} < 1e-8")
 
 
@@ -247,21 +247,21 @@ def test_criterion_8_baxter():
     summable_ok = True
     for d in (lebesgue_density(), bernstein_szego_density(), smooth_trig_density()):
         rep = baxter_check(d, 64)
-        summable_ok = (summable_ok and rep.verdict == "consistent-summable"
-                       and math.isfinite(rep.wiener_norm) and rep.density_min > 0)
+        summable_ok = (summable_ok and rep["verdict"] == "consistent-summable"
+                       and math.isfinite(rep["wiener_norm"]) and rep["density_min"] > 0)
     rep = baxter_check(vanishing_density(), 200)
     c = moments_from_density(vanishing_density(), 200)
     from qopuc.polynomials import _gammas_via_matrix
     moduli = _gammas_via_matrix(c, 200, vanishing_density().frame).moduli()
     sums = np.cumsum(moduli)
     block_ratio = (sums[199] - sums[99]) / (sums[99] - sums[49])
-    no_flattening = rep.gamma_l1_diverging and block_ratio > 0.9
+    no_flattening = rep["gamma_l1_diverging"] and block_ratio > 0.9
     elapsed = time.time() - t0
-    ok = (summable_ok and rep.verdict == "consistent-nonsummable"
+    ok = (summable_ok and rep["verdict"] == "consistent-nonsummable"
           and no_flattening and elapsed < 60.0)
     _report(8, "baxter", ok,
             f"summable fixtures consistent; vanishing fixture: verdict "
-            f"{rep.verdict}, l1 block ratio {block_ratio:.3f} (no flattening), "
+            f"{rep['verdict']}, l1 block ratio {block_ratio:.3f} (no flattening), "
             f"{elapsed:.1f}s < 60s")
 
 

@@ -12,7 +12,9 @@ from qopuc.analysis import (
 )
 from qopuc.fixtures import random_gamma_seq
 from qopuc.measures import QPositiveDensity, moments_from_density
-from qopuc.polynomials import VerblunskySeq, _gammas_via_matrix, orthonormal_polys
+from qopuc.polynomials import (
+    VerblunskySeq, _gammas_via_matrix, eval_L, eval_R, orthonormal_polys,
+)
 from qopuc.quaternions import Quaternion
 from conftest import (
     bernstein_szego_density, cd_kernel_diag, lebesgue_density, random_frame,
@@ -66,20 +68,20 @@ def test_entropy_grid_zero():
 
 def test_sv_flat():
     rep = sv_check(lebesgue_density(), 5)
-    assert all(abs(p - 1.0) < 1e-14 for p in rep.partial_products)
-    assert abs(rep.exp_entropy - 1.0) < 1e-13
-    assert max(abs(g) for g in rep.gap_history) < 1e-13
+    assert all(abs(p - 1.0) < 1e-14 for p in rep["partial_products"])
+    assert abs(rep["exp_entropy"] - 1.0) < 1e-13
+    assert max(abs(g) for g in rep["gap_history"]) < 1e-13
 
 
 def test_sv_bernstein():
     rep = sv_check(bernstein_szego_density(0.5), 6)
-    assert abs(rep.partial_products[-1] - 0.75 ** 2) < 1e-10
-    assert abs(rep.exp_entropy - 0.75 ** 2) < 1e-10
-    assert abs(rep.gap_history[4]) < 1e-8
+    assert abs(rep["partial_products"][-1] - 0.75 ** 2) < 1e-10
+    assert abs(rep["exp_entropy"] - 0.75 ** 2) < 1e-10
+    assert abs(rep["gap_history"][4]) < 1e-8
     # finitely many nonzero coefficients: gap exactly 0 past the last index
-    assert abs(rep.gap_history[-1]) < 1e-10
+    assert abs(rep["gap_history"][-1]) < 1e-10
     # partial products non-increasing and positive
-    prods = rep.partial_products
+    prods = rep["partial_products"]
     assert all(p > 0 for p in prods)
     assert all(prods[i + 1] <= prods[i] + 1e-15 for i in range(len(prods) - 1))
 
@@ -87,9 +89,9 @@ def test_sv_bernstein():
 def test_sv_smooth_trig():
     rep = sv_check(smooth_trig_density(), 50)
     # quadrature error must be far below the acceptance tolerance
-    assert rep.quadrature_error < 1e-10
-    assert abs(rep.gap_history[-1]) < 1e-6
-    gaps = np.abs(np.array(rep.gap_history))
+    assert rep["quadrature_error"] < 1e-10
+    assert abs(rep["gap_history"][-1]) < 1e-6
+    gaps = np.abs(np.array(rep["gap_history"]))
     assert gaps[-1] <= gaps[0] + 1e-15
 
 
@@ -153,20 +155,32 @@ def test_square_summability_iff_finite_entropy():
 
 def test_baxter_flat_and_bernstein():
     rep = baxter_check(lebesgue_density(), 32)
-    assert rep.verdict == "consistent-summable"
-    assert rep.gamma_l1 == 0.0
+    assert rep["verdict"] == "consistent-summable"
+    assert rep["gamma_l1"] == 0.0
     rep = baxter_check(bernstein_szego_density(), 64)
-    assert rep.verdict == "consistent-summable"
-    assert abs(rep.gamma_l1 - 0.5) < 1e-10
-    assert rep.density_min > 0
-    assert math.isfinite(rep.wiener_norm)
+    assert rep["verdict"] == "consistent-summable"
+    assert abs(rep["gamma_l1"] - 0.5) < 1e-10
+    assert rep["density_min"] > 0
+    assert math.isfinite(rep["wiener_norm"])
+
+
+def test_baxter_short_horizon_counts_the_gammas_summable():
+    # below 8 coefficients the decay test compares no blocks, so the gammas
+    # count as summable unlooked: the vanishing density, whose gammas do not
+    # decay, is "inconsistent" at N = 4 and "consistent-nonsummable" at 200
+    assert not _diverging_over_horizon(np.ones(7))
+    assert _diverging_over_horizon(np.ones(8))
+    rep = baxter_check(vanishing_density(), 4)
+    assert rep["verdict"] == "inconsistent"
+    assert not rep["gamma_l1_diverging"] and rep["density_min"] < 1e-9
+    assert len(rep["gamma_moduli"]) == 4
 
 
 def test_baxter_vanishing_density():
     rep = baxter_check(vanishing_density(), 200)
-    assert rep.verdict == "consistent-nonsummable"
-    assert rep.gamma_l1_diverging
-    assert rep.density_min < 1e-9
+    assert rep["verdict"] == "consistent-nonsummable"
+    assert rep["gamma_l1_diverging"]
+    assert rep["density_min"] < 1e-9
     # closed form for this fixture: |gamma_n| = 1/(n+2)
     c = moments_from_density(vanishing_density(), 40)
     g = _gammas_via_matrix(c, 40, vanishing_density().frame)
@@ -176,8 +190,8 @@ def test_baxter_vanishing_density():
 
 def test_baxter_smooth_trig():
     rep = baxter_check(smooth_trig_density(), 64)
-    assert rep.verdict == "consistent-summable"
-    assert not rep.gamma_l1_diverging
+    assert rep["verdict"] == "consistent-summable"
+    assert not rep["gamma_l1_diverging"]
 
 
 def test_sv_gap_monotone_toward_zero_random():
@@ -272,7 +286,7 @@ def test_cd_identity_bitwise_equal_to_scalar_loop(name):
         fam = orthonormal_polys(c, 4)
         want = 0.0
         for l in range(5):
-            want += (fam.left[l](p).norm_sq() + fam.right[l](p).norm_sq())
+            want += (eval_R(fam.left[l], p).norm_sq() + eval_L(fam.right[l], p).norm_sq())
         assert cd_kernel_diag(c, 4, p) == want
 
 

@@ -219,6 +219,62 @@ def test_integer_beyond_float_range_is_a_typed_error(tmp_path, obj, field):
     assert error["message"].startswith(f"{field} must be a list of ")
 
 
+@pytest.mark.parametrize("obj, message", [
+    ({"gammas": 5}, "gammas must be a list, got 5"),
+    ({"frame": 3, "gammas": []}, "frame must be an object with keys i and j"),
+    ([], "fixture must be a JSON object"),
+    ({"w1": [[0, 1, 0], [1.5, 0.1, 0]]}, "w1[1] index must be an integer, got 1.5"),
+    ({"moments": [[0, [1, 0, 0, 0]], [1]]}, "moments[1] must be [index, quaternion], got [1]"),
+], ids=["gammas-not-a-list", "frame-not-an-object", "fixture-not-an-object",
+        "w1-index-not-an-integer", "moment-entry-short"])
+def test_malformed_fixture_is_a_typed_error(tmp_path, obj, message):
+    fixture = tmp_path / "bad.json"
+    fixture.write_text(json.dumps(obj))
+    code, out = run(tmp_path, "moments-to-verblunsky", str(fixture), "--n", "1")
+    assert code == 2
+    assert json.loads(out)["error"] == {"type": "ValueError", "message": message}
+
+
+# coefficients whose modulus overflows: |w_1| = 1.7e308 sqrt 2, the
+# Hermitian partner 1e200 of c_1 = 0, |gamma_0| = 1e200 and c_0 = 1e200
+MODULUS_BEYOND_FLOAT = {"frame": STANDARD_FRAME, "w1": [
+    [0, 1, 0], [1, 1.7e308, 1.7e308], [-1, 1.7e308, -1.7e308]]}
+W2_BEYOND_FLOAT = {"frame": STANDARD_FRAME, "w1": [[0, 1, 0]], "w2": [
+    [1, 1.7e308, 1.7e308], [-1, -1.7e308, -1.7e308]]}
+HERMITIAN_OVERFLOW = {"moments": [[0, [1, 0, 0, 0]], [-1, [1e200, 0, 0, 0]]]}
+GAMMA_OVERFLOW = {"gammas": [[1e200, 0, 0, 0]]}
+C0_OVERFLOW = {"moments": [[0, [1e200, 0, 0, 0]]]}
+
+
+@pytest.mark.parametrize("obj, argv, error", [
+    (MODULUS_BEYOND_FLOAT, ["grid", "--grid", "7"], {
+        "type": "ValueError",
+        "message": "w1 coefficient at n=1 has a modulus beyond the float range"}),
+    (W2_BEYOND_FLOAT, ["sv", "--n", "2"], {
+        "type": "ValueError",
+        "message": "w2 coefficient at n=1 has a modulus beyond the float range"}),
+    *[(HERMITIAN_OVERFLOW, [command, "--n", "1"], {
+        "type": "ValueError", "message": "Hermitian symmetry violated at n=-1"})
+      for command in ("moments-to-verblunsky", "orthopolys", "zeros")],
+    (GAMMA_OVERFLOW, ["verblunsky-to-moments", "--n", "1"], {
+        "type": "NotContraction", "message": "gamma_0 has |gamma| >= 1 - 1e-12", "index": 0}),
+    (C0_OVERFLOW, ["moments-to-verblunsky", "--n", "1"], {
+        "type": "ValueError", "message": "c_0 must be 1 (probability normalisation)"}),
+], ids=["w1-modulus", "w2-modulus", "hermitian-m2v", "hermitian-orthopolys",
+        "hermitian-zeros", "gamma-norm", "c0-norm"])
+def test_overflowing_modulus_is_a_typed_error(tmp_path, obj, argv, error):
+    # a density coefficient's abs() raised OverflowError out of main; both
+    # sides of the Hermitian check overflowed to inf, so c_{-1} = 1e200 passed
+    # against c_1 = 0; the norm checks let numpy's overflow warning escape
+    fixture = tmp_path / "overflow.json"
+    fixture.write_text(json.dumps(obj))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out = run(tmp_path, argv[0], str(fixture), *argv[1:])
+    assert code == 2
+    assert json.loads(out)["error"] == error
+
+
 def test_unwritable_out_is_a_typed_error(tmp_path, capsys):
     # writing the report, or the error report, to such a path once raised out
     # of main: a traceback and exit 1

@@ -15,8 +15,8 @@ from qopuc.zeros import (
 from conftest import (
     aberth_start, bernstein_szego_density, companion, lebesgue_density, multiset_distance,
     qmul_scalar, random_frame, random_moment_fixture, random_quaternion,
-    random_unit_ball_quaternion, reduce_conjugate_pairs, signed_zero_coeff_arrays, slice_problem,
-    smooth_trig_density, star_mul_L, vanishing_density,
+    random_unit_ball_quaternion, reduce_conjugate_pairs, root_values, signed_zero_coeff_arrays,
+    slice_problem, smooth_trig_density, star_mul_L, vanishing_density,
 )
 
 
@@ -114,26 +114,26 @@ def test_companion_planted_roots(rng, frame):
             poly = star_mul_L(poly, QPolyL([-a, Quaternion(1.0)]))
         report, = zero_slice([poly], frame)
         expected = [complex(a.w, np.linalg.norm(a.imag)) for a in planted]
-        assert multiset_distance(report.slice_roots, expected) < 1e-8
+        assert multiset_distance(root_values(report), expected) < 1e-8
 
 
 def test_zero_slice_simple(frame):
     report, = zero_slice([QPolyL([Quaternion(), Quaternion(1.0)])], frame)
-    assert report.slice_roots == (0j,)
-    assert report.all_inside_ball and not report.all_outside_closed_ball
+    assert report["slice_roots"] == [[0.0, 0.0]]
+    assert report["all_inside_ball"] and not report["all_outside_closed_ball"]
 
 
 def test_zero_slice_bernstein(frame):
     c = moments_from_density(bernstein_szego_density(), 4)
     fam = orthonormal_polys(c, 2)
     report, = zero_slice([fam.right[1]], frame)
-    assert len(report.slice_roots) == 1
-    assert abs(report.slice_roots[0] - 0.5) < 1e-14
-    assert report.moduli[0] < 1.0 and report.all_inside_ball
+    assert len(report["slice_roots"]) == 1
+    assert abs(root_values(report)[0] - 0.5) < 1e-14
+    assert report["moduli"][0] < 1.0 and report["all_inside_ball"]
     rev = reverse_L(fam.right[1], 1)
     report, = zero_slice([rev], frame)
-    assert abs(report.slice_roots[0] - 2.0) < 1e-14
-    assert report.all_outside_closed_ball
+    assert abs(root_values(report)[0] - 2.0) < 1e-14
+    assert report["all_outside_closed_ball"]
 
 
 def test_bernstein_szego_closed_form_zeros(rng):
@@ -142,13 +142,15 @@ def test_bernstein_szego_closed_form_zeros(rng):
     c = moments_from_density(bernstein_szego_density(), 10)
     fam = orthonormal_polys(c, 10)
     for fr in (SliceFrame.standard(), random_frame(rng)):
-        _, reports = zeros_theorem_check(fam, fr)
-        for n, rep in enumerate(reports, start=1):
-            for name in ("right", "left"):
-                assert multiset_distance(rep[name].slice_roots,
+        reports = zeros_theorem_check(fam, fr)["reports"]
+        assert len(reports) == 4 * 10
+        for entry in reports:
+            n, rep = entry["degree"], entry["report"]
+            if entry["family"] in ("right", "left"):
+                assert multiset_distance(root_values(rep),
                                          [0.0] * (n - 1) + [0.5]) <= 1e-14
-            for name in ("right_reverse", "left_reverse"):
-                assert multiset_distance(rep[name].slice_roots, [2.0]) <= 1e-14
+            else:
+                assert multiset_distance(root_values(rep), [2.0]) <= 1e-14
 
 
 def test_single_plane_slice_roots_the_scalar_factor(rng, monkeypatch):
@@ -182,7 +184,7 @@ def test_single_plane_slice_roots_the_scalar_factor(rng, monkeypatch):
     report, = zero_slice([poly], SliceFrame.standard())
     assert degrees == [4]
     expected = [complex(z.real, abs(z.imag)) for z in planted]
-    assert multiset_distance(report.slice_roots, expected) < 1e-12
+    assert multiset_distance(root_values(report), expected) < 1e-12
 
 
 def test_roots_rejects_nan():
@@ -190,23 +192,37 @@ def test_roots_rejects_nan():
         roots([[float("nan"), 1.0]])
 
 
+def test_roots_rejects_a_bad_input_after_the_polynomials_before_it(monkeypatch):
+    with pytest.raises(ValueError, match="degree must be at least 1"):
+        roots([[1.0]])
+    with pytest.raises(ValueError, match="leading coefficient must be nonzero"):
+        roots([[1.0, 2.0, 0.0]])
+    # the pass stops at the bad input: the NaN after it would stall
+    with pytest.raises(ValueError, match="degree must be at least 1"):
+        roots([[1.0, 1.0], [], [float("nan"), 1.0]])
+    # a stall before the bad input comes first
+    monkeypatch.setattr(zeros_module, "MAX_ABERTH_ITER", 1)
+    with pytest.raises(NoConvergence, match="stalled"):
+        roots([[1.0, 0.3, 0.2, 1.0], [1.0, 0.0]])
+
+
 def test_zero_slice_q_poly_r(rng, frame):
     a = random_unit_ball_quaternion(rng, rmax=0.8, rmin=0.2)
     poly = QPolyR([-a, Quaternion(1.0)])
     report, = zero_slice([poly], frame)
-    assert multiset_distance(report.slice_roots,
+    assert multiset_distance(root_values(report),
                              [complex(a.w, np.linalg.norm(a.imag))]) < 1e-10
 
 
 def test_zeros_theorem_on_fixtures(rng):
     c = moments_from_density(lebesgue_density(), 8)
-    results, _ = zeros_theorem_check(orthonormal_polys(c, 4))
+    results = zeros_theorem_check(orthonormal_polys(c, 4))["per_degree"]
     for row in results:
         assert row["max_root_modulus"] < 1e-8
         assert row["all_inside_ball"] and row["reverses_outside"]
         assert row["left_right_distance"] < 1e-8
     c = random_moment_fixture(41, 11)
-    results, _ = zeros_theorem_check(orthonormal_polys(c, 10))
+    results = zeros_theorem_check(orthonormal_polys(c, 10))["per_degree"]
     for row in results:
         assert row["max_root_modulus"] < 1.0
         assert row["min_reverse_modulus"] > 1.0
@@ -227,7 +243,7 @@ def test_frame_independence_of_moduli(rng):
     for _ in range(5):
         fr = random_frame(rng)
         report, = zero_slice([fam.right[5]], fr)
-        mods = np.sort(np.array(report.moduli))
+        mods = np.sort(np.array(report["moduli"]))
         if base is None:
             base = mods
         else:
@@ -239,7 +255,7 @@ def test_monic_normalisation_preserves_zeros(rng, frame):
     lead = random_quaternion(rng)
     poly = QPolyL([(-a) * lead, lead])  # (p - a) star lead
     report, = zero_slice([poly], frame)
-    assert multiset_distance(report.slice_roots,
+    assert multiset_distance(root_values(report),
                              [complex(a.w, np.linalg.norm(a.imag))]) < 1e-9
     (monic, _), = _posed_companions([poly], frame)
     assert Quaternion.from_array(monic[1]) == Quaternion(1.0)
@@ -256,7 +272,7 @@ def test_two_route_agreement_desk_scale_ceiling(rng, frame):
             poly = star_mul_L(poly, QPolyL([-a, Quaternion(1.0)]))
         report, = zero_slice([poly], frame, route_tol=tol)
         expected = [complex(a.w, np.linalg.norm(a.imag)) for a in planted]
-        assert multiset_distance(report.slice_roots, expected) < match
+        assert multiset_distance(root_values(report), expected) < match
 
 
 # ---- the one-polynomial Aberth loop that the batched ``roots`` replaced,
@@ -536,9 +552,9 @@ def test_zero_slice_rejects_non_finite_coefficients(bad, message):
 
 
 def _report_bits(report):
-    return (np.array(report.slice_roots, dtype=complex).tobytes(),
-            np.array(report.moduli, dtype=float).tobytes(),
-            report.all_inside_ball, report.all_outside_closed_ball)
+    return (root_values(report).tobytes(),
+            np.array(report["moduli"], dtype=float).tobytes(),
+            report["all_inside_ball"], report["all_outside_closed_ball"])
 
 
 def _zero_report_one(psi, frame):

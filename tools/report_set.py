@@ -78,7 +78,16 @@ coefficients with |gamma_1| = 1 - 7e-13 (exit 2, ``NotContraction`` at index
 the six ``random-gamma --n 13`` fixtures, root batches up to degree 24; every
 ``random-gamma`` run that makes a fixture, four more, an ``orthopolys --n 30``
 past a horizon, a ``verblunsky-to-moments --n 30`` past the coefficient count
-and a missing file; a fixture of 100000 nested lists under
+and a missing file; five malformed fixtures (``gammas`` not a list, a
+``frame`` not an object, a fixture not an object, a ``w1`` index of 1.5 and a
+moments entry ``[1]``) under ``moments-to-verblunsky --n 1``; moduli that
+overflow: a ``w1`` and a ``w2`` coefficient of modulus 1.7e308 sqrt 2 under
+``grid --grid 7`` and ``sv --n 2``, c_{-1} = 1e200 against c_1 = 0 under
+``moments-to-verblunsky``, ``orthopolys`` and ``zeros`` at ``--n 1``,
+|gamma_0| = 1e200 under ``verblunsky-to-moments`` and
+``moments-to-verblunsky`` at ``--n 1``, and c_0 = 1e200 under
+``moments-to-verblunsky`` and ``orthopolys`` at ``--n 1`` (all exit 2); a
+fixture of 100000 nested lists under
 ``moments-to-verblunsky --n 2``, a gamma of 10^400 under
 ``verblunsky-to-moments --n 1``, and ``random-gamma --n 2`` with a ``--frame``
 of 100000 open brackets and with one whose i holds 10^400.
@@ -102,6 +111,15 @@ DENSITIES = ("bernstein_szego_05", "lebesgue", "smooth_trig", "vanishing_density
 GAMMA_SEEDS = (1017, 2017, 3017, 4017, 5017, 6017)
 FRAME_SEEDS = (1, 2, 3, 4, 5)
 CD_RUNS = ((1, 0), (1, 7), (100, 0), (100, 7), (333, 123))
+
+
+MALFORMED = {
+    "gammas_not_a_list": {"gammas": 5},
+    "frame_not_an_object": {"frame": 3, "gammas": []},
+    "fixture_not_an_object": [],
+    "w1_index_not_an_integer": {"w1": [[0, 1.0, 0.0], [1.5, 0.1, 0.0]]},
+    "moment_entry_short": {"moments": [[0, [1.0, 0.0, 0.0, 0.0]], [1]]},
+}
 
 
 def random_frame(seed: int) -> str:
@@ -257,6 +275,28 @@ def report_set(frames: dict[str, str]):
                    ["verblunsky-to-moments", path, "--n", "3", "--format", fmt])
         yield (f"{stem}.moments-to-verblunsky.n3",
                ["moments-to-verblunsky", path, "--n", "3"])
+    # five malformed fixtures, each rejected by its own loader check
+    for stem in MALFORMED:
+        yield (f"{stem}.moments-to-verblunsky.n1",
+               ["moments-to-verblunsky", f"fixtures/{stem}.json", "--n", "1"])
+    # moduli beyond the float range, or whose square overflows (exit 2)
+    for stem, name, argv in (
+            ("w1_modulus_overflow", "grid.g7", ["grid", "--grid", "7"]),
+            ("w1_modulus_overflow", "sv.n2", ["sv", "--n", "2"]),
+            ("w2_modulus_overflow", "grid.g7", ["grid", "--grid", "7"]),
+            ("w2_modulus_overflow", "sv.n2", ["sv", "--n", "2"]),
+            ("hermitian_overflow", "moments-to-verblunsky.n1",
+             ["moments-to-verblunsky", "--n", "1"]),
+            ("hermitian_overflow", "orthopolys.n1", ["orthopolys", "--n", "1"]),
+            ("hermitian_overflow", "zeros.n1", ["zeros", "--n", "1"]),
+            ("gamma_norm_overflow", "verblunsky-to-moments.n1",
+             ["verblunsky-to-moments", "--n", "1"]),
+            ("gamma_norm_overflow", "moments-to-verblunsky.n1",
+             ["moments-to-verblunsky", "--n", "1"]),
+            ("c0_norm_overflow", "moments-to-verblunsky.n1",
+             ["moments-to-verblunsky", "--n", "1"]),
+            ("c0_norm_overflow", "orthopolys.n1", ["orthopolys", "--n", "1"])):
+        yield f"{stem}.{name}", [argv[0], f"fixtures/{stem}.json", *argv[1:]]
     yield "unnormalised.grid.g7", ["grid", "fixtures/unnormalised.json", "--grid", "7"]
     yield "unnormalised.sv.n1", ["sv", "fixtures/unnormalised.json", "--n", "1"]
     yield "unnormalised.baxter.n4", ["baxter", "fixtures/unnormalised.json", "--n", "4"]
@@ -381,6 +421,19 @@ def make_fixtures(main, record) -> None:
     for stem, radius in (("gamma1_margin_fail", 1 - 7e-13), ("gamma1_margin_pass", 1 - 2e-12)):
         write_fixture(stem, {"frame": standard, "gammas": [
             [0.3, 0.1, -0.2, 0.05], [radius, 0.0, 0.0, 0.0], [0.2, -0.1, 0.0, 0.1]]})
+    for stem, obj in MALFORMED.items():
+        write_fixture(stem, obj)
+    # |w1_1| and |w2_1| = 1.7e308 sqrt 2, beyond the float range; c_{-1} =
+    # 1e200 against c_1 = 0, |gamma_0| = 1e200 and c_0 = 1e200, whose squared
+    # norms overflow
+    write_fixture("w1_modulus_overflow", {"frame": standard, "w1": [
+        [0, 1.0, 0.0], [1, 1.7e308, 1.7e308], [-1, 1.7e308, -1.7e308]]})
+    write_fixture("w2_modulus_overflow", {"frame": standard, "w1": [[0, 1.0, 0.0]], "w2": [
+        [1, 1.7e308, 1.7e308], [-1, -1.7e308, -1.7e308]]})
+    write_fixture("hermitian_overflow", {"moments": [[0, [1.0, 0.0, 0.0, 0.0]],
+                                                     [-1, [1e200, 0.0, 0.0, 0.0]]]})
+    write_fixture("gamma_norm_overflow", {"gammas": [[1e200, 0.0, 0.0, 0.0]]})
+    write_fixture("c0_norm_overflow", {"moments": [[0, [1e200, 0.0, 0.0, 0.0]]]})
     # nesting deeper than the JSON parser recurses, and an integer beyond the
     # float range
     Path("fixtures", "deep.json").write_text("[" * 100000 + "]" * 100000, encoding="utf-8")
