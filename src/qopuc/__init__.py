@@ -17,9 +17,8 @@ from .series import TruncSeries, herglotz_from_moments, herglotz_from_schur, \
     schur_from_herglotz
 from .matrix_opuc import alphas_from_moments, defects, moments_from_alphas, schur_step
 from .polynomials import (
-    OrthonormalFamily, QPolyL, QPolyR, VerblunskySeq, eval_L, eval_R,
-    eval_norm_sq, moments_from_verblunsky_q, orthonormal_polys, reverse_L, reverse_R,
-    verblunsky_from_moments_q,
+    VerblunskySeq, eval_L, eval_R, eval_norm_sq, moments_from_verblunsky_q, orthonormal_polys,
+    reversed_rows, verblunsky_from_moments_q,
 )
 from .zeros import det_poly, roots, zero_slice, zeros_theorem_check
 from .analysis import baxter_check, cd_identity_check, sv_check, szego_entropy

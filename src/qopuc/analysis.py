@@ -9,7 +9,9 @@ the square on the left being an artefact of the 2x2 embedding.  No finite
 computation proves divergence, so summability verdicts are always "over
 horizon": a tail is flagged diverging when its block sums stop decaying.
 ``sv_check`` and ``baxter_check`` return the reports that ``sv`` and
-``baxter`` print, as dicts in the schemas' key order.
+``baxter`` print, as dicts in the schemas' key order.  The CD check reads
+route B's stacked family rows and their reverses as two coefficient arrays,
+one per polynomial space.
 """
 
 from __future__ import annotations
@@ -18,12 +20,13 @@ import math
 
 import numpy as np
 
+from .errors import NotContraction, NotPositiveDefinite
 from .measures import (
     PIVOT_TOL, MomentSequence, QPositiveDensity, _det_herm2, moments_from_density,
     wiener_coefficient_norm,
 )
 from .polynomials import (
-    ROUTE_TOL, _gammas_via_matrix, eval_norm_sq, orthonormal_polys, reverse_L, reverse_R,
+    ROUTE_TOL, _gammas_via_matrix, eval_norm_sq, orthonormal_polys, reversed_rows,
     verblunsky_from_moments_q,
 )
 from .quaternions import qarr_norm_sq
@@ -73,20 +76,24 @@ def cd_identity_check(c: MomentSequence, N: int, samples: int = 100,
     point's value does not depend on its block, nor the maximum on the
     order.  NotPositiveDefinite names the first order whose prediction
     error is at most ``pivot_tol``.
+
+    Each space is one (N + 4, N + 2, 4) coefficient array: route B's rows
+    of degree 0..N + 1 and the reversed rows at N and N + 1.
     """
     M = N + 1
-    fam = orthonormal_polys(c, M, pivot_tol)
+    _, rows = orthonormal_polys(c, M, pivot_tol)
+    rev = reversed_rows(rows)
     # H[p]^R holds the left family and the reverses of the right one;
     # H[p]^L holds the right family and the reverses of the left one
-    space_r = list(fam.left) + [reverse_L(fam.right[n], n) for n in (N, M)]
-    space_l = list(fam.right) + [reverse_R(fam.left[n], n) for n in (N, M)]
+    space_r = np.concatenate([rows[1], rev[0, [N, M]]])
+    space_l = np.concatenate([rows[0], rev[1, [N, M]]])
     points = _sample_points(samples, seed)
     size = max(1, CD_BLOCK_TERMS // len(space_r))   # both spaces hold N + 4
     worst = 0.0
     for start in range(0, samples, size):
         block = points[start:start + size]
-        in_r = eval_norm_sq(space_r, block)
-        in_l = eval_norm_sq(space_l, block)
+        in_r = eval_norm_sq(space_r, block, left=False)
+        in_l = eval_norm_sq(space_l, block, left=True)
         plain = in_r[: M + 1] + in_l[: M + 1]    # |psi_l^L|^2 + |psi_l^R|^2
         weight = in_l[M + 1:] + in_r[M + 1:]     # reverse terms at N, N + 1
         kernel = _kernel(plain, N)
@@ -184,10 +191,19 @@ def baxter_check(d: QPositiveDensity, N: int) -> dict:
     too few blocks to compare, so the gammas count as summable unlooked,
     and a density with a zero on the circle gets "inconsistent".  Long
     horizons use the matrix route only; the dual-route cross-check runs at
-    desk scale elsewhere.
+    desk scale elsewhere.  Route A has no positive-definiteness check of its
+    own: a coefficient n that is not a strict contraction means the moments
+    are not positive definite at order n + 1, and NotPositiveDefinite says
+    so, as route B would.
     """
     c = moments_from_density(d, N)
-    moduli = _gammas_via_matrix(c, N, d.frame).moduli()
+    try:
+        moduli = _gammas_via_matrix(c, N, d.frame).moduli()
+    except NotContraction as exc:
+        raise NotPositiveDefinite(
+            f"Toeplitz form not positive definite at order {exc.index + 1} (route A: "
+            f"coefficient {exc.index} is not a strict contraction)",
+            order=exc.index + 1) from exc
     diverging = _diverging_over_horizon(moduli)
     summable = not diverging
     density_min = d.min_eigenvalue_on_grid()

@@ -344,16 +344,15 @@ def cmd_verblunsky_to_moments(args, fix: Fixture) -> dict:
 
 
 def cmd_orthopolys(args, fix: Fixture) -> dict:
-    fam = orthonormal_polys(moments_from_fixture(fix, args.n), args.n, args.tol_pd)
-    return {
-        "right": [p.to_json() for p in fam.right],
-        "left": [p.to_json() for p in fam.left],
-    }
+    _, rows = orthonormal_polys(moments_from_fixture(fix, args.n), args.n, args.tol_pd)
+    return {family: [{"space": space, "coeffs": rows[f, n, : n + 1].tolist()}
+                     for n in range(args.n + 1)]
+            for f, (family, space) in enumerate((("right", "L"), ("left", "R")))}
 
 
 def cmd_zeros(args, fix: Fixture) -> dict:
-    fam = orthonormal_polys(moments_from_fixture(fix, args.n), args.n, args.tol_pd)
-    return zeros_theorem_check(fam, fix.frame, route_tol=args.tol_route)
+    _, rows = orthonormal_polys(moments_from_fixture(fix, args.n), args.n, args.tol_pd)
+    return zeros_theorem_check(rows, fix.frame, route_tol=args.tol_route)
 
 
 def cmd_cd(args, fix: Fixture) -> dict:

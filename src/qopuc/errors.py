@@ -61,6 +61,3 @@ class RouteMismatch(QopucError):
         super().__init__(message)
         self.residual = residual
 
-
-class DegreeTooSmall(QopucError):
-    """Reversal requested at a degree below the polynomial degree."""

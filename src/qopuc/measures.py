@@ -403,11 +403,8 @@ def moments_from_density(d: QPositiveDensity, N: int) -> MomentSequence:
     return MomentSequence(arr)
 
 
-def matrix_moments(c: MomentSequence, frame: SliceFrame | None = None,
-                   N: int | None = None) -> np.ndarray:
+def matrix_moments(c: MomentSequence, frame: SliceFrame, N: int) -> np.ndarray:
     """C_0..C_N with C_n = chi(c_n), as an (N+1, 2, 2) array."""
-    frame = frame or SliceFrame.standard()
-    N = c.horizon if N is None else N
     if N > c.horizon:
         raise HorizonExceeded(f"order {N} beyond horizon {c.horizon}")
     return chi(c.arr[: N + 1], frame)

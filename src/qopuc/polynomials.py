@@ -1,27 +1,28 @@
 """Quaternionic polynomial spaces, orthonormal families, and the two routes
 from moments to Verblunsky coefficients.
 
-Two polynomial spaces appear: QPolyL holds sums p^k phi_k (coefficients on
-the right of the powers), QPolyR holds sums phi_k p^k.  A polynomial is
-stored only as a read-only (n+1, 4) float array ``arr`` (row k = phi_k in
-the basis 1, i, j, k); ``coeffs`` hands out ``Quaternion`` objects for
-the API, and ``eval_L``/``eval_R`` take and return them.  Right-orthonormal
-polynomials live in the first space, left-orthonormal in the second; both
-families and their Verblunsky coefficients come from one run of the paired
-Szego recurrences on the moments (``measures.require_nontrivial``), kept as
-coefficient rows until a family is read.  The Verblunsky coefficients those
-recurrences read off equal the ones the matrix Schur algorithm strips from
-the embedded moments, and the two extraction routes are cross-checked on
-every call of ``verblunsky_from_moments_q``.
+Two polynomial spaces appear: H[p]^L holds sums p^k phi_k (coefficients on
+the right of the powers), H[p]^R holds sums phi_k p^k.  A polynomial is an
+(n+1, 4) float array of coefficient rows (row k = phi_k in the basis 1, i,
+j, k), and a set of them one zero-padded (P, D+1, 4) array; its space is
+not stored but passed along, as a bool ``left`` (True for H[p]^L), to the
+functions that read it.  Right-orthonormal polynomials live in the first
+space, left-orthonormal in the second.  Both families and their Verblunsky
+coefficients come from one run of the paired Szego recurrences on the
+moments (``measures.require_nontrivial``), as one (2, N+1, N+1, 4) stack of
+coefficient rows, rows[0] right and rows[1] left; ``reversed_rows`` reverses
+every member of such a stack in one step, and a reverse lives in the other
+space.  The Verblunsky coefficients those recurrences read off equal the
+ones the matrix Schur algorithm strips from the embedded moments, and the
+two extraction routes are cross-checked on every call of
+``verblunsky_from_moments_q``.
 """
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
-from .errors import DegreeTooSmall, NotContraction, NotInImage, RouteMismatch
+from .errors import NotContraction, NotInImage, RouteMismatch
 from .matrix_opuc import CONTRACTION_MARGIN, alphas_from_moments, moments_from_alphas
 from .measures import _BASIS_PRODUCTS, PIVOT_TOL, MomentSequence, matrix_moments, \
     require_nontrivial
@@ -30,80 +31,6 @@ from .quaternions import (
 )
 
 ROUTE_TOL = 1e-8
-
-
-def _coerce_coeffs(coeffs) -> np.ndarray:
-    """A fresh (n+1, 4) float array (``qarr_from``), exact trailing zeros
-    trimmed so that the degree is the index of the last nonzero coefficient
-    (-0.0 is zero, NaN not)."""
-    arr = qarr_from(coeffs)
-    n = len(arr)
-    while n > 1 and not arr[n - 1].any():
-        n -= 1
-    return arr[:n] if n else np.zeros((1, 4))
-
-
-def _padded(arr: np.ndarray, n: int) -> np.ndarray:
-    """The first n coefficient rows, zero-padded at the top."""
-    out = np.zeros((n, 4))
-    m = min(n, len(arr))
-    out[:m] = arr[:m]
-    return out
-
-
-class _QPolyBase:
-    __slots__ = ("arr",)
-
-    def __init__(self, coeffs):
-        arr = _coerce_coeffs(coeffs)
-        arr.setflags(write=False)
-        object.__setattr__(self, "arr", arr)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("polynomials are immutable")
-
-    @property
-    def degree(self) -> int:
-        return len(self.arr) - 1
-
-    @property
-    def coeffs(self) -> tuple:
-        return tuple(Quaternion(*row) for row in self.arr.tolist())
-
-    def __eq__(self, other):
-        return (type(self) is type(other) and self.arr.shape == other.arr.shape
-                and bool((self.arr == other.arr).all()))
-
-    def __hash__(self):
-        # -0.0 == 0.0 and hash(-0.0) == hash(0.0), so this matches __eq__
-        return hash((type(self).__name__, tuple(self.arr.ravel().tolist())))
-
-    def __add__(self, other):
-        if type(other) is not type(self):
-            raise TypeError("cannot mix polynomial spaces")
-        n = max(self.degree, other.degree) + 1
-        return type(self)(_padded(self.arr, n) + _padded(other.arr, n))
-
-    def __sub__(self, other):
-        if type(other) is not type(self):
-            raise TypeError("cannot mix polynomial spaces")
-        n = max(self.degree, other.degree) + 1
-        return type(self)(_padded(self.arr, n) - _padded(other.arr, n))
-
-    def __repr__(self):
-        return f"{type(self).__name__}(degree={self.degree})"
-
-    def to_json(self):
-        space = "L" if isinstance(self, QPolyL) else "R"
-        return {"space": space, "coeffs": self.arr.tolist()}
-
-
-class QPolyL(_QPolyBase):
-    """sum_k p^k phi_k: left-slice hyperholomorphic, coefficients on the right."""
-
-
-class QPolyR(_QPolyBase):
-    """sum_k phi_k p^k: right-slice hyperholomorphic, coefficients on the left."""
 
 
 def _horner(coeffs, p, left: bool) -> tuple:
@@ -117,13 +44,17 @@ def _horner(coeffs, p, left: bool) -> tuple:
     return acc
 
 
-def eval_L(phi: QPolyL, p: Quaternion) -> Quaternion:
-    """Horner evaluation of sum p^k phi_k (powers multiply from the left)."""
-    return Quaternion(*_horner(phi.arr.tolist(), _coerce(p).to_array().tolist(), left=True))
+def eval_L(phi: np.ndarray, p: Quaternion) -> Quaternion:
+    """Horner evaluation of sum p^k phi_k (powers multiply from the left),
+    the coefficients phi an (n+1, 4) array."""
+    return Quaternion(*_horner(np.asarray(phi, dtype=float).tolist(),
+                               _coerce(p).to_array().tolist(), left=True))
 
 
-def eval_R(phi: QPolyR, p: Quaternion) -> Quaternion:
-    return Quaternion(*_horner(phi.arr.tolist(), _coerce(p).to_array().tolist(), left=False))
+def eval_R(phi: np.ndarray, p: Quaternion) -> Quaternion:
+    """Horner evaluation of sum phi_k p^k, the coefficients an (n+1, 4) array."""
+    return Quaternion(*_horner(np.asarray(phi, dtype=float).tolist(),
+                               _coerce(p).to_array().tolist(), left=False))
 
 
 # qmul_parts as a table: part l of a b sums, over i = 0..3 in that order, the
@@ -155,92 +86,61 @@ def _horner_terms(C: np.ndarray, points: np.ndarray, left: bool) -> np.ndarray:
     return acc
 
 
-def eval_norm_sq(polys, points: np.ndarray) -> np.ndarray:
+def eval_norm_sq(coeffs: np.ndarray, points: np.ndarray, left: bool) -> np.ndarray:
     """|phi(p)|^2 for every polynomial of one space at every point.
 
-    ``polys`` all live in H[p]^L (Horner step p * acc, as ``eval_L``) or all
-    in H[p]^R (acc * p, as ``eval_R``); ``points`` is an (S, 4) array.
-    Returns an (len(polys), S) array.  It runs the Horner loop of
-    ``eval_L``/``eval_R`` on component arrays (``_horner_terms``), so every
-    finite value is bitwise the one ``eval_L(phi, p).norm_sq()`` /
-    ``eval_R`` give; shorter polynomials are zero-padded at the top, which
-    changes no nonzero bit.  All the points go through one ``_horner_terms``
-    call, whose step temporary is 16 len(polys) S doubles; a caller with
-    many points blocks them (``analysis.cd_identity_check``).
+    ``coeffs`` is a zero-padded (P, D+1, 4) array of P polynomials, all in
+    H[p]^L if ``left`` (Horner step p * acc, as ``eval_L``), else all in
+    H[p]^R (acc * p, as ``eval_R``); ``points`` is an (S, 4) array.  Returns
+    a (P, S) array.  It runs the Horner loop of ``eval_L``/``eval_R`` on
+    component arrays (``_horner_terms``), so every finite value is bitwise
+    the one ``eval_L(phi, p).norm_sq()`` / ``eval_R`` give; the zero padding
+    above a polynomial's degree changes no nonzero bit, and the sign of a
+    zero never reaches a norm square.  All the points go through one
+    ``_horner_terms`` call, whose step temporary is 16 P S doubles; a caller
+    with many points blocks them (``analysis.cd_identity_check``).
     """
-    left = isinstance(polys[0], QPolyL)
-    if any(isinstance(phi, QPolyL) != left for phi in polys):
-        raise TypeError("cannot mix polynomial spaces")
-    D = max(phi.degree for phi in polys)
-    C = np.zeros((D + 1, 4, len(polys), 1))
-    for f, phi in enumerate(polys):
-        C[: phi.degree + 1, :, f, 0] = phi.arr
+    C = np.moveaxis(np.asarray(coeffs, dtype=float), 0, -1)[..., None]
     aw, ax, ay, az = _horner_terms(C, np.asarray(points, dtype=float), left)
     return aw * aw + ax * ax + ay * ay + az * az
 
 
-def _reversed_coeffs(poly, n: int) -> np.ndarray:
-    """conj(poly_{n-k}) for k = 0..n, the polynomial zero-padded to degree n."""
-    if n < poly.degree:
-        raise DegreeTooSmall(f"reversal degree {n} below polynomial degree {poly.degree}")
-    return qarr_conj(_padded(poly.arr, n + 1)[::-1])
+def reversed_rows(rows: np.ndarray) -> np.ndarray:
+    """The reverses of a stack of coefficient rows (..., N+1, N+1, 4), row n
+    holding a polynomial of degree at most n, zero-padded: row n of the
+    result holds conj(phi_{n-k}) at k = 0..n and +0.0 past n.
 
-
-def reverse_L(phi: QPolyL, n: int) -> QPolyR:
-    """phi^#(p) = conj(phi(1/conj p)) p^n; k-th coefficient conj(phi_{n-k})."""
-    return QPolyR(_reversed_coeffs(phi, n))
-
-
-def reverse_R(psi: QPolyR, m: int) -> QPolyL:
-    """psi^#(p) = p^m conj(psi(1/conj p)); k-th coefficient conj(psi_{m-k})."""
-    return QPolyL(_reversed_coeffs(psi, m))
+    The reverse of phi in H[p]^L at degree n, phi^#(p) = conj(phi(1/conj p))
+    p^n, lies in H[p]^R; that of psi in H[p]^R, psi^#(p) = p^n
+    conj(psi(1/conj p)), in H[p]^L.  The coefficients are the same
+    conj(phi_{n-k}) either way, so one gather and one conjugation reverse
+    every row of the stack.  A zero coefficient reversed is conj(0), whose
+    imaginary parts are -0.0.
+    """
+    n, k = np.ogrid[: rows.shape[-2], : rows.shape[-2]]
+    return np.where((k <= n)[:, :, None], qarr_conj(rows[..., n, np.maximum(n - k, 0), :]), 0.0)
 
 
 # ---------------------------------------------------------------------
 # orthonormal polynomials
 # ---------------------------------------------------------------------
 
-class OrthonormalFamily:
-    """right[n] in H[p]^L (right-orthonormal), left[n] in H[p]^R (left-),
-    n = 0..order, and the Verblunsky coefficients ``gammas`` that built them.
-
-    Holds the coefficient rows of both families as one (2, order+1, order+1, 4)
-    array ``rows``, rows[0] right and rows[1] left, row n holding degree n;
-    ``right`` and ``left`` build their polynomials when first read.
-    """
-
-    def __init__(self, gammas: np.ndarray, rows: np.ndarray):
-        self.gammas = gammas
-        self.rows = rows
-
-    @property
-    def order(self) -> int:
-        return len(self.gammas)
-
-    @functools.cached_property
-    def right(self) -> tuple:
-        return tuple(QPolyL(self.rows[0, n, : n + 1]) for n in range(self.order + 1))
-
-    @functools.cached_property
-    def left(self) -> tuple:
-        return tuple(QPolyR(self.rows[1, n, : n + 1]) for n in range(self.order + 1))
-
-
 def orthonormal_polys(c: MomentSequence, N: int,
-                      pivot_tol: float = PIVOT_TOL) -> OrthonormalFamily:
+                      pivot_tol: float = PIVOT_TOL) -> tuple[np.ndarray, np.ndarray]:
     """Both orthonormal families, degree 0..N, from the paired Szego
-    recurrences on the moments (``measures.require_nontrivial``).
+    recurrences on the moments (``measures.require_nontrivial``), as
+    (gammas, rows): the Verblunsky coefficients gamma_0..gamma_{N-1} as an
+    (N, 4) array, and the coefficient rows of both families as one
+    (2, N+1, N+1, 4) stack, rows[0] the right family (in H[p]^L) and rows[1]
+    the left one (in H[p]^R), row n holding degree n zero-padded.
 
     Right orthonormality is <phi, psi>_R = psi^* T phi with T = toeplitz(c, N),
     left orthonormality <phi, psi>_L = phi T^T psi^*.  Leading coefficients
     are d_n^{-1/2} for the prediction errors d_n, strictly positive real.
     NotPositiveDefinite names the first order whose prediction error is at
-    most ``pivot_tol``.  The family keeps the Verblunsky coefficients and the
-    stacked (2, N+1, N+1, 4) coefficient rows of both families, and builds its
-    polynomials when ``right``/``left`` are first read.  The frame plays no
-    part.
+    most ``pivot_tol``.  The frame plays no part.
     """
-    return OrthonormalFamily(*require_nontrivial(c, N, pivot_tol))
+    return require_nontrivial(c, N, pivot_tol)
 
 
 # ---------------------------------------------------------------------
@@ -304,8 +204,7 @@ def moments_from_verblunsky_q(gammas: VerblunskySeq, N: int,
     return MomentSequence(np.concatenate([[[1.0, 0.0, 0.0, 0.0]], chi_inv(C, frame)]))
 
 
-def verblunsky_from_moments_q(c: MomentSequence, N: int,
-                              frame: SliceFrame | None = None,
+def verblunsky_from_moments_q(c: MomentSequence, N: int, frame: SliceFrame,
                               route_tol: float = ROUTE_TOL,
                               pivot_tol: float = PIVOT_TOL) -> tuple[VerblunskySeq, float]:
     """Verblunsky coefficients by two independent routes, cross-checked, as
@@ -322,13 +221,12 @@ def verblunsky_from_moments_q(c: MomentSequence, N: int,
     routes differ beyond tolerance - a correctness alarm, not a recoverable
     state.
     """
-    frame = frame or SliceFrame.standard()
-    fam = orthonormal_polys(c, N, pivot_tol)
+    szego_gammas, _ = orthonormal_polys(c, N, pivot_tol)
     try:
         via_matrix = _gammas_via_matrix(c, N, frame)
     except NotInImage as exc:
         raise NotInImage(f"matrix route left the quaternionic subalgebra: {exc}") from exc
-    via_szego = VerblunskySeq(fam.gammas)   # route B's contraction test
+    via_szego = VerblunskySeq(szego_gammas)   # route B's contraction test
     residual = float(np.max(qarr_abs(via_matrix.arr - via_szego.arr), initial=0.0))
     if residual > route_tol:
         raise RouteMismatch(

@@ -8,13 +8,17 @@ content of the zero-set theorems.  Both routes start from one pose of the
 input, ``_pose``, which trims each polynomial, makes it monic and takes its
 coefficient image.
 
-A ``zeros`` job checks all its polynomials in one ``zero_slice`` call, and
-each stage of that call runs once over the whole job, in stacked numpy
-steps on zero-padded arrays: the pose on one (P, D+1, 4) coefficient array;
-route 1 as one simultaneous Aberth run (``roots``); route 2 as one stacked
-eigenvalue call per companion size; and the report, whose route
-cross-check and conjugate-pair reduction take one greedy step per root
-over all polynomials at once.  Only the determinant's convolution runs per
+The input is one zero-padded (P, D+1, 4) coefficient array and a (P,) bool
+mask that marks the polynomials of H[p]^L (coefficients right of the
+powers); the others lie in H[p]^R.  A ``zeros`` job slices its polynomials
+out of route B's stacked family rows and their reverses
+(``polynomials.reversed_rows``) and checks them all in one ``zero_slice``
+call.  Each stage of that call runs once over the whole job, in stacked
+numpy steps: the pose on the coefficient array; route 1 as one
+simultaneous Aberth run (``roots``); route 2 as one stacked eigenvalue call
+per companion size; and the report, whose route cross-check and
+conjugate-pair reduction take one greedy step per root over all
+polynomials at once.  Only the determinant's convolution runs per
 polynomial.  Every root, distance and flag keeps the bits of checking the
 polynomials one at a time, with Horner's rule and the root matching on
 Python complex scalars.
@@ -38,7 +42,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NoConvergence, RouteMismatch
-from .polynomials import ROUTE_TOL, OrthonormalFamily, QPolyL, QPolyR, reverse_L, reverse_R
+from .polynomials import ROUTE_TOL, reversed_rows
 from .quaternions import SliceFrame, chi, qarr_inv, qarr_mul, right_eigen_slice
 
 ROOT_RESIDUAL_TOL = 1e-10
@@ -323,21 +327,20 @@ _ONE = np.array([1.0, 0.0, 0.0, 0.0])
 
 class _Posed(NamedTuple):
     """The polynomials of a ``zero_slice`` call, one row each: the degree
-    after the numeric trim (0 for a nonzero constant), whether the
-    polynomial is a QPolyL, its monic form and that form's coefficient
-    image (zero-padded), and whether the image's off-diagonal is exactly
-    zero."""
+    after the numeric trim (0 for a nonzero constant), its monic form and
+    that form's coefficient image (zero-padded), and whether the image's
+    off-diagonal is exactly zero."""
 
     degree: np.ndarray
-    left: np.ndarray
     monic: np.ndarray
     image: np.ndarray
     single_plane: np.ndarray
 
 
-def _pose(polys: list, frame: SliceFrame) -> _Posed:
-    """Trim, make monic and embed every polynomial of ``polys``, as stacked
-    steps on one zero-padded (P, D+1, 4) coefficient array.
+def _pose(coeffs: np.ndarray, left: np.ndarray, frame: SliceFrame) -> _Posed:
+    """Trim, make monic and embed every polynomial of the zero-padded
+    (P, D+1, 4) array ``coeffs``, as stacked steps; ``left`` marks the
+    polynomials of H[p]^L.
 
     The trim drops leading coefficients of norm at most NUMERIC_DEGREE_TOL
     times the largest.  A polynomial whose true degree dropped (e.g. the
@@ -347,19 +350,18 @@ def _pose(polys: list, frame: SliceFrame) -> _Posed:
     outside the closed ball, so the location flags are unaffected.
 
     The leading coefficient is then divided out on the zero-preserving
-    side: for QPolyL (coefficients right of the powers) every coefficient is
+    side: in H[p]^L (coefficients right of the powers) every coefficient is
     right-multiplied by its inverse, which multiplies all values on the
-    right and so fixes the zero set; for QPolyR it is left-multiplied.
+    right and so fixes the zero set; in H[p]^R it is left-multiplied.
+    Coefficients above the trimmed degree are set to +0.0, so their signs
+    (the padding's, or a reverse's conj(0)) reach no later stage.
 
-    It raises at once: TypeError if an entry is not a QPolyL or QPolyR,
-    else ValueError for a coefficient that is not finite, then for a
-    squared coefficient norm that overflows, then for the zero polynomial.
-    Which polynomial of a batch fails first is ``zero_slice``'s question.
+    It raises at once: ValueError for a coefficient that is not finite,
+    then for a squared coefficient norm that overflows, then for the zero
+    polynomial.  Which polynomial of a batch fails first is
+    ``zero_slice``'s question.
     """
-    if not all(isinstance(psi, (QPolyL, QPolyR)) for psi in polys):
-        raise TypeError("expected QPolyL or QPolyR")
-    arr, _ = _stack([psi.arr for psi in polys], float, (4,))
-    left = np.array([isinstance(psi, QPolyL) for psi in polys], dtype=bool)
+    arr = np.asarray(coeffs, dtype=float)
     w, x, y, z = np.moveaxis(arr, -1, 0)
     with np.errstate(over="ignore", invalid="ignore"):   # rejected below
         mags = np.sqrt(w * w + x * x + y * y + z * z)
@@ -378,15 +380,15 @@ def _pose(polys: list, frame: SliceFrame) -> _Posed:
     monic[col > degree[:, None]] = 0.0
     monic[col == degree[:, None]] = _ONE
     image = chi(monic, frame)
-    return _Posed(degree, left, monic, image, ~image[:, :, 0, 1].any(axis=1))
+    return _Posed(degree, monic, image, ~image[:, :, 0, 1].any(axis=1))
 
 
 def _companions(body: np.ndarray, left: np.ndarray) -> np.ndarray:
     """The (k, n, n, 4) companion matrices of k monic polynomials of degree
-    n, given their lower coefficients ``body`` (k, n, 4).  The companion
-    matrix of QPolyL has subdiagonal ones and the last column -coefficients,
-    its mirror for QPolyR superdiagonal ones and the bottom row
-    -coefficients."""
+    n, given their lower coefficients ``body`` (k, n, 4) and the mask
+    ``left`` of those in H[p]^L.  The companion matrix of a polynomial in
+    H[p]^L has subdiagonal ones and the last column -coefficients, its
+    mirror in H[p]^R superdiagonal ones and the bottom row -coefficients."""
     k, n = body.shape[:2]
     A = np.zeros((k, n, n, 4))
     lo, up = np.arange(1, n), np.arange(n - 1)
@@ -398,14 +400,19 @@ def _companions(body: np.ndarray, left: np.ndarray) -> np.ndarray:
     return A
 
 
-def zero_slice(polys, frame: SliceFrame, route_tol: float = ROUTE_TOL) -> list[dict]:
-    """Slice zero sets of a sequence of quaternionic polynomials, two routes
-    cross-checked, one report per polynomial in the ``zeros`` schema's
-    shape: ``slice_roots``, one representative with Im >= 0 of each
-    conjugate pair as an [re, im] pair, sorted by (modulus, real, imaginary
-    part); their ``moduli``; and the flags ``all_inside_ball`` and
+def zero_slice(coeffs: np.ndarray, left: np.ndarray, frame: SliceFrame,
+               route_tol: float = ROUTE_TOL) -> list[dict]:
+    """Slice zero sets of quaternionic polynomials, two routes cross-checked,
+    one report per polynomial in the ``zeros`` schema's shape:
+    ``slice_roots``, one representative with Im >= 0 of each conjugate pair
+    as an [re, im] pair, sorted by (modulus, real, imaginary part); their
+    ``moduli``; and the flags ``all_inside_ball`` and
     ``all_outside_closed_ball``, both true for a nonzero constant, which has
     no zeros.
+
+    ``coeffs`` holds the P polynomials as one zero-padded (P, D+1, 4)
+    coefficient array, and the (P,) bool mask ``left`` marks those of
+    H[p]^L (sums p^k phi_k); the others are read as sums phi_k p^k.
 
     Route 1: Aberth roots of det(chi image of the monic-normalised input),
     the companion polynomial a a-bar + b b-bar of the image's first row
@@ -415,7 +422,7 @@ def zero_slice(polys, frame: SliceFrame, route_tol: float = ROUTE_TOL) -> list[d
     a-bar), so a simple zero of psi stays a simple root for Aberth.
     Route 2: spectrum of the embedded companion matrix.
 
-    Each stage runs once over the whole sequence: the pose (``_pose``), one
+    Each stage runs once over all the polynomials: the pose (``_pose``), one
     ``roots`` call for route 1, one eigenvalue call per companion size for
     route 2, and the report, where the route cross-check (greedy matching
     distance against ``route_tol``), the reduction to one representative per
@@ -423,18 +430,18 @@ def zero_slice(polys, frame: SliceFrame, route_tol: float = ROUTE_TOL) -> list[d
     zero-padded rows.
 
     The error raised is the one that checking the polynomials one at a time
-    would raise first.  Per polynomial the stages are the pose (TypeError,
-    then ValueError for a non-finite coefficient, an overflowing coefficient
-    norm or the zero polynomial), route 1 (NoConvergence), route 2
+    would raise first.  Per polynomial the stages are the pose (ValueError
+    for a non-finite coefficient, an overflowing coefficient norm or the
+    zero polynomial), route 1 (NoConvergence), route 2
     (NoConvergence) and the cross-check (RouteMismatch).  The cross-check
     runs only once every polynomial has passed the stages before it, so its
     first failing row is that error.  If an earlier stage raises, a call of
-    more than one polynomial checks them again one at a time, in order,
-    and raises the first error; a one-polynomial call raises it directly.
+    more than one polynomial checks them again one row at a time, in
+    order, and raises the first error; a one-polynomial call raises it
+    directly.
     """
-    polys = list(polys)
     try:
-        posed = _pose(polys, frame)
+        posed = _pose(coeffs, left, frame)
         rows = np.flatnonzero(posed.degree)
         degree = posed.degree[rows]
         single = posed.single_plane[rows]
@@ -445,11 +452,11 @@ def zero_slice(polys, frame: SliceFrame, route_tol: float = ROUTE_TOL) -> list[d
         for n in sorted(set(degree.tolist())):
             ks = np.flatnonzero(degree == n)
             spectra[ks, :2 * n] = right_eigen_slice(
-                _companions(posed.monic[rows[ks], :n], posed.left[rows[ks]]), frame)
-    except (TypeError, ValueError, NoConvergence):
-        if len(polys) > 1:
-            for psi in polys:
-                zero_slice([psi], frame, route_tol)
+                _companions(posed.monic[rows[ks], :n], left[rows[ks]]), frame)
+    except (ValueError, NoConvergence):
+        if len(coeffs) > 1:
+            for p in range(len(coeffs)):
+                zero_slice(coeffs[p:p + 1], left[p:p + 1], frame, route_tol)
         raise
     found, _ = _stack([np.concatenate([f, f.conj()]) if s else f
                        for f, s in zip(route1, single.tolist())], complex)
@@ -466,7 +473,7 @@ def zero_slice(polys, frame: SliceFrame, route_tol: float = ROUTE_TOL) -> list[d
     outside = ((moduli > 1.0) | padding).all(axis=1).tolist()
     pairs = reps[..., None].view(float).tolist()   # [re, im] per root
     reports = [{"slice_roots": [], "moduli": [], "all_inside_ball": True,
-                "all_outside_closed_ball": True} for _ in polys]
+                "all_outside_closed_ball": True} for _ in range(len(coeffs))]
     for p, c, r, m, i, o in zip(rows.tolist(), count.tolist(), pairs, moduli.tolist(),
                                 inside, outside):
         reports[p] = {"slice_roots": r[:c], "moduli": m[:c], "all_inside_ball": i,
@@ -481,31 +488,32 @@ def _slice_roots(reports: list[dict]) -> tuple[np.ndarray, np.ndarray]:
     return pairs.view(complex)[..., 0], size
 
 
-def zeros_theorem_check(fam: OrthonormalFamily, frame: SliceFrame | None = None,
+def zeros_theorem_check(rows: np.ndarray, frame: SliceFrame,
                         route_tol: float = ROUTE_TOL) -> dict:
-    """Per-degree zero-location checks for an orthonormal family, as the
+    """Per-degree zero-location checks for the orthonormal families of route
+    B's (2, N+1, N+1, 4) coefficient rows (``orthonormal_polys``), as the
     ``zeros`` report.
 
-    For each degree 1 <= n <= fam.order: all slice roots of the orthonormal
+    For each degree 1 <= n <= N: all slice roots of the orthonormal
     polynomials lie strictly inside the ball, all roots of their reverses
     strictly outside the closed ball, and the left/right slice zero
     multisets agree.  Returns {"per_degree": one row per degree, "reports":
     one {"degree", "family", "report"} entry per polynomial}, the families
     "right", "left", "right_reverse" and "left_reverse" in that order per
-    degree, each report as ``zero_slice`` gives it.  One ``zero_slice`` call
-    checks all 4 * fam.order polynomials, and one stacked greedy matching
-    gives the left/right distance of every degree.
+    degree, each report as ``zero_slice`` gives it.  The 4N polynomials are
+    sliced out of the rows and their reverses (``reversed_rows``) in that
+    order, with the mask [True, False, False, True] per degree: the right
+    family and the left family's reverses lie in H[p]^L.  One ``zero_slice``
+    call checks them all, and one stacked greedy matching gives the
+    left/right distance of every degree.
     """
-    frame = frame or SliceFrame.standard()
-    polys = []
-    for n in range(1, fam.order + 1):
-        right_poly = fam.right[n]        # in H[p]^L
-        left_poly = fam.left[n]          # in H[p]^R
-        polys += [right_poly, left_poly, reverse_L(right_poly, n), reverse_R(left_poly, n)]
-    found = zero_slice(polys, frame, route_tol)
+    N = rows.shape[1] - 1
+    polys = np.stack([rows[0, 1:], rows[1, 1:], *reversed_rows(rows)[:, 1:]], axis=1)
+    left = np.tile([True, False, False, True], N)
+    found = zero_slice(polys.reshape(4 * N, N + 1, 4), left, frame, route_tol)
     lr_dist = _greedy_distances(*_slice_roots(found[0::4]), *_slice_roots(found[1::4]))
     rows = []
-    for n in range(1, fam.order + 1):
+    for n in range(1, N + 1):
         rep_r, rep_l, rev_r, rev_l = found[4 * n - 4:4 * n]
         rows.append({
             "degree": n,

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -8,16 +9,14 @@ import numpy as np
 import pytest
 
 from qopuc.analysis import _kernel
-from qopuc.errors import HorizonExceeded, NotContraction, NotPositiveDefinite
+from qopuc.errors import HorizonExceeded, NotContraction, NotPositiveDefinite, QopucError
 from qopuc.fixtures import random_gamma_seq
 from qopuc.matrix_opuc import (
     CONTRACTION_MARGIN, _complex, _entries, _matrix, _require_contraction, _sqrt_psd2, defects,
     schur_step,
 )
 from qopuc.measures import _BASIS_PRODUCTS, _CONJ, QPositiveDensity, _pivot_checked, toeplitz
-from qopuc.polynomials import (
-    QPolyL, QPolyR, _padded, eval_norm_sq, moments_from_verblunsky_q, orthonormal_polys,
-)
+from qopuc.polynomials import eval_norm_sq, moments_from_verblunsky_q, orthonormal_polys
 from qopuc.quaternions import (
     Quaternion, SliceFrame, chi, qarr_conj, qarr_from, qarr_inv, qarr_mul, qarr_norm_sq,
 )
@@ -447,6 +446,145 @@ def szego_two_arrays(c, n, pivot_tol=1e-12):
     return tuple(a.astype(float) + 0.0 for a in (gammas, right, left))
 
 
+# ---- polynomials as objects: the two spaces, the reversals and the
+# families, which the library keeps as coefficient arrays and stacks ----
+
+class DegreeTooSmall(QopucError):
+    """Reversal requested at a degree below the polynomial degree."""
+
+
+def _coerce_coeffs(coeffs) -> np.ndarray:
+    """A fresh (n+1, 4) float array (``qarr_from``), exact trailing zeros
+    trimmed so that the degree is the index of the last nonzero coefficient
+    (-0.0 is zero, NaN not)."""
+    arr = qarr_from(coeffs)
+    n = len(arr)
+    while n > 1 and not arr[n - 1].any():
+        n -= 1
+    return arr[:n] if n else np.zeros((1, 4))
+
+
+def _padded(arr: np.ndarray, n: int) -> np.ndarray:
+    """The first n coefficient rows, zero-padded at the top."""
+    out = np.zeros((n, 4))
+    m = min(n, len(arr))
+    out[:m] = arr[:m]
+    return out
+
+
+class _QPolyBase:
+    __slots__ = ("arr",)
+
+    def __init__(self, coeffs):
+        arr = _coerce_coeffs(coeffs)
+        arr.setflags(write=False)
+        object.__setattr__(self, "arr", arr)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("polynomials are immutable")
+
+    @property
+    def degree(self) -> int:
+        return len(self.arr) - 1
+
+    @property
+    def coeffs(self) -> tuple:
+        return tuple(Quaternion(*row) for row in self.arr.tolist())
+
+    def __eq__(self, other):
+        return (type(self) is type(other) and self.arr.shape == other.arr.shape
+                and bool((self.arr == other.arr).all()))
+
+    def __hash__(self):
+        # -0.0 == 0.0 and hash(-0.0) == hash(0.0), so this matches __eq__
+        return hash((type(self).__name__, tuple(self.arr.ravel().tolist())))
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            raise TypeError("cannot mix polynomial spaces")
+        n = max(self.degree, other.degree) + 1
+        return type(self)(_padded(self.arr, n) + _padded(other.arr, n))
+
+    def __sub__(self, other):
+        if type(other) is not type(self):
+            raise TypeError("cannot mix polynomial spaces")
+        n = max(self.degree, other.degree) + 1
+        return type(self)(_padded(self.arr, n) - _padded(other.arr, n))
+
+    def __repr__(self):
+        return f"{type(self).__name__}(degree={self.degree})"
+
+    def to_json(self):
+        space = "L" if isinstance(self, QPolyL) else "R"
+        return {"space": space, "coeffs": self.arr.tolist()}
+
+
+class QPolyL(_QPolyBase):
+    """sum_k p^k phi_k: left-slice hyperholomorphic, coefficients on the right."""
+
+
+class QPolyR(_QPolyBase):
+    """sum_k phi_k p^k: right-slice hyperholomorphic, coefficients on the left."""
+
+
+def _reversed_coeffs(poly, n: int) -> np.ndarray:
+    """conj(poly_{n-k}) for k = 0..n, the polynomial zero-padded to degree n."""
+    if n < poly.degree:
+        raise DegreeTooSmall(f"reversal degree {n} below polynomial degree {poly.degree}")
+    return qarr_conj(_padded(poly.arr, n + 1)[::-1])
+
+
+def reverse_L(phi: QPolyL, n: int) -> QPolyR:
+    """phi^#(p) = conj(phi(1/conj p)) p^n; k-th coefficient conj(phi_{n-k})."""
+    return QPolyR(_reversed_coeffs(phi, n))
+
+
+def reverse_R(psi: QPolyR, m: int) -> QPolyL:
+    """psi^#(p) = p^m conj(psi(1/conj p)); k-th coefficient conj(psi_{m-k})."""
+    return QPolyL(_reversed_coeffs(psi, m))
+
+
+class OrthonormalFamily:
+    """right[n] in H[p]^L (right-orthonormal), left[n] in H[p]^R (left-),
+    n = 0..order, and the Verblunsky coefficients ``gammas`` that built them.
+
+    Holds the coefficient rows of both families as one (2, order+1, order+1, 4)
+    array ``rows``, rows[0] right and rows[1] left, row n holding degree n;
+    ``right`` and ``left`` build their polynomials when first read.
+    """
+
+    def __init__(self, gammas: np.ndarray, rows: np.ndarray):
+        self.gammas = gammas
+        self.rows = rows
+
+    @property
+    def order(self) -> int:
+        return len(self.gammas)
+
+    @functools.cached_property
+    def right(self) -> tuple:
+        return tuple(QPolyL(self.rows[0, n, : n + 1]) for n in range(self.order + 1))
+
+    @functools.cached_property
+    def left(self) -> tuple:
+        return tuple(QPolyR(self.rows[1, n, : n + 1]) for n in range(self.order + 1))
+
+
+def family(c, N: int, *args) -> OrthonormalFamily:
+    """Route B's families of degree 0..N as polynomial objects."""
+    return OrthonormalFamily(*orthonormal_polys(c, N, *args))
+
+
+def stacked(polys) -> tuple[np.ndarray, np.ndarray]:
+    """Polynomial objects as ``zero_slice`` and ``eval_norm_sq`` take them:
+    one (P, D+1, 4) coefficient array, zero-padded at the top, and the (P,)
+    mask of the QPolyL entries."""
+    coeffs = np.zeros((len(polys), max((psi.degree for psi in polys), default=0) + 1, 4))
+    for f, psi in enumerate(polys):
+        coeffs[f, : psi.degree + 1] = psi.arr
+    return coeffs, np.array([isinstance(psi, QPolyL) for psi in polys], dtype=bool)
+
+
 # ---- quaternion matrices, star products, the inner products, the Szego
 # recurrences on polynomials and the CD kernel at one point: the tests'
 # builders and oracles, which no command calls ----
@@ -571,10 +709,10 @@ def szego_family(gammas, N: int):
 def cd_kernel_diag(c, N: int, p: Quaternion) -> float:
     """K_N(p) = sum_{l<=N} |psi_l^L(p)|^2 + |psi_l^R(p)|^2, at one point off
     the unit sphere."""
-    fam = orthonormal_polys(c, N)
+    _, rows = orthonormal_polys(c, N)
     point = p.to_array()[None, :]
-    in_r = eval_norm_sq(fam.left[: N + 1], point)
-    in_l = eval_norm_sq(fam.right[: N + 1], point)
+    in_r = eval_norm_sq(rows[1], point, left=False)
+    in_l = eval_norm_sq(rows[0], point, left=True)
     return float(_kernel(in_r + in_l, N)[0])
 
 

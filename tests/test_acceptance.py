@@ -20,14 +20,14 @@ from qopuc.fixtures import random_gamma_seq
 from qopuc.matrix_opuc import defects, moments_from_alphas
 from qopuc.measures import QPositiveDensity, matrix_moments, moments_from_density
 from qopuc.polynomials import (
-    moments_from_verblunsky_q, orthonormal_polys, reverse_L, reverse_R, verblunsky_from_moments_q,
+    moments_from_verblunsky_q, orthonormal_polys, verblunsky_from_moments_q,
 )
 from qopuc.quaternions import Quaternion, SliceFrame, chi, chi_mat
 from qopuc.zeros import zeros_theorem_check
 from conftest import (
-    bernstein_szego_density, block_permutation, blockwise_chi, cd_kernel_diag, coeff, inner_L,
-    inner_R, lebesgue_density, matrix_gram_schmidt, random_frame, random_quaternion, shift,
-    smooth_trig_density, vanishing_density,
+    bernstein_szego_density, block_permutation, blockwise_chi, cd_kernel_diag, coeff, family,
+    inner_L, inner_R, lebesgue_density, matrix_gram_schmidt, random_frame, random_quaternion,
+    reverse_L, reverse_R, shift, smooth_trig_density, vanishing_density,
 )
 
 FIXDIR = Path(__file__).resolve().parent.parent / "fixtures"
@@ -110,7 +110,7 @@ def test_criterion_3_orthonormality_and_correspondence():
     worst_phi = 0.0
     for seed, gammas in random_fixture_suite(count=20, N=12):
         c = moments_from_verblunsky_q(gammas, 12, frame)
-        fam = orthonormal_polys(c, 12)
+        fam = family(c, 12)
         for n in range(13):
             for m in range(13):
                 target = Quaternion(1.0 if n == m else 0.0)
@@ -138,13 +138,13 @@ def test_criterion_4_szego_recurrence_residuals():
     worst = 0.0
     suites = [random_gamma_seq(s, 12) for s in (4001, 4002, 4003, 4004, 4005)]
     suites.append(verblunsky_from_moments_q(
-        moments_from_density(bernstein_szego_density(), 12), 12)[0])
+        moments_from_density(bernstein_szego_density(), 12), 12, frame)[0])
     suites.append(verblunsky_from_moments_q(
-        moments_from_density(smooth_trig_density(), 12), 12)[0])
+        moments_from_density(smooth_trig_density(), 12), 12, frame)[0])
     for gammas in suites:
         N = len(gammas)
         c = moments_from_verblunsky_q(gammas, N, frame)
-        fam = orthonormal_polys(c, N)
+        fam = family(c, N)
         revs_l = [reverse_R(fam.left[n], n) for n in range(N + 1)]
         revs_r = [reverse_L(fam.right[n], n) for n in range(N + 1)]
         for n in range(N):
@@ -183,7 +183,7 @@ def test_criterion_5_zeros_theorem():
               for d in (lebesgue_density(), bernstein_szego_density(),
                         vanishing_density(), smooth_trig_density())]
     for c, fr in cases:
-        rows = zeros_theorem_check(orthonormal_polys(c, 10), fr)["per_degree"]
+        rows = zeros_theorem_check(orthonormal_polys(c, 10)[1], fr)["per_degree"]
         for row in rows:
             worst_inside = max(worst_inside, row["max_root_modulus"])
             worst_outside = min(worst_outside, row["min_reverse_modulus"])

@@ -12,13 +12,12 @@ from qopuc.analysis import (
 )
 from qopuc.fixtures import random_gamma_seq
 from qopuc.measures import QPositiveDensity, moments_from_density
-from qopuc.polynomials import (
-    VerblunskySeq, _gammas_via_matrix, eval_L, eval_R, orthonormal_polys,
-)
+from qopuc.polynomials import VerblunskySeq, _gammas_via_matrix, eval_L, eval_R
 from qopuc.quaternions import Quaternion
 from conftest import (
-    bernstein_szego_density, cd_kernel_diag, lebesgue_density, random_frame,
-    random_moment_fixture, random_unit_ball_quaternion, smooth_trig_density, vanishing_density,
+    bernstein_szego_density, cd_kernel_diag, family, lebesgue_density, random_frame,
+    random_moment_fixture, random_unit_ball_quaternion, reverse_L, reverse_R,
+    smooth_trig_density, stacked, vanishing_density,
 )
 
 
@@ -220,10 +219,10 @@ def _fixture_moments(name, n):
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
 def test_eval_norm_sq_bitwise_equal_to_scalar_eval(name):
-    from qopuc.polynomials import eval_L, eval_R, eval_norm_sq, reverse_L, reverse_R
+    from qopuc.polynomials import eval_L, eval_R, eval_norm_sq
 
     N = 8
-    fam = orthonormal_polys(_fixture_moments(name, N), N)
+    fam = family(_fixture_moments(name, N), N)
     # the reverses carry the exact zero coefficients of Bernstein-Szego
     space_l = list(fam.right) + [reverse_R(fam.left[n], n) for n in range(N + 1)]
     space_r = list(fam.left) + [reverse_L(fam.right[n], n) for n in range(N + 1)]
@@ -232,17 +231,18 @@ def test_eval_norm_sq_bitwise_equal_to_scalar_eval(name):
     points = rng.normal(size=(240, 4)) * rng.uniform(0.05, 2.0, size=(240, 1))
     points[0] = 0.0
     for polys, scalar in ((space_l, eval_L), (space_r, eval_R)):
-        got = eval_norm_sq(polys, points)
-        want = np.array([[scalar(phi, Quaternion(*p)).norm_sq() for p in points]
+        coeffs, left = stacked(polys)
+        got = eval_norm_sq(coeffs, points, bool(left[0]))
+        want = np.array([[scalar(phi.arr, Quaternion(*p)).norm_sq() for p in points]
                          for phi in polys])
         assert got.tobytes() == want.tobytes()
 
 
 def _cd_identity_scalar(c, N, samples, seed):
     """The per-point Quaternion loop cd_identity_check replaced: the oracle."""
-    from qopuc.polynomials import eval_L, eval_R, reverse_L, reverse_R
+    from qopuc.polynomials import eval_L, eval_R
 
-    fam = orthonormal_polys(c, N + 1)
+    fam = family(c, N + 1)
     rev_left = [reverse_R(fam.left[n], n) for n in range(N + 2)]
     rev_right = [reverse_L(fam.right[n], n) for n in range(N + 2)]
     rng = np.random.default_rng(seed)
@@ -254,12 +254,12 @@ def _cd_identity_scalar(c, N, samples, seed):
         p = Quaternion(*(radius * v))
 
         def weight(n):
-            return (eval_L(rev_left[n], p).norm_sq()
-                    + eval_R(rev_right[n], p).norm_sq())
+            return (eval_L(rev_left[n].arr, p).norm_sq()
+                    + eval_R(rev_right[n].arr, p).norm_sq())
 
         def plain(n):
-            return (eval_R(fam.left[n], p).norm_sq()
-                    + eval_L(fam.right[n], p).norm_sq())
+            return (eval_R(fam.left[n].arr, p).norm_sq()
+                    + eval_L(fam.right[n].arr, p).norm_sq())
 
         kernel = 0.0
         for l in range(N + 1):
@@ -283,10 +283,10 @@ def test_cd_identity_bitwise_equal_to_scalar_loop(name):
     rng = np.random.default_rng(9)
     for _ in range(5):
         p = Quaternion(*(rng.normal(size=4) * 0.3))
-        fam = orthonormal_polys(c, 4)
+        fam = family(c, 4)
         want = 0.0
         for l in range(5):
-            want += (eval_R(fam.left[l], p).norm_sq() + eval_L(fam.right[l], p).norm_sq())
+            want += (eval_R(fam.left[l].arr, p).norm_sq() + eval_L(fam.right[l].arr, p).norm_sq())
         assert cd_kernel_diag(c, 4, p) == want
 
 
@@ -298,9 +298,9 @@ def test_cd_identity_evaluates_every_sample_point(monkeypatch):
     evaluate = analysis.eval_norm_sq
     seen = {}
 
-    def recording(polys, points):
-        seen.setdefault(id(polys), []).append(points)
-        return evaluate(polys, points)
+    def recording(coeffs, points, left):
+        seen.setdefault(left, []).append(points)
+        return evaluate(coeffs, points, left)
 
     monkeypatch.setattr(analysis, "eval_norm_sq", recording)
     samples, seed = 2348, 5   # three full blocks of 682 points and a partial one

@@ -602,26 +602,26 @@ def test_moment_fixture_far_index_is_sparse(tmp_path):
 @pytest.mark.parametrize("command", ["moments-to-verblunsky", "sv"])
 def test_route_b_runs_one_recursion_and_builds_no_polynomial(tmp_path, monkeypatch, command):
     # route B reads the gammas of one Szego recursion on the moments; the
-    # families stay coefficient rows (the LDL* route ran two factorisations)
+    # families stay coefficient rows (the LDL* route ran two factorisations),
+    # and the library has no polynomial type to build
     from qopuc import polynomials
 
-    recursions, polys = [], []
-    recursion, init = polynomials.require_nontrivial, polynomials._QPolyBase.__init__
+    recursions, returned = [], []
+    recursion = polynomials.require_nontrivial
 
     def counting_recursion(*args, **kwargs):
         recursions.append(args[1])
-        return recursion(*args, **kwargs)
-
-    def counting_init(self, coeffs):
-        polys.append(type(self).__name__)
-        init(self, coeffs)
+        out = recursion(*args, **kwargs)
+        returned.append(out)
+        return out
 
     monkeypatch.setattr(polynomials, "require_nontrivial", counting_recursion)
-    monkeypatch.setattr(polynomials._QPolyBase, "__init__", counting_init)
     code, _ = run(tmp_path, command, str(FIXDIR / "smooth_trig.json"), "--n", "40")
     assert code == 0
     assert recursions == [40]
-    assert polys == []
+    (gammas, rows), = returned
+    assert type(gammas) is np.ndarray and gammas.shape == (40, 4)
+    assert type(rows) is np.ndarray and rows.shape == (2, 41, 41, 4)
 
 
 @pytest.mark.parametrize("argv", [
@@ -636,8 +636,9 @@ def test_family_readers_get_the_pair_form_rows(tmp_path, monkeypatch, argv):
     # the commands that read whole families get, member for member, the rows
     # of the interleaved-pair LDL* and of the polynomial recurrences run from
     # route A's gammas, to 5e-14 and 5e-15 (measured worst, both on
-    # random_gamma_7: 1.7e-14 and 1.3e-15)
-    from conftest import family_rows_pairs, szego_family
+    # random_gamma_7: 1.7e-14 and 1.3e-15), and read them from route B's one
+    # stack, which holds nothing past each degree
+    from conftest import OrthonormalFamily, family_rows_pairs, szego_family
     from qopuc import analysis, cli
     from qopuc.polynomials import _gammas_via_matrix
     from qopuc.quaternions import SliceFrame
@@ -648,9 +649,9 @@ def test_family_readers_get_the_pair_form_rows(tmp_path, monkeypatch, argv):
         original = module.orthonormal_polys
 
         def wrapped(c, N, *args):
-            fam = original(c, N, *args)
-            seen.append((c, N, fam))
-            return fam
+            out = original(c, N, *args)
+            seen.append((c, N, out))
+            return out
         monkeypatch.setattr(module, "orthonormal_polys", wrapped)
 
     keeping(cli)
@@ -658,7 +659,10 @@ def test_family_readers_get_the_pair_form_rows(tmp_path, monkeypatch, argv):
     argv = [str(FIXDIR / a) if a.endswith(".json") else a for a in argv]
     code, _ = run(tmp_path, *argv)
     assert code == 0 and len(seen) == 1
-    c, N, fam = seen[0]
+    c, N, (gammas, rows) = seen[0]
+    fam = OrthonormalFamily(gammas, rows)
+    assert rows.shape == (2, N + 1, N + 1, 4)
+    assert not np.triu(np.abs(rows).sum(axis=-1), 1).any()
     rows_r, rows_l = family_rows_pairs(c, N)
     states = szego_family(_gammas_via_matrix(c, N, SliceFrame.standard()), N)
     assert fam.order == N
@@ -857,6 +861,28 @@ def test_grid_beyond_float64_is_a_typed_error(tmp_path):
             assert json.loads(out)["error"] == {
                 "type": "ValueError", "message": "matrix density is not finite on the "
                                                  "7-point grid (its terms overflow float64)"}
+
+
+def test_baxter_names_a_density_that_is_not_positive_definite(tmp_path):
+    # the same fixture's moments are not positive definite at order 1; baxter
+    # runs route A alone, whose coefficient 0 is then not a contraction, and
+    # once reported that NotContraction, an error of coefficients the user
+    # never gave.  It now gives the order, as sv does from route B
+    fixture = tmp_path / "overflow.json"
+    fixture.write_text(json.dumps(OVERFLOW))
+    errors = {}
+    for command in ("baxter", "sv", "moments-to-verblunsky"):
+        code, out = run(tmp_path, command, str(fixture), "--n", "4")
+        assert code == 2
+        errors[command] = json.loads(out)["error"]
+    assert errors["baxter"] == {
+        "type": "NotPositiveDefinite",
+        "message": "Toeplitz form not positive definite at order 1 (route A: coefficient 0 "
+                   "is not a strict contraction)",
+        "order": 1}
+    assert errors["sv"] == errors["moments-to-verblunsky"] == {
+        "type": "NotPositiveDefinite",
+        "message": "Toeplitz form not positive definite at order 1 (pivot -inf)", "order": 1}
 
 
 # the CSV rows of each view, read off its JSON report field by field

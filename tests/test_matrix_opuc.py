@@ -779,7 +779,9 @@ def route_a_cases(name):
     moments of dual_route at N = 12, 25 and 40, which are ill-conditioned;
     and seeded moments in a seeded non-standard frame."""
     from qopuc.measures import MomentSequence, matrix_moments, moments_from_density
+    from qopuc.quaternions import SliceFrame
 
+    standard = SliceFrame.standard()
     if name.endswith("_density"):
         d = DENSITIES[name]()
         C = matrix_moments(moments_from_density(d, 400), d.frame, 400)[1:]
@@ -794,23 +796,23 @@ def route_a_cases(name):
         # C_3 is the last nonzero moment, C_2 = 0 lies inside the band
         c = MomentSequence([[1.0, 0.0, 0.0, 0.0], [0.3, 0.1, -0.05, 0.02], [0.0] * 4,
                             [0.05, -0.02, 0.01, 0.03]] + [[0.0] * 4] * 37)
-        C = matrix_moments(c)[1:]
+        C = matrix_moments(c, standard, 40)[1:]
         C[3:] = complex(-0.0, -0.0)
         return [(C, N) for N in (1, 2, 3, 4, 5, 40)]
     if name == "atom_lebesgue":
         c = MomentSequence([[1.0, 0.0, 0.0, 0.0]] + [[0.5, 0.0, 0.0, 0.0]] * 200)
-        return [(matrix_moments(c)[1:], 200)]
+        return [(matrix_moments(c, standard, 200)[1:], 200)]
     if name == "first_steps":
         d = smooth_trig_density()
         C = matrix_moments(moments_from_density(d, 9), d.frame, 9)[1:]
-        seeded = matrix_moments(random_moment_fixture(1017, 9))[1:]
+        seeded = matrix_moments(random_moment_fixture(1017, 9), standard, 9)[1:]
         return [(M, N) for M in (C, seeded) for N in range(1, 10)]
     if name == "rmax08_seeded":
-        return [(matrix_moments(random_moment_fixture(seed, 40))[1:], N)
+        return [(matrix_moments(random_moment_fixture(seed, 40), standard, 40)[1:], N)
                 for seed in (1017, 2017, 3017) for N in (12, 25, 40)]
     assert name == "seeded_frame"
     fr = random_frame(np.random.default_rng(4103))
-    return [(matrix_moments(random_moment_fixture(1017, 40, frame=fr), fr)[1:], 40)]
+    return [(matrix_moments(random_moment_fixture(1017, 40, frame=fr), fr, 40)[1:], 40)]
 
 
 @pytest.mark.parametrize("name", [*DENSITIES, "densities_seeded_frame", "banded_moments",

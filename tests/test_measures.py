@@ -356,16 +356,16 @@ def test_density_psd_implies_nontrivial():
 
 def test_matrix_moments(frame):
     c = lebesgue_moments(4)
-    C = matrix_moments(c, frame)
+    C = matrix_moments(c, frame, 4)
     assert np.array_equal(C[0], np.eye(2))
     assert all(np.max(np.abs(M)) == 0 for M in C[1:])
     # real-valued moments embed diagonally
     c = moments_from_density(bernstein_szego_density(), 4)
-    for M in matrix_moments(c, frame):
+    for M in matrix_moments(c, frame, 4):
         assert abs(M[0, 1]) == 0 and abs(M[1, 0]) == 0
     # gamma0 fixture: C_n = chi(gamma0)^n
     g = chi(Quaternion(0.5), frame)
-    C = matrix_moments(c, frame)
+    C = matrix_moments(c, frame, 4)
     power = np.eye(2)
     for n in range(5):
         assert np.max(np.abs(C[n] - power)) < 1e-14

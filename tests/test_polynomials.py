@@ -1,25 +1,27 @@
 from __future__ import annotations
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qopuc.errors import DegreeTooSmall, NotContraction, NotInImage, NotPositiveDefinite
+from qopuc.errors import NotContraction, NotInImage, NotPositiveDefinite
 from qopuc.fixtures import random_gamma_seq
 from qopuc.matrix_opuc import alphas_from_moments, moments_from_alphas
 from qopuc.measures import MomentSequence, QPositiveDensity, matrix_moments, moments_from_density
 from qopuc.polynomials import (
-    QPolyL, QPolyR, VerblunskySeq, eval_L, eval_R, moments_from_verblunsky_q, orthonormal_polys,
-    reverse_L, reverse_R, verblunsky_from_moments_q,
+    VerblunskySeq, eval_L, eval_R, eval_norm_sq, moments_from_verblunsky_q, orthonormal_polys,
+    reversed_rows, verblunsky_from_moments_q,
 )
 from qopuc.quaternions import QI, QJ, Quaternion, SliceFrame, chi, chi_inv, qarr_abs
 from conftest import (
-    QK, SzegoState, bernstein_szego_density, coeff, density_maps, family_rows_pairs,
-    fourier_values, from_split_scalar, inner_L, inner_R, lebesgue_density, qbytes, qmul_scalar,
-    random_frame, random_moment_fixture, random_quaternion, random_unit_ball_quaternion, shift,
-    signed_zero_coeff_arrays, smooth_trig_density, star_mul_L, star_mul_R, szego_advance,
-    szego_family, vanishing_density,
+    QK, DegreeTooSmall, OrthonormalFamily, QPolyL, QPolyR, SzegoState, bernstein_szego_density,
+    coeff, density_maps, family, family_rows_pairs, fourier_values, from_split_scalar, inner_L, inner_R,
+    lebesgue_density, qbytes, qmul_scalar, random_frame, random_moment_fixture,
+    random_quaternion, random_unit_ball_quaternion, reverse_L, reverse_R, shift,
+    signed_zero_coeff_arrays, smooth_trig_density, stacked, star_mul_L, star_mul_R,
+    szego_advance, szego_family, vanishing_density,
 )
 
 EYE2 = np.eye(2, dtype=complex)
@@ -32,10 +34,10 @@ from conftest import matrix_gram_schmidt  # the chi-embedded oracle
 
 def test_eval_examples():
     const = QPolyL([Quaternion(2, 1, 0, 0)])
-    assert eval_L(const, random_quaternion(np.random.default_rng(0))) == const.coeffs[0]
+    assert eval_L(const.arr, random_quaternion(np.random.default_rng(0))) == const.coeffs[0]
     phi = QPolyL([Quaternion(), QI])  # p * i
-    assert eval_L(phi, QJ) == QJ * QI
-    assert eval_L(phi, QJ) == -QK
+    assert eval_L(phi.arr, QJ) == QJ * QI
+    assert eval_L(phi.arr, QJ) == -QK
 
 
 def test_eval_left_right_mirror_at_reals(rng):
@@ -44,7 +46,7 @@ def test_eval_left_right_mirror_at_reals(rng):
         pl = QPolyL(coeffs)
         pr = QPolyR(coeffs)
         x = float(rng.normal())
-        assert abs(eval_L(pl, Quaternion(x)) - eval_R(pr, Quaternion(x))) < 1e-12
+        assert abs(eval_L(pl.arr, Quaternion(x)) - eval_R(pr.arr, Quaternion(x))) < 1e-12
 
 
 def test_star_product_examples():
@@ -63,12 +65,12 @@ def test_star_product_centrality_oracle(rng):
         a = QPolyL([random_quaternion(rng) for _ in range(4)])
         b = QPolyL([random_quaternion(rng) for _ in range(3)])
         x = Quaternion(float(rng.normal()))
-        lhs = eval_L(star_mul_L(a, b), x)
-        rhs = eval_L(a, x) * eval_L(b, x)
+        lhs = eval_L(star_mul_L(a, b).arr, x)
+        rhs = eval_L(a.arr, x) * eval_L(b.arr, x)
         assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(rhs))
         ar = QPolyR(a.coeffs)
         br = QPolyR(b.coeffs)
-        assert abs(eval_R(star_mul_R(ar, br), x) - eval_R(ar, x) * eval_R(br, x)) < 1e-10 * max(1.0, abs(rhs))
+        assert abs(eval_R(star_mul_R(ar, br).arr, x) - eval_R(ar.arr, x) * eval_R(br.arr, x)) < 1e-10 * max(1.0, abs(rhs))
 
 
 def test_reverse_examples_and_involution(rng):
@@ -94,16 +96,16 @@ def test_reverse_evaluation_identity(rng):
         phi = QPolyL(coeffs)
         rev = reverse_L(phi, n)  # in H[p]^R
         p = random_unit_ball_quaternion(rng, rmax=2.0, rmin=0.1)
-        lhs = eval_R(rev, p)
+        lhs = eval_R(rev.arr, p)
         pn = p
         for _ in range(n - 1):
             pn = pn * p
-        rhs = eval_L(phi, p.conjugate().inverse()).conjugate() * pn
+        rhs = eval_L(phi.arr, p.conjugate().inverse()).conjugate() * pn
         assert abs(lhs - rhs) < 1e-9 * max(1.0, abs(rhs))
         psi = QPolyR(coeffs)
         revp = reverse_R(psi, n)
-        lhs = eval_L(revp, p)
-        rhs = pn * eval_R(psi, p.conjugate().inverse()).conjugate()
+        lhs = eval_L(revp.arr, p)
+        rhs = pn * eval_R(psi.arr, p.conjugate().inverse()).conjugate()
         assert abs(lhs - rhs) < 1e-9 * max(1.0, abs(rhs))
 
 
@@ -159,8 +161,8 @@ def quad_inner_R(phi, psi, d, grid=4096):
         point_m = point.conjugate()
         w1 = float(fourier_values(maps[0], np.array([theta]))[0].real)
         w2 = from_split_scalar(frame, fourier_values(maps[1], np.array([theta]))[0], 0j)
-        term = eval_L(psi, point).conjugate() * w1 * eval_L(phi, point)
-        term = term + eval_L(psi, point).conjugate() * w2 * j * eval_L(phi, point_m)
+        term = eval_L(psi.arr, point).conjugate() * w1 * eval_L(phi.arr, point)
+        term = term + eval_L(psi.arr, point).conjugate() * w2 * j * eval_L(phi.arr, point_m)
         total = total + term
     return total * (1.0 / grid)
 
@@ -175,8 +177,8 @@ def quad_inner_L(phi, psi, d, grid=4096):
         point_m = point.conjugate()
         w1 = float(fourier_values(maps[0], np.array([theta]))[0].real)
         w2 = from_split_scalar(frame, fourier_values(maps[1], np.array([theta]))[0], 0j)
-        term = eval_R(phi, point) * w1 * eval_R(psi, point).conjugate()
-        term = term + eval_R(phi, point) * w2 * j * eval_R(psi, point_m).conjugate()
+        term = eval_R(phi.arr, point) * w1 * eval_R(psi.arr, point).conjugate()
+        term = term + eval_R(phi.arr, point) * w2 * j * eval_R(psi.arr, point_m).conjugate()
         total = total + term
     return total * (1.0 / grid)
 
@@ -210,7 +212,7 @@ def test_inner_product_positivity(rng):
 
 def test_orthonormal_lebesgue():
     c = moments_from_density(lebesgue_density(), 6)
-    fam = orthonormal_polys(c, 5)
+    fam = family(c, 5)
     for n in range(6):
         mono = [Quaternion()] * n + [Quaternion(1.0)]
         assert fam.right[n] == QPolyL(mono)
@@ -219,7 +221,7 @@ def test_orthonormal_lebesgue():
 
 def test_orthonormal_bernstein_szego_degree_one():
     c = moments_from_density(bernstein_szego_density(), 4)
-    fam = orthonormal_polys(c, 2)
+    fam = family(c, 2)
     r = np.sqrt(0.75)
     expect = QPolyL([Quaternion(-0.5 / r), Quaternion(1 / r)])
     assert max(abs(a - b) for a, b in zip(fam.right[1].coeffs, expect.coeffs)) < 1e-12
@@ -232,11 +234,11 @@ def test_orthonormal_exact_zeros():
     # exact 0.0, which Aberth's deflation at the origin relies on.  A
     # square-root or LAPACK factorisation of the Toeplitz form leaves
     # roundoff there instead.
-    fam = orthonormal_polys(moments_from_density(lebesgue_density(), 20), 20)
+    fam = family(moments_from_density(lebesgue_density(), 20), 20)
     for n in range(21):
         mono = [Quaternion()] * n + [Quaternion(1.0)]
         assert fam.right[n] == QPolyL(mono) and fam.left[n] == QPolyR(mono)
-    fam = orthonormal_polys(moments_from_density(bernstein_szego_density(), 20), 20)
+    fam = family(moments_from_density(bernstein_szego_density(), 20), 20)
     for n in range(2, 21):
         for poly in (fam.right[n], fam.left[n]):
             assert all(q == Quaternion() for q in poly.coeffs[: n - 1])
@@ -245,7 +247,7 @@ def test_orthonormal_exact_zeros():
 def test_szego_route_vanishing_density_closed_form():
     # |gamma_n| = 1/(n+2) for w = 1 + cos(theta), from route B alone
     c = moments_from_density(vanishing_density(), 100)
-    gammas = VerblunskySeq(orthonormal_polys(c, 100).gammas)
+    gammas = VerblunskySeq(orthonormal_polys(c, 100)[0])
     assert len(gammas) == 100
     err = max(abs(abs(g) - 1.0 / (n + 2)) for n, g in enumerate(gammas))
     assert err < 1e-12
@@ -260,7 +262,7 @@ def test_orthonormal_rejects_trivial():
 def test_gram_matrices_identity(rng):
     for seed in (3, 4):
         c = random_moment_fixture(seed, 9)
-        fam = orthonormal_polys(c, 8)
+        fam = family(c, 8)
         for n in range(9):
             for m in range(9):
                 target = Quaternion(1.0 if n == m else 0.0)
@@ -279,7 +281,7 @@ def test_embedding_naturality(rng):
     # outputs of the embedded moments
     frame = SliceFrame.standard()
     c = random_moment_fixture(21, 7)
-    fam = orthonormal_polys(c, 6)
+    fam = family(c, 6)
     C = matrix_moments(c, frame, 6)
     right_m, left_m = matrix_gram_schmidt(C, 6)
     for n in range(7):
@@ -311,7 +313,7 @@ def test_szego_iteration_matches_gram_schmidt(rng):
     for seed in (5, 17):
         gammas = random_gamma_seq(seed, 8)
         c = moments_from_verblunsky_q(gammas, 8)
-        fam = orthonormal_polys(c, 8)
+        fam = family(c, 8)
         states = szego_family(gammas, 8)
         for n in range(9):
             st = states[n]
@@ -327,7 +329,7 @@ def test_szego_iteration_matches_gram_schmidt(rng):
 def test_szego_recurrence_residuals(rng):
     gammas = random_gamma_seq(23, 10)
     c = moments_from_verblunsky_q(gammas, 10)
-    fam = orthonormal_polys(c, 10)
+    fam = family(c, 10)
     revs_l = [reverse_R(fam.left[n], n) for n in range(11)]   # H[p]^L
     revs_r = [reverse_L(fam.right[n], n) for n in range(11)]  # H[p]^R
     for n in range(10):
@@ -353,7 +355,7 @@ def test_verblunsky_route_agreement(rng):
     for seed in (2, 9, 31):
         gammas = random_gamma_seq(seed, 9)
         c = moments_from_verblunsky_q(gammas, 9)
-        got, residual = verblunsky_from_moments_q(c, 9)
+        got, residual = verblunsky_from_moments_q(c, 9, SliceFrame.standard())
         assert residual < 1e-8
         err = max(abs(a - b) for a, b in zip(gammas, got))
         assert err < 1e-9
@@ -361,10 +363,10 @@ def test_verblunsky_route_agreement(rng):
 
 def test_verblunsky_lebesgue_and_bernstein():
     c = moments_from_density(lebesgue_density(), 6)
-    got, _ = verblunsky_from_moments_q(c, 6)
+    got, _ = verblunsky_from_moments_q(c, 6, SliceFrame.standard())
     assert all(abs(g) < 1e-12 for g in got)
     c = moments_from_density(bernstein_szego_density(), 8)
-    got, _ = verblunsky_from_moments_q(c, 8)
+    got, _ = verblunsky_from_moments_q(c, 8, SliceFrame.standard())
     assert abs(got[0] - Quaternion(0.5)) < 1e-12
     assert all(abs(g) < 1e-10 for g in got.gammas[1:])
 
@@ -372,7 +374,7 @@ def test_verblunsky_lebesgue_and_bernstein():
 def test_round_trip_larger_radius(rng):
     gammas = random_gamma_seq(77, 10, rmax=0.9)
     c = moments_from_verblunsky_q(gammas, 10)
-    got, _ = verblunsky_from_moments_q(c, 10)
+    got, _ = verblunsky_from_moments_q(c, 10, SliceFrame.standard())
     err = max(abs(a - b) for a, b in zip(gammas, got))
     assert err < 1e-9
 
@@ -393,7 +395,7 @@ def test_both_routes_backward_error():
     for seed in range(1017, 6018, 1000):
         c = random_moment_fixture(seed, N, rmax=0.8)
         route_a = chi_inv(alphas_from_moments(matrix_moments(c, frame, N)[1:], N), frame)
-        route_b = orthonormal_polys(c, N).gammas
+        route_b = orthonormal_polys(c, N)[0]
         for gammas in (route_a, route_b):
             back = moments_from_verblunsky_q(VerblunskySeq(gammas), N)
             assert float(qarr_abs(back.arr - c.arr).max()) <= 1e-15, seed
@@ -404,7 +406,7 @@ def test_frame_sweep_consistency(rng):
     # change them
     gammas = random_gamma_seq(13, 6)
     c = moments_from_verblunsky_q(gammas, 6)
-    base, _ = verblunsky_from_moments_q(c, 6)
+    base, _ = verblunsky_from_moments_q(c, 6, SliceFrame.standard())
     for _ in range(3):
         fr = random_frame(rng)
         other, _ = verblunsky_from_moments_q(c, 6, frame=fr)
@@ -525,8 +527,8 @@ def test_eval_star_and_reverse_bitwise_equal_to_scalar_loops(rng):
             for c in q[-2::-1]:
                 acc_l = qmul_scalar(p, acc_l) + c
                 acc_r = qmul_scalar(acc_r, p) + c
-            assert eval_L(QPolyL(arr), p).to_array().tobytes() == acc_l.to_array().tobytes()
-            assert eval_R(QPolyR(arr), p).to_array().tobytes() == acc_r.to_array().tobytes()
+            assert eval_L(QPolyL(arr).arr, p).to_array().tobytes() == acc_l.to_array().tobytes()
+            assert eval_R(QPolyR(arr).arr, p).to_array().tobytes() == acc_r.to_array().tobytes()
         for n in (len(q) - 1, len(q) + 1):
             want = _bytes(_trimmed([_coeff(q, n - k).conjugate() for k in range(n + 1)]))
             assert reverse_L(QPolyL(arr), n).arr.tobytes() == want
@@ -548,7 +550,7 @@ def test_family_and_szego_bitwise_equal_to_scalar_loops(density):
     # szego_family and szego_advance against the loop on Quaternion lists,
     # from route B's gammas and a signed-zero gamma
     N = 7
-    gammas = orthonormal_polys(moments_from_density(density(), N), N).gammas
+    gammas = orthonormal_polys(moments_from_density(density(), N), N)[0]
     states = szego_family(VerblunskySeq(gammas), N)
     state = SzegoState.initial()
     for n, g in enumerate(_quats(gammas) + [Quaternion(0.25, -0.0, 0.0, -0.125)]):
@@ -594,7 +596,7 @@ def test_route_b_families_match_pair_form_and_szego_family(N):
     # and 4.9e-11
     from qopuc.polynomials import _gammas_via_matrix
     for c, seeded in _route_b_inputs(N):
-        fam = orthonormal_polys(c, N)
+        fam = family(c, N)
         rows = fam.rows
         scale = np.abs(rows).max() if seeded else 1.0
         pair_tol, szego_tol = (1e-7, 1e-9) if seeded else (1e-14, 1e-14)
@@ -611,7 +613,7 @@ def test_route_b_atom_plus_lebesgue_closed_form():
     # gamma_n = t / (1 + n t); the double-precision LDL* route read 5.6e-17
     t, N = 0.5, 200
     c = MomentSequence([1.0] + [t] * N)
-    gammas = orthonormal_polys(c, N).gammas
+    gammas = orthonormal_polys(c, N)[0]
     n = np.arange(N)
     assert np.abs(gammas[:, 1:]).max() == 0.0
     assert np.abs(gammas[:, 0] - t / (1 + n * t)).max() <= 1e-17
@@ -627,7 +629,8 @@ def test_route_b_no_route_mismatch_on_seeded_rmax08_moments():
     for N in (25, 40):
         for seed in range(1, 81):
             try:
-                verblunsky_from_moments_q(random_moment_fixture(seed, N, rmax=0.8), N)
+                verblunsky_from_moments_q(random_moment_fixture(seed, N, rmax=0.8), N,
+                                          SliceFrame.standard())
             except RouteMismatch:
                 mismatches.append((N, seed))
     assert mismatches == []
@@ -652,3 +655,84 @@ def test_realness_checks_name_the_first_non_real_row():
     with pytest.raises(NotPositiveDefinite) as info:
         require_nontrivial(moments([1.0, 0.0, float("nan"), 0.0]), 2)
     assert info.value.order == 1
+
+
+# ---- the stacked reversal against the reversals of polynomial objects ----
+
+FIXDIR = Path(__file__).resolve().parent.parent / "fixtures"
+FIXTURE_NAMES = ("lebesgue", "bernstein_szego_05", "vanishing_density", "smooth_trig",
+                 "random_gamma_7")
+
+
+def _fixture_rows(name):
+    """Route B's rows of a shipped fixture at N = 1-12, in its own frame and
+    in two seeded ones."""
+    from qopuc.cli import load_fixture, moments_from_fixture
+
+    for frame in (None, *(random_frame(np.random.default_rng(seed)) for seed in (31, 32))):
+        fix = load_fixture(str(FIXDIR / f"{name}.json"), frame)
+        for N in range(1, 13):
+            yield orthonormal_polys(moments_from_fixture(fix, N), N)[1]
+
+
+def _check_reversal(rows) -> int:
+    """``reversed_rows`` against reverse_L / reverse_R on the members: the
+    bytes of the object stack where its exact trim dropped nothing, else the
+    same values, the dropped positions zeros whose sign alone may differ.
+    Returns the number of reverses the trim shortened."""
+    rev = reversed_rows(rows)
+    N = rows.shape[1] - 1
+    assert rev.shape == rows.shape
+    shortened = 0
+    for f, reverse, cls in ((0, reverse_L, QPolyL), (1, reverse_R, QPolyR)):
+        for n in range(N + 1):
+            old = reverse(cls(rows[f, n, : n + 1]), n).arr
+            want = np.zeros((N + 1, 4))
+            want[: len(old)] = old
+            got = rev[f, n]
+            if len(old) == n + 1:
+                assert got.tobytes() == want.tobytes()
+                continue
+            shortened += 1
+            assert got[: len(old)].tobytes() == want[: len(old)].tobytes()
+            assert got[n + 1:].tobytes() == want[n + 1:].tobytes()
+            assert not got[len(old): n + 1].any()
+    return shortened
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_reversed_rows_equal_the_object_reverses(name):
+    # Lebesgue's p^n and Bernstein-Szego's exact zero coefficients have
+    # reverses of lower degree, which the object trim shortened
+    shortened = sum(_check_reversal(rows) for rows in _fixture_rows(name))
+    assert (shortened > 0) == (name in ("lebesgue", "bernstein_szego_05"))
+
+
+def test_reversed_rows_of_seeded_rmax08_moments():
+    for seed in (1017, 2017, 3017):
+        rows = orthonormal_polys(random_moment_fixture(seed, 40, rmax=0.8), 40)[1]
+        assert _check_reversal(rows) == 0
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_eval_norm_sq_on_stacked_rows_bitwise_equal_to_object_stack(name):
+    # the CD check's two spaces as slices of route B's stack and its reverses,
+    # against the same spaces stacked from polynomial objects
+    rng = np.random.default_rng(89)
+    points = rng.normal(size=(64, 4)) * rng.uniform(0.05, 2.0, size=(64, 1))
+    points[0] = 0.0
+    for rows in _fixture_rows(name):
+        fam = OrthonormalFamily(np.zeros((rows.shape[1] - 1, 4)), rows)
+        rev = reversed_rows(rows)
+        N = fam.order
+        spaces = (
+            (np.concatenate([rows[0], rev[1]]), True,
+             list(fam.right) + [reverse_R(fam.left[n], n) for n in range(N + 1)]),
+            (np.concatenate([rows[1], rev[0]]), False,
+             list(fam.left) + [reverse_L(fam.right[n], n) for n in range(N + 1)]),
+        )
+        for coeffs, left, polys in spaces:
+            objects, mask = stacked(polys)
+            assert (mask == left).all()
+            assert (eval_norm_sq(coeffs, points, left).tobytes()
+                    == eval_norm_sq(objects, points, left).tobytes())

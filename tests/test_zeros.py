@@ -6,17 +6,18 @@ import pytest
 import qopuc.zeros as zeros_module
 from qopuc.errors import NoConvergence, NotPositiveDefinite, RouteMismatch
 from qopuc.measures import MomentSequence, moments_from_density
-from qopuc.polynomials import QPolyL, QPolyR, orthonormal_polys, reverse_L, reverse_R
+from qopuc.polynomials import orthonormal_polys
 from qopuc.quaternions import Quaternion, SliceFrame, chi
 from qopuc.zeros import (
     _aberth_start, _companions, _conjugate_representatives, _greedy_distances, _pose, _stack,
     det_poly, roots, zero_slice, zeros_theorem_check,
 )
 from conftest import (
-    aberth_start, bernstein_szego_density, companion, lebesgue_density, multiset_distance,
-    qmul_scalar, random_frame, random_moment_fixture, random_quaternion,
-    random_unit_ball_quaternion, reduce_conjugate_pairs, root_values, signed_zero_coeff_arrays,
-    slice_problem, smooth_trig_density, star_mul_L, vanishing_density,
+    QPolyL, QPolyR, aberth_start, bernstein_szego_density, companion, family, lebesgue_density,
+    multiset_distance, qmul_scalar, random_frame, random_moment_fixture, random_quaternion,
+    random_unit_ball_quaternion, reduce_conjugate_pairs, reverse_L, reverse_R, root_values,
+    signed_zero_coeff_arrays, slice_problem, smooth_trig_density, stacked, star_mul_L,
+    vanishing_density,
 )
 
 
@@ -74,11 +75,12 @@ def test_det_poly_examples(rng, frame):
 def _posed_companions(polys, frame=SliceFrame.standard()):
     """Per polynomial, its monic form and companion matrix as the stacked pose
     gives them; None for a nonzero constant."""
-    posed = _pose(polys, frame)
+    coeffs, left = stacked(polys)
+    posed = _pose(coeffs, left, frame)
     out = []
     for p, n in enumerate(posed.degree.tolist()):
         out.append(None if n == 0 else (
-            posed.monic[p, :n + 1], _companions(posed.monic[[p], :n], posed.left[[p]])[0]))
+            posed.monic[p, :n + 1], _companions(posed.monic[[p], :n], left[[p]])[0]))
     return out
 
 
@@ -112,26 +114,26 @@ def test_companion_planted_roots(rng, frame):
         poly = QPolyL([Quaternion(1.0)])
         for a in planted:
             poly = star_mul_L(poly, QPolyL([-a, Quaternion(1.0)]))
-        report, = zero_slice([poly], frame)
+        report, = zero_slice(*stacked([poly]), frame)
         expected = [complex(a.w, np.linalg.norm(a.imag)) for a in planted]
         assert multiset_distance(root_values(report), expected) < 1e-8
 
 
 def test_zero_slice_simple(frame):
-    report, = zero_slice([QPolyL([Quaternion(), Quaternion(1.0)])], frame)
+    report, = zero_slice(*stacked([QPolyL([Quaternion(), Quaternion(1.0)])]), frame)
     assert report["slice_roots"] == [[0.0, 0.0]]
     assert report["all_inside_ball"] and not report["all_outside_closed_ball"]
 
 
 def test_zero_slice_bernstein(frame):
     c = moments_from_density(bernstein_szego_density(), 4)
-    fam = orthonormal_polys(c, 2)
-    report, = zero_slice([fam.right[1]], frame)
+    fam = family(c, 2)
+    report, = zero_slice(*stacked([fam.right[1]]), frame)
     assert len(report["slice_roots"]) == 1
     assert abs(root_values(report)[0] - 0.5) < 1e-14
     assert report["moduli"][0] < 1.0 and report["all_inside_ball"]
     rev = reverse_L(fam.right[1], 1)
-    report, = zero_slice([rev], frame)
+    report, = zero_slice(*stacked([rev]), frame)
     assert abs(root_values(report)[0] - 2.0) < 1e-14
     assert report["all_outside_closed_ball"]
 
@@ -140,9 +142,9 @@ def test_bernstein_szego_closed_form_zeros(rng):
     # phi_n = z^(n-1) (z - a) up to a positive factor, a = 1/2: roots 0 (n - 1
     # times) and a; the reverse is a multiple of 1 - a z, root 1/a
     c = moments_from_density(bernstein_szego_density(), 10)
-    fam = orthonormal_polys(c, 10)
+    fam = family(c, 10)
     for fr in (SliceFrame.standard(), random_frame(rng)):
-        reports = zeros_theorem_check(fam, fr)["reports"]
+        reports = zeros_theorem_check(fam.rows, fr)["reports"]
         assert len(reports) == 4 * 10
         for entry in reports:
             n, rep = entry["degree"], entry["report"]
@@ -164,14 +166,14 @@ def test_single_plane_slice_roots_the_scalar_factor(rng, monkeypatch):
         return roots(polys)
 
     monkeypatch.setattr(zeros_module, "roots", counting_roots)
-    single = orthonormal_polys(moments_from_density(vanishing_density(), 6), 6)
-    general = orthonormal_polys(random_moment_fixture(41, 7), 6)
+    single = family(moments_from_density(vanishing_density(), 6), 6)
+    general = family(random_moment_fixture(41, 7), 6)
     for fr in (SliceFrame.standard(), random_frame(rng)):
         for n in range(1, 7):
             for fam, want in ((single, n), (general, 2 * n)):
                 for poly in (fam.right[n], fam.left[n]):
                     degrees.clear()
-                    zero_slice([poly], fr)
+                    zero_slice(*stacked([poly]), fr)
                     assert degrees == [want]
     # coefficients in span{1, i} of the standard frame, where the star
     # products stay exactly in the plane: a diagonal image whose entry a is
@@ -181,7 +183,7 @@ def test_single_plane_slice_roots_the_scalar_factor(rng, monkeypatch):
     for z in planted:
         poly = star_mul_L(poly, QPolyL([Quaternion(-z.real, -z.imag), Quaternion(1.0)]))
     degrees.clear()
-    report, = zero_slice([poly], SliceFrame.standard())
+    report, = zero_slice(*stacked([poly]), SliceFrame.standard())
     assert degrees == [4]
     expected = [complex(z.real, abs(z.imag)) for z in planted]
     assert multiset_distance(root_values(report), expected) < 1e-12
@@ -209,20 +211,22 @@ def test_roots_rejects_a_bad_input_after_the_polynomials_before_it(monkeypatch):
 def test_zero_slice_q_poly_r(rng, frame):
     a = random_unit_ball_quaternion(rng, rmax=0.8, rmin=0.2)
     poly = QPolyR([-a, Quaternion(1.0)])
-    report, = zero_slice([poly], frame)
+    report, = zero_slice(*stacked([poly]), frame)
     assert multiset_distance(root_values(report),
                              [complex(a.w, np.linalg.norm(a.imag))]) < 1e-10
 
 
 def test_zeros_theorem_on_fixtures(rng):
     c = moments_from_density(lebesgue_density(), 8)
-    results = zeros_theorem_check(orthonormal_polys(c, 4))["per_degree"]
+    results = zeros_theorem_check(orthonormal_polys(c, 4)[1],
+                                  SliceFrame.standard())["per_degree"]
     for row in results:
         assert row["max_root_modulus"] < 1e-8
         assert row["all_inside_ball"] and row["reverses_outside"]
         assert row["left_right_distance"] < 1e-8
     c = random_moment_fixture(41, 11)
-    results = zeros_theorem_check(orthonormal_polys(c, 10))["per_degree"]
+    results = zeros_theorem_check(orthonormal_polys(c, 10)[1],
+                                  SliceFrame.standard())["per_degree"]
     for row in results:
         assert row["max_root_modulus"] < 1.0
         assert row["min_reverse_modulus"] > 1.0
@@ -233,16 +237,16 @@ def test_zeros_theorem_on_fixtures(rng):
 def test_zeros_theorem_rejects_trivial():
     atom = MomentSequence([Quaternion(1.0)] * 6)
     with pytest.raises(NotPositiveDefinite):
-        zeros_theorem_check(orthonormal_polys(atom, 3))
+        zeros_theorem_check(orthonormal_polys(atom, 3)[1], SliceFrame.standard())
 
 
 def test_frame_independence_of_moduli(rng):
     c = random_moment_fixture(55, 7)
-    fam = orthonormal_polys(c, 6)
+    fam = family(c, 6)
     base = None
     for _ in range(5):
         fr = random_frame(rng)
-        report, = zero_slice([fam.right[5]], fr)
+        report, = zero_slice(*stacked([fam.right[5]]), fr)
         mods = np.sort(np.array(report["moduli"]))
         if base is None:
             base = mods
@@ -254,7 +258,7 @@ def test_monic_normalisation_preserves_zeros(rng, frame):
     a = random_unit_ball_quaternion(rng, rmax=0.7, rmin=0.3)
     lead = random_quaternion(rng)
     poly = QPolyL([(-a) * lead, lead])  # (p - a) star lead
-    report, = zero_slice([poly], frame)
+    report, = zero_slice(*stacked([poly]), frame)
     assert multiset_distance(root_values(report),
                              [complex(a.w, np.linalg.norm(a.imag))]) < 1e-9
     (monic, _), = _posed_companions([poly], frame)
@@ -270,7 +274,7 @@ def test_two_route_agreement_desk_scale_ceiling(rng, frame):
         poly = QPolyL([Quaternion(1.0)])
         for a in planted:
             poly = star_mul_L(poly, QPolyL([-a, Quaternion(1.0)]))
-        report, = zero_slice([poly], frame, route_tol=tol)
+        report, = zero_slice(*stacked([poly]), frame, route_tol=tol)
         expected = [complex(a.w, np.linalg.norm(a.imag)) for a in planted]
         assert multiset_distance(root_values(report), expected) < match
 
@@ -409,7 +413,7 @@ def test_batched_roots_of_zeros_jobs_bitwise_equal_to_one_at_a_time(monkeypatch)
 
 def test_stacked_spectra_bitwise_equal_to_one_at_a_time(rng):
     from qopuc.quaternions import right_eigen_slice
-    fam = orthonormal_polys(random_moment_fixture(41, 9), 8)
+    fam = family(random_moment_fixture(41, 9), 8)
     for fr in (SliceFrame.standard(), random_frame(rng)):
         comps = [companion(fam.right[n])[1] for n in range(1, 9)]
         comps += [companion(fam.left[n])[1] for n in range(1, 9)]
@@ -427,7 +431,7 @@ def _first_error_one_at_a_time(polys, frame, route_tol, max_iter=500):
                    lambda batch: [_roots_scalar_loop(c, max_iter) for c in batch])
         try:
             for psi in polys:
-                zero_slice([psi], frame, route_tol)
+                zero_slice(*stacked([psi]), frame, route_tol)
         except Exception as exc:
             return exc
     return None
@@ -456,21 +460,21 @@ def test_zeros_job_raises_the_first_error_in_order(monkeypatch):
     """With the iteration budget cut so that high-degree rows stall, a
     route tolerance below every residual still raises the degree-1
     RouteMismatch, and the default one the stall of the first polynomial
-    that stalls; so does the job passed as an iterator."""
-    fam = orthonormal_polys(moments_from_density(smooth_trig_density(), 10), 10)
+    that stalls; so does the job stacked from its polynomial objects."""
+    fam = family(moments_from_density(smooth_trig_density(), 10), 10)
     frame = SliceFrame.standard()
     polys = _zeros_job_polys(fam)
     with pytest.raises(RouteMismatch) as degree_1:
-        zero_slice(polys[:1], frame, route_tol=1e-40)
+        zero_slice(*stacked(polys[:1]), frame, route_tol=1e-40)
     monkeypatch.setattr(zeros_module, "MAX_ABERTH_ITER", 8)
     for route_tol, kind in ((1e-40, RouteMismatch), (1e-8, NoConvergence)):
         want = _first_error_one_at_a_time(polys, frame, route_tol, max_iter=8)
         with pytest.raises(kind) as got:
-            zeros_theorem_check(fam, frame, route_tol)
+            zeros_theorem_check(fam.rows, frame, route_tol)
         assert type(want) is kind and str(got.value) == str(want)
-        with pytest.raises(kind) as got_iter:
-            zero_slice(iter(polys), frame, route_tol)
-        assert str(got_iter.value) == str(want)
+        with pytest.raises(kind) as got_objects:
+            zero_slice(*stacked(polys), frame, route_tol)
+        assert str(got_objects.value) == str(want)
     assert str(_first_error_one_at_a_time(polys, frame, 1e-40, max_iter=8)) == \
         str(degree_1.value)
 
@@ -488,46 +492,45 @@ def test_failed_stacked_spectrum_raises_in_order(monkeypatch):
         return right_eigen_slice(A, frame)
 
     monkeypatch.setattr(zeros_module, "right_eigen_slice", failing_on_size_3)
-    fam = orthonormal_polys(moments_from_density(smooth_trig_density(), 5), 5)
+    fam = family(moments_from_density(smooth_trig_density(), 5), 5)
     frame = SliceFrame.standard()
     polys = _zeros_job_polys(fam)
     for route_tol, kind in ((1e-40, RouteMismatch), (1e-8, NoConvergence)):
         want = _first_error_one_at_a_time(polys, frame, route_tol)
         with pytest.raises(kind) as got:
-            zeros_theorem_check(fam, frame, route_tol)
+            zeros_theorem_check(fam.rows, frame, route_tol)
         assert type(want) is kind and str(got.value) == str(want)
     entries = _counted_zero_slice(monkeypatch)
     with pytest.raises(NoConvergence, match="size 3"):
-        zeros_module.zero_slice([fam.right[3]], frame)
+        zeros_module.zero_slice(*stacked([fam.right[3]]), frame)
     assert len(entries) == 1
 
 
 def test_zero_slice_raises_a_stage_one_error_after_earlier_checks(monkeypatch):
-    """An input that fails before rooting (a zero polynomial, or an entry
-    that is not a quaternionic polynomial) is raised only after the
-    polynomials before it are checked, and not before a later polynomial's
-    stall.  A lone stalling polynomial raises its stall without a
-    re-check."""
-    fam = orthonormal_polys(moments_from_density(smooth_trig_density(), 3), 3)
+    """An input that fails before rooting (a zero polynomial, or one with a
+    coefficient that is not finite) is raised only after the polynomials
+    before it are checked, and not before a later polynomial's stall.  A
+    lone stalling polynomial raises its stall without a re-check."""
+    fam = family(moments_from_density(smooth_trig_density(), 3), 3)
     frame = SliceFrame.standard()
     zero = QPolyL(np.zeros((2, 4)))
-    not_a_poly = fam.right[2].arr
+    not_finite = QPolyL(np.concatenate([[[np.nan, 0.0, 0.0, 0.0]], fam.right[2].arr[1:]]))
     with pytest.raises(RouteMismatch):
-        zero_slice([fam.right[2], zero], frame, route_tol=1e-40)
+        zero_slice(*stacked([fam.right[2], zero]), frame, route_tol=1e-40)
     with pytest.raises(RouteMismatch):
-        zero_slice([fam.right[2], not_a_poly], frame, route_tol=-1.0)
+        zero_slice(*stacked([fam.right[2], not_finite]), frame, route_tol=-1.0)
     with pytest.raises(ValueError, match="zero polynomial"):
-        zero_slice([fam.right[2], zero, fam.right[3]], frame)
+        zero_slice(*stacked([fam.right[2], zero, fam.right[3]]), frame)
     monkeypatch.setattr(zeros_module, "MAX_ABERTH_ITER", 2)
     with pytest.raises(ValueError, match="zero polynomial"):
-        zero_slice([zero, fam.right[3]], frame)
-    with pytest.raises(TypeError, match="expected QPolyL or QPolyR"):
-        zero_slice([not_a_poly, fam.right[3]], frame)
+        zero_slice(*stacked([zero, fam.right[3]]), frame)
+    with pytest.raises(ValueError, match="must be finite"):
+        zero_slice(*stacked([not_finite, fam.right[3]]), frame)
     with pytest.raises(NoConvergence, match="stalled"):
-        zero_slice([fam.right[3], not_a_poly], frame)
+        zero_slice(*stacked([fam.right[3], not_finite]), frame)
     entries = _counted_zero_slice(monkeypatch)
     with pytest.raises(NoConvergence, match="stalled"):
-        zeros_module.zero_slice([fam.right[3]], frame)
+        zeros_module.zero_slice(*stacked([fam.right[3]]), frame)
     assert len(entries) == 1
 
 
@@ -546,9 +549,9 @@ def test_zero_slice_rejects_non_finite_coefficients(bad, message):
     frame = SliceFrame.standard()
     for cls in (QPolyL, QPolyR):
         with pytest.raises(ValueError, match=message):
-            zero_slice([good, cls(bad), QPolyL(np.zeros((2, 4)))], frame)
+            zero_slice(*stacked([good, cls(bad), QPolyL(np.zeros((2, 4)))]), frame)
     with pytest.raises(RouteMismatch):
-        zero_slice([good, QPolyL(bad)], frame, route_tol=-1.0)
+        zero_slice(*stacked([good, QPolyL(bad)]), frame, route_tol=-1.0)
 
 
 def _report_bits(report):
@@ -580,8 +583,8 @@ def test_mixed_and_shuffled_batches_bitwise_equal_to_one_polynomial_stages(rng):
     polynomials of both spaces, as given and shuffled: every report has the
     bits of the one-polynomial stages."""
     frame = random_frame(np.random.default_rng(33))
-    fam = orthonormal_polys(random_moment_fixture(41, 7), 6)
-    real = orthonormal_polys(moments_from_density(vanishing_density(), 6), 6)
+    fam = family(random_moment_fixture(41, 7), 6)
+    real = family(moments_from_density(vanishing_density(), 6), 6)
     batch = _zeros_job_polys(fam)[:12]
     for cls in (QPolyL, QPolyR):
         batch += [
@@ -593,9 +596,9 @@ def test_mixed_and_shuffled_batches_bitwise_equal_to_one_polynomial_stages(rng):
         ]
     want = [_zero_report_one(psi, frame) for psi in batch]
     assert sum(w[0] == b"" for w in want) == 4
-    assert [_report_bits(r) for r in zero_slice(batch, frame)] == want
+    assert [_report_bits(r) for r in zero_slice(*stacked(batch), frame)] == want
     perm = rng.permutation(len(batch))
-    shuffled = zero_slice([batch[k] for k in perm], frame)
+    shuffled = zero_slice(*stacked([batch[k] for k in perm]), frame)
     assert [_report_bits(shuffled[j]) for j in np.argsort(perm)] == want
 
 
@@ -606,7 +609,7 @@ def _fixture_family(name, n, frame):
 
     fix = load_fixture(str(Path(__file__).resolve().parent.parent / "fixtures" / f"{name}.json"),
                        frame)
-    return orthonormal_polys(moments_from_fixture(fix, n), n), fix.frame
+    return family(moments_from_fixture(fix, n), n), fix.frame
 
 
 def test_stacked_stages_of_zeros_jobs_bitwise_equal_to_one_polynomial_oracles(monkeypatch):
@@ -639,9 +642,10 @@ def test_stacked_stages_of_zeros_jobs_bitwise_equal_to_one_polynomial_oracles(mo
                     batch.clear()
                 fam, frame = _fixture_family(name, n, override)
                 polys = _zeros_job_polys(fam)
-                zeros_theorem_check(fam, frame)
+                zeros_theorem_check(fam.rows, frame)
                 jobs += 1
-                posed = _pose(polys, frame)
+                coeffs, left = stacked(polys)
+                posed = _pose(coeffs, left, frame)
                 problems = [slice_problem(psi, frame) for psi in polys]
                 (batch, _), = calls["roots"]
                 assert len(batch) == sum(pr is not None for pr in problems)
@@ -652,7 +656,7 @@ def test_stacked_stages_of_zeros_jobs_bitwise_equal_to_one_polynomial_oracles(mo
                         assert deg == 0
                         continue
                     comp, coeffs, scalar = problem
-                    got = _companions(posed.monic[[p], :deg], posed.left[[p]])[0]
+                    got = _companions(posed.monic[[p], :deg], left[[p]])[0]
                     assert got.tobytes() == comp.tobytes()
                     assert bool(posed.single_plane[p]) == scalar
                     assert next(posed_coeffs).tobytes() == np.asarray(coeffs).tobytes()

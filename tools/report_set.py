@@ -59,7 +59,8 @@ and a fixture that holds both a density and moments, under
 a density with w1_0 = 2 under ``grid --grid 7``, ``sv --n 1`` and
 ``baxter --n 4``; a density whose +-1e308 terms cancel on the 2048-point
 PSD grid but overflow on the 7-point one under ``grid --grid 7`` json and
-csv (exit 2); a density with w1_1 = conj(w1_{-1}) + 1e-13 i, one with
+csv, and under ``baxter --n 4`` and ``sv --n 4``, where route A and route
+B find it not positive definite at order 1 (all exit 2); a density with w1_1 = conj(w1_{-1}) + 1e-13 i, one with
 indices +-10^9, an empty moment list, ``smooth_trig``'s coefficients in a
 non-standard frame of their own and moments at indices +-10^9, under
 ``moments-to-verblunsky --n 6``, ``sv --n 6`` and ``grid --grid 7``; the
@@ -303,6 +304,8 @@ def report_set(frames: dict[str, str]):
     for fmt in ("json", "csv"):
         yield f"overflow.grid.g7.{fmt}", ["grid", "fixtures/overflow.json", "--grid", "7",
                                           "--format", fmt]
+    for command in ("baxter", "sv"):
+        yield f"overflow.{command}.n4", [command, "fixtures/overflow.json", "--n", "4"]
     for name, argv in (("sv.n40.tol-route1e-40", ["sv", "--n", "40", "--tol-route", "1e-40"]),
                        ("sv.n8.tol-pd0.95", ["sv", "--n", "8", "--tol-pd", "0.95"]),
                        ("cd.n8.tol-pd0.95", ["cd", "--n", "8", "--tol-pd", "0.95"]),
