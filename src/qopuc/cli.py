@@ -234,16 +234,17 @@ class Fixture:
 
 def load_fixture(path: str, override: SliceFrame | None) -> Fixture:
     """The fixture at ``path``, checked once, for a job in ``override``, else
-    in the fixture's ``frame``, else in the standard frame.  A density's maps
-    are read in its own frame, and the density is built once, in the job's."""
+    in the fixture's ``frame``, else in the standard frame.  The fixture's
+    own frame is built, and so checked, under an override too.  A density's
+    maps are read in its own frame, and the density is built once, in the
+    job's."""
     with open(path, "r", encoding="utf-8") as fh:
         obj = _parse_json(fh.read(), "fixture")
     kind = _validate_fixture(obj)
+    own = fixture_frame(obj)   # a density always has one
+    frame = override or own or SliceFrame.standard()
     if kind == "density":
-        own = fixture_frame(obj, None)
-        frame = override or own
         return Fixture(frame, density=QPositiveDensity.from_json(obj, own, frame))
-    frame = fixture_frame(obj, override)
     if kind == "moments":
         return Fixture(frame, moments=dict(obj["moments"]))
     if kind == "gammas":
@@ -263,12 +264,9 @@ def parse_frame(spec: str | None) -> SliceFrame | None:
     return SliceFrame.from_json(obj)
 
 
-def fixture_frame(obj: dict, override: SliceFrame | None) -> SliceFrame:
-    if override is not None:
-        return override
-    if "frame" in obj:
-        return SliceFrame.from_json(obj["frame"])
-    return SliceFrame.standard()
+def fixture_frame(obj: dict) -> SliceFrame | None:
+    """The fixture's own ``frame``, None if it has none."""
+    return SliceFrame.from_json(obj["frame"]) if "frame" in obj else None
 
 
 def density_from_fixture(fix: Fixture) -> QPositiveDensity:

@@ -40,14 +40,14 @@ PSD_FLOOR = -1e-10
 C0_TOL = 1e-9
 NOT_NORMALISED = "c_0 must be 1 (probability normalisation)"
 PIVOT_TOL = 1e-12
+_ZERO = (0.0, 0.0, 0.0, 0.0)
 
 
 class MomentSequence:
     """Hermitian-symmetric, finite quaternion moments c_{-N}..c_N with c_0 = 1.
 
     Only the nonnegative half is stored, as a read-only (N+1, 4) array
-    ``arr``; indexing synthesises c_{-n} = conj(c_n) and hands out
-    ``Quaternion`` objects for the API.
+    ``arr``; c_{-n} = conj(c_n).
     """
 
     __slots__ = ("arr",)
@@ -69,14 +69,14 @@ class MomentSequence:
 
     @classmethod
     def from_map(cls, entries: dict, N: int) -> "MomentSequence":
-        """c_0..c_N from a sparse {n: c_n}, c_n a Quaternion or (w, x, y, z); a
+        """c_0..c_N from a sparse {n: c_n}, c_n a 4-sequence (w, x, y, z); a
         missing c_n is 0, and a negative index must match conj(c_{-n}).  Only
         c_0..c_N are built; HorizonExceeded if no |n| reaches N."""
         horizon = max((abs(n) for n in entries), default=-1)
-        seq = cls([entries.get(n, 0.0) for n in range(min(horizon, N) + 1)])
+        seq = cls([entries.get(n, _ZERO) for n in range(min(horizon, N) + 1)])
         for n, q in entries.items():
             if n < 0:
-                q, p = qarr_from([q, entries.get(-n, 0.0)])
+                q, p = qarr_from([q, entries.get(-n, _ZERO)])
                 with np.errstate(over="ignore"):   # a gap beyond the float range
                     gap = qarr_abs(q - qarr_conj(p))
                 if gap > 1e-12 * max(1.0, qarr_abs(q)) or gap == np.inf:
@@ -89,16 +89,8 @@ class MomentSequence:
     def horizon(self) -> int:
         return len(self.arr) - 1
 
-    def __getitem__(self, n: int) -> Quaternion:
-        if abs(n) > self.horizon:
-            raise HorizonExceeded(f"moment {n} beyond horizon {self.horizon}")
-        return Quaternion.from_array(self.arr[n] if n >= 0 else qarr_conj(self.arr[-n]))
-
     def to_json(self):
         return [[n, row] for n, row in enumerate(self.arr.tolist())]
-
-    def __repr__(self):
-        return f"MomentSequence(horizon={self.horizon})"
 
 
 def toeplitz(c: MomentSequence, n: int) -> np.ndarray:

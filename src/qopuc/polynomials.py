@@ -27,7 +27,7 @@ from .matrix_opuc import CONTRACTION_MARGIN, alphas_from_moments, moments_from_a
 from .measures import _BASIS_PRODUCTS, PIVOT_TOL, MomentSequence, matrix_moments, \
     require_nontrivial
 from .quaternions import (
-    Quaternion, SliceFrame, _coerce, chi, chi_inv, qarr_abs, qarr_conj, qarr_from, qmul_parts,
+    Quaternion, SliceFrame, chi, chi_inv, qarr_abs, qarr_conj, qarr_from, qmul_parts,
 )
 
 ROUTE_TOL = 1e-8
@@ -44,17 +44,19 @@ def _horner(coeffs, p, left: bool) -> tuple:
     return acc
 
 
-def eval_L(phi: np.ndarray, p: Quaternion) -> Quaternion:
-    """Horner evaluation of sum p^k phi_k (powers multiply from the left),
-    the coefficients phi an (n+1, 4) array."""
-    return Quaternion(*_horner(np.asarray(phi, dtype=float).tolist(),
-                               _coerce(p).to_array().tolist(), left=True))
+def eval_L(phi: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Horner evaluation of sum p^k phi_k (powers multiply from the left) at
+    the (4,) point p, as a (4,) array; the coefficients phi an (n+1, 4)
+    array."""
+    return np.array(_horner(np.asarray(phi, dtype=float).tolist(),
+                            np.asarray(p, dtype=float).tolist(), left=True))
 
 
-def eval_R(phi: np.ndarray, p: Quaternion) -> Quaternion:
-    """Horner evaluation of sum phi_k p^k, the coefficients an (n+1, 4) array."""
-    return Quaternion(*_horner(np.asarray(phi, dtype=float).tolist(),
-                               _coerce(p).to_array().tolist(), left=False))
+def eval_R(phi: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Horner evaluation of sum phi_k p^k at the (4,) point p, as a (4,)
+    array; the coefficients an (n+1, 4) array."""
+    return np.array(_horner(np.asarray(phi, dtype=float).tolist(),
+                            np.asarray(p, dtype=float).tolist(), left=False))
 
 
 # qmul_parts as a table: part l of a b sums, over i = 0..3 in that order, the
@@ -94,7 +96,8 @@ def eval_norm_sq(coeffs: np.ndarray, points: np.ndarray, left: bool) -> np.ndarr
     H[p]^R (acc * p, as ``eval_R``); ``points`` is an (S, 4) array.  Returns
     a (P, S) array.  It runs the Horner loop of ``eval_L``/``eval_R`` on
     component arrays (``_horner_terms``), so every finite value is bitwise
-    the one ``eval_L(phi, p).norm_sq()`` / ``eval_R`` give; the zero padding
+    the w^2 + x^2 + y^2 + z^2, summed left to right, of what ``eval_L(phi,
+    p)`` / ``eval_R`` give; the zero padding
     above a polynomial's degree changes no nonzero bit, and the sign of a
     zero never reaches a norm square.  All the points go through one
     ``_horner_terms`` call, whose step temporary is 16 P S doubles; a caller
@@ -149,8 +152,8 @@ def orthonormal_polys(c: MomentSequence, N: int,
 
 class VerblunskySeq:
     """Quaternions with |gamma_n| < 1 - 1e-12, stored as a read-only (n, 4)
-    array ``arr``; indexing, iteration and ``gammas`` hand out ``Quaternion``
-    objects for the API, ``moduli()`` the array of |gamma_n|."""
+    array ``arr``; iteration hands out ``Quaternion`` records for the API,
+    ``moduli()`` the array of |gamma_n|."""
 
     __slots__ = ("arr",)
 
@@ -169,15 +172,8 @@ class VerblunskySeq:
     def __len__(self):
         return len(self.arr)
 
-    def __getitem__(self, n):
-        return Quaternion.from_array(self.arr[n])
-
     def __iter__(self):
-        return iter(self.gammas)
-
-    @property
-    def gammas(self) -> tuple:
-        return tuple(Quaternion(*row) for row in self.arr.tolist())
+        return (Quaternion(*row) for row in self.arr.tolist())
 
     def moduli(self) -> np.ndarray:
         return qarr_abs(self.arr)

@@ -1,4 +1,4 @@
-"""Quaternion arithmetic, slice frames, and the 2x2 complex embedding.
+"""Quaternion arrays, slice frames, and the 2x2 complex embedding.
 
 A slice frame is an ordered orthogonal pair (i, j) of imaginary units; it
 fixes a complex plane C_i inside the quaternions and the embedding ``chi``
@@ -9,22 +9,21 @@ matrix code frame-agnostic.
 Quaternion data inside the library are plain float arrays of shape
 (..., 4), the last axis holding coordinates in the basis (1, i, j, k):
 moments and Verblunsky coefficients (n, 4), polynomial coefficients
-(n+1, 4), quaternion matrices (n, n, 4).  ``Quaternion`` is the scalar type
-of the API.  One Hamilton product, ``qmul_parts``, serves both forms, on
-floats, on long-double scalars (route B's gamma) and on arrays;
-``polynomials.eval_norm_sq`` reads its terms as a table, in its order, to
-form a Horner step's 16 products in one multiply.  One frame-coordinate
-kernel, ``_frame_coords``, serves ``chi`` and ``chi_mat``, and its inverse
-``_from_frame_coords`` serves ``chi_inv``, so ``chi`` of a whole (..., 4)
-array and ``chi_inv`` of a whole (..., 2, 2) stack give the bits of the
-per-quaternion sums.
+(n+1, 4), quaternion matrices (n, n, 4); a frame holds its units i, j and
+k as (4,) arrays.  ``Quaternion`` is a record the API hands out (a
+``VerblunskySeq`` iterates as them) and has no arithmetic.  One Hamilton
+product, ``qmul_parts``, serves floats, long-double scalars (route B's
+gamma) and arrays; ``polynomials.eval_norm_sq`` reads its terms as a table,
+in its order, to form a Horner step's 16 products in one multiply.  One
+frame-coordinate kernel, ``_frame_coords``, serves ``chi`` and ``chi_mat``,
+and its inverse ``_from_frame_coords`` serves ``chi_inv``, so ``chi`` of a
+whole (..., 4) array and ``chi_inv`` of a whole (..., 2, 2) stack give the
+bits of the per-quaternion sums.
 ``right_eigen_slice`` answers one quaternion matrix or a stack with one
 LAPACK call.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -35,7 +34,8 @@ TAU_IMG = 1e-10
 FRAME_TOL = 1e-12
 
 class Quaternion:
-    """Immutable quaternion w + x i + y j + z k."""
+    """An immutable quaternion w + x i + y j + z k, as the API hands one out:
+    a record with its JSON form.  The library computes on (..., 4) arrays."""
 
     __slots__ = ("w", "x", "y", "z")
 
@@ -48,102 +48,11 @@ class Quaternion:
     def __setattr__(self, name, value):
         raise AttributeError("Quaternion is immutable")
 
-    # -- constructors -------------------------------------------------
-    @classmethod
-    def from_array(cls, a) -> "Quaternion":
-        return cls(a[0], a[1], a[2], a[3])
-
-    # -- structure ----------------------------------------------------
-    def to_array(self) -> np.ndarray:
-        return np.array([self.w, self.x, self.y, self.z])
-
-    @property
-    def real(self) -> float:
-        return self.w
-
-    @property
-    def imag(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z])
-
-    def conjugate(self) -> "Quaternion":
-        return Quaternion(self.w, -self.x, -self.y, -self.z)
-
-    def norm_sq(self) -> float:
-        return self.w * self.w + self.x * self.x + self.y * self.y + self.z * self.z
-
-    def __abs__(self) -> float:
-        return math.sqrt(self.norm_sq())
-
-    def inverse(self) -> "Quaternion":
-        n = self.norm_sq()
-        if n == 0.0:
-            raise ZeroDivisionError("zero quaternion has no inverse")
-        return Quaternion(self.w / n, -self.x / n, -self.y / n, -self.z / n)
-
-    # -- arithmetic ---------------------------------------------------
-    def __add__(self, other):
-        other = _coerce(other)
-        return Quaternion(self.w + other.w, self.x + other.x,
-                          self.y + other.y, self.z + other.z)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = _coerce(other)
-        return Quaternion(self.w - other.w, self.x - other.x,
-                          self.y - other.y, self.z - other.z)
-
-    def __rsub__(self, other):
-        return _coerce(other).__sub__(self)
-
-    def __neg__(self):
-        return Quaternion(-self.w, -self.x, -self.y, -self.z)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return Quaternion(self.w * other, self.x * other,
-                              self.y * other, self.z * other)
-        return Quaternion(*qmul_parts((self.w, self.x, self.y, self.z),
-                                      (other.w, other.x, other.y, other.z)))
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, float)):
-            return self.__mul__(other)
-        return _coerce(other).__mul__(self)
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, float)):
-            return Quaternion(self.w / other, self.x / other,
-                              self.y / other, self.z / other)
-        return self * _coerce(other).inverse()
-
-    def __eq__(self, other):
-        if isinstance(other, (int, float)):
-            other = Quaternion(other)
-        if not isinstance(other, Quaternion):
-            return NotImplemented
-        return (self.w, self.x, self.y, self.z) == (other.w, other.x, other.y, other.z)
-
-    def __hash__(self):
-        return hash((self.w, self.x, self.y, self.z))
-
     def __repr__(self):
         return f"Quaternion({self.w!r}, {self.x!r}, {self.y!r}, {self.z!r})"
 
     def to_json(self):
         return [self.w, self.x, self.y, self.z]
-
-
-def _coerce(value) -> Quaternion:
-    if isinstance(value, Quaternion):
-        return value
-    if isinstance(value, (int, float)):
-        return Quaternion(value)
-    raise TypeError(f"cannot interpret {value!r} as a quaternion")
-
-
-QI = Quaternion(0.0, 1.0)
-QJ = Quaternion(0.0, 0.0, 1.0)
 
 
 def qmul_parts(a, b) -> tuple:
@@ -162,7 +71,8 @@ def qmul_parts(a, b) -> tuple:
 
 
 class SliceFrame:
-    """An orthogonal pair (i, j) of imaginary units, with k = i j.
+    """An orthogonal pair (i, j) of imaginary units, with k = i j, each held
+    as a read-only (4,) float array.
 
     Validated at construction: both generators purely imaginary, unit norm,
     and orthogonal in the coordinate sense, each to 1e-12.
@@ -170,53 +80,43 @@ class SliceFrame:
 
     __slots__ = ("i", "j", "k")
 
-    def __init__(self, i: Quaternion, j: Quaternion):
-        i, j = _coerce(i), _coerce(j)
-        for name, u in (("i", i), ("j", j)):
-            if abs(u.real) > FRAME_TOL:
+    def __init__(self, i, j):
+        i, j = tuple(map(float, i)), tuple(map(float, j))
+        for name, (w, x, y, z) in (("i", i), ("j", j)):
+            if abs(w) > FRAME_TOL:
                 raise ValueError(f"frame generator {name} is not purely imaginary")
-            if abs(u.norm_sq() - 1.0) > FRAME_TOL:
+            if abs(w * w + x * x + y * y + z * z - 1.0) > FRAME_TOL:
                 raise ValueError(f"frame generator {name} is not a unit quaternion")
-        if abs(float(np.dot(i.imag, j.imag))) > FRAME_TOL:
+        if abs(float(np.dot(i[1:], j[1:]))) > FRAME_TOL:
             raise ValueError("frame generators are not orthogonal")
-        object.__setattr__(self, "i", i)
-        object.__setattr__(self, "j", j)
-        object.__setattr__(self, "k", i * j)
+        for name, unit in (("i", i), ("j", j), ("k", qmul_parts(i, j))):
+            unit = np.array(unit)
+            unit.setflags(write=False)
+            object.__setattr__(self, name, unit)
 
     def __setattr__(self, name, value):
         raise AttributeError("SliceFrame is immutable")
 
     @classmethod
     def standard(cls) -> "SliceFrame":
-        return cls(QI, QJ)
-
-    def __eq__(self, other):
-        if not isinstance(other, SliceFrame):
-            return NotImplemented
-        return self.i == other.i and self.j == other.j
-
-    def __hash__(self):
-        return hash((self.i, self.j))
-
-    def __repr__(self):
-        return f"SliceFrame(i={self.i!r}, j={self.j!r})"
+        return cls((0.0, 1.0, 0.0, 0.0), (0.0, 0.0, 1.0, 0.0))
 
     def to_json(self):
-        return {"i": self.i.to_json(), "j": self.j.to_json()}
+        return {"i": self.i.tolist(), "j": self.j.tolist()}
 
     @classmethod
     def from_json(cls, obj) -> "SliceFrame":
-        return cls(Quaternion.from_array(obj["i"]), Quaternion.from_array(obj["j"]))
+        return cls(obj["i"], obj["j"])
 
 
 def chi(p, frame: SliceFrame) -> np.ndarray:
     """The 2x2 complex image [[z1, z2], [-conj z2, conj z1]] of p.
 
-    ``p`` is a Quaternion or an (..., 4) array; an array maps entrywise to
-    an (..., 2, 2) array, so ``chi(poly.arr, frame)`` is the coefficientwise
+    ``p`` is an (..., 4) array (or a 4-sequence); it maps entrywise to an
+    (..., 2, 2) array, so ``chi(poly.arr, frame)`` is the coefficientwise
     image of a polynomial.
     """
-    A1, A2 = _frame_coords(p.to_array() if isinstance(p, Quaternion) else p, frame)
+    A1, A2 = _frame_coords(p, frame)
     out = np.empty(A1.shape + (2, 2), dtype=complex)
     out[..., 0, 0] = A1
     out[..., 0, 1] = A2
@@ -259,7 +159,8 @@ def qarr_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def qarr_inv(a: np.ndarray) -> np.ndarray:
-    """Elementwise inverse conj(q) / |q|^2, in ``Quaternion.inverse``'s order."""
+    """Elementwise inverse conj(q) / |q|^2: each component of conj(q)
+    divided by |q|^2."""
     return qarr_conj(a) / qarr_norm_sq(a)[..., None]
 
 
@@ -270,7 +171,8 @@ def qarr_conj(a: np.ndarray) -> np.ndarray:
 
 
 def qarr_norm_sq(a: np.ndarray) -> np.ndarray:
-    """|q|^2 over an (..., 4) array, in ``Quaternion.norm_sq``'s order."""
+    """|q|^2 over an (..., 4) array, summed w^2 + x^2 + y^2 + z^2 left to
+    right."""
     w, x, y, z = np.moveaxis(np.asarray(a, dtype=float), -1, 0)
     return w * w + x * x + y * y + z * z
 
@@ -289,13 +191,13 @@ def qarr_abs(a: np.ndarray) -> np.ndarray:
 
 
 def qarr_from(values) -> np.ndarray:
-    """A fresh (n, 4) float array from an array or from a sequence whose items
-    are Quaternions, reals (real quaternions) or 4-sequences (w, x, y, z)."""
-    if not isinstance(values, np.ndarray):
-        values = [v if isinstance(v, (list, tuple))
-                  else v.to_array() if isinstance(v, Quaternion)
-                  else (v, 0.0, 0.0, 0.0) if np.ndim(v) == 0 else v for v in values]
-    return np.array(values, dtype=float).reshape(-1, 4)
+    """A fresh (n, 4) float array from an (n, 4) array or a sequence of
+    4-sequences (w, x, y, z); ValueError for any other shape, so a flat list
+    of reals is not read as quaternions four at a time."""
+    arr = np.array(values, dtype=float)
+    if arr.size and arr.shape[1:] != (4,):
+        raise ValueError(f"quaternions must be rows of 4 components, got shape {arr.shape}")
+    return arr.reshape(-1, 4)
 
 
 def _frame_coords(A: np.ndarray, frame: SliceFrame):
@@ -311,9 +213,9 @@ def _frame_coords(A: np.ndarray, frame: SliceFrame):
     A1 = np.empty(A.shape[:-1], dtype=complex)
     A2 = np.empty(A.shape[:-1], dtype=complex)
     A1.real = A[..., 0]
-    A1.imag = np.vecdot(im, frame.i.imag)
-    A2.real = np.vecdot(im, frame.j.imag)
-    A2.imag = np.vecdot(im, frame.k.imag)
+    A1.imag = np.vecdot(im, frame.i[1:])
+    A2.real = np.vecdot(im, frame.j[1:])
+    A2.imag = np.vecdot(im, frame.k[1:])
     return A1, A2
 
 
@@ -322,14 +224,14 @@ def _from_frame_coords(z1, z2, frame: SliceFrame) -> np.ndarray:
 
     Summed as ((z1.real + i z1.imag) + j z2.real) + k z2.imag per component
     from 0.0 off the real axis: the bits, signed zeros included, of the same
-    sum in ``Quaternion`` arithmetic.
+    sum on one quaternion's components.
     """
     z1 = np.asarray(z1, dtype=complex)
     z2 = np.asarray(z2, dtype=complex)
     out = np.zeros(np.broadcast_shapes(z1.shape, z2.shape) + (4,))
     out[..., 0] = z1.real
     for part, unit in ((z1.imag, frame.i), (z2.real, frame.j), (z2.imag, frame.k)):
-        out = out + part[..., None] * unit.to_array()
+        out = out + part[..., None] * unit
     return out
 
 

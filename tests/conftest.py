@@ -16,15 +16,159 @@ from qopuc.matrix_opuc import (
     schur_step,
 )
 from qopuc.measures import _BASIS_PRODUCTS, _CONJ, QPositiveDensity, _pivot_checked, toeplitz
-from qopuc.polynomials import eval_norm_sq, moments_from_verblunsky_q, orthonormal_polys
+from qopuc.polynomials import (
+    eval_L, eval_norm_sq, eval_R, moments_from_verblunsky_q, orthonormal_polys,
+)
+from qopuc import quaternions
 from qopuc.quaternions import (
-    Quaternion, SliceFrame, chi, qarr_conj, qarr_from, qarr_inv, qarr_mul, qarr_norm_sq,
+    SliceFrame, chi, qarr_conj, qarr_from, qarr_inv, qarr_mul, qarr_norm_sq, qmul_parts,
 )
 from qopuc.series import TruncSeries, series_inv
 from qopuc.zeros import NUMERIC_DEGREE_TOL, det_poly
 
+
+# ---- one quaternion on Python floats: the scalar oracle of the library's
+# (..., 4) array forms ----
+
+class Quaternion(quaternions.Quaternion):
+    """``qopuc.Quaternion`` with the arithmetic of one quaternion: the
+    operators, abs, conjugate, inverse, equality and hashing, the parts and
+    the array conversions.  Its product is the library's ``qmul_parts``."""
+
+    __slots__ = ()
+
+    # -- constructors -------------------------------------------------
+    @classmethod
+    def from_array(cls, a) -> "Quaternion":
+        return cls(a[0], a[1], a[2], a[3])
+
+    # -- structure ----------------------------------------------------
+    def to_array(self) -> np.ndarray:
+        return np.array([self.w, self.x, self.y, self.z])
+
+    @property
+    def real(self) -> float:
+        return self.w
+
+    @property
+    def imag(self) -> np.ndarray:
+        return np.array([self.x, self.y, self.z])
+
+    def conjugate(self) -> "Quaternion":
+        return Quaternion(self.w, -self.x, -self.y, -self.z)
+
+    def norm_sq(self) -> float:
+        return self.w * self.w + self.x * self.x + self.y * self.y + self.z * self.z
+
+    def __abs__(self) -> float:
+        return math.sqrt(self.norm_sq())
+
+    def inverse(self) -> "Quaternion":
+        n = self.norm_sq()
+        if n == 0.0:
+            raise ZeroDivisionError("zero quaternion has no inverse")
+        return Quaternion(self.w / n, -self.x / n, -self.y / n, -self.z / n)
+
+    # -- arithmetic ---------------------------------------------------
+    def __add__(self, other):
+        other = _coerce(other)
+        return Quaternion(self.w + other.w, self.x + other.x,
+                          self.y + other.y, self.z + other.z)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        other = _coerce(other)
+        return Quaternion(self.w - other.w, self.x - other.x,
+                          self.y - other.y, self.z - other.z)
+
+    def __rsub__(self, other):
+        return _coerce(other).__sub__(self)
+
+    def __neg__(self):
+        return Quaternion(-self.w, -self.x, -self.y, -self.z)
+
+    def __mul__(self, other):
+        if isinstance(other, (int, float)):
+            return Quaternion(self.w * other, self.x * other,
+                              self.y * other, self.z * other)
+        return Quaternion(*qmul_parts((self.w, self.x, self.y, self.z),
+                                      (other.w, other.x, other.y, other.z)))
+
+    def __rmul__(self, other):
+        if isinstance(other, (int, float)):
+            return self.__mul__(other)
+        return _coerce(other).__mul__(self)
+
+    def __truediv__(self, other):
+        if isinstance(other, (int, float)):
+            return Quaternion(self.w / other, self.x / other,
+                              self.y / other, self.z / other)
+        return self * _coerce(other).inverse()
+
+    def __eq__(self, other):
+        if isinstance(other, (int, float)):
+            other = Quaternion(other)
+        if not isinstance(other, Quaternion):
+            return NotImplemented
+        return (self.w, self.x, self.y, self.z) == (other.w, other.x, other.y, other.z)
+
+    def __hash__(self):
+        return hash((self.w, self.x, self.y, self.z))
+
+
+def _coerce(value) -> Quaternion:
+    if isinstance(value, Quaternion):
+        return value
+    if isinstance(value, (int, float)):
+        return Quaternion(value)
+    raise TypeError(f"cannot interpret {value!r} as a quaternion")
+
+
 ONE = Quaternion(1.0)
+QI = Quaternion(0.0, 1.0)
+QJ = Quaternion(0.0, 0.0, 1.0)
 QK = Quaternion(0.0, 0.0, 0.0, 1.0)
+
+
+def qarr(values) -> np.ndarray:
+    """``qarr_from`` of an array, or of a sequence whose items may also be
+    Quaternions or reals (real quaternions)."""
+    if not isinstance(values, np.ndarray):
+        values = [v.to_array() if isinstance(v, Quaternion)
+                  else (v, 0.0, 0.0, 0.0) if np.ndim(v) == 0 else v for v in values]
+    return qarr_from(values)
+
+
+def quats(arr) -> list[Quaternion]:
+    """The rows of an (n, 4) array as Quaternions."""
+    return [Quaternion(*row) for row in np.asarray(arr).tolist()]
+
+
+def frame_units(frame: SliceFrame) -> tuple[Quaternion, Quaternion, Quaternion]:
+    """A frame's units i, j and k as Quaternions."""
+    return tuple(Quaternion.from_array(unit) for unit in (frame.i, frame.j, frame.k))
+
+
+def same_frame(a: SliceFrame, b: SliceFrame) -> bool:
+    """Frames with equal generators i and j (so -0.0 matches 0.0)."""
+    return frame_units(a)[:2] == frame_units(b)[:2]
+
+
+def moment(c, n: int) -> Quaternion:
+    """c_n of a MomentSequence as a Quaternion, c_{-n} = conj(c_n)."""
+    q = Quaternion.from_array(c.arr[abs(n)])
+    return q if n >= 0 else q.conjugate()
+
+
+def eval_L_q(phi: np.ndarray, p: Quaternion) -> Quaternion:
+    """``eval_L`` at a Quaternion point, as a Quaternion."""
+    return Quaternion.from_array(eval_L(phi, p.to_array()))
+
+
+def eval_R_q(phi: np.ndarray, p: Quaternion) -> Quaternion:
+    """``eval_R`` at a Quaternion point, as a Quaternion."""
+    return Quaternion.from_array(eval_R(phi, p.to_array()))
 
 
 # ---- the named densities with closed forms, as the tests build them; the
@@ -87,9 +231,9 @@ def density_maps(d):
     w1_n = conj(w1_{-n}), w2_n = -w2_{-n} for n > 0."""
     w1, w2 = {}, {}
     for n, row in zip(d.index[::-1].tolist(), d.coeffs[::-1]):
-        w1[-n] = complex(row[0], float(np.dot(row[1:], d.frame.i.imag)))
-        w2[-n] = complex(float(np.dot(row[1:], d.frame.j.imag)),
-                         float(np.dot(row[1:], d.frame.k.imag)))
+        w1[-n] = complex(row[0], float(np.dot(row[1:], d.frame.i[1:])))
+        w2[-n] = complex(float(np.dot(row[1:], d.frame.j[1:])),
+                         float(np.dot(row[1:], d.frame.k[1:])))
     for n in d.index[1:].tolist():
         w1[n], w2[n] = w1[-n].conjugate(), -w2[-n]
     return w1, w2
@@ -115,7 +259,7 @@ def random_frame(rng) -> SliceFrame:
         if n2 < 1e-6:
             continue
         v2 = v2 / n2
-        return SliceFrame(Quaternion(0.0, *v1), Quaternion(0.0, *v2))
+        return SliceFrame((0.0, *v1), (0.0, *v2))
 
 
 def random_quaternion(rng, scale=1.0):
@@ -136,7 +280,7 @@ def random_contraction(rng, rmax=0.8):
 
 def random_chi_contraction(rng, frame=None, rmax=0.8):
     frame = frame or SliceFrame.standard()
-    return chi(random_unit_ball_quaternion(rng, rmax=rmax), frame)
+    return chi(random_unit_ball_quaternion(rng, rmax=rmax).to_array(), frame)
 
 
 def random_qmatrix(rng, n, scale=1.0):
@@ -334,8 +478,8 @@ def chi_scalar(p, frame):
     """The per-quaternion image: frame coordinates by np.dot on one
     quaternion, the 2x2 matrix from Python complex scalars."""
     im = p.imag
-    z1 = complex(p.w, float(np.dot(im, frame.i.imag)))
-    z2 = complex(float(np.dot(im, frame.j.imag)), float(np.dot(im, frame.k.imag)))
+    z1 = complex(p.w, float(np.dot(im, frame.i[1:])))
+    z2 = complex(float(np.dot(im, frame.j[1:])), float(np.dot(im, frame.k[1:])))
     return np.array([[z1, z2], [-z2.conjugate(), z1.conjugate()]])
 
 
@@ -344,13 +488,14 @@ def from_split_scalar(frame, z1, z2):
     per-value form of ``quaternions._from_frame_coords``, kept as its
     bitwise oracle."""
     z1, z2 = complex(z1), complex(z2)
-    return Quaternion(z1.real) + frame.i * z1.imag + frame.j * z2.real + frame.k * z2.imag
+    i, j, k = frame_units(frame)
+    return Quaternion(z1.real) + i * z1.imag + j * z2.real + k * z2.imag
 
 
 def signed_zero_frames(rng, count):
     """The standard frame, a frame whose generators carry -0.0 components,
     and ``count`` - 2 random frames."""
-    odd = SliceFrame(Quaternion(-0.0, -0.0, 1.0, -0.0), Quaternion(0.0, 1.0, -0.0, 0.0))
+    odd = SliceFrame((-0.0, -0.0, 1.0, -0.0), (0.0, 1.0, -0.0, 0.0))
     return [SliceFrame.standard(), odd] + [random_frame(rng) for _ in range(count - 2)]
 
 
@@ -454,10 +599,10 @@ class DegreeTooSmall(QopucError):
 
 
 def _coerce_coeffs(coeffs) -> np.ndarray:
-    """A fresh (n+1, 4) float array (``qarr_from``), exact trailing zeros
+    """A fresh (n+1, 4) float array (``qarr``), exact trailing zeros
     trimmed so that the degree is the index of the last nonzero coefficient
     (-0.0 is zero, NaN not)."""
-    arr = qarr_from(coeffs)
+    arr = qarr(coeffs)
     n = len(arr)
     while n > 1 and not arr[n - 1].any():
         n -= 1
@@ -678,7 +823,7 @@ def szego_advance(state: SzegoState, gamma) -> SzegoState:
     the maintained reverses stay equal to the degree-matched reversals of the
     first two sequences.
     """
-    g = qarr_from([gamma])[0]
+    g = qarr([gamma])[0]
     nsq = float(qarr_norm_sq(g))
     if not math.sqrt(nsq) < 1.0 - CONTRACTION_MARGIN:   # also rejects NaN
         raise NotContraction("gamma is not a strict contraction")

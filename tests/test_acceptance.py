@@ -22,12 +22,13 @@ from qopuc.measures import QPositiveDensity, matrix_moments, moments_from_densit
 from qopuc.polynomials import (
     moments_from_verblunsky_q, orthonormal_polys, verblunsky_from_moments_q,
 )
-from qopuc.quaternions import Quaternion, SliceFrame, chi, chi_mat
+from qopuc.quaternions import SliceFrame, chi, chi_mat
 from qopuc.zeros import zeros_theorem_check
 from conftest import (
-    bernstein_szego_density, block_permutation, blockwise_chi, cd_kernel_diag, coeff, family,
-    inner_L, inner_R, lebesgue_density, matrix_gram_schmidt, random_frame, random_quaternion,
-    reverse_L, reverse_R, shift, smooth_trig_density, vanishing_density,
+    Quaternion, bernstein_szego_density, block_permutation, blockwise_chi, cd_kernel_diag,
+    coeff, family, inner_L, inner_R, lebesgue_density, matrix_gram_schmidt, quats,
+    random_frame, random_quaternion, reverse_L, reverse_R, shift, smooth_trig_density,
+    vanishing_density,
 )
 
 FIXDIR = Path(__file__).resolve().parent.parent / "fixtures"
@@ -54,10 +55,10 @@ def test_criterion_1_embedding_suite():
         fr = frames[k % len(frames)]
         p = random_quaternion(rng)
         q = random_quaternion(rng)
-        Mp, Mq = chi(p, fr), chi(q, fr)
+        Mp, Mq = chi(p.to_array(), fr), chi(q.to_array(), fr)
         scale = max(1.0, abs(p) * abs(q))
-        worst = max(worst, float(np.max(np.abs(chi(p * q, fr) - Mp @ Mq))) / scale)
-        worst = max(worst, float(np.max(np.abs(chi(p.conjugate(), fr) - Mp.conj().T)))
+        worst = max(worst, float(np.max(np.abs(chi((p * q).to_array(), fr) - Mp @ Mq))) / scale)
+        worst = max(worst, float(np.max(np.abs(chi(p.conjugate().to_array(), fr) - Mp.conj().T)))
                     / max(1.0, abs(p)))
         worst = max(worst, abs(np.linalg.norm(Mp, 2) - abs(p)) / max(1.0, abs(p)))
     exact = True
@@ -86,7 +87,7 @@ def test_criterion_2_moments_verblunsky_round_trip():
     frame = SliceFrame.standard()
     for seed in range(200):
         gammas = random_gamma_seq(2000 + seed, 10, rmax=0.9)
-        alphas = np.array([chi(g, frame) for g in gammas])
+        alphas = chi(gammas.arr, frame)
         C = moments_from_alphas(alphas, 10)
         rhoL, rhoR = defects(alphas[0])
         closed_c1 = np.max(np.abs(C[0] - alphas[0]))
@@ -95,7 +96,8 @@ def test_criterion_2_moments_verblunsky_round_trip():
         worst_closed = max(worst_closed, float(closed_c1), float(closed_c2))
         c = moments_from_verblunsky_q(gammas, 10, frame)
         back, _ = verblunsky_from_moments_q(c, 10, frame)
-        worst_rt = max(worst_rt, max(abs(a - b) for a, b in zip(gammas, back)))
+        worst_rt = max(worst_rt, max(abs(a - b) for a, b in zip(quats(gammas.arr),
+                                                                quats(back.arr))))
     elapsed = time.time() - t0
     ok = worst_rt < 1e-9 and worst_closed < 1e-12 and elapsed < 10.0
     _report(2, "moments-verblunsky-round-trip", ok,
@@ -147,8 +149,7 @@ def test_criterion_4_szego_recurrence_residuals():
         fam = family(c, N)
         revs_l = [reverse_R(fam.left[n], n) for n in range(N + 1)]
         revs_r = [reverse_L(fam.right[n], n) for n in range(N + 1)]
-        for n in range(N):
-            g = gammas[n]
+        for n, g in enumerate(quats(gammas.arr)):
             gbar = g.conjugate()
             r = math.sqrt(1.0 - g.norm_sq())
             shift_l = shift(fam.left[n])

@@ -12,12 +12,12 @@ from qopuc.analysis import (
 )
 from qopuc.fixtures import random_gamma_seq
 from qopuc.measures import QPositiveDensity, moments_from_density
-from qopuc.polynomials import VerblunskySeq, _gammas_via_matrix, eval_L, eval_R
-from qopuc.quaternions import Quaternion
+from qopuc.polynomials import VerblunskySeq, _gammas_via_matrix
 from conftest import (
-    bernstein_szego_density, cd_kernel_diag, family, lebesgue_density, random_frame,
-    random_moment_fixture, random_unit_ball_quaternion, reverse_L, reverse_R,
-    smooth_trig_density, stacked, vanishing_density,
+    Quaternion, bernstein_szego_density, cd_kernel_diag, eval_L_q, eval_R_q, family,
+    lebesgue_density, qarr, quats, random_frame, random_moment_fixture,
+    random_unit_ball_quaternion, reverse_L, reverse_R, smooth_trig_density, stacked,
+    vanishing_density,
 )
 
 
@@ -117,16 +117,16 @@ def test_smooth_trig_grid_frame_invariant_to_four_ulp():
 
 
 def test_square_summability_examples():
-    zeros = VerblunskySeq([Quaternion()] * 20)
+    zeros = VerblunskySeq(qarr([Quaternion()] * 20))
     assert float(np.sum(zeros.moduli() ** 2)) == 0.0
     assert not _diverging_over_horizon(zeros.moduli() ** 2)
 
     n = 100000
-    conv = VerblunskySeq([Quaternion(0.5 / (k + 1)) for k in range(n)])
+    conv = VerblunskySeq(qarr([Quaternion(0.5 / (k + 1)) for k in range(n)]))
     assert not _diverging_over_horizon(conv.moduli() ** 2)
     assert abs(float(np.sum(conv.moduli() ** 2)) - (math.pi ** 2 / 6) * 0.25) < 1e-5
 
-    div = VerblunskySeq([Quaternion(0.5 / math.sqrt(k + 1)) for k in range(n)])
+    div = VerblunskySeq(qarr([Quaternion(0.5 / math.sqrt(k + 1)) for k in range(n)]))
     assert _diverging_over_horizon(div.moduli() ** 2)
 
 
@@ -198,7 +198,7 @@ def test_sv_gap_monotone_toward_zero_random():
     # density-free sanity check: partial products of the gammas
     prods = []
     acc = 1.0
-    for g in gammas:
+    for g in quats(gammas.arr):
         acc *= (1.0 - g.norm_sq()) ** 2
         prods.append(acc)
     assert all(prods[i + 1] <= prods[i] for i in range(len(prods) - 1))
@@ -233,15 +233,13 @@ def test_eval_norm_sq_bitwise_equal_to_scalar_eval(name):
     for polys, scalar in ((space_l, eval_L), (space_r, eval_R)):
         coeffs, left = stacked(polys)
         got = eval_norm_sq(coeffs, points, bool(left[0]))
-        want = np.array([[scalar(phi.arr, Quaternion(*p)).norm_sq() for p in points]
+        want = np.array([[Quaternion.from_array(scalar(phi.arr, p)).norm_sq() for p in points]
                          for phi in polys])
         assert got.tobytes() == want.tobytes()
 
 
 def _cd_identity_scalar(c, N, samples, seed):
     """The per-point Quaternion loop cd_identity_check replaced: the oracle."""
-    from qopuc.polynomials import eval_L, eval_R
-
     fam = family(c, N + 1)
     rev_left = [reverse_R(fam.left[n], n) for n in range(N + 2)]
     rev_right = [reverse_L(fam.right[n], n) for n in range(N + 2)]
@@ -254,12 +252,12 @@ def _cd_identity_scalar(c, N, samples, seed):
         p = Quaternion(*(radius * v))
 
         def weight(n):
-            return (eval_L(rev_left[n].arr, p).norm_sq()
-                    + eval_R(rev_right[n].arr, p).norm_sq())
+            return (eval_L_q(rev_left[n].arr, p).norm_sq()
+                    + eval_R_q(rev_right[n].arr, p).norm_sq())
 
         def plain(n):
-            return (eval_R(fam.left[n].arr, p).norm_sq()
-                    + eval_L(fam.right[n].arr, p).norm_sq())
+            return (eval_R_q(fam.left[n].arr, p).norm_sq()
+                    + eval_L_q(fam.right[n].arr, p).norm_sq())
 
         kernel = 0.0
         for l in range(N + 1):
@@ -286,7 +284,8 @@ def test_cd_identity_bitwise_equal_to_scalar_loop(name):
         fam = family(c, 4)
         want = 0.0
         for l in range(5):
-            want += (eval_R(fam.left[l].arr, p).norm_sq() + eval_L(fam.right[l].arr, p).norm_sq())
+            want += (eval_R_q(fam.left[l].arr, p).norm_sq()
+                     + eval_L_q(fam.right[l].arr, p).norm_sq())
         assert cd_kernel_diag(c, 4, p) == want
 
 

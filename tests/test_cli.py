@@ -418,6 +418,20 @@ def _gammas80(tmp_path) -> str:
     return str(path)
 
 
+def _quaternion_builds(monkeypatch) -> list:
+    """The arguments of every Quaternion built from here on."""
+    from qopuc.quaternions import Quaternion
+
+    built, init = [], Quaternion.__init__
+
+    def counting_init(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(Quaternion, "__init__", counting_init)
+    return built
+
+
 @pytest.mark.parametrize("argv, contraction_tests", [
     (["baxter", "smooth_trig.json", "--n", "200"], 200),
     (["moments-to-verblunsky", "smooth_trig.json", "--n", "40"], 40),
@@ -427,60 +441,80 @@ def _gammas80(tmp_path) -> str:
 ])
 def test_sequence_jobs_build_no_quaternion_per_value(tmp_path, monkeypatch, argv,
                                                      contraction_tests):
-    # moments and coefficients stay (n, 4) arrays from fixture to report: the
-    # only Quaternion objects a job builds are frame generators (their
-    # products k = i j included), one fixture frame and the envelope's
-    # standard frame; route A and the forward map test the contraction of
-    # each coefficient they read, once
+    # moments and coefficients stay (n, 4) arrays from fixture to report, and
+    # frames hold their units as arrays: a job builds no Quaternion; route A
+    # and the forward map test the contraction of each coefficient they read,
+    # once
     from qopuc import matrix_opuc
-    from qopuc.quaternions import Quaternion
 
-    built, norms = [], []
-    init, norm = Quaternion.__init__, matrix_opuc.operator_norm2
-
-    def counting_init(self, *args):
-        built.append(args)
-        init(self, *args)
+    norms = []
+    norm = matrix_opuc.operator_norm2
 
     def counting_norm(A):
         norms.append(1)
         return norm(A)
 
-    monkeypatch.setattr(Quaternion, "__init__", counting_init)
+    built = _quaternion_builds(monkeypatch)
     monkeypatch.setattr(matrix_opuc, "operator_norm2", counting_norm)
     argv = [_gammas80(tmp_path) if a == "gammas80.json" else str(FIXDIR / a)
             if a.endswith(".json") else a for a in argv]
     code, _ = run(tmp_path, *argv)
     assert code == 0
-    assert len(built) <= 4, built
+    assert built == []
     assert len(norms) == contraction_tests
 
 
-@pytest.mark.parametrize("fixture, n, own_builds", [
-    ("smooth_trig.json", "8", 1), ("random_gamma_7.json", "6", 0), ("moments.json", "6", 0),
+# one job of each command
+COMMAND_JOBS = [
+    ["moments-to-verblunsky", "smooth_trig.json", "--n", "6"],
+    ["verblunsky-to-moments", "random_gamma_7.json", "--n", "6"],
+    ["orthopolys", "random_gamma_7.json", "--n", "4"],
+    ["zeros", "smooth_trig.json", "--n", "4"],
+    ["cd", "random_gamma_7.json", "--n", "4", "--samples", "10"],
+    ["sv", "smooth_trig.json", "--n", "6"],
+    ["baxter", "vanishing_density.json", "--n", "8"],
+    ["grid", "smooth_trig.json", "--grid", "7"],
+    ["random-gamma", "--n", "6"],
+]
+
+
+@pytest.mark.parametrize("frame_flag", [
+    [], ["--frame", json.dumps({"i": [0.0, 0.0, 1.0, 0.0], "j": [0.0, 0.0, 0.0, 1.0]})],
+], ids=["no-frame", "override"])
+@pytest.mark.parametrize("argv", COMMAND_JOBS, ids=[argv[0] for argv in COMMAND_JOBS])
+def test_no_job_builds_a_quaternion(tmp_path, monkeypatch, argv, frame_flag):
+    # Quaternion is a record of the API: no command builds one
+    built = _quaternion_builds(monkeypatch)
+    code, _ = run(tmp_path, *[str(FIXDIR / a) if a.endswith(".json") else a for a in argv],
+                  *frame_flag)
+    assert code == 0
+    assert built == []
+
+
+@pytest.mark.parametrize("fixture, n", [
+    ("smooth_trig.json", "8"), ("random_gamma_7.json", "6"), ("moments.json", "6"),
 ], ids=["density", "gammas", "moments"])
-@pytest.mark.parametrize("frame_flag, flag_builds, flag_quaternions", [
-    ([], 0, 0),
-    (["--frame", "standard"], 0, 1),
-    (["--frame", json.dumps({"i": [0.0, 0.0, 1.0, 0.0], "j": [0.0, 0.0, 0.0, 1.0]})], 1, 3),
+@pytest.mark.parametrize("frame_flag, flag_builds", [
+    ([], 0),
+    (["--frame", "standard"], 0),
+    (["--frame", json.dumps({"i": [0.0, 0.0, 1.0, 0.0], "j": [0.0, 0.0, 0.0, 1.0]})], 1),
 ], ids=["no-frame", "standard", "override"])
-def test_one_frame_per_job(tmp_path, monkeypatch, fixture, n, own_builds, frame_flag,
-                           flag_builds, flag_quaternions):
-    # --frame is parsed once and the fixture's frame built once; under
-    # --frame only a density builds its own frame, to read its w1/w2 maps.
-    # A frame from JSON builds i, j and k = i j, the standard frame k alone
-    # (i and j are module constants), and nothing else builds a Quaternion
+def test_one_frame_per_job(tmp_path, monkeypatch, fixture, n, frame_flag, flag_builds):
+    # --frame is parsed once and the fixture's frame built once, under
+    # --frame too, where a density reads its w1/w2 maps in it and every
+    # fixture has it checked; the frames hold their units as arrays, so
+    # nothing builds a Quaternion
     from qopuc import cli
-    from qopuc.quaternions import Quaternion, SliceFrame
+    from qopuc.quaternions import SliceFrame
     from conftest import random_moment_fixture
 
     (tmp_path / "moments.json").write_text(json.dumps(
         {"frame": STANDARD_FRAME, "moments": random_moment_fixture(7, 6).to_json()}))
     path = str(tmp_path / fixture if fixture == "moments.json" else FIXDIR / fixture)
-    frame_builds = flag_builds + (own_builds if frame_flag else 1)
+    frame_builds = flag_builds + 1
 
-    parses, builds, built = [], [], []
-    parse, from_json, init = cli.parse_frame, SliceFrame.from_json.__func__, Quaternion.__init__
+    parses, builds = [], []
+    parse, from_json = cli.parse_frame, SliceFrame.from_json.__func__
 
     def counting_parse(spec):
         parses.append(spec)
@@ -490,20 +524,38 @@ def test_one_frame_per_job(tmp_path, monkeypatch, fixture, n, own_builds, frame_
         builds.append(obj)
         return from_json(cls, obj)
 
-    def counting_init(self, *args):
-        built.append(args)
-        init(self, *args)
-
     monkeypatch.setattr(cli, "parse_frame", counting_parse)
     monkeypatch.setattr(SliceFrame, "from_json", classmethod(counting_from_json))
-    monkeypatch.setattr(Quaternion, "__init__", counting_init)
+    built = _quaternion_builds(monkeypatch)
     for command in ("moments-to-verblunsky", "zeros"):
-        parses.clear(), builds.clear(), built.clear()
+        parses.clear(), builds.clear()
         code, _ = run(tmp_path, command, path, "--n", n, *frame_flag)
         assert code == 0
         assert len(parses) == 1
         assert len(builds) == frame_builds
-        assert len(built) == flag_quaternions + 3 * (frame_builds - flag_builds), built
+        assert built == []
+
+
+@pytest.mark.parametrize("frame_flag", [
+    ["--frame", "standard"],
+    ["--frame", json.dumps({"i": [0.0, 0.0, 1.0, 0.0], "j": [0.0, 0.0, 0.0, 1.0]})],
+], ids=["standard", "override"])
+@pytest.mark.parametrize("kind", ["gammas", "moments", "density"])
+def test_fixture_frame_is_checked_under_frame(tmp_path, kind, frame_flag):
+    # a fixture's own frame is checked when --frame overrides it; gammas and
+    # moments fixtures once ran in the override with a frame that is not one
+    payload = {
+        "gammas": {"gammas": [[0.1, 0.2, 0.0, 0.0]]},
+        "moments": {"moments": [[0, [1.0, 0.0, 0.0, 0.0]], [1, [0.1, 0.0, 0.0, 0.0]]]},
+        "density": {"w1": [[0, 1.0, 0.0]]},
+    }[kind]
+    path = tmp_path / "bad_frame.json"
+    path.write_text(json.dumps({"frame": {"i": [0, 2, 0, 0], "j": [0, 0, 1, 0]}, **payload}))
+    for flag in ([], frame_flag):
+        code, out = run(tmp_path, "moments-to-verblunsky", str(path), "--n", "1", *flag)
+        assert code == 2, flag
+        assert json.loads(out)["error"] == {
+            "type": "ValueError", "message": "frame generator i is not a unit quaternion"}
 
 
 def test_config_frame_is_the_frame_the_job_ran_in(tmp_path):

@@ -495,7 +495,7 @@ def test_forward_map_horizon_prefix_is_byte_identical():
     from qopuc.quaternions import SliceFrame, chi
 
     frame = SliceFrame.standard()
-    alphas = read_only([chi(g, frame) for g in random_gamma_seq(7, 80)])
+    alphas = read_only(chi(random_gamma_seq(7, 80).arr, frame))
     full = moments_from_alphas(alphas, 80)
     for K in range(1, 80):
         assert same_bytes(moments_from_alphas(alphas, K), full[:K])
@@ -523,7 +523,7 @@ def test_szego_advance_matches_matrix_szego_recurrence(rng):
 
     frame = SliceFrame.standard()
     gammas = [random_unit_ball_quaternion(rng) for _ in range(8)]
-    fam = matrix_szego_polys(read_only([chi(g, frame) for g in gammas]), 8)
+    fam = matrix_szego_polys(read_only([chi(g.to_array(), frame) for g in gammas]), 8)
     state = SzegoState.initial()
     for n, g in enumerate(gammas, start=1):
         state = szego_advance(state, g)
@@ -848,10 +848,10 @@ def test_forward_map_and_route_a_bitwise_equal_to_per_matrix_form():
 
     frame = SliceFrame.standard()
     for seed in (1017, 2017, 3017):
-        alphas = read_only([chi(g, frame) for g in random_gamma_seq(seed, 80, rmax=0.8)])
+        alphas = read_only(chi(random_gamma_seq(seed, 80, rmax=0.8).arr, frame))
         C = moments_from_alphas(alphas, 80)
         assert same_bytes(C, moments_from_alphas_per_matrix(alphas, 80))
-    alphas = read_only([chi(g, frame) for g in random_gamma_seq(1017, 400, rmax=0.8)])
+    alphas = read_only(chi(random_gamma_seq(1017, 400, rmax=0.8).arr, frame))
     C = moments_from_alphas(alphas, 400)
     assert same_bytes(C, moments_from_alphas_per_matrix(alphas, 400))
     general = np.random.default_rng(4101)
@@ -883,7 +883,7 @@ def test_route_a_and_forward_map_make_no_linalg_call(monkeypatch):
     d = smooth_trig_density()
     C = matrix_moments(moments_from_density(d, 200), d.frame, 200)[1:]
     frame = SliceFrame.standard()
-    alphas = read_only([chi(g, frame) for g in random_gamma_seq(7, 80)])
+    alphas = read_only(chi(random_gamma_seq(7, 80).arr, frame))
     want_a, want_c = alphas_from_moments(C, 200), moments_from_alphas(alphas, 80)
 
     def refuse(*args, **kwargs):
@@ -908,7 +908,7 @@ def test_each_coefficient_contraction_tested_once_per_map(monkeypatch):
     d = smooth_trig_density()
     C = matrix_moments(moments_from_density(d, 50), d.frame, 50)[1:]
     frame = SliceFrame.standard()
-    alphas = read_only([chi(g, frame) for g in random_gamma_seq(7, 40)])
+    alphas = read_only(chi(random_gamma_seq(7, 40).arr, frame))
     want_a, want_c = alphas_from_moments(C, 50), moments_from_alphas(alphas, 40)
     calls = []
 

@@ -14,14 +14,16 @@ from qopuc.polynomials import (
     VerblunskySeq, eval_L, eval_R, eval_norm_sq, moments_from_verblunsky_q, orthonormal_polys,
     reversed_rows, verblunsky_from_moments_q,
 )
-from qopuc.quaternions import QI, QJ, Quaternion, SliceFrame, chi, chi_inv, qarr_abs
+from qopuc.quaternions import SliceFrame, chi, chi_inv, qarr_abs
+from qopuc import quaternions
 from conftest import (
-    QK, DegreeTooSmall, OrthonormalFamily, QPolyL, QPolyR, SzegoState, bernstein_szego_density,
-    coeff, density_maps, family, family_rows_pairs, fourier_values, from_split_scalar, inner_L, inner_R,
-    lebesgue_density, qbytes, qmul_scalar, random_frame, random_moment_fixture,
-    random_quaternion, random_unit_ball_quaternion, reverse_L, reverse_R, shift,
-    signed_zero_coeff_arrays, smooth_trig_density, stacked, star_mul_L, star_mul_R,
-    szego_advance, szego_family, vanishing_density,
+    QI, QJ, QK, DegreeTooSmall, OrthonormalFamily, QPolyL, QPolyR, Quaternion, SzegoState,
+    bernstein_szego_density, coeff, density_maps, eval_L_q, eval_R_q, family,
+    family_rows_pairs, fourier_values, frame_units, from_split_scalar, inner_L, inner_R,
+    lebesgue_density, moment, qarr, qbytes, qmul_scalar, quats, random_frame,
+    random_moment_fixture, random_quaternion, random_unit_ball_quaternion, reverse_L,
+    reverse_R, shift, signed_zero_coeff_arrays, smooth_trig_density, stacked, star_mul_L,
+    star_mul_R, szego_advance, szego_family, vanishing_density,
 )
 
 EYE2 = np.eye(2, dtype=complex)
@@ -34,10 +36,11 @@ from conftest import matrix_gram_schmidt  # the chi-embedded oracle
 
 def test_eval_examples():
     const = QPolyL([Quaternion(2, 1, 0, 0)])
-    assert eval_L(const.arr, random_quaternion(np.random.default_rng(0))) == const.coeffs[0]
+    assert eval_L_q(const.arr, random_quaternion(np.random.default_rng(0))) == const.coeffs[0]
     phi = QPolyL([Quaternion(), QI])  # p * i
-    assert eval_L(phi.arr, QJ) == QJ * QI
-    assert eval_L(phi.arr, QJ) == -QK
+    assert eval_L(phi.arr, QJ.to_array()).shape == (4,)
+    assert eval_L_q(phi.arr, QJ) == QJ * QI
+    assert eval_L_q(phi.arr, QJ) == -QK
 
 
 def test_eval_left_right_mirror_at_reals(rng):
@@ -46,7 +49,7 @@ def test_eval_left_right_mirror_at_reals(rng):
         pl = QPolyL(coeffs)
         pr = QPolyR(coeffs)
         x = float(rng.normal())
-        assert abs(eval_L(pl.arr, Quaternion(x)) - eval_R(pr.arr, Quaternion(x))) < 1e-12
+        assert abs(eval_L_q(pl.arr, Quaternion(x)) - eval_R_q(pr.arr, Quaternion(x))) < 1e-12
 
 
 def test_star_product_examples():
@@ -65,12 +68,12 @@ def test_star_product_centrality_oracle(rng):
         a = QPolyL([random_quaternion(rng) for _ in range(4)])
         b = QPolyL([random_quaternion(rng) for _ in range(3)])
         x = Quaternion(float(rng.normal()))
-        lhs = eval_L(star_mul_L(a, b).arr, x)
-        rhs = eval_L(a.arr, x) * eval_L(b.arr, x)
+        lhs = eval_L_q(star_mul_L(a, b).arr, x)
+        rhs = eval_L_q(a.arr, x) * eval_L_q(b.arr, x)
         assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(rhs))
         ar = QPolyR(a.coeffs)
         br = QPolyR(b.coeffs)
-        assert abs(eval_R(star_mul_R(ar, br).arr, x) - eval_R(ar.arr, x) * eval_R(br.arr, x)) < 1e-10 * max(1.0, abs(rhs))
+        assert abs(eval_R_q(star_mul_R(ar, br).arr, x) - eval_R_q(ar.arr, x) * eval_R_q(br.arr, x)) < 1e-10 * max(1.0, abs(rhs))
 
 
 def test_reverse_examples_and_involution(rng):
@@ -96,16 +99,16 @@ def test_reverse_evaluation_identity(rng):
         phi = QPolyL(coeffs)
         rev = reverse_L(phi, n)  # in H[p]^R
         p = random_unit_ball_quaternion(rng, rmax=2.0, rmin=0.1)
-        lhs = eval_R(rev.arr, p)
+        lhs = eval_R_q(rev.arr, p)
         pn = p
         for _ in range(n - 1):
             pn = pn * p
-        rhs = eval_L(phi.arr, p.conjugate().inverse()).conjugate() * pn
+        rhs = eval_L_q(phi.arr, p.conjugate().inverse()).conjugate() * pn
         assert abs(lhs - rhs) < 1e-9 * max(1.0, abs(rhs))
         psi = QPolyR(coeffs)
         revp = reverse_R(psi, n)
-        lhs = eval_L(revp.arr, p)
-        rhs = pn * eval_R(psi.arr, p.conjugate().inverse()).conjugate()
+        lhs = eval_L_q(revp.arr, p)
+        rhs = pn * eval_R_q(psi.arr, p.conjugate().inverse()).conjugate()
         assert abs(lhs - rhs) < 1e-9 * max(1.0, abs(rhs))
 
 
@@ -114,7 +117,7 @@ def test_phi_maps_and_inverses(rng, frame):
     one = QPolyR([Quaternion(1.0)])
     assert np.array_equal(chi(one.arr, frame), np.array([EYE2]))
     jp = QPolyR([Quaternion(), QJ])  # j p
-    assert np.max(np.abs(chi(jp.arr, frame)[1] - chi(QJ, frame))) == 0
+    assert np.max(np.abs(chi(jp.arr, frame)[1] - chi(QJ.to_array(), frame))) == 0
     for _ in range(10):
         fr = random_frame(rng)
         coeffs = [random_quaternion(rng) for _ in range(4)]
@@ -142,27 +145,27 @@ def test_inner_product_small_cases():
     one = QPolyL([Quaternion(1.0)])
     p = QPolyL([Quaternion(), Quaternion(1.0)])
     assert abs(inner_R(one, one, c) - Quaternion(1.0)) < 1e-15
-    assert abs(inner_R(p, one, c) - c[1]) < 1e-15
+    assert abs(inner_R(p, one, c) - moment(c, 1)) < 1e-15
     oner = QPolyR([Quaternion(1.0)])
     pr = QPolyR([Quaternion(), Quaternion(1.0)])
     assert abs(inner_L(oner, oner, c) - Quaternion(1.0)) < 1e-15
     # transpose convention: <1, p>_L picks out c_{0-1} = conj(c_1)
-    assert abs(inner_L(oner, pr, c) - c[-1]) < 1e-15
-    assert abs(inner_L(pr, oner, c) - c[1]) < 1e-15
+    assert abs(inner_L(oner, pr, c) - moment(c, -1)) < 1e-15
+    assert abs(inner_L(pr, oner, c) - moment(c, 1)) < 1e-15
 
 
 def quad_inner_R(phi, psi, d, grid=4096):
     frame = d.frame
     maps = density_maps(d)
     total = Quaternion()
-    j = frame.j
+    j = frame_units(frame)[1]
     for theta in 2 * np.pi * np.arange(grid) / grid:
         point = from_split_scalar(frame, complex(np.cos(theta), np.sin(theta)), 0j)
         point_m = point.conjugate()
         w1 = float(fourier_values(maps[0], np.array([theta]))[0].real)
         w2 = from_split_scalar(frame, fourier_values(maps[1], np.array([theta]))[0], 0j)
-        term = eval_L(psi.arr, point).conjugate() * w1 * eval_L(phi.arr, point)
-        term = term + eval_L(psi.arr, point).conjugate() * w2 * j * eval_L(phi.arr, point_m)
+        term = eval_L_q(psi.arr, point).conjugate() * w1 * eval_L_q(phi.arr, point)
+        term = term + eval_L_q(psi.arr, point).conjugate() * w2 * j * eval_L_q(phi.arr, point_m)
         total = total + term
     return total * (1.0 / grid)
 
@@ -171,14 +174,14 @@ def quad_inner_L(phi, psi, d, grid=4096):
     frame = d.frame
     maps = density_maps(d)
     total = Quaternion()
-    j = frame.j
+    j = frame_units(frame)[1]
     for theta in 2 * np.pi * np.arange(grid) / grid:
         point = from_split_scalar(frame, complex(np.cos(theta), np.sin(theta)), 0j)
         point_m = point.conjugate()
         w1 = float(fourier_values(maps[0], np.array([theta]))[0].real)
         w2 = from_split_scalar(frame, fourier_values(maps[1], np.array([theta]))[0], 0j)
-        term = eval_R(phi.arr, point) * w1 * eval_R(psi.arr, point).conjugate()
-        term = term + eval_R(phi.arr, point) * w2 * j * eval_R(psi.arr, point_m).conjugate()
+        term = eval_R_q(phi.arr, point) * w1 * eval_R_q(psi.arr, point).conjugate()
+        term = term + eval_R_q(phi.arr, point) * w2 * j * eval_R_q(psi.arr, point_m).conjugate()
         total = total + term
     return total * (1.0 / grid)
 
@@ -249,12 +252,12 @@ def test_szego_route_vanishing_density_closed_form():
     c = moments_from_density(vanishing_density(), 100)
     gammas = VerblunskySeq(orthonormal_polys(c, 100)[0])
     assert len(gammas) == 100
-    err = max(abs(abs(g) - 1.0 / (n + 2)) for n, g in enumerate(gammas))
+    err = max(abs(abs(g) - 1.0 / (n + 2)) for n, g in enumerate(quats(gammas.arr)))
     assert err < 1e-12
 
 
 def test_orthonormal_rejects_trivial():
-    atom = MomentSequence([Quaternion(1.0)] * 5)
+    atom = MomentSequence([[1.0, 0.0, 0.0, 0.0]] * 5)
     with pytest.raises(NotPositiveDefinite):
         orthonormal_polys(atom, 3)
 
@@ -332,8 +335,7 @@ def test_szego_recurrence_residuals(rng):
     fam = family(c, 10)
     revs_l = [reverse_R(fam.left[n], n) for n in range(11)]   # H[p]^L
     revs_r = [reverse_L(fam.right[n], n) for n in range(11)]  # H[p]^R
-    for n in range(10):
-        g = gammas[n]
+    for n, g in enumerate(quats(gammas.arr)):
         gbar = g.conjugate()
         r = math.sqrt(1.0 - g.norm_sq())
         shift_l = shift(fam.left[n])
@@ -357,25 +359,26 @@ def test_verblunsky_route_agreement(rng):
         c = moments_from_verblunsky_q(gammas, 9)
         got, residual = verblunsky_from_moments_q(c, 9, SliceFrame.standard())
         assert residual < 1e-8
-        err = max(abs(a - b) for a, b in zip(gammas, got))
+        err = max(abs(a - b) for a, b in zip(quats(gammas.arr), quats(got.arr)))
         assert err < 1e-9
 
 
 def test_verblunsky_lebesgue_and_bernstein():
     c = moments_from_density(lebesgue_density(), 6)
     got, _ = verblunsky_from_moments_q(c, 6, SliceFrame.standard())
-    assert all(abs(g) < 1e-12 for g in got)
+    assert all(abs(g) < 1e-12 for g in quats(got.arr))
     c = moments_from_density(bernstein_szego_density(), 8)
     got, _ = verblunsky_from_moments_q(c, 8, SliceFrame.standard())
+    got = quats(got.arr)
     assert abs(got[0] - Quaternion(0.5)) < 1e-12
-    assert all(abs(g) < 1e-10 for g in got.gammas[1:])
+    assert all(abs(g) < 1e-10 for g in got[1:])
 
 
 def test_round_trip_larger_radius(rng):
     gammas = random_gamma_seq(77, 10, rmax=0.9)
     c = moments_from_verblunsky_q(gammas, 10)
     got, _ = verblunsky_from_moments_q(c, 10, SliceFrame.standard())
-    err = max(abs(a - b) for a, b in zip(gammas, got))
+    err = max(abs(a - b) for a, b in zip(quats(gammas.arr), quats(got.arr)))
     assert err < 1e-9
 
 
@@ -410,13 +413,13 @@ def test_frame_sweep_consistency(rng):
     for _ in range(3):
         fr = random_frame(rng)
         other, _ = verblunsky_from_moments_q(c, 6, frame=fr)
-        assert max(abs(a - b) for a, b in zip(base, other)) < 1e-9
+        assert max(abs(a - b) for a, b in zip(quats(base.arr), quats(other.arr))) < 1e-9
 
 
 def test_verblunsky_seq_validation():
     with pytest.raises(Exception):
-        VerblunskySeq([Quaternion(1.0)])
-    seq = VerblunskySeq([Quaternion(0.3, 0.4, 0, 0)])
+        VerblunskySeq(qarr([Quaternion(1.0)]))
+    seq = VerblunskySeq(qarr([Quaternion(0.3, 0.4, 0, 0)]))
     assert abs(seq.moduli()[0] - 0.5) < 1e-15
 
 
@@ -429,36 +432,36 @@ def test_verblunsky_contraction_test_matches_matrix_layer(bad):
     frame = SliceFrame.standard()
     head = [Quaternion(0.5), Quaternion(-0.25, 0.1)]
     with pytest.raises(NotContraction) as info:
-        VerblunskySeq([*head, bad])
+        VerblunskySeq(qarr([*head, bad]))
     assert info.value.index == 2
     with pytest.raises(NotContraction):
         szego_advance(SzegoState.initial(), bad)
     if abs(bad) < 2.0:   # finite
         with pytest.raises(NotContraction) as info:
-            moments_from_alphas([chi(g, frame) for g in (*head, bad)], 3)
+            moments_from_alphas([chi(g.to_array(), frame) for g in (*head, bad)], 3)
         assert info.value.index == 2
     inside = Quaternion(1.0 - 2e-12)
-    assert len(VerblunskySeq([inside])) == 1
-    assert moments_from_alphas([chi(g, frame) for g in (*head, inside)], 3).shape == (3, 2, 2)
+    assert len(VerblunskySeq(qarr([inside]))) == 1
+    assert moments_from_alphas([chi(g.to_array(), frame) for g in (*head, inside)],
+                               3).shape == (3, 2, 2)
     szego_advance(SzegoState.initial(), inside)
 
 
 def test_verblunsky_seq_arrays_bitwise_equal_to_quaternion_values(rng):
     gammas = [random_unit_ball_quaternion(rng, rmax=0.99) for _ in range(200)]
     gammas += [Quaternion(-0.0, 0.5, -0.0, 0.0), Quaternion(), Quaternion(1e-200, -3e-160)]
-    seq = VerblunskySeq(gammas)
+    seq = VerblunskySeq(qarr(gammas))
     assert seq.arr.tobytes() == qbytes(gammas) and not seq.arr.flags.writeable
     assert seq.moduli().tobytes() == np.array([abs(g) for g in gammas]).tobytes()
-    assert list(seq) == gammas and seq[3] == gammas[3] and seq.gammas == tuple(gammas)
+    # iteration hands out the API's records, with the oracle's bits
+    records = list(seq)
+    assert all(type(g) is quaternions.Quaternion for g in records)
+    assert qbytes(Quaternion(*g.to_json()) for g in records) == qbytes(gammas)
     assert seq.to_json() == [g.to_json() for g in gammas]
 
 
 # ---- the Quaternion-object implementations the array forms replaced,
 # kept as byte-level oracles ----
-
-def _quats(arr):
-    return [Quaternion(*row) for row in np.asarray(arr).tolist()]
-
 
 def _bytes(quats):
     return np.array([q.to_array() for q in quats]).tobytes()
@@ -477,7 +480,7 @@ def _trimmed(quats):
 
 def _szego_advance_scalar(state, gamma):
     """One step of the paired recurrences on lists of Quaternions."""
-    left, right, left_rev, right_rev = (_quats(p.arr) for p in (
+    left, right, left_rev, right_rev = (quats(p.arr) for p in (
         state.left, state.right, state.left_rev, state.right_rev))
     r_inv = 1.0 / np.sqrt(1.0 - gamma.norm_sq())
     gbar = gamma.conjugate()
@@ -500,15 +503,15 @@ def test_polynomial_storage_bitwise(rng):
         for cls in (QPolyL, QPolyR):
             padded = np.concatenate([arr, [[-0.0, 0.0, -0.0, 0.0], [0.0] * 4]])
             poly = cls(padded)
-            assert poly.arr.tobytes() == _bytes(_trimmed(_quats(padded)))
+            assert poly.arr.tobytes() == _bytes(_trimmed(quats(padded)))
             assert not poly.arr.flags.writeable
-            assert poly == cls(_quats(arr)) and hash(poly) == hash(cls(_quats(arr)))
-            assert poly.coeffs == tuple(_quats(arr))
-            assert shift(poly).arr.tobytes() == _bytes(_trimmed([Quaternion()] + _quats(arr)))
+            assert poly == cls(quats(arr)) and hash(poly) == hash(cls(quats(arr)))
+            assert poly.coeffs == tuple(quats(arr))
+            assert shift(poly).arr.tobytes() == _bytes(_trimmed([Quaternion()] + quats(arr)))
             other = cls(arr[::-1])
             n = max(len(arr), len(other.arr))
             for op in ("__add__", "__sub__"):
-                want = _trimmed([getattr(_coeff(_quats(arr), k), op)(_coeff(_quats(other.arr), k))
+                want = _trimmed([getattr(_coeff(quats(arr), k), op)(_coeff(quats(other.arr), k))
                                  for k in range(n)])
                 assert getattr(poly, op)(other).arr.tobytes() == _bytes(want)
     # -0.0 == 0.0, so polynomials differing only in zero signs are equal
@@ -521,19 +524,19 @@ def test_eval_star_and_reverse_bitwise_equal_to_scalar_loops(rng):
     arrays = signed_zero_coeff_arrays(rng)
     points = [random_quaternion(rng), Quaternion(0.5, -0.0, 0.0, -0.25), Quaternion()]
     for arr in arrays:
-        q = _quats(arr)
+        q = quats(arr)
         for p in points:
             acc_l = acc_r = q[-1]
             for c in q[-2::-1]:
                 acc_l = qmul_scalar(p, acc_l) + c
                 acc_r = qmul_scalar(acc_r, p) + c
-            assert eval_L(QPolyL(arr).arr, p).to_array().tobytes() == acc_l.to_array().tobytes()
-            assert eval_R(QPolyR(arr).arr, p).to_array().tobytes() == acc_r.to_array().tobytes()
+            assert eval_L(QPolyL(arr).arr, p.to_array()).tobytes() == acc_l.to_array().tobytes()
+            assert eval_R(QPolyR(arr).arr, p.to_array()).tobytes() == acc_r.to_array().tobytes()
         for n in (len(q) - 1, len(q) + 1):
             want = _bytes(_trimmed([_coeff(q, n - k).conjugate() for k in range(n + 1)]))
             assert reverse_L(QPolyL(arr), n).arr.tobytes() == want
             assert reverse_R(QPolyR(arr), n).arr.tobytes() == want
-        b = _quats(arrays[3])
+        b = quats(arrays[3])
         conv = []
         for l in range(len(q) + len(b) - 1):
             acc = Quaternion()
@@ -553,7 +556,7 @@ def test_family_and_szego_bitwise_equal_to_scalar_loops(density):
     gammas = orthonormal_polys(moments_from_density(density(), N), N)[0]
     states = szego_family(VerblunskySeq(gammas), N)
     state = SzegoState.initial()
-    for n, g in enumerate(_quats(gammas) + [Quaternion(0.25, -0.0, 0.0, -0.125)]):
+    for n, g in enumerate(quats(gammas) + [Quaternion(0.25, -0.0, 0.0, -0.125)]):
         nxt = szego_advance(state, g)
         expect = _szego_advance_scalar(state, g)
         for got, ref in zip((nxt.left, nxt.right, nxt.left_rev, nxt.right_rev), expect):
@@ -612,7 +615,7 @@ def test_route_b_atom_plus_lebesgue_closed_form():
     # mu = (1 - t) Lebesgue + t delta_0 with t = 1/2: c_n = 1/2 for n >= 1 and
     # gamma_n = t / (1 + n t); the double-precision LDL* route read 5.6e-17
     t, N = 0.5, 200
-    c = MomentSequence([1.0] + [t] * N)
+    c = MomentSequence(qarr([1.0] + [t] * N))
     gammas = orthonormal_polys(c, N)[0]
     n = np.arange(N)
     assert np.abs(gammas[:, 1:]).max() == 0.0
@@ -642,7 +645,7 @@ def test_realness_checks_name_the_first_non_real_row():
     from qopuc.measures import require_nontrivial
 
     def moments(c0):
-        c = MomentSequence([1.0, 0.25, 0.125])
+        c = MomentSequence(qarr([1.0, 0.25, 0.125]))
         object.__setattr__(c, "arr", np.array([c0, [0.25, 0, 0, 0], [0.125, 0, 0, 0]]))
         return c
     require_nontrivial(moments([1.0, 0.0, 0.0, 1e-8]), 2)   # at the tolerance: real

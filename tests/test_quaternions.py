@@ -1,17 +1,19 @@
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
 from qopuc.errors import NotInImage
 from qopuc.quaternions import (
-    QI, QJ, Quaternion, SliceFrame, _frame_coords, _from_frame_coords, chi, chi_inv, chi_mat,
-    qarr_abs, qarr_mul, right_eigen_slice,
+    SliceFrame, _frame_coords, _from_frame_coords, chi, chi_inv, chi_mat, qarr_abs, qarr_conj,
+    qarr_inv, qarr_mul, qarr_norm_sq, qmul_parts, right_eigen_slice,
 )
 from conftest import (
-    ONE, QK, block_permutation, blockwise_chi, chi_scalar, from_split_scalar, qbytes,
-    qmat_conj_T, qmat_mul, qmul_scalar, random_frame, random_qmatrix, random_quaternion,
-    signed_zero_coeff_arrays, signed_zero_frames,
+    ONE, QI, QJ, QK, Quaternion, block_permutation, blockwise_chi, chi_scalar,
+    from_split_scalar, qbytes, qmat_conj_T, qmat_mul, qmul_scalar, random_frame,
+    random_qmatrix, random_quaternion, signed_zero_coeff_arrays, signed_zero_frames,
 )
 
 
@@ -23,6 +25,15 @@ def test_defining_relations():
     p = Quaternion(1.5, -2.0, 0.25, 3.0)
     assert ONE * p == p
     assert p * ONE == p
+    # the library's product, on component tuples and on (4,) arrays
+    one, i, j, k = np.eye(4)
+    assert qmul_parts(tuple(i), tuple(j)) == tuple(k)
+    assert np.array_equal(qarr_mul(i, j), k)
+    for unit in (i, j, k):
+        assert np.array_equal(qarr_mul(unit, unit), -one)
+    p = p.to_array()
+    assert np.array_equal(qarr_mul(one, p), p)
+    assert np.array_equal(qarr_mul(p, one), p)
 
 
 def test_mul_bilinear_associative(rng):
@@ -33,6 +44,11 @@ def test_mul_bilinear_associative(rng):
         assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(a) * abs(b) * abs(c))
         s = 0.7
         assert abs((a * s) * b - (a * b) * s) < 1e-12
+        a, b, c = a.to_array(), b.to_array(), c.to_array()
+        lhs = qarr_mul(qarr_mul(a, b), c)
+        rhs = qarr_mul(a, qarr_mul(b, c))
+        assert qarr_abs(lhs - rhs) < 1e-12 * max(1.0, qarr_abs(a) * qarr_abs(b) * qarr_abs(c))
+        assert qarr_abs(qarr_mul(a * s, b) - qarr_mul(a, b) * s) < 1e-12
 
 
 def test_norm_multiplicative_and_conj(rng):
@@ -42,6 +58,16 @@ def test_norm_multiplicative_and_conj(rng):
         assert abs(abs(p * q) - abs(p) * abs(q)) < 1e-11 * max(1.0, abs(p) * abs(q))
         cp = p.conjugate() * p
         assert abs(cp - Quaternion(p.norm_sq())) < 1e-12 * max(1.0, p.norm_sq())
+        # the array forms: the same relations, and the oracle's inverse bit for bit
+        inv = p.inverse().to_array()
+        p, q = p.to_array(), q.to_array()
+        norm = qarr_abs(p) * qarr_abs(q)
+        assert abs(qarr_abs(qarr_mul(p, q)) - norm) < 1e-11 * max(1.0, norm)
+        nsq = qarr_norm_sq(p)
+        cp = qarr_mul(qarr_conj(p), p)
+        assert qarr_abs(cp - (nsq, 0.0, 0.0, 0.0)) < 1e-12 * max(1.0, nsq)
+        assert qarr_inv(p).tobytes() == inv.tobytes()
+        assert qarr_abs(qarr_mul(p, qarr_inv(p)) - ONE.to_array()) < 1e-12
 
 
 def test_split_standard_frame(frame):
@@ -61,20 +87,36 @@ def test_split_reassembly_random_frames(rng):
 
 
 def test_frame_validation():
-    with pytest.raises(ValueError):
-        SliceFrame(Quaternion(0.1, 1, 0, 0), QJ)
-    with pytest.raises(ValueError):
-        SliceFrame(QI, Quaternion(0, 0, 2, 0))
-    with pytest.raises(ValueError):
-        SliceFrame(QI, QI)
-    fr = SliceFrame(QI, QJ)
-    assert fr.k == QK
-    assert abs(fr.k * fr.k + ONE) == 0
+    i, j = QI.to_array(), QJ.to_array()
+    with pytest.raises(ValueError, match="^frame generator i is not purely imaginary$"):
+        SliceFrame((0.1, 1, 0, 0), j)
+    with pytest.raises(ValueError, match="^frame generator j is not a unit quaternion$"):
+        SliceFrame(i, (0, 0, 2, 0))
+    with pytest.raises(ValueError, match="^frame generators are not orthogonal$"):
+        SliceFrame(i, i)
+    k = Quaternion.from_array(SliceFrame(i, j).k)
+    assert k == QK
+    assert abs(k * k + ONE) == 0
+
+
+def test_frame_units_bitwise_equal_to_quaternion_oracle(rng):
+    # read-only (4,) units: k = i j, the JSON form and its round trip through
+    # JSON text give the bits of the oracle's product and of its JSON
+    for fr in signed_zero_frames(rng, 22):
+        i, j = Quaternion.from_array(fr.i), Quaternion.from_array(fr.j)
+        assert fr.k.tobytes() == qmul_scalar(i, j).to_array().tobytes()
+        assert all(unit.shape == (4,) and not unit.flags.writeable
+                   for unit in (fr.i, fr.j, fr.k))
+        text = json.dumps(fr.to_json())
+        assert text == json.dumps({"i": i.to_json(), "j": j.to_json()})
+        back = SliceFrame.from_json(json.loads(text))
+        assert b"".join(u.tobytes() for u in (back.i, back.j, back.k)) == \
+            b"".join(u.tobytes() for u in (fr.i, fr.j, fr.k))
 
 
 def test_chi_basics(frame):
-    assert np.allclose(chi(ONE, frame), np.eye(2))
-    assert np.allclose(chi(QJ, frame), np.array([[0, 1], [-1, 0]]))
+    assert np.allclose(chi(ONE.to_array(), frame), np.eye(2))
+    assert np.allclose(chi(QJ.to_array(), frame), np.array([[0, 1], [-1, 0]]))
 
 
 def test_chi_homomorphism_isometry(rng):
@@ -82,10 +124,11 @@ def test_chi_homomorphism_isometry(rng):
         fr = random_frame(rng)
         p = random_quaternion(rng)
         q = random_quaternion(rng)
-        Mp, Mq = chi(p, fr), chi(q, fr)
+        Mp, Mq = chi(p.to_array(), fr), chi(q.to_array(), fr)
         scale = max(1.0, abs(p) * abs(q))
-        assert np.max(np.abs(chi(p * q, fr) - Mp @ Mq)) < 1e-12 * scale
-        assert np.max(np.abs(chi(p.conjugate(), fr) - Mp.conj().T)) < 1e-14 * max(1.0, abs(p))
+        assert np.max(np.abs(chi((p * q).to_array(), fr) - Mp @ Mq)) < 1e-12 * scale
+        assert np.max(np.abs(chi(p.conjugate().to_array(), fr) - Mp.conj().T)) < \
+            1e-14 * max(1.0, abs(p))
         assert abs(np.linalg.norm(Mp, 2) - abs(p)) < 1e-12 * max(1.0, abs(p))
 
 
@@ -93,7 +136,7 @@ def test_chi_inv_round_trip(rng):
     for _ in range(50):
         fr = random_frame(rng)
         p = random_quaternion(rng)
-        back = Quaternion.from_array(chi_inv(chi(p, fr), fr))
+        back = Quaternion.from_array(chi_inv(chi(p.to_array(), fr), fr))
         assert abs(back - p) < 1e-12 * max(1.0, abs(p))
     assert Quaternion.from_array(chi_inv(np.eye(2), SliceFrame.standard())) == ONE
 
@@ -256,7 +299,7 @@ def test_chi_on_arrays_bitwise_equal_to_scalar_chi(rng):
     for fr in (SliceFrame.standard(), random_frame(rng)):
         want = np.array([chi_scalar(Quaternion(*q), fr) for q in rows])
         assert chi(rows, fr).tobytes() == want.tobytes()
-        assert chi(Quaternion(*rows[5]), fr).tobytes() == want[5].tobytes()
+        assert chi(rows[5], fr).tobytes() == want[5].tobytes()
         for k, q in enumerate(rows):
             z1, z2 = _frame_coords(Quaternion(*q).to_array(), fr)
             assert np.array([z1, z2]).tobytes() == want[k, 0].tobytes()

@@ -7,17 +7,17 @@ import qopuc.zeros as zeros_module
 from qopuc.errors import NoConvergence, NotPositiveDefinite, RouteMismatch
 from qopuc.measures import MomentSequence, moments_from_density
 from qopuc.polynomials import orthonormal_polys
-from qopuc.quaternions import Quaternion, SliceFrame, chi
+from qopuc.quaternions import SliceFrame, chi
 from qopuc.zeros import (
     _aberth_start, _companions, _conjugate_representatives, _greedy_distances, _pose, _stack,
     det_poly, roots, zero_slice, zeros_theorem_check,
 )
 from conftest import (
-    QPolyL, QPolyR, aberth_start, bernstein_szego_density, companion, family, lebesgue_density,
-    multiset_distance, qmul_scalar, random_frame, random_moment_fixture, random_quaternion,
-    random_unit_ball_quaternion, reduce_conjugate_pairs, reverse_L, reverse_R, root_values,
-    signed_zero_coeff_arrays, slice_problem, smooth_trig_density, stacked, star_mul_L,
-    vanishing_density,
+    QPolyL, QPolyR, Quaternion, aberth_start, bernstein_szego_density, companion, family,
+    lebesgue_density, multiset_distance, qmul_scalar, random_frame, random_moment_fixture,
+    random_quaternion, random_unit_ball_quaternion, reduce_conjugate_pairs, reverse_L,
+    reverse_R, root_values, signed_zero_coeff_arrays, slice_problem, smooth_trig_density,
+    stacked, star_mul_L, vanishing_density,
 )
 
 
@@ -59,7 +59,7 @@ def test_det_poly_examples(rng, frame):
     d = det_poly(zI)
     assert np.allclose(d, [0, 0, 1])
     gamma = random_unit_ball_quaternion(rng)
-    P = np.array([chi(-gamma, frame), np.eye(2)])  # image of (p - gamma)
+    P = np.array([chi((-gamma).to_array(), frame), np.eye(2)])  # image of (p - gamma)
     d = det_poly(P)
     expect = [gamma.norm_sq(), -2 * gamma.w, 1.0]
     assert np.max(np.abs(d - np.array(expect))) < 1e-12
@@ -235,7 +235,7 @@ def test_zeros_theorem_on_fixtures(rng):
 
 
 def test_zeros_theorem_rejects_trivial():
-    atom = MomentSequence([Quaternion(1.0)] * 6)
+    atom = MomentSequence([[1.0, 0.0, 0.0, 0.0]] * 6)
     with pytest.raises(NotPositiveDefinite):
         zeros_theorem_check(orthonormal_polys(atom, 3)[1], SliceFrame.standard())
 

@@ -91,7 +91,17 @@ overflow: a ``w1`` and a ``w2`` coefficient of modulus 1.7e308 sqrt 2 under
 fixture of 100000 nested lists under
 ``moments-to-verblunsky --n 2``, a gamma of 10^400 under
 ``verblunsky-to-moments --n 1``, and ``random-gamma --n 2`` with a ``--frame``
-of 100000 open brackets and with one whose i holds 10^400.
+of 100000 open brackets and with one whose i holds 10^400.  The input
+rejections no other report reaches (all exit 2): ``random-gamma --n 2`` with
+a ``--frame`` whose i is (0.1, 1, 0, 0), (0, 2, 0, 0) or j; a coefficient,
+a moment and a density fixture whose own frame has i = (0, 2, 0, 0), under
+``moments-to-verblunsky --n 1`` with and without ``--frame standard``; a
+density with w1_1 = 0.1 and no w1_{-1}, and one with w2_1 = w2_{-1} = 0.1,
+under ``grid --grid 4``; moments c_0 and c_1 under
+``moments-to-verblunsky --n 3``; a ``{}`` fixture and a ``w1`` index of
+2^63 under ``moments-to-verblunsky --n 1``; and ``--n 0``, ``--seed -1``,
+``--rmax 1``, ``--tol-route 0``, ``--tol-route nan``, ``--tol-pd -1`` and
+``orthopolys --format csv``.
 """
 
 from __future__ import annotations
@@ -330,6 +340,38 @@ def report_set(frames: dict[str, str]):
     huge_frame = json.dumps({"i": [0, 10 ** 400, 0, 0], "j": [0, 0, 1, 0]})
     for name, spec in (("deep_frame", "[" * 100000), ("huge_frame", huge_frame)):
         yield f"random-gamma.{name}.n2", ["random-gamma", "--n", "2", "--frame", spec]
+    # the three frame checks: i not purely imaginary, not a unit, i = j
+    for name, i in (("imaginary_frame", [0.1, 1, 0, 0]), ("unit_frame", [0, 2, 0, 0]),
+                    ("orthogonal_frame", [0, 0, 1, 0])):
+        spec = json.dumps({"i": i, "j": [0, 0, 1, 0]})
+        yield f"random-gamma.{name}.n2", ["random-gamma", "--n", "2", "--frame", spec]
+    # a fixture's own frame is checked under --frame too
+    for stem in ("gammas_bad_frame", "moments_bad_frame", "density_bad_frame"):
+        path = f"fixtures/{stem}.json"
+        yield f"{stem}.moments-to-verblunsky.n1", ["moments-to-verblunsky", path, "--n", "1"]
+        yield (f"{stem}.moments-to-verblunsky.n1.standard",
+               ["moments-to-verblunsky", path, "--n", "1", "--frame", "standard"])
+    for stem in ("w1_asymmetric", "w2_asymmetric"):
+        yield f"{stem}.grid.g4", ["grid", f"fixtures/{stem}.json", "--grid", "4"]
+    yield ("short_moments.moments-to-verblunsky.n3",
+           ["moments-to-verblunsky", "fixtures/short_moments.json", "--n", "3"])
+    for stem in ("empty_fixture", "w1_index_2_63"):
+        yield (f"{stem}.moments-to-verblunsky.n1",
+               ["moments-to-verblunsky", f"fixtures/{stem}.json", "--n", "1"])
+    # the flag checks
+    smooth = "fixtures/smooth_trig.json"
+    for name, argv in (("n0", ["random-gamma", "--n", "0"]),
+                       ("seed-1", ["random-gamma", "--n", "2", "--seed", "-1"]),
+                       ("rmax1", ["random-gamma", "--n", "2", "--rmax", "1"]),
+                       ("tol-route0", ["moments-to-verblunsky", smooth, "--n", "2",
+                                       "--tol-route", "0"]),
+                       ("tol-routenan", ["moments-to-verblunsky", smooth, "--n", "2",
+                                         "--tol-route", "nan"]),
+                       ("tol-pd-1", ["moments-to-verblunsky", smooth, "--n", "2",
+                                     "--tol-pd", "-1"]),
+                       ("orthopolys.csv", ["orthopolys", smooth, "--n", "2",
+                                           "--format", "csv"])):
+        yield f"flag.{name}", argv
 
 
 def write_fixture(name: str, obj) -> None:
@@ -441,6 +483,20 @@ def make_fixtures(main, record) -> None:
     # float range
     Path("fixtures", "deep.json").write_text("[" * 100000 + "]" * 100000, encoding="utf-8")
     write_fixture("huge_gamma", {"gammas": [[10 ** 400, 0, 0, 0]]})
+    # an own frame whose i is not a unit quaternion, on each fixture kind
+    bad_frame = {"i": [0, 2, 0, 0], "j": [0, 0, 1, 0]}
+    write_fixture("gammas_bad_frame", {"frame": bad_frame, "gammas": rg7["gammas"]})
+    write_fixture("moments_bad_frame", {"frame": bad_frame, "moments": moments})
+    write_fixture("density_bad_frame", {**smooth, "frame": bad_frame})
+    # w1_1 without its partner w1_{-1}, and w2_{-1} = w2_1 in place of -w2_1
+    write_fixture("w1_asymmetric", {"frame": standard, "w1": [[0, 1.0, 0.0], [1, 0.1, 0.0]]})
+    write_fixture("w2_asymmetric", {"frame": standard, "w1": [[0, 1.0, 0.0]],
+                                    "w2": [[1, 0.1, 0.0], [-1, 0.1, 0.0]]})
+    write_fixture("short_moments", {"moments": [[0, [1.0, 0.0, 0.0, 0.0]],
+                                                [1, [0.1, 0.0, 0.0, 0.0]]]})
+    write_fixture("empty_fixture", {})
+    write_fixture("w1_index_2_63", {"frame": standard, "w1": [[0, 1.0, 0.0],
+                                                              [2 ** 63, 0.1, 0.0]]})
 
 
 def main() -> int:
