@@ -15,13 +15,15 @@ out of route B's stacked family rows and their reverses
 (``polynomials.reversed_rows``) and checks them all in one ``zero_slice``
 call.  Each stage of that call runs once over the whole job, in stacked
 numpy steps: the pose on the coefficient array; route 1 as one
-simultaneous Aberth run (``roots``); route 2 as one stacked eigenvalue call
-per companion size; and the report, whose route cross-check and
-conjugate-pair reduction take one greedy step per root over all
-polynomials at once.  Only the determinant's convolution runs per
-polynomial.  Every root, distance and flag keeps the bits of checking the
-polynomials one at a time, with Horner's rule and the root matching on
-Python complex scalars.
+simultaneous Aberth run (``roots``), started on the circles of each
+polynomial's Newton polygon (Bini, Numer. Algorithms 13, 1996), which lie
+near the moduli of its roots, so that the number of iterations barely grows
+with the degree; route 2 as one stacked eigenvalue call per companion size;
+and the report, whose route cross-check and conjugate-pair reduction take
+one greedy step per root over all polynomials at once.  Only the
+determinant's convolution runs per polynomial.  Every root, distance and
+flag keeps the bits of checking the polynomials one at a time, with
+Horner's rule and the root matching on Python complex scalars.
 
 The reports are the ones the ``zeros`` command prints: ``zero_slice`` gives
 one dict per polynomial in the schema's shape, its roots as [re, im]
@@ -129,8 +131,8 @@ def _conjugate_representatives(vals: np.ndarray, size: np.ndarray
 class _Start(NamedTuple):
     """Polynomials set up for the iteration, one row each: the number of
     exact roots at the origin, the degree left after deflating them, the
-    deflated monic form and its derivative (ascending), and the circular
-    start, all zero-padded."""
+    deflated monic form and its derivative (ascending), and the start on
+    the circles of the Newton polygon, all zero-padded."""
 
     n_zero: np.ndarray
     degree: np.ndarray
@@ -142,30 +144,54 @@ class _Start(NamedTuple):
 def _aberth_start(coeffs: np.ndarray, length: np.ndarray) -> _Start:
     """The starts of the ascending coefficient rows ``coeffs``, zero-padded
     past ``length``, each of degree at least 1 with a nonzero leading
-    coefficient: the deflation, the monic form and the radius as stacked
-    steps, the circle once per degree."""
+    coefficient, all in stacked steps: the deflation, the monic form and
+    Bini's start (Numer. Algorithms 13, 1996).
+
+    Bini's start reads the root moduli off the Newton polygon, the upper
+    convex hull of the points (k, L_k = log|a_k|) of the deflated monic form,
+    a zero coefficient at -inf.  Its vertices are the k whose every slope in
+    from a point on the left exceeds every slope out to a point on the right;
+    for finite coefficients 0 and the degree d are among them.  Slot k < d
+    takes the segment [prev, next] of the polygon with prev <= k < next, of
+    length m = next - prev, and lies at radius exp((L_prev - L_next) / m),
+    the geometric mean of the moduli of the m roots the segment predicts, at
+    angle 2 pi (k - prev) / m + 2 pi prev / d + 0.4.  A polygon of one
+    segment is the circle of radius |a_0|^(1/d).  The slopes of all rows are
+    one (D+1, D+1, rows) array, the rows innermost, so that every reduction
+    runs over whole rows of numbers.
+    """
     rows, col = np.arange(len(coeffs)), np.arange(coeffs.shape[1])
     scale = np.abs(coeffs).max(axis=1, initial=0.0)
     # deflate exact (or numerically negligible) roots at the origin
     origin = (_abs(coeffs) <= 1e-300 * scale[:, None]) & (col < length[:, None] - 1)
     n_zero = origin.argmin(axis=1)
     degree = length - 1 - n_zero
-    kept = col <= degree[:, None]
-    work = np.take_along_axis(coeffs, np.minimum(col + n_zero[:, None], col[-1]), axis=1)
-    monic = np.where(kept, work / work[rows, degree][:, None], 0.0)
+    work = coeffs[rows[:, None], np.minimum(col + n_zero[:, None], col[-1])]
+    monic = np.where(col <= degree[:, None], work / work[rows, degree][:, None], 0.0)
     below = col[:-1] < degree[:, None]   # the powers under the leading one
     deriv = np.zeros_like(monic)
     deriv[:, :-1] = np.where(below, monic[:, 1:] * col[1:], 0.0)
-    # deterministic circular initialisation: Cauchy-style radius estimate
-    absm = np.where(below, np.abs(monic)[:, :-1], 0.0)
-    radius = 1.0 + absm.max(axis=1, initial=0.0)
-    bound = (absm ** (1.0 / np.where(below, degree[:, None] - col[:-1], 1))
-             ).max(axis=1, initial=0.0) * 2.0 + 0.5
-    radius = np.where(bound < radius, bound, radius)
-    z = np.zeros(deriv.shape, dtype=complex)
-    for d in sorted(set(degree.tolist()) - {0}):
-        ks = np.flatnonzero(degree == d)
-        z[ks, :d] = radius[ks, None] * np.exp(1j * (2.0 * np.pi * np.arange(d) / d + 0.4))
+    with np.errstate(divide="ignore", invalid="ignore"):   # log 0, and -inf - -inf
+        logs = np.ascontiguousarray(np.log(np.abs(monic)).T)   # (k, row); -inf past d
+        # slope[i, j] = (L_j - L_i) / (j - i) = slope[j, i]: the slopes in to
+        # k are slope[i < k, k], the slopes out of it slope[j > k, k]
+        slope = logs - logs[:, None]
+        slope /= (col - col[:, None])[:, :, None]
+        left_of = (col[:, None] < col)[:, :, None]
+        vertex = (np.minimum.reduce(slope, axis=0, where=left_of, initial=np.inf)
+                  > np.maximum.reduce(slope, axis=0, where=left_of.transpose(1, 0, 2),
+                                      initial=-np.inf))
+        # the last vertex at or before each slot, and the first one past it
+        prev = np.maximum.accumulate(np.where(vertex, col[:, None], 0), axis=0)[:-1]
+        nxt = np.minimum.accumulate(np.where(vertex, col[:, None], col[-1])[::-1],
+                                    axis=0)[-2::-1]
+        span = nxt - prev
+        # exp(-slope[prev, next]), which is exp((L_prev - L_next) / m) bit for bit
+        radius = np.exp(-slope.ravel()[(prev * len(col) + nxt) * len(rows) + rows])
+        angle = (2.0 * np.pi * (col[:-1, None] - prev) / span
+                 + 2.0 * np.pi * prev / degree + 0.4)
+        z = np.zeros(deriv.shape, dtype=complex)
+        z[:, :-1] = np.where(below, (radius * np.exp(1j * angle)).T, 0.0)
     return _Start(n_zero, degree, monic, deriv, z)
 
 
@@ -273,7 +299,10 @@ def roots(polys) -> list[np.ndarray]:
 
     Each entry holds ascending coefficients (constant first) with a nonzero
     leading one.  Per polynomial, exact zeros at the origin are deflated
-    first, then the iteration runs from a deterministic circular start.  The
+    first, then the iteration runs from Bini's start (``_aberth_start``):
+    the start points lie on the circles that the Newton polygon of log|a_k|
+    predicts, one circle per segment, so roots many decades apart each start
+    near their own modulus.  The
     residual |p(root)| / |p'(root)| (the Newton-step length, a root-distance
     estimate) must fall below ROOT_RESIDUAL_TOL within MAX_ABERTH_ITER
     iterations, else NoConvergence.  The error raised is the one of the
@@ -282,7 +311,7 @@ def roots(polys) -> list[np.ndarray]:
     The polynomials do not interact: each one's roots are bit for bit the
     ones it gets alone, and the ones of Horner's rule on Python complex
     scalars.  The starts are stacked steps on the zero-padded coefficient
-    rows (``_aberth_start``); p and p' of every polynomial are evaluated
+    rows; p and p' of every polynomial are evaluated
     together on real planes (``_horner``), the Aberth step is one array
     expression over all their roots, and each polynomial stops at the
     iteration where it would stop alone.  Only the sums of 1 / (z_i - z_j)

@@ -888,7 +888,8 @@ def multiset_distance(a, b) -> float:
 class AberthStart(NamedTuple):
     """One polynomial set up for the iteration: its number of exact roots at
     the origin, its deflated monic form and derivative (ascending), and the
-    circular start, empty when every root is at the origin."""
+    start on the circles of its Newton polygon, empty when every root is at
+    the origin."""
 
     n_zero: int
     monic: np.ndarray
@@ -897,6 +898,11 @@ class AberthStart(NamedTuple):
 
 
 def aberth_start(coeffs) -> AberthStart:
+    """One polynomial's start, one point of the Newton polygon at a time:
+    k < d is a vertex when its smallest slope in from the left exceeds its
+    largest slope out to the right, and slot k lies on the circle of the
+    segment [prev, next] around it.  The radii and angles are one-row array
+    expressions, which keep the bits of the stacked start."""
     coeffs = np.asarray(coeffs, dtype=complex)
     if len(coeffs) < 2:
         raise ValueError("degree must be at least 1")
@@ -913,11 +919,22 @@ def aberth_start(coeffs) -> AberthStart:
         return AberthStart(n_zero, work, work[:0], work[:0])
     monic = work / work[-1]
     deriv = monic[1:] * np.arange(1, deg + 1)
-    # deterministic circular initialisation: Cauchy-style radius estimate
-    radius = 1.0 + np.max(np.abs(monic[:-1]))
-    radius = min(radius, max(np.abs(monic[:-1]) ** (1.0 / np.arange(deg, 0, -1))) * 2.0 + 0.5)
-    angles = 2.0 * np.pi * np.arange(deg) / deg + 0.4
-    return AberthStart(n_zero, monic, deriv, radius * np.exp(1j * angles))
+    with np.errstate(divide="ignore", invalid="ignore"):   # log 0, and -inf - -inf
+        logs = np.log(np.abs(monic))
+
+        def slope(i, j):
+            return (logs[j] - logs[i]) / (j - i)
+
+        hull = [k for k in range(deg + 1)
+                if min((slope(i, k) for i in range(k)), default=np.inf)
+                > max((slope(k, j) for j in range(k + 1, deg + 1)), default=-np.inf)]
+    slots = np.arange(deg)
+    prev = np.array([max(v for v in hull if v <= k) for k in slots])
+    nxt = np.array([min(v for v in hull if v > k) for k in slots])
+    span = nxt - prev
+    radius = np.exp((logs[prev] - logs[nxt]) / span)
+    angle = 2.0 * np.pi * (slots - prev) / span + 2.0 * np.pi * prev / deg + 0.4
+    return AberthStart(n_zero, monic, deriv, radius * np.exp(1j * angle))
 
 
 _ONE_Q = np.array([1.0, 0.0, 0.0, 0.0])

@@ -54,6 +54,77 @@ def test_roots_deflates_origin():
     assert np.max(np.abs(got)) == 0.0
 
 
+def _worst_relative_error(got, want):
+    """The largest |z - w| / |w| when each root w of ``want``, the largest
+    first, takes the relatively nearest root z of ``got`` not yet taken."""
+    left, worst = list(np.asarray(got, dtype=complex)), 0.0
+    for w in sorted(np.asarray(want, dtype=complex), key=abs, reverse=True):
+        errors = [abs(z - w) / abs(w) for z in left]
+        k = int(np.argmin(errors))
+        worst = max(worst, errors[k])
+        left.pop(k)
+    return worst
+
+
+def _aberth_iterations(run):
+    """The Aberth iterations of the one batched run inside ``run()``: its
+    Horner passes less the final one."""
+    passes, horner = [], zeros_module._horner
+
+    def counted(*args):
+        passes.append(args)
+        return horner(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(zeros_module, "_horner", counted)
+        run()
+    return len(passes) - 1
+
+
+_SPREAD_14 = np.logspace(-3, 3, 14) * np.exp(1j * (2.0 * np.pi * np.arange(14) / 14 + 0.3))
+
+
+@pytest.mark.parametrize("planted", [
+    [1e12, 0.5, -0.7 + 0.2j],
+    np.logspace(-8, 8, 9) * np.exp(1j * (2.0 * np.pi * np.arange(9) / 9 + 0.3)),
+    # one circle of radius |a_0|^(1/3) ~ 3e-94 would hold every start point,
+    # whose steps all fall under the step floor at once: O(1) errors
+    [1e-280, 0.5, -0.7 + 0.2j],
+    _SPREAD_14,
+])
+def test_roots_of_moduli_spread_over_decades(planted):
+    """Each start point lies on the circle of its root's modulus, read off
+    the Newton polygon, so roots many decades apart come out to rounding
+    (a start on one wide circle stalls on the first two)."""
+    got, = roots([np.poly(planted)[::-1]])
+    assert _worst_relative_error(got, planted) <= 1e-14
+
+
+def test_roots_spread_over_six_decades_take_few_iterations():
+    # a start on one circle takes 63 iterations here
+    assert _aberth_iterations(lambda: roots([np.poly(_SPREAD_14)[::-1]])) <= 11
+
+
+@pytest.mark.parametrize("name, most", [("smooth_trig", 20), ("vanishing_density", 16)])
+def test_zeros_job_iterations_at_n_32(name, most):
+    """The zero pass of ``zeros --n 32``, 128 polynomials of degree up to
+    64 whose zeros crowd near one radius, takes at most ``most``
+    iterations (50 and 36 from a start on one wide circle)."""
+    import contextlib
+    import io
+    from pathlib import Path
+
+    from qopuc import cli
+
+    path = Path(__file__).resolve().parent.parent / "fixtures" / f"{name}.json"
+
+    def run():
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["zeros", str(path), "--n", "32"]) == 0
+
+    assert _aberth_iterations(run) <= most
+
+
 def test_det_poly_examples(rng, frame):
     zI = np.array([np.zeros((2, 2)), np.eye(2)])
     d = det_poly(zI)
@@ -297,21 +368,10 @@ def _horner_pair(desc_p, desc_dp, zs):
 
 
 def _roots_scalar_loop(coeffs, max_iter=500, residual_tol=1e-10):
-    coeffs = np.asarray(coeffs, dtype=complex)
-    scale = np.max(np.abs(coeffs))
-    n_zero = 0
-    while n_zero < len(coeffs) - 1 and abs(coeffs[n_zero]) <= 1e-300 * scale:
-        n_zero += 1
-    work = coeffs[n_zero:]
-    deg = len(work) - 1
+    n_zero, monic, deriv, z = aberth_start(coeffs)
+    deg = len(z)
     if deg == 0:
         return np.zeros(n_zero, dtype=complex)
-    monic = work / work[-1]
-    deriv = monic[1:] * np.arange(1, deg + 1)
-    radius = 1.0 + np.max(np.abs(monic[:-1]))
-    radius = min(radius, max(np.abs(monic[:-1]) ** (1.0 / np.arange(deg, 0, -1))) * 2.0 + 0.5)
-    angles = 2.0 * np.pi * np.arange(deg) / deg + 0.4
-    z = radius * np.exp(1j * angles)
     monic_desc = monic[::-1].tolist()
     deriv_desc = deriv[::-1].tolist()
     zs = z.tolist()
@@ -363,10 +423,10 @@ ZEROS_JOB_FIXTURES = ("bernstein_szego_05", "lebesgue", "random_gamma_7", "smoot
                       "vanishing_density")
 
 
-def _zeros_job_batches(monkeypatch):
-    """The route-1 batch of every ``zeros --n 10`` job on the shipped
-    fixtures, in the standard frame and two seeded ones, as ``roots`` got it
-    and as it answered."""
+def _zeros_job_batches(monkeypatch, names=ZEROS_JOB_FIXTURES, n=10, seeds=(31, 32)):
+    """The route-1 batch of every ``zeros --n n`` job on the shipped
+    fixtures ``names``, in the standard frame and the seeded ones, as
+    ``roots`` got it and as it answered."""
     import contextlib
     import io
     import json
@@ -385,11 +445,11 @@ def _zeros_job_batches(monkeypatch):
     monkeypatch.setattr(zeros_module, "roots", recording_roots)
     fixdir = Path(__file__).resolve().parent.parent / "fixtures"
     frames = [[]] + [["--frame", json.dumps(random_frame(np.random.default_rng(seed))
-                                            .to_json())] for seed in (31, 32)]
-    for name in ZEROS_JOB_FIXTURES:
+                                            .to_json())] for seed in seeds]
+    for name in names:
         for frame in frames:
             with contextlib.redirect_stdout(io.StringIO()):
-                code = cli.main(["zeros", str(fixdir / f"{name}.json"), "--n", "10", *frame])
+                code = cli.main(["zeros", str(fixdir / f"{name}.json"), "--n", str(n), *frame])
             assert code == 0
     monkeypatch.undo()
     return batches
@@ -409,6 +469,26 @@ def test_batched_roots_of_zeros_jobs_bitwise_equal_to_one_at_a_time(monkeypatch)
         perm = rng.permutation(len(polys))
         shuffled = roots([polys[k] for k in perm])
         assert [shuffled[j].tobytes() for j in np.argsort(perm)] == want
+
+
+def test_route_one_roots_against_a_50_digit_reference(monkeypatch):
+    """Every root of route 1 on ``zeros --n 6`` of smooth_trig and
+    random_gamma_7 lies within 1e-15 relative of the matching root of its
+    float64 polynomial, as mpmath's Durand-Kerner iteration finds it at 50
+    digits.  The iteration starts from numpy's companion-matrix roots, an
+    independent double-precision route, which keeps the test fast."""
+    import mpmath
+
+    worst = 0.0
+    with mpmath.workdps(50):
+        for polys, found in _zeros_job_batches(monkeypatch, ("smooth_trig", "random_gamma_7"),
+                                               n=6, seeds=()):
+            for coeffs, got in zip(polys, found):
+                desc = [mpmath.mpc(complex(c)) for c in coeffs[::-1]]
+                init = [mpmath.mpc(complex(r)) for r in np.roots(coeffs[::-1])]
+                ref = [complex(r) for r in mpmath.polyroots(desc, roots_init=init)]
+                worst = max(worst, _worst_relative_error(got, ref))
+    assert worst <= 1e-15
 
 
 def test_stacked_spectra_bitwise_equal_to_one_at_a_time(rng):
@@ -466,16 +546,16 @@ def test_zeros_job_raises_the_first_error_in_order(monkeypatch):
     polys = _zeros_job_polys(fam)
     with pytest.raises(RouteMismatch) as degree_1:
         zero_slice(*stacked(polys[:1]), frame, route_tol=1e-40)
-    monkeypatch.setattr(zeros_module, "MAX_ABERTH_ITER", 8)
+    monkeypatch.setattr(zeros_module, "MAX_ABERTH_ITER", 6)
     for route_tol, kind in ((1e-40, RouteMismatch), (1e-8, NoConvergence)):
-        want = _first_error_one_at_a_time(polys, frame, route_tol, max_iter=8)
+        want = _first_error_one_at_a_time(polys, frame, route_tol, max_iter=6)
         with pytest.raises(kind) as got:
             zeros_theorem_check(fam.rows, frame, route_tol)
         assert type(want) is kind and str(got.value) == str(want)
         with pytest.raises(kind) as got_objects:
             zero_slice(*stacked(polys), frame, route_tol)
         assert str(got_objects.value) == str(want)
-    assert str(_first_error_one_at_a_time(polys, frame, 1e-40, max_iter=8)) == \
+    assert str(_first_error_one_at_a_time(polys, frame, 1e-40, max_iter=6)) == \
         str(degree_1.value)
 
 
