@@ -1,8 +1,12 @@
 """Command-line interface: fixtures in, JSON/CSV reports out.
 
-Every command embeds its configuration, seed, and library version in the
-report, prints floats with 17 significant digits, and keeps key order
-fixed, so identical configurations reproduce byte-identical output.
+Each command is declared once (``_COMMANDS``): the handler that runs it and
+the arguments it takes besides ``--frame``, ``--out`` and ``--format``,
+which every command takes.  A command takes only the flags its handler
+reads; any other flag is an unknown argument.  Every report embeds each
+flag its command takes, the seed and the library version, prints floats
+with 17 significant digits, and keeps key order fixed, so identical
+configurations reproduce byte-identical output.
 
 Exit codes: 0 ok, 2 invalid input (non-positive-definite moments, bad
 coefficients, malformed fixture, a density beyond float64 on a grid, an
@@ -24,6 +28,7 @@ import functools
 import json
 import math
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -234,12 +239,15 @@ class Fixture:
 
 def load_fixture(path: str, override: SliceFrame | None) -> Fixture:
     """The fixture at ``path``, checked once, for a job in ``override``, else
-    in the fixture's ``frame``, else in the standard frame.  The fixture's
+    in the fixture's ``frame``, else in the standard frame.  A
+    ``random-gamma`` report is read as its ``result``.  The fixture's
     own frame is built, and so checked, under an override too.  A density's
     maps are read in its own frame, and the density is built once, in the
     job's."""
     with open(path, "r", encoding="utf-8") as fh:
         obj = _parse_json(fh.read(), "fixture")
+    if isinstance(obj, dict) and obj.get("command") == "random-gamma":
+        obj = obj.get("result")   # a random-gamma report: its result is the fixture
     kind = _validate_fixture(obj)
     own = fixture_frame(obj)   # a density always has one
     frame = override or own or SliceFrame.standard()
@@ -293,15 +301,18 @@ def _require_flags(args) -> None:
     """--n (an order or a count), --samples and --grid must be at least 1,
     --seed at least 0; --tol-route finite and > 0, --tol-pd finite and
     >= 0, --rmax finite in [0.05, 1), the interval its radii are drawn from,
-    and --format csv only for commands with a CSV view."""
+    and --format csv only for commands with a CSV view.  A flag the
+    command does not take is not in ``args``."""
     for flag, low in (("n", 1), ("samples", 1), ("grid", 1), ("seed", 0)):
         value = getattr(args, flag, None)
         if value is not None and value < low:
             raise ValueError(f"--{flag} must be at least {low}, got {value}")
-    if not (math.isfinite(args.tol_route) and args.tol_route > 0):
-        raise ValueError(f"--tol-route must be finite and > 0, got {args.tol_route}")
-    if not (math.isfinite(args.tol_pd) and args.tol_pd >= 0):
-        raise ValueError(f"--tol-pd must be finite and >= 0, got {args.tol_pd}")
+    tol_route = getattr(args, "tol_route", None)
+    if tol_route is not None and not (math.isfinite(tol_route) and tol_route > 0):
+        raise ValueError(f"--tol-route must be finite and > 0, got {tol_route}")
+    tol_pd = getattr(args, "tol_pd", None)
+    if tol_pd is not None and not (math.isfinite(tol_pd) and tol_pd >= 0):
+        raise ValueError(f"--tol-pd must be finite and >= 0, got {tol_pd}")
     rmax = getattr(args, "rmax", None)
     if rmax is not None and not 0.05 <= rmax < 1:
         raise ValueError(f"--rmax must be finite and in [0.05, 1), got {rmax}")
@@ -310,18 +321,25 @@ def _require_flags(args) -> None:
 
 
 def _envelope(args, fix: Fixture, result: dict) -> dict:
+    """The report of a job, which echoes every flag its command takes: the
+    seed at the top, the rest in ``config``, whose first six keys are null
+    where the command does not take the flag, then ``samples``, ``grid`` or
+    ``rmax`` for the command that takes it."""
+    config = {
+        "input": getattr(args, "input", None),
+        "n": getattr(args, "n", None),
+        "frame": fix.frame.to_json(),
+        "tol_route": getattr(args, "tol_route", None),
+        "tol_pd": getattr(args, "tol_pd", None),
+        "format": args.format,
+    }
+    config.update((key, getattr(args, key)) for key in ("samples", "grid", "rmax")
+                  if key in args)
     return {
         "command": args.command,
         "version": __version__,
         "seed": getattr(args, "seed", None),
-        "config": {
-            "input": getattr(args, "input", None),
-            "n": getattr(args, "n", None),
-            "frame": fix.frame.to_json(),
-            "tol_route": getattr(args, "tol_route", None),
-            "tol_pd": getattr(args, "tol_pd", None),
-            "format": args.format,
-        },
+        "config": config,
         "result": result,
     }
 
@@ -467,16 +485,43 @@ def csv_view(command: str, payload: dict) -> str:
 
 # --------------------------------- driver ----------------------------------
 
+@dataclass(frozen=True)
+class _Command:
+    """A subcommand: its handler and the arguments it takes, by their names
+    in ``_ARGUMENTS``, besides ``--frame``, ``--out`` and ``--format``."""
+
+    run: Callable[[argparse.Namespace, Fixture], dict]
+    arguments: tuple[str, ...]
+
+
 _COMMANDS = {
-    "moments-to-verblunsky": cmd_moments_to_verblunsky,
-    "verblunsky-to-moments": cmd_verblunsky_to_moments,
-    "orthopolys": cmd_orthopolys,
-    "zeros": cmd_zeros,
-    "cd": cmd_cd,
-    "sv": cmd_sv,
-    "baxter": cmd_baxter,
-    "grid": cmd_grid,
-    "random-gamma": cmd_random_gamma,
+    "moments-to-verblunsky": _Command(cmd_moments_to_verblunsky,
+                                      ("input", "--n", "--tol-route", "--tol-pd")),
+    "verblunsky-to-moments": _Command(cmd_verblunsky_to_moments, ("input", "--n")),
+    "orthopolys": _Command(cmd_orthopolys, ("input", "--n", "--tol-pd")),
+    "zeros": _Command(cmd_zeros, ("input", "--n", "--tol-route", "--tol-pd")),
+    "cd": _Command(cmd_cd, ("input", "--n", "--seed", "--tol-pd", "--samples")),
+    "sv": _Command(cmd_sv, ("input", "--n", "--tol-route", "--tol-pd")),
+    "baxter": _Command(cmd_baxter, ("input", "--n")),
+    "grid": _Command(cmd_grid, ("input", "--grid")),
+    "random-gamma": _Command(cmd_random_gamma, ("--n", "--seed", "--rmax")),
+}
+
+# every argument a command can take: its add_argument keywords
+_ARGUMENTS = {
+    "input": dict(help="fixture JSON path"),
+    "--n": dict(type=int, default=8, help="horizon / max degree"),
+    "--seed": dict(type=int, default=0, help="seed for sampled checks"),
+    "--tol-route": dict(type=float, default=ROUTE_TOL,
+                        help="cross-route agreement tolerance"),
+    "--tol-pd": dict(type=float, default=PIVOT_TOL,
+                     help="positive-definiteness pivot tolerance"),
+    "--samples": dict(type=int, default=100, help="sampled points of the CD check"),
+    "--grid": dict(type=int, default=2048, help="grid points"),
+    "--rmax": dict(type=float, default=0.8, help="radii drawn from [0.05, rmax)"),
+    "--frame": dict(default=None, help="frame JSON override, or 'standard'"),
+    "--out": dict(default=None, help="output path (default stdout)"),
+    "--format": dict(choices=("json", "csv"), default="json"),
 }
 
 
@@ -485,33 +530,10 @@ def build_parser() -> argparse.ArgumentParser:
         prog="qopuc",
         description="Orthogonal polynomials on the quaternionic unit sphere")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, needs_input=True):
-        if needs_input:
-            p.add_argument("input", help="fixture JSON path")
-        p.add_argument("--frame", default=None,
-                       help="frame JSON override, or 'standard'")
-        p.add_argument("--n", type=int, default=8, help="horizon / max degree")
-        p.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
-        p.add_argument("--tol-route", dest="tol_route", type=float, default=ROUTE_TOL,
-                       help="cross-route agreement tolerance")
-        p.add_argument("--tol-pd", dest="tol_pd", type=float, default=PIVOT_TOL,
-                       help="positive-definiteness pivot tolerance")
-        p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
-
-    for name in ("moments-to-verblunsky", "verblunsky-to-moments",
-                 "orthopolys", "zeros", "sv", "baxter"):
-        common(sub.add_parser(name))
-    p = sub.add_parser("cd")
-    common(p)
-    p.add_argument("--samples", type=int, default=100)
-    p = sub.add_parser("grid")
-    common(p)
-    p.add_argument("--grid", type=int, default=2048)
-    p = sub.add_parser("random-gamma")
-    common(p, needs_input=False)
-    p.add_argument("--rmax", type=float, default=0.8)
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name)
+        for argument in (*command.arguments, "--frame", "--out", "--format"):
+            p.add_argument(argument, **_ARGUMENTS[argument])
     return parser
 
 
@@ -531,7 +553,7 @@ def _run(args) -> tuple[int, str]:
         override = parse_frame(args.frame)
         fix = (load_fixture(args.input, override) if "input" in args
                else Fixture(override or SliceFrame.standard()))
-        result = _COMMANDS[args.command](args, fix)
+        result = _COMMANDS[args.command].run(args, fix)
     except RouteMismatch as exc:
         return EXIT_CROSS_CHECK, _error_text(exc)
     except NoConvergence as exc:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
 import warnings
@@ -300,7 +301,8 @@ def test_oversized_allocation_is_a_typed_error(tmp_path, monkeypatch):
     def oversized(args, fix):
         raise ArrayMemoryError(message)
 
-    monkeypatch.setitem(cli._COMMANDS, "grid", oversized)
+    monkeypatch.setitem(cli._COMMANDS, "grid", dataclasses.replace(cli._COMMANDS["grid"],
+                                                                   run=oversized))
     code, out = run(tmp_path, "grid", str(FIXDIR / "smooth_trig.json"), "--grid", "1000000000000")
     assert code == 2
     assert json.loads(out)["error"] == {"type": "MemoryError", "message": message}
@@ -366,7 +368,7 @@ def test_overflowing_density_rejected_as_not_psd(tmp_path):
     (["baxter", "lebesgue.json", "--n", "0"], "--n"),
     (["grid", "lebesgue.json", "--grid", "0"], "--grid"),
     # the other range-checked flags: tolerances and --rmax
-    (["cd", "smooth_trig.json", "--tol-route", "nan"], "--tol-route"),
+    (["sv", "smooth_trig.json", "--tol-route", "nan"], "--tol-route"),
     (["zeros", "random_gamma_7.json", "--tol-route", "nan"], "--tol-route"),
     (["moments-to-verblunsky", "smooth_trig.json", "--tol-route", "-1"], "--tol-route"),
     (["zeros", "random_gamma_7.json", "--tol-pd", "nan"], "--tol-pd"),
@@ -390,6 +392,92 @@ def test_counts_below_one_rejected(tmp_path, argv, flag):
     err = json.loads(out)["error"]
     assert err["type"] == "ValueError"
     assert err["message"].startswith(flag + " ")
+
+
+# the flags each command's handler reads, besides its input, --frame, --out
+# and --format
+OWN_FLAGS = {
+    "moments-to-verblunsky": ("--n", "--tol-route", "--tol-pd"),
+    "verblunsky-to-moments": ("--n",),
+    "orthopolys": ("--n", "--tol-pd"),
+    "zeros": ("--n", "--tol-route", "--tol-pd"),
+    "cd": ("--n", "--seed", "--tol-pd", "--samples"),
+    "sv": ("--n", "--tol-route", "--tol-pd"),
+    "baxter": ("--n",),
+    "grid": ("--grid",),
+    "random-gamma": ("--n", "--seed", "--rmax"),
+}
+# a value off the default for each flag
+FLAG_VALUES = {"--n": 3, "--seed": 5, "--tol-route": 1e-6, "--tol-pd": 1e-11,
+               "--samples": 7, "--grid": 16, "--rmax": 0.5}
+# the flags more than one command takes, and the commands that do not
+SHARED_FLAGS = ("--n", "--seed", "--tol-route", "--tol-pd")
+NOT_READ = [(command, flag) for command, own in OWN_FLAGS.items()
+            for flag in SHARED_FLAGS if flag not in own]
+
+
+def _command_input(command) -> list[str]:
+    if command == "random-gamma":
+        return []
+    name = "random_gamma_7.json" if command == "verblunsky-to-moments" else "smooth_trig.json"
+    return [str(FIXDIR / name)]
+
+
+@pytest.mark.parametrize("command, flag", NOT_READ)
+def test_each_command_rejects_flags_it_does_not_read(tmp_path, capsys, command, flag):
+    assert len(NOT_READ) == 18
+    out = tmp_path / "out.json"
+    with pytest.raises(SystemExit) as exc:
+        main([command, *_command_input(command), flag, str(FLAG_VALUES[flag]),
+              "--out", str(out)])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} " in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", OWN_FLAGS)
+def test_config_echoes_exactly_the_flags_the_command_takes(tmp_path, command):
+    # each own flag set off its default is read and echoed; a config key of
+    # a flag the command does not take is null, and so is the top-level seed
+    argv = [command, *_command_input(command)]
+    for flag in OWN_FLAGS[command]:
+        argv += [flag, str(FLAG_VALUES[flag])]
+    code, out = run(tmp_path, *argv)
+    assert code == 0
+    payload = json.loads(out)
+    config = payload["config"]
+    extra = [key for key in ("samples", "grid", "rmax") if "--" + key in OWN_FLAGS[command]]
+    assert list(config) == ["input", "n", "frame", "tol_route", "tol_pd", "format", *extra]
+    echoed = {"--" + key.replace("_", "-"): value for key, value in config.items()
+              if key not in ("input", "frame", "format") and value is not None}
+    if payload["seed"] is not None:
+        echoed["--seed"] = payload["seed"]
+    assert echoed == {flag: FLAG_VALUES[flag] for flag in OWN_FLAGS[command]}
+    assert config["input"] == (_command_input(command) or [None])[0]
+    validate(command.replace("-", "_"), out)
+
+
+def test_random_gamma_records_rmax(tmp_path):
+    # two runs that differ only in --rmax differ in their config
+    reports = [json.loads(run(tmp_path, "random-gamma", "--seed", "3", "--n", "2",
+                              "--rmax", rmax)[1]) for rmax in ("0.5", "0.8")]
+    assert [report["config"]["rmax"] for report in reports] == [0.5, 0.8]
+    assert reports[0]["result"] != reports[1]["result"]
+
+
+def test_random_gamma_report_is_a_gamma_fixture(tmp_path):
+    # a random-gamma report is read as its result, which is a gamma fixture
+    report = tmp_path / "random_gamma_11.json"
+    assert main(["random-gamma", "--seed", "11", "--n", "12", "--out", str(report)]) == 0
+    extracted = tmp_path / "extracted.json"
+    extracted.write_text(json.dumps(json.loads(report.read_text())["result"]))
+    for argv in (["verblunsky-to-moments", "--n", "4"], ["zeros", "--n", "4"]):
+        results = []
+        for path in (report, extracted):
+            code, out = run(tmp_path, argv[0], str(path), *argv[1:])
+            assert code == 0, argv
+            results.append(out.split(b'"result": ', 1)[1])
+        assert results[0] == results[1], argv
 
 
 def test_baxter_runs_route_a_once(tmp_path, monkeypatch):
@@ -1012,7 +1100,7 @@ def test_no_convergence_maps_to_exit_4(tmp_path, monkeypatch):
     def boom(args, fix):
         raise NoConvergence("iteration budget exhausted")
 
-    monkeypatch.setitem(cli._COMMANDS, "sv", boom)
+    monkeypatch.setitem(cli._COMMANDS, "sv", dataclasses.replace(cli._COMMANDS["sv"], run=boom))
     out = tmp_path / "out.json"
     code = cli.main(["sv", str(FIXDIR / "lebesgue.json"), "--out", str(out)])
     assert code == 4
@@ -1250,12 +1338,12 @@ def _fuzz_fixtures():
 
 
 def test_cli_fuzz_exit_codes(tmp_path):
-    """Mutated fixtures (the shipped ones and two moment fixtures) and flags
-    across all nine commands, --n up to three past the horizon of the moment
-    and gamma fixtures: every call returns a documented exit code (0, 2, 3
-    or 4), raises nothing, and no error envelope reports a KeyError,
-    IndexError or TypeError, which would mean a malformed input got past the
-    load-time checks."""
+    """Mutated fixtures (the shipped ones and two moment fixtures) and each
+    command's own flags across all nine commands, --n up to three past the
+    horizon of the moment and gamma fixtures: every call returns a
+    documented exit code (0, 2, 3 or 4), raises nothing, and no error
+    envelope reports a KeyError, IndexError or TypeError, which would mean a
+    malformed input got past the load-time checks."""
     rng = np.random.default_rng(20260)
     fixtures = _fuzz_fixtures()
     fixture = tmp_path / "fuzz.json"
@@ -1270,17 +1358,21 @@ def test_cli_fuzz_exit_codes(tmp_path):
             obj = _fuzz_fixture(obj, rng)
             fixture.write_text(json.dumps(obj))
         argv = [command] + ([] if command == "random-gamma" else [str(fixture)])
-        argv += ["--n", str(int(rng.integers(1, 10))), "--seed", str(int(rng.integers(100)))]
+        drawn = {"--n": str(int(rng.integers(1, 10))), "--seed": str(int(rng.integers(100)))}
         argv += _fuzz_frame(rng)
         argv += ["--format", str(rng.choice(["json", "csv"]))]
-        argv += ["--tol-route", str(rng.choice([1e-8, 1e-3, 1e-15]))]
-        argv += ["--tol-pd", str(rng.choice([1e-12, 0.0, 0.5]))]
+        drawn["--tol-route"] = str(rng.choice([1e-8, 1e-3, 1e-15]))
+        drawn["--tol-pd"] = str(rng.choice([1e-12, 0.0, 0.5]))
         if command == "cd":
-            argv += ["--samples", str(int(rng.integers(1, 20)))]
+            drawn["--samples"] = str(int(rng.integers(1, 20)))
         if command == "grid":
-            argv += ["--grid", str(int(rng.integers(1, 64)))]
+            drawn["--grid"] = str(int(rng.integers(1, 64)))
         if command == "random-gamma":
-            argv += ["--rmax", str(rng.uniform(0.05, 0.99))]
+            drawn["--rmax"] = str(rng.uniform(0.05, 0.99))
+        # every value is drawn for every command, so the random stream, and
+        # with it each case's fixture, does not depend on the command's flags
+        for flag in OWN_FLAGS[command]:
+            argv += [flag, drawn[flag]]
         try:
             with np.errstate(all="ignore"):   # the 1e308 entries overflow on purpose
                 code, out = run(tmp_path, *argv)

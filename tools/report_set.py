@@ -9,7 +9,9 @@ checkout).  Every report of the set runs in-process against that package;
 DIR receives ``fixtures/`` (the shipped fixtures and the ones the set
 generates) and ``reports/``, one file per report whose first line is
 ``exit <code>`` (``raised <type>`` for an exception that escaped
-``qopuc.cli.main``), followed by the report text.  Commands run with DIR as
+``qopuc.cli.main``), followed by the report text.  Every exit-0 JSON report
+is validated against its command's schema in ``SRC/qopuc/schemas``; the
+tool lists the reports that fail and exits 1.  Commands run with DIR as
 the working directory and name fixtures by relative path, so the envelopes
 do not depend on DIR.  Comparing two trees is then
 
@@ -115,6 +117,7 @@ import shutil
 import sys
 from pathlib import Path
 
+import jsonschema
 import numpy as np
 
 REPO = Path(__file__).resolve().parent.parent
@@ -529,11 +532,27 @@ def main() -> int:
     for name, argv in report_set(frames):
         record(name, argv)
     codes: dict[str, int] = {}
-    for name in names:
-        head = Path("reports", name).read_text(encoding="utf-8").split("\n", 1)[0]
+    validators: dict[str, jsonschema.protocols.Validator] = {}
+    invalid = []
+    for name in sorted(names):
+        head, text = Path("reports", name).read_text(encoding="utf-8").split("\n", 1)
         codes[head] = codes.get(head, 0) + 1
+        if head != "exit 0" or not text.startswith("{"):   # an error or a CSV report
+            continue
+        report = json.loads(text)
+        command = report["command"]
+        if command not in validators:
+            path = src / "qopuc" / "schemas" / f"{command.replace('-', '_')}.schema.json"
+            schema = json.loads(path.read_text(encoding="utf-8"))
+            validators[command] = jsonschema.validators.validator_for(schema)(schema)
+        error = jsonschema.exceptions.best_match(validators[command].iter_errors(report))
+        if error is not None:
+            invalid.append(f"{name}: {error.message}")
     print(f"{len(names)} reports in {out / 'reports'}: "
           + ", ".join(f"{k}: {v}" for k, v in sorted(codes.items())))
+    if invalid:
+        print(f"{len(invalid)} exit-0 JSON reports fail their schema:", *invalid, sep="\n")
+        return 1
     return 0
 
 
