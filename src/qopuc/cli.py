@@ -1,17 +1,19 @@
 """Command-line interface: fixtures in, JSON/CSV reports out.
 
-Each command is declared once (``_COMMANDS``): the handler that runs it and
-the arguments it takes besides ``--frame``, ``--out`` and ``--format``,
-which every command takes.  A command takes only the flags its handler
-reads; any other flag is an unknown argument.  Every report embeds each
-flag its command takes, the seed and the library version, prints floats
-with 17 significant digits, and keeps key order fixed, so identical
-configurations reproduce byte-identical output.
+Each command is declared once (``_COMMANDS``): the handler that runs it,
+the arguments it takes besides ``--frame`` and ``--out``, which every
+command takes, and its CSV view, if it has one; only a command with a view
+takes ``--format``.  A command takes only the flags its handler reads, each
+spelled out in full; any other flag is an unknown argument.  Every report
+embeds each flag its command takes, the seed and the library version,
+prints floats with 17 significant digits, and keeps key order fixed, so
+identical configurations reproduce byte-identical output.
 
-Exit codes: 0 ok, 2 invalid input (non-positive-definite moments, bad
-coefficients, malformed fixture, a density beyond float64 on a grid, an
-input too large to allocate), 3 internal cross-check mismatch, 4 no
-convergence.
+Exit codes: 0 ok, 2 invalid input (a command line the parser rejects,
+non-positive-definite moments, bad coefficients, malformed fixture, a
+density beyond float64 on a grid, an input too large to allocate), 3
+internal cross-check mismatch, 4 no convergence.  Every error is one JSON
+report that names its type and message.
 
 One loader per job reads and checks the fixture once and resolves the
 frame the job runs in (``load_fixture``).  Report tables are built by
@@ -300,9 +302,8 @@ def moments_from_fixture(fix: Fixture, n: int) -> MomentSequence:
 def _require_flags(args) -> None:
     """--n (an order or a count), --samples and --grid must be at least 1,
     --seed at least 0; --tol-route finite and > 0, --tol-pd finite and
-    >= 0, --rmax finite in [0.05, 1), the interval its radii are drawn from,
-    and --format csv only for commands with a CSV view.  A flag the
-    command does not take is not in ``args``."""
+    >= 0, --rmax finite in [0.05, 1), the interval its radii are drawn
+    from.  A flag the command does not take is not in ``args``."""
     for flag, low in (("n", 1), ("samples", 1), ("grid", 1), ("seed", 0)):
         value = getattr(args, flag, None)
         if value is not None and value < low:
@@ -316,22 +317,21 @@ def _require_flags(args) -> None:
     rmax = getattr(args, "rmax", None)
     if rmax is not None and not 0.05 <= rmax < 1:
         raise ValueError(f"--rmax must be finite and in [0.05, 1), got {rmax}")
-    if args.format == "csv" and args.command not in CSV_COMMANDS:
-        raise ValueError(f"--format csv has no view for command {args.command!r}")
 
 
 def _envelope(args, fix: Fixture, result: dict) -> dict:
     """The report of a job, which echoes every flag its command takes: the
     seed at the top, the rest in ``config``, whose first six keys are null
     where the command does not take the flag, then ``samples``, ``grid`` or
-    ``rmax`` for the command that takes it."""
+    ``rmax`` for the command that takes it.  ``format`` is the format the
+    report is written in, json for a command without ``--format``."""
     config = {
         "input": getattr(args, "input", None),
         "n": getattr(args, "n", None),
         "frame": fix.frame.to_json(),
         "tol_route": getattr(args, "tol_route", None),
         "tol_pd": getattr(args, "tol_pd", None),
-        "format": args.format,
+        "format": getattr(args, "format", "json"),
     }
     config.update((key, getattr(args, key)) for key in ("samples", "grid", "rmax")
                   if key in args)
@@ -438,72 +438,85 @@ def cmd_random_gamma(args, fix: Fixture) -> dict:
 
 # ------------------------------- CSV views ---------------------------------
 
-CSV_COMMANDS = ("zeros", "sv", "baxter", "grid", "verblunsky-to-moments",
-                "moments-to-verblunsky")
-
-
 def _quaternion_columns(quaternions: list) -> list[np.ndarray]:
     """The w, x, y, z columns of a list of quaternions (w, x, y, z)."""
     return list(np.array(quaternions, dtype=float).reshape(-1, 4).T)
 
 
+def _zeros_csv(result: dict) -> str:
+    degree, family, roots, moduli = [], [], [], []
+    for entry in result["reports"]:   # one row per root, a modulus each
+        rep = entry["report"]
+        degree += [entry["degree"]] * len(rep["moduli"])
+        family += [entry["family"]] * len(rep["moduli"])
+        roots += rep["slice_roots"]
+        moduli += rep["moduli"]
+    re, im = np.array(roots, dtype=float).reshape(-1, 2).T
+    return emit_csv(["degree", "family", "root_re", "root_im", "modulus"],
+                    [degree, family, re, im, np.array(moduli, dtype=float)])
+
+
+def _sv_csv(result: dict) -> str:
+    return emit_csv(["n", "partial_product", "gap"], [
+        range(len(result["partial_products"])),
+        np.array(result["partial_products"], dtype=float),
+        np.array(result["gap_history"], dtype=float)])
+
+
+def _baxter_csv(result: dict) -> str:
+    return emit_csv(["n", "gamma_modulus", "l1_partial_sum"], [
+        range(len(result["gamma_moduli"])),
+        np.array(result["gamma_moduli"], dtype=float),
+        np.array(result["gamma_l1_partial"], dtype=float)])
+
+
+def _grid_csv(result: dict) -> str:
+    return emit_csv(GRID_COLUMNS, result["rows"].text_columns())
+
+
+def _moments_csv(result: dict) -> str:
+    return emit_csv(["n", "w", "x", "y", "z"], [
+        [n for n, _ in result["moments"]],
+        *_quaternion_columns([q for _, q in result["moments"]])])
+
+
+def _gammas_csv(result: dict) -> str:
+    return emit_csv(["n", "w", "x", "y", "z"], [
+        range(len(result["gammas"])), *_quaternion_columns(result["gammas"])])
+
+
 def csv_view(command: str, payload: dict) -> str:
-    """The CSV view of a command's report, built column by column."""
-    result = payload["result"]
-    if command == "zeros":
-        degree, family, roots, moduli = [], [], [], []
-        for entry in result["reports"]:   # one row per root, a modulus each
-            rep = entry["report"]
-            degree += [entry["degree"]] * len(rep["moduli"])
-            family += [entry["family"]] * len(rep["moduli"])
-            roots += rep["slice_roots"]
-            moduli += rep["moduli"]
-        re, im = np.array(roots, dtype=float).reshape(-1, 2).T
-        return emit_csv(["degree", "family", "root_re", "root_im", "modulus"],
-                        [degree, family, re, im, np.array(moduli, dtype=float)])
-    if command == "sv":
-        return emit_csv(["n", "partial_product", "gap"], [
-            range(len(result["partial_products"])),
-            np.array(result["partial_products"], dtype=float),
-            np.array(result["gap_history"], dtype=float)])
-    if command == "baxter":
-        return emit_csv(["n", "gamma_modulus", "l1_partial_sum"], [
-            range(len(result["gamma_moduli"])),
-            np.array(result["gamma_moduli"], dtype=float),
-            np.array(result["gamma_l1_partial"], dtype=float)])
-    if command == "grid":
-        return emit_csv(GRID_COLUMNS, result["rows"].text_columns())
-    if command == "verblunsky-to-moments":
-        return emit_csv(["n", "w", "x", "y", "z"], [
-            [n for n, _ in result["moments"]],
-            *_quaternion_columns([q for _, q in result["moments"]])])
-    if command == "moments-to-verblunsky":
-        return emit_csv(["n", "w", "x", "y", "z"], [
-            range(len(result["gammas"])), *_quaternion_columns(result["gammas"])])
-    raise ValueError(f"no CSV view for command {command!r}")
+    """The CSV view of a report of a command that has one (``_Command.csv``),
+    built column by column."""
+    return _COMMANDS[command].csv(payload["result"])
 
 
 # --------------------------------- driver ----------------------------------
 
 @dataclass(frozen=True)
 class _Command:
-    """A subcommand: its handler and the arguments it takes, by their names
-    in ``_ARGUMENTS``, besides ``--frame``, ``--out`` and ``--format``."""
+    """A subcommand: its handler, the arguments it takes besides ``--frame``
+    and ``--out``, by their names in ``_ARGUMENTS``, and the CSV view of its
+    result, None for a command without one.  A command with a view takes
+    ``--format``."""
 
     run: Callable[[argparse.Namespace, Fixture], dict]
     arguments: tuple[str, ...]
+    csv: Callable[[dict], str] | None = None
 
 
 _COMMANDS = {
     "moments-to-verblunsky": _Command(cmd_moments_to_verblunsky,
-                                      ("input", "--n", "--tol-route", "--tol-pd")),
-    "verblunsky-to-moments": _Command(cmd_verblunsky_to_moments, ("input", "--n")),
+                                      ("input", "--n", "--tol-route", "--tol-pd"),
+                                      _gammas_csv),
+    "verblunsky-to-moments": _Command(cmd_verblunsky_to_moments, ("input", "--n"),
+                                      _moments_csv),
     "orthopolys": _Command(cmd_orthopolys, ("input", "--n", "--tol-pd")),
-    "zeros": _Command(cmd_zeros, ("input", "--n", "--tol-route", "--tol-pd")),
+    "zeros": _Command(cmd_zeros, ("input", "--n", "--tol-route", "--tol-pd"), _zeros_csv),
     "cd": _Command(cmd_cd, ("input", "--n", "--seed", "--tol-pd", "--samples")),
-    "sv": _Command(cmd_sv, ("input", "--n", "--tol-route", "--tol-pd")),
-    "baxter": _Command(cmd_baxter, ("input", "--n")),
-    "grid": _Command(cmd_grid, ("input", "--grid")),
+    "sv": _Command(cmd_sv, ("input", "--n", "--tol-route", "--tol-pd"), _sv_csv),
+    "baxter": _Command(cmd_baxter, ("input", "--n"), _baxter_csv),
+    "grid": _Command(cmd_grid, ("input", "--grid"), _grid_csv),
     "random-gamma": _Command(cmd_random_gamma, ("--n", "--seed", "--rmax")),
 }
 
@@ -525,14 +538,26 @@ _ARGUMENTS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that raises ValueError(message) where argparse
+    would print the usage to stderr and exit 2: an unknown flag, a value
+    that does not parse, a missing argument or command, a bad choice.  Its
+    subparsers are of this class too."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="qopuc",
-        description="Orthogonal polynomials on the quaternionic unit sphere")
+    """The parser of every command; flags are taken only as declared, never
+    abbreviated."""
+    parser = _Parser(prog="qopuc", allow_abbrev=False,
+                     description="Orthogonal polynomials on the quaternionic unit sphere")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, command in _COMMANDS.items():
-        p = sub.add_parser(name)
-        for argument in (*command.arguments, "--frame", "--out", "--format"):
+        p = sub.add_parser(name, allow_abbrev=False)
+        fmt = ("--format",) if command.csv else ()
+        for argument in (*command.arguments, "--frame", "--out", *fmt):
             p.add_argument(argument, **_ARGUMENTS[argument])
     return parser
 
@@ -563,7 +588,7 @@ def _run(args) -> tuple[int, str]:
     except MemoryError as exc:   # numpy's private subclass, reported as the builtin
         return EXIT_INVALID_INPUT, _error_text(MemoryError(str(exc)))
     payload = _envelope(args, fix, result)
-    if args.format == "csv":
+    if getattr(args, "format", None) == "csv":
         return EXIT_OK, csv_view(args.command, payload)
     return EXIT_OK, emit_json(payload) + "\n"
 
@@ -577,9 +602,14 @@ def _error_text(exc: Exception) -> str:
 
 
 def main(argv=None) -> int:
-    """Run one command line; an ``--out`` that cannot be written puts its
-    error on stdout, with exit 2."""
-    args = _parser().parse_args(argv)
+    """Run one command line.  A line the parser rejects, which names no
+    ``--out`` yet, and an ``--out`` that cannot be written put their error
+    on stdout, with exit 2; only ``--help`` exits through argparse."""
+    try:
+        args = _parser().parse_args(argv)
+    except ValueError as exc:
+        sys.stdout.write(_error_text(exc))
+        return EXIT_INVALID_INPUT
     code, text = _run(args)
     if not args.out:
         sys.stdout.write(text)

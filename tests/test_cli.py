@@ -377,7 +377,7 @@ def test_overflowing_density_rejected_as_not_psd(tmp_path):
     (["random-gamma", "--rmax", "0"], "--rmax"),
     (["random-gamma", "--rmax", "-0.5"], "--rmax"),
     (["random-gamma", "--rmax", "1.5"], "--rmax"),
-    # commands without a CSV view
+    # commands without a CSV view, which do not take --format
     (["orthopolys", "smooth_trig.json", "--format", "csv"], "--format"),
     (["cd", "smooth_trig.json", "--format", "csv"], "--format"),
     (["random-gamma", "--format", "csv"], "--format"),
@@ -385,17 +385,23 @@ def test_overflowing_density_rejected_as_not_psd(tmp_path):
     (["cd", "smooth_trig.json", "--seed", "-1"], "--seed"),
     (["random-gamma", "--seed", "-1"], "--seed"),
 ])
-def test_counts_below_one_rejected(tmp_path, argv, flag):
+def test_counts_below_one_rejected(tmp_path, capsys, argv, flag):
     argv = [str(FIXDIR / a) if a.endswith(".json") else a for a in argv]
-    code, out = run(tmp_path, *argv)
+    out = tmp_path / "out.json"
+    code = main([*argv, "--out", str(out)])
     assert code == 2
-    err = json.loads(out)["error"]
+    if flag == "--format":   # an unknown argument: rejected before --out is read
+        assert not out.exists()
+        text, prefix = capsys.readouterr().out, "unrecognized arguments: --format "
+    else:
+        text, prefix = out.read_text(), flag + " "
+    err = json.loads(text)["error"]
     assert err["type"] == "ValueError"
-    assert err["message"].startswith(flag + " ")
+    assert err["message"].startswith(prefix)
 
 
 # the flags each command's handler reads, besides its input, --frame, --out
-# and --format
+# and, for a command with a CSV view, --format
 OWN_FLAGS = {
     "moments-to-verblunsky": ("--n", "--tol-route", "--tol-pd"),
     "verblunsky-to-moments": ("--n",),
@@ -427,12 +433,75 @@ def _command_input(command) -> list[str]:
 def test_each_command_rejects_flags_it_does_not_read(tmp_path, capsys, command, flag):
     assert len(NOT_READ) == 18
     out = tmp_path / "out.json"
-    with pytest.raises(SystemExit) as exc:
-        main([command, *_command_input(command), flag, str(FLAG_VALUES[flag]),
-              "--out", str(out)])
-    assert exc.value.code == 2
-    assert f"unrecognized arguments: {flag} " in capsys.readouterr().err
+    code = main([command, *_command_input(command), flag, str(FLAG_VALUES[flag]),
+                 "--out", str(out)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["error"] == {
+        "type": "ValueError", "message": f"unrecognized arguments: {flag} {FLAG_VALUES[flag]}"}
+    assert captured.err == ""
     assert not out.exists()
+
+
+def _parser_arguments() -> dict[str, set[str]]:
+    """The arguments each command's parser offers, by flag or positional name."""
+    import argparse
+
+    from qopuc.cli import build_parser
+
+    commands = next(action for action in build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    return {name: {action.option_strings[0] if action.option_strings else action.dest
+                   for action in parser._actions if action.dest != "help"}
+            for name, parser in commands.choices.items()}
+
+
+def test_format_offered_exactly_where_a_csv_view_exists():
+    from qopuc.cli import _COMMANDS
+
+    arguments = _parser_arguments()
+    offered = {name for name, flags in arguments.items() if "--format" in flags}
+    assert offered == {"zeros", "sv", "baxter", "grid", "verblunsky-to-moments",
+                       "moments-to-verblunsky"}
+    assert offered == {name for name, command in _COMMANDS.items() if command.csv}
+    assert sum(map(len, arguments.values())) == 53
+
+
+LEBESGUE = str(FIXDIR / "lebesgue.json")
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["grid", LEBESGUE, "--seed", "1"], "unrecognized arguments: --seed 1"),
+    (["zeros", LEBESGUE, "--n", "x"], "--n"),
+    (["sv", str(FIXDIR / "smooth_trig.json"), "--tol-route", "abc"], "--tol-route"),
+    (["zeros"], "input"),
+    (["zeros", LEBESGUE, "--format", "xml"], "--format"),
+    (["cd", LEBESGUE, "--n", "2", "--sam", "3", "--se", "4"],
+     "unrecognized arguments: --sam 3 --se 4"),
+    (["zeros", LEBESGUE, "--n", "1", "--form", "csv"], "unrecognized arguments: --form csv"),
+    (["bogus"], "command"),
+    ([], "command"),
+])
+def test_rejected_command_line_is_a_typed_error(tmp_path, capsys, argv, named):
+    # argparse once printed the usage on stderr and raised SystemExit(2) out
+    # of main; a line that does not parse names no --out yet, so its error
+    # report is on stdout
+    out = tmp_path / "out.json"
+    code = main([*argv, "--out", str(out)] if argv else [])
+    assert code == 2
+    captured = capsys.readouterr()
+    err = json.loads(captured.out)["error"]
+    assert err["type"] == "ValueError" and named in err["message"]
+    assert captured.err == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["zeros", "--help"], ["random-gamma", "-h"]])
+def test_help_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: qopuc")
 
 
 @pytest.mark.parametrize("command", OWN_FLAGS)
@@ -1045,9 +1114,8 @@ CSV_ARGV = {"zeros": ["--n", "6"], "sv": ["--n", "20"], "baxter": ["--n", "50"],
 
 @pytest.mark.parametrize("command", sorted(CSV_FIELDS))
 def test_every_csv_cell_equals_its_json_field(tmp_path, command):
-    from qopuc.cli import CSV_COMMANDS
-
-    assert sorted(CSV_COMMANDS) == sorted(CSV_FIELDS)
+    assert sorted(name for name, flags in _parser_arguments().items()
+                  if "--format" in flags) == sorted(CSV_FIELDS)
     sources = (["random_gamma_7.json"] if command == "verblunsky-to-moments"
                else DENSITY_FIXTURES)
     for fixture in sources:
@@ -1360,7 +1428,9 @@ def test_cli_fuzz_exit_codes(tmp_path):
         argv = [command] + ([] if command == "random-gamma" else [str(fixture)])
         drawn = {"--n": str(int(rng.integers(1, 10))), "--seed": str(int(rng.integers(100)))}
         argv += _fuzz_frame(rng)
-        argv += ["--format", str(rng.choice(["json", "csv"]))]
+        fmt = str(rng.choice(["json", "csv"]))
+        if command in CSV_FIELDS:   # the commands that take --format
+            argv += ["--format", fmt]
         drawn["--tol-route"] = str(rng.choice([1e-8, 1e-3, 1e-15]))
         drawn["--tol-pd"] = str(rng.choice([1e-12, 0.0, 0.5]))
         if command == "cd":

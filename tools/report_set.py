@@ -9,9 +9,9 @@ checkout).  Every report of the set runs in-process against that package;
 DIR receives ``fixtures/`` (the shipped fixtures and the ones the set
 generates) and ``reports/``, one file per report whose first line is
 ``exit <code>`` (``raised <type>`` for an exception that escaped
-``qopuc.cli.main``), followed by the report text.  Every exit-0 JSON report
-is validated against its command's schema in ``SRC/qopuc/schemas``; the
-tool lists the reports that fail and exits 1.  Commands run with DIR as
+``qopuc.cli.main``, ``SystemExit`` too), followed by the report text.
+Every exit-0 JSON report is validated against its command's schema in
+``SRC/qopuc/schemas``; the tool lists the reports that fail and exits 1.  Commands run with DIR as
 the working directory and name fixtures by relative path, so the envelopes
 do not depend on DIR.  Comparing two trees is then
 
@@ -103,7 +103,11 @@ under ``grid --grid 4``; moments c_0 and c_1 under
 ``moments-to-verblunsky --n 3``; a ``{}`` fixture and a ``w1`` index of
 2^63 under ``moments-to-verblunsky --n 1``; and ``--n 0``, ``--seed -1``,
 ``--rmax 1``, ``--tol-route 0``, ``--tol-route nan``, ``--tol-pd -1`` and
-``orthopolys --format csv``.
+``orthopolys --format csv``.  The command lines the parser rejects (all
+exit 2): an unknown flag (``grid --seed 1``), an int and a float that do
+not parse (``zeros --n x``, ``sv --tol-route abc``), ``zeros`` without its
+input, ``--format xml``, an abbreviated flag (``cd --sam 3``) and
+``--format csv`` on ``cd`` and ``random-gamma``.
 """
 
 from __future__ import annotations
@@ -152,7 +156,7 @@ def run(main, argv) -> str:
     with contextlib.redirect_stdout(out):
         try:
             head = f"exit {main(argv)}"
-        except Exception as exc:  # a traceback is a finding, not a stop
+        except (Exception, SystemExit) as exc:  # a traceback is a finding, not a stop
             head = f"raised {type(exc).__name__}: {exc}"
     return head + "\n" + out.getvalue()
 
@@ -375,6 +379,17 @@ def report_set(frames: dict[str, str]):
                        ("orthopolys.csv", ["orthopolys", smooth, "--n", "2",
                                            "--format", "csv"])):
         yield f"flag.{name}", argv
+    # the command lines the parser rejects
+    lebesgue = "fixtures/lebesgue.json"
+    for name, argv in (("grid.seed1", ["grid", lebesgue, "--seed", "1"]),
+                       ("zeros.nx", ["zeros", lebesgue, "--n", "x"]),
+                       ("sv.tol-routeabc", ["sv", smooth, "--tol-route", "abc"]),
+                       ("zeros.no-input", ["zeros"]),
+                       ("zeros.xml", ["zeros", lebesgue, "--n", "2", "--format", "xml"]),
+                       ("cd.sam3", ["cd", lebesgue, "--n", "2", "--sam", "3"]),
+                       ("cd.csv", ["cd", smooth, "--n", "2", "--format", "csv"]),
+                       ("random-gamma.csv", ["random-gamma", "--n", "2", "--format", "csv"])):
+        yield f"parse.{name}", argv
 
 
 def write_fixture(name: str, obj) -> None:
