@@ -10,8 +10,8 @@ __version__ = "0.1.0"
 
 from .quaternions import Quaternion, SliceFrame, chi, chi_inv, chi_mat
 from .measures import (
-    MomentSequence, QPositiveDensity, is_nontrivial, matrix_moments, moments_from_density,
-    require_nontrivial, toeplitz, wiener_coefficient_norm,
+    MomentSequence, QPositiveDensity, is_nontrivial, moments_from_density, require_nontrivial,
+    toeplitz, wiener_coefficient_norm,
 )
 from .series import TruncSeries, herglotz_from_moments, herglotz_from_schur, \
     schur_from_herglotz

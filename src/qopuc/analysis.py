@@ -26,7 +26,7 @@ from .measures import (
     wiener_coefficient_norm,
 )
 from .polynomials import (
-    ROUTE_TOL, _gammas_via_matrix, eval_norm_sq, orthonormal_polys, reversed_rows,
+    ROUTE_TOL, eval_norm_sq, gammas_via_matrix, orthonormal_polys, reversed_rows,
     verblunsky_from_moments_q,
 )
 from .quaternions import qarr_norm_sq
@@ -198,7 +198,7 @@ def baxter_check(d: QPositiveDensity, N: int) -> dict:
     """
     c = moments_from_density(d, N)
     try:
-        moduli = _gammas_via_matrix(c, N, d.frame).moduli()
+        moduli = gammas_via_matrix(c, N, d.frame).moduli()
     except NotContraction as exc:
         raise NotPositiveDefinite(
             f"Toeplitz form not positive definite at order {exc.index + 1} (route A: "

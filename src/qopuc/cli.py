@@ -522,7 +522,7 @@ _COMMANDS = {
 
 # every argument a command can take: its add_argument keywords
 _ARGUMENTS = {
-    "input": dict(help="fixture JSON path"),
+    "input": dict(nargs="?", help="fixture JSON path"),
     "--n": dict(type=int, default=8, help="horizon / max degree"),
     "--seed": dict(type=int, default=0, help="seed for sampled checks"),
     "--tol-route": dict(type=float, default=ROUTE_TOL,
@@ -550,10 +550,12 @@ class _Parser(argparse.ArgumentParser):
 
 def build_parser() -> argparse.ArgumentParser:
     """The parser of every command; flags are taken only as declared, never
-    abbreviated."""
+    abbreviated.  The command and ``input`` are optional to it, so that a
+    line with an unknown flag is rejected for that flag; ``main`` requires
+    them."""
     parser = _Parser(prog="qopuc", allow_abbrev=False,
                      description="Orthogonal polynomials on the quaternionic unit sphere")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command")
     for name, command in _COMMANDS.items():
         p = sub.add_parser(name, allow_abbrev=False)
         fmt = ("--format",) if command.csv else ()
@@ -604,9 +606,13 @@ def _error_text(exc: Exception) -> str:
 def main(argv=None) -> int:
     """Run one command line.  A line the parser rejects, which names no
     ``--out`` yet, and an ``--out`` that cannot be written put their error
-    on stdout, with exit 2; only ``--help`` exits through argparse."""
+    on stdout, with exit 2; only ``--help`` exits through argparse.  A
+    missing command or input is named once no unknown argument is left."""
     try:
         args = _parser().parse_args(argv)
+        for name in ("command", "input"):
+            if getattr(args, name, "") is None:
+                raise ValueError(f"the following arguments are required: {name}")
     except ValueError as exc:
         sys.stdout.write(_error_text(exc))
         return EXIT_INVALID_INPUT

@@ -30,8 +30,8 @@ import numpy as np
 
 from .errors import HorizonExceeded, NotPositiveDefinite
 from .quaternions import (
-    Quaternion, SliceFrame, _frame_coords, _from_frame_coords, chi, chi_mat, qarr_abs,
-    qarr_conj, qarr_from, qarr_mul, qmul_parts,
+    Quaternion, SliceFrame, chi, chi_mat, from_frame_coords, qarr_abs, qarr_conj, qarr_from,
+    qarr_mul, qmul_parts,
 )
 
 PSD_GRID = 2048
@@ -327,18 +327,18 @@ class QPositiveDensity:
         index = sorted({0} | {-n for n in (*w1, *w2) if n <= 0})
         z1 = np.array([w1.get(-n, 0j) for n in index], dtype=complex)
         z2 = np.array([w2.get(-n, 0j) for n in index], dtype=complex)
-        return cls(held_in or frame, index, _from_frame_coords(z1, z2, frame))
+        return cls(held_in or frame, index, from_frame_coords(z1, z2, frame))
 
     def matrix_values(self, grid: int) -> np.ndarray:
         """W(2 pi k / grid), k < grid, as a (grid, 2, 2) array.
 
-        With (z1, z2) the frame coordinates of c_n, w1_{-n} = z1, w1_n = conj(z1),
-        w2_{-n} = z2 and w2_n = -z2; one long-double inverse FFT each, terms
-        folded in ascending n, gives a = w1 and b = w2 on the grid.
-        W22(theta_k) = w1(-theta_k) is a at index -k mod grid, and W21 = conj(b),
-        both bit for bit.
+        With (z1, z2) the frame coordinates of c_n, the first row of
+        chi(c_n), w1_{-n} = z1, w1_n = conj(z1), w2_{-n} = z2 and w2_n = -z2;
+        one long-double inverse FFT each, terms folded in ascending n, gives
+        a = w1 and b = w2 on the grid.  W22(theta_k) = w1(-theta_k) is a at
+        index -k mod grid, and W21 = conj(b), both bit for bit.
         """
-        z1, z2 = _frame_coords(self.coeffs, self.frame)
+        z1, z2 = chi(self.coeffs, self.frame)[:, 0].T
         n, pos = self.index, self.index > 0
         ns = np.concatenate([-n[::-1], n[pos]])
         a = _fourier_on_grid(ns, np.concatenate([z1[::-1], np.conj(z1[pos])]), grid)
@@ -393,13 +393,6 @@ def moments_from_density(d: QPositiveDensity, N: int) -> MomentSequence:
     keep = d.index <= N
     arr[d.index[keep]] = d.coeffs[keep]
     return MomentSequence(arr)
-
-
-def matrix_moments(c: MomentSequence, frame: SliceFrame, N: int) -> np.ndarray:
-    """C_0..C_N with C_n = chi(c_n), as an (N+1, 2, 2) array."""
-    if N > c.horizon:
-        raise HorizonExceeded(f"order {N} beyond horizon {c.horizon}")
-    return chi(c.arr[: N + 1], frame)
 
 
 def wiener_coefficient_norm(d: QPositiveDensity) -> float:

@@ -13,19 +13,18 @@ moments (``measures.require_nontrivial``), as one (2, N+1, N+1, 4) stack of
 coefficient rows, rows[0] right and rows[1] left; ``reversed_rows`` reverses
 every member of such a stack in one step, and a reverse lives in the other
 space.  The Verblunsky coefficients those recurrences read off equal the
-ones the matrix Schur algorithm strips from the embedded moments, and the
-two extraction routes are cross-checked on every call of
-``verblunsky_from_moments_q``.
+ones the matrix Schur algorithm strips from the embedded moments (route A,
+whose one entry is ``gammas_via_matrix``), and the two extraction routes
+are cross-checked on every call of ``verblunsky_from_moments_q``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import NotContraction, NotInImage, RouteMismatch
+from .errors import HorizonExceeded, NotContraction, NotInImage, RouteMismatch
 from .matrix_opuc import CONTRACTION_MARGIN, alphas_from_moments, moments_from_alphas
-from .measures import _BASIS_PRODUCTS, PIVOT_TOL, MomentSequence, matrix_moments, \
-    require_nontrivial
+from .measures import _BASIS_PRODUCTS, PIVOT_TOL, MomentSequence, require_nontrivial
 from .quaternions import (
     Quaternion, SliceFrame, chi, chi_inv, qarr_abs, qarr_conj, qarr_from, qmul_parts,
 )
@@ -182,9 +181,18 @@ class VerblunskySeq:
         return self.arr.tolist()
 
 
-def _gammas_via_matrix(c: MomentSequence, N: int, frame: SliceFrame) -> VerblunskySeq:
-    C = matrix_moments(c, frame, N)
-    return VerblunskySeq(chi_inv(alphas_from_moments(C[1:], N), frame))
+def gammas_via_matrix(c: MomentSequence, N: int, frame: SliceFrame) -> VerblunskySeq:
+    """Route A: chi of c_1..c_N in ``frame`` (HorizonExceeded past the
+    horizon), the matrix Schur algorithm (``alphas_from_moments``), and
+    ``chi_inv`` of its coefficients, whose NotInImage says that the matrix
+    route left the quaternionic subalgebra."""
+    if N > c.horizon:
+        raise HorizonExceeded(f"order {N} beyond horizon {c.horizon}")
+    alphas = alphas_from_moments(chi(c.arr[1: N + 1], frame), N)
+    try:
+        return VerblunskySeq(chi_inv(alphas, frame))
+    except NotInImage as exc:
+        raise NotInImage(f"matrix route left the quaternionic subalgebra: {exc}") from exc
 
 
 def moments_from_verblunsky_q(gammas: VerblunskySeq, N: int,
@@ -207,21 +215,18 @@ def verblunsky_from_moments_q(c: MomentSequence, N: int, frame: SliceFrame,
     (gammas, route_residual): route A's coefficients and the largest
     |gamma_n| difference between the routes.
 
-    Route A embeds the moments, runs the matrix Schur algorithm in complex
-    long double, and pulls the coefficients back; route B reads them off the
-    paired Szego recurrences on the moments in real long double
-    (``orthonormal_polys``), one inner product with the moments per
-    coefficient.  No polynomial is built.  Route B runs first, so moments that
+    Route A (``gammas_via_matrix``) embeds the moments, runs the matrix
+    Schur algorithm in complex long double, and pulls the coefficients back;
+    route B reads them off the paired Szego recurrences on the moments in
+    real long double (``orthonormal_polys``), one inner product with the
+    moments per coefficient.  No polynomial is built.  Route B runs first, so moments that
     are not positive definite (first prediction error at most ``pivot_tol``)
     raise NotPositiveDefinite before route A runs.  RouteMismatch fires when the
     routes differ beyond tolerance - a correctness alarm, not a recoverable
     state.
     """
     szego_gammas, _ = orthonormal_polys(c, N, pivot_tol)
-    try:
-        via_matrix = _gammas_via_matrix(c, N, frame)
-    except NotInImage as exc:
-        raise NotInImage(f"matrix route left the quaternionic subalgebra: {exc}") from exc
+    via_matrix = gammas_via_matrix(c, N, frame)
     via_szego = VerblunskySeq(szego_gammas)   # route B's contraction test
     residual = float(np.max(qarr_abs(via_matrix.arr - via_szego.arr), initial=0.0))
     if residual > route_tol:

@@ -14,11 +14,13 @@ k as (4,) arrays.  ``Quaternion`` is a record the API hands out (a
 ``VerblunskySeq`` iterates as them) and has no arithmetic.  One Hamilton
 product, ``qmul_parts``, serves floats, long-double scalars (route B's
 gamma) and arrays; ``polynomials.eval_norm_sq`` reads its terms as a table,
-in its order, to form a Horner step's 16 products in one multiply.  One
-frame-coordinate kernel, ``_frame_coords``, serves ``chi`` and ``chi_mat``,
-and its inverse ``_from_frame_coords`` serves ``chi_inv``, so ``chi`` of a
-whole (..., 4) array and ``chi_inv`` of a whole (..., 2, 2) stack give the
-bits of the per-quaternion sums.
+in its order, to form a Horner step's 16 products in one multiply.
+``chi`` is the library's one quaternion -> 2x2 embedding: ``chi_mat`` lays
+its output out in 2n x 2n blocks, and the density grid reads the frame
+coordinates (z1, z2) off its first row.  Its inverse split,
+``from_frame_coords``, serves ``chi_inv`` and the density loader, so ``chi``
+of a whole (..., 4) array and ``chi_inv`` of a whole (..., 2, 2) stack give
+the bits of the per-quaternion sums.
 ``right_eigen_slice`` answers one quaternion matrix or a stack with one
 LAPACK call.
 """
@@ -110,18 +112,25 @@ class SliceFrame:
 
 
 def chi(p, frame: SliceFrame) -> np.ndarray:
-    """The 2x2 complex image [[z1, z2], [-conj z2, conj z1]] of p.
+    """The 2x2 complex image [[z1, z2], [-conj z2, conj z1]] of p, where
+    (z1, z2) are p's frame coordinates, p = z1 + z2 j.
 
     ``p`` is an (..., 4) array (or a 4-sequence); it maps entrywise to an
     (..., 2, 2) array, so ``chi(poly.arr, frame)`` is the coefficientwise
-    image of a polynomial.
+    image of a polynomial.  ``np.vecdot`` gives the bits of a per-quaternion
+    ``np.dot`` (``@`` and einsum do not), and the parts are assigned
+    separately because ``a + 1j * b`` does not keep signed zeros.
     """
-    A1, A2 = _frame_coords(p, frame)
-    out = np.empty(A1.shape + (2, 2), dtype=complex)
-    out[..., 0, 0] = A1
-    out[..., 0, 1] = A2
-    out[..., 1, 0] = -np.conj(A2)
-    out[..., 1, 1] = np.conj(A1)
+    p = np.asarray(p, dtype=float)
+    im = p[..., 1:]
+    out = np.empty(p.shape[:-1] + (2, 2), dtype=complex)
+    z1, z2 = out[..., 0, 0], out[..., 0, 1]
+    z1.real = p[..., 0]
+    z1.imag = np.vecdot(im, frame.i[1:])
+    z2.real = np.vecdot(im, frame.j[1:])
+    z2.imag = np.vecdot(im, frame.k[1:])
+    out[..., 1, 0] = -np.conj(z2)
+    out[..., 1, 1] = np.conj(z1)
     return out
 
 
@@ -136,7 +145,7 @@ def chi_inv(M: np.ndarray, frame: SliceFrame) -> np.ndarray:
     if not residual <= TAU_IMG:
         raise NotInImage(f"matrix is not in the embedding image "
                          f"(structural residual {residual:.3e} > {TAU_IMG:.1e})")
-    return _from_frame_coords(M[..., 0, 0], M[..., 0, 1], frame)
+    return from_frame_coords(M[..., 0, 0], M[..., 0, 1], frame)
 
 
 def chi_image_residual(M: np.ndarray) -> float:
@@ -200,27 +209,9 @@ def qarr_from(values) -> np.ndarray:
     return arr.reshape(-1, 4)
 
 
-def _frame_coords(A: np.ndarray, frame: SliceFrame):
-    """Split an (..., 4) array into the coordinate arrays (z1, z2) of
-    q = z1 + z2 j.
-
-    ``np.vecdot`` gives the bits of a per-quaternion ``np.dot`` (``@`` and
-    einsum do not), and the parts are assigned separately because
-    ``a + 1j * b`` does not keep signed zeros.
-    """
-    A = np.asarray(A, dtype=float)
-    im = A[..., 1:]
-    A1 = np.empty(A.shape[:-1], dtype=complex)
-    A2 = np.empty(A.shape[:-1], dtype=complex)
-    A1.real = A[..., 0]
-    A1.imag = np.vecdot(im, frame.i[1:])
-    A2.real = np.vecdot(im, frame.j[1:])
-    A2.imag = np.vecdot(im, frame.k[1:])
-    return A1, A2
-
-
-def _from_frame_coords(z1, z2, frame: SliceFrame) -> np.ndarray:
-    """The (..., 4) array of q = z1 + z2 j, the inverse of ``_frame_coords``.
+def from_frame_coords(z1, z2, frame: SliceFrame) -> np.ndarray:
+    """The (..., 4) array of q = z1 + z2 j, the inverse of ``chi``'s split
+    into frame coordinates.
 
     Summed as ((z1.real + i z1.imag) + j z2.real) + k z2.imag per component
     from 0.0 off the real axis: the bits, signed zeros included, of the same
@@ -236,15 +227,12 @@ def _from_frame_coords(z1, z2, frame: SliceFrame) -> np.ndarray:
 
 
 def chi_mat(A: np.ndarray, frame: SliceFrame) -> np.ndarray:
-    """Entrywise-split embedding of an (..., n, n, 4) stack of quaternion
-    matrices.
-
-    Returns the 2n x 2n complex matrices [[A1, A2], [-conj A2, conj A1]].
-    """
-    A1, A2 = _frame_coords(A, frame)
-    top = np.concatenate([A1, A2], axis=-1)
-    bot = np.concatenate([-np.conj(A2), np.conj(A1)], axis=-1)
-    return np.concatenate([top, bot], axis=-2)
+    """Entrywise-split embedding of an (..., n, m, 4) stack of quaternion
+    matrices: the 2n x 2m complex matrices [[A1, A2], [-conj A2, conj A1]],
+    ``chi`` of every entry with its 2x2 blocks laid out by block position."""
+    C = chi(A, frame)   # (..., n, m, 2, 2)
+    *lead, n, m = C.shape[:-2]
+    return np.moveaxis(C, (-2, -1), (-4, -2)).reshape(*lead, 2 * n, 2 * m)
 
 
 def right_eigen_slice(A: np.ndarray, frame: SliceFrame) -> np.ndarray:

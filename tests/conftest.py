@@ -485,7 +485,7 @@ def chi_scalar(p, frame):
 
 def from_split_scalar(frame, z1, z2):
     """p = z1 + z2 j in Quaternion arithmetic, one coordinate at a time: the
-    per-value form of ``quaternions._from_frame_coords``, kept as its
+    per-value form of ``quaternions.from_frame_coords``, kept as its
     bitwise oracle."""
     z1, z2 = complex(z1), complex(z2)
     i, j, k = frame_units(frame)

@@ -18,7 +18,7 @@ from qopuc.analysis import baxter_check, cd_identity_check, sv_check, szego_entr
 from qopuc.cli import main as cli_main
 from qopuc.fixtures import random_gamma_seq
 from qopuc.matrix_opuc import defects, moments_from_alphas
-from qopuc.measures import QPositiveDensity, matrix_moments, moments_from_density
+from qopuc.measures import QPositiveDensity, moments_from_density
 from qopuc.polynomials import (
     moments_from_verblunsky_q, orthonormal_polys, verblunsky_from_moments_q,
 )
@@ -119,7 +119,7 @@ def test_criterion_3_orthonormality_and_correspondence():
                 worst_gram = max(worst_gram,
                                  abs(inner_R(fam.right[n], fam.right[m], c) - target),
                                  abs(inner_L(fam.left[n], fam.left[m], c) - target))
-        C = matrix_moments(c, frame, 12)
+        C = chi(c.arr, frame)
         right_m, left_m = matrix_gram_schmidt(C, 12)
         for n in range(13):
             img = chi(fam.right[n].arr, frame)
@@ -252,8 +252,8 @@ def test_criterion_8_baxter():
                        and math.isfinite(rep["wiener_norm"]) and rep["density_min"] > 0)
     rep = baxter_check(vanishing_density(), 200)
     c = moments_from_density(vanishing_density(), 200)
-    from qopuc.polynomials import _gammas_via_matrix
-    moduli = _gammas_via_matrix(c, 200, vanishing_density().frame).moduli()
+    from qopuc.polynomials import gammas_via_matrix
+    moduli = gammas_via_matrix(c, 200, vanishing_density().frame).moduli()
     sums = np.cumsum(moduli)
     block_ratio = (sums[199] - sums[99]) / (sums[99] - sums[49])
     no_flattening = rep["gamma_l1_diverging"] and block_ratio > 0.9

@@ -12,7 +12,7 @@ from qopuc.analysis import (
 )
 from qopuc.fixtures import random_gamma_seq
 from qopuc.measures import QPositiveDensity, moments_from_density
-from qopuc.polynomials import VerblunskySeq, _gammas_via_matrix
+from qopuc.polynomials import VerblunskySeq, gammas_via_matrix
 from conftest import (
     Quaternion, bernstein_szego_density, cd_kernel_diag, eval_L_q, eval_R_q, family,
     lebesgue_density, qarr, quats, random_frame, random_moment_fixture,
@@ -140,7 +140,7 @@ def test_square_summability_iff_finite_entropy():
     for d, _ in cases[:2]:
         ent = szego_entropy(d)
         c = moments_from_density(d, 40)
-        g = _gammas_via_matrix(c, 40, d.frame)
+        g = gammas_via_matrix(c, 40, d.frame)
         assert math.isfinite(ent) and not _diverging_over_horizon(g.moduli() ** 2)
     # the vanishing fixture is square-summable (sum 1/(n+2)^2) and its
     # entropy is finite in the improper sense: log(1+cos t) is integrable;
@@ -148,7 +148,7 @@ def test_square_summability_iff_finite_entropy():
     # assert the gamma side here
     d = vanishing_density()
     c = moments_from_density(d, 60)
-    g = _gammas_via_matrix(c, 60, d.frame)
+    g = gammas_via_matrix(c, 60, d.frame)
     assert not _diverging_over_horizon(g.moduli() ** 2)
 
 
@@ -182,7 +182,7 @@ def test_baxter_vanishing_density():
     assert rep["density_min"] < 1e-9
     # closed form for this fixture: |gamma_n| = 1/(n+2)
     c = moments_from_density(vanishing_density(), 40)
-    g = _gammas_via_matrix(c, 40, vanishing_density().frame)
+    g = gammas_via_matrix(c, 40, vanishing_density().frame)
     expected = 1.0 / np.arange(2, 42)
     assert np.max(np.abs(g.moduli() - expected)) < 1e-9
 

@@ -23,7 +23,10 @@ DENSITY_FIXTURES = ["lebesgue.json", "bernstein_szego_05.json",
 
 
 def run(tmp_path, *argv):
+    # an earlier call's report is removed first, so a call that writes none
+    # fails here by the file's name
     out = tmp_path / "out.json"
+    out.unlink(missing_ok=True)
     code = main([*argv, "--out", str(out)])
     return code, out.read_bytes()
 
@@ -481,13 +484,19 @@ LEBESGUE = str(FIXDIR / "lebesgue.json")
     (["zeros", LEBESGUE, "--n", "1", "--form", "csv"], "unrecognized arguments: --form csv"),
     (["bogus"], "command"),
     ([], "command"),
+    # an unknown flag is named before a missing input or command
+    (["zeros", "--bogus"], "unrecognized arguments: --bogus"),
+    (["zeros", "--n", "2", "--bogus"], "unrecognized arguments: --bogus"),
+    (["--bogus"], "unrecognized arguments: --bogus"),
 ])
 def test_rejected_command_line_is_a_typed_error(tmp_path, capsys, argv, named):
     # argparse once printed the usage on stderr and raised SystemExit(2) out
     # of main; a line that does not parse names no --out yet, so its error
-    # report is on stdout
+    # report is on stdout.  --out is a command's flag: a line that names no
+    # command goes without it
     out = tmp_path / "out.json"
-    code = main([*argv, "--out", str(out)] if argv else [])
+    named_command = argv[:1] and not argv[0].startswith("-")
+    code = main([*argv, "--out", str(out)] if named_command else argv)
     assert code == 2
     captured = capsys.readouterr()
     err = json.loads(captured.out)["error"]
@@ -564,6 +573,27 @@ def test_baxter_runs_route_a_once(tmp_path, monkeypatch):
     assert code == 0
     assert calls == [8]
     assert len(json.loads(out)["result"]["gamma_moduli"]) == 8
+
+
+
+@pytest.mark.parametrize("module, name, value, error", [
+    ("matrix_opuc", "COND_LIMIT", 0.5, "SingularConstantTerm"),
+    ("matrix_opuc", "SHIFT_TOL", -1.0, "ShiftResidual"),
+    ("quaternions", "TAU_IMG", -1.0, "NotInImage"),
+])
+def test_route_a_guards_are_one_typed_error(tmp_path, monkeypatch, module, name, value, error):
+    # each guard of route A forced to fire: every command that runs route A
+    # exits 2 with the same typed error report
+    import importlib
+
+    monkeypatch.setattr(importlib.import_module(f"qopuc.{module}"), name, value)
+    reports = set()
+    for command in ("baxter", "sv", "moments-to-verblunsky"):
+        code, out = run(tmp_path, command, str(FIXDIR / "smooth_trig.json"), "--n", "4")
+        assert code == 2, command
+        assert json.loads(out)["error"]["type"] == error, command
+        reports.add(out)
+    assert len(reports) == 1, reports
 
 
 def _gammas80(tmp_path) -> str:
@@ -849,7 +879,7 @@ def test_family_readers_get_the_pair_form_rows(tmp_path, monkeypatch, argv):
     # stack, which holds nothing past each degree
     from conftest import OrthonormalFamily, family_rows_pairs, szego_family
     from qopuc import analysis, cli
-    from qopuc.polynomials import _gammas_via_matrix
+    from qopuc.polynomials import gammas_via_matrix
     from qopuc.quaternions import SliceFrame
 
     seen = []
@@ -873,7 +903,7 @@ def test_family_readers_get_the_pair_form_rows(tmp_path, monkeypatch, argv):
     assert rows.shape == (2, N + 1, N + 1, 4)
     assert not np.triu(np.abs(rows).sum(axis=-1), 1).any()
     rows_r, rows_l = family_rows_pairs(c, N)
-    states = szego_family(_gammas_via_matrix(c, N, SliceFrame.standard()), N)
+    states = szego_family(gammas_via_matrix(c, N, SliceFrame.standard()), N)
     assert fam.order == N
     for n in range(N + 1):
         for got, pair, recurred in ((fam.right[n], rows_r[n, : n + 1], states[n].right),

@@ -423,7 +423,7 @@ def max_gap(xs, ys):
 @pytest.mark.parametrize("N", [12, 25, 40])
 def test_route_a_matches_series_chain_on_fixtures(N):
     from qopuc.cli import load_fixture, moments_from_fixture
-    from qopuc.measures import matrix_moments
+    from qopuc.quaternions import chi
 
     checked = 0
     for path in sorted(FIXDIR.glob("*.json")):
@@ -431,7 +431,7 @@ def test_route_a_matches_series_chain_on_fixtures(N):
         if fix.gammas is not None and 0 < len(fix.gammas) < N:
             continue  # a gamma fixture carries moments only up to its length
         c = moments_from_fixture(fix, N)
-        C = matrix_moments(c, fix.frame, N)[1:]
+        C = chi(c.arr[1:], fix.frame)
         assert max_gap(alphas_from_moments(C, N), reference_alphas(C, N)) <= 1e-13, path.name
         checked += 1
     assert checked >= 4
@@ -475,10 +475,11 @@ def test_second_kind_identity():
 def test_route_a_horizon_prefix_is_byte_identical():
     # at N <= K + 1 A and B shrink from the first step, past it they stay
     # K + 1 wide until N - n reaches K + 1: both give the prefix of N = 200
-    from qopuc.measures import matrix_moments, moments_from_density
+    from qopuc.measures import moments_from_density
+    from qopuc.quaternions import chi
 
     for d in (vanishing_density(), smooth_trig_density(), bernstein_szego_density()):
-        C = matrix_moments(moments_from_density(d, 200), d.frame, 200)[1:]
+        C = chi(moments_from_density(d, 200).arr[1:], d.frame)
         full = alphas_from_moments(C, 200)
         K = int(d.index[-1])
         for N in sorted({1, K, K + 1, K + 2, 50}):
@@ -505,12 +506,12 @@ def test_forward_map_horizon_prefix_is_byte_identical():
                     reason="needs an extended-precision np.longdouble")
 def test_route_a_vanishing_density_closed_form_n400():
     # in double precision the generator recursion reaches only about 4e-15 here
-    from qopuc.measures import matrix_moments, moments_from_density
-    from qopuc.quaternions import chi_inv, qarr_abs
+    from qopuc.measures import moments_from_density
+    from qopuc.quaternions import chi, chi_inv, qarr_abs
 
     d = vanishing_density()
     N = 400
-    C = matrix_moments(moments_from_density(d, N), d.frame, N)[1:]
+    C = chi(moments_from_density(d, N).arr[1:], d.frame)
     gammas = chi_inv(alphas_from_moments(C, N), d.frame)
     err = np.max(np.abs(qarr_abs(gammas) - 1.0 / np.arange(2, N + 2)))
     assert err <= 1e-15
@@ -778,41 +779,41 @@ def route_a_cases(name):
     (the first steps and the last step's early exit); the seeded rmax-0.8
     moments of dual_route at N = 12, 25 and 40, which are ill-conditioned;
     and seeded moments in a seeded non-standard frame."""
-    from qopuc.measures import MomentSequence, matrix_moments, moments_from_density
-    from qopuc.quaternions import SliceFrame
+    from qopuc.measures import MomentSequence, moments_from_density
+    from qopuc.quaternions import SliceFrame, chi
 
     standard = SliceFrame.standard()
     if name.endswith("_density"):
         d = DENSITIES[name]()
-        C = matrix_moments(moments_from_density(d, 400), d.frame, 400)[1:]
+        C = chi(moments_from_density(d, 400).arr[1:], d.frame)
         K = int(d.index[-1])   # C_K is the last nonzero moment
         return [(C, N) for N in (K, K + 1, K + 2, 200, 400) if N >= 1]
     if name == "densities_seeded_frame":
         fr = random_frame(np.random.default_rng(4107))
         densities = [make(frame=fr) for make in DENSITIES.values()]
-        return [(matrix_moments(moments_from_density(d, 200), fr, 200)[1:], 200)
+        return [(chi(moments_from_density(d, 200).arr[1:], fr), 200)
                 for d in densities]
     if name == "banded_moments":
         # C_3 is the last nonzero moment, C_2 = 0 lies inside the band
         c = MomentSequence([[1.0, 0.0, 0.0, 0.0], [0.3, 0.1, -0.05, 0.02], [0.0] * 4,
                             [0.05, -0.02, 0.01, 0.03]] + [[0.0] * 4] * 37)
-        C = matrix_moments(c, standard, 40)[1:]
+        C = chi(c.arr[1:], standard)
         C[3:] = complex(-0.0, -0.0)
         return [(C, N) for N in (1, 2, 3, 4, 5, 40)]
     if name == "atom_lebesgue":
         c = MomentSequence([[1.0, 0.0, 0.0, 0.0]] + [[0.5, 0.0, 0.0, 0.0]] * 200)
-        return [(matrix_moments(c, standard, 200)[1:], 200)]
+        return [(chi(c.arr[1:], standard), 200)]
     if name == "first_steps":
         d = smooth_trig_density()
-        C = matrix_moments(moments_from_density(d, 9), d.frame, 9)[1:]
-        seeded = matrix_moments(random_moment_fixture(1017, 9), standard, 9)[1:]
+        C = chi(moments_from_density(d, 9).arr[1:], d.frame)
+        seeded = chi(random_moment_fixture(1017, 9).arr[1:], standard)
         return [(M, N) for M in (C, seeded) for N in range(1, 10)]
     if name == "rmax08_seeded":
-        return [(matrix_moments(random_moment_fixture(seed, 40), standard, 40)[1:], N)
+        return [(chi(random_moment_fixture(seed, 40).arr[1:], standard), N)
                 for seed in (1017, 2017, 3017) for N in (12, 25, 40)]
     assert name == "seeded_frame"
     fr = random_frame(np.random.default_rng(4103))
-    return [(matrix_moments(random_moment_fixture(1017, 40, frame=fr), fr, 40)[1:], 40)]
+    return [(chi(random_moment_fixture(1017, 40, frame=fr).arr[1:], fr), 40)]
 
 
 @pytest.mark.parametrize("name", [*DENSITIES, "densities_seeded_frame", "banded_moments",
@@ -877,11 +878,11 @@ def test_forward_map_and_route_a_bitwise_equal_to_per_matrix_form():
 
 def test_route_a_and_forward_map_make_no_linalg_call(monkeypatch):
     from qopuc.fixtures import random_gamma_seq
-    from qopuc.measures import matrix_moments, moments_from_density
+    from qopuc.measures import moments_from_density
     from qopuc.quaternions import SliceFrame, chi
 
     d = smooth_trig_density()
-    C = matrix_moments(moments_from_density(d, 200), d.frame, 200)[1:]
+    C = chi(moments_from_density(d, 200).arr[1:], d.frame)
     frame = SliceFrame.standard()
     alphas = read_only(chi(random_gamma_seq(7, 80).arr, frame))
     want_a, want_c = alphas_from_moments(C, 200), moments_from_alphas(alphas, 80)
@@ -902,11 +903,11 @@ def test_each_coefficient_contraction_tested_once_per_map(monkeypatch):
     # once, through defects
     import qopuc.matrix_opuc as matrix_opuc
     from qopuc.fixtures import random_gamma_seq
-    from qopuc.measures import matrix_moments, moments_from_density
+    from qopuc.measures import moments_from_density
     from qopuc.quaternions import SliceFrame, chi
 
     d = smooth_trig_density()
-    C = matrix_moments(moments_from_density(d, 50), d.frame, 50)[1:]
+    C = chi(moments_from_density(d, 50).arr[1:], d.frame)
     frame = SliceFrame.standard()
     alphas = read_only(chi(random_gamma_seq(7, 40).arr, frame))
     want_a, want_c = alphas_from_moments(C, 50), moments_from_alphas(alphas, 40)

@@ -6,13 +6,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qopuc.errors import NotContraction, NotInImage, NotPositiveDefinite
+from qopuc.errors import HorizonExceeded, NotContraction, NotInImage, NotPositiveDefinite
 from qopuc.fixtures import random_gamma_seq
 from qopuc.matrix_opuc import alphas_from_moments, moments_from_alphas
-from qopuc.measures import MomentSequence, QPositiveDensity, matrix_moments, moments_from_density
+from qopuc.measures import MomentSequence, QPositiveDensity, moments_from_density
 from qopuc.polynomials import (
-    VerblunskySeq, eval_L, eval_R, eval_norm_sq, moments_from_verblunsky_q, orthonormal_polys,
-    reversed_rows, verblunsky_from_moments_q,
+    VerblunskySeq, eval_L, eval_R, eval_norm_sq, gammas_via_matrix, moments_from_verblunsky_q,
+    orthonormal_polys, reversed_rows, verblunsky_from_moments_q,
 )
 from qopuc.quaternions import SliceFrame, chi, chi_inv, qarr_abs
 from qopuc import quaternions
@@ -285,7 +285,7 @@ def test_embedding_naturality(rng):
     frame = SliceFrame.standard()
     c = random_moment_fixture(21, 7)
     fam = family(c, 6)
-    C = matrix_moments(c, frame, 6)
+    C = chi(c.arr[:7], frame)
     right_m, left_m = matrix_gram_schmidt(C, 6)
     for n in range(7):
         img = chi(fam.right[n].arr, frame)
@@ -388,6 +388,13 @@ def test_forward_map_needs_n_coefficients():
         moments_from_verblunsky_q(random_gamma_seq(1017, 5), 7)
 
 
+def test_route_a_entry_checks_the_horizon():
+    c = random_moment_fixture(21, 7)
+    assert len(gammas_via_matrix(c, 7, SliceFrame.standard())) == 7
+    with pytest.raises(HorizonExceeded, match="order 8 beyond horizon 7"):
+        gammas_via_matrix(c, 8, SliceFrame.standard())
+
+
 def test_both_routes_backward_error():
     # the forward map of either route's gammas gives back the input moments,
     # also where the seeded moments are too ill-conditioned for the gammas to
@@ -397,7 +404,7 @@ def test_both_routes_backward_error():
     N, frame = 40, SliceFrame.standard()
     for seed in range(1017, 6018, 1000):
         c = random_moment_fixture(seed, N, rmax=0.8)
-        route_a = chi_inv(alphas_from_moments(matrix_moments(c, frame, N)[1:], N), frame)
+        route_a = chi_inv(alphas_from_moments(chi(c.arr[1:], frame), N), frame)
         route_b = orthonormal_polys(c, N)[0]
         for gammas in (route_a, route_b):
             back = moments_from_verblunsky_q(VerblunskySeq(gammas), N)
@@ -597,14 +604,13 @@ def test_route_b_families_match_pair_form_and_szego_family(N):
     # moments, relative to the largest coefficient (up to 4.8e3 at N = 40),
     # 3.5e-8, the float64 LDL*'s own error on these ill-conditioned forms,
     # and 4.9e-11
-    from qopuc.polynomials import _gammas_via_matrix
     for c, seeded in _route_b_inputs(N):
         fam = family(c, N)
         rows = fam.rows
         scale = np.abs(rows).max() if seeded else 1.0
         pair_tol, szego_tol = (1e-7, 1e-9) if seeded else (1e-14, 1e-14)
         assert np.abs(rows - np.stack(family_rows_pairs(c, N))).max() <= pair_tol * scale
-        via_a = _gammas_via_matrix(c, N, SliceFrame.standard()).arr
+        via_a = gammas_via_matrix(c, N, SliceFrame.standard()).arr
         assert np.abs(rows - _szego_family_rows(via_a, N)).max() <= szego_tol * scale
         for n in range(N + 1):
             assert fam.right[n] == QPolyL(rows[0, n, : n + 1])

@@ -7,8 +7,8 @@ import pytest
 
 from qopuc.errors import NotInImage
 from qopuc.quaternions import (
-    SliceFrame, _frame_coords, _from_frame_coords, chi, chi_inv, chi_mat, qarr_abs, qarr_conj,
-    qarr_inv, qarr_mul, qarr_norm_sq, qmul_parts, right_eigen_slice,
+    SliceFrame, chi, chi_inv, chi_mat, from_frame_coords, qarr_abs, qarr_conj, qarr_inv,
+    qarr_mul, qarr_norm_sq, qmul_parts, right_eigen_slice,
 )
 from conftest import (
     ONE, QI, QJ, QK, Quaternion, block_permutation, blockwise_chi, chi_scalar,
@@ -71,9 +71,9 @@ def test_norm_multiplicative_and_conj(rng):
 
 
 def test_split_standard_frame(frame):
-    z1, z2 = _frame_coords(Quaternion(1, 2, 3, 4).to_array(), frame)
+    z1, z2 = chi(Quaternion(1, 2, 3, 4).to_array(), frame)[0]
     assert z1 == 1 + 2j and z2 == 3 + 4j
-    z1, z2 = _frame_coords(Quaternion(5).to_array(), frame)
+    z1, z2 = chi(Quaternion(5).to_array(), frame)[0]
     assert z1 == 5 + 0j and z2 == 0j
 
 
@@ -81,7 +81,7 @@ def test_split_reassembly_random_frames(rng):
     for _ in range(50):
         fr = random_frame(rng)
         p = random_quaternion(rng)
-        z1, z2 = _frame_coords(p.to_array(), fr)
+        z1, z2 = chi(p.to_array(), fr)[0]
         back = from_split_scalar(fr, z1, z2)
         assert abs(back - p) < 4 * np.finfo(float).eps * max(1.0, abs(p))
 
@@ -172,8 +172,8 @@ def test_from_frame_coords_bitwise_equal_to_quaternion_sum(rng):
     for fr in signed_zero_frames(rng, 300):
         z1, z2 = _signed_zero_coordinates(rng, 12)
         want = qbytes(from_split_scalar(fr, a, b) for a, b in zip(z1, z2))
-        assert _from_frame_coords(z1, z2, fr).tobytes() == want
-        assert qbytes(Quaternion.from_array(_from_frame_coords(complex(a), complex(b), fr))
+        assert from_frame_coords(z1, z2, fr).tobytes() == want
+        assert qbytes(Quaternion.from_array(from_frame_coords(complex(a), complex(b), fr))
                       for a, b in zip(z1, z2)) == want
         stack = np.empty((12, 2, 2), dtype=complex)
         stack[:, 0, 0], stack[:, 0, 1] = z1, z2
@@ -301,7 +301,7 @@ def test_chi_on_arrays_bitwise_equal_to_scalar_chi(rng):
         assert chi(rows, fr).tobytes() == want.tobytes()
         assert chi(rows[5], fr).tobytes() == want[5].tobytes()
         for k, q in enumerate(rows):
-            z1, z2 = _frame_coords(Quaternion(*q).to_array(), fr)
+            z1, z2 = chi(Quaternion(*q).to_array(), fr)[0]
             assert np.array([z1, z2]).tobytes() == want[k, 0].tobytes()
         A = rows[:36].reshape(6, 6, 4)
         blocks = want[:36].reshape(6, 6, 2, 2)

@@ -148,11 +148,12 @@ def test_herglotz_matches_riesz_herglotz_quadrature():
     # moment series vs direct quadrature of the transform kernel against the
     # matrix density, at sample points inside the disc
     from conftest import bernstein_szego_density
-    from qopuc.measures import matrix_moments, moments_from_density
+    from qopuc.measures import moments_from_density
+    from qopuc.quaternions import chi
 
     d = bernstein_szego_density(0.5, cutoff=48)
     c = moments_from_density(d, 12)
-    F = herglotz_from_moments(matrix_moments(c, d.frame, 12)[1:], 12)
+    F = herglotz_from_moments(chi(c.arr[1:], d.frame), 12)
     grid = 8192
     thetas = 2 * np.pi * np.arange(grid) / grid
     W = d.matrix_values(grid)

@@ -106,8 +106,9 @@ under ``grid --grid 4``; moments c_0 and c_1 under
 ``orthopolys --format csv``.  The command lines the parser rejects (all
 exit 2): an unknown flag (``grid --seed 1``), an int and a float that do
 not parse (``zeros --n x``, ``sv --tol-route abc``), ``zeros`` without its
-input, ``--format xml``, an abbreviated flag (``cd --sam 3``) and
-``--format csv`` on ``cd`` and ``random-gamma``.
+input, ``--format xml``, an abbreviated flag (``cd --sam 3``),
+``--format csv`` on ``cd`` and ``random-gamma``, and an unknown flag on a
+line without its input (``zeros --bogus``) or command (``--bogus``).
 """
 
 from __future__ import annotations
@@ -388,7 +389,9 @@ def report_set(frames: dict[str, str]):
                        ("zeros.xml", ["zeros", lebesgue, "--n", "2", "--format", "xml"]),
                        ("cd.sam3", ["cd", lebesgue, "--n", "2", "--sam", "3"]),
                        ("cd.csv", ["cd", smooth, "--n", "2", "--format", "csv"]),
-                       ("random-gamma.csv", ["random-gamma", "--n", "2", "--format", "csv"])):
+                       ("random-gamma.csv", ["random-gamma", "--n", "2", "--format", "csv"]),
+                       ("zeros.bogus-no-input", ["zeros", "--bogus"]),
+                       ("bogus-no-command", ["--bogus"])):
         yield f"parse.{name}", argv
 
 
