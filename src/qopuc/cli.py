@@ -18,22 +18,28 @@ report that names its type and message.
 One loader per job reads and checks the fixture once and resolves the
 frame the job runs in (``load_fixture``).  Report tables are built by
 column: each distinct float of a float column is formatted once
-(``_float_text``), and a ``grid`` report writes W21 and W22 from the text
-of W12 and W11 (``_GridRows``), then fills one JSON row template or joins
-the same strings for CSV.
+(``_float_text``).  A report is written as a sequence of text pieces, and
+every report is one piece but a ``grid`` report's: its rows grow with
+``--grid`` (about 290 bytes of JSON each, 2^18 points make 75 MB), so they
+are formatted and written ``GRID_CHUNK`` rows at a time, W21 and W22 from
+the text of W12 and W11 (``_GridRows``), filling one JSON row template or
+one CSV row template, and the text held at once is one chunk of rows plus
+W11's two text columns.  The JSON envelope around the rows is written key
+by key with ``emit_json`` (``_json_pieces``), so a report's bytes do not
+depend on how it is written.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import sys
-from collections.abc import Callable
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
-from pathlib import Path
 
 import numpy as np
 
@@ -87,7 +93,7 @@ def emit_json(obj) -> str:
 
     Exact floats take a fast path, inline in lists and dicts too; strings
     and keys come out as json.dumps writes them.  A grid report's rows
-    (``_GridRows``) are one row template filled from their text columns.
+    (``_GridRows``) are written by ``_json_pieces``.
     """
     if type(obj) is float:
         return format(obj, ".17g") if -_INF < obj < _INF else _fmt_float(obj)
@@ -112,9 +118,24 @@ def emit_json(obj) -> str:
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
         return _fmt_float(float(obj))
-    if isinstance(obj, _GridRows):
-        return "[" + ", ".join(map(_GRID_ROW.__mod__, zip(*obj.text_columns()))) + "]"
     raise TypeError(f"cannot serialise {type(obj)!r}")
+
+
+def _json_pieces(obj) -> Iterator[str]:
+    """The text of ``emit_json(obj)`` in pieces, for a report that holds a
+    grid report's rows (``_GridRows``): its dicts are written key by key,
+    the rows a chunk at a time, and every other value is one ``emit_json``
+    piece."""
+    if isinstance(obj, _GridRows):
+        yield from obj.json_pieces()
+    elif isinstance(obj, dict):
+        yield "{"
+        for n, (key, value) in enumerate(obj.items()):
+            yield (", " if n else "") + _emit_key(key) + ": "
+            yield from _json_pieces(value)
+        yield "}"
+    else:
+        yield emit_json(obj)
 
 
 def _float_text(values) -> list[str]:
@@ -129,8 +150,7 @@ def _float_text(values) -> list[str]:
 
 def emit_csv(header, columns) -> str:
     """CSV of a table given by its columns: a float array as in
-    ``_float_text``, the cells of any other column (ints, strings, text
-    already formatted) with str."""
+    ``_float_text``, the cells of any other column (ints, strings) with str."""
     cells = [_float_text(c) if isinstance(c, np.ndarray) else map(str, c) for c in columns]
     return "\n".join([",".join(header), *map(",".join, zip(*cells))]) + "\n"
 
@@ -388,8 +408,12 @@ def cmd_baxter(args, fix: Fixture) -> dict:
 
 GRID_COLUMNS = ("theta", "w11_re", "w11_im", "w12_re", "w12_im",
                 "w21_re", "w21_im", "w22_re", "w22_im")
-# one JSON row of a grid report, the fields in GRID_COLUMNS order
+# one row of a grid report, the fields in GRID_COLUMNS order, in JSON and in CSV
 _GRID_ROW = "{" + ", ".join(f"{_emit_key(h)}: %s" for h in GRID_COLUMNS) + "}"
+_GRID_CSV_ROW = ",".join(["%s"] * len(GRID_COLUMNS)) + "\n"
+# rows of a grid report formatted and written at a time: the text a report
+# holds at once is one chunk's, not ~1.1 KB per row of the whole grid
+GRID_CHUNK = 256
 
 
 def _negated(text: list[str]) -> list[str]:
@@ -397,28 +421,43 @@ def _negated(text: list[str]) -> list[str]:
     return [s[1:] if s[0] == "-" else "-" + s for s in text]
 
 
-def _reflected(text: list[str]) -> list[str]:
-    """Entry (-k) mod g of g entries, for k < g."""
-    return text[:1] + text[:0:-1]
-
-
 @dataclass(frozen=True)
 class _GridRows:
     """The rows of a grid report by column: theta_k = 2 pi k / g, and the
     finite a = W11 and b = W12 at theta_k.  ``matrix_values`` makes
     W21 = conj(b) and W22(theta_k) = a(theta_{-k}) bit for bit, so their
-    text is b's with the imaginary part's sign toggled, and a's reflected."""
+    text is b's with the imaginary part's sign toggled, and a's at the
+    reflected rows (-k) mod g."""
 
     theta: np.ndarray
     a: np.ndarray
     b: np.ndarray
 
-    def text_columns(self) -> list[list[str]]:
-        """The GRID_COLUMNS as text, five of them formatted by ``_float_text``."""
-        theta, a_re, a_im, b_re, b_im = map(_float_text, (
-            self.theta, self.a.real, self.a.imag, self.b.real, self.b.imag))
-        return [theta, a_re, a_im, b_re, b_im,
-                b_re, _negated(b_im), _reflected(a_re), _reflected(a_im)]
+    def text_chunks(self) -> Iterator[list[list[str]]]:
+        """The GRID_COLUMNS as text, GRID_CHUNK rows at a time.  theta and b
+        are formatted by ``_float_text`` per chunk; a is formatted whole
+        once, since W22's chunk reads a's text at the reflected rows."""
+        a_re, a_im = _float_text(self.a.real), _float_text(self.a.imag)
+        w22_re, w22_im = a_re[:1] + a_re[:0:-1], a_im[:1] + a_im[:0:-1]   # (-k) mod g
+        for start in range(0, len(self.theta), GRID_CHUNK):
+            rows = slice(start, start + GRID_CHUNK)
+            theta, b_re, b_im = map(_float_text, (
+                self.theta[rows], self.b.real[rows], self.b.imag[rows]))
+            yield [theta, a_re[rows], a_im[rows], b_re, b_im, b_re, _negated(b_im),
+                   w22_re[rows], w22_im[rows]]
+
+    def json_pieces(self) -> Iterator[str]:
+        """The JSON list of the rows, a chunk of rows per piece."""
+        yield "["
+        for n, columns in enumerate(self.text_chunks()):
+            yield (", " if n else "") + ", ".join(map(_GRID_ROW.__mod__, zip(*columns)))
+        yield "]"
+
+    def csv_pieces(self) -> Iterator[str]:
+        """The CSV table of the rows, its header first, a chunk of rows per piece."""
+        yield ",".join(GRID_COLUMNS) + "\n"
+        for columns in self.text_chunks():
+            yield "".join(map(_GRID_CSV_ROW.__mod__, zip(*columns)))
 
 
 def cmd_grid(args, fix: Fixture) -> dict:
@@ -471,7 +510,7 @@ def _baxter_csv(result: dict) -> str:
 
 
 def _grid_csv(result: dict) -> str:
-    return emit_csv(GRID_COLUMNS, result["rows"].text_columns())
+    return "".join(result["rows"].csv_pieces())
 
 
 def _moments_csv(result: dict) -> str:
@@ -548,18 +587,31 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
+def _usage(prog: str, arguments) -> str:
+    """The usage line of a command that takes ``arguments``, as argparse
+    writes it with ``input`` required, which it is (``main``)."""
+    shown = argparse.ArgumentParser(prog=prog, allow_abbrev=False)
+    for argument in arguments:
+        kwargs = _ARGUMENTS[argument]
+        shown.add_argument(argument, **({"help": kwargs["help"]} if argument == "input"
+                                        else kwargs))
+    return shown.format_usage().removeprefix("usage: ").rstrip("\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The parser of every command; flags are taken only as declared, never
     abbreviated.  The command and ``input`` are optional to it, so that a
     line with an unknown flag is rejected for that flag; ``main`` requires
-    them."""
+    them, and each command's usage line shows its input as required."""
     parser = _Parser(prog="qopuc", allow_abbrev=False,
                      description="Orthogonal polynomials on the quaternionic unit sphere")
     sub = parser.add_subparsers(dest="command")
     for name, command in _COMMANDS.items():
-        p = sub.add_parser(name, allow_abbrev=False)
-        fmt = ("--format",) if command.csv else ()
-        for argument in (*command.arguments, "--frame", "--out", *fmt):
+        arguments = (*command.arguments, "--frame", "--out",
+                     *(("--format",) if command.csv else ()))
+        p = sub.add_parser(name, allow_abbrev=False,
+                           usage=_usage(f"{parser.prog} {name}", arguments))
+        for argument in arguments:
             p.add_argument(argument, **_ARGUMENTS[argument])
     return parser
 
@@ -570,8 +622,12 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-def _run(args) -> tuple[int, str]:
-    """The exit code and the text of one parsed command line."""
+def _run(args) -> tuple[int, Iterable[str]]:
+    """The exit code and the text of one parsed command line, as a sequence
+    of pieces to write in turn.  Every report is one piece but a grid
+    report's, whose rows are formatted a chunk at a time as they are written
+    (``GRID_CHUNK``): held whole, its Python text would take about 1.1 KB
+    per row, 290 MB at 2^18 points."""
     try:
         _require_flags(args)
         # parsed once, None without the flag; a fixture is loaded once, and
@@ -582,17 +638,19 @@ def _run(args) -> tuple[int, str]:
                else Fixture(override or SliceFrame.standard()))
         result = _COMMANDS[args.command].run(args, fix)
     except RouteMismatch as exc:
-        return EXIT_CROSS_CHECK, _error_text(exc)
+        return EXIT_CROSS_CHECK, (_error_text(exc),)
     except NoConvergence as exc:
-        return EXIT_NO_CONVERGENCE, _error_text(exc)
+        return EXIT_NO_CONVERGENCE, (_error_text(exc),)
     except (*_INVALID_INPUT_ERRORS, ValueError, KeyError, OSError) as exc:
-        return EXIT_INVALID_INPUT, _error_text(exc)
+        return EXIT_INVALID_INPUT, (_error_text(exc),)
     except MemoryError as exc:   # numpy's private subclass, reported as the builtin
-        return EXIT_INVALID_INPUT, _error_text(MemoryError(str(exc)))
+        return EXIT_INVALID_INPUT, (_error_text(MemoryError(str(exc))),)
     payload = _envelope(args, fix, result)
-    if getattr(args, "format", None) == "csv":
-        return EXIT_OK, csv_view(args.command, payload)
-    return EXIT_OK, emit_json(payload) + "\n"
+    csv = getattr(args, "format", None) == "csv"
+    rows = result.get("rows")
+    if not isinstance(rows, _GridRows):
+        return EXIT_OK, (csv_view(args.command, payload) if csv else emit_json(payload) + "\n",)
+    return EXIT_OK, rows.csv_pieces() if csv else itertools.chain(_json_pieces(payload), "\n")
 
 
 def _error_text(exc: Exception) -> str:
@@ -604,7 +662,8 @@ def _error_text(exc: Exception) -> str:
 
 
 def main(argv=None) -> int:
-    """Run one command line.  A line the parser rejects, which names no
+    """Run one command line and write its report piece by piece (``_run``)
+    to ``--out`` or stdout.  A line the parser rejects, which names no
     ``--out`` yet, and an ``--out`` that cannot be written put their error
     on stdout, with exit 2; only ``--help`` exits through argparse.  A
     missing command or input is named once no unknown argument is left."""
@@ -616,12 +675,13 @@ def main(argv=None) -> int:
     except ValueError as exc:
         sys.stdout.write(_error_text(exc))
         return EXIT_INVALID_INPUT
-    code, text = _run(args)
+    code, pieces = _run(args)
     if not args.out:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
         return code
     try:
-        Path(args.out).write_text(text, encoding="utf-8")
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.writelines(pieces)
     except OSError as exc:
         sys.stdout.write(_error_text(exc))
         return EXIT_INVALID_INPUT

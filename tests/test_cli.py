@@ -283,7 +283,9 @@ def test_unwritable_out_is_a_typed_error(tmp_path, capsys):
     # writing the report, or the error report, to such a path once raised out
     # of main: a traceback and exit 1
     missing = tmp_path / "missing_dir" / "x.json"
-    for argv in (["random-gamma", "--n", "2"], ["sv", str(tmp_path / "nofile.json")]):
+    grid = ["grid", str(FIXDIR / "smooth_trig.json"), "--grid", "600"]   # written in chunks
+    for argv in (["random-gamma", "--n", "2"], ["sv", str(tmp_path / "nofile.json")], grid,
+                 [*grid, "--format", "csv"]):
         assert main([*argv, "--out", str(missing)]) == 2
         err = json.loads(capsys.readouterr().out)["error"]
         assert err["type"] == "FileNotFoundError" and str(missing) in err["message"]
@@ -514,6 +516,19 @@ def test_help_exits_0(capsys, argv):
 
 
 @pytest.mark.parametrize("command", OWN_FLAGS)
+def test_help_names_the_input_as_required(capsys, command):
+    # the parser takes the input as optional, so that an unknown flag is
+    # named before a missing input; the usage line shows it as required
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    usage = " ".join(capsys.readouterr().out.split("\n\n")[0].split())
+    assert usage.startswith(f"usage: qopuc {command} [-h] ")
+    assert "[input]" not in usage
+    assert usage.endswith(" input") == (command != "random-gamma")
+
+
+@pytest.mark.parametrize("command", OWN_FLAGS)
 def test_config_echoes_exactly_the_flags_the_command_takes(tmp_path, command):
     # each own flag set off its default is read and echoed; a config key of
     # a flag the command does not take is null, and so is the top-level seed
@@ -631,18 +646,24 @@ def test_sequence_jobs_build_no_quaternion_per_value(tmp_path, monkeypatch, argv
     # moments and coefficients stay (n, 4) arrays from fixture to report, and
     # frames hold their units as arrays: a job builds no Quaternion; route A
     # and the forward map test the contraction of each coefficient they read,
-    # once
+    # once: route A one matrix at a time, the forward map over its stack
     from qopuc import matrix_opuc
 
     norms = []
-    norm = matrix_opuc.operator_norm2
+    norm, stacked = matrix_opuc.operator_norm2, matrix_opuc._operator_norms
 
     def counting_norm(A):
         norms.append(1)
         return norm(A)
 
+    def counting_norms(alpha):   # one entry per matrix tested
+        tested = stacked(alpha)
+        norms.extend([1] * len(tested))
+        return tested
+
     built = _quaternion_builds(monkeypatch)
     monkeypatch.setattr(matrix_opuc, "operator_norm2", counting_norm)
+    monkeypatch.setattr(matrix_opuc, "_operator_norms", counting_norms)
     argv = [_gammas80(tmp_path) if a == "gammas80.json" else str(FIXDIR / a)
             if a.endswith(".json") else a for a in argv]
     code, _ = run(tmp_path, *argv)
@@ -1053,20 +1074,50 @@ def _grid_reference(argv) -> str:
 
 
 @pytest.mark.parametrize("fixture", DENSITY_FIXTURES)
-def test_grid_report_bytes_match_the_per_cell_emitters(tmp_path, fixture):
+def test_grid_report_bytes_match_the_per_cell_emitters(tmp_path, capsys, fixture):
     # the report formats theta, W11 and W12 by column and writes W21 and W22
-    # from their text; the smallest grids reflect onto themselves
+    # from their text, a chunk of rows at a time; the smallest grids reflect
+    # onto themselves, and the chunk sizes put a seam at the last row, past
+    # it, and in the middle of the reflection
+    from qopuc.cli import GRID_CHUNK
+
+    seams = (GRID_CHUNK - 1, GRID_CHUNK, GRID_CHUNK + 1, 2 * GRID_CHUNK + 1)
     for frame in ([], SEEDED_FRAME):
-        for grid in (1, 2, 3, 7, 2048):
+        for grid in (1, 2, 3, 7, *seams, 2048):
             for fmt in ("json", "csv"):
                 argv = ["grid", str(FIXDIR / fixture), "--grid", str(grid), *frame,
                         "--format", fmt]
                 code, out = run(tmp_path, *argv)
                 assert code == 0, argv
                 assert out.decode() == _grid_reference(argv), argv
-                if fixture == "lebesgue.json":   # W21 = conj(0)
-                    cells = ('"w21_im": -0,' if fmt == "json" else ",-0,1,0\n").encode()
-                    assert out.count(cells) == grid, argv
+                if fixture == "lebesgue.json" and fmt == "json":   # W21 = conj(0)
+                    assert out.count(b'"w21_im": -0,') == grid, argv
+                elif fixture == "lebesgue.json":
+                    w21_im = [row.split(b",")[6] for row in out.splitlines()[1:]]
+                    assert w21_im == [b"-0"] * grid, argv
+    for fmt in ("json", "csv"):   # the same pieces on stdout
+        argv = ["grid", str(FIXDIR / fixture), "--grid", str(seams[-1]), "--format", fmt]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == _grid_reference(argv), argv
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_grid_report_memory_is_a_chunk_of_rows(tmp_path, fmt):
+    # a report held whole took about 1.1 KB of text per row: a traced peak of
+    # 65 MiB (json) and 57 MiB (csv) at 65536 points; written a chunk of rows
+    # at a time it holds W, the FFT's arrays and W11's text, about 12 MiB
+    import tracemalloc
+
+    argv = ["grid", str(FIXDIR / "smooth_trig.json"), "--format", fmt]
+    run(tmp_path, *argv, "--grid", "64")   # imports and the parser, outside the trace
+    tracemalloc.start()
+    try:
+        code, _ = run(tmp_path, *argv, "--grid", "65536")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 24 * 2 ** 20, peak
 
 
 def test_float_text_is_format_17g_and_negated_text_is_minus():

@@ -95,6 +95,69 @@ def test_defects_rejects_non_contraction():
     assert info.value.index == 2
 
 
+def test_defects_names_the_first_failure_of_a_stack():
+    # one step over the stack: the first failing flat index and its message,
+    # whatever fails after it, a NaN included
+    stack = np.array([0.5 * EYE2, 0.1 * EYE2, 0.2 * EYE2, 1.5 * EYE2, np.full((2, 2), np.nan),
+                      EYE2, 0.3 * EYE2, 2 * EYE2]).reshape(2, 4, 2, 2)
+    for first in (3, 4):
+        with pytest.raises(NotContraction) as info:
+            defects(stack.reshape(-1, 2, 2)[first:])
+        assert info.value.index == 0
+        with pytest.raises(NotContraction) as info:
+            defects(np.concatenate([stack.reshape(-1, 2, 2)[:3], stack.reshape(-1, 2, 2)[first:]]))
+        assert info.value.index == 3
+    with pytest.raises(NotContraction) as info:
+        defects(stack)
+    assert info.value.index == 3
+    assert str(info.value) == "coefficient 3 has norm >= 1 - 1e-12; not a strict contraction"
+    with pytest.raises(NotContraction) as info:
+        defects(np.full((2, 2), np.nan))
+    assert info.value.index is None
+    assert str(info.value) == "coefficient has norm >= 1 - 1e-12; not a strict contraction"
+
+
+def test_defects_contraction_margin():
+    # the report set's margins: |gamma_1| = 1 - 7e-13 fails 1 - 1e-12, and
+    # 1 - 2e-12 passes it, in both precisions
+    for dtype in (complex, np.clongdouble):
+        for radius, fails in ((1 - 7e-13, True), (1 - 2e-12, False)):
+            stack = np.array([0.3 * EYE2, radius * EYE2, 0.2 * EYE2], dtype=dtype)
+            if fails:
+                with pytest.raises(NotContraction) as info:
+                    defects(stack)
+                assert info.value.index == 1
+            else:
+                assert np.all(np.isfinite(defects(stack)))
+
+
+def test_stacked_norms_are_the_per_matrix_norms(rng):
+    # bit for bit, a NaN at the same place (its sign bit may differ):
+    # moduli from 1e-200 to 1e200, overflow to inf, NaN and inf entries,
+    # signed zeros, long double input
+    from qopuc.matrix_opuc import _operator_norms
+
+    for trial in range(400):
+        n = int(rng.integers(1, 12))
+        A = rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2))
+        if trial % 2:
+            A = A * 10.0 ** rng.integers(-200, 200, size=(n, 2, 2))
+        if trial % 5 == 0:
+            A = -A.imag * 1j
+        if trial % 13 == 0:
+            A = A.astype(np.clongdouble) * (1 + np.longdouble(2) ** -60)
+        if trial % 7 == 0:
+            A.flat[rng.integers(A.size)] = complex(np.nan, 0.0)
+        if trial % 11 == 0:
+            A.flat[rng.integers(A.size)] = complex(0.0, -np.inf)
+        want = np.array([operator_norm2(a) for a in A])
+        got = _operator_norms(A.reshape(2, -1, 2, 2) if n % 2 == 0 else A)
+        assert got.shape == (n,)
+        nan = np.isnan(want)
+        assert np.array_equal(np.isnan(got), nan)
+        assert got[~nan].tobytes() == want[~nan].tobytes()
+
+
 def test_schur_step_constant_gives_zero(rng):
     alpha = random_contraction(rng)
     f = TruncSeries.constant(alpha, 6)
@@ -900,7 +963,7 @@ def test_route_a_and_forward_map_make_no_linalg_call(monkeypatch):
 def test_each_coefficient_contraction_tested_once_per_map(monkeypatch):
     # route A tests each alpha_n it makes once, before its defects, and
     # returns the tested array; the forward map tests each alpha_n it reads
-    # once, through defects
+    # once, through defects, in one step over the stack
     import qopuc.matrix_opuc as matrix_opuc
     from qopuc.fixtures import random_gamma_seq
     from qopuc.measures import moments_from_density
@@ -913,16 +976,24 @@ def test_each_coefficient_contraction_tested_once_per_map(monkeypatch):
     want_a, want_c = alphas_from_moments(C, 50), moments_from_alphas(alphas, 40)
     calls = []
 
+    stacked = matrix_opuc._operator_norms
+
     def counting_norm(A):
         calls.append(1)
         return operator_norm2(A)
 
+    def counting_norms(alpha):   # one entry per matrix tested
+        tested = stacked(alpha)
+        calls.append(len(tested))
+        return tested
+
     monkeypatch.setattr(matrix_opuc, "operator_norm2", counting_norm)
+    monkeypatch.setattr(matrix_opuc, "_operator_norms", counting_norms)
     assert same_bytes(alphas_from_moments(C, 50), want_a)
-    assert len(calls) == 50
+    assert calls == [1] * 50
     calls.clear()
     assert same_bytes(moments_from_alphas(alphas, 40), want_c)
-    assert len(calls) == 40
+    assert calls == [40]
     stack = np.stack([0.5 * EYE2, 1.5 * EYE2])
     with pytest.raises(NotContraction) as info:
         defects(stack)

@@ -33,7 +33,8 @@ densities, and both at N = 1, 2, 3, route A's first steps; ``grid`` 2 and
 3 json and csv on the four densities, the smallest even and odd
 reflections of W22; ``sv`` N = 12, 25, 40 on the four densities;
 ``zeros`` n = 20 and 30 on the four densities, root batches up to degree 60
-and companions up to size 30; ``grid``
+and companions up to size 30; ``grid`` 255, 256, 257 and 513 json and
+csv on the four densities, the seams of a report's 256-row chunks; ``grid``
 7 and 2048, ``sv --n 20``, ``baxter --n 50`` and ``--n 200`` and
 ``moments-to-verblunsky --n 40`` on the four densities under the five
 seeded frames;
@@ -130,6 +131,9 @@ DENSITIES = ("bernstein_szego_05", "lebesgue", "smooth_trig", "vanishing_density
 GAMMA_SEEDS = (1017, 2017, 3017, 4017, 5017, 6017)
 FRAME_SEEDS = (1, 2, 3, 4, 5)
 CD_RUNS = ((1, 0), (1, 7), (100, 0), (100, 7), (333, 123))
+# grid sizes at the seams of a grid report's 256-row chunks: one short of a
+# chunk, one chunk, one row past it, and two chunks and a row
+GRID_SEAMS = (255, 256, 257, 513)
 
 
 MALFORMED = {
@@ -203,6 +207,9 @@ def report_set(frames: dict[str, str]):
                 yield f"{density}.baxter.n{n}.{fmt}", ["baxter", path, "--n", str(n),
                                                        "--format", fmt]
             for grid in (2, 3):   # the smallest even and odd reflections k -> -k
+                yield (f"{density}.grid.g{grid}.{fmt}",
+                       ["grid", path, "--grid", str(grid), "--format", fmt])
+            for grid in GRID_SEAMS:
                 yield (f"{density}.grid.g{grid}.{fmt}",
                        ["grid", path, "--grid", str(grid), "--format", fmt])
         for n in (12, 25, 40):
