@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import NotContraction, NotPositiveDefinite
 from .measures import (
-    PIVOT_TOL, MomentSequence, QPositiveDensity, _det_herm2, moments_from_density,
+    PIVOT_TOL, PSD_GRID, MomentSequence, QPositiveDensity, _det_herm2, moments_from_density,
     wiener_coefficient_norm,
 )
 from .polynomials import (
@@ -31,7 +31,7 @@ from .polynomials import (
 )
 from .quaternions import qarr_norm_sq
 
-ENTROPY_GRID = 4096
+ENTROPY_GRID = 2 * PSD_GRID
 DENSITY_MIN_TOL = 1e-9
 ENTROPY_PD_TOL = 1e-12   # a grid eigenvalue at most this is a zero of W
 BLOCK_RATIO = 0.75
@@ -139,7 +139,7 @@ def sv_check(d: QPositiveDensity, N: int, route_tol: float = ROUTE_TOL,
     gammas, _ = verblunsky_from_moments_q(c, N, d.frame, route_tol=route_tol,
                                           pivot_tol=pivot_tol)
     entropy = szego_entropy(d)
-    entropy_coarse = szego_entropy(d, ENTROPY_GRID // 2)
+    entropy_coarse = szego_entropy(d, PSD_GRID)
     exp_entropy = math.exp(entropy) if math.isfinite(entropy) else 0.0
     partial = []
     prod = 1.0

@@ -9,14 +9,18 @@ embeds each flag its command takes, the seed and the library version,
 prints floats with 17 significant digits, and keeps key order fixed, so
 identical configurations reproduce byte-identical output.
 
-Exit codes: 0 ok, 2 invalid input (a command line the parser rejects,
-non-positive-definite moments, bad coefficients, malformed fixture, a
-density beyond float64 on a grid, an input too large to allocate), 3
-internal cross-check mismatch, 4 no convergence.  Every error is one JSON
-report that names its type and message.
+Exit codes: 0 ok, 3 a RouteMismatch (an internal cross-check), 4
+NoConvergence, 2 every other library error (``QopucError``) and every other
+invalid input (a command line the parser rejects, a malformed fixture, a
+density beyond float64 on a grid, an input too large to allocate, an output
+that cannot be written).  Every error is one JSON report that names its
+type and message: all that can fail, but a grid chunk's text, runs before a
+report's first piece is written (``_run``).  A stdout closed by its reader
+ends the run with exit 2.
 
-One loader per job reads and checks the fixture once and resolves the
-frame the job runs in (``load_fixture``).  Report tables are built by
+One loader per job reads and checks the fixture once, in one reader
+(``_validate_fixture``), and resolves the frame the job runs in
+(``load_fixture``).  Report tables are built by
 column: each distinct float of a float column is formatted once
 (``_float_text``).  A report is written as a sequence of text pieces, and
 every report is one piece but a ``grid`` report's: its rows grow with
@@ -33,9 +37,9 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import math
+import os
 import sys
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
@@ -45,12 +49,9 @@ import numpy as np
 
 from . import __version__
 from .analysis import baxter_check, cd_identity_check, sv_check, szego_entropy
-from .errors import (
-    HorizonExceeded, NoConvergence, NotContraction, NotInImage, NotPositiveDefinite,
-    RouteMismatch, ShiftResidual, SingularConstantTerm,
-)
+from .errors import HorizonExceeded, NoConvergence, QopucError, RouteMismatch
 from .fixtures import random_gamma_seq
-from .measures import PIVOT_TOL, MomentSequence, QPositiveDensity, moments_from_density
+from .measures import PIVOT_TOL, PSD_GRID, MomentSequence, QPositiveDensity, moments_from_density
 from .polynomials import (
     ROUTE_TOL, VerblunskySeq, moments_from_verblunsky_q, orthonormal_polys,
     verblunsky_from_moments_q,
@@ -62,11 +63,6 @@ EXIT_OK = 0
 EXIT_INVALID_INPUT = 2
 EXIT_CROSS_CHECK = 3
 EXIT_NO_CONVERGENCE = 4
-
-_INVALID_INPUT_ERRORS = (
-    NotPositiveDefinite, NotContraction, HorizonExceeded, NotInImage,
-    ShiftResidual, SingularConstantTerm,
-)
 
 
 # ------------------------- deterministic JSON ------------------------------
@@ -93,7 +89,8 @@ def emit_json(obj) -> str:
 
     Exact floats take a fast path, inline in lists and dicts too; strings
     and keys come out as json.dumps writes them.  A grid report's rows
-    (``_GridRows``) are written by ``_json_pieces``.
+    (``_GridRows``) are written by ``_GridRows.pieces``, around the text of
+    ``_json_pieces``.
     """
     if type(obj) is float:
         return format(obj, ".17g") if -_INF < obj < _INF else _fmt_float(obj)
@@ -121,21 +118,19 @@ def emit_json(obj) -> str:
     raise TypeError(f"cannot serialise {type(obj)!r}")
 
 
-def _json_pieces(obj) -> Iterator[str]:
+def _json_pieces(obj) -> Iterator:
     """The text of ``emit_json(obj)`` in pieces, for a report that holds a
     grid report's rows (``_GridRows``): its dicts are written key by key,
-    the rows a chunk at a time, and every other value is one ``emit_json``
-    piece."""
-    if isinstance(obj, _GridRows):
-        yield from obj.json_pieces()
-    elif isinstance(obj, dict):
+    every other value is one ``emit_json`` piece, and the rows are a piece
+    of their own, the ``_GridRows`` itself, which ``_run`` writes around."""
+    if isinstance(obj, dict):
         yield "{"
         for n, (key, value) in enumerate(obj.items()):
             yield (", " if n else "") + _emit_key(key) + ": "
             yield from _json_pieces(value)
         yield "}"
     else:
-        yield emit_json(obj)
+        yield obj if isinstance(obj, _GridRows) else emit_json(obj)
 
 
 def _float_text(values) -> list[str]:
@@ -182,12 +177,12 @@ def _require_list(obj: dict, key: str) -> list:
     return value
 
 
-def _require_new_index(seen: set, n: int, field: str) -> None:
-    """ValueError naming ``field`` if its index n was read before: building
-    the map would keep the later entry and drop the earlier one silently."""
-    if n in seen:
+def _require_new_index(read: dict, n: int, value, field: str) -> None:
+    """read[n] = value; ValueError naming ``field`` if n was read before: the
+    map would keep the later entry and drop the earlier one silently."""
+    if n in read:
         raise ValueError(f"{field} repeats index {n}")
-    seen.add(n)
+    read[n] = value
 
 
 def _validate_frame(obj, field: str) -> None:
@@ -200,17 +195,19 @@ def _validate_frame(obj, field: str) -> None:
 _FIXTURE_KINDS = {"moments": "moments", "w1": "density", "w2": "density", "gammas": "gammas"}
 
 
-def _validate_fixture(obj) -> str | None:
-    """Shape and finiteness of every field a command reads, checked at load;
-    the kind: "moments", "density" (a w1 or a w2 key), "gammas" or None."""
+def _validate_fixture(obj) -> tuple[str | None, dict]:
+    """The one reader of a fixture's fields, each checked for shape and
+    finiteness, as (kind, read): the kind "moments", "density" (a w1 or a w2
+    key), "gammas" or None, and ``read``'s ``w1``/``w2`` {n: complex} maps,
+    ``moments`` {n: [w, x, y, z]} map and ``gammas`` list."""
     if not isinstance(obj, dict):
         raise ValueError("fixture must be a JSON object")
     if "frame" in obj:
         _validate_frame(obj["frame"], "frame")
-    for k, g in enumerate(_require_list(obj, "gammas")):
+    read = {"gammas": _require_list(obj, "gammas"), "w1": {}, "w2": {}, "moments": {}}
+    for k, g in enumerate(read["gammas"]):
         _require_numbers(g, 4, f"gammas[{k}]")
     for key in ("w1", "w2"):
-        seen = set()
         for k, entry in enumerate(_require_list(obj, key)):
             _require_numbers(entry, 3, f"{key}[{k}]")
             if not isinstance(entry[0], int):
@@ -218,14 +215,14 @@ def _validate_fixture(obj) -> str | None:
             if abs(entry[0]) >= 2 ** 63:
                 raise ValueError(f"{key}[{k}] index must be below 2**63 in magnitude, "
                                  f"got {entry[0]}")
-            _require_new_index(seen, entry[0], f"{key}[{k}]")
-    seen = set()
+            _require_new_index(read[key], entry[0], complex(entry[1], entry[2]),
+                               f"{key}[{k}]")
     for k, entry in enumerate(_require_list(obj, "moments")):
         if not (isinstance(entry, list) and len(entry) == 2
                 and isinstance(entry[0], int) and not isinstance(entry[0], bool)):
             raise ValueError(f"moments[{k}] must be [index, quaternion], got {entry!r}")
         _require_numbers(entry[1], 4, f"moments[{k}][1]")
-        _require_new_index(seen, entry[0], f"moments[{k}]")
+        _require_new_index(read["moments"], entry[0], entry[1], f"moments[{k}]")
     found = [key for key in _FIXTURE_KINDS if key in obj]
     kinds = {_FIXTURE_KINDS[key] for key in found}
     if len(kinds) > 1:   # commands would read such a fixture differently
@@ -235,7 +232,7 @@ def _validate_fixture(obj) -> str | None:
     if kind == "density" and "frame" not in obj:
         raise ValueError("frame is missing: a density fixture (w1/w2 keys) needs "
                          "a frame object with keys i and j")
-    return kind
+    return kind, read
 
 
 def _parse_json(text: str, what: str):
@@ -260,25 +257,26 @@ class Fixture:
 
 
 def load_fixture(path: str, override: SliceFrame | None) -> Fixture:
-    """The fixture at ``path``, checked once, for a job in ``override``, else
-    in the fixture's ``frame``, else in the standard frame.  A
-    ``random-gamma`` report is read as its ``result``.  The fixture's
-    own frame is built, and so checked, under an override too.  A density's
-    maps are read in its own frame, and the density is built once, in the
-    job's."""
+    """The fixture at ``path``, read once (``_validate_fixture``), for a job
+    in ``override``, else in the fixture's ``frame``, else in the standard
+    frame.  A ``random-gamma`` report is read as its ``result``.  The
+    fixture's own frame is built, and so checked, under an override too.  A
+    density's maps are read in its own frame, and the density is built once,
+    in the job's."""
     with open(path, "r", encoding="utf-8") as fh:
         obj = _parse_json(fh.read(), "fixture")
     if isinstance(obj, dict) and obj.get("command") == "random-gamma":
         obj = obj.get("result")   # a random-gamma report: its result is the fixture
-    kind = _validate_fixture(obj)
+    kind, read = _validate_fixture(obj)
     own = fixture_frame(obj)   # a density always has one
     frame = override or own or SliceFrame.standard()
     if kind == "density":
-        return Fixture(frame, density=QPositiveDensity.from_json(obj, own, frame))
+        return Fixture(frame, density=QPositiveDensity.from_maps(own, read["w1"], read["w2"],
+                                                                 frame))
     if kind == "moments":
-        return Fixture(frame, moments=dict(obj["moments"]))
+        return Fixture(frame, moments=read["moments"])
     if kind == "gammas":
-        return Fixture(frame, gammas=VerblunskySeq(obj["gammas"]))
+        return Fixture(frame, gammas=VerblunskySeq(read["gammas"]))
     return Fixture(frame)
 
 
@@ -319,24 +317,24 @@ def moments_from_fixture(fix: Fixture, n: int) -> MomentSequence:
 
 # ------------------------------- commands ----------------------------------
 
+# each numeric flag's range, checked in this order: a test and its wording
+_FLAG_RANGES = {
+    "--n": (lambda v: v >= 1, "at least 1"),
+    "--samples": (lambda v: v >= 1, "at least 1"),
+    "--grid": (lambda v: v >= 1, "at least 1"),
+    "--seed": (lambda v: v >= 0, "at least 0"),
+    "--tol-route": (lambda v: math.isfinite(v) and v > 0, "finite and > 0"),
+    "--tol-pd": (lambda v: math.isfinite(v) and v >= 0, "finite and >= 0"),
+    "--rmax": (lambda v: 0.05 <= v < 1, "finite and in [0.05, 1)"),
+}
+
+
 def _require_flags(args) -> None:
-    """--n (an order or a count), --samples and --grid must be at least 1,
-    --seed at least 0; --tol-route finite and > 0, --tol-pd finite and
-    >= 0, --rmax finite in [0.05, 1), the interval its radii are drawn
-    from.  A flag the command does not take is not in ``args``."""
-    for flag, low in (("n", 1), ("samples", 1), ("grid", 1), ("seed", 0)):
-        value = getattr(args, flag, None)
-        if value is not None and value < low:
-            raise ValueError(f"--{flag} must be at least {low}, got {value}")
-    tol_route = getattr(args, "tol_route", None)
-    if tol_route is not None and not (math.isfinite(tol_route) and tol_route > 0):
-        raise ValueError(f"--tol-route must be finite and > 0, got {tol_route}")
-    tol_pd = getattr(args, "tol_pd", None)
-    if tol_pd is not None and not (math.isfinite(tol_pd) and tol_pd >= 0):
-        raise ValueError(f"--tol-pd must be finite and >= 0, got {tol_pd}")
-    rmax = getattr(args, "rmax", None)
-    if rmax is not None and not 0.05 <= rmax < 1:
-        raise ValueError(f"--rmax must be finite and in [0.05, 1), got {rmax}")
+    """ValueError naming the first flag of ``args`` out of its range."""
+    for flag, (ok, wording) in _FLAG_RANGES.items():
+        value = getattr(args, flag[2:].replace("-", "_"), None)
+        if value is not None and not ok(value):
+            raise ValueError(f"{flag} must be {wording}, got {value}")
 
 
 def _envelope(args, fix: Fixture, result: dict) -> dict:
@@ -408,9 +406,10 @@ def cmd_baxter(args, fix: Fixture) -> dict:
 
 GRID_COLUMNS = ("theta", "w11_re", "w11_im", "w12_re", "w12_im",
                 "w21_re", "w21_im", "w22_re", "w22_im")
-# one row of a grid report, the fields in GRID_COLUMNS order, in JSON and in CSV
+# one row of a grid report in JSON, the fields in GRID_COLUMNS order, and
+# the head, row, separator and tail of a CSV grid report (``_GridRows.pieces``)
 _GRID_ROW = "{" + ", ".join(f"{_emit_key(h)}: %s" for h in GRID_COLUMNS) + "}"
-_GRID_CSV_ROW = ",".join(["%s"] * len(GRID_COLUMNS)) + "\n"
+_GRID_CSV = (",".join(GRID_COLUMNS) + "\n", ",".join(["%s"] * len(GRID_COLUMNS)) + "\n", "", "")
 # rows of a grid report formatted and written at a time: the text a report
 # holds at once is one chunk's, not ~1.1 KB per row of the whole grid
 GRID_CHUNK = 256
@@ -433,31 +432,26 @@ class _GridRows:
     a: np.ndarray
     b: np.ndarray
 
-    def text_chunks(self) -> Iterator[list[list[str]]]:
-        """The GRID_COLUMNS as text, GRID_CHUNK rows at a time.  theta and b
-        are formatted by ``_float_text`` per chunk; a is formatted whole
-        once, since W22's chunk reads a's text at the reflected rows."""
+    def pieces(self, head: str, row: str, sep: str, tail: str) -> Iterator[str]:
+        """``head``, the rows, each ``row`` % its GRID_COLUMNS text and
+        ``sep`` between two, then ``tail``, GRID_CHUNK rows per piece.  a is
+        formatted whole by this call, before the first piece, since W22's
+        chunk reads a's text at the reflected rows; theta and b are formatted
+        by ``_float_text`` per chunk, as the pieces are read."""
         a_re, a_im = _float_text(self.a.real), _float_text(self.a.imag)
         w22_re, w22_im = a_re[:1] + a_re[:0:-1], a_im[:1] + a_im[:0:-1]   # (-k) mod g
-        for start in range(0, len(self.theta), GRID_CHUNK):
-            rows = slice(start, start + GRID_CHUNK)
-            theta, b_re, b_im = map(_float_text, (
-                self.theta[rows], self.b.real[rows], self.b.imag[rows]))
-            yield [theta, a_re[rows], a_im[rows], b_re, b_im, b_re, _negated(b_im),
-                   w22_re[rows], w22_im[rows]]
 
-    def json_pieces(self) -> Iterator[str]:
-        """The JSON list of the rows, a chunk of rows per piece."""
-        yield "["
-        for n, columns in enumerate(self.text_chunks()):
-            yield (", " if n else "") + ", ".join(map(_GRID_ROW.__mod__, zip(*columns)))
-        yield "]"
-
-    def csv_pieces(self) -> Iterator[str]:
-        """The CSV table of the rows, its header first, a chunk of rows per piece."""
-        yield ",".join(GRID_COLUMNS) + "\n"
-        for columns in self.text_chunks():
-            yield "".join(map(_GRID_CSV_ROW.__mod__, zip(*columns)))
+        def chunks():
+            yield head
+            for start in range(0, len(self.theta), GRID_CHUNK):
+                rows = slice(start, start + GRID_CHUNK)
+                theta, b_re, b_im = map(_float_text, (
+                    self.theta[rows], self.b.real[rows], self.b.imag[rows]))
+                columns = [theta, a_re[rows], a_im[rows], b_re, b_im, b_re, _negated(b_im),
+                           w22_re[rows], w22_im[rows]]
+                yield (sep if start else "") + sep.join(map(row.__mod__, zip(*columns)))
+            yield tail
+        return chunks()
 
 
 def cmd_grid(args, fix: Fixture) -> dict:
@@ -510,7 +504,7 @@ def _baxter_csv(result: dict) -> str:
 
 
 def _grid_csv(result: dict) -> str:
-    return "".join(result["rows"].csv_pieces())
+    return "".join(result["rows"].pieces(*_GRID_CSV))
 
 
 def _moments_csv(result: dict) -> str:
@@ -569,7 +563,7 @@ _ARGUMENTS = {
     "--tol-pd": dict(type=float, default=PIVOT_TOL,
                      help="positive-definiteness pivot tolerance"),
     "--samples": dict(type=int, default=100, help="sampled points of the CD check"),
-    "--grid": dict(type=int, default=2048, help="grid points"),
+    "--grid": dict(type=int, default=PSD_GRID, help="grid points"),
     "--rmax": dict(type=float, default=0.8, help="radii drawn from [0.05, rmax)"),
     "--frame": dict(default=None, help="frame JSON override, or 'standard'"),
     "--out": dict(default=None, help="output path (default stdout)"),
@@ -624,10 +618,11 @@ def _parser() -> argparse.ArgumentParser:
 
 def _run(args) -> tuple[int, Iterable[str]]:
     """The exit code and the text of one parsed command line, as a sequence
-    of pieces to write in turn.  Every report is one piece but a grid
-    report's, whose rows are formatted a chunk at a time as they are written
-    (``GRID_CHUNK``): held whole, its Python text would take about 1.1 KB
-    per row, 290 MB at 2^18 points."""
+    of pieces to write in turn.  All that can fail runs here, before a piece
+    is written, but a grid report's rows: every report is one piece but a
+    grid report's, whose rows are formatted a chunk at a time as they are
+    written (``GRID_CHUNK``), from W11's text made here; held whole, its
+    Python text would take about 1.1 KB per row, 290 MB at 2^18 points."""
     try:
         _require_flags(args)
         # parsed once, None without the flag; a fixture is loaded once, and
@@ -637,20 +632,26 @@ def _run(args) -> tuple[int, Iterable[str]]:
         fix = (load_fixture(args.input, override) if "input" in args
                else Fixture(override or SliceFrame.standard()))
         result = _COMMANDS[args.command].run(args, fix)
+        payload = _envelope(args, fix, result)
+        csv = getattr(args, "format", None) == "csv"
+        rows = result.get("rows")
+        if not isinstance(rows, _GridRows):
+            return EXIT_OK, (csv_view(args.command, payload) if csv
+                             else emit_json(payload) + "\n",)
+        if csv:
+            return EXIT_OK, rows.pieces(*_GRID_CSV)
+        envelope = list(_json_pieces(payload))
+        at = envelope.index(rows)   # found by identity
+        return EXIT_OK, rows.pieces("".join(envelope[:at]) + "[", _GRID_ROW, ", ",
+                                    "]" + "".join(envelope[at + 1:]) + "\n")
     except RouteMismatch as exc:
         return EXIT_CROSS_CHECK, (_error_text(exc),)
     except NoConvergence as exc:
         return EXIT_NO_CONVERGENCE, (_error_text(exc),)
-    except (*_INVALID_INPUT_ERRORS, ValueError, KeyError, OSError) as exc:
+    except (QopucError, ValueError, KeyError, OSError) as exc:
         return EXIT_INVALID_INPUT, (_error_text(exc),)
     except MemoryError as exc:   # numpy's private subclass, reported as the builtin
         return EXIT_INVALID_INPUT, (_error_text(MemoryError(str(exc))),)
-    payload = _envelope(args, fix, result)
-    csv = getattr(args, "format", None) == "csv"
-    rows = result.get("rows")
-    if not isinstance(rows, _GridRows):
-        return EXIT_OK, (csv_view(args.command, payload) if csv else emit_json(payload) + "\n",)
-    return EXIT_OK, rows.csv_pieces() if csv else itertools.chain(_json_pieces(payload), "\n")
 
 
 def _error_text(exc: Exception) -> str:
@@ -661,11 +662,26 @@ def _error_text(exc: Exception) -> str:
     return emit_json({"error": error}) + "\n"
 
 
+def _write_stdout(pieces: Iterable[str]) -> bool:
+    """Write to stdout; False if its reader has closed it, which then points
+    at os.devnull, so that the interpreter's last flush is quiet too."""
+    try:
+        sys.stdout.writelines(pieces)
+        sys.stdout.flush()
+        return True
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return False
+
+
 def main(argv=None) -> int:
     """Run one command line and write its report piece by piece (``_run``)
     to ``--out`` or stdout.  A line the parser rejects, which names no
     ``--out`` yet, and an ``--out`` that cannot be written put their error
-    on stdout, with exit 2; only ``--help`` exits through argparse.  A
+    on stdout, with exit 2; a stdout closed by its reader ends the write
+    with exit 2 and no message.  Only ``--help`` exits through argparse.  A
     missing command or input is named once no unknown argument is left."""
     try:
         args = _parser().parse_args(argv)
@@ -673,19 +689,17 @@ def main(argv=None) -> int:
             if getattr(args, name, "") is None:
                 raise ValueError(f"the following arguments are required: {name}")
     except ValueError as exc:
-        sys.stdout.write(_error_text(exc))
+        _write_stdout((_error_text(exc),))
         return EXIT_INVALID_INPUT
     code, pieces = _run(args)
-    if not args.out:
-        sys.stdout.writelines(pieces)
-        return code
-    try:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.writelines(pieces)
-    except OSError as exc:
-        sys.stdout.write(_error_text(exc))
-        return EXIT_INVALID_INPUT
-    return code
+    if args.out:
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.writelines(pieces)
+            return code
+        except OSError as exc:
+            code, pieces = EXIT_INVALID_INPUT, (_error_text(exc),)
+    return code if _write_stdout(pieces) else EXIT_INVALID_INPUT
 
 
 if __name__ == "__main__":  # pragma: no cover

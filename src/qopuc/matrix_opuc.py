@@ -179,7 +179,7 @@ def _operator_norms(alpha: np.ndarray) -> np.ndarray:
 
 def _not_contraction(index=None) -> NotContraction:
     return NotContraction(f"coefficient{'' if index is None else ' ' + str(index)} has norm "
-                          f">= 1 - 1e-12; not a strict contraction", index=index)
+                          f">= 1 - {CONTRACTION_MARGIN:g}; not a strict contraction", index=index)
 
 
 def _require_contraction(alpha: np.ndarray, index=None):

@@ -89,15 +89,19 @@ class MomentSequence:
     def horizon(self) -> int:
         return len(self.arr) - 1
 
+    def up_to(self, n: int) -> np.ndarray:
+        """c_0..c_n, an (n+1, 4) view of ``arr``; HorizonExceeded past the horizon."""
+        if n > self.horizon:
+            raise HorizonExceeded(f"order {n} beyond horizon {self.horizon}")
+        return self.arr[: n + 1]
+
     def to_json(self):
         return [[n, row] for n, row in enumerate(self.arr.tolist())]
 
 
 def toeplitz(c: MomentSequence, n: int) -> np.ndarray:
     """T_n(c) as an (n+1, n+1, 4) array; entry (k, j) is c_{j-k}."""
-    if n > c.horizon:
-        raise HorizonExceeded(f"order {n} beyond horizon {c.horizon}")
-    half = c.arr[: n + 1]
+    half = c.up_to(n)
     full = np.concatenate([qarr_conj(half[:0:-1]), half])   # c_{-n}..c_n
     k = np.arange(n + 1)
     return full[n + k[None, :] - k[:, None]]
@@ -192,9 +196,7 @@ def require_nontrivial(c: MomentSequence, n: int, pivot_tol: float = PIVOT_TOL
     of a zero gamma part differs, which no later step reads and the return
     clears.
     """
-    if n > c.horizon:
-        raise HorizonExceeded(f"order {n} beyond horizon {c.horizon}")
-    mom = c.arr[: n + 1].astype(np.longdouble)
+    mom = c.up_to(n).astype(np.longdouble)
     moments = np.stack([mom[1:].T, mom[:-1].T])   # (c_{k+1}, c_k), components first
     # rows[m, k + 1] = (phi_m, psi_m) at k; column 0 is the zero p^-1 coefficient,
     # so rows[m, : m + 2] is (p phi_m, p psi_m)
@@ -375,16 +377,6 @@ class QPositiveDensity:
             raise ValueError(f"matrix density is not finite on the {grid}-point grid "
                              f"(its terms overflow float64)")
         return W
-
-    @classmethod
-    def from_json(cls, obj, frame: SliceFrame,
-                  held_in: SliceFrame | None = None) -> "QPositiveDensity":
-        """The density of a fixture's ``w1``/``w2`` lists of [n, re, im], read
-        in ``frame``, the fixture's own, and held in ``held_in`` (default
-        ``frame``)."""
-        w1 = {int(n): complex(re, im) for n, re, im in obj.get("w1", [])}
-        w2 = {int(n): complex(re, im) for n, re, im in obj.get("w2", [])}
-        return cls.from_maps(frame, w1, w2, held_in)
 
 
 def moments_from_density(d: QPositiveDensity, N: int) -> MomentSequence:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import HorizonExceeded, NotContraction, NotInImage, RouteMismatch
+from .errors import NotContraction, NotInImage, RouteMismatch
 from .matrix_opuc import CONTRACTION_MARGIN, alphas_from_moments, moments_from_alphas
 from .measures import _BASIS_PRODUCTS, PIVOT_TOL, MomentSequence, require_nontrivial
 from .quaternions import (
@@ -160,7 +160,7 @@ class VerblunskySeq:
         arr = qarr_from(gammas)
         bad = np.flatnonzero(~(qarr_abs(arr) < 1.0 - CONTRACTION_MARGIN))   # NaN too
         if bad.size:
-            raise NotContraction(f"gamma_{bad[0]} has |gamma| >= 1 - 1e-12",
+            raise NotContraction(f"gamma_{bad[0]} has |gamma| >= 1 - {CONTRACTION_MARGIN:g}",
                                  index=int(bad[0]))
         arr.setflags(write=False)
         object.__setattr__(self, "arr", arr)
@@ -186,9 +186,7 @@ def gammas_via_matrix(c: MomentSequence, N: int, frame: SliceFrame) -> Verblunsk
     horizon), the matrix Schur algorithm (``alphas_from_moments``), and
     ``chi_inv`` of its coefficients, whose NotInImage says that the matrix
     route left the quaternionic subalgebra."""
-    if N > c.horizon:
-        raise HorizonExceeded(f"order {N} beyond horizon {c.horizon}")
-    alphas = alphas_from_moments(chi(c.arr[1: N + 1], frame), N)
+    alphas = alphas_from_moments(chi(c.up_to(N)[1:], frame), N)
     try:
         return VerblunskySeq(chi_inv(alphas, frame))
     except NotInImage as exc:

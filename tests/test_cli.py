@@ -313,6 +313,89 @@ def test_oversized_allocation_is_a_typed_error(tmp_path, monkeypatch):
     assert json.loads(out)["error"] == {"type": "MemoryError", "message": message}
 
 
+def _main_report(tmp_path, capsys, argv, to_file):
+    """main's exit code and its one output: the --out file's text with
+    --out, in which case stdout must stay empty, else stdout's."""
+    out = tmp_path / "report"
+    code = main([*argv, "--out", str(out)] if to_file else argv)
+    stdout = capsys.readouterr().out
+    if to_file:
+        assert stdout == ""
+        return code, out.read_text()
+    return code, stdout
+
+
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_failed_grid_text_is_one_typed_error(tmp_path, capsys, monkeypatch, fmt, to_file):
+    # W11's whole text columns were formatted while main wrote the report, so
+    # running out of memory there escaped main as a traceback, with part of
+    # the report written; only one chunk's text is formatted during the write
+    from qopuc import cli
+
+    float_text = cli._float_text
+    message = "Unable to allocate the text of a whole column"
+
+    def short_of_memory(values):
+        if len(values) > cli.GRID_CHUNK:
+            raise MemoryError(message)
+        return float_text(values)
+
+    monkeypatch.setattr(cli, "_float_text", short_of_memory)
+    argv = ["grid", str(FIXDIR / "smooth_trig.json"), "--grid", str(2 * cli.GRID_CHUNK + 1),
+            "--format", fmt]
+    code, text = _main_report(tmp_path, capsys, argv, to_file)
+    assert code == 2
+    assert text == '{"error": {"type": "MemoryError", "message": "%s"}}\n' % message
+
+
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+@pytest.mark.parametrize("argv, check", [
+    (["sv", "--n", "4"], "sv_check"),
+    (["grid", "--grid", "600"], "szego_entropy"),   # a NaN in the head of a chunked report
+], ids=["sv", "grid"])
+def test_nan_in_a_result_is_one_typed_error(tmp_path, capsys, monkeypatch, argv, check,
+                                            to_file):
+    # the report's text was made after _run's error handling: a NaN escaped
+    # main as a ValueError traceback, a grid report's after its first pieces
+    from qopuc import cli
+
+    original = getattr(cli, check)
+
+    def with_nan(*args, **kwargs):
+        result = original(*args, **kwargs)
+        return {**result, "entropy": float("nan")} if isinstance(result, dict) else float("nan")
+
+    monkeypatch.setattr(cli, check, with_nan)
+    code, text = _main_report(tmp_path, capsys,
+                              [argv[0], str(FIXDIR / "smooth_trig.json"), *argv[1:]], to_file)
+    assert code == 2
+    assert json.loads(text) == {"error": {"type": "ValueError", "message":
+                                          "NaN is not representable in report JSON"}}
+
+
+def test_closed_stdout_ends_without_a_traceback():
+    # writing to a stdout whose reader had gone raised BrokenPipeError out of
+    # main, and the interpreter's last flush printed a second one; 1.2 MB of
+    # rows overfill the pipe, so the write must meet the closed end
+    import os
+    import subprocess
+    import sys
+
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.Popen(
+        [sys.executable, "-W", "error::RuntimeWarning", "-W", "error::DeprecationWarning",
+         "-m", "qopuc.cli", "grid", str(FIXDIR / "smooth_trig.json"), "--grid", "4096"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.stdout.read(10) == b'{"command"'
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 2
+    assert err == b""
+
+
 def test_density_far_index_is_sparse(tmp_path):
     # w1 = 1 + cos(10^9 theta) / 2: moments past c_0 vanish up to 10^9, and
     # 10^9 = 6 mod 7 on the 7-point grid

@@ -488,3 +488,46 @@ def test_closed_form_min_eigenvalue_and_det_match_lapack():
     det = _det_herm2(H)
     assert np.all(np.abs(det - (a * d - b_sq)) <= 2 * eps * det_scale)
     assert np.all(np.abs(det - np.linalg.det(H).real) <= 16 * eps * det_scale)
+
+
+@pytest.mark.parametrize("fixture, builder", [
+    ("lebesgue.json", lebesgue_density),
+    ("bernstein_szego_05.json", bernstein_szego_density),
+    ("vanishing_density.json", vanishing_density),
+    ("smooth_trig.json", smooth_trig_density),
+])
+def test_shipped_density_fixtures_are_the_tests_densities(fixture, builder):
+    # the CLI, the report set and the benchmark read the files; the acceptance
+    # criteria check the builders: both must be the same density, bit for bit
+    from qopuc.cli import load_fixture
+
+    read = load_fixture(str(FIXDIR / fixture), None).density
+    built = builder()
+    assert same_frame(read.frame, built.frame)
+    assert read.index.tobytes() == built.index.tobytes()
+    assert read.coeffs.tobytes() == built.coeffs.tobytes()
+
+
+def _records():
+    from qopuc.polynomials import VerblunskySeq
+    from qopuc.quaternions import Quaternion as QuaternionRecord
+    from qopuc.series import TruncSeries
+
+    frame = SliceFrame.standard()
+    return {
+        "Quaternion": (QuaternionRecord(1.0, 0.0, 0.0, 0.0), "w"),
+        "SliceFrame": (frame, "i"),
+        "MomentSequence": (lebesgue_moments(2), "arr"),
+        "VerblunskySeq": (VerblunskySeq([[0.5, 0.0, 0.0, 0.0]]), "arr"),
+        # its grid cache holds only while the frame and coefficients stay
+        "QPositiveDensity.frame": (lebesgue_density(), "frame"),
+        "QPositiveDensity.coeffs": (lebesgue_density(), "coeffs"),
+        "TruncSeries": (TruncSeries(np.eye(2)[None]), "coeffs"),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_records()))
+def test_records_cannot_be_reassigned(name):
+    record, attribute = _records()[name]
+    with pytest.raises(AttributeError, match="is immutable"):
+        setattr(record, attribute, getattr(record, attribute))

@@ -7,9 +7,11 @@ Usage:
 SRC is the directory that holds the ``qopuc`` package (``src`` of a
 checkout).  Every report of the set runs in-process against that package;
 DIR receives ``fixtures/`` (the shipped fixtures and the ones the set
-generates) and ``reports/``, one file per report whose first line is
-``exit <code>`` (``raised <type>`` for an exception that escaped
-``qopuc.cli.main``, ``SystemExit`` too), followed by the report text.
+generates), ``outputs/`` (the files of the runs with ``--out``) and
+``reports/``, one file per report whose first line is ``exit <code>``
+(``raised <type>`` for an exception that escaped ``qopuc.cli.main``,
+``SystemExit`` too), followed by the report text: what ``main`` printed,
+then, for a run with ``--out``, the text of the file it wrote.
 Every exit-0 JSON report is validated against its command's schema in
 ``SRC/qopuc/schemas``; the tool lists the reports that fail and exits 1.  Commands run with DIR as
 the working directory and name fixtures by relative path, so the envelopes
@@ -104,12 +106,15 @@ under ``grid --grid 4``; moments c_0 and c_1 under
 ``moments-to-verblunsky --n 3``; a ``{}`` fixture and a ``w1`` index of
 2^63 under ``moments-to-verblunsky --n 1``; and ``--n 0``, ``--seed -1``,
 ``--rmax 1``, ``--tol-route 0``, ``--tol-route nan``, ``--tol-pd -1`` and
-``orthopolys --format csv``.  The command lines the parser rejects (all
-exit 2): an unknown flag (``grid --seed 1``), an int and a float that do
-not parse (``zeros --n x``, ``sv --tol-route abc``), ``zeros`` without its
-input, ``--format xml``, an abbreviated flag (``cd --sam 3``),
-``--format csv`` on ``cd`` and ``random-gamma``, and an unknown flag on a
-line without its input (``zeros --bogus``) or command (``--bogus``).
+``orthopolys --format csv``.  Four runs write to ``--out`` on
+``smooth_trig``: ``grid --grid 257`` json and csv, ``zeros --n 6 --format
+csv``, and ``zeros --n 0``, whose error lands in the file.  The command
+lines the parser rejects (all exit 2): an unknown flag (``grid --seed 1``),
+an int and a float that do not parse (``zeros --n x``, ``sv --tol-route
+abc``), ``zeros`` without its input, ``--format xml``, an abbreviated flag
+(``cd --sam 3``), ``--format csv`` on ``cd`` and ``random-gamma``, and an
+unknown flag on a line without its input (``zeros --bogus``) or command
+(``--bogus``).
 """
 
 from __future__ import annotations
@@ -157,13 +162,17 @@ def random_frame(seed: int) -> str:
 
 
 def run(main, argv) -> str:
+    """The exit line and what main printed, then, for a line with --out, the
+    bytes of the file it wrote."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         try:
             head = f"exit {main(argv)}"
         except (Exception, SystemExit) as exc:  # a traceback is a finding, not a stop
             head = f"raised {type(exc).__name__}: {exc}"
-    return head + "\n" + out.getvalue()
+    written = Path(argv[argv.index("--out") + 1]) if "--out" in argv else None
+    tail = written.read_bytes().decode("utf-8") if written and written.exists() else ""
+    return head + "\n" + out.getvalue() + tail
 
 
 def report_set(frames: dict[str, str]):
@@ -387,6 +396,12 @@ def report_set(frames: dict[str, str]):
                        ("orthopolys.csv", ["orthopolys", smooth, "--n", "2",
                                            "--format", "csv"])):
         yield f"flag.{name}", argv
+    # reports written to --out, and a rejected flag whose error lands there
+    for name, argv in (("grid.g257.json", ["grid", smooth, "--grid", "257"]),
+                       ("grid.g257.csv", ["grid", smooth, "--grid", "257", "--format", "csv"]),
+                       ("zeros.n6.csv", ["zeros", smooth, "--n", "6", "--format", "csv"]),
+                       ("zeros.n0", ["zeros", smooth, "--n", "0"])):
+        yield f"out.smooth_trig.{name}", [*argv, "--out", f"outputs/smooth_trig.{name}"]
     # the command lines the parser rejects
     lebesgue = "fixtures/lebesgue.json"
     for name, argv in (("grid.seed1", ["grid", lebesgue, "--seed", "1"]),
@@ -542,6 +557,7 @@ def main() -> int:
         raise SystemExit(f"{out} is not empty")
     os.chdir(out)
     Path("reports").mkdir()
+    Path("outputs").mkdir()
     names: set[str] = set()
 
     def record(name, argv) -> str:
