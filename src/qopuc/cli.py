@@ -145,7 +145,10 @@ def _float_text(values) -> list[str]:
 
 def emit_csv(header, columns) -> str:
     """CSV of a table given by its columns: a float array as in
-    ``_float_text``, the cells of any other column (ints, strings) with str."""
+    ``_float_text``, the cells of any other column (ints, strings) with str.
+    A NaN is rejected, as in JSON."""
+    if any(isinstance(c, np.ndarray) and np.isnan(c).any() for c in columns):
+        raise ValueError("NaN is not representable in report CSV")
     cells = [_float_text(c) if isinstance(c, np.ndarray) else map(str, c) for c in columns]
     return "\n".join([",".join(header), *map(",".join, zip(*cells))]) + "\n"
 

@@ -51,8 +51,8 @@ and inverses in one call each.
 Matrix Verblunsky coefficients are one read-only (N, 2, 2) complex array,
 which route A returns and the forward map reads; a defect pair is one
 (2, ..., 2, 2) stack [rhoL, rhoR].  Every coefficient is tested for strict
-contraction once where it enters this layer: route A tests each alpha_n it
-makes, and the forward map each one it reads, through ``defects``.
+contraction once where it enters this layer, by ``_require_contraction``:
+route A each alpha_n it makes, the forward map all it reads via ``defects``.
 """
 
 from __future__ import annotations
@@ -68,15 +68,6 @@ from .series import COND_LIMIT, EYE2, SHIFT_TOL, TruncSeries, _gram_max_eigenval
 CONTRACTION_MARGIN = 1e-12
 CONSTANT_TOL = 1e-10
 SQRT_CHECK_TOL = 1e-13
-
-
-def operator_norm2(A: np.ndarray) -> float:
-    """Largest singular value of a 2x2 matrix, sqrt of the larger eigenvalue
-    of A^* A in closed form (``series._gram_max_eigenvalue``), in double
-    precision.  NaN entries give NaN and infinite ones inf, so a test of the
-    form ``not norm < bound`` rejects both."""
-    (a, b), (c, d) = np.asarray(A, dtype=complex).tolist()
-    return math.sqrt(_gram_max_eigenvalue(a, b, c, d))
 
 
 def _complex(x) -> np.ndarray:
@@ -159,32 +150,16 @@ def _sqrt_psd2(h: tuple) -> tuple:
     return R
 
 
-def _operator_norms(alpha: np.ndarray) -> np.ndarray:
-    """``operator_norm2`` of each matrix of a (..., 2, 2) stack, flat, bit for
-    bit but a NaN's sign: the same double-precision sums in the same order
-    over the stack, and ``math.hypot`` on each, as numpy's hypot need not
-    round as it does.  Overflow and NaN pass through as they do there,
-    without a warning."""
-    a, b, c, d = np.asarray(alpha, dtype=complex).reshape(-1, 4).T
-    with np.errstate(over="ignore", invalid="ignore"):
-        p = a.real * a.real + a.imag * a.imag + c.real * c.real + c.imag * c.imag
-        q = b.real * b.real + b.imag * b.imag + d.real * d.real + d.imag * d.imag
-        # conj(a) b + conj(c) d, each product as Python's complex product forms it
-        r_re = (a.real * b.real + a.imag * b.imag) + (c.real * d.real + c.imag * d.imag)
-        r_im = (a.real * b.imag - a.imag * b.real) + (c.real * d.imag - c.imag * d.real)
-        r = map(math.hypot, r_re.tolist(), r_im.tolist())
-        spread = np.array(list(map(math.hypot, (0.5 * (p - q)).tolist(), r)))
-        return np.sqrt(0.5 * (p + q) + spread)
-
-
-def _not_contraction(index=None) -> NotContraction:
-    return NotContraction(f"coefficient{'' if index is None else ' ' + str(index)} has norm "
-                          f">= 1 - {CONTRACTION_MARGIN:g}; not a strict contraction", index=index)
-
-
-def _require_contraction(alpha: np.ndarray, index=None):
-    if not operator_norm2(alpha) < 1.0 - CONTRACTION_MARGIN:   # also rejects NaN
-        raise _not_contraction(index)
+def _require_contraction(alpha, index=None):
+    """NotContraction unless each matrix of alpha, 2x2 or a (..., 2, 2) stack, has an
+    operator norm sqrt(``_gram_max_eigenvalue``) below 1 - CONTRACTION_MARGIN (NaN
+    and overflow fail), with ``index``, or with a stack's first failing flat index."""
+    alpha = np.asarray(alpha, dtype=complex)
+    for k, m in enumerate(alpha.reshape(-1, 4).tolist()):
+        if not math.sqrt(_gram_max_eigenvalue(*m)) < 1.0 - CONTRACTION_MARGIN:   # NaN fails
+            at = k if alpha.ndim > 2 else index
+            raise NotContraction(f"coefficient{'' if at is None else f' {at}'} has norm >= 1 - "
+                                 f"{CONTRACTION_MARGIN:g}; not a strict contraction", index=at)
 
 
 def _defect_root(x, y) -> tuple:
@@ -202,18 +177,13 @@ def defects(alpha: np.ndarray) -> np.ndarray:
     2x2 matrix or a (..., 2, 2) stack, as one (2, ..., 2, 2) stack in the
     precision of alpha, so ``rhoL, rhoR = defects(a)``.
 
-    Tests every matrix once, in one step over the stack
-    (``_operator_norms``): NotContraction if one is not a strict
-    contraction, carrying the flat index of the first for a stack.  Both
-    roots come from one closed-form call on the entries of both.  In long double both
+    Tests every matrix once (``_require_contraction``).  Both roots come
+    from one closed-form call on the entries of both.  In long double both
     products are one stacked matmul, which sums 0 + a b + c d as ``_mul2``
     does; a complex128 matmul goes to BLAS, which may fuse a multiply-add,
     so there the products stay entry-wise."""
     alpha = _complex(alpha)
-    norms = _operator_norms(alpha)
-    failing = np.flatnonzero(~(norms < 1.0 - CONTRACTION_MARGIN))   # NaN fails too
-    if failing.size:
-        raise _not_contraction(int(failing[0]) if alpha.ndim > 2 else None)
+    _require_contraction(alpha)
     pair = np.stack((alpha.conj().swapaxes(-1, -2), alpha))
     if alpha.dtype == np.clongdouble:
         return _matrix(_sqrt_psd2(_entries(EYE2 - pair @ pair[::-1])))

@@ -40,6 +40,9 @@ PSD_FLOOR = -1e-10
 C0_TOL = 1e-9
 NOT_NORMALISED = "c_0 must be 1 (probability normalisation)"
 PIVOT_TOL = 1e-12
+# c_{-n} = conj(c_n), and the same symmetries of a density's maps, up to
+# SYMMETRY_TOL * max(1, |c_n|)
+SYMMETRY_TOL = 1e-12
 _ZERO = (0.0, 0.0, 0.0, 0.0)
 
 
@@ -79,7 +82,7 @@ class MomentSequence:
                 q, p = qarr_from([q, entries.get(-n, _ZERO)])
                 with np.errstate(over="ignore"):   # a gap beyond the float range
                     gap = qarr_abs(q - qarr_conj(p))
-                if gap > 1e-12 * max(1.0, qarr_abs(q)) or gap == np.inf:
+                if gap > SYMMETRY_TOL * max(1.0, qarr_abs(q)) or gap == np.inf:
                     raise ValueError(f"Hermitian symmetry violated at n={n}")
         if horizon < N:
             raise HorizonExceeded(f"fixture horizon {horizon} below requested order {N}")
@@ -309,7 +312,7 @@ class QPositiveDensity:
         """The density W = [[w1, w2], [conj w2, w1(-theta)]] from {n: w_n}
         maps in ``frame``, checked for a modulus beyond the float range (a
         ValueError naming the map and the index), then for
-        w1_{-n} = conj(w1_n) and w2_{-n} = -w2_n to 1e-12;
+        w1_{-n} = conj(w1_n) and w2_{-n} = -w2_n to ``SYMMETRY_TOL``;
         c_n = w1_{-n} + w2_{-n} j.  The density is
         held in ``held_in`` (default ``frame``), which alone gets the PSD scan:
         its moments are the same quaternions in any frame."""
@@ -321,10 +324,10 @@ class QPositiveDensity:
                     raise ValueError(f"{key} coefficient at n={n} has a modulus "
                                      "beyond the float range")
         for n, a in w1.items():
-            if _modulus(w1.get(-n, 0j) - a.conjugate()) > 1e-12 * max(1.0, abs(a)):
+            if _modulus(w1.get(-n, 0j) - a.conjugate()) > SYMMETRY_TOL * max(1.0, abs(a)):
                 raise ValueError(f"w1 is not real-valued on the circle (n={n})")
         for n, a in w2.items():
-            if _modulus(w2.get(-n, 0j) + a) > 1e-12 * max(1.0, abs(a)):
+            if _modulus(w2.get(-n, 0j) + a) > SYMMETRY_TOL * max(1.0, abs(a)):
                 raise ValueError(f"w2 symmetry w2_(-n) = -w2_n violated (n={n})")
         index = sorted({0} | {-n for n in (*w1, *w2) if n <= 0})
         z1 = np.array([w1.get(-n, 0j) for n in index], dtype=complex)

@@ -11,8 +11,9 @@ library's two maps); those maps run in generator form in ``matrix_opuc``
 and use no series inverse.
 
 So do the 2x2 closed forms both use: the larger eigenvalue of a Gram matrix
-(``_gram_max_eigenvalue``, behind ``matrix_opuc.operator_norm2``) and the
-condition number ``cond2`` that guards every constant term inverted.
+(``_gram_max_eigenvalue``, behind the strict-contraction test
+``matrix_opuc._require_contraction``) and the condition number ``cond2``
+that guards every constant term inverted.
 """
 
 from __future__ import annotations

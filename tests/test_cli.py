@@ -350,28 +350,33 @@ def test_failed_grid_text_is_one_typed_error(tmp_path, capsys, monkeypatch, fmt,
 
 
 @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
-@pytest.mark.parametrize("argv, check", [
-    (["sv", "--n", "4"], "sv_check"),
-    (["grid", "--grid", "600"], "szego_entropy"),   # a NaN in the head of a chunked report
-], ids=["sv", "grid"])
-def test_nan_in_a_result_is_one_typed_error(tmp_path, capsys, monkeypatch, argv, check,
+@pytest.mark.parametrize("argv, check, form", [
+    (["sv", "--n", "4"], "sv_check", "JSON"),
+    (["grid", "--grid", "600"], "szego_entropy", "JSON"),   # in the head of a chunked report
+    (["sv", "--n", "2", "--format", "csv"], "sv_check", "CSV"),   # in a float column
+], ids=["sv", "grid", "sv-csv"])
+def test_nan_in_a_result_is_one_typed_error(tmp_path, capsys, monkeypatch, argv, check, form,
                                             to_file):
     # the report's text was made after _run's error handling: a NaN escaped
-    # main as a ValueError traceback, a grid report's after its first pieces
+    # main as a ValueError traceback, a grid report's after its first pieces;
+    # a CSV view printed it as nan, with exit 0
     from qopuc import cli
 
     original = getattr(cli, check)
 
     def with_nan(*args, **kwargs):
         result = original(*args, **kwargs)
-        return {**result, "entropy": float("nan")} if isinstance(result, dict) else float("nan")
+        if not isinstance(result, dict):
+            return float("nan")
+        return {**result, "entropy": float("nan"),
+                "partial_products": [float("nan")] * len(result["partial_products"])}
 
     monkeypatch.setattr(cli, check, with_nan)
     code, text = _main_report(tmp_path, capsys,
                               [argv[0], str(FIXDIR / "smooth_trig.json"), *argv[1:]], to_file)
     assert code == 2
     assert json.loads(text) == {"error": {"type": "ValueError", "message":
-                                          "NaN is not representable in report JSON"}}
+                                          f"NaN is not representable in report {form}"}}
 
 
 def test_closed_stdout_ends_without_a_traceback():
@@ -732,27 +737,21 @@ def test_sequence_jobs_build_no_quaternion_per_value(tmp_path, monkeypatch, argv
     # once: route A one matrix at a time, the forward map over its stack
     from qopuc import matrix_opuc
 
-    norms = []
-    norm, stacked = matrix_opuc.operator_norm2, matrix_opuc._operator_norms
+    tested = []
+    require = matrix_opuc._require_contraction
 
-    def counting_norm(A):
-        norms.append(1)
-        return norm(A)
-
-    def counting_norms(alpha):   # one entry per matrix tested
-        tested = stacked(alpha)
-        norms.extend([1] * len(tested))
-        return tested
+    def counting(alpha, index=None):   # the number of matrices tested per call
+        tested.append(np.asarray(alpha).size // 4)
+        return require(alpha, index)
 
     built = _quaternion_builds(monkeypatch)
-    monkeypatch.setattr(matrix_opuc, "operator_norm2", counting_norm)
-    monkeypatch.setattr(matrix_opuc, "_operator_norms", counting_norms)
+    monkeypatch.setattr(matrix_opuc, "_require_contraction", counting)
     argv = [_gammas80(tmp_path) if a == "gammas80.json" else str(FIXDIR / a)
             if a.endswith(".json") else a for a in argv]
     code, _ = run(tmp_path, *argv)
     assert code == 0
     assert built == []
-    assert len(norms) == contraction_tests
+    assert sum(tested) == contraction_tests
 
 
 # one job of each command

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 from pathlib import Path
 from typing import NamedTuple
 
@@ -10,13 +11,13 @@ from qopuc.errors import (
     ConstantMismatch, NotContraction, NotInImage, ShiftResidual, SingularConstantTerm,
 )
 from qopuc.matrix_opuc import (
-    CONTRACTION_MARGIN, SQRT_CHECK_TOL, _entries, _inv2, _matrix, _mul2,
-    alphas_from_moments, defects, moments_from_alphas, operator_norm2, schur_step,
+    CONTRACTION_MARGIN, SQRT_CHECK_TOL, _entries, _inv2, _matrix, _mul2, _require_contraction,
+    alphas_from_moments, defects, moments_from_alphas, schur_step,
 )
 from qopuc.quaternions import chi_image_residual
 from qopuc.series import (
-    COND_LIMIT, EYE2, SHIFT_TOL, TruncSeries, cond2, herglotz_from_moments,
-    herglotz_from_schur, schur_from_herglotz, series_inv,
+    COND_LIMIT, EYE2, SHIFT_TOL, TruncSeries, _gram_max_eigenvalue, cond2,
+    herglotz_from_moments, herglotz_from_schur, schur_from_herglotz, series_inv,
 )
 from conftest import (
     bernstein_szego_density, inverse_schur_step, lebesgue_density, random_chi_contraction,
@@ -131,12 +132,21 @@ def test_defects_contraction_margin():
                 assert np.all(np.isfinite(defects(stack)))
 
 
-def test_stacked_norms_are_the_per_matrix_norms(rng):
-    # bit for bit, a NaN at the same place (its sign bit may differ):
-    # moduli from 1e-200 to 1e200, overflow to inf, NaN and inf entries,
-    # signed zeros, long double input
-    from qopuc.matrix_opuc import _operator_norms
+def contraction_failure(alpha, index=None):
+    """The index the NotContraction of ``_require_contraction(alpha, index)``
+    carries, or "passes"."""
+    try:
+        _require_contraction(alpha, index)
+    except NotContraction as exc:
+        return exc.index
+    return "passes"
 
+
+def test_stacked_norms_are_the_per_matrix_norms(rng):
+    # a stack's verdict and first failing flat index are those of its
+    # matrices tested one at a time: moduli from 1e-200 to 1e200, overflow to
+    # inf, NaN and inf entries, signed zeros, long double input, 4-d stacks
+    outcomes = set()
     for trial in range(400):
         n = int(rng.integers(1, 12))
         A = rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2))
@@ -150,12 +160,11 @@ def test_stacked_norms_are_the_per_matrix_norms(rng):
             A.flat[rng.integers(A.size)] = complex(np.nan, 0.0)
         if trial % 11 == 0:
             A.flat[rng.integers(A.size)] = complex(0.0, -np.inf)
-        want = np.array([operator_norm2(a) for a in A])
-        got = _operator_norms(A.reshape(2, -1, 2, 2) if n % 2 == 0 else A)
-        assert got.shape == (n,)
-        nan = np.isnan(want)
-        assert np.array_equal(np.isnan(got), nan)
-        assert got[~nan].tobytes() == want[~nan].tobytes()
+        alone = [contraction_failure(a, k) for k, a in enumerate(A)]
+        want = next((k for k in alone if k != "passes"), "passes")
+        assert contraction_failure(A.reshape(2, -1, 2, 2) if n % 2 == 0 else A) == want
+        outcomes.add(want if want in ("passes", 0) else "later")
+    assert outcomes == {"passes", 0, "later"}
 
 
 def test_schur_step_constant_gives_zero(rng):
@@ -630,7 +639,13 @@ def near_sphere_chi_images(rng, n=20000):
     return chi(v * (1.0 - gap)[:, None], SliceFrame.standard())
 
 
+def operator_norm2(M) -> float:
+    """The operator norm ``_require_contraction`` tests, of one 2x2 matrix."""
+    return math.sqrt(_gram_max_eigenvalue(*np.asarray(M, dtype=complex).reshape(4).tolist()))
+
+
 def test_operator_norm2_matches_svd():
+    # the closed form behind _require_contraction, and its verdicts
     rng = np.random.default_rng(8101)
     for kind, Ms in closed_form_inputs(rng).items():
         for M in Ms:
@@ -649,6 +664,7 @@ def test_operator_norm2_matches_svd():
         want = np.linalg.norm(M, 2)
         got = operator_norm2(M)
         assert abs(got - want) <= 1e-14 * want
+        assert (contraction_failure(M) == "passes") == (got < bound)
         if abs(norm - bound) > 4.5e-16:
             assert (got < bound) == (norm < bound)
         if abs(norm - bound) > 2e-15:
@@ -656,6 +672,7 @@ def test_operator_norm2_matches_svd():
     assert operator_norm2(np.zeros((2, 2))) == 0.0
     assert operator_norm2(np.diag([1e150, 1e150])) == pytest.approx(1e150, rel=1e-15)
     assert operator_norm2(np.diag([1e200, 0.5])) == np.inf   # overflow rejects, never raises
+    assert contraction_failure(np.diag([1e200, 0.5]), 3) == 3
 
 
 def test_cond2_matches_numpy_cond():
@@ -963,7 +980,7 @@ def test_route_a_and_forward_map_make_no_linalg_call(monkeypatch):
 def test_each_coefficient_contraction_tested_once_per_map(monkeypatch):
     # route A tests each alpha_n it makes once, before its defects, and
     # returns the tested array; the forward map tests each alpha_n it reads
-    # once, through defects, in one step over the stack
+    # once, through defects, in one call on the stack
     import qopuc.matrix_opuc as matrix_opuc
     from qopuc.fixtures import random_gamma_seq
     from qopuc.measures import moments_from_density
@@ -976,19 +993,13 @@ def test_each_coefficient_contraction_tested_once_per_map(monkeypatch):
     want_a, want_c = alphas_from_moments(C, 50), moments_from_alphas(alphas, 40)
     calls = []
 
-    stacked = matrix_opuc._operator_norms
+    require = matrix_opuc._require_contraction
 
-    def counting_norm(A):
-        calls.append(1)
-        return operator_norm2(A)
+    def counting(alpha, index=None):   # the number of matrices tested per call
+        calls.append(np.asarray(alpha).size // 4)
+        return require(alpha, index)
 
-    def counting_norms(alpha):   # one entry per matrix tested
-        tested = stacked(alpha)
-        calls.append(len(tested))
-        return tested
-
-    monkeypatch.setattr(matrix_opuc, "operator_norm2", counting_norm)
-    monkeypatch.setattr(matrix_opuc, "_operator_norms", counting_norms)
+    monkeypatch.setattr(matrix_opuc, "_require_contraction", counting)
     assert same_bytes(alphas_from_moments(C, 50), want_a)
     assert calls == [1] * 50
     calls.clear()
