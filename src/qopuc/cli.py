@@ -3,11 +3,12 @@
 Each command is declared once (``_COMMANDS``): the handler that runs it,
 the arguments it takes besides ``--frame`` and ``--out``, which every
 command takes, and its CSV view, if it has one; only a command with a view
-takes ``--format``.  A command takes only the flags its handler reads, each
-spelled out in full; any other flag is an unknown argument.  Every report
-embeds each flag its command takes, the seed and the library version,
-prints floats with 17 significant digits, and keeps key order fixed, so
-identical configurations reproduce byte-identical output.
+takes ``--format``.  Its one parser, its report's ``config`` and its schema
+follow from that declaration.  A command takes only the flags its handler
+reads, each spelled out in full; any other flag is an unknown argument.
+Every report embeds each flag its command takes, the seed and the library
+version, prints floats with 17 significant digits, and keeps key order
+fixed, so identical configurations reproduce byte-identical output.
 
 Exit codes: 0 ok, 3 a RouteMismatch (an internal cross-check), 4
 NoConvergence, 2 every other library error (``QopucError``) and every other
@@ -342,10 +343,9 @@ def _require_flags(args) -> None:
 
 def _envelope(args, fix: Fixture, result: dict) -> dict:
     """The report of a job, which echoes every flag its command takes: the
-    seed at the top, the rest in ``config``, whose first six keys are null
-    where the command does not take the flag, then ``samples``, ``grid`` or
-    ``rmax`` for the command that takes it.  ``format`` is the format the
-    report is written in, json for a command without ``--format``."""
+    seed at the top, the rest in ``config``: six keys, each null where the
+    command does not take the flag, then every other flag it takes but
+    ``--out``.  ``format`` is the report's, json without ``--format``."""
     config = {
         "input": getattr(args, "input", None),
         "n": getattr(args, "n", None),
@@ -354,8 +354,8 @@ def _envelope(args, fix: Fixture, result: dict) -> dict:
         "tol_pd": getattr(args, "tol_pd", None),
         "format": getattr(args, "format", "json"),
     }
-    config.update((key, getattr(args, key)) for key in ("samples", "grid", "rmax")
-                  if key in args)
+    config.update((key, value) for key, value in vars(args).items()
+                  if key not in config and key not in ("command", "seed", "out"))
     return {
         "command": args.command,
         "version": __version__,
@@ -506,8 +506,8 @@ def _baxter_csv(result: dict) -> str:
         np.array(result["gamma_l1_partial"], dtype=float)])
 
 
-def _grid_csv(result: dict) -> str:
-    return "".join(result["rows"].pieces(*_GRID_CSV))
+def _grid_csv(result: dict) -> Iterable[str]:
+    return result["rows"].pieces(*_GRID_CSV)
 
 
 def _moments_csv(result: dict) -> str:
@@ -521,24 +521,27 @@ def _gammas_csv(result: dict) -> str:
         range(len(result["gammas"])), *_quaternion_columns(result["gammas"])])
 
 
-def csv_view(command: str, payload: dict) -> str:
+def csv_view(command: str, payload: dict) -> Iterable[str]:
     """The CSV view of a report of a command that has one (``_Command.csv``),
-    built column by column."""
-    return _COMMANDS[command].csv(payload["result"])
+    built column by column, as pieces to write in turn: one, the view's
+    text, but a grid report's chunks (``_grid_csv``)."""
+    text = _COMMANDS[command].csv(payload["result"])
+    return (text,) if isinstance(text, str) else text
 
 
 # --------------------------------- driver ----------------------------------
 
 @dataclass(frozen=True)
 class _Command:
-    """A subcommand: its handler, the arguments it takes besides ``--frame``
-    and ``--out``, by their names in ``_ARGUMENTS``, and the CSV view of its
-    result, None for a command without one.  A command with a view takes
-    ``--format``."""
+    """A subcommand, the one statement of its interface, which its parser,
+    its config echo and its schema follow: its handler, the arguments it
+    takes besides ``--frame`` and ``--out``, by their names in
+    ``_ARGUMENTS``, and the CSV view of its result (text or pieces), None
+    for a command without one.  A command with a view takes ``--format``."""
 
     run: Callable[[argparse.Namespace, Fixture], dict]
     arguments: tuple[str, ...]
-    csv: Callable[[dict], str] | None = None
+    csv: Callable[[dict], str | Iterable[str]] | None = None
 
 
 _COMMANDS = {
@@ -558,7 +561,7 @@ _COMMANDS = {
 
 # every argument a command can take: its add_argument keywords
 _ARGUMENTS = {
-    "input": dict(nargs="?", help="fixture JSON path"),
+    "input": dict(help="fixture JSON path"),
     "--n": dict(type=int, default=8, help="horizon / max degree"),
     "--seed": dict(type=int, default=0, help="seed for sampled checks"),
     "--tol-route": dict(type=float, default=ROUTE_TOL,
@@ -584,38 +587,25 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
-def _usage(prog: str, arguments) -> str:
-    """The usage line of a command that takes ``arguments``, as argparse
-    writes it with ``input`` required, which it is (``main``)."""
-    shown = argparse.ArgumentParser(prog=prog, allow_abbrev=False)
-    for argument in arguments:
-        kwargs = _ARGUMENTS[argument]
-        shown.add_argument(argument, **({"help": kwargs["help"]} if argument == "input"
-                                        else kwargs))
-    return shown.format_usage().removeprefix("usage: ").rstrip("\n")
-
-
 def build_parser() -> argparse.ArgumentParser:
-    """The parser of every command; flags are taken only as declared, never
-    abbreviated.  The command and ``input`` are optional to it, so that a
-    line with an unknown flag is rejected for that flag; ``main`` requires
-    them, and each command's usage line shows its input as required."""
+    """One parser per command, as ``_COMMANDS`` declares it, its flags never
+    abbreviated.  ``input`` is declared required, as the usage line shows,
+    then made optional, as the command is, so that an unknown flag is named
+    before a missing input; ``main`` requires both."""
     parser = _Parser(prog="qopuc", allow_abbrev=False,
                      description="Orthogonal polynomials on the quaternionic unit sphere")
     sub = parser.add_subparsers(dest="command")
     for name, command in _COMMANDS.items():
-        arguments = (*command.arguments, "--frame", "--out",
-                     *(("--format",) if command.csv else ()))
-        p = sub.add_parser(name, allow_abbrev=False,
-                           usage=_usage(f"{parser.prog} {name}", arguments))
-        for argument in arguments:
-            p.add_argument(argument, **_ARGUMENTS[argument])
+        p = sub.add_parser(name, allow_abbrev=False)
+        for argument in (*command.arguments, "--frame", "--out",
+                         *(("--format",) if command.csv else ())):
+            p.add_argument(argument, **_ARGUMENTS[argument]).required = False
     return parser
 
 
 @functools.lru_cache(maxsize=1)
 def _parser() -> argparse.ArgumentParser:
-    """One parser per process; building it costs about 3 ms per call."""
+    """One parser per process; building it costs about 2 ms per call."""
     return build_parser()
 
 
@@ -625,7 +615,8 @@ def _run(args) -> tuple[int, Iterable[str]]:
     is written, but a grid report's rows: every report is one piece but a
     grid report's, whose rows are formatted a chunk at a time as they are
     written (``GRID_CHUNK``), from W11's text made here; held whole, its
-    Python text would take about 1.1 KB per row, 290 MB at 2^18 points."""
+    Python text would take about 1.1 KB per row, 290 MB at 2^18 points.
+    A CSV report is written as ``csv_view`` hands it on."""
     try:
         _require_flags(args)
         # parsed once, None without the flag; a fixture is loaded once, and
@@ -636,13 +627,11 @@ def _run(args) -> tuple[int, Iterable[str]]:
                else Fixture(override or SliceFrame.standard()))
         result = _COMMANDS[args.command].run(args, fix)
         payload = _envelope(args, fix, result)
-        csv = getattr(args, "format", None) == "csv"
+        if getattr(args, "format", None) == "csv":
+            return EXIT_OK, csv_view(args.command, payload)
         rows = result.get("rows")
         if not isinstance(rows, _GridRows):
-            return EXIT_OK, (csv_view(args.command, payload) if csv
-                             else emit_json(payload) + "\n",)
-        if csv:
-            return EXIT_OK, rows.pieces(*_GRID_CSV)
+            return EXIT_OK, (emit_json(payload) + "\n",)
         envelope = list(_json_pieces(payload))
         at = envelope.index(rows)   # found by identity
         return EXIT_OK, rows.pieces("".join(envelope[:at]) + "[", _GRID_ROW, ", ",

@@ -638,6 +638,45 @@ def test_config_echoes_exactly_the_flags_the_command_takes(tmp_path, command):
     validate(command.replace("-", "_"), out)
 
 
+FRAME_SCHEMA = {
+    "type": "object", "required": ["i", "j"], "additionalProperties": False,
+    "properties": {axis: {"type": "array", "items": {"type": "number"},
+                          "minItems": 4, "maxItems": 4} for axis in ("i", "j")},
+}
+
+
+@pytest.mark.parametrize("command", OWN_FLAGS)
+def test_schema_states_the_config_and_seed_the_parser_declares(command):
+    # the schema's config is derived from the command's parser, as _envelope
+    # writes it: the six shared keys, then every other flag but --seed and
+    # --out, each required and of its flag's type, null where the command
+    # does not take the flag; the top-level seed is typed the same way
+    import argparse
+
+    from qopuc.cli import build_parser
+
+    commands = next(action for action in build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    actions = {action.dest: action for action in commands.choices[command]._actions}
+
+    def typed(dest):
+        action = actions.get(dest)
+        return {"type": "null" if action is None
+                else {int: "integer", float: "number", None: "string"}[action.type]}
+
+    keys = ["input", "n", "frame", "tol_route", "tol_pd", "format"]
+    keys += [dest for dest in actions if dest not in (*keys, "help", "seed", "out")]
+    properties = {key: typed(key) for key in keys}
+    properties["frame"] = FRAME_SCHEMA
+    properties["format"] = ({"enum": list(actions["format"].choices)} if "format" in actions
+                            else {"const": "json"})
+    schema = load_schema(command.replace("-", "_"))["properties"]
+    assert schema["config"] == {"type": "object", "required": keys, "properties": properties,
+                                "additionalProperties": False}
+    assert list(schema["config"]["properties"]) == keys
+    assert schema["seed"] == typed("seed")
+
+
 def test_random_gamma_records_rmax(tmp_path):
     # two runs that differ only in --rmax differ in their config
     reports = [json.loads(run(tmp_path, "random-gamma", "--seed", "3", "--n", "2",

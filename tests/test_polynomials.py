@@ -14,7 +14,7 @@ from qopuc.polynomials import (
     VerblunskySeq, eval_L, eval_R, eval_norm_sq, gammas_via_matrix, moments_from_verblunsky_q,
     orthonormal_polys, reversed_rows, verblunsky_from_moments_q,
 )
-from qopuc.quaternions import SliceFrame, chi, chi_inv, qarr_abs, qarr_conj
+from qopuc.quaternions import SliceFrame, chi, chi_inv, qarr_abs, qarr_conj, qarr_mul
 from qopuc import quaternions
 from conftest import (
     QI, QJ, QK, DegreeTooSmall, OrthonormalFamily, QPolyL, QPolyR, Quaternion, SzegoState,
@@ -451,6 +451,41 @@ def test_conjugated_moments_swap_the_families_and_conjugate_the_gammas(name):
     conj_route_a = verblunsky_from_moments_q(conj_c, N, frame)[0].arr
     for got, want in ((conj_gammas, gammas), (conj_route_a, route_a)):
         assert float(np.abs(got - qarr_conj(want)).max()) <= 1e-14
+
+
+@pytest.mark.parametrize("name", CONJUGATION_CASES)
+def test_inner_automorphism_carries_the_gammas_and_rows_on_both_routes(name):
+    # c_n -> u c_n conj(u) for a unit quaternion u, c_0 kept, carries each
+    # gamma_n to u gamma_n conj(u) on route A and route B, and each
+    # coefficient of both families' rows to u row conj(u).  Measured at
+    # N = 20 on three u from default_rng(4242), in units of eps kappa_N,
+    # kappa_N = prod 1 / (1 - |gamma_n|^2) of the untransformed gammas: the
+    # gammas at most 40.7 and the rows, relative to the largest row, at most
+    # 78.4 (seed 193, kappa_20 = 611); the bounds hold 2.5 times that.  Over
+    # 60 draws of u the largest were 123 and 253, so other draws need wider
+    # bounds.  Without the automorphism the gammas differ by 1.1-1.5 on the
+    # seeds and by 0.14-0.25 on smooth_trig, held here above 1e-3.  An inner
+    # automorphism fixes every real-coefficient density (Lebesgue,
+    # Bernstein-Szego, the vanishing one), so on them this checks nothing.
+    N, frame, eps = 20, SliceFrame.standard(), np.finfo(float).eps
+    c = CONJUGATION_CASES[name]()
+    gammas, rows = orthonormal_polys(c, N)
+    route_a = verblunsky_from_moments_q(c, N, frame)[0].arr
+    kappa = float(np.prod(1.0 / (1.0 - qarr_abs(gammas) ** 2)))
+    real = not c.arr[:, 1:].any()
+    units = np.random.default_rng(4242).normal(size=(3, 4))
+    for u in units / np.linalg.norm(units, axis=1, keepdims=True):
+        def inner(q):
+            return qarr_mul(qarr_mul(u, q), qarr_conj(u))
+
+        moved = MomentSequence(np.concatenate([c.arr[:1], inner(c.arr[1:])]))
+        moved_gammas, moved_rows = orthonormal_polys(moved, N)
+        moved_route_a = verblunsky_from_moments_q(moved, N, frame)[0].arr
+        for got, want in ((moved_gammas, gammas), (moved_route_a, route_a)):
+            assert float(qarr_abs(got - inner(want)).max()) <= 100 * eps * kappa
+            assert real or float(qarr_abs(got - want).max()) > 1e-3
+        row_error = float(qarr_abs(moved_rows - inner(rows)).max() / qarr_abs(rows).max())
+        assert row_error <= 200 * eps * kappa
 
 
 def test_frame_sweep_consistency(rng):

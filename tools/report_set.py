@@ -9,13 +9,15 @@ checkout).  Every report of the set runs in-process against that package;
 DIR receives ``fixtures/`` (the shipped fixtures and the ones the set
 generates), ``outputs/`` (the files of the runs with ``--out``) and
 ``reports/``, one file per report whose first line is ``exit <code>``
-(``raised <type>`` for an exception that escaped ``qopuc.cli.main``,
-``SystemExit`` too), followed by the report text: what ``main`` printed,
-then, for a run with ``--out``, the text of the file it wrote.
-Every exit-0 JSON report is validated against its command's schema in
-``SRC/qopuc/schemas``; the tool lists the reports that fail and exits 1.  Commands run with DIR as
-the working directory and name fixtures by relative path, so the envelopes
-do not depend on DIR.  Comparing two trees is then
+(``raised <type>`` for an exception that escaped ``qopuc.cli.main``, a
+``SystemExit`` too but argparse's exit 0 after a ``--help``), followed by
+the report text: what ``main`` printed, then, for a run with ``--out``, the
+text of the file it wrote.  Every exit-0 JSON report is validated against
+its command's schema in ``SRC/qopuc/schemas``; the tool lists the reports
+that fail and exits 1.  Commands run with DIR as the working directory and
+name fixtures by relative path, so the envelopes do not depend on DIR, and
+with ``COLUMNS=80``, so argparse wraps every help text at the same width.
+Comparing two trees is then
 
     python tools/report_set.py --src parent/src --out /tmp/a
     python tools/report_set.py --src src --out /tmp/b
@@ -114,7 +116,8 @@ an int and a float that do not parse (``zeros --n x``, ``sv --tol-route
 abc``), ``zeros`` without its input, ``--format xml``, an abbreviated flag
 (``cd --sam 3``), ``--format csv`` on ``cd`` and ``random-gamma``, and an
 unknown flag on a line without its input (``zeros --bogus``) or command
-(``--bogus``).
+(``--bogus``).  Last, the help texts (all exit 0): ``--help`` and each
+command's ``--help``.
 """
 
 from __future__ import annotations
@@ -139,6 +142,8 @@ CD_RUNS = ((1, 0), (1, 7), (100, 0), (100, 7), (333, 123))
 # grid sizes at the seams of a grid report's 256-row chunks: one short of a
 # chunk, one chunk, one row past it, and two chunks and a row
 GRID_SEAMS = (255, 256, 257, 513)
+COMMANDS = ("moments-to-verblunsky", "verblunsky-to-moments", "orthopolys", "zeros", "cd",
+            "sv", "baxter", "grid", "random-gamma")
 
 
 MALFORMED = {
@@ -169,7 +174,8 @@ def run(main, argv) -> str:
         try:
             head = f"exit {main(argv)}"
         except (Exception, SystemExit) as exc:  # a traceback is a finding, not a stop
-            head = f"raised {type(exc).__name__}: {exc}"
+            helped = isinstance(exc, SystemExit) and exc.code == 0 and "--help" in argv
+            head = "exit 0" if helped else f"raised {type(exc).__name__}: {exc}"
     written = Path(argv[argv.index("--out") + 1]) if "--out" in argv else None
     tail = written.read_bytes().decode("utf-8") if written and written.exists() else ""
     return head + "\n" + out.getvalue() + tail
@@ -415,6 +421,10 @@ def report_set(frames: dict[str, str]):
                        ("zeros.bogus-no-input", ["zeros", "--bogus"]),
                        ("bogus-no-command", ["--bogus"])):
         yield f"parse.{name}", argv
+    # the help texts, which leave main through argparse's SystemExit(0)
+    yield "help", ["--help"]
+    for command in COMMANDS:
+        yield f"{command}.help", [command, "--help"]
 
 
 def write_fixture(name: str, obj) -> None:
@@ -549,6 +559,7 @@ def main() -> int:
     args = parser.parse_args()
     src, out = Path(args.src).resolve(), Path(args.out).resolve()
     sys.path.insert(0, str(src))
+    os.environ["COLUMNS"] = "80"   # read by argparse's help formatter at each run
     import qopuc.cli
     if not Path(qopuc.cli.__file__).resolve().is_relative_to(src):
         raise SystemExit(f"imported qopuc from {qopuc.cli.__file__}, not from {src}")
