@@ -16,22 +16,24 @@ invalid input (a command line the parser rejects, a malformed fixture, a
 density beyond float64 on a grid, an input too large to allocate, an output
 that cannot be written).  Every error is one JSON report that names its
 type and message: all that can fail, but a grid chunk's text, runs before a
-report's first piece is written (``_run``).  A stdout closed by its reader
-ends the run with exit 2.
+report's first piece is written (``_run``).  Any other exception, a
+KeyError say, is a fault of qopuc, not of its input, and escapes ``main``.
+A stdout closed by its reader ends the run with exit 2.
 
 One loader per job reads and checks the fixture once, in one reader
 (``_validate_fixture``), and resolves the frame the job runs in
-(``load_fixture``).  Report tables are built by
-column: each distinct float of a float column is formatted once
-(``_float_text``).  A report is written as a sequence of text pieces, and
-every report is one piece but a ``grid`` report's: its rows grow with
-``--grid`` (about 290 bytes of JSON each, 2^18 points make 75 MB), so they
-are formatted and written ``GRID_CHUNK`` rows at a time, W21 and W22 from
-the text of W12 and W11 (``_GridRows``), filling one JSON row template or
-one CSV row template, and the text held at once is one chunk of rows plus
-W11's two text columns.  The JSON envelope around the rows is written key
-by key with ``emit_json`` (``_json_pieces``), so a report's bytes do not
-depend on how it is written.
+(``load_fixture``).  Report tables are built by column: each distinct
+float of a float column is formatted once (``_float_text``).  A report is
+written as a sequence of text pieces, and every report is one piece but a
+``grid`` report's: its rows grow with ``--grid`` (about 290 bytes of JSON
+each, 2^18 points make 75 MB), so they are formatted and written
+``GRID_CHUNK`` rows at a time, W21 and W22 from the text of W12 and W11
+(``_GridRows``), filling one JSON row template or one CSV row template,
+and the text held at once is one chunk of rows plus W11's two text
+columns.  The JSON envelope around the rows is written key by key with
+``emit_json`` (``_json_pieces``), so a report's bytes do not depend on how
+it is written; ``emit_json`` writes only the types a report holds, no
+numpy scalar, tuple or non-str key.
 """
 
 from __future__ import annotations
@@ -68,25 +70,13 @@ EXIT_NO_CONVERGENCE = 4
 
 # ------------------------- deterministic JSON ------------------------------
 
-def _fmt_float(x: float) -> str:
-    if x != x:
-        raise ValueError("NaN is not representable in report JSON")
-    if x == float("inf"):
-        return '"inf"'
-    if x == float("-inf"):
-        return '"-inf"'
-    return format(float(x), ".17g")
-
-
 _INF = float("inf")
 
 
-def _emit_key(key) -> str:
-    return encode_basestring_ascii(key if type(key) is str else str(key))
-
-
 def emit_json(obj) -> str:
-    """Fixed-order JSON with 17-significant-digit floats.
+    """Fixed-order JSON with 17-significant-digit floats, of what a report
+    holds: a float, int, str, bool or None, a list, and a dict with str keys;
+    anything else, a numpy scalar or a tuple too, is a TypeError.
 
     Exact floats take a fast path, inline in lists and dicts too; strings
     and keys come out as json.dumps writes them.  A grid report's rows
@@ -94,13 +84,17 @@ def emit_json(obj) -> str:
     ``_json_pieces``.
     """
     if type(obj) is float:
-        return format(obj, ".17g") if -_INF < obj < _INF else _fmt_float(obj)
+        if -_INF < obj < _INF:
+            return format(obj, ".17g")
+        if obj != obj:
+            raise ValueError("NaN is not representable in report JSON")
+        return '"inf"' if obj > 0 else '"-inf"'
     if isinstance(obj, dict):
         return "{" + ", ".join([
-            _emit_key(k) + ": " + (format(v, ".17g") if type(v) is float and -_INF < v < _INF
-                                   else emit_json(v))
+            encode_basestring_ascii(k) + ": "
+            + (format(v, ".17g") if type(v) is float and -_INF < v < _INF else emit_json(v))
             for k, v in obj.items()]) + "}"
-    if isinstance(obj, (list, tuple)):
+    if isinstance(obj, list):
         return "[" + ", ".join([
             format(v, ".17g") if type(v) is float and -_INF < v < _INF else emit_json(v)
             for v in obj]) + "]"
@@ -112,10 +106,8 @@ def emit_json(obj) -> str:
         return "false"
     if isinstance(obj, str):
         return encode_basestring_ascii(obj)
-    if isinstance(obj, (int, np.integer)):
+    if isinstance(obj, int):
         return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _fmt_float(float(obj))
     raise TypeError(f"cannot serialise {type(obj)!r}")
 
 
@@ -127,7 +119,7 @@ def _json_pieces(obj) -> Iterator:
     if isinstance(obj, dict):
         yield "{"
         for n, (key, value) in enumerate(obj.items()):
-            yield (", " if n else "") + _emit_key(key) + ": "
+            yield (", " if n else "") + encode_basestring_ascii(key) + ": "
             yield from _json_pieces(value)
         yield "}"
     else:
@@ -411,7 +403,7 @@ GRID_COLUMNS = ("theta", "w11_re", "w11_im", "w12_re", "w12_im",
                 "w21_re", "w21_im", "w22_re", "w22_im")
 # one row of a grid report in JSON, the fields in GRID_COLUMNS order, and
 # the head, row, separator and tail of a CSV grid report (``_GridRows.pieces``)
-_GRID_ROW = "{" + ", ".join(f"{_emit_key(h)}: %s" for h in GRID_COLUMNS) + "}"
+_GRID_ROW = "{" + ", ".join(f"{encode_basestring_ascii(h)}: %s" for h in GRID_COLUMNS) + "}"
 _GRID_CSV = (",".join(GRID_COLUMNS) + "\n", ",".join(["%s"] * len(GRID_COLUMNS)) + "\n", "", "")
 # rows of a grid report formatted and written at a time: the text a report
 # holds at once is one chunk's, not ~1.1 KB per row of the whole grid
@@ -640,7 +632,7 @@ def _run(args) -> tuple[int, Iterable[str]]:
         return EXIT_CROSS_CHECK, (_error_text(exc),)
     except NoConvergence as exc:
         return EXIT_NO_CONVERGENCE, (_error_text(exc),)
-    except (QopucError, ValueError, KeyError, OSError) as exc:
+    except (QopucError, ValueError, OSError) as exc:
         return EXIT_INVALID_INPUT, (_error_text(exc),)
     except MemoryError as exc:   # numpy's private subclass, reported as the builtin
         return EXIT_INVALID_INPUT, (_error_text(MemoryError(str(exc))),)

@@ -117,9 +117,6 @@ class TruncSeries:
             out[m] = np.einsum("kij,kjl->il", a[: m + 1], b[m::-1])
         return TruncSeries(out)
 
-    def __repr__(self):
-        return f"TruncSeries(order={self.order})"
-
 
 def series_inv(a: TruncSeries) -> TruncSeries:
     """Two-sided inverse modulo z^(N+1).

@@ -35,6 +35,8 @@ raise first.  The stacked pass keeps no record of which polynomial failed:
 a cross-check failure is already the first in order, as every polynomial
 has passed the stages before it, and a failure before the cross-check
 sends the job through ``zero_slice`` again, one polynomial per call.
+``roots`` rejects a malformed polynomial before it iterates, which keeps
+this order: ``zero_slice`` hands it only posed rows, monic, of degree >= 1.
 """
 
 from __future__ import annotations
@@ -297,38 +299,34 @@ def roots(polys) -> list[np.ndarray]:
     """All roots of each complex polynomial of ``polys`` by Aberth-Ehrlich
     iteration, one simultaneous run over the whole sequence.
 
-    Each entry holds ascending coefficients (constant first) with a nonzero
-    leading one.  Per polynomial, exact zeros at the origin are deflated
-    first, then the iteration runs from Bini's start (``_aberth_start``):
-    the start points lie on the circles that the Newton polygon of log|a_k|
-    predicts, one circle per segment, so roots many decades apart each start
-    near their own modulus.  The
-    residual |p(root)| / |p'(root)| (the Newton-step length, a root-distance
+    Each entry holds ascending coefficients (constant first); one of degree
+    below 1 or with a zero leading coefficient is a ValueError, raised
+    before any iteration runs.  Per polynomial, exact zeros at the origin
+    are deflated first, then the iteration runs from Bini's start
+    (``_aberth_start``): the start points lie on the circles that the
+    Newton polygon of log|a_k| predicts, one circle per segment, so roots
+    many decades apart each start near their own modulus.  The residual
+    |p(root)| / |p'(root)| (the Newton-step length, a root-distance
     estimate) must fall below ROOT_RESIDUAL_TOL within MAX_ABERTH_ITER
-    iterations, else NoConvergence.  The error raised is the one of the
-    first failing polynomial, as if they were rooted one at a time.
+    iterations, else NoConvergence, the one of the first polynomial that
+    stalls, as if they were rooted one at a time.
 
     The polynomials do not interact: each one's roots are bit for bit the
     ones it gets alone, and the ones of Horner's rule on Python complex
     scalars.  The starts are stacked steps on the zero-padded coefficient
-    rows; p and p' of every polynomial are evaluated
-    together on real planes (``_horner``), the Aberth step is one array
-    expression over all their roots, and each polynomial stops at the
-    iteration where it would stop alone.  Only the sums of 1 / (z_i - z_j)
-    run on the polynomials of one degree at a time: numpy's pairwise
-    summation order depends on the row length, so zero-padded rows would
-    sum in another order.
+    rows; p and p' of every polynomial are evaluated together on real
+    planes (``_horner``), the Aberth step is one array expression over all
+    their roots, and each polynomial stops at the iteration where it would
+    stop alone.  Only the sums of 1 / (z_i - z_j) run on the polynomials of
+    one degree at a time: numpy's pairwise summation order depends on the
+    row length, so zero-padded rows would sum in another order.
     """
-    rows, pending = [], None
-    for coeffs in polys:
-        coeffs = np.asarray(coeffs, dtype=complex)
-        if len(coeffs) < 2:   # raised after the polynomials before it
-            pending = ValueError("degree must be at least 1")
-            break
+    rows = [np.asarray(coeffs, dtype=complex) for coeffs in polys]
+    for coeffs in rows:
+        if len(coeffs) < 2:
+            raise ValueError("degree must be at least 1")
         if coeffs[-1] == 0:
-            pending = ValueError("leading coefficient must be nonzero")
-            break
-        rows.append(coeffs)
+            raise ValueError("leading coefficient must be nonzero")
     start = _aberth_start(*_stack(rows, complex))
     order = np.flatnonzero(start.degree)
     order = order[np.argsort(start.degree[order], kind="stable")]
@@ -338,8 +336,6 @@ def roots(polys) -> list[np.ndarray]:
         if not worst[i] <= ROOT_RESIDUAL_TOL:   # also rejects NaN
             raise NoConvergence(f"root refinement stalled (max residual {worst[i]:.3e})")
         found[order[i]] = np.concatenate([found[order[i]], final[i]])
-    if pending is not None:
-        raise pending
     return found
 
 

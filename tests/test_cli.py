@@ -1144,6 +1144,22 @@ def test_zeros_vanishing_density_in_any_frame(tmp_path):
         assert all(row["all_inside_ball"] and row["reverses_outside"] for row in rows)
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "a known defect: route 1 roots a alone only when b is exactly zero, so a "
+    "b of 1e-17 sends it back to det = a conj(a) + b conj(b), numerically a^2, "
+    "whose double roots it finds only to about sqrt(eps); route 2 never "
+    "squares the polynomial, and the cross-check fails (exit 3)"))
+def test_zeros_near_real_density_agrees_across_routes(tmp_path):
+    # Bernstein-Szego with w2_{+-1} = +-1e-17: its coefficients are real to
+    # within 1e-17, an input that is not ill-conditioned
+    fixture = json.loads((FIXDIR / "bernstein_szego_05.json").read_text())
+    fixture["w2"] = [[1, 1e-17, 0], [-1, -1e-17, 0]]
+    path = tmp_path / "near_real.json"
+    path.write_text(json.dumps(fixture))
+    code, out = run(tmp_path, "zeros", str(path), "--n", "4")
+    assert code == 0, out[:200]
+
+
 def test_random_gamma_determinism(tmp_path):
     _, out1 = run(tmp_path, "random-gamma", "--seed", "3", "--n", "6")
     _, out2 = run(tmp_path, "random-gamma", "--seed", "3", "--n", "6")
@@ -1460,8 +1476,6 @@ def _fmt_float_reference(x: float) -> str:
 
 def _emit_json_recursive(obj) -> str:
     """The recursive emitter the typed fast paths replaced: the oracle."""
-    import numpy as np
-
     if obj is None:
         return "null"
     if obj is True:
@@ -1470,14 +1484,14 @@ def _emit_json_recursive(obj) -> str:
         return "false"
     if isinstance(obj, str):
         return json.dumps(obj)
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _fmt_float_reference(float(obj))
-    if isinstance(obj, (list, tuple)):
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, float):
+        return _fmt_float_reference(obj)
+    if isinstance(obj, list):
         return "[" + ", ".join(_emit_json_recursive(v) for v in obj) + "]"
     if isinstance(obj, dict):
-        return "{" + ", ".join(f"{json.dumps(str(k))}: {_emit_json_recursive(v)}"
+        return "{" + ", ".join(f"{json.dumps(k)}: {_emit_json_recursive(v)}"
                                for k, v in obj.items()) + "}"
     raise TypeError(f"cannot serialise {type(obj)!r}")
 
@@ -1491,20 +1505,23 @@ def test_emit_json_matches_recursive_emitter():
     floats = rng.normal(size=40) * 10.0 ** rng.integers(-300, 300, size=40)
     payload = {
         "plain": [float(x) for x in floats],
-        "numpy": [np.float64(x) for x in floats[:5]] + [np.int64(-7), np.int32(3)],
-        "tuple": (1, 2.5, (True, False, None), []),
-        'quote"back\\slash\nnewé☃': {"x": -0.0, "y": 0.0, 3: "q\t"},
+        "ints": [-7, 3, 0, 10 ** 30],
+        'quote"back\\slash\nnewé☃': {"x": -0.0, "y": 0.0, "3": "q\t"},
         "extremes": [float("inf"), float("-inf"), 5e-324, 1.7976931348623157e308,
-                     np.float64("inf"), 1e16, 123456789.0],
-        "nested": [{"a": [[1.0, {"b": ()}]]}, {}],
-        "bools": {True: 1, None: 2, 2.5: 3},
+                     1e16, 123456789.0],
+        "nested": [{"a": [[1.0, {"b": []}]]}, {}],
+        "bools": {"true": True, "false": False, "none": None},
     }
     assert emit_json(payload) == _emit_json_recursive(payload)
-    for bad in (float("nan"), [1.0, float("nan")], {"k": np.float64("nan")}):
+    for bad in (float("nan"), [1.0, float("nan")], {"k": float("nan")}):
         with pytest.raises(ValueError):
             emit_json(bad)
-    with pytest.raises(TypeError):
-        emit_json({"s": {1, 2}})
+    # no report holds a numpy scalar, a tuple or a non-str key
+    for bad in ({"s": {1, 2}}, np.float64(1.5), [np.float64("inf")], {"k": np.float64(0.5)},
+                np.int64(-7), [np.int32(3)], (1, 2.5), {"t": ()}, {3: "q"}, {True: 1},
+                {None: 2}, {2.5: 3}):
+        with pytest.raises(TypeError):
+            emit_json(bad)
 
 
 # ------------------------------ seeded fuzz ---------------------------------

@@ -276,6 +276,11 @@ def test_alphas_from_moments_rejects_non_pd():
     assert info.value.index is not None
 
 
+def test_alphas_from_moments_needs_n_moments():
+    with pytest.raises(ValueError, match="need 4 moment matrices, got 3"):
+        alphas_from_moments([0.1 * EYE2] * 3, 4)
+
+
 def test_leading_term_law(rng):
     # C_n minus its leading product term depends only on alpha_0..alpha_{n-2}
     n = 5

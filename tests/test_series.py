@@ -138,6 +138,17 @@ def test_shift_residual_raises():
         TruncSeries(coeffs).shift_down()
 
 
+@pytest.mark.parametrize("shape", [(3, 2), (3, 2, 3), (2, 2), (3, 2, 2, 1)])
+def test_series_coefficients_must_be_a_stack_of_2x2(shape):
+    with pytest.raises(ValueError, match=r"coefficients must have shape \(N\+1, 2, 2\)"):
+        TruncSeries(np.zeros(shape))
+
+
+def test_herglotz_from_moments_needs_n_moments():
+    with pytest.raises(ValueError, match="need 4 moment matrices, got 3"):
+        herglotz_from_moments([0.1 * EYE2] * 3, 4)
+
+
 def test_malformed_herglotz_rejected():
     F = TruncSeries.constant(2 * EYE2, 4)
     with pytest.raises(ValueError):

@@ -7,7 +7,7 @@ import qopuc.zeros as zeros_module
 from qopuc.errors import NoConvergence, NotPositiveDefinite, RouteMismatch
 from qopuc.measures import MomentSequence, moments_from_density
 from qopuc.polynomials import orthonormal_polys
-from qopuc.quaternions import SliceFrame, chi
+from qopuc.quaternions import SliceFrame, chi, qarr_abs, qarr_conj, qarr_mul
 from qopuc.zeros import (
     _aberth_start, _companions, _conjugate_representatives, _greedy_distances, _pose, _stack,
     det_poly, roots, zero_slice, zeros_theorem_check,
@@ -265,17 +265,17 @@ def test_roots_rejects_nan():
         roots([[float("nan"), 1.0]])
 
 
-def test_roots_rejects_a_bad_input_after_the_polynomials_before_it(monkeypatch):
+def test_roots_rejects_a_bad_input_before_it_iterates(monkeypatch):
     with pytest.raises(ValueError, match="degree must be at least 1"):
         roots([[1.0]])
     with pytest.raises(ValueError, match="leading coefficient must be nonzero"):
         roots([[1.0, 2.0, 0.0]])
-    # the pass stops at the bad input: the NaN after it would stall
+    # the NaN after the bad input would stall
     with pytest.raises(ValueError, match="degree must be at least 1"):
         roots([[1.0, 1.0], [], [float("nan"), 1.0]])
-    # a stall before the bad input comes first
+    # so would the polynomial before it, in one iteration
     monkeypatch.setattr(zeros_module, "MAX_ABERTH_ITER", 1)
-    with pytest.raises(NoConvergence, match="stalled"):
+    with pytest.raises(ValueError, match="leading coefficient must be nonzero"):
         roots([[1.0, 0.3, 0.2, 1.0], [1.0, 0.0]])
 
 
@@ -309,6 +309,85 @@ def test_zeros_theorem_rejects_trivial():
     atom = MomentSequence([[1.0, 0.0, 0.0, 0.0]] * 6)
     with pytest.raises(NotPositiveDefinite):
         zeros_theorem_check(orthonormal_polys(atom, 3)[1], SliceFrame.standard())
+
+
+# a known defect: route 1 roots a alone only when b is exactly zero, so the
+# real-coefficient densities, moved off the real line by 6.9e-18 (the
+# rounding of u c conj(u)), have their double determinant roots found only to
+# about sqrt(eps), and the cross-check fails
+_NEAR_REAL = pytest.mark.xfail(strict=True, raises=RouteMismatch, reason=(
+    "near-real moments: route 1 roots the squared determinant"))
+SYMMETRY_CASES = {
+    "lebesgue": lambda: moments_from_density(lebesgue_density(), 10),
+    "bernstein_szego": lambda: moments_from_density(bernstein_szego_density(), 10),
+    "vanishing": lambda: moments_from_density(vanishing_density(), 10),
+    "smooth_trig": lambda: moments_from_density(smooth_trig_density(), 10),
+    **{f"gamma_{seed}": (lambda seed=seed: random_moment_fixture(seed, 10))
+       for seed in (1017, 7, 193)},
+}
+
+
+def _symmetry_case(name: str):
+    """The moments of a case, their N = 10 zero check, and kappa_N =
+    prod 1 / (1 - |gamma_n|^2) of their gammas."""
+    c = SYMMETRY_CASES[name]()
+    gammas, rows = orthonormal_polys(c, 10)
+    kappa = float(np.prod(1.0 / (1.0 - qarr_abs(gammas) ** 2)))
+    return c, zeros_theorem_check(rows, SliceFrame.standard()), kappa
+
+
+def _zero_set_error(got: dict, want: dict) -> float:
+    """The largest |z - w| / max(1, |w|) over every report of two zero
+    checks, each slice root w of a report of ``want``, the largest first,
+    taking the nearest root z of that report of ``got`` not yet taken."""
+    worst = 0.0
+    for got_report, want_report in zip(got["reports"], want["reports"], strict=True):
+        left = list(root_values(got_report["report"]))
+        want_roots = root_values(want_report["report"])
+        assert len(left) == len(want_roots)
+        for w in sorted(want_roots, key=abs, reverse=True):
+            errors = [abs(z - w) / max(1.0, abs(w)) for z in left]
+            k = int(np.argmin(errors))
+            worst = max(worst, errors[k])
+            left.pop(k)
+    return worst
+
+
+@pytest.mark.parametrize("name", [
+    pytest.param(name, marks=_NEAR_REAL) if name in ("bernstein_szego", "vanishing") else name
+    for name in SYMMETRY_CASES])
+def test_zero_sets_unchanged_by_an_inner_automorphism(name):
+    # c_n -> u c_n conj(u) for a unit quaternion u, c_0 kept, carries each
+    # polynomial p to u p conj(u), whose zeros u q conj(u) lie on the spheres
+    # of the zeros q of p: every slice root is unchanged.  Measured on three u
+    # from default_rng(4242): at most 4.05 eps kappa_N (smooth_trig); over 20
+    # draws from default_rng(99) the worst was 10.8 eps kappa_N (seed 193,
+    # kappa_10 = 30.7).  Lebesgue's moments are 0 past c_0, so its error
+    # is exactly 0.  Bernstein-Szego and the vanishing density have real
+    # coefficients: the first two u leave them exactly real, the third 6.9e-18
+    # off the real line, where both raise RouteMismatch (``_NEAR_REAL``).
+    c, base, kappa = _symmetry_case(name)
+    units = np.random.default_rng(4242).normal(size=(3, 4))
+    for u in units / np.linalg.norm(units, axis=1, keepdims=True):
+        inner = qarr_mul(qarr_mul(u, c.arr[1:]), qarr_conj(u))
+        moved = MomentSequence(np.concatenate([c.arr[:1], inner]))
+        got = zeros_theorem_check(orthonormal_polys(moved, 10)[1], SliceFrame.standard())
+        error = _zero_set_error(got, base)
+        assert error <= 100 * np.finfo(float).eps * kappa
+        assert name != "lebesgue" or error == 0.0
+
+
+@pytest.mark.parametrize("name", SYMMETRY_CASES)
+def test_zero_sets_unchanged_by_conjugation(name):
+    # c_n -> conj(c_n) maps the right family to the conjugate of the left one
+    # and back; a polynomial's conjugate has its zeros' conjugates, which lie
+    # on the same spheres, so every slice root is unchanged.  The left and
+    # right families have the same slice classes, so this cannot tell the
+    # swap from no swap.  Measured: at most 2.66 eps kappa_N (smooth_trig).
+    c, base, kappa = _symmetry_case(name)
+    conj_c = MomentSequence(qarr_conj(c.arr))
+    got = zeros_theorem_check(orthonormal_polys(conj_c, 10)[1], SliceFrame.standard())
+    assert _zero_set_error(got, base) <= 20 * np.finfo(float).eps * kappa
 
 
 def test_frame_independence_of_moduli(rng):

@@ -23,101 +23,10 @@ Comparing two trees is then
     python tools/report_set.py --src src --out /tmp/b
     diff -r /tmp/a /tmp/b
 
-The set, on the five shipped fixtures and six ``random-gamma --n 13``
-fixtures (seeds 1017-6017): ``zeros`` n = 1-10 json and n = 6 csv; ``cd``
-n = 1-11 at (samples, seed) = (1, 0), (1, 7), (100, 0), (100, 7),
-(333, 123); ``grid`` 1/7/2048/4096 json and csv; ``sv --n 20``,
-``baxter --n 50`` and ``moments-to-verblunsky --n 6`` json and csv;
-``orthopolys`` n = 8 and 13; ``moments-to-verblunsky --n 13``;
-``verblunsky-to-moments --n 6``; ``zeros`` and ``orthopolys`` n = 1-10,
-``moments-to-verblunsky`` and ``verblunsky-to-moments`` n = 6, under five
-seeded random frames.  Besides: ``baxter`` N = 50, 100, 200, 400 json and
-csv and ``moments-to-verblunsky`` N = 12, 25, 40, 100, 200, 400 on the four
-densities, and both at N = 1, 2, 3, route A's first steps; ``grid`` 2 and
-3 json and csv on the four densities, the smallest even and odd
-reflections of W22; ``sv`` N = 12, 25, 40 on the four densities;
-``zeros`` n = 20 and 30 on the four densities, root batches up to degree 60
-and companions up to size 30; ``grid`` 255, 256, 257 and 513 json and
-csv on the four densities, the seams of a report's 256-row chunks; ``grid``
-7 and 2048, ``sv --n 20``, ``baxter --n 50`` and ``--n 200`` and
-``moments-to-verblunsky --n 40`` on the four densities under the five
-seeded frames;
-``verblunsky-to-moments`` K = 20, 40, 80 json and csv on the Bernstein-Szego gammas and three seeded
-80-coefficient rmax-0.8 fixtures (seeds 1017-3017), and K = 1, 2, 3, 200, 400
-on a seeded 400-coefficient rmax-0.8 fixture (seed 1017), the first and the
-last waves of the forward map; ``moments-to-verblunsky``
-N = 12, 25, 40 and ``orthopolys --n 40`` on three seeded 40-coefficient
-rmax-0.8 fixtures (seeds 1017-3017), ill-conditioned inputs whose route-B
-bits decide a RouteMismatch, with route B's full rows;
-``cd --n 11 --samples 2500`` on ``smooth_trig`` and ``random_gamma_1017``,
-nine full evaluation blocks of 273 points and a partial one, and
-``orthopolys --n 40`` on ``smooth_trig``;
-four moment fixtures (the moments of ``random_gamma_7``, the same with
-negative indices, with a broken Hermitian symmetry, and with |c_5| raised to
-1.5) under ``moments-to-verblunsky`` n = 6 and 12, ``orthopolys``, ``zeros``
-and ``cd``; the moments c_0 = 1, c_n = 1/2 of half Lebesgue measure plus half
-an atom at 0 under ``moments-to-verblunsky --n 200``, ``orthopolys --n 8``
-and ``zeros --n 8``; moments whose last nonzero one is c_3, with c_2 = 0
-and -0.0 entries up to c_40, under ``moments-to-verblunsky`` N = 2, 3, 4, 5
-and 40; a density with a repeated ``w1`` index, moments with a
-repeated index, a density given by ``w2`` alone with and without its frame,
-and a fixture that holds both a density and moments, under
-``moments-to-verblunsky --n 1``, ``grid --grid 7`` and ``sv --n 1``;
-a density with w1_0 = 2 under ``grid --grid 7``, ``sv --n 1`` and
-``baxter --n 4``; a density whose +-1e308 terms cancel on the 2048-point
-PSD grid but overflow on the 7-point one under ``grid --grid 7`` json and
-csv, and under ``baxter --n 4`` and ``sv --n 4``, where route A and route
-B find it not positive definite at order 1 (all exit 2); a density with w1_1 = conj(w1_{-1}) + 1e-13 i, one with
-indices +-10^9, an empty moment list, ``smooth_trig``'s coefficients in a
-non-standard frame of their own and moments at indices +-10^9, under
-``moments-to-verblunsky --n 6``, ``sv --n 6`` and ``grid --grid 7``; the
-moments and the coefficients of ``random_gamma_7`` in that same frame of
-their own under ``moments-to-verblunsky --n 6`` and
-``verblunsky-to-moments --n 6`` respectively, and ``zeros --n 4``; the
-same five runs of ``smooth_trig``'s coefficients (``moments-to-verblunsky``,
-``sv``, ``grid``) and of ``random_gamma_7``'s (``verblunsky-to-moments``,
-``zeros``) in that frame under ``--frame standard``, which overrides it;
-coefficients with |gamma_1| = 1 - 7e-13 (exit 2, ``NotContraction`` at index
-1) and 1 - 2e-12, just outside and inside the contraction margin, under
-``verblunsky-to-moments --n 3`` json and csv and
-``moments-to-verblunsky --n 3``; ``sv --n 40 --tol-route 1e-40``,
-``sv --n 8 --tol-pd 0.95``, ``cd --n 8 --tol-pd 0.95`` and
-``zeros --n 10 --tol-route 1e-40`` on ``smooth_trig``; ``zeros --n 12`` on
-the six ``random-gamma --n 13`` fixtures, root batches up to degree 24; every
-``random-gamma`` run that makes a fixture, four more, an ``orthopolys --n 30``
-past a horizon, a ``verblunsky-to-moments --n 30`` past the coefficient count
-and a missing file; five malformed fixtures (``gammas`` not a list, a
-``frame`` not an object, a fixture not an object, a ``w1`` index of 1.5 and a
-moments entry ``[1]``) under ``moments-to-verblunsky --n 1``; moduli that
-overflow: a ``w1`` and a ``w2`` coefficient of modulus 1.7e308 sqrt 2 under
-``grid --grid 7`` and ``sv --n 2``, c_{-1} = 1e200 against c_1 = 0 under
-``moments-to-verblunsky``, ``orthopolys`` and ``zeros`` at ``--n 1``,
-|gamma_0| = 1e200 under ``verblunsky-to-moments`` and
-``moments-to-verblunsky`` at ``--n 1``, and c_0 = 1e200 under
-``moments-to-verblunsky`` and ``orthopolys`` at ``--n 1`` (all exit 2); a
-fixture of 100000 nested lists under
-``moments-to-verblunsky --n 2``, a gamma of 10^400 under
-``verblunsky-to-moments --n 1``, and ``random-gamma --n 2`` with a ``--frame``
-of 100000 open brackets and with one whose i holds 10^400.  The input
-rejections no other report reaches (all exit 2): ``random-gamma --n 2`` with
-a ``--frame`` whose i is (0.1, 1, 0, 0), (0, 2, 0, 0) or j; a coefficient,
-a moment and a density fixture whose own frame has i = (0, 2, 0, 0), under
-``moments-to-verblunsky --n 1`` with and without ``--frame standard``; a
-density with w1_1 = 0.1 and no w1_{-1}, and one with w2_1 = w2_{-1} = 0.1,
-under ``grid --grid 4``; moments c_0 and c_1 under
-``moments-to-verblunsky --n 3``; a ``{}`` fixture and a ``w1`` index of
-2^63 under ``moments-to-verblunsky --n 1``; and ``--n 0``, ``--seed -1``,
-``--rmax 1``, ``--tol-route 0``, ``--tol-route nan``, ``--tol-pd -1`` and
-``orthopolys --format csv``.  Four runs write to ``--out`` on
-``smooth_trig``: ``grid --grid 257`` json and csv, ``zeros --n 6 --format
-csv``, and ``zeros --n 0``, whose error lands in the file.  The command
-lines the parser rejects (all exit 2): an unknown flag (``grid --seed 1``),
-an int and a float that do not parse (``zeros --n x``, ``sv --tol-route
-abc``), ``zeros`` without its input, ``--format xml``, an abbreviated flag
-(``cd --sam 3``), ``--format csv`` on ``cd`` and ``random-gamma``, and an
-unknown flag on a line without its input (``zeros --bogus``) or command
-(``--bogus``).  Last, the help texts (all exit 0): ``--help`` and each
-command's ``--help``.
+The set is what ``report_set()`` yields and what ``make_fixtures()``
+runs to generate its fixtures; a comment on each case says what it
+covers.  The tool prints one summary line, the number of reports and the
+count of each exit line, then any schema failures.
 """
 
 from __future__ import annotations
@@ -187,6 +96,8 @@ def report_set(frames: dict[str, str]):
                 ("bernstein_szego_05", "lebesgue", "random_gamma_7", "smooth_trig",
                  "vanishing_density")]
     fixtures += [f"fixtures/random_gamma_{seed}.json" for seed in GAMMA_SEEDS]
+    # every command at small n on every shipped and seeded fixture: the
+    # everyday reports, in both formats, in the standard and five seeded frames
     for path in fixtures:
         stem = Path(path).stem
         for n in range(1, 11):
@@ -215,6 +126,8 @@ def report_set(frames: dict[str, str]):
             for command in ("moments-to-verblunsky", "verblunsky-to-moments"):
                 yield (f"{stem}.{command}.n6.{fname}",
                        [command, path, "--n", "6", "--frame", spec])
+    # the four densities at the horizons and grid sizes where the code
+    # changes path
     for density in DENSITIES:
         path = f"fixtures/{density}.json"
         for fmt in ("json", "csv"):
@@ -227,18 +140,18 @@ def report_set(frames: dict[str, str]):
             for grid in GRID_SEAMS:
                 yield (f"{density}.grid.g{grid}.{fmt}",
                        ["grid", path, "--grid", str(grid), "--format", fmt])
-        for n in (12, 25, 40):
+        for n in (12, 25, 40):   # both Verblunsky routes at the benchmark's horizons
             for command in ("moments-to-verblunsky", "sv"):
                 yield f"{density}.{command}.n{n}.json", [command, path, "--n", str(n)]
-        for n in (20, 30):
+        for n in (20, 30):   # root batches up to degree 60, companions up to size 30
             yield f"{density}.zeros.n{n}", ["zeros", path, "--n", str(n)]
-        for n in (100, 200, 400):
+        for n in (100, 200, 400):   # route A's long horizons
             yield (f"{density}.moments-to-verblunsky.n{n}.json",
                    ["moments-to-verblunsky", path, "--n", str(n)])
         for n in (1, 2, 3):   # route A's first steps and its last step's early exit
             for command in ("baxter", "moments-to-verblunsky"):
                 yield f"{density}.{command}.n{n}.json", [command, path, "--n", str(n)]
-        for fname, spec in frames.items():
+        for fname, spec in frames.items():   # the density commands in seeded frames
             for name, argv in (("grid.g7", ["grid", "--grid", "7"]),
                                ("grid.g2048", ["grid", "--grid", "2048"]),
                                ("sv.n20", ["sv", "--n", "20"]),
@@ -248,15 +161,18 @@ def report_set(frames: dict[str, str]):
                                 ["moments-to-verblunsky", "--n", "40"])):
                 yield (f"{density}.{name}.{fname}",
                        [argv[0], path, *argv[1:], "--frame", spec])
+    # the forward map on Bernstein-Szego's gammas and on seeded rmax-0.8 ones
     for stem in ["bernstein_gammas"] + [f"gammas80_{seed}" for seed in GAMMA_SEEDS[:3]]:
         for fmt in ("json", "csv"):
             for k in (20, 40, 80):
                 yield (f"{stem}.verblunsky-to-moments.n{k}.{fmt}",
                        ["verblunsky-to-moments", f"fixtures/{stem}.json", "--n", str(k),
                         "--format", fmt])
-    for k in (1, 2, 3, 200, 400):
+    for k in (1, 2, 3, 200, 400):   # the forward map's first and last waves
         yield (f"gammas400_1017.verblunsky-to-moments.n{k}",
                ["verblunsky-to-moments", "fixtures/gammas400_1017.json", "--n", str(k)])
+    # ill-conditioned moments whose route-B bits decide a RouteMismatch, and
+    # route B's full rows on them
     for seed in GAMMA_SEEDS[:3]:
         for n in (12, 25, 40):
             yield (f"gammas40_{seed}.moments-to-verblunsky.n{n}",
@@ -266,7 +182,10 @@ def report_set(frames: dict[str, str]):
     for stem in ("smooth_trig", f"random_gamma_{GAMMA_SEEDS[0]}"):   # past nine CD blocks
         yield (f"{stem}.cd.n11.s2500.seed0",
                ["cd", f"fixtures/{stem}.json", "--n", "11", "--samples", "2500"])
+    # route B's full rows on a density with a j-part
     yield "smooth_trig.orthopolys.n40", ["orthopolys", "fixtures/smooth_trig.json", "--n", "40"]
+    # moment fixtures: as given, with negative indices, with a broken
+    # Hermitian symmetry and not positive definite
     for stem in ("moments_rg7", "moments_rg7_negative", "moments_asymmetric",
                  "moments_not_pd"):
         path = f"fixtures/{stem}.json"
@@ -275,24 +194,30 @@ def report_set(frames: dict[str, str]):
                    ["moments-to-verblunsky", path, "--n", str(n)])
         for command in ("orthopolys", "zeros", "cd"):
             yield f"{stem}.{command}.n5", [command, path, "--n", "5"]
+    # a measure with an atom: gamma_n = 1 / (n + 2), and route A at N = 200
     for command, n in (("moments-to-verblunsky", 200), ("orthopolys", 8), ("zeros", 8)):
         yield (f"atom_lebesgue.{command}.n{n}",
                [command, "fixtures/atom_lebesgue.json", "--n", str(n)])
     for n in (2, 3, 4, 5, 40):   # K = 3: N below, at and past K + 1
         yield (f"banded_moments.moments-to-verblunsky.n{n}",
                ["moments-to-verblunsky", "fixtures/banded_moments.json", "--n", str(n)])
+    # the fixture-kind checks: a repeated index, a density of w2 alone, and a
+    # fixture of two kinds
     for stem in ("repeated_w1", "repeated_moments", "w2_only", "w2_only_noframe",
                  "mixed_density_moments"):
         path = f"fixtures/{stem}.json"
         yield f"{stem}.moments-to-verblunsky.n1", ["moments-to-verblunsky", path, "--n", "1"]
         yield f"{stem}.grid.g7", ["grid", path, "--grid", "7"]
         yield f"{stem}.sv.n1", ["sv", path, "--n", "1"]
+    # inputs at the loader's edges: a symmetry inside its tolerance, indices
+    # no dense array can hold, no moments, a frame of the fixture's own
     for stem in ("near_symmetric", "far_index", "empty_moments", "smooth_trig_own_frame",
                  "far_moments"):
         path = f"fixtures/{stem}.json"
         yield f"{stem}.moments-to-verblunsky.n6", ["moments-to-verblunsky", path, "--n", "6"]
         yield f"{stem}.sv.n6", ["sv", path, "--n", "6"]
         yield f"{stem}.grid.g7", ["grid", path, "--grid", "7"]
+    # moments and coefficients read in a frame of their own
     for stem, command in (("moments_own_frame", "moments-to-verblunsky"),
                           ("gammas_own_frame", "verblunsky-to-moments")):
         path = f"fixtures/{stem}.json"
@@ -338,14 +263,17 @@ def report_set(frames: dict[str, str]):
              ["moments-to-verblunsky", "--n", "1"]),
             ("c0_norm_overflow", "orthopolys.n1", ["orthopolys", "--n", "1"])):
         yield f"{stem}.{name}", [argv[0], f"fixtures/{stem}.json", *argv[1:]]
+    # c_0 = 2, rejected by every density command
     yield "unnormalised.grid.g7", ["grid", "fixtures/unnormalised.json", "--grid", "7"]
     yield "unnormalised.sv.n1", ["sv", "fixtures/unnormalised.json", "--n", "1"]
     yield "unnormalised.baxter.n4", ["baxter", "fixtures/unnormalised.json", "--n", "4"]
+    # +-1e308 terms that cancel on the PSD grid and overflow on the 7-point one
     for fmt in ("json", "csv"):
         yield f"overflow.grid.g7.{fmt}", ["grid", "fixtures/overflow.json", "--grid", "7",
                                           "--format", fmt]
     for command in ("baxter", "sv"):
         yield f"overflow.{command}.n4", [command, "fixtures/overflow.json", "--n", "4"]
+    # tolerances that turn a pass into a RouteMismatch or a rejection
     for name, argv in (("sv.n40.tol-route1e-40", ["sv", "--n", "40", "--tol-route", "1e-40"]),
                        ("sv.n8.tol-pd0.95", ["sv", "--n", "8", "--tol-pd", "0.95"]),
                        ("cd.n8.tol-pd0.95", ["cd", "--n", "8", "--tol-pd", "0.95"]),
@@ -355,14 +283,18 @@ def report_set(frames: dict[str, str]):
     for seed in GAMMA_SEEDS:   # batches of roots up to degree 24
         yield (f"random_gamma_{seed}.zeros.n12",
                ["zeros", f"fixtures/random_gamma_{seed}.json", "--n", "12"])
+    # random-gamma runs besides the ones that make fixtures
     for seed, n, rmax in ((0, 8, "0.8"), (11, 12, "0.8"), (5, 40, "0.95"), (3, 5, "0.5")):
         yield (f"random-gamma.seed{seed}.n{n}.rmax{rmax}",
                ["random-gamma", "--seed", str(seed), "--n", str(n), "--rmax", rmax])
+    # past a horizon and past the coefficient count, and a missing file
     yield "random_gamma_7.orthopolys.n30", ["orthopolys", "fixtures/random_gamma_7.json",
                                             "--n", "30"]
     yield ("random_gamma_7.verblunsky-to-moments.n30",
            ["verblunsky-to-moments", "fixtures/random_gamma_7.json", "--n", "30"])
     yield "missing.zeros.n4", ["zeros", "fixtures/missing.json", "--n", "4"]
+    # JSON nested deeper than the parser recurses and an integer beyond the
+    # float range, in a fixture and in --frame
     yield "deep.moments-to-verblunsky.n2", ["moments-to-verblunsky", "fixtures/deep.json",
                                             "--n", "2"]
     yield "huge_gamma.verblunsky-to-moments.n1", ["verblunsky-to-moments",
@@ -381,10 +313,13 @@ def report_set(frames: dict[str, str]):
         yield f"{stem}.moments-to-verblunsky.n1", ["moments-to-verblunsky", path, "--n", "1"]
         yield (f"{stem}.moments-to-verblunsky.n1.standard",
                ["moments-to-verblunsky", path, "--n", "1", "--frame", "standard"])
+    # the density symmetry checks
     for stem in ("w1_asymmetric", "w2_asymmetric"):
         yield f"{stem}.grid.g4", ["grid", f"fixtures/{stem}.json", "--grid", "4"]
+    # fewer moments than --n asks for
     yield ("short_moments.moments-to-verblunsky.n3",
            ["moments-to-verblunsky", "fixtures/short_moments.json", "--n", "3"])
+    # a fixture with no data, and an index beyond int64
     for stem in ("empty_fixture", "w1_index_2_63"):
         yield (f"{stem}.moments-to-verblunsky.n1",
                ["moments-to-verblunsky", f"fixtures/{stem}.json", "--n", "1"])
@@ -442,6 +377,7 @@ def make_fixtures(main, record) -> None:
         text = record(name, argv)
         return json.loads(text.split("\n", 1)[1])["result"]
 
+    # seeded coefficients: 13 per seed, and 80 and 40 at rmax 0.8 for three seeds
     for seed in GAMMA_SEEDS:
         write_fixture(f"random_gamma_{seed}", generated(
             f"random-gamma.seed{seed}.n13", ["random-gamma", "--seed", str(seed), "--n", "13"]))
@@ -452,12 +388,16 @@ def make_fixtures(main, record) -> None:
             write_fixture(f"gammas40_{seed}", generated(
                 f"random-gamma.seed{seed}.n40",
                 ["random-gamma", "--seed", str(seed), "--n", "40", "--rmax", "0.8"]))
+    # 400 coefficients, route A's and the forward map's longest horizon
     write_fixture("gammas400_1017", generated(
         "random-gamma.seed1017.n400",
         ["random-gamma", "--seed", "1017", "--n", "400", "--rmax", "0.8"]))
     standard = {"i": [0.0, 1.0, 0.0, 0.0], "j": [0.0, 0.0, 1.0, 0.0]}
+    # Bernstein-Szego's coefficients: gamma_0 = 1/2, then zeros
     write_fixture("bernstein_gammas", {"frame": standard,
                                        "gammas": [[0.5, 0.0, 0.0, 0.0]] + [[0.0] * 4] * 79})
+    # random_gamma_7's moments, with negative indices too, with c_{-3} = c_3
+    # (not conj c_3), and with |c_5| raised to 1.5
     moments = generated("random_gamma_7.verblunsky-to-moments.n12",
                         ["verblunsky-to-moments", "fixtures/random_gamma_7.json", "--n", "12"])
     moments = moments["moments"]
@@ -502,7 +442,7 @@ def make_fixtures(main, record) -> None:
     # w1 = 1 + cos(10^9 theta) / 2, which a dense coefficient array cannot hold
     write_fixture("far_index", {"frame": standard, "w1": [[0, 1.0, 0.0], [10 ** 9, 0.25, 0.0],
                                                           [-10 ** 9, 0.25, 0.0]]})
-    write_fixture("empty_moments", {"moments": []})
+    write_fixture("empty_moments", {"moments": []})   # no c_0
     # smooth_trig's coefficient maps read in a non-standard frame of their own
     smooth = json.loads(Path("fixtures", "smooth_trig.json").read_text(encoding="utf-8"))
     write_fixture("smooth_trig_own_frame", {**smooth, "frame": json.loads(random_frame(6))})
@@ -545,9 +485,11 @@ def make_fixtures(main, record) -> None:
     write_fixture("w1_asymmetric", {"frame": standard, "w1": [[0, 1.0, 0.0], [1, 0.1, 0.0]]})
     write_fixture("w2_asymmetric", {"frame": standard, "w1": [[0, 1.0, 0.0]],
                                     "w2": [[1, 0.1, 0.0], [-1, 0.1, 0.0]]})
+    # c_0 and c_1 only
     write_fixture("short_moments", {"moments": [[0, [1.0, 0.0, 0.0, 0.0]],
                                                 [1, [0.1, 0.0, 0.0, 0.0]]]})
-    write_fixture("empty_fixture", {})
+    write_fixture("empty_fixture", {})   # no data of any kind
+    # an index beyond int64
     write_fixture("w1_index_2_63", {"frame": standard, "w1": [[0, 1.0, 0.0],
                                                               [2 ** 63, 0.1, 0.0]]})
 
